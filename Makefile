@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test bench bench-mem bench-pipeline telemetry-smoke trace-smoke io-smoke query-smoke slo-smoke stat-smoke dist-smoke bench-gate profile
+.PHONY: check build test bench bench-mem bench-pipeline telemetry-smoke trace-smoke io-smoke query-smoke slo-smoke stat-smoke bench-gate profile
 
 check:
 	sh scripts/check.sh
@@ -75,15 +75,6 @@ slo-smoke:
 # CHECK_STAT_SMOKE=1 make check runs this as part of the full gate.
 stat-smoke:
 	$(GO) run scripts/stat_smoke.go
-
-# End-to-end check of the distributed pipeline: real fpgen and
-# fpreport binaries at -distribute=3 must produce byte-identical .fpds
-# shards (main and student cohorts) and a byte-identical full report
-# (same exit code) versus their single-process runs, and the run
-# ledger must record the topology. CHECK_DIST_SMOKE=1 make check runs
-# this as part of the full gate.
-dist-smoke:
-	$(GO) run scripts/dist_smoke.go
 
 # Perf-regression gate: re-times the pipeline at the small/medium
 # cohort sizes and compares against the committed BENCH_pipeline.json

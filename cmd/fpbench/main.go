@@ -46,7 +46,6 @@ import (
 	"fpstudy/internal/benchcmp"
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/core"
-	"fpstudy/internal/distrib"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
@@ -87,9 +86,6 @@ func parseInts(s, flagName string) []int {
 }
 
 func main() {
-	// The distrib benchmark re-execs this binary as a frame-protocol
-	// worker; the bootstrap intercepts that mode before anything else.
-	distrib.WorkerBootstrap()
 	if len(os.Args) > 1 && os.Args[1] == "compare" {
 		exit(compareMain(os.Args[2:]))
 	}
@@ -179,7 +175,7 @@ func compareMain(args []string) int {
 func worstRegressedLeg(regs []benchcmp.Delta) (n, w int, ok bool) {
 	worst := 0.0
 	for _, d := range regs {
-		if d.IsIO() || d.IsQuery() || d.IsDistrib() || d.N == 0 {
+		if d.IsIO() || d.IsQuery() || d.N == 0 {
 			continue
 		}
 		mag := d.Change
@@ -275,8 +271,6 @@ func benchMain() {
 	tracePath := flag.String("trace", "", "export a structured trace of the timed reps (.json Chrome trace-event format, .jsonl JSON Lines)")
 	telemetryAddr := flag.String("telemetry", "", "serve live expvar+pprof introspection on this address (e.g. 127.0.0.1:6060)")
 	ioBench := flag.Bool("io", true, "benchmark dataset serialization (encode/decode, binary and JSON) at each -n size")
-	distribProcs := flag.String("distribprocs", "1,2,4", "comma-separated process counts for the distributed pipeline sweep (empty disables)")
-	distribNs := flag.String("distribn", "10000,1000000", "comma-separated cohort sizes for the distributed pipeline sweep")
 	queryBench := flag.Bool("query", true, "benchmark the vectorized query engine (in-memory and streaming) at each -n size")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the timed reps to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (after the timed reps) to this file")
@@ -497,22 +491,6 @@ func benchMain() {
 		}
 	}
 
-	// The distributed sweep times the full multi-process pipeline —
-	// spawn, generate, grade, shutdown — so its numbers carry the real
-	// coordination overhead (process startup, per-process answer-key
-	// derivation, frame serialization), not just the compute.
-	if *distribProcs != "" {
-		procsList := parseInts(*distribProcs, "distribprocs")
-		for _, n := range parseInts(*distribNs, "distribn") {
-			runs, err := distribBenchSize(n, *seed, procsList, *reps)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fpbench:", err)
-				exit(1)
-			}
-			rep.Distrib = append(rep.Distrib, runs...)
-		}
-	}
-
 	// The out-of-core headline leg: a filtered grouped mean streaming
 	// off a 10M-respondent on-disk shard. Opt-in (generation plus a
 	// multi-GB temp file take minutes), so the default bench stays fast:
@@ -583,50 +561,6 @@ func latencyStages(before, after map[string]telemetry.LatencySnapshot) []benchcm
 			strings.TrimPrefix(name, "latency."), delta))
 	}
 	return out
-}
-
-// distribBenchSize times the distributed pipeline at one cohort size
-// across process counts. Each rep is the whole life cycle: Start (which
-// spawns and handshakes every worker), GenerateMain, Grade, Close. The
-// procs=1 entry is the distributed serial baseline the scaling gate
-// compares against — it pays the same process-spawn and frame costs,
-// isolating the fan-out effect.
-func distribBenchSize(n int, seed int64, procsList []int, reps int) ([]benchcmp.DistribRun, error) {
-	var runs []benchcmp.DistribRun
-	for _, procs := range procsList {
-		best := 0.0
-		workersPerProc := 0
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			c, err := distrib.Start(distrib.Options{Procs: procs, Stderr: os.Stderr})
-			if err != nil {
-				return nil, fmt.Errorf("distrib procs=%d at n=%d: %w", procs, n, err)
-			}
-			if _, err := c.GenerateMain(seed, n); err != nil {
-				c.Close()
-				return nil, fmt.Errorf("distrib procs=%d at n=%d: %w", procs, n, err)
-			}
-			if _, err := c.Grade(); err != nil {
-				c.Close()
-				return nil, fmt.Errorf("distrib procs=%d at n=%d: %w", procs, n, err)
-			}
-			workersPerProc = c.Stats().WorkersPerProc
-			if err := c.Close(); err != nil {
-				return nil, fmt.Errorf("distrib procs=%d at n=%d: %w", procs, n, err)
-			}
-			if sec := time.Since(start).Seconds(); best == 0 || sec < best {
-				best = sec
-			}
-		}
-		runs = append(runs, benchcmp.DistribRun{
-			N: n, Procs: procs, WorkersPerProc: workersPerProc, Reps: reps,
-			BestSeconds:       best,
-			RespondentsPerSec: float64(n) / best,
-		})
-		fmt.Fprintf(os.Stderr, "fpbench: n=%d distrib procs=%d best=%.3fs (%.0f respondents/sec)\n",
-			n, procs, best, float64(n)/best)
-	}
-	return runs, nil
 }
 
 // queryLegs are the canned engine benchmarks: a compute-heavy full

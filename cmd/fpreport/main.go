@@ -31,9 +31,7 @@ import (
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/core"
-	"fpstudy/internal/distrib"
 	"fpstudy/internal/paperdata"
-	"fpstudy/internal/report"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/runlog"
@@ -51,9 +49,6 @@ func exit(code int) {
 }
 
 func main() {
-	// A coordinator re-execs this binary as a frame-protocol worker;
-	// the bootstrap intercepts that mode before any flag parsing.
-	distrib.WorkerBootstrap()
 	all := flag.Bool("all", false, "print all figures and claims")
 	fig := flag.Int("fig", 0, "print one figure by number (1-22)")
 	claims := flag.Bool("claims", false, "print headline claims")
@@ -74,7 +69,6 @@ func main() {
 	telemetryAddr := flag.String("telemetry", "", "serve live expvar+pprof introspection on this address (e.g. 127.0.0.1:6060)")
 	manifest := flag.String("manifest", "", "write a run manifest (seed, workers, stage spans, counters) to this path")
 	runlogPath := flag.String("runlog", os.Getenv("FPSTUDY_RUNLOG"), "append a run-ledger record (JSONL) to this file on exit (default $FPSTUDY_RUNLOG; empty disables); never affects the output")
-	distribute := flag.Int("distribute", 0, "run generation, grading, and figure rendering across this many worker processes (bit-identical to in-process); 0 runs in-process")
 	flag.Parse()
 
 	// Telemetry observes the pipeline without participating: figures
@@ -83,6 +77,11 @@ func main() {
 	rec := core.InstallPipelineTelemetry(reg)
 	rec.PublishExpvar("fpstudy")
 	ledger = runlog.Start(*runlogPath, "fpreport", os.Args[1:], reg, rec)
+	// Reject a bad figure number before the pipeline runs.
+	if *fig < 0 || *fig > 22 {
+		fmt.Fprintln(os.Stderr, "fpreport: figure number must be 1-22")
+		exit(2)
+	}
 	if *telemetryAddr != "" {
 		srv, err := telemetry.Serve(*telemetryAddr)
 		if err != nil {
@@ -114,9 +113,6 @@ func main() {
 		return
 	}
 	var results *core.Results
-	// Figures rendered by worker processes in a -distribute run; emit
-	// consults this before falling back to the in-process renderer.
-	distTables := map[int]report.Table{}
 	if *data != "" {
 		// Loaded-data mode: grade and report on a serialized cohort. At
 		// the generating seed and size this reproduces an in-process run
@@ -132,22 +128,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fpreport: -studentdata requires -data")
 			exit(2)
 		}
-		if *distribute > 0 {
-			// Distributed mode: generation, grading, and the figures the
-			// invocation will print all run in worker processes; the
-			// figure legs round-robin across workers. Output is
-			// bit-identical to the in-process run (the golden test pins
-			// it), so the flag is pure execution topology.
-			figs := wantedFigures(*all, *fig, *claims, *calibration, *association, *items, *intervention, *confidence)
-			var err error
-			results, distTables, err = distributedRun(study, *distribute, figs)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fpreport:", err)
-				exit(1)
-			}
-		} else {
-			results = study.Run()
-		}
+		results = study.Run()
 	}
 	if *manifest != "" {
 		m := rec.Manifest("fpreport", *seed, *n, *workers)
@@ -159,10 +140,7 @@ func main() {
 	}
 
 	emit := func(num int) {
-		t, ok := distTables[num]
-		if !ok {
-			t = results.Figure(num)
-		}
+		t := results.Figure(num)
 		switch {
 		case *csv:
 			fmt.Print(t.CSV())
@@ -187,10 +165,6 @@ func main() {
 		fmt.Printf("overconfidence index: %+.3f; optimization humility: %.2f\n",
 			results.OverconfidenceIndex(), results.OptHumilityIndex())
 	case *fig != 0:
-		if *fig < 1 || *fig > 22 {
-			fmt.Fprintln(os.Stderr, "fpreport: figure number must be 1-22")
-			exit(2)
-		}
 		emit(*fig)
 	case *all:
 		for i := 1; i <= 22; i++ {
@@ -206,75 +180,6 @@ func main() {
 		printClaims(results)
 	}
 	ledger.Finish(0)
-}
-
-// wantedFigures maps the invocation's flags to the figure numbers it
-// will print, so a distributed run only ships figure legs that will
-// actually be emitted. Analysis flags print no figures at all.
-func wantedFigures(all bool, fig int, analysisOnly ...bool) []int {
-	for _, a := range analysisOnly {
-		if a {
-			return nil
-		}
-	}
-	switch {
-	case all:
-		figs := make([]int, 22)
-		for i := range figs {
-			figs[i] = i + 1
-		}
-		return figs
-	case fig >= 1 && fig <= 22:
-		return []int{fig}
-	case fig != 0:
-		return nil // invalid number; the caller rejects it before emitting
-	default:
-		return []int{12, 13} // the headline table and histogram
-	}
-}
-
-// distributedRun executes the full pipeline — generation, grading,
-// and figure rendering — across procs worker processes and assembles
-// in-process Results over the merged cohorts for everything else
-// (claims, analyses, figures outside figs).
-func distributedRun(study core.Study, procs int, figs []int) (*core.Results, map[int]report.Table, error) {
-	c, err := distrib.Start(distrib.Options{Procs: procs, Workers: study.Workers, Stderr: os.Stderr})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer c.Close()
-	main, err := c.GenerateMain(study.Seed, study.NMain)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Same seed split as Study.Run: students draw from Seed+1.
-	students, err := c.GenerateStudents(study.Seed+1, study.NStudent)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := c.Grade()
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := study.ResultsFromParts(main, students, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	tables, err := c.Figures(main, students, figs)
-	if err != nil {
-		return nil, nil, err
-	}
-	byNum := make(map[int]report.Table, len(figs))
-	for i, f := range figs {
-		byNum[f] = tables[i]
-	}
-	st := c.Stats()
-	ledger.SetTopology(&runlog.Topology{
-		Procs: st.Procs, WorkersPerProc: st.WorkersPerProc, WorkerWallSeconds: st.WorkerWallSeconds})
-	if err := c.Close(); err != nil {
-		return nil, nil, err
-	}
-	return results, byNum, nil
 }
 
 // runQuery executes one ad-hoc expression through the vectorized

@@ -173,13 +173,6 @@ func trendReport(historyPath, ledgerPath string, p benchcmp.DriftParams) (string
 		hosts := make([]string, 0, len(recs))
 		for _, r := range recs {
 			host := r.Host.Key()
-			if r.Topology != nil {
-				// A distributed run's wall time reflects its process
-				// fan-out, not just the host: fold the topology into the
-				// variance key so e.g. procs=4 runs never masquerade as
-				// drift against single-process runs on the same machine.
-				host += fmt.Sprintf(" distrib=%dx%d", r.Topology.Procs, r.Topology.WorkersPerProc)
-			}
 			hosts = append(hosts, host)
 			ss.add(r.Tool+" wall_seconds", r.WallSeconds, host, r.Timestamp)
 			if r.ExitStatus != 0 {

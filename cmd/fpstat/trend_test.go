@@ -48,7 +48,7 @@ func TestTrendMixedSchemaHistory(t *testing.T) {
 		histLine("2026-04-01T00:00:00Z", 5000, 1, "") + "\n" + // collapsed run on a 1-cpu host
 		histLine("2026-05-01T00:00:00Z", 10050, 8, "") + "\n" +
 		histLine("2026-05-15T00:00:00Z", 10020, 8,
-			`,"distrib":[{"n":10000,"procs":4,"workers_per_proc":0,"reps":2,"best_seconds":0.08,"respondents_per_sec":125000}]`) + "\n" + // v9 era: +distrib
+			`,"distrib":[{"n":10000,"procs":4,"workers_per_proc":0,"reps":2,"best_seconds":0.08,"respondents_per_sec":125000}]`) + "\n" + // v9 era: +distrib (no longer written; ignored on read)
 		`{"timestamp":"2026-06-01T` // truncated final line
 	write(t, hist, content)
 
@@ -128,38 +128,6 @@ func TestTrendLedger(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("ledger section missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestTrendLedgerTopologyAnnotation: a distributed run's wall time is
-// keyed by host AND topology, so when it drifts against the
-// single-process baseline the variance note names the fan-out instead
-// of blaming the code.
-func TestTrendLedgerTopologyAnnotation(t *testing.T) {
-	dir := t.TempDir()
-	ledger := filepath.Join(dir, "ledger.jsonl")
-	for i, wall := range []float64{0.5, 0.51, 0.49, 0.5} {
-		rec := runlog.Record{Schema: runlog.Schema, Tool: "fpgen", Timestamp: "2026-08-0" + itoa(i+1) + "T00:00:00Z",
-			Host: runlog.CurrentHost(), WallSeconds: wall}
-		if err := runlog.Append(ledger, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := runlog.Append(ledger, runlog.Record{Schema: runlog.Schema, Tool: "fpgen",
-		Timestamp: "2026-08-05T00:00:00Z", Host: runlog.CurrentHost(), WallSeconds: 5,
-		Topology: &runlog.Topology{Procs: 3, WorkersPerProc: 2, WorkerWallSeconds: []float64{1, 1, 1}}}); err != nil {
-		t.Fatal(err)
-	}
-
-	out, err := trendReport(filepath.Join(dir, "no-history.jsonl"), ledger, benchcmp.DriftParams{})
-	if err != nil {
-		t.Fatalf("trendReport: %v", err)
-	}
-	if !strings.Contains(out, "distrib=3x2") {
-		t.Errorf("drifted distributed run not annotated with its topology:\n%s", out)
-	}
-	if !strings.Contains(out, "likely host variance") {
-		t.Errorf("topology mismatch not flagged as host variance:\n%s", out)
 	}
 }
 

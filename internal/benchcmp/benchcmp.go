@@ -81,18 +81,11 @@ import (
 //	  against the revision and host fingerprint instead of asserted.
 //	  Absent from go-run/unstamped builds and from all older entries;
 //	  readers tolerate the omission (nil).
-//	9 — adds the top-level "distrib" array: multi-process pipeline
-//	  benchmarks, one entry per (n, procs) timing the full distributed
-//	  generation+grading leg (coordinator spawn, worker processes,
-//	  frame IPC, block-aligned merge) at that process count. Compare
-//	  gates distrib throughput under the throughput band and gates the
-//	  multi-process scaling curve (procs>1 >= procs=1 per n) the same
-//	  way the in-process workers gate does — except on serial_host
-//	  reports, where P processes share one core and the curve measures
-//	  the host, not the code (the in-process gate stays active there
-//	  because workers are clamped to 1 and trivially equal; process
-//	  fan-out is not clamped and pays real redundant work per process).
-//	  Reports without the section (v8 and older) compare cleanly.
+//	9 — added a top-level "distrib" array timing a multi-process
+//	  pipeline that has since been removed. The array is no longer
+//	  written, and readers ignore it in older reports and history
+//	  lines (encoding/json drops unknown keys), so v9 files need no
+//	  migration.
 const SchemaVersion = 9
 
 // Host identifies the benchmarking machine.
@@ -196,20 +189,6 @@ type QueryRun struct {
 	Latency []StageLatency `json:"latency,omitempty"`
 }
 
-// DistribRun is one timed multi-process pipeline configuration: the
-// full distributed generation+grading of an n-respondent cohort
-// across Procs worker processes (schema v9+). WorkersPerProc follows
-// the pipeline convention: 0 means each worker process uses its
-// GOMAXPROCS.
-type DistribRun struct {
-	N                 int     `json:"n"`
-	Procs             int     `json:"procs"`
-	WorkersPerProc    int     `json:"workers_per_proc"`
-	Reps              int     `json:"reps"`
-	BestSeconds       float64 `json:"best_seconds"`
-	RespondentsPerSec float64 `json:"respondents_per_sec"`
-}
-
 // StageLatencyFromSnapshot converts a telemetry latency snapshot
 // (typically the Sub of two registry snapshots bracketing a
 // configuration's reps) into the report form.
@@ -237,10 +216,6 @@ type Report struct {
 	// Query holds the query-engine benchmarks (schema v7+; absent from
 	// older reports and from runs invoked with -query=false).
 	Query []QueryRun `json:"query,omitempty"`
-	// Distrib holds the multi-process pipeline benchmarks (schema v9+;
-	// absent from older reports and from runs invoked with an empty
-	// -distribprocs).
-	Distrib []DistribRun `json:"distrib,omitempty"`
 }
 
 // Parse decodes a BENCH_pipeline.json document.
@@ -403,7 +378,6 @@ type Delta struct {
 	Mode       string  `json:"mode,omitempty"`
 	Name       string  `json:"name,omitempty"`
 	Stage      string  `json:"stage,omitempty"`
-	Procs      int     `json:"procs,omitempty"`
 	Metric     string  `json:"metric"`
 	Old        float64 `json:"old"`
 	New        float64 `json:"new"`
@@ -420,10 +394,6 @@ func (d Delta) IsQuery() bool { return d.Name != "" }
 // IsLatency reports whether the delta came from the latency section.
 func (d Delta) IsLatency() bool { return d.Stage != "" }
 
-// IsDistrib reports whether the delta came from the distrib section
-// (distrib runs always have procs >= 1).
-func (d Delta) IsDistrib() bool { return d.Procs != 0 }
-
 // Config renders the delta's configuration for display:
 // "n=199/workers=1" for pipeline deltas, "n=199/io/binary/decode" for
 // io deltas, "n=199/query/stream/grouped_mean/workers=0" for query
@@ -436,8 +406,6 @@ func (d Delta) Config() string {
 		cfg = fmt.Sprintf("n=%d/io/%s/%s", d.N, d.Format, d.Op)
 	case d.IsQuery():
 		cfg = fmt.Sprintf("n=%d/query/%s/%s/workers=%d", d.N, d.Mode, d.Name, d.Workers)
-	case d.IsDistrib():
-		cfg = fmt.Sprintf("n=%d/distrib/procs=%d", d.N, d.Procs)
 	default:
 		cfg = fmt.Sprintf("n=%d/workers=%d", d.N, d.Workers)
 	}
@@ -484,9 +452,6 @@ type queryKey struct {
 	mode, name string
 	workers    int
 }
-
-// distribKey identifies one timed multi-process configuration.
-type distribKey struct{ n, procs int }
 
 // relChange returns (new-old)/old, and 0 when old is 0 (a metric
 // appearing from nothing has no meaningful relative change; the
@@ -636,40 +601,10 @@ func Compare(old, new *Report, bands Bands) *Result {
 		}
 	}
 
-	// distrib section: multi-process pipeline throughput gates under
-	// the throughput band. Reports without the section (v8 and older)
-	// contribute nothing.
-	newDistrib := map[distribKey]DistribRun{}
-	for _, run := range new.Distrib {
-		newDistrib[distribKey{run.N, run.Procs}] = run
-	}
-	distribSeen := map[distribKey]bool{}
-	for _, o := range old.Distrib {
-		key := distribKey{o.N, o.Procs}
-		distribSeen[key] = true
-		n, ok := newDistrib[key]
-		if !ok {
-			res.OnlyOld = append(res.OnlyOld, Delta{N: o.N, Procs: o.Procs}.Config())
-			continue
-		}
-		rps := relChange(o.RespondentsPerSec, n.RespondentsPerSec)
-		res.Deltas = append(res.Deltas, Delta{
-			N: o.N, Procs: o.Procs, Metric: "respondents_per_sec",
-			Old: o.RespondentsPerSec, New: n.RespondentsPerSec, Change: rps,
-			Regression: rps < -bands.Throughput,
-		})
-	}
-	for _, n := range new.Distrib {
-		if !distribSeen[distribKey{n.N, n.Procs}] {
-			res.OnlyNew = append(res.OnlyNew, Delta{N: n.N, Procs: n.Procs}.Config())
-		}
-	}
-
 	// Scaling gate: a property of the new report alone — parallel must
 	// never lose to serial. The old report only establishes history; the
 	// claim "workers=all >= workers=1" has to hold on every fresh run.
 	res.Deltas = append(res.Deltas, ScalingDeltas(new, bands)...)
-	res.Deltas = append(res.Deltas, DistribScalingDeltas(new, bands)...)
 	return res
 }
 
@@ -752,47 +687,6 @@ func ScalingDeltas(r *Report, bands Bands) []Delta {
 	return out
 }
 
-// DistribScalingDeltas checks the multi-process scaling invariant of
-// one report: at every cohort size with a procs=1 run, each procs>1
-// run must be at least as fast, within the throughput noise band —
-// the distributed analogue of ScalingDeltas. The returned deltas use
-// metric "distrib_scaling_vs_serial" with Old = procs=1 and New =
-// procs=P respondents/sec.
-//
-// Unlike the in-process gate, serial_host reports are waived: on a
-// GOMAXPROCS=1 host the in-process worker pool is clamped so
-// workers=0 IS the serial run (trivially equal), but process fan-out
-// is not clamped — P processes genuinely time-share one core and each
-// pays its own per-process setup (answer-key derivation, runtime
-// start), so the curve measures the host, not the code. The deltas
-// are still emitted for the record; they just never gate there.
-func DistribScalingDeltas(r *Report, bands Bands) []Delta {
-	bands = bands.withDefaults()
-	serial := map[int]DistribRun{}
-	for _, run := range r.Distrib {
-		if run.Procs == 1 {
-			serial[run.N] = run
-		}
-	}
-	var out []Delta
-	for _, run := range r.Distrib {
-		if run.Procs <= 1 {
-			continue
-		}
-		s, ok := serial[run.N]
-		if !ok {
-			continue
-		}
-		change := relChange(s.RespondentsPerSec, run.RespondentsPerSec)
-		out = append(out, Delta{
-			N: run.N, Procs: run.Procs, Metric: "distrib_scaling_vs_serial",
-			Old: s.RespondentsPerSec, New: run.RespondentsPerSec, Change: change,
-			Regression: change < -bands.Throughput && !r.Host.SerialHost,
-		})
-	}
-	return out
-}
-
 // HistoryRun is the compact per-configuration record kept in the
 // benchmark trajectory (the full span trees stay in the report files).
 type HistoryRun struct {
@@ -826,9 +720,6 @@ type HistoryEntry struct {
 	IO []IORun `json:"io,omitempty"`
 	// Query carries the query-engine benchmarks verbatim (also compact).
 	Query []QueryRun `json:"query,omitempty"`
-	// Distrib carries the multi-process benchmarks verbatim (v9+
-	// entries; absent before).
-	Distrib []DistribRun `json:"distrib,omitempty"`
 }
 
 // HistoryFromReport compacts a report into its trajectory record.
@@ -855,7 +746,6 @@ func HistoryFromReport(r *Report, appendedAt time.Time) HistoryEntry {
 	}
 	e.IO = append(e.IO, r.IO...)
 	e.Query = append(e.Query, r.Query...)
-	e.Distrib = append(e.Distrib, r.Distrib...)
 	return e
 }
 

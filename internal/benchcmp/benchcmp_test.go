@@ -765,120 +765,19 @@ func TestHistoryCarriesQuery(t *testing.T) {
 	}
 }
 
-// mkDistribReport builds a report with a distrib section: procs 1 and
-// 4 at one cohort size, with the given throughputs.
-func mkDistribReport(rps1, rps4 float64) *Report {
-	r := mkReport(10000, 33000, 7.3, 2)
-	r.Distrib = []DistribRun{
-		{N: 10000, Procs: 1, Reps: 2, BestSeconds: 10000 / rps1, RespondentsPerSec: rps1},
-		{N: 10000, Procs: 4, Reps: 2, BestSeconds: 10000 / rps4, RespondentsPerSec: rps4},
-	}
-	return r
-}
-
-func TestCompareDistribGatesThroughput(t *testing.T) {
-	old := mkDistribReport(100000, 150000)
-	bad := mkDistribReport(100000, 150000)
-	bad.Distrib[1].RespondentsPerSec *= 0.7 // 30% drop at procs=4
-
-	regs := Compare(old, bad, Bands{}).Regressions()
-	found := false
-	for _, d := range regs {
-		if d.IsDistrib() && d.Metric == "respondents_per_sec" {
-			found = true
-			if want := "n=10000/distrib/procs=4"; d.Config() != want {
-				t.Errorf("Config() = %q, want %q", d.Config(), want)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("30%% distrib throughput drop not gated: %+v", regs)
-	}
-	if regs := Compare(old, mkDistribReport(100000, 150000), Bands{}).Regressions(); len(regs) != 0 {
-		t.Fatalf("identical distrib sections gated: %+v", regs)
-	}
-}
-
-func TestDistribScalingDeltas(t *testing.T) {
-	// procs=4 slower than procs=1 beyond the band: gated on a parallel
-	// host, waived (but still reported) on a serial host.
-	slow := mkDistribReport(100000, 80000)
-	deltas := DistribScalingDeltas(slow, Bands{})
-	if len(deltas) != 1 || !deltas[0].Regression {
-		t.Fatalf("multi-process scaling cliff not gated: %+v", deltas)
-	}
-	if deltas[0].Metric != "distrib_scaling_vs_serial" || deltas[0].Procs != 4 {
-		t.Fatalf("unexpected scaling delta identity: %+v", deltas[0])
-	}
-
-	slow.Host.SerialHost = true
-	deltas = DistribScalingDeltas(slow, Bands{})
-	if len(deltas) != 1 || deltas[0].Regression {
-		t.Fatalf("serial-host distrib scaling not waived: %+v", deltas)
-	}
-
-	fast := mkDistribReport(100000, 150000)
-	for _, d := range DistribScalingDeltas(fast, Bands{}) {
-		if d.Regression {
-			t.Fatalf("healthy scaling curve gated: %+v", d)
-		}
-	}
-}
-
-// TestCompareDistribBackCompat pins the v9-reads-v8 era contract: a
-// v8 report (no distrib section) compares cleanly against a v9 report
-// in both directions, with the distrib legs surfacing as OnlyNew /
-// OnlyOld rather than gating.
-func TestCompareDistribBackCompat(t *testing.T) {
-	old := mkReport(10000, 33000, 7.3, 2)
-	old.SchemaVersion = 8
-	cur := mkDistribReport(100000, 150000)
-
-	res := Compare(old, cur, Bands{})
-	if regs := res.Regressions(); len(regs) != 0 {
-		t.Fatalf("new distrib section gated against nothing: %+v", regs)
-	}
-	want := []string{"n=10000/distrib/procs=1", "n=10000/distrib/procs=4"}
-	if !reflect.DeepEqual(res.OnlyNew, want) {
-		t.Fatalf("OnlyNew = %v, want %v", res.OnlyNew, want)
-	}
-	res = Compare(cur, old, Bands{})
-	if !reflect.DeepEqual(res.OnlyOld, want) {
-		t.Fatalf("OnlyOld = %v, want %v", res.OnlyOld, want)
-	}
-
-	// A v8 document parses under the v9 reader with no distrib section.
-	v8 := []byte(`{"schema_version": 8, "runs": [{"n": 199, "workers": 1, "respondents_per_sec": 10000,
-		"allocs_per_respondent": 7.3, "gc_pause_total_ms": 2}]}`)
-	r, err := Parse(v8)
+// TestParseIgnoresRetiredDistrib: v9 reports written while the
+// multi-process "distrib" array existed still parse, and the retired
+// section contributes nothing to a comparison.
+func TestParseIgnoresRetiredDistrib(t *testing.T) {
+	v9 := []byte(`{"schema_version": 9, "runs": [{"n": 199, "workers": 1, "respondents_per_sec": 10000,
+		"allocs_per_respondent": 7.3, "gc_pause_total_ms": 2}],
+		"distrib": [{"n": 10000, "procs": 4, "workers_per_proc": 0, "reps": 2, "best_seconds": 0.08, "respondents_per_sec": 125000}]}`)
+	r, err := Parse(v9)
 	if err != nil {
-		t.Fatalf("v8 parse: %v", err)
+		t.Fatalf("v9 parse: %v", err)
 	}
-	if len(r.Distrib) != 0 {
-		t.Fatalf("v8 report grew a distrib section: %+v", r.Distrib)
-	}
-	if regs := Compare(r, cur, Bands{}).Regressions(); len(regs) != 0 {
-		t.Fatalf("v8-vs-v9 compare gated: %+v", regs)
-	}
-}
-
-// TestHistoryCarriesDistrib checks the trajectory line keeps the
-// distrib runs verbatim.
-func TestHistoryCarriesDistrib(t *testing.T) {
-	r := mkDistribReport(100000, 150000)
-	e := HistoryFromReport(r, time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
-	if !reflect.DeepEqual(e.Distrib, r.Distrib) {
-		t.Fatalf("history distrib section = %+v, want %+v", e.Distrib, r.Distrib)
-	}
-	data, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back HistoryEntry
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.Distrib, r.Distrib) {
-		t.Fatalf("distrib section did not survive the JSONL round trip")
+	res := Compare(r, r, Bands{})
+	if regs := res.Regressions(); len(regs) != 0 || len(res.OnlyOld) != 0 || len(res.OnlyNew) != 0 {
+		t.Fatalf("retired distrib section surfaced in compare: %+v", res)
 	}
 }

@@ -53,38 +53,3 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 	s.Telemetry.Registry().Counter(MetricRuns).Inc()
 	return r, nil
 }
-
-// ResultsFromParts assembles a Results from cohorts and grades that
-// were produced elsewhere — the distributed pipeline's merge point,
-// where generation and grading already happened in worker processes
-// and only the figure/claim layer remains. The grade slices must be
-// per-respondent aligned with main (grading is a pure per-respondent
-// function, so worker-graded ranges concatenated in range order are
-// identical to grading the merged dataset in-process).
-func (s Study) ResultsFromParts(main, students *colstore.Dataset, g quiz.Grades) (*Results, error) {
-	if main.Schema != quiz.Columns() {
-		return nil, fmt.Errorf("core: dataset schema is not the quiz instrument")
-	}
-	if students == nil || students.Schema != quiz.Columns() {
-		return nil, fmt.Errorf("core: student dataset schema is not the quiz instrument")
-	}
-	if len(g.Core) != main.Len() || len(g.OptScored) != main.Len() || len(g.OptAll) != main.Len() {
-		return nil, fmt.Errorf("core: grades cover %d/%d/%d respondents, main has %d",
-			len(g.Core), len(g.OptScored), len(g.OptAll), main.Len())
-	}
-	s.NMain = main.Len()
-	s.NStudent = students.Len()
-	r := &Results{
-		Study:         s,
-		Main:          &respondent.Population{Cols: main},
-		StudentCols:   students,
-		CoreTallies:   g.Core,
-		OptTallies:    g.OptScored,
-		OptAllTallies: g.OptAll,
-		instrument:    quiz.Instrument(),
-		workers:       s.Workers,
-		telemetry:     s.Telemetry,
-	}
-	s.Telemetry.Registry().Counter(MetricRuns).Inc()
-	return r, nil
-}

@@ -479,17 +479,6 @@ func generateFromProfiles(workers int, seed int64, profiles, calib []Profile, in
 // using one shared ability kernel per ability kind (the exp(-a) array
 // is computed once and reused by all ~19 bisections).
 func calibrateModels(workers int, calib []Profile, inst Instrumentation) []questionModel {
-	return calibrateFromAbilities(workers, abilitiesOf(calib, false), abilitiesOf(calib, true), inst)
-}
-
-// calibrateFromAbilities is calibrateModels against raw ability
-// arrays. Calibration is the pipeline's one global reduction — each
-// bisection step sums invlogit terms over the whole cohort with the
-// fixed-shard deterministic sums — so a distributed generation gathers
-// every worker's abilities and calls this once on the coordinator,
-// reproducing the single-process offsets bit for bit (the ability
-// kernel and SumShards shard layout depend only on len(coreAbil)).
-func calibrateFromAbilities(workers int, coreAbil, optAbil []float64, inst Instrumentation) []questionModel {
 	// The oracle-backed answer key is computed once (cached in quiz) and
 	// shared read-only by every worker.
 	type modelSpec struct {
@@ -525,8 +514,8 @@ func calibrateFromAbilities(workers int, coreAbil, optAbil []float64, inst Instr
 		specs = append(specs, modelSpec{qm: qm, target: row.Correct / 100, optAbil: true})
 	}
 	csp := inst.Span.StartChild("calibrate")
-	coreKernel := newAbilityKernel(workers, coreAbil)
-	optKernel := newAbilityKernel(workers, optAbil)
+	coreKernel := newAbilityKernel(workers, abilitiesOf(calib, false))
+	optKernel := newAbilityKernel(workers, abilitiesOf(calib, true))
 	// Calibrate the questions concurrently; each bisection is
 	// independent and deterministic.
 	lh := latencyHook.Load()
@@ -628,13 +617,6 @@ type colSampler struct {
 	d  *colstore.Dataset
 	bg *bgTables
 
-	// base is the global index of d's row 0. The single-process path
-	// leaves it 0; a distributed worker sampling respondents [lo, hi)
-	// into a local hi-lo row dataset sets base=lo so every RNG stream
-	// is still seeded at the respondent's global index — the property
-	// that makes the merged output byte-identical to one process.
-	base int
-
 	models []colModel
 
 	suspCI  []int
@@ -721,7 +703,7 @@ func (cs *colSampler) sampleBlock(rng *parallel.XRand, seed int64, lo, hi int, p
 			abil = optAbil
 		}
 		for i := lo; i < hi; i++ {
-			rng.SeedAt(seed, streamResponse, int64(cs.base+i)<<subStreamBits|int64(m.sub))
+			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(m.sub))
 			m.sampleInto(d, rng, i, abil[i])
 		}
 	}
@@ -729,7 +711,7 @@ func (cs *colSampler) sampleBlock(rng *parallel.XRand, seed int64, lo, hi int, p
 		cum := &cs.suspCum[k]
 		sub := cs.suspSub[k]
 		for i := lo; i < hi; i++ {
-			rng.SeedAt(seed, streamResponse, int64(cs.base+i)<<subStreamBits|int64(sub))
+			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(sub))
 			d.SetLikert(ci, i, drawLikert(rng, cum))
 		}
 	}

@@ -138,20 +138,6 @@ type Record struct {
 	// sha256 of a dataset fpgen emitted), keyed by artifact name, so a
 	// ledger line can later prove two runs produced identical bytes.
 	Golden map[string]string `json:"golden,omitempty"`
-	// Topology is set by distributed runs (fpgen/fpreport -distribute):
-	// the process fan-out that produced the output. Readers use it to
-	// avoid misattributing multi-process wall times to host drift —
-	// output bytes are topology-invariant, wall times are not.
-	Topology *Topology `json:"topology,omitempty"`
-}
-
-// Topology describes a distributed run's process fan-out.
-type Topology struct {
-	Procs          int `json:"procs"`
-	WorkersPerProc int `json:"workers_per_proc"`
-	// WorkerWallSeconds is each worker process's own accumulated leg
-	// wall time (index-aligned with worker processes).
-	WorkerWallSeconds []float64 `json:"worker_wall_seconds,omitempty"`
 }
 
 // FlattenSpans converts a span forest into depth-first Stage rows
@@ -254,15 +240,6 @@ func (r *Run) SetGolden(name, hash string) {
 		r.rec.Golden = map[string]string{}
 	}
 	r.rec.Golden[name] = hash
-}
-
-// SetTopology records the distributed fan-out of the run (no-op on
-// nil).
-func (r *Run) SetTopology(t *Topology) {
-	if r == nil {
-		return
-	}
-	r.rec.Topology = t
 }
 
 // Finish assembles the record (wall time, exit status, stage tree,

@@ -46,14 +46,17 @@ func TestAppendReadRoundTrip(t *testing.T) {
 
 // TestReadTolerance is the crashed-writer contract: blank lines,
 // malformed lines, and a truncated final line are skipped and counted,
-// never fatal.
+// never fatal. A record carrying a key this version no longer writes
+// (the retired multi-process "topology" object) still reads.
 func TestReadTolerance(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
 	good := `{"schema":1,"tool":"fpgen","timestamp":"2026-08-08T00:00:00Z","host":{"goos":"linux","goarch":"amd64","num_cpu":8,"gomaxprocs":8,"go_version":"go1.24.0"},"wall_seconds":1,"exit_status":0}`
+	retired := `{"schema":1,"tool":"fpreport","timestamp":"2026-08-09T00:00:00Z","host":{"goos":"linux","goarch":"amd64","num_cpu":8,"gomaxprocs":8,"go_version":"go1.24.0"},"wall_seconds":3,"exit_status":0,"topology":{"procs":3,"workers_per_proc":2,"worker_wall_seconds":[1,1,1]}}`
 	content := good + "\n" +
 		"\n" + // blank
 		"not json at all\n" +
 		good + "\n" +
+		retired + "\n" +
 		`{"schema":1,"tool":"fpbench","timestamp":"2026-0` // truncated mid-record, no newline
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
@@ -62,8 +65,11 @@ func TestReadTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Errorf("read %d records, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("read %d records, want 3", len(recs))
+	}
+	if r := recs[2]; r.Tool != "fpreport" || r.WallSeconds != 3 {
+		t.Errorf("record with a retired topology key read as %+v", r)
 	}
 	if skipped != 2 {
 		t.Errorf("skipped = %d, want 2 (malformed + truncated)", skipped)

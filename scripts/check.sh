@@ -73,20 +73,6 @@ if [ "${CHECK_STAT_SMOKE:-0}" = "1" ]; then
 	make stat-smoke
 fi
 
-# Optional distributed smoke gate: CHECK_DIST_SMOKE=1 generates an
-# n=30000 cohort single-process and with `fpgen -distribute=3`, and
-# runs the full report both ways, requiring the .fpds shards, report
-# bytes, and exit codes to be identical, and the run ledger to record
-# the topology (make dist-smoke). Off by default — the same
-# bit-reproducibility contract is pinned in-process (and across worker
-# processes) by TestGoldenDistributedInvariance in the suite above;
-# this stage additionally exercises the built binaries, the
-# -distribute flag surface, and real files.
-if [ "${CHECK_DIST_SMOKE:-0}" = "1" ]; then
-	echo "==> make dist-smoke"
-	make dist-smoke
-fi
-
 # Optional perf-regression gate: CHECK_BENCH_GATE=1 re-times the
 # pipeline (n=199 and n=10000) and compares against the committed
 # BENCH_pipeline.json with fpbench compare, failing on regressions

@@ -8,7 +8,10 @@
 // in-process `fpreport -all` regeneration at the same seed and size,
 // byte for byte. Exercises the whole path a dataset consumer depends
 // on: columnar generation, parallel binary encode, format sniffing,
-// streaming decode, grading off loaded columns, reporting.
+// streaming decode, grading off loaded columns, reporting. It also
+// checks that bad flag values are rejected before any work: an unknown
+// fpgen -format leaves an existing -o file byte-identical, and
+// `fpreport -fig 23` exits 2.
 //
 // Run via `make io-smoke` (or `go run scripts/io_smoke.go` from the
 // repo root). Exits 0 and prints PASS on success.
@@ -97,6 +100,22 @@ func main() {
 			fail("fpreport -data %s output differs from the in-process run (%d vs %d bytes)",
 				data, len(got), len(want))
 		}
+	}
+
+	// Flag validation happens before generation and before -o is
+	// opened (the cohort size would make late validation take seconds).
+	before, err := os.ReadFile(binPath)
+	if err != nil {
+		fail("%v", err)
+	}
+	if _, code := run(fpgen, "-n", "1000000", "-format", "bogus", "-o", binPath); code == 0 {
+		fail("fpgen -format bogus exited 0")
+	}
+	if after, err := os.ReadFile(binPath); err != nil || !bytes.Equal(after, before) {
+		fail("fpgen -format bogus modified the existing -o file (%d -> %d bytes, err %v)", len(before), len(after), err)
+	}
+	if _, code := run(fpreport, "-fig", "23", "-n", "1000000"); code != 2 {
+		fail("fpreport -fig 23 exited %d, want 2", code)
 	}
 
 	st, _ := os.Stat(binPath)
