@@ -24,8 +24,8 @@ bench:
 # make check runs this as part of the full gate.
 bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkSampleResponses' \
-		-benchmem ./internal/respondent/ ./internal/quiz/
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkSampleResponses|BenchmarkAnalysisReports' \
+		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/
 
 # End-to-end pipeline timing; writes BENCH_pipeline.json.
 bench-pipeline:

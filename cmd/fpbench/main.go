@@ -229,7 +229,7 @@ func profileLeg(cpuPath, heapPath string, seed int64, n, w int) error {
 	reg := telemetry.NewRegistry()
 	rec := core.InstallPipelineTelemetry(reg)
 	defer core.UninstallPipelineTelemetry()
-	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1, ColumnarOnly: true}.Run()
+	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1}.Run()
 
 	f, err := os.Create(cpuPath)
 	if err != nil {
@@ -242,8 +242,7 @@ func profileLeg(cpuPath, heapPath string, seed int64, n, w int) error {
 	if seed == 0 {
 		seed = 42
 	}
-	core.Study{Seed: seed, NMain: n, NStudent: 52, Workers: w,
-		Telemetry: rec, ColumnarOnly: true}.Run()
+	core.Study{Seed: seed, NMain: n, NStudent: 52, Workers: w, Telemetry: rec}.Run()
 	pprof.StopCPUProfile()
 	if err := f.Close(); err != nil {
 		return err
@@ -405,7 +404,7 @@ func benchMain() {
 	// this the first configuration timed absorbs the whole answer-key
 	// derivation, which at -reps 1 skews the serial baseline (and with
 	// it every speedup_vs_serial and the scaling gate).
-	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1, ColumnarOnly: true}.Run()
+	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1}.Run()
 
 	for _, n := range sizes {
 		serial := 0.0
@@ -420,12 +419,9 @@ func benchMain() {
 			latBefore := reg.Snapshot().Latencies
 			for r := 0; r < *reps; r++ {
 				rec := telemetry.NewRecorder(reg)
-				// ColumnarOnly: the benchmark times the columnar pipeline
-				// (generation into columns + columnar grading), which is
-				// what large cohorts run; row-view materialization is a
-				// separate, optional cost.
-				study := core.Study{Seed: *seed, NMain: n, NStudent: 52, Workers: w,
-					Telemetry: rec, ColumnarOnly: true}
+				// The benchmark times the columnar pipeline: generation
+				// into columns + columnar grading.
+				study := core.Study{Seed: *seed, NMain: n, NStudent: 52, Workers: w, Telemetry: rec}
 				// A forced GC before sampling makes the per-rep memory
 				// deltas comparable (no carry-over garbage).
 				runtime.GC()

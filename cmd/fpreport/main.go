@@ -96,13 +96,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fpreport: telemetry on http://%s/debug/vars (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
-	// ColumnarOnly: every figure, claim, and query evaluates through
-	// the vectorized engine straight off the columns, so a reporting
-	// invocation never builds per-respondent maps. The analyses that do
-	// need row views (calibration, item analysis) materialize them
-	// lazily on first use.
+	// Every figure, claim, analysis and query reads the columns
+	// directly, so a reporting invocation never builds per-respondent
+	// maps.
 	study := core.Study{Seed: *seed, NMain: *n, NStudent: *nStudents, Workers: *workers,
-		Telemetry: rec, ColumnarOnly: true}
+		Telemetry: rec}
 
 	if *queryExpr != "" {
 		if err := runQuery(study, *data, *queryExpr); err != nil {

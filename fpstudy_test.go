@@ -64,7 +64,7 @@ func TestFacadeStudyPipeline(t *testing.T) {
 		t.Fatalf("%d claims", len(claims))
 	}
 	// Scoring via facade.
-	tally := fpstudy.ScoreCore(results.Main.Dataset.Responses[0])
+	tally := fpstudy.ScoreCore(results.Main.Cols.Response(0))
 	if tally.Total() != 15 {
 		t.Fatalf("tally total %d", tally.Total())
 	}

@@ -34,7 +34,7 @@ import (
 //	  memory statistics from runtime.ReadMemStats deltas over the best
 //	  rep: "allocs_per_respondent", "total_alloc_mb" (MiB),
 //	  "gc_pause_total_ms", "gc_count". The pipeline is timed
-//	  ColumnarOnly (columnar generation + grading, no row-view
+//	  columnar (columnar generation + grading, no row-view
 //	  materialization) — the configuration large cohorts run.
 //	4 — adds the top-level "io" array: dataset serialization
 //	  benchmarks, one entry per (n, format, op) with best_seconds, the

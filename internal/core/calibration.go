@@ -19,13 +19,19 @@ func (r *Results) CalibrationReport() report.Table {
 		Title:  "Calibration: regenerated responses vs published distributions",
 		Header: []string{"Question", "chi2", "df", "crit(5%)", "fit"},
 	}
-	n := len(r.MainDataset().Responses)
+	d := r.Main.Cols
+	n := d.Len()
+	if n == 0 {
+		t.Notes = append(t.Notes, noRespondents)
+		return t
+	}
+	tab := quiz.ScoreTableFor(d.Schema)
 	fails := 0
 	for i, q := range quiz.CoreQuestions() {
 		row := paperdata.Figure14Core[i]
 		var c, inc, dk, un int
-		for _, resp := range r.MainDataset().Responses {
-			switch quiz.ClassifyCore(resp, q) {
+		for j := 0; j < n; j++ {
+			switch tab.ClassifyCore(d, j, i) {
 			case quiz.OutcomeCorrect:
 				c++
 			case quiz.OutcomeIncorrect:
@@ -74,6 +80,11 @@ func (r *Results) FactorAssociation() report.Table {
 		Title:  "Factor association with core score (Cramér's V on above/below-median split)",
 		Header: []string{"Factor", "levels", "V", "strength"},
 	}
+	d := r.Main.Cols
+	if d.Len() == 0 {
+		t.Notes = append(t.Notes, noRespondents)
+		return t
+	}
 	scores := make([]float64, len(r.CoreTallies))
 	for i, tl := range r.CoreTallies {
 		scores[i] = float64(tl.Correct)
@@ -93,26 +104,32 @@ func (r *Results) FactorAssociation() report.Table {
 		{"Contributed FP Extent", quiz.BGContribExtent},
 	}
 	for _, f := range factors {
-		levels := map[string]int{}
-		var order []string
-		for _, resp := range r.MainDataset().Responses {
-			l := resp.Answer(f.id).Choice
-			if _, ok := levels[l]; !ok {
-				levels[l] = len(order)
-				order = append(order, l)
+		// Contingency rows are levels in first-seen order, so Cramér's
+		// V sums its cells in a fixed order. counts holds one (below,
+		// above) pair per level; it and the level map are sized for
+		// every option plus "unanswered", so their allocations do not
+		// grow with the cohort.
+		ci := d.Schema.MustColumnIndex(f.id)
+		nOpts := len(d.Schema.Column(ci).Options) + 1
+		levels := make(map[string]int, nOpts)
+		counts := make([]int, 0, 2*nOpts)
+		for i, score := range scores {
+			label := d.SingleLabel(ci, i)
+			l, ok := levels[label]
+			if !ok {
+				l = len(counts) / 2
+				levels[label] = l
+				counts = append(counts, 0, 0)
+			}
+			if score > median {
+				counts[2*l+1]++
+			} else {
+				counts[2*l]++
 			}
 		}
-		table := make([][]int, len(order))
-		for i := range table {
-			table[i] = make([]int, 2)
-		}
-		for i, resp := range r.MainDataset().Responses {
-			l := levels[resp.Answer(f.id).Choice]
-			col := 0
-			if scores[i] > median {
-				col = 1
-			}
-			table[l][col]++
+		table := make([][]int, len(counts)/2)
+		for l := range table {
+			table[l] = counts[2*l : 2*l+2]
 		}
 		v := stats.CramersV(table)
 		strength := "negligible"
@@ -124,7 +141,7 @@ func (r *Results) FactorAssociation() report.Table {
 		case v >= 0.1:
 			strength = "weak"
 		}
-		t.AddRow(f.name, report.I(len(order)), report.F2(v), strength)
+		t.AddRow(f.name, report.I(len(table)), report.F2(v), strength)
 	}
 	t.Notes = append(t.Notes,
 		"paper: several factors are somewhat predictive, none has an outsize impact — expect weak/moderate at best")

@@ -20,10 +20,9 @@ type Claim struct {
 // IV) against this run's data. Every claim should pass on a calibrated
 // cohort; the benchmark harness prints them.
 //
-// Every claim runs through the query engine over the columnar storage
-// — no row views are materialized — so a ColumnarOnly run evaluates
-// them allocation-light, and the numbers are bit-identical at any
-// worker count.
+// Every claim runs through the query engine over the columnar storage,
+// so the claims evaluate allocation-light, and the numbers are
+// bit-identical at any worker count.
 func (r *Results) HeadlineClaims() []Claim {
 	var claims []Claim
 	add := func(name string, pass bool, detail string, args ...interface{}) {

@@ -9,9 +9,9 @@ import (
 )
 
 // ResultsFromColumns builds a Results over an already-loaded main
-// cohort instead of generating one: it grades the columns and leaves
-// figure tallies to read them directly, exactly like a ColumnarOnly
-// Run. The dataset must use the quiz schema (load it with
+// cohort instead of generating one: it grades the columns, and every
+// figure, claim and analysis then reads them directly, exactly as
+// after Run. The dataset must use the quiz schema (load it with
 // colstore.LoadFile(quiz.Columns(), ...)) so the cached grading tables
 // apply. When students is nil the student cohort is regenerated from
 // s.Seed+1 / s.NStudent — the same seed split Run uses — so a run at
@@ -22,11 +22,10 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 	}
 	s.NMain = main.Len()
 	r := &Results{
-		Study:      s,
-		Main:       &respondent.Population{Cols: main},
-		instrument: quiz.Instrument(),
-		workers:    s.Workers,
-		telemetry:  s.Telemetry,
+		Study:     s,
+		Main:      &respondent.Population{Cols: main},
+		workers:   s.Workers,
+		telemetry: s.Telemetry,
 	}
 	root := s.Telemetry.StartSpan("run")
 	if students == nil {

@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"runtime"
 	"testing"
 
-	"fpstudy/internal/survey"
 	"fpstudy/internal/telemetry"
 )
 
@@ -31,16 +31,15 @@ func goldenSnapshot(t *testing.T, n, workers int, rec *telemetry.Recorder) golde
 	s := Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
 	r := s.Run()
 	var g golden
-	mainJSON, err := survey.EncodeDataset(r.Main.Dataset)
-	if err != nil {
+	var mainJSON, studentJSON bytes.Buffer
+	if err := r.Main.Cols.WriteJSON(&mainJSON); err != nil {
 		t.Fatal(err)
 	}
-	studentJSON, err := survey.EncodeDataset(r.Students)
-	if err != nil {
+	if err := r.StudentCols.WriteJSON(&studentJSON); err != nil {
 		t.Fatal(err)
 	}
-	g.main = sha256.Sum256(mainJSON)
-	g.students = sha256.Sum256(studentJSON)
+	g.main = sha256.Sum256(mainJSON.Bytes())
+	g.students = sha256.Sum256(studentJSON.Bytes())
 	for fig := 1; fig <= 22; fig++ {
 		g.figures[fig-1] = sha256.Sum256([]byte(r.Figure(fig).String()))
 	}

@@ -21,21 +21,27 @@ func (r *Results) ItemAnalysis() report.Table {
 		Title:  "Item analysis of the core quiz (classical test theory)",
 		Header: []string{"Question", "difficulty (pCorrect)", "discrimination (r_pb)", "DK rate", "grade"},
 	}
-	qs := quiz.CoreQuestions()
-	n := len(r.MainDataset().Responses)
-
-	// Per-respondent per-item correctness and total scores.
-	correct := make([][]int, len(qs))
-	for i := range correct {
-		correct[i] = make([]int, n)
+	d := r.Main.Cols
+	n := d.Len()
+	if n == 0 {
+		t.Notes = append(t.Notes, noRespondents)
+		return t
 	}
+	qs := quiz.CoreQuestions()
+	tab := quiz.ScoreTableFor(d.Schema)
+
+	// Per-respondent per-item correctness and total scores, one core
+	// column at a time. correct[i*n+j] is 1 when respondent j got
+	// question i right.
+	correct := make([]int, len(qs)*n)
 	totals := make([]float64, n)
 	dkCount := make([]int, len(qs))
-	for j, resp := range r.MainDataset().Responses {
-		for i, q := range qs {
-			switch quiz.ClassifyCore(resp, q) {
+	for i := range qs {
+		ci := correct[i*n : (i+1)*n]
+		for j := range ci {
+			switch tab.ClassifyCore(d, j, i) {
 			case quiz.OutcomeCorrect:
-				correct[i][j] = 1
+				ci[j] = 1
 				totals[j]++
 			case quiz.OutcomeDontKnow:
 				dkCount[i]++
@@ -43,19 +49,20 @@ func (r *Results) ItemAnalysis() report.Table {
 		}
 	}
 
+	rest := make([]float64, n)
 	for i, q := range qs {
+		ci := correct[i*n : (i+1)*n]
 		diff := 0.0
-		for _, c := range correct[i] {
+		for _, c := range ci {
 			diff += float64(c)
 		}
 		diff /= float64(n)
 		// Rest score: total minus this item, to avoid part-whole
 		// inflation.
-		rest := make([]float64, n)
 		for j := range rest {
-			rest[j] = totals[j] - float64(correct[i][j])
+			rest[j] = totals[j] - float64(ci[j])
 		}
-		disc := stats.PointBiserial(correct[i], rest)
+		disc := stats.PointBiserial(ci, rest)
 		grade := "ok"
 		switch {
 		case disc < 0.05:
@@ -73,6 +80,10 @@ func (r *Results) ItemAnalysis() report.Table {
 	return t
 }
 
+// noRespondents is the note an analysis renders, in place of any
+// statistic or verdict, when the main cohort is empty.
+const noRespondents = "n=0: no respondents, so no statistics and no verdict"
+
 // TrainingIntervention is the policy experiment behind the paper's
 // "develop effective training" action: re-run the study with every
 // respondent's formal training upgraded to the given level and report
@@ -88,34 +99,50 @@ type TrainingIntervention struct {
 	Gain        float64
 }
 
+// trainingLevels are the formal-training levels the policy experiment
+// forces, in table order.
+var trainingLevels = []string{
+	"None",
+	"One or more lectures in course",
+	"One or more weeks within a course",
+	"One or more courses",
+}
+
 // RunTrainingIntervention simulates the intervention at the study's
 // seed and size.
 func (r *Results) RunTrainingIntervention(level string) TrainingIntervention {
-	base := r.meanTallies("core").Correct
-	treated := Study{
-		Seed:     r.Study.Seed,
-		NMain:    r.Study.NMain,
-		NStudent: 0,
-	}.runWithTraining(level)
-	return TrainingIntervention{
-		Level:       level,
-		BaseMean:    base,
-		TreatedMean: treated,
-		Gain:        treated - base,
-	}
+	return r.trainingInterventions([]string{level})[0]
 }
 
-// runWithTraining generates a cohort whose formal-training factor is
-// forced to the given level and returns the mean core score.
-func (s Study) runWithTraining(level string) float64 {
-	pop := respondent.GenerateMainWith(s.Seed, s.NMain, func(p *respondent.Profile) {
-		p.FormalTraining = level
-	})
-	var sum float64
-	for _, resp := range pop.Dataset.Responses {
-		sum += float64(quiz.ScoreCore(resp).Correct)
+// trainingInterventions generates, for each level, the study's cohort
+// with everyone's formal training forced to that level, and grades it.
+// The question models are fitted once, on the untreated cohort, and
+// shared by every treated cohort. Each cohort is graded and dropped
+// before the next is drawn.
+func (r *Results) trainingInterventions(levels []string) []TrainingIntervention {
+	base := r.meanTallies("core").Correct
+	overrides := make([]func(*respondent.Profile), len(levels))
+	for k, level := range levels {
+		overrides[k] = func(p *respondent.Profile) { p.FormalTraining = level }
 	}
-	return sum / float64(len(pop.Dataset.Responses))
+	out := make([]TrainingIntervention, len(levels))
+	respondent.GenerateTreatedColumnar(r.Study.Seed, r.Study.NMain, r.workers, overrides,
+		respondent.Instrumentation{}, func(k int, pop *respondent.Population) {
+			// Scores are small integers, so the sum is exact and the
+			// mean is the same at any worker count.
+			sum := 0
+			for _, tl := range quiz.ScoreAllColumns(pop.Cols, r.workers).Core {
+				sum += tl.Correct
+			}
+			treated := float64(sum) / float64(pop.Cols.Len())
+			out[k] = TrainingIntervention{
+				Level:       levels[k],
+				BaseMean:    base,
+				TreatedMean: treated,
+				Gain:        treated - base,
+			}
+		})
+	return out
 }
 
 // InterventionReport renders the what-if table across training levels.
@@ -124,14 +151,12 @@ func (r *Results) InterventionReport() report.Table {
 		Title:  "Policy experiment: force everyone's formal floating point training to a level",
 		Header: []string{"Forced level", "mean core score", "gain vs observed", "verdict"},
 	}
-	base := r.meanTallies("core").Correct
-	for _, level := range []string{
-		"None",
-		"One or more lectures in course",
-		"One or more weeks within a course",
-		"One or more courses",
-	} {
-		iv := r.RunTrainingIntervention(level)
+	if r.Main.Cols.Len() == 0 {
+		t.Notes = append(t.Notes, noRespondents)
+		return t
+	}
+	ivs := r.trainingInterventions(trainingLevels)
+	for _, iv := range ivs {
 		verdict := "small effect"
 		if iv.Gain > 1.5 {
 			verdict = "large effect"
@@ -139,9 +164,8 @@ func (r *Results) InterventionReport() report.Table {
 		if iv.Gain < -1.5 {
 			verdict = "large harm"
 		}
-		t.AddRow(level, report.F2(iv.TreatedMean),
-			fmt.Sprintf("%+.2f", iv.TreatedMean-base), verdict)
+		t.AddRow(iv.Level, report.F2(iv.TreatedMean), fmt.Sprintf("%+.2f", iv.Gain), verdict)
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("observed mean: %.2f; the paper: training as currently delivered buys ~1 question at best", base))
+	t.Notes = append(t.Notes, fmt.Sprintf("observed mean: %.2f; the paper: training as currently delivered buys ~1 question at best", ivs[0].BaseMean))
 	return t
 }

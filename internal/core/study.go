@@ -16,7 +16,6 @@ import (
 	"fpstudy/internal/report"
 	"fpstudy/internal/respondent"
 	"fpstudy/internal/stats"
-	"fpstudy/internal/survey"
 	"fpstudy/internal/telemetry"
 )
 
@@ -39,15 +38,6 @@ type Study struct {
 	// no-op handles). Telemetry never affects the produced data; the
 	// golden test pins bit-identical output with it on or off.
 	Telemetry *telemetry.Recorder
-	// ColumnarOnly skips materializing the row views (one
-	// map[string]Answer per respondent) after generation. Grading,
-	// every figure, and the headline claims evaluate through the
-	// query engine over the columnar storage, so the reporting
-	// pipeline never needs the rows; analyses that still do (item
-	// statistics, calibration) materialize them lazily via
-	// MainDataset/StudentDataset. At n=1M the row view is the
-	// dominant allocation cost, so fpbench measures with this set.
-	ColumnarOnly bool
 }
 
 // DefaultStudy mirrors the paper's cohort sizes.
@@ -58,13 +48,11 @@ func DefaultStudy() Study {
 // Results holds the generated cohorts and their grades.
 type Results struct {
 	Study Study
-	// Main is the main cohort. Main.Cols is always present; Main.Dataset
-	// (the row view) is materialized unless the study ran ColumnarOnly.
+	// Main is the main cohort. Every figure, claim and analysis reads
+	// its columns, Main.Cols; the row view Main.Dataset stays nil.
 	Main *respondent.Population
-	// StudentCols is the student cohort's columnar storage; Students is
-	// its row view (nil in ColumnarOnly runs until StudentDataset).
+	// StudentCols is the student cohort's columnar storage.
 	StudentCols *colstore.Dataset
-	Students    *survey.Dataset
 
 	// CoreTallies and OptTallies are per-respondent grades (OptTallies
 	// covers only the three T/F questions, the paper's Figure 12
@@ -73,9 +61,8 @@ type Results struct {
 	OptTallies    []quiz.Tally
 	OptAllTallies []quiz.Tally
 
-	instrument *survey.Instrument
-	workers    int
-	telemetry  *telemetry.Recorder
+	workers   int
+	telemetry *telemetry.Recorder
 
 	mainSrc    query.Source
 	studentSrc query.Source
@@ -116,7 +103,7 @@ func mustQueryValue(s *colstore.Schema, name string) query.Value {
 // / sample children, generate-students, grade) with per-stage wall
 // time, item counts, and throughput.
 func (s Study) Run() *Results {
-	r := &Results{Study: s, instrument: quiz.Instrument(), workers: s.Workers, telemetry: s.Telemetry}
+	r := &Results{Study: s, workers: s.Workers, telemetry: s.Telemetry}
 	root := s.Telemetry.StartSpan("run")
 	prog := s.Telemetry.Registry().Counter(MetricRespondents)
 	// The two cohorts use unrelated seeds and share no mutable state,
@@ -127,9 +114,6 @@ func (s Study) Run() *Results {
 		sp := root.StartChild("generate-main")
 		r.Main = respondent.GenerateMainColumnar(s.Seed, s.NMain, s.Workers, nil,
 			respondent.Instrumentation{Span: sp, Progress: prog})
-		if !s.ColumnarOnly {
-			r.Main.MaterializeDataset(s.Workers)
-		}
 		sp.AddItems(int64(s.NMain))
 		sp.End()
 	})
@@ -137,9 +121,6 @@ func (s Study) Run() *Results {
 		sp := root.StartChild("generate-students")
 		r.StudentCols = respondent.GenerateStudentsColumnar(s.Seed+1, s.NStudent, s.Workers,
 			respondent.Instrumentation{Span: sp})
-		if !s.ColumnarOnly {
-			r.Students = r.StudentCols.ToSurveyWorkers(s.Workers)
-		}
 		sp.AddItems(int64(s.NStudent))
 		sp.End()
 	})
@@ -153,22 +134,6 @@ func (s Study) Run() *Results {
 	root.End()
 	s.Telemetry.Registry().Counter(MetricRuns).Inc()
 	return r
-}
-
-// MainDataset returns the main cohort's row view, materializing it from
-// the columns on first use in a ColumnarOnly run. The figure tallies
-// never need it; the claim/item/calibration analyses do.
-func (r *Results) MainDataset() *survey.Dataset {
-	return r.Main.MaterializeDataset(r.workers)
-}
-
-// StudentDataset returns the student cohort's row view, materializing
-// it from the columns on first use in a ColumnarOnly run.
-func (r *Results) StudentDataset() *survey.Dataset {
-	if r.Students == nil {
-		r.Students = r.StudentCols.ToSurveyWorkers(r.workers)
-	}
-	return r.Students
 }
 
 // backgroundFigure describes one of Figures 1-11.
@@ -523,20 +488,8 @@ func (r *Results) Figure21() report.Table {
 }
 
 // SuspicionDistribution tabulates the Likert distribution of one
-// suspicion item over a row-form dataset.
-func SuspicionDistribution(ds *survey.Dataset, itemID string) stats.LikertDist {
-	var levels []int
-	for _, r := range ds.Responses {
-		if a := r.Answer(itemID); a.Level > 0 {
-			levels = append(levels, a.Level)
-		}
-	}
-	return stats.NewLikertDist(levels, 5)
-}
-
-// SuspicionDistributionCols is SuspicionDistribution over columnar
-// storage: a single walk of the item's Likert column.
-func SuspicionDistributionCols(d *colstore.Dataset, itemID string) stats.LikertDist {
+// suspicion item: a single walk of the item's Likert column.
+func SuspicionDistribution(d *colstore.Dataset, itemID string) stats.LikertDist {
 	ci := d.Schema.MustColumnIndex(itemID)
 	var levels []int
 	for i := 0; i < d.Len(); i++ {

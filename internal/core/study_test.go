@@ -16,11 +16,14 @@ var bigResults = Study{Seed: 42, NMain: 4000, NStudent: 2000}.Run()
 var paperResults = DefaultStudy().Run()
 
 func TestDefaultStudySizes(t *testing.T) {
-	if len(paperResults.Main.Dataset.Responses) != paperdata.NMain {
-		t.Fatalf("main n = %d", len(paperResults.Main.Dataset.Responses))
+	if n := paperResults.Main.Cols.Len(); n != paperdata.NMain {
+		t.Fatalf("main n = %d", n)
 	}
-	if len(paperResults.Students.Responses) != paperdata.NStudent {
-		t.Fatalf("students n = %d", len(paperResults.Students.Responses))
+	if n := paperResults.StudentCols.Len(); n != paperdata.NStudent {
+		t.Fatalf("students n = %d", n)
+	}
+	if r := paperResults.Main.Cols.Response(0); len(r.Answers) == 0 {
+		t.Fatal("respondent 0 has no answers")
 	}
 	if len(paperResults.CoreTallies) != paperdata.NMain {
 		t.Fatalf("tallies n = %d", len(paperResults.CoreTallies))
@@ -159,7 +162,7 @@ func TestBackgroundFigureComparesToPaper(t *testing.T) {
 }
 
 func TestSuspicionDistributionHelper(t *testing.T) {
-	d := SuspicionDistribution(bigResults.Main.Dataset, "susp.invalid")
+	d := SuspicionDistribution(bigResults.Main.Cols, "susp.invalid")
 	if d.N != 4000 {
 		t.Fatalf("n = %d", d.N)
 	}

@@ -122,8 +122,8 @@ type Profile struct {
 // Population is a generated cohort. Cols is the primary storage: the
 // columnar dataset the respondents were sampled directly into (see
 // internal/colstore). Dataset is the row view (one map[string]Answer
-// per respondent); the Generate* entry points materialize it for
-// compatibility, while the *Columnar entry points leave it nil so
+// per respondent); only GenerateMain, the public row facade,
+// materializes it, while the *Columnar entry points leave it nil so
 // million-respondent pipelines never pay for a map per respondent.
 type Population struct {
 	Profiles []Profile
@@ -360,47 +360,12 @@ func (qm questionModel) dkProb(ability float64) float64 {
 
 // GenerateMain builds the main cohort: n respondents with full
 // background, core, optimization, and suspicion answers, calibrated
-// against the paper's published aggregates. It parallelizes across
-// GOMAXPROCS workers; the output is identical at any worker count.
+// against the paper's published aggregates, with the row view
+// materialized. It parallelizes across GOMAXPROCS workers; the output
+// is identical at any worker count.
 func GenerateMain(seed int64, n int) *Population {
-	return GenerateMainWithWorkers(seed, n, 0, nil)
-}
-
-// GenerateMainWorkers is GenerateMain with an explicit worker count
-// (workers <= 0 means GOMAXPROCS). The worker count never affects the
-// generated data, only the wall-clock time.
-func GenerateMainWorkers(seed int64, n, workers int) *Population {
-	return GenerateMainWithWorkers(seed, n, workers, nil)
-}
-
-// GenerateMainWith is GenerateMain with a background override applied
-// to every profile before abilities are derived — the hook for policy
-// experiments ("what if everyone had a full course of floating point
-// training?"). The calibration step re-fits on the modified cohort's
-// ability distribution only for the *observed* world; interventions
-// reuse the observed-world question offsets so the treated cohort is
-// scored by the same instrument response model. To achieve that, the
-// override world is generated with offsets calibrated on an unmodified
-// cohort drawn from the same seed.
-func GenerateMainWith(seed int64, n int, override func(*Profile)) *Population {
-	return GenerateMainWithWorkers(seed, n, 0, override)
-}
-
-// GenerateMainWithWorkers is GenerateMainWith with an explicit worker
-// count.
-func GenerateMainWithWorkers(seed int64, n, workers int, override func(*Profile)) *Population {
-	return GenerateMainInstrumented(seed, n, workers, override, Instrumentation{})
-}
-
-// GenerateMainInstrumented is the fully parameterized main-cohort
-// generator: explicit worker count, optional background override, and
-// optional telemetry. The instrumentation records the stage span tree
-// (draw-profiles → calibrate → sample-responses) and streams per-block
-// progress; it never affects the generated data. The row view is
-// materialized; use GenerateMainColumnar to skip it.
-func GenerateMainInstrumented(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
-	p := GenerateMainColumnar(seed, n, workers, override, inst)
-	p.MaterializeDataset(workers)
+	p := GenerateMainColumnar(seed, n, 0, nil, Instrumentation{})
+	p.MaterializeDataset(0)
 	return p
 }
 
@@ -422,33 +387,63 @@ func drawProfileBlocks(workers int, seed int64, profiles []Profile, override fun
 // GenerateMainColumnar generates the main cohort directly into columns,
 // with no row view: respondent i's answers are a handful of indexed
 // stores into per-question code columns, so the per-respondent sampling
-// loop performs zero heap allocations.
+// loop performs zero heap allocations. The instrumentation records the
+// stage span tree (draw-profiles → calibrate → sample-responses) and
+// streams per-block progress; it never affects the generated data. A
+// non-nil override yields the treated cohort GenerateTreatedColumnar
+// samples for it.
 func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
+	if override != nil {
+		var pop *Population
+		GenerateTreatedColumnar(seed, n, workers, []func(*Profile){override}, inst,
+			func(_ int, p *Population) { pop = p })
+		return pop
+	}
 	workers = parallel.Workers(workers, n)
+	profiles := drawProfilesSpan(workers, seed, n, nil, inst)
+	models := calibrateModels(workers, profiles, inst)
+	return sampleColumnar(workers, seed, profiles, models, inst)
+}
+
+// GenerateTreatedColumnar runs policy experiments ("what if everyone
+// had a full course of floating point training?"). It draws the
+// untreated cohort for (seed, n) and fits the question models to its
+// abilities once. Then, per override, it draws the treated cohort,
+// with the override applied to every background before abilities are
+// derived, and samples its responses straight into columns with those
+// models. Calibrating against the untreated world lets an intervention
+// show a real shift instead of being normalized away. Each treated
+// profile replays the per-index stream its untreated twin consumed, a
+// paired (common-random-numbers) design. emit receives cohort k as soon
+// as it is sampled, so a caller that grades and drops each cohort holds
+// one at a time.
+func GenerateTreatedColumnar(seed int64, n, workers int, overrides []func(*Profile), inst Instrumentation, emit func(k int, pop *Population)) {
+	workers = parallel.Workers(workers, n)
+	// Calibration reads at most calibrationCap abilities, and profile
+	// i depends only on (seed, i), so the untreated prefix suffices.
+	calib := make([]Profile, min(n, calibrationCap))
+	drawProfileBlocks(workers, seed, calib, nil, nil)
+	models := calibrateModels(workers, calib, inst)
+	for k, override := range overrides {
+		profiles := drawProfilesSpan(workers, seed, n, override, inst)
+		emit(k, sampleColumnar(workers, seed, profiles, models, inst))
+	}
+}
+
+// drawProfilesSpan draws an n-respondent profile cohort under a
+// draw-profiles span.
+func drawProfilesSpan(workers int, seed int64, n int, override func(*Profile), inst Instrumentation) []Profile {
 	sp := inst.Span.StartChild("draw-profiles")
 	profiles := make([]Profile, n)
 	drawProfileBlocks(workers, seed, profiles, override, inst.Progress)
 	sp.AddItems(int64(n))
 	sp.End()
-	calib := profiles
-	if override != nil {
-		// Calibrate against the untreated world so the intervention
-		// measures a real shift rather than being normalized away.
-		// Each base profile replays the same per-index stream the
-		// treated profile consumed, minus the override — a paired
-		// (common-random-numbers) design.
-		calib = make([]Profile, n)
-		drawProfileBlocks(workers, seed, calib, nil, nil)
-	}
-	return generateFromProfiles(workers, seed, profiles, calib, inst)
+	return profiles
 }
 
-// generateFromProfiles calibrates the question models against the
-// calib cohort's abilities and then samples responses for profiles,
-// block by block with per-(respondent, column) RNG streams.
-func generateFromProfiles(workers int, seed int64, profiles, calib []Profile, inst Instrumentation) *Population {
-	models := calibrateModels(workers, calib, inst)
-
+// sampleColumnar samples responses for profiles with the calibrated
+// models, block by block with per-(respondent, column) RNG streams.
+func sampleColumnar(workers int, seed int64, profiles []Profile, models []questionModel, inst Instrumentation) *Population {
 	ssp := inst.Span.StartChild("sample-responses")
 	n := len(profiles)
 	d := quiz.Columns().NewDataset("1.0", n)
@@ -728,24 +723,11 @@ func drawLikert(rng *parallel.XRand, cum *[5]float64) int {
 	return 5
 }
 
-// GenerateStudents builds the student cohort: suspicion answers only
-// (the paper's student group took just the suspicion quiz as an exam
-// problem).
+// GenerateStudents builds the student cohort in row form: suspicion
+// answers only (the paper's student group took just the suspicion quiz
+// as an exam problem).
 func GenerateStudents(seed int64, n int) *survey.Dataset {
-	return GenerateStudentsWorkers(seed, n, 0)
-}
-
-// GenerateStudentsWorkers is GenerateStudents with an explicit worker
-// count (workers <= 0 means GOMAXPROCS).
-func GenerateStudentsWorkers(seed int64, n, workers int) *survey.Dataset {
-	return GenerateStudentsInstrumented(seed, n, workers, Instrumentation{})
-}
-
-// GenerateStudentsInstrumented is GenerateStudentsWorkers with
-// telemetry handles (see Instrumentation; the student cohort has a
-// single sample-responses stage).
-func GenerateStudentsInstrumented(seed int64, n, workers int, inst Instrumentation) *survey.Dataset {
-	return GenerateStudentsColumnar(seed, n, workers, inst).ToSurveyWorkers(workers)
+	return GenerateStudentsColumnar(seed, n, 0, Instrumentation{}).ToSurveyWorkers(0)
 }
 
 // GenerateStudentsColumnar generates the student cohort directly into

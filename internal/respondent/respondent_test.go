@@ -1,8 +1,13 @@
 package respondent
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/bits"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"fpstudy/internal/paperdata"
@@ -354,41 +359,101 @@ func TestShortListsPredictLowerScores(t *testing.T) {
 	}
 }
 
-func TestGenerateMainWithOverride(t *testing.T) {
+func TestGenerateMainColumnarOverride(t *testing.T) {
 	// Force everyone into the largest-codebase bucket: the cohort's
 	// mean core score must rise well above the untreated cohort's,
 	// because offsets are calibrated against the untreated world.
 	n := 1500
-	base := GenerateMain(123, n)
-	treated := GenerateMainWith(123, n, func(p *Profile) {
+	base := GenerateMainColumnar(123, n, 0, nil, Instrumentation{})
+	treated := GenerateMainColumnar(123, n, 0, func(p *Profile) {
 		p.ContribSize = ">1,000,000 lines of code"
-	})
+	}, Instrumentation{})
 	meanOf := func(pop *Population) float64 {
-		s := 0.0
-		for _, r := range pop.Dataset.Responses {
-			s += float64(quiz.ScoreCore(r).Correct)
+		s := 0
+		for _, tl := range quiz.ScoreAllColumns(pop.Cols, 0).Core {
+			s += tl.Correct
 		}
-		return s / float64(len(pop.Dataset.Responses))
+		return float64(s) / float64(pop.Cols.Len())
 	}
 	mb, mt := meanOf(base), meanOf(treated)
 	if mt < mb+1.0 {
 		t.Fatalf("forcing >1M LoC moved mean only %.2f -> %.2f", mb, mt)
 	}
 	// The override is reflected in the background answers.
-	for _, r := range treated.Dataset.Responses[:20] {
-		if r.Answer(quiz.BGContribSize).Choice != ">1,000,000 lines of code" {
+	ci := treated.Cols.Schema.MustColumnIndex(quiz.BGContribSize)
+	for i := 0; i < 20; i++ {
+		if treated.Cols.SingleLabel(ci, i) != ">1,000,000 lines of code" {
 			t.Fatal("override not recorded in responses")
 		}
 	}
-	// Nil override is exactly GenerateMain.
-	again := GenerateMainWith(123, 100, nil)
-	plain := GenerateMain(123, 100)
-	if again.Dataset.Responses[5].Answers[quiz.BGArea].Choice != plain.Dataset.Responses[5].Answers[quiz.BGArea].Choice {
-		t.Fatal("nil override diverged from GenerateMain")
+	// The treated cohort's bytes are pinned, so any change to the
+	// override path shows here.
+	var buf bytes.Buffer
+	if err := treated.Cols.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != goldenTreatedSHA {
+		t.Errorf("treated cohort hash = %s, want %s", got, goldenTreatedSHA)
 	}
 }
 
-func TestStudentDatasetShape(t *testing.T) {
+// goldenTreatedSHA is the serialized seed-123, n=1500 cohort with every
+// contributed codebase forced to >1M lines.
+const goldenTreatedSHA = "8a0c65d4f9add64be62c4ee3475917a6c795483ec6bd9cffb1b806917496219d"
+
+// TestGenerateTreatedMatchesGenerateMainColumnar checks that fitting
+// the question models once and sampling several treated cohorts off
+// them yields, per override, exactly the cohort GenerateMainColumnar
+// generates for that override alone, at workers 1 and 4.
+func TestGenerateTreatedMatchesGenerateMainColumnar(t *testing.T) {
+	// parallel.Workers clamps worker counts to GOMAXPROCS.
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	}
+	const seed, n = 77, 600
+	var overrides []func(*Profile)
+	for _, level := range []string{"None", "One or more courses"} {
+		overrides = append(overrides, func(p *Profile) { p.FormalTraining = level })
+	}
+	overrides = append(overrides, func(p *Profile) { p.Area = "Mathematics" })
+	for _, workers := range []int{1, 4} {
+		emitted := 0
+		GenerateTreatedColumnar(seed, n, workers, overrides, Instrumentation{}, func(k int, got *Population) {
+			emitted++
+			want := GenerateMainColumnar(seed, n, workers, overrides[k], Instrumentation{}).Cols
+			if got.Cols.Len() != n {
+				t.Fatalf("workers=%d override %d: %d respondents, want %d", workers, k, got.Cols.Len(), n)
+			}
+			for ci := 0; ci < want.Schema.NumColumns(); ci++ {
+				if !reflect.DeepEqual(got.Cols.RawU8(ci), want.RawU8(ci)) ||
+					!reflect.DeepEqual(got.Cols.RawI32(ci), want.RawI32(ci)) ||
+					!reflect.DeepEqual(got.Cols.RawU64(ci), want.RawU64(ci)) {
+					t.Fatalf("workers=%d override %d: column %s differs", workers, k, want.Schema.Column(ci).ID)
+				}
+			}
+		})
+		if emitted != len(overrides) {
+			t.Fatalf("workers=%d: %d cohorts emitted, want %d", workers, emitted, len(overrides))
+		}
+	}
+}
+
+// TestCalibrationReadsOnlyCapPrefix pins the property that lets
+// GenerateTreatedColumnar draw only calibrationCap untreated profiles:
+// the models fitted on a larger cohort equal those fitted on its
+// prefix.
+func TestCalibrationReadsOnlyCapPrefix(t *testing.T) {
+	profiles := make([]Profile, calibrationCap+500)
+	drawProfileBlocks(0, 5, profiles, nil, nil)
+	full := calibrateModels(0, profiles, Instrumentation{})
+	prefix := calibrateModels(0, profiles[:calibrationCap], Instrumentation{})
+	if !reflect.DeepEqual(full, prefix) {
+		t.Fatal("calibration depends on profiles past calibrationCap")
+	}
+}
+
+func TestGenerateStudentsShape(t *testing.T) {
 	ds := GenerateStudents(9, 52)
 	if len(ds.Responses) != 52 {
 		t.Fatalf("%d students", len(ds.Responses))

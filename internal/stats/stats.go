@@ -363,16 +363,19 @@ func PointBiserial(binary []int, values []float64) float64 {
 	if len(binary) != len(values) || len(values) < 2 {
 		return 0
 	}
-	var g1, g0 []float64
+	// Group sums accumulate in index order, exactly as Mean would over
+	// the two groups, without materializing them.
+	var s1, s0, n1, n0 float64
 	for i, b := range binary {
 		if b == 1 {
-			g1 = append(g1, values[i])
+			s1 += values[i]
+			n1++
 		} else {
-			g0 = append(g0, values[i])
+			s0 += values[i]
+			n0++
 		}
 	}
 	n := float64(len(values))
-	n1, n0 := float64(len(g1)), float64(len(g0))
 	if n1 == 0 || n0 == 0 {
 		return 0
 	}
@@ -380,7 +383,7 @@ func PointBiserial(binary []int, values []float64) float64 {
 	if sd == 0 {
 		return 0
 	}
-	return (Mean(g1) - Mean(g0)) / sd * math.Sqrt(n1*n0/(n*n))
+	return (s1/n1 - s0/n0) / sd * math.Sqrt(n1*n0/(n*n))
 }
 
 // SpearmanRank computes Spearman's rank correlation between two
