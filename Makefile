@@ -18,12 +18,14 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Memory gate: fails if the per-respondent sampling, calibration, or
-# grading inner loops allocate (the Test*ZeroAlloc tests assert the
-# contracts via testing.AllocsPerRun), then prints the allocation
-# profile of the per-stage hot-path benchmarks. CHECK_BENCH_MEM=1
-# make check runs this as part of the full gate.
+# grading inner loops allocate, if a telemetry probe call or trace emit
+# allocates, or if the serial SumShards reduction allocates with the
+# probe installed (the Test*ZeroAlloc tests assert the contracts via
+# testing.AllocsPerRun), then prints the allocation profile of the
+# per-stage hot-path benchmarks. CHECK_BENCH_MEM=1 make check runs
+# this as part of the full gate.
 bench-mem:
-	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/
+	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/telemetry/ ./internal/parallel/
 	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkSampleResponses|BenchmarkAnalysisReports' \
 		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/
 

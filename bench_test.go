@@ -161,49 +161,19 @@ func BenchmarkStudyPipeline(b *testing.B) {
 }
 
 // BenchmarkStudyPipelineTelemetry is BenchmarkStudyPipeline's n=10000
-// case with the full telemetry stack installed — metrics registry,
-// span recorder, parallel worker-pool hooks, the FP-exception bridge,
-// and the latency observatory (sharded log-linear histograms on every
-// block-level stage). Comparing it against
-// BenchmarkStudyPipeline/n=10000 measures total observability
-// overhead; the budget is <5%.
+// case with the stage probe installed — metrics registry, span
+// recorder, the sharded latency histograms and counters on every
+// block-level stage, and the FP-exception counters. Comparing it
+// against BenchmarkStudyPipeline/n=10000 measures the enabled
+// observability overhead; the budget is <5%, and at workers=1 the
+// allocations match the uninstrumented run. A post-run check asserts
+// that every instrumented pipeline stage observed something, so the
+// number cannot go green by the probe silently not firing.
 func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 	const n = 10000
 	reg := telemetry.NewRegistry()
-	core.InstallPipelineTelemetry(reg)
-	defer core.UninstallPipelineTelemetry()
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rec := telemetry.NewRecorder(reg)
-			s := core.Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
-			// Prime the one-time oracle answer-key cache so the first
-			// timed run isn't charged for it.
-			core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: workers}.Run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r := s.Run()
-				if len(r.CoreTallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
-		})
-	}
-}
-
-// BenchmarkStudyPipelineLatency pins the latency observatory's overhead
-// budget by name: the full telemetry stack (which wires the sharded
-// latency histograms into sampling, calibration, grading, and the
-// worker pool) at n=10000, with a post-run assertion that the
-// histograms actually observed every instrumented pipeline stage — so
-// the number cannot go green by the hooks silently not firing.
-// Comparing against BenchmarkStudyPipeline/n=10000 must stay <5%.
-func BenchmarkStudyPipelineLatency(b *testing.B) {
-	const n = 10000
-	reg := telemetry.NewRegistry()
-	core.InstallPipelineTelemetry(reg)
-	defer core.UninstallPipelineTelemetry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			rec := telemetry.NewRecorder(reg)
@@ -223,26 +193,26 @@ func BenchmarkStudyPipelineLatency(b *testing.B) {
 		})
 	}
 	snap := reg.Snapshot()
-	for _, name := range []string{
-		core.LatencySampleBlock, core.LatencyCalibrate, core.LatencyGradeBatch,
-		core.LatencyParallelShard, core.LatencyWorkerBusy, core.LatencyParallelWait,
+	for _, st := range []telemetry.Stage{
+		telemetry.StageSampleBlock, telemetry.StageCalibrate, telemetry.StageGradeBatch,
+		telemetry.StageParallelShard, telemetry.StageParallelWorker, telemetry.StageParallelWait,
 	} {
-		if ls, ok := snap.Latencies[name]; !ok || ls.Count == 0 {
-			b.Fatalf("%s: latency observatory recorded nothing during the benchmark", name)
+		if ls, ok := snap.Latencies[st.Name()]; !ok || ls.Count == 0 {
+			b.Fatalf("%s: the probe recorded nothing during the benchmark", st.Name())
 		}
 	}
 }
 
 // BenchmarkStudyPipelineTrace is BenchmarkStudyPipelineTelemetry plus
-// an installed tracer: the full observability stack with structured
+// an installed tracer: the stage probe with structured
 // event recording (stage/worker/shard/batch events into per-lane ring
 // buffers). Comparing it against BenchmarkStudyPipeline/n=10000
 // measures total tracing overhead; the budget is <5%.
 func BenchmarkStudyPipelineTrace(b *testing.B) {
 	const n = 10000
 	reg := telemetry.NewRegistry()
-	core.InstallPipelineTelemetry(reg)
-	defer core.UninstallPipelineTelemetry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
 	tracer := telemetry.NewDefaultTracer()
 	telemetry.SetTracer(tracer)
 	defer telemetry.SetTracer(nil)

@@ -227,8 +227,9 @@ func captureForensics(dir string, old, cur *benchcmp.Report, oldPath, newPath st
 // answer-key derivation stays out of the profile.
 func profileLeg(cpuPath, heapPath string, seed int64, n, w int) error {
 	reg := telemetry.NewRegistry()
-	rec := core.InstallPipelineTelemetry(reg)
-	defer core.UninstallPipelineTelemetry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	rec := telemetry.NewRecorder(reg)
 	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1}.Run()
 
 	f, err := os.Create(cpuPath)
@@ -310,7 +311,7 @@ func benchMain() {
 	// breakdown is isolated. The benchmark numbers include the
 	// instrumented pipeline — that is the configuration users run.
 	reg := telemetry.NewRegistry()
-	core.InstallPipelineTelemetry(reg)
+	telemetry.Install(reg)
 	procRec := telemetry.NewRecorder(reg)
 	procRec.PublishExpvar("fpstudy")
 	ledger = runlog.Start(*runlogPath, "fpbench", os.Args[1:], reg, procRec)
@@ -323,7 +324,7 @@ func benchMain() {
 	// The mem sampler feeds the live gauges and, when tracing, marks GC
 	// cycles on the trace timeline.
 	stopMem := telemetry.StartMemSampler(
-		reg.Gauge(core.MetricHeapAlloc), reg.Gauge(core.MetricGCCount), 250*time.Millisecond)
+		reg.Gauge(telemetry.MetricHeapAlloc), reg.Gauge(telemetry.MetricGCCount), 250*time.Millisecond)
 	defer stopMem()
 
 	if *telemetryAddr != "" {

@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"fpstudy/internal/colstore"
-	"fpstudy/internal/core"
 	"fpstudy/internal/respondent"
 	"fpstudy/internal/runlog"
 	"fpstudy/internal/telemetry"
@@ -79,7 +78,8 @@ func main() {
 	// of atomic counters and spans); the flags only control how it is
 	// surfaced. It never changes the generated bytes.
 	reg := telemetry.NewRegistry()
-	rec := core.InstallPipelineTelemetry(reg)
+	telemetry.Install(reg)
+	rec := telemetry.NewRecorder(reg)
 	rec.PublishExpvar("fpstudy")
 	ledger = runlog.Start(*runlogPath, "fpgen", os.Args[1:], reg, rec)
 	// Resolve the format before generating or opening -o, so a typo
@@ -110,7 +110,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fpgen: telemetry on http://%s/debug/vars (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
-	prog := reg.Counter(core.MetricRespondents)
+	prog := reg.Counter(telemetry.MetricRespondents)
 	// A full main-cohort generation advances the progress counter by
 	// 2n (profile draw + response sample per respondent); the student
 	// cohort has no profile stage.
@@ -126,7 +126,7 @@ func main() {
 	// Memory gauges surface GC behaviour live on /debug/vars during
 	// long runs; sampling never changes the generated bytes.
 	stopMem := telemetry.StartMemSampler(
-		reg.Gauge(core.MetricHeapAlloc), reg.Gauge(core.MetricGCCount), 250*time.Millisecond)
+		reg.Gauge(telemetry.MetricHeapAlloc), reg.Gauge(telemetry.MetricGCCount), 250*time.Millisecond)
 	defer stopMem()
 
 	span := rec.StartSpan("generate")
@@ -141,7 +141,7 @@ func main() {
 	span.AddItems(int64(*n))
 	span.End()
 	stopProgress()
-	reg.Gauge(core.MetricInternedStrings).Set(float64(cols.InternedStrings()))
+	reg.Gauge(telemetry.MetricInternedStrings).Set(float64(cols.InternedStrings()))
 
 	w := os.Stdout
 	if *out != "" {
@@ -154,7 +154,7 @@ func main() {
 		w = f
 	}
 	wsp := rec.StartSpan("write")
-	written := reg.Counter(core.MetricIOBytesWritten)
+	written := reg.Counter(telemetry.MetricIOBytesWritten)
 	// The dataset streams through a sha256 so the ledger record can
 	// carry a golden hash of the exact bytes emitted.
 	hw := &hashingWriter{w: w, h: sha256.New()}

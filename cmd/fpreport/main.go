@@ -74,7 +74,8 @@ func main() {
 	// Telemetry observes the pipeline without participating: figures
 	// and claims are bit-identical with or without it.
 	reg := telemetry.NewRegistry()
-	rec := core.InstallPipelineTelemetry(reg)
+	telemetry.Install(reg)
+	rec := telemetry.NewRecorder(reg)
 	rec.PublishExpvar("fpstudy")
 	ledger = runlog.Start(*runlogPath, "fpreport", os.Args[1:], reg, rec)
 	// Reject a bad figure number before the pipeline runs.
@@ -241,7 +242,7 @@ func runQuery(study core.Study, dataPath, expr string) error {
 // through the format-sniffing columnar loader and builds graded results
 // off the columns.
 func resultsFromFiles(study core.Study, reg *telemetry.Registry, dataPath, studentPath string) (*core.Results, error) {
-	opt := colstore.IOOptions{Workers: study.Workers, BytesRead: reg.Counter(core.MetricIOBytesRead)}
+	opt := colstore.IOOptions{Workers: study.Workers, BytesRead: reg.Counter(telemetry.MetricIOBytesRead)}
 	sp := study.Telemetry.StartSpan("load-data")
 	main, info, err := colstore.LoadFile(quiz.Columns(), dataPath, opt)
 	if err != nil {

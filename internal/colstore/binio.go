@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/bits"
 	"sort"
-	"time"
 
 	"fpstudy/internal/parallel"
 	"fpstudy/internal/survey"
@@ -305,7 +304,6 @@ func (d *Dataset) EncodeBinary(w io.Writer, opt IOOptions) error {
 	// parallel, then the whole region is written in one call.
 	nb := numBlocks(d.n)
 	scratch := make([]byte, colDataBytes(d.n, 8))
-	lh := latencyHook.Load()
 	for ci := range d.Schema.cols {
 		c := &d.Schema.cols[ci]
 		width := colWidth(c.Kind)
@@ -314,10 +312,7 @@ func (d *Dataset) EncodeBinary(w io.Writer, opt IOOptions) error {
 		i32col := d.code[ci]
 		u64col := d.bits[ci]
 		parallel.ForEach(opt.Workers, nb, func(b int) {
-			var t0 time.Time
-			if lh != nil && lh.EncodeBlock != nil {
-				t0 = time.Now()
-			}
+			t0 := telemetry.Start()
 			lo, hi := blockBounds(b, d.n)
 			off := blockOffset(b, width)
 			payload := region[off : off+(hi-lo)*width]
@@ -334,9 +329,7 @@ func (d *Dataset) EncodeBinary(w io.Writer, opt IOOptions) error {
 				}
 			}
 			binary.LittleEndian.PutUint32(region[off+(hi-lo)*width:], crc32.ChecksumIEEE(payload))
-			if lh != nil && lh.EncodeBlock != nil {
-				lh.EncodeBlock(b, hi-lo, time.Since(t0))
-			}
+			telemetry.Done(telemetry.StageFPDSEncode, b, t0, int64(b), int64(hi-lo))
 		})
 		if _, err := bw.Write(region); err != nil {
 			return err
@@ -751,7 +744,6 @@ func (d *Dataset) decodeColumns(r io.Reader, workers int) error {
 	nb := numBlocks(d.n)
 	buf := make([]byte, colDataBytes(d.n, 8))
 	arena := len(d.strtab.strs)
-	lh := latencyHook.Load()
 	for ci := range d.Schema.cols {
 		c := &d.Schema.cols[ci]
 		width := colWidth(c.Kind)
@@ -763,10 +755,7 @@ func (d *Dataset) decodeColumns(r io.Reader, workers int) error {
 		i32col := d.code[ci]
 		u64col := d.bits[ci]
 		errs := parallel.Map(workers, nb, func(b int) error {
-			var t0 time.Time
-			if lh != nil && lh.DecodeBlock != nil {
-				t0 = time.Now()
-			}
+			t0 := telemetry.Start()
 			lo, hi := blockBounds(b, d.n)
 			off := blockOffset(b, width)
 			payload := region[off : off+(hi-lo)*width]
@@ -785,9 +774,7 @@ func (d *Dataset) decodeColumns(r io.Reader, workers int) error {
 			if err := decodeBlockInto(c, arena, payload, crcWant, b, lo, u8d, i32d, u64d); err != nil {
 				return err
 			}
-			if lh != nil && lh.DecodeBlock != nil {
-				lh.DecodeBlock(b, hi-lo, time.Since(t0))
-			}
+			telemetry.Done(telemetry.StageFPDSDecode, b, t0, int64(b), int64(hi-lo))
 			return nil
 		})
 		for _, err := range errs {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"fpstudy/internal/survey"
 	"fpstudy/internal/telemetry"
@@ -201,11 +200,7 @@ const BlockScratchBytes = blockRespondents*8 + 4
 // caller's scratch for the on-disk bytes (≥ BlockScratchBytes; reuse
 // it across calls). Safe for concurrent use with distinct scratch.
 func (sr *ShardReader) ReadBlock(ci, b int, u8d []uint8, i32d []int32, u64d []uint64, raw []byte) (int, error) {
-	var t0 time.Time
-	lh := latencyHook.Load()
-	if lh != nil && lh.DecodeBlock != nil {
-		t0 = time.Now()
-	}
+	t0 := telemetry.Start()
 	c := &sr.schema.cols[ci]
 	width := colWidth(c.Kind)
 	lo, hi := blockBounds(b, sr.n)
@@ -236,8 +231,6 @@ func (sr *ShardReader) ReadBlock(ci, b int, u8d []uint8, i32d []int32, u64d []ui
 	if err := decodeBlockInto(c, len(sr.arena), payload, crcWant, b, lo, u8d, i32d, u64d); err != nil {
 		return 0, err
 	}
-	if lh != nil && lh.DecodeBlock != nil {
-		lh.DecodeBlock(b, hi-lo, time.Since(t0))
-	}
+	telemetry.Done(telemetry.StageFPDSDecode, b, t0, int64(b), int64(hi-lo))
 	return hi - lo, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
+	"fpstudy/internal/telemetry"
 )
 
 // ResultsFromColumns builds a Results over an already-loaded main
@@ -49,6 +50,6 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 	r.CoreTallies, r.OptTallies, r.OptAllTallies = g.Core, g.OptScored, g.OptAll
 	root.AddItems(int64(main.Len() + students.Len()))
 	root.End()
-	s.Telemetry.Registry().Counter(MetricRuns).Inc()
+	s.Telemetry.Registry().Counter(telemetry.MetricRuns).Inc()
 	return r, nil
 }

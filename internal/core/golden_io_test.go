@@ -147,7 +147,7 @@ func TestGoldenDataPathStudentFile(t *testing.T) {
 
 // TestGoldenIOTelemetryInvariance pins the codec's observability
 // contract: the bytes written and the dataset decoded are identical
-// with the telemetry counters, pipeline hooks, and tracer installed or
+// with the telemetry counters, stage probe, and tracer installed or
 // not, at workers 1, 4, and 16 — and the I/O counters actually count.
 func TestGoldenIOTelemetryInvariance(t *testing.T) {
 	if testing.Short() {
@@ -166,13 +166,13 @@ func TestGoldenIOTelemetryInvariance(t *testing.T) {
 	want := encode(colstore.IOOptions{Workers: 1})
 
 	reg := telemetry.NewRegistry()
-	InstallPipelineTelemetry(reg)
-	defer UninstallPipelineTelemetry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
 	tracer := telemetry.NewTracer(8, 1<<12)
 	telemetry.SetTracer(tracer)
 	defer telemetry.SetTracer(nil)
-	written := reg.Counter(MetricIOBytesWritten)
-	read := reg.Counter(MetricIOBytesRead)
+	written := reg.Counter(telemetry.MetricIOBytesWritten)
+	read := reg.Counter(telemetry.MetricIOBytesRead)
 
 	for _, workers := range []int{1, 4, 16} {
 		got := encode(colstore.IOOptions{Workers: workers, BytesWritten: written})

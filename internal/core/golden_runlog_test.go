@@ -26,8 +26,9 @@ func TestGoldenRunlogInvariance(t *testing.T) {
 
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	reg := telemetry.NewRegistry()
-	rec := InstallPipelineTelemetry(reg)
-	defer UninstallPipelineTelemetry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	rec := telemetry.NewRecorder(reg)
 
 	for _, workers := range []int{1, 4, 16} {
 		run := runlog.Start(ledger, "golden-test", []string{"-workers"}, reg, rec)
@@ -63,7 +64,7 @@ func TestGoldenRunlogInvariance(t *testing.T) {
 		if r.Tool != "golden-test" || r.ExitStatus != 0 {
 			t.Errorf("record %d: tool=%q exit=%d", i, r.Tool, r.ExitStatus)
 		}
-		if r.Counters[MetricRespondents] == 0 {
+		if r.Counters[telemetry.MetricRespondents] == 0 {
 			t.Errorf("record %d: no respondent counter snapshotted", i)
 		}
 		if len(r.Stages) == 0 {

@@ -82,159 +82,121 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 	}
 }
 
+// probedSweep installs the stage probe (and, if withTracer, a tracer on
+// top), runs an n-respondent study at workers 1, 4, and 16, and fails
+// the test if any dataset or figure hash differs from an uninstrumented
+// baseline. It returns the registry, recorder and tracer (nil when
+// withTracer is false) for the caller's non-vacuity checks; the probe
+// and tracer are uninstalled when the test ends.
+func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *telemetry.Recorder, *telemetry.Tracer) {
+	t.Helper()
+	raiseGOMAXPROCS(t, 16)
+	want := goldenSnapshot(t, n, 1, nil)
+
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
+	t.Cleanup(func() { telemetry.Install(nil) })
+	var tracer *telemetry.Tracer
+	if withTracer {
+		tracer = telemetry.NewTracer(8, 1<<12)
+		telemetry.SetTracer(tracer)
+		t.Cleanup(func() { telemetry.SetTracer(nil) })
+	}
+	rec := telemetry.NewRecorder(reg)
+
+	for _, workers := range []int{1, 4, 16} {
+		got := goldenSnapshot(t, n, workers, rec)
+		if got.main != want.main {
+			t.Errorf("workers=%d: instrumentation changed the main dataset", workers)
+		}
+		if got.students != want.students {
+			t.Errorf("workers=%d: instrumentation changed the student dataset", workers)
+		}
+		for fig := 1; fig <= 22; fig++ {
+			if got.figures[fig-1] != want.figures[fig-1] {
+				t.Errorf("workers=%d: instrumentation changed figure %d", workers, fig)
+			}
+		}
+	}
+	return reg, rec, tracer
+}
+
 // TestGoldenTelemetryInvariance is the observability half of the
-// determinism contract: installing the full telemetry stack (metrics
-// registry, span recorder, parallel hooks, FP-exception bridge) must
-// not change a single output byte at any worker count. It compares the
-// dataset and figure hashes of instrumented runs at workers 1, 4, and
-// 16 against an uninstrumented baseline.
+// determinism contract: installing the stage probe — metrics registry,
+// span recorder, latency histograms and counters on every block-level
+// stage, FP-exception counters — must not change a single output byte
+// at any worker count. It compares the dataset and figure hashes of
+// instrumented runs at workers 1, 4, and 16 against an uninstrumented
+// baseline.
 func TestGoldenTelemetryInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple 2000-respondent studies; skipped in -short mode")
 	}
-	const n = 2000
-	raiseGOMAXPROCS(t, 16)
+	reg, rec, _ := probedSweep(t, 2000, false)
 
-	want := goldenSnapshot(t, n, 1, nil)
-
-	reg := telemetry.NewRegistry()
-	rec := InstallPipelineTelemetry(reg)
-	defer UninstallPipelineTelemetry()
-
-	for _, workers := range []int{1, 4, 16} {
-		got := goldenSnapshot(t, n, workers, rec)
-		if got.main != want.main {
-			t.Errorf("workers=%d: telemetry changed the main dataset", workers)
-		}
-		if got.students != want.students {
-			t.Errorf("workers=%d: telemetry changed the student dataset", workers)
-		}
-		for fig := 1; fig <= 22; fig++ {
-			if got.figures[fig-1] != want.figures[fig-1] {
-				t.Errorf("workers=%d: telemetry changed figure %d", workers, fig)
-			}
-		}
+	// Non-vacuity: the probe must actually have observed the runs
+	// (otherwise this test would pass vacuously). fp.ops is deliberately
+	// not asserted: the oracle answer key is cached once per process, so
+	// whether these runs evaluate oracles depends on test order. The FP
+	// counters have their own tests in internal/monitor and internal/quiz.
+	if reg.Snapshot().Counters[telemetry.MetricRespondents] == 0 {
+		t.Error("the probe was installed but observed no respondents")
 	}
-
-	// Sanity-check that the instrumentation actually observed the runs
-	// (otherwise this test would pass vacuously).
-	snap := reg.Snapshot()
-	if snap.Counters[MetricRespondents] == 0 {
-		t.Error("telemetry was installed but observed no respondents")
-	}
-	// fp.ops is deliberately not asserted: the oracle answer key is
-	// cached once per process, so whether this test's runs evaluate
-	// oracles depends on test order. The FP bridge has its own tests in
-	// internal/monitor and internal/quiz.
 	if len(rec.Spans()) == 0 {
-		t.Error("telemetry was installed but recorded no spans")
+		t.Error("the probe was installed but recorded no spans")
 	}
 }
 
 // TestGoldenTraceInvariance extends the invariance contract to the
-// tracing layer: a run with the tracer installed (on top of the full
-// telemetry stack) must produce byte-identical datasets and figures at
-// any worker count, and the tracer must actually have captured stage,
-// worker, and shard events (so the test cannot pass vacuously).
+// tracing layer: a run with the tracer installed on top of the probe
+// must produce byte-identical datasets and figures at any worker count,
+// and the tracer must actually have captured stage, worker, shard, and
+// grading batch events (so the test cannot pass vacuously).
 func TestGoldenTraceInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple 2000-respondent studies; skipped in -short mode")
 	}
-	const n = 2000
-	raiseGOMAXPROCS(t, 16)
-
-	want := goldenSnapshot(t, n, 1, nil)
-
-	reg := telemetry.NewRegistry()
-	rec := InstallPipelineTelemetry(reg)
-	defer UninstallPipelineTelemetry()
-	tracer := telemetry.NewTracer(8, 1<<12)
-	telemetry.SetTracer(tracer)
-	defer telemetry.SetTracer(nil)
-
-	for _, workers := range []int{1, 4, 16} {
-		got := goldenSnapshot(t, n, workers, rec)
-		if got.main != want.main {
-			t.Errorf("workers=%d: tracing changed the main dataset", workers)
-		}
-		if got.students != want.students {
-			t.Errorf("workers=%d: tracing changed the student dataset", workers)
-		}
-		for fig := 1; fig <= 22; fig++ {
-			if got.figures[fig-1] != want.figures[fig-1] {
-				t.Errorf("workers=%d: tracing changed figure %d", workers, fig)
-			}
-		}
-	}
+	_, _, tracer := probedSweep(t, 2000, true)
 
 	kinds := map[telemetry.EventKind]int{}
 	for _, ev := range tracer.Events() {
 		kinds[ev.Kind]++
 	}
-	if kinds[telemetry.EvStage] == 0 {
-		t.Error("tracer captured no stage events")
-	}
-	if kinds[telemetry.EvWorker] == 0 {
-		t.Error("tracer captured no worker events")
-	}
-	if kinds[telemetry.EvShard] == 0 {
-		t.Error("tracer captured no shard events")
-	}
-	if kinds[telemetry.EvBatch] == 0 {
-		t.Error("tracer captured no grading batch events")
+	for _, k := range []telemetry.EventKind{telemetry.EvStage, telemetry.EvWorker,
+		telemetry.EvShard, telemetry.EvBatch} {
+		if kinds[k] == 0 {
+			t.Errorf("tracer captured no %s events", k)
+		}
 	}
 }
 
-// TestGoldenLatencyInvariance is the latency-observatory half of the
-// invariance contract: with the full telemetry stack installed — which
-// now includes the sharded latency histograms on sampling, calibration,
-// grading, codec, and parallel hooks — every output byte must match an
-// uninstrumented baseline at workers 1, 4, and 16. The latency hooks
-// only read clocks and add to atomics; this test is the proof that they
+// TestGoldenLatencyInvariance is the latency half of the invariance
+// contract: with the probe's latency histograms on sampling,
+// calibration, grading, and the parallel shards, every output byte must
+// match an uninstrumented baseline at workers 1, 4, and 16. The probe
+// only reads clocks and adds to atomics; this test is the proof that it
 // cannot perturb sampling order, shard boundaries, or grading.
 func TestGoldenLatencyInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple 2000-respondent studies; skipped in -short mode")
 	}
-	const n = 2000
-	raiseGOMAXPROCS(t, 16)
+	reg, _, _ := probedSweep(t, 2000, false)
 
-	want := goldenSnapshot(t, n, 1, nil)
-
-	reg := telemetry.NewRegistry()
-	rec := InstallPipelineTelemetry(reg)
-	defer UninstallPipelineTelemetry()
-
-	for _, workers := range []int{1, 4, 16} {
-		got := goldenSnapshot(t, n, workers, rec)
-		if got.main != want.main {
-			t.Errorf("workers=%d: latency observation changed the main dataset", workers)
-		}
-		if got.students != want.students {
-			t.Errorf("workers=%d: latency observation changed the student dataset", workers)
-		}
-		for fig := 1; fig <= 22; fig++ {
-			if got.figures[fig-1] != want.figures[fig-1] {
-				t.Errorf("workers=%d: latency observation changed figure %d", workers, fig)
-			}
-		}
-	}
-
-	// Non-vacuousness: the latency histograms must actually have
-	// observed the runs, with sane quantile ordering.
+	// Non-vacuity: the latency histograms must actually have observed
+	// the runs, with sane quantile ordering.
 	snap := reg.Snapshot()
-	for _, name := range []string{
-		LatencySampleBlock, LatencyCalibrate, LatencyGradeBatch,
-		LatencyParallelShard, LatencyWorkerBusy, LatencyParallelWait,
+	for _, st := range []telemetry.Stage{
+		telemetry.StageSampleBlock, telemetry.StageCalibrate, telemetry.StageGradeBatch,
+		telemetry.StageParallelShard, telemetry.StageParallelWorker, telemetry.StageParallelWait,
 	} {
-		ls, ok := snap.Latencies[name]
+		ls, ok := snap.Latencies[st.Name()]
 		if !ok || ls.Count == 0 {
-			t.Errorf("%s: no latency observations recorded", name)
+			t.Errorf("%s: no latency observations recorded", st.Name())
 			continue
 		}
 		if ls.P50NS > ls.P99NS || ls.P99NS > ls.P999NS {
 			t.Errorf("%s: quantiles out of order: p50=%.0f p99=%.0f p999=%.0f",
-				name, ls.P50NS, ls.P99NS, ls.P999NS)
+				st.Name(), ls.P50NS, ls.P99NS, ls.P999NS)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func mustQueryValue(s *colstore.Schema, name string) query.Value {
 func (s Study) Run() *Results {
 	r := &Results{Study: s, workers: s.Workers, telemetry: s.Telemetry}
 	root := s.Telemetry.StartSpan("run")
-	prog := s.Telemetry.Registry().Counter(MetricRespondents)
+	prog := s.Telemetry.Registry().Counter(telemetry.MetricRespondents)
 	// The two cohorts use unrelated seeds and share no mutable state,
 	// so they generate concurrently; the main cohort additionally fans
 	// out across the worker budget internally.
@@ -132,7 +132,7 @@ func (s Study) Run() *Results {
 	r.CoreTallies, r.OptTallies, r.OptAllTallies = g.Core, g.OptScored, g.OptAll
 	root.AddItems(int64(s.NMain + s.NStudent))
 	root.End()
-	s.Telemetry.Registry().Counter(MetricRuns).Inc()
+	s.Telemetry.Registry().Counter(telemetry.MetricRuns).Inc()
 	return r
 }
 
@@ -271,14 +271,14 @@ func (r *Results) coreScores() []float64 {
 }
 
 // CoreScoreHistogram returns the distribution of core-quiz scores.
-func (r *Results) CoreScoreHistogram() stats.Histogram {
-	return stats.NewHistogram(r.coreScores(), 15)
+func (r *Results) CoreScoreHistogram() stats.IntHistogram {
+	return stats.NewIntHistogram(r.coreScores(), 15)
 }
 
 // Figure13 renders the histogram of core quiz scores.
 func (r *Results) Figure13() report.Table {
 	scores := r.coreScores()
-	h := stats.NewHistogram(scores, 15)
+	h := stats.NewIntHistogram(scores, 15)
 	t := report.Table{
 		Title:  "Figure 13: Histogram of core quiz scores (15 questions; chance mean 7.5)",
 		Header: []string{"Score", "Count", ""},

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/telemetry"
@@ -17,8 +19,9 @@ import (
 // exposition under the fpstudy prefix.
 func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	rec := InstallPipelineTelemetry(reg)
-	defer UninstallPipelineTelemetry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	rec := telemetry.NewRecorder(reg)
 
 	r := Study{Seed: 7, NMain: 300, NStudent: 20, Workers: 2,
 		Telemetry: rec}.Run()
@@ -43,12 +46,12 @@ func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 
 	snap := reg.Snapshot()
 	// Both queries scanned every row once: 2 passes over n=300.
-	if got := snap.Counters[MetricQueryRowsScanned]; got != 600 {
-		t.Errorf("%s = %d, want 600", MetricQueryRowsScanned, got)
+	if got := snap.Counters[telemetry.MetricQueryRowsScanned]; got != 600 {
+		t.Errorf("%s = %d, want 600", telemetry.MetricQueryRowsScanned, got)
 	}
 	// Only the all-false query's single block elided its aggregation.
-	if got := snap.Counters[MetricQueryBlocksSkipped]; got != 1 {
-		t.Errorf("%s = %d, want 1", MetricQueryBlocksSkipped, got)
+	if got := snap.Counters[telemetry.MetricQueryBlocksSkipped]; got != 1 {
+		t.Errorf("%s = %d, want 1", telemetry.MetricQueryBlocksSkipped, got)
 	}
 
 	var buf bytes.Buffer
@@ -63,5 +66,77 @@ func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestProbeMetricNameSet pins the exact counter and latency names an
+// instrumented n=2000 Study.Run, an FPDS round trip and one query
+// produce. runlog records, fpstat trend, /metrics, the fpbench latency
+// tables and the smoke scripts all key on these strings, so a rename
+// or a dropped stage shows up here first.
+func TestProbeMetricNameSet(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+
+	r := Study{Seed: 42, NMain: 2000, NStudent: 52, Telemetry: telemetry.NewRecorder(reg)}.Run()
+	var buf bytes.Buffer
+	if err := r.Main.Cols.EncodeBinary(&buf, colstore.IOOptions{
+		BytesWritten: reg.Counter(telemetry.MetricIOBytesWritten)}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := colstore.DecodeBinary(quiz.Columns(), &buf, colstore.IOOptions{
+		BytesRead: reg.Counter(telemetry.MetricIOBytesRead)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := query.Run(query.NewDatasetSource(d), query.Query{}, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	snap := reg.Snapshot()
+	var got []string
+	for name := range snap.Counters {
+		got = append(got, "counter "+name)
+	}
+	for name := range snap.Gauges {
+		got = append(got, "gauge "+name)
+	}
+	for name := range snap.Latencies {
+		got = append(got, "latency "+name)
+	}
+	sort.Strings(got)
+	want := []string{
+		"counter fp.exceptions.denorm",
+		"counter fp.exceptions.divbyzero",
+		"counter fp.exceptions.invalid",
+		"counter fp.exceptions.overflow",
+		"counter fp.exceptions.precision",
+		"counter fp.exceptions.underflow",
+		"counter fp.ops",
+		"counter io.bytes_read",
+		"counter io.bytes_written",
+		"counter parallel.busy_ns",
+		"counter parallel.foreach_calls",
+		"counter parallel.items",
+		"counter parallel.pool_busy_ns",
+		"counter parallel.pool_tasks",
+		"counter parallel.shards",
+		"counter pipeline.respondents",
+		"counter pipeline.runs",
+		"counter query.blocks_skipped",
+		"counter query.rows_scanned",
+		"latency latency.calibrate",
+		"latency latency.fpds_decode_block",
+		"latency latency.fpds_encode_block",
+		"latency latency.grade_batch",
+		"latency latency.parallel_shard",
+		"latency latency.parallel_wait",
+		"latency latency.parallel_worker_busy",
+		"latency latency.query_block",
+		"latency latency.sample_block",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("metric names:\n got %q\nwant %q", got, want)
 	}
 }

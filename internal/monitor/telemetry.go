@@ -1,11 +1,13 @@
 package monitor
 
-import "fpstudy/internal/ieee754"
+import (
+	"fpstudy/internal/ieee754"
+	"fpstudy/internal/telemetry"
+)
 
 // EventCounter is the minimal metric sink the aggregate exception
-// bridge needs. *telemetry.Counter satisfies it; the interface keeps
-// this package free of a telemetry dependency (and telemetry free of an
-// ieee754 dependency).
+// bridge needs. *telemetry.Counter satisfies it; tests and tools may
+// pass their own.
 type EventCounter interface {
 	Add(delta int64)
 }
@@ -21,8 +23,8 @@ type EventCounter interface {
 // is a handful of atomic increments — so it is safe to share across
 // goroutines and cheap enough to leave installed for a whole run. It is
 // the bridge between the per-operation exception reports and the
-// telemetry registry: install it with quiz.SetOracleObserver (oracle
-// evaluations) or on any ieee754.Env directly.
+// telemetry registry: the quiz oracles attach it while a
+// telemetry probe is installed, and it works on any ieee754.Env.
 func CountingObserver(ops EventCounter, conds map[Condition]EventCounter, divZero EventCounter) func(ieee754.OpEvent) {
 	// Resolve the condition sinks into a dense array once so the
 	// per-operation path does no map lookups.
@@ -59,15 +61,15 @@ func CountingObserver(ops EventCounter, conds map[Condition]EventCounter, divZer
 func (c Condition) MetricName() string {
 	switch c {
 	case Overflow:
-		return "fp.exceptions.overflow"
+		return telemetry.MetricFPOverflow
 	case Underflow:
-		return "fp.exceptions.underflow"
+		return telemetry.MetricFPUnderflow
 	case Precision:
-		return "fp.exceptions.precision"
+		return telemetry.MetricFPPrecision
 	case Invalid:
-		return "fp.exceptions.invalid"
+		return telemetry.MetricFPInvalid
 	case Denorm:
-		return "fp.exceptions.denorm"
+		return telemetry.MetricFPDenorm
 	}
 	return "fp.exceptions.unknown"
 }

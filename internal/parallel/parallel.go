@@ -26,53 +26,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"fpstudy/internal/telemetry"
 )
-
-// Hook receives execution-layer telemetry events. All callbacks are
-// optional and must be safe for concurrent use (they are invoked from
-// whichever goroutine finishes the work). A Hook observes only; it
-// cannot influence sharding, scheduling, or RNG streams, so installing
-// one never changes produced data.
-type Hook struct {
-	// ForEach fires once per ForEach invocation with the index-space
-	// size, the effective worker count, and the summed per-worker busy
-	// time (wall time each worker spent inside the fan-out, so
-	// busy/(workers*elapsed) approximates utilization).
-	ForEach func(items, workers int, busy time.Duration)
-	// ForEachWall fires once per ForEach invocation with the fan-out's
-	// wall-clock duration alongside the summed busy time, so
-	// workers*wall - busy is the aggregate wait (spawn, scheduling,
-	// imbalance at the tail) the fan-out incurred. On the serial path
-	// wall == busy and the wait is zero by construction.
-	ForEachWall func(items, workers int, wall, busy time.Duration)
-	// WorkerSpan fires once per worker goroutine as it finishes a
-	// ForEach/ForEachWith/MapShards fan-out, with the worker's index in
-	// [0, workers) and its busy time. Together the calls of one fan-out
-	// tile its wall-clock: this is the per-lane view the tracer renders.
-	WorkerSpan func(worker int, busy time.Duration)
-	// Shards fires once per MapShards/SumShards call with the number of
-	// fixed-width shards dispatched.
-	Shards func(n int)
-	// ShardSpan fires once per shard executed by MapShards/SumShards,
-	// with the index of the worker that ran it, the shard index, the
-	// shard's item count, and its run time. Which worker runs which
-	// shard is scheduling-dependent; the shard boundaries and results
-	// are not.
-	ShardSpan func(worker, shard, items int, d time.Duration)
-	// PoolTask fires after each Pool task completes, with its run time.
-	PoolTask func(busy time.Duration)
-}
-
-// hook holds the installed Hook. An atomic pointer keeps the
-// uninstrumented hot path at a single pointer load with no allocation;
-// the nil hook (the default) short-circuits all instrumentation.
-var hook atomic.Pointer[Hook]
-
-// SetHook installs h as the process-wide execution hook (nil
-// uninstalls). Intended to be called once at startup by the telemetry
-// wiring (internal/core.InstallPipelineTelemetry); installing mid-run
-// affects only subsequently started operations.
-func SetHook(h *Hook) { hook.Store(h) }
 
 // DefaultWorkers is the worker count used when a caller passes
 // workers <= 0: the process's GOMAXPROCS.
@@ -137,52 +93,30 @@ func forEachIndexed[C any](workers, n int, newC func() C, fn func(c C, w, i int)
 	if n <= 0 {
 		return
 	}
-	h := hook.Load()
-	foreachHook := h != nil && h.ForEach != nil
-	wallHook := h != nil && h.ForEachWall != nil
-	workerHook := h != nil && h.WorkerSpan != nil
-	timed := foreachHook || wallHook || workerHook
 	if workers == 1 {
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
+		t0 := telemetry.Start()
 		c := newC()
 		for i := 0; i < n; i++ {
 			fn(c, 0, i)
 		}
-		if timed {
-			busy := time.Since(t0)
-			if workerHook {
-				h.WorkerSpan(0, busy)
-			}
-			if foreachHook {
-				h.ForEach(n, 1, busy)
-			}
-			if wallHook {
-				h.ForEachWall(n, 1, busy, busy)
-			}
-		}
+		serialDone(t0, n)
 		return
 	}
-	var wall0 time.Time
-	if timed {
-		wall0 = time.Now()
-	}
+	// wall0 is zero when nothing observes, which keeps every clock read
+	// below off the uninstrumented path.
+	wall0 := telemetry.Start()
 	var next, busyNS atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if timed {
+			if !wall0.IsZero() {
 				t0 := time.Now()
 				defer func() {
 					busy := time.Since(t0)
 					busyNS.Add(int64(busy))
-					if workerHook {
-						h.WorkerSpan(w, busy)
-					}
+					telemetry.Record(telemetry.StageParallelWorker, w+1, t0, busy, int64(w), 0)
 				}()
 			}
 			c := newC()
@@ -202,12 +136,33 @@ func forEachIndexed[C any](workers, n int, newC func() C, fn func(c C, w, i int)
 		}(w)
 	}
 	wg.Wait()
-	if foreachHook {
-		h.ForEach(n, workers, time.Duration(busyNS.Load()))
+	if !wall0.IsZero() {
+		fanOutDone(wall0, n, workers, time.Since(wall0), time.Duration(busyNS.Load()))
 	}
-	if wallHook {
-		h.ForEachWall(n, workers, time.Since(wall0), time.Duration(busyNS.Load()))
+}
+
+// serialDone observes a serial fan-out over n items that began at t0
+// (zero when nothing observes): its one worker on trace lane 1 and the
+// fan-out itself, whose wait is zero by construction.
+func serialDone(t0 time.Time, n int) {
+	if t0.IsZero() {
+		return
 	}
+	busy := time.Since(t0)
+	telemetry.Record(telemetry.StageParallelWorker, 1, t0, busy, 0, 0)
+	fanOutDone(t0, n, 1, busy, busy)
+}
+
+// fanOutDone observes one completed fan-out of n items over workers
+// goroutines: wall is its wall-clock time and busy the summed
+// per-worker busy time, so workers*wall - busy is the aggregate wait
+// (spawn, scheduling, imbalance at the tail) it incurred.
+func fanOutDone(start time.Time, n, workers int, wall, busy time.Duration) {
+	wait := time.Duration(workers)*wall - busy
+	if wait < 0 {
+		wait = 0 // clock skew between per-worker and wall reads
+	}
+	telemetry.Record(telemetry.StageParallelWait, 0, start, wait, int64(busy), int64(n))
 }
 
 // Map computes out[i] = fn(i) for every i in [0, n) in parallel and
@@ -240,23 +195,14 @@ func ShardBounds(s, n int) (lo, hi int) {
 // independent of the worker count), applies fn to each shard in
 // parallel, and returns the shard results in shard order.
 func MapShards[T any](workers, n int, fn func(lo, hi int) T) []T {
-	h := hook.Load()
-	if h != nil && h.Shards != nil {
-		h.Shards(NumShards(n))
-	}
-	shardHook := h != nil && h.ShardSpan != nil
 	out := make([]T, NumShards(n))
 	forEachIndexed(workers, NumShards(n),
 		func() struct{} { return struct{}{} },
 		func(_ struct{}, w, s int) {
 			lo, hi := ShardBounds(s, n)
-			if shardHook {
-				t0 := time.Now()
-				out[s] = fn(lo, hi)
-				h.ShardSpan(w, s, hi-lo, time.Since(t0))
-				return
-			}
+			t0 := telemetry.Start()
 			out[s] = fn(lo, hi)
+			telemetry.Done(telemetry.StageParallelShard, w+1, t0, int64(s), int64(hi-lo))
 		})
 	return out
 }
@@ -269,22 +215,28 @@ func MapShards[T any](workers, n int, fn func(lo, hi int) T) []T {
 // sequential shard-by-shard evaluation.
 func SumShards(workers, n int, fn func(lo, hi int) float64) float64 {
 	shards := NumShards(n)
-	if Workers(workers, shards) == 1 && hook.Load() == nil {
-		// Serial, unobserved: accumulate directly in shard order with no
-		// subtotal slice. Identical boundaries and accumulation order
-		// keep the result bit-identical to the fan-out path while making
-		// the calibration inner loop allocation-free.
+	if Workers(workers, shards) > 1 {
 		s := 0.0
-		for sh := 0; sh < shards; sh++ {
-			lo, hi := ShardBounds(sh, n)
-			s += fn(lo, hi)
+		for _, v := range MapShards(workers, n, fn) {
+			s += v
 		}
 		return s
 	}
-	subs := MapShards(workers, n, fn)
+	// Serial: accumulate directly in shard order with no subtotal slice,
+	// observing each shard inline exactly as MapShards would. Identical
+	// boundaries and accumulation order keep the result bit-identical to
+	// the fan-out path while keeping the calibration inner loop
+	// allocation-free, instrumented or not.
+	t0 := telemetry.Start()
 	s := 0.0
-	for _, v := range subs {
-		s += v
+	for sh := 0; sh < shards; sh++ {
+		lo, hi := ShardBounds(sh, n)
+		ts := telemetry.Start()
+		s += fn(lo, hi)
+		telemetry.Done(telemetry.StageParallelShard, 1, ts, int64(sh), int64(hi-lo))
+	}
+	if shards > 0 {
+		serialDone(t0, shards)
 	}
 	return s
 }
@@ -310,7 +262,6 @@ func NewPool(workers int) *Pool {
 // Go submits a task. It blocks only when the pool is saturated, which
 // bounds the number of in-flight goroutines at the pool's size.
 func (p *Pool) Go(fn func()) {
-	h := hook.Load()
 	p.wg.Add(1)
 	p.sem <- struct{}{}
 	go func() {
@@ -318,11 +269,9 @@ func (p *Pool) Go(fn func()) {
 			<-p.sem
 			p.wg.Done()
 		}()
-		if h != nil && h.PoolTask != nil {
-			t0 := time.Now()
-			defer func() { h.PoolTask(time.Since(t0)) }()
-		}
+		t0 := telemetry.Start()
 		fn()
+		telemetry.Done(telemetry.StagePoolTask, 0, t0, 0, 0)
 	}()
 }
 

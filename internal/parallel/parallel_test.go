@@ -1,11 +1,13 @@
 package parallel
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"fpstudy/internal/telemetry"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -167,53 +169,52 @@ func TestWorkersClampToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestHookObservation checks that an installed Hook sees fan-outs,
-// shard dispatches, and pool tasks — and that the results fn produces
-// are identical with and without the hook installed.
+// TestHookObservation checks that the installed telemetry probe sees
+// fan-outs, shard dispatches, and pool tasks through its counters —
+// and that the results fn produces are identical with and without it.
 func TestHookObservation(t *testing.T) {
-	defer SetHook(nil)
-
 	baseline := Map(4, 1000, func(i int) int { return i * i })
 
-	var calls, items, shards, poolTasks atomic.Int64
-	var busyNS atomic.Int64
-	SetHook(&Hook{
-		ForEach: func(n, workers int, busy time.Duration) {
-			calls.Add(1)
-			items.Add(int64(n))
-			busyNS.Add(int64(busy))
-		},
-		Shards:   func(n int) { shards.Add(int64(n)) },
-		PoolTask: func(busy time.Duration) { poolTasks.Add(1) },
-	})
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	calls := reg.Counter(telemetry.MetricForEachCalls)
+	items := reg.Counter(telemetry.MetricItems)
+	busyNS := reg.Counter(telemetry.MetricBusyNS)
+	shards := reg.Counter(telemetry.MetricShards)
+	poolTasks := reg.Counter(telemetry.MetricPoolTasks)
 
 	got := Map(4, 1000, func(i int) int { return i * i })
 	for i := range got {
 		if got[i] != baseline[i] {
-			t.Fatalf("hook changed results at %d: %d != %d", i, got[i], baseline[i])
+			t.Fatalf("probe changed results at %d: %d != %d", i, got[i], baseline[i])
 		}
 	}
-	if calls.Load() == 0 || items.Load() != 1000 {
-		t.Fatalf("ForEach hook saw calls=%d items=%d, want 1+ calls over 1000 items",
-			calls.Load(), items.Load())
+	if calls.Value() == 0 || items.Value() != 1000 {
+		t.Fatalf("probe saw calls=%d items=%d, want 1+ calls over 1000 items",
+			calls.Value(), items.Value())
 	}
-	if busyNS.Load() <= 0 {
-		t.Fatal("ForEach hook saw zero busy time")
+	if busyNS.Value() <= 0 {
+		t.Fatal("probe saw zero busy time")
 	}
 
 	// Sequential path reports too.
-	items.Store(0)
 	ForEach(1, 64, func(i int) {})
-	if items.Load() != 64 {
-		t.Fatalf("sequential ForEach reported %d items, want 64", items.Load())
+	if items.Value() != 1064 {
+		t.Fatalf("sequential ForEach reported %d items, want 64", items.Value()-1000)
 	}
 
-	sum := SumShards(4, 10000, func(lo, hi int) float64 { return float64(hi - lo) })
-	if sum != 10000 {
-		t.Fatalf("SumShards under hook = %v, want 10000", sum)
-	}
-	if got, want := shards.Load(), int64(NumShards(10000)); got != want {
-		t.Fatalf("Shards hook saw %d, want %d", got, want)
+	// SumShards counts its shards on both the fan-out and the serial
+	// path.
+	for _, workers := range []int{4, 1} {
+		before := shards.Value()
+		sum := SumShards(workers, 10000, func(lo, hi int) float64 { return float64(hi - lo) })
+		if sum != 10000 {
+			t.Fatalf("workers=%d: SumShards under the probe = %v, want 10000", workers, sum)
+		}
+		if got, want := shards.Value()-before, int64(NumShards(10000)); got != want {
+			t.Fatalf("workers=%d: probe saw %d shards, want %d", workers, got, want)
+		}
 	}
 
 	p := NewPool(2)
@@ -221,25 +222,62 @@ func TestHookObservation(t *testing.T) {
 		p.Go(func() {})
 	}
 	p.Wait()
-	if poolTasks.Load() != 5 {
-		t.Fatalf("PoolTask hook saw %d tasks, want 5", poolTasks.Load())
+	if poolTasks.Value() != 5 {
+		t.Fatalf("probe saw %d pool tasks, want 5", poolTasks.Value())
 	}
 }
 
-// TestHookNilFastPath pins that clearing the hook restores the
-// uninstrumented path (no callbacks fire after SetHook(nil)).
+// TestHookNilFastPath pins that uninstalling the probe restores the
+// uninstrumented path (nothing is counted after Install(nil)).
 func TestHookNilFastPath(t *testing.T) {
-	var calls atomic.Int64
-	SetHook(&Hook{ForEach: func(int, int, time.Duration) { calls.Add(1) }})
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
 	ForEach(2, 10, func(i int) {})
-	SetHook(nil)
-	before := calls.Load()
+	telemetry.Install(nil)
+	calls := reg.Counter(telemetry.MetricForEachCalls)
+	before := calls.Value()
 	ForEach(2, 10, func(i int) {})
-	if calls.Load() != before {
-		t.Fatal("hook fired after SetHook(nil)")
+	if calls.Value() != before {
+		t.Fatal("probe counted after Install(nil)")
 	}
 	if before == 0 {
-		t.Fatal("hook never fired while installed")
+		t.Fatal("probe never counted while installed")
+	}
+}
+
+// TestSumShardsInstrumentedZeroAlloc pins the serial reduction's
+// allocation contract: SumShards at workers=1 allocates nothing with
+// the probe uninstalled or installed (it observes each shard inline
+// instead of falling back to MapShards' subtotal slice), and the
+// instrumented sum is bit-identical to the uninstrumented one.
+func TestSumShardsInstrumentedZeroAlloc(t *testing.T) {
+	const n = 3*shardSize + 17
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = 1 / float64(i+3)
+	}
+	fn := func(lo, hi int) float64 {
+		s := 0.0
+		for _, x := range xs[lo:hi] {
+			s += x
+		}
+		return s
+	}
+	var plain, probed float64
+	if allocs := testing.AllocsPerRun(50, func() { plain = SumShards(1, n, fn) }); allocs != 0 {
+		t.Fatalf("uninstrumented SumShards allocates %.1f/op, want 0", allocs)
+	}
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	if allocs := testing.AllocsPerRun(50, func() { probed = SumShards(1, n, fn) }); allocs != 0 {
+		t.Fatalf("instrumented SumShards allocates %.1f/op, want 0", allocs)
+	}
+	if math.Float64bits(plain) != math.Float64bits(probed) {
+		t.Fatalf("instrumented sum %v differs from uninstrumented %v", probed, plain)
+	}
+	if reg.Counter(telemetry.MetricShards).Value() == 0 {
+		t.Fatal("instrumented SumShards observed no shards")
 	}
 }
 
@@ -303,65 +341,58 @@ func TestForEachWithZeroItems(t *testing.T) {
 	}
 }
 
-// TestWorkerShardSpanHooks pins the trace-feeding callbacks: every
-// fan-out fires one WorkerSpan per worker goroutine (indices within
-// [0, workers)), and MapShards fires one ShardSpan per shard whose
-// item counts tile [0, n) — while results stay identical to the
-// unhooked run.
+// TestWorkerShardSpanHooks pins the trace lanes the probe feeds:
+// every fan-out records one worker event per worker goroutine (indices
+// within [0, workers), on lane w+1), and MapShards records one shard
+// event per shard whose item counts tile [0, n) — while results stay
+// identical to the unobserved run.
 func TestWorkerShardSpanHooks(t *testing.T) {
-	defer SetHook(nil)
-
 	const n = 10000
 	baseline := MapShards(4, n, func(lo, hi int) int { return hi - lo })
 
-	var workerSpans, shardSpans, shardItems atomic.Int64
-	var badWorker, badDur atomic.Int64
-	SetHook(&Hook{
-		WorkerSpan: func(w int, busy time.Duration) {
-			workerSpans.Add(1)
-			if w < 0 {
-				badWorker.Add(1)
-			}
-			if busy < 0 {
-				badDur.Add(1)
-			}
-		},
-		ShardSpan: func(w, shard, items int, d time.Duration) {
-			shardSpans.Add(1)
-			shardItems.Add(int64(items))
-			if w < 0 || shard < 0 || shard >= NumShards(n) {
-				badWorker.Add(1)
-			}
-			if d < 0 {
-				badDur.Add(1)
-			}
-		},
-	})
+	tracer := telemetry.NewTracer(runtime.GOMAXPROCS(0)+1, 1<<10)
+	telemetry.SetTracer(tracer)
+	defer telemetry.SetTracer(nil)
 
 	got := MapShards(4, n, func(lo, hi int) int { return hi - lo })
 	for i := range got {
 		if got[i] != baseline[i] {
-			t.Fatalf("hook changed shard result %d: %d != %d", i, got[i], baseline[i])
+			t.Fatalf("tracing changed shard result %d: %d != %d", i, got[i], baseline[i])
 		}
 	}
-	if badWorker.Load() != 0 || badDur.Load() != 0 {
-		t.Fatalf("hook saw out-of-range worker/shard (%d) or negative duration (%d)",
-			badWorker.Load(), badDur.Load())
+	var workerSpans, shardSpans, shardItems int64
+	for _, ev := range tracer.Events() {
+		if ev.Dur < 0 || ev.Lane < 1 {
+			t.Fatalf("event %+v: negative duration or not on a worker lane", ev)
+		}
+		switch ev.Kind {
+		case telemetry.EvWorker:
+			workerSpans++
+			if ev.Arg1 < 0 || ev.Lane != int32(ev.Arg1)+1 {
+				t.Fatalf("worker event %+v: index out of range or on the wrong lane", ev)
+			}
+		case telemetry.EvShard:
+			shardSpans++
+			shardItems += ev.Arg2
+			if ev.Arg1 < 0 || ev.Arg1 >= int64(NumShards(n)) {
+				t.Fatalf("shard event %+v: shard index out of range", ev)
+			}
+		}
 	}
-	if got, want := shardSpans.Load(), int64(NumShards(n)); got != want {
-		t.Fatalf("ShardSpan fired %d times, want %d", got, want)
+	if want := int64(NumShards(n)); shardSpans != want {
+		t.Fatalf("%d shard events, want %d", shardSpans, want)
 	}
-	if shardItems.Load() != n {
-		t.Fatalf("ShardSpan item counts sum to %d, want %d (shards must tile the index space)", shardItems.Load(), n)
+	if shardItems != n {
+		t.Fatalf("shard item counts sum to %d, want %d (shards must tile the index space)", shardItems, n)
 	}
-	if workerSpans.Load() == 0 {
-		t.Fatal("WorkerSpan never fired")
+	if workerSpans == 0 {
+		t.Fatal("no worker events")
 	}
 
 	// The single-worker inline path reports its one worker too.
-	workerSpans.Store(0)
+	before := tracer.Recorded()
 	ForEach(1, 64, func(i int) {})
-	if workerSpans.Load() != 1 {
-		t.Fatalf("sequential ForEach fired %d WorkerSpans, want 1", workerSpans.Load())
+	if got := tracer.Recorded() - before; got != 1 {
+		t.Fatalf("sequential ForEach recorded %d events, want 1 worker event", got)
 	}
 }

@@ -39,10 +39,10 @@ package query
 
 import (
 	"fmt"
-	"time"
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/parallel"
+	"fpstudy/internal/telemetry"
 )
 
 // BlockRows is the number of respondents per scan block (the FPDS
@@ -223,16 +223,20 @@ type scanState struct {
 	vals   []float64
 	ok     []bool
 	err    error
+	// skipped is set by a scan callback that elided the current block's
+	// aggregation because no row survived the filter.
+	skipped bool
 }
 
 // scan drives a block-parallel pass: fn runs once per block with the
 // worker's scratch and the loaded block, writing its partial into a
 // per-block slot owned by the caller. Readers are per-worker; the
-// first error wins deterministically (lowest block index).
+// first error wins deterministically (lowest block index). Each block
+// is one telemetry.StageQueryBlock observation: its load, predicate
+// evaluation, keying, and aggregation, its row count, and whether fn
+// marked it skipped.
 func scan(src Source, cols []int, workers, nb int, fn func(st *scanState, b int, blk *Block)) error {
 	errs := make([]error, nb)
-	lh := latencyHook.Load()
-	wh := workHook.Load()
 	parallel.ForEachWith(workers, nb,
 		func() *scanState {
 			st := &scanState{sel: NewBitmap(BlockRows)}
@@ -244,22 +248,19 @@ func scan(src Source, cols []int, workers, nb int, fn func(st *scanState, b int,
 				errs[b] = st.err
 				return
 			}
-			var t0 time.Time
-			if lh != nil && lh.Block != nil {
-				t0 = time.Now()
-			}
+			t0 := telemetry.Start()
 			blk, err := st.reader.Block(b)
 			if err != nil {
 				errs[b] = err
 				return
 			}
-			if wh != nil && wh.RowsScanned != nil {
-				wh.RowsScanned(blk.N)
-			}
+			st.skipped = false
 			fn(st, b, blk)
-			if lh != nil && lh.Block != nil {
-				lh.Block(b, blk.N, time.Since(t0))
+			var skipped int64
+			if st.skipped {
+				skipped = 1
 			}
+			telemetry.Done(telemetry.StageQueryBlock, b, t0, skipped, int64(blk.N))
 		})
 	for _, err := range errs {
 		if err != nil {
@@ -325,7 +326,7 @@ func Run(src Source, q Query, workers int) (*Result, error) {
 				p.n[vi] = make([]int64, card)
 				p.sum[vi] = make([]float64, card)
 			}
-			blockSkipped()
+			st.skipped = true
 		} else if len(q.Values) > 0 {
 			if cap(st.vals) < blk.N {
 				st.vals = make([]float64, BlockRows)
@@ -412,7 +413,7 @@ func RunCollect(src Source, q Query, workers int) (*CollectResult, error) {
 		if st.sel.Count() == 0 {
 			// Empty selection: nothing to collect, skip the gather.
 			parts[b] = make([][]float64, card)
-			blockSkipped()
+			st.skipped = true
 			return
 		}
 		if cap(st.vals) < blk.N {

@@ -2,7 +2,6 @@ package quiz
 
 import (
 	"sync"
-	"time"
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/parallel"
@@ -169,8 +168,8 @@ func ScoreColumnsAt(d *colstore.Dataset, i int) (core, optScored, optAll Tally) 
 // inner loop reads dense code columns instead of hashing map keys, and
 // performs zero allocations.
 func ScoreAllColumns(d *colstore.Dataset, workers int) Grades {
-	t0 := time.Now()
-	_, exc0 := OracleTraceCounts()
+	t0 := telemetry.Start()
+	exc0 := oracleExcs.Load()
 	// Force the one-time oracle evaluation (and table build) before
 	// fanning out, so workers never contend on the sync.Once. Measured
 	// inside the batch window so the FP-exception delta attributes any
@@ -185,12 +184,7 @@ func ScoreAllColumns(d *colstore.Dataset, workers int) Grades {
 	parallel.ForEach(workers, n, func(i int) {
 		g.Core[i], g.OptScored[i], g.OptAll[i] = ScoreColumnsAt(d, i)
 	})
-	_, exc1 := OracleTraceCounts()
-	dur := time.Since(t0)
-	telemetry.EmitSpan(telemetry.EvBatch, 0, "grade-batch", t0, dur, int64(n), exc1-exc0)
-	if fn := gradeBatchObserver.Load(); fn != nil {
-		(*fn)(n, dur)
-	}
+	telemetry.Done(telemetry.StageGradeBatch, 0, t0, int64(n), oracleExcs.Load()-exc0)
 	return g
 }
 

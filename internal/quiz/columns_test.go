@@ -1,11 +1,10 @@
 package quiz
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"fpstudy/internal/colstore"
-	"fpstudy/internal/ieee754"
+	"fpstudy/internal/telemetry"
 )
 
 // columnarFixture builds a small columnar cohort by hand: respondent 0
@@ -155,17 +154,17 @@ func TestScoreTableCachedOncePerProcess(t *testing.T) {
 	}
 
 	// With the key warm, further table fetches and full gradings must
-	// not evaluate a single oracle operation. The observer would count
-	// any softfloat activity the oracles perform.
-	var evals atomic.Int64
-	SetOracleObserver(func(ieee754.OpEvent) { evals.Add(1) })
-	defer SetOracleObserver(nil)
+	// not evaluate a single oracle operation. The probe's fp.ops counter
+	// would count any softfloat activity the oracles perform.
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
 
 	d := Columns().NewDataset("1.0", 16)
 	_ = ScoreAllColumns(d, 1)
 	_ = ScoreTableFor(Columns())
 	_ = CoreAnswer(CoreQuestions()[0].ID)
-	if n := evals.Load(); n != 0 {
+	if n := reg.Counter(telemetry.MetricFPOps).Value(); n != 0 {
 		t.Fatalf("grading after answer-key build re-ran oracles (%d softfloat ops observed)", n)
 	}
 }

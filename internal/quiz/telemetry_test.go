@@ -1,46 +1,43 @@
 package quiz
 
 import (
-	"sync/atomic"
 	"testing"
 
-	"fpstudy/internal/ieee754"
+	"fpstudy/internal/telemetry"
 )
 
-// TestOracleObserver pins the FP-exception bridge contract: an
-// installed observer sees the softfloat operations an oracle runs, and
-// the oracle's verdict is identical with and without it.
+// TestOracleObserver pins the FP-exception bridge contract: with the
+// telemetry probe installed, the exception counters see the softfloat
+// operations an oracle runs, and the oracle's verdict is identical with
+// and without the probe.
 func TestOracleObserver(t *testing.T) {
 	q := CoreQuestions()[0] // commutativity: 100k observed additions
 	before := q.Oracle()
 
-	var ops, inexact atomic.Int64
-	SetOracleObserver(func(ev ieee754.OpEvent) {
-		ops.Add(1)
-		if ev.Raised.Has(ieee754.FlagInexact) {
-			inexact.Add(1)
-		}
-	})
-	defer SetOracleObserver(nil)
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	ops := reg.Counter(telemetry.MetricFPOps)
+	inexact := reg.Counter(telemetry.MetricFPPrecision)
 
 	during := q.Oracle()
 	if during.Holds != before.Holds || during.Witness != before.Witness {
-		t.Errorf("observer changed oracle outcome: %+v vs %+v", during, before)
+		t.Errorf("probe changed oracle outcome: %+v vs %+v", during, before)
 	}
-	if ops.Load() == 0 {
-		t.Fatal("observer saw no operations during oracle evaluation")
+	if ops.Value() == 0 {
+		t.Fatal("probe saw no operations during oracle evaluation")
 	}
-	if inexact.Load() == 0 {
+	if inexact.Value() == 0 {
 		t.Error("commutativity sampling raised no inexact events (implausible)")
 	}
 
-	SetOracleObserver(nil)
-	n := ops.Load()
+	telemetry.Install(nil)
+	n := ops.Value()
 	after := q.Oracle()
 	if after.Holds != before.Holds {
-		t.Error("uninstalling observer changed oracle outcome")
+		t.Error("uninstalling the probe changed oracle outcome")
 	}
-	if ops.Load() != n {
-		t.Error("observer still firing after SetOracleObserver(nil)")
+	if ops.Value() != n {
+		t.Error("exception counters still fed after Install(nil)")
 	}
 }

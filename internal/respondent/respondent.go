@@ -32,7 +32,6 @@ package respondent
 import (
 	"math"
 	"math/bits"
-	"time"
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
@@ -450,17 +449,12 @@ func sampleColumnar(workers int, seed int64, profiles []Profile, models []questi
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	coreAbil := abilitiesOf(profiles, false)
 	optAbil := abilitiesOf(profiles, true)
-	lh := latencyHook.Load()
 	parallel.ForEachWith(workers, parallel.NumShards(n), parallel.NewXRand,
 		func(rng *parallel.XRand, s int) {
 			lo, hi := parallel.ShardBounds(s, n)
-			if lh != nil && lh.SampleBlock != nil {
-				t0 := time.Now()
-				cs.sampleBlock(rng, seed, lo, hi, profiles, coreAbil, optAbil)
-				lh.SampleBlock(s, hi-lo, time.Since(t0))
-			} else {
-				cs.sampleBlock(rng, seed, lo, hi, profiles, coreAbil, optAbil)
-			}
+			t0 := telemetry.Start()
+			cs.sampleBlock(rng, seed, lo, hi, profiles, coreAbil, optAbil)
+			telemetry.Done(telemetry.StageSampleBlock, s, t0, int64(s), int64(hi-lo))
 			inst.Progress.Add(int64(hi - lo))
 		})
 	ssp.AddItems(int64(n))
@@ -513,7 +507,6 @@ func calibrateModels(workers int, calib []Profile, inst Instrumentation) []quest
 	optKernel := newAbilityKernel(workers, abilitiesOf(calib, true))
 	// Calibrate the questions concurrently; each bisection is
 	// independent and deterministic.
-	lh := latencyHook.Load()
 	models := parallel.Map(workers, len(specs), func(i int) questionModel {
 		s := specs[i]
 		k := coreKernel
@@ -521,13 +514,9 @@ func calibrateModels(workers int, calib []Profile, inst Instrumentation) []quest
 			k = optKernel
 		}
 		qm := s.qm
-		if lh != nil && lh.Calibrate != nil {
-			t0 := time.Now()
-			qm.offset = k.calibrate(1, qm, s.target, make([]float64, len(k.abil)))
-			lh.Calibrate(i, time.Since(t0))
-		} else {
-			qm.offset = k.calibrate(1, qm, s.target, make([]float64, len(k.abil)))
-		}
+		t0 := telemetry.Start()
+		qm.offset = k.calibrate(1, qm, s.target, make([]float64, len(k.abil)))
+		telemetry.Done(telemetry.StageCalibrate, i, t0, int64(i), 0)
 		return qm
 	})
 	csp.AddItems(int64(len(specs)))

@@ -87,15 +87,15 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Histogram counts integer-valued observations into bins [0..max].
-type Histogram struct {
+// IntHistogram counts integer-valued observations into bins [0..max].
+type IntHistogram struct {
 	Counts []int
 	Total  int
 }
 
-// NewHistogram bins xs (rounded to nearest int, clamped to [0, max]).
-func NewHistogram(xs []float64, max int) Histogram {
-	h := Histogram{Counts: make([]int, max+1)}
+// NewIntHistogram bins xs (rounded to nearest int, clamped to [0, max]).
+func NewIntHistogram(xs []float64, max int) IntHistogram {
+	h := IntHistogram{Counts: make([]int, max+1)}
 	for _, x := range xs {
 		i := int(math.Round(x))
 		if i < 0 {
@@ -111,7 +111,7 @@ func NewHistogram(xs []float64, max int) Histogram {
 }
 
 // Mode returns the bin with the largest count.
-func (h Histogram) Mode() int {
+func (h IntHistogram) Mode() int {
 	best := 0
 	for i, c := range h.Counts {
 		if c > h.Counts[best] {
@@ -122,7 +122,7 @@ func (h Histogram) Mode() int {
 }
 
 // Render draws an ASCII bar chart of the histogram.
-func (h Histogram) Render(width int) string {
+func (h IntHistogram) Render(width int) string {
 	maxC := 1
 	for _, c := range h.Counts {
 		if c > maxC {

@@ -39,7 +39,7 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 1, 2.4, 2.6, 15, -3, 99}, 15)
+	h := NewIntHistogram([]float64{0, 1, 1, 2.4, 2.6, 15, -3, 99}, 15)
 	if h.Total != 8 {
 		t.Fatalf("total %d", h.Total)
 	}

@@ -17,9 +17,8 @@ import (
 // (Prometheus): "pipeline.respondents" in registry "fpstudy" becomes
 // "fpstudy_pipeline_respondents".
 //
-// Both histogram kinds render as native Prometheus histograms with
-// cumulative `le` buckets plus `_count`/`_sum`. Latency histograms are
-// converted to seconds (the Prometheus base unit) and only non-empty
+// Latency histograms render as native Prometheus histograms with
+// cumulative `le` buckets plus `_count`/`_sum`, converted to seconds (the Prometheus base unit) and only non-empty
 // buckets are emitted — the log-linear grid has ~1200 buckets, almost
 // all zero; cumulative counts stay correct because empty buckets add
 // nothing.
@@ -95,24 +94,6 @@ func WritePrometheus(w io.Writer, prefix string, snap Snapshot) error {
 	for _, name := range sortedKeys(snap.Gauges) {
 		n := p + "_" + promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", n, n, promFloat(snap.Gauges[name])); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedKeys(snap.Histograms) {
-		h := snap.Histograms[name]
-		n := p + "_" + promName(name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
-			return err
-		}
-		var cum int64
-		for _, b := range h.Buckets {
-			cum += b.Count
-			le := b.UpperBound // formatBound output or "+Inf", both legal le values
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", n, le, cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", n, promFloat(h.Sum), n, h.Count); err != nil {
 			return err
 		}
 	}

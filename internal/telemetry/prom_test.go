@@ -101,7 +101,6 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("pipeline.respondents").Add(199)
 	reg.Gauge("mem.heap_alloc").Set(12345.5)
-	reg.Histogram("parallel.busy_ms", []float64{1, 10, 100}).Observe(5)
 	lh := reg.Latency("latency.grade_batch")
 	for i := 0; i < 100; i++ {
 		lh.Observe(time.Duration(i+1) * time.Millisecond)
@@ -118,9 +117,6 @@ func TestWritePrometheus(t *testing.T) {
 		"fpstudy_pipeline_respondents 199",
 		"# TYPE fpstudy_mem_heap_alloc gauge",
 		"fpstudy_mem_heap_alloc 12345.5",
-		"# TYPE fpstudy_parallel_busy_ms histogram",
-		`fpstudy_parallel_busy_ms_bucket{le="+Inf"} 1`,
-		"fpstudy_parallel_busy_ms_count 1",
 		"# TYPE fpstudy_latency_grade_batch_seconds histogram",
 		`fpstudy_latency_grade_batch_seconds_bucket{le="+Inf"} 100`,
 		"fpstudy_latency_grade_batch_seconds_count 100",

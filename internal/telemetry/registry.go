@@ -1,7 +1,9 @@
 // Package telemetry is the zero-dependency observability layer of the
 // study pipeline: an atomic metrics registry (counters, gauges,
-// fixed-bucket histograms), a span tree for stage timing, an expvar /
-// pprof HTTP surface, and a run-manifest exporter.
+// log-linear latency histograms), the stage probe the pipeline packages
+// call at every block boundary (probe.go), a span tree for stage
+// timing, a structured event tracer, an expvar / Prometheus / pprof
+// HTTP surface, and a run-manifest exporter.
 //
 // # Determinism contract
 //
@@ -9,25 +11,31 @@
 // in this package draws randomness, alters shard boundaries, or feeds
 // values back into the computation, so a run produces bit-identical
 // output with telemetry on, off, or partially attached
-// (internal/core.TestGoldenParallelDeterminism pins this). Every handle
-// is nil-safe: a nil *Registry, *Recorder, *Span, *Counter, *Gauge,
-// *Histogram, or *LatencyHist accepts the full method set as a no-op,
-// which is what lets instrumentation points stay unconditional in the
-// hot paths without an "enabled" flag.
+// (internal/core.TestGoldenTelemetryInvariance pins this). Every handle
+// is nil-safe: a nil *Registry, *Recorder, *Span, *Counter, *Gauge, or
+// *LatencyHist accepts the full method set as a no-op, which is what
+// lets instrumentation points stay unconditional in the hot paths
+// without an "enabled" flag.
 //
 // # Metric naming
 //
-// Names are dot-separated, lower-case, subsystem-first:
+// Names are dot-separated, lower-case, subsystem-first, and each is
+// defined once, as a Metric* constant or a Stage (probe.go):
 //
 //	pipeline.respondents     counter  generation progress (see Instrumentation)
+//	pipeline.runs            counter  completed Study runs
 //	parallel.foreach_calls   counter  fan-out invocations
 //	parallel.items           counter  indices executed by ForEach
 //	parallel.busy_ns         counter  summed worker busy time
 //	parallel.shards          counter  fixed-width shards dispatched
 //	parallel.pool_tasks      counter  Pool tasks executed
 //	parallel.pool_busy_ns    counter  summed Pool task time
+//	query.rows_scanned       counter  rows the query engine's scan blocks examined
+//	query.blocks_skipped     counter  aggregation passes elided on empty selections
+//	io.bytes_written/read    counter  dataset bytes encoded / decoded
 //	fp.ops                   counter  observed softfloat operations
 //	fp.exceptions.<cond>     counter  per-condition FP exception events
+//	mem.heap_alloc, mem.gc_count, colstore.interned_strings   gauges
 //	latency.<stage>          latency  per-operation durations (LatencyHist)
 //
 // The whole registry is exported as one expvar variable (conventionally
@@ -37,7 +45,6 @@ package telemetry
 import (
 	"expvar"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -86,96 +93,6 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket histogram: values are counted into the
-// first bucket whose upper bound is >= the observation, with an
-// implicit +Inf overflow bucket. Bucket bounds are fixed at creation,
-// so concurrent Observe calls are single atomic increments.
-type Histogram struct {
-	bounds  []float64 // sorted upper bounds; len(counts) == len(bounds)+1
-	counts  []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64 // float64 bits, CAS-accumulated
-}
-
-// newHistogram builds a histogram with the given sorted upper bounds.
-func newHistogram(bounds []float64) *Histogram {
-	b := make([]float64, len(bounds))
-	copy(b, bounds)
-	sort.Float64s(b)
-	return &Histogram{bounds: b, counts: make([]atomic.Int64, len(b)+1)}
-}
-
-// Observe records one value (no-op on nil).
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// BucketCount is one histogram bucket in a snapshot: the count of
-// observations <= UpperBound (not cumulative). The overflow bucket has
-// UpperBound +Inf, rendered as null in JSON by encoding/json — the
-// snapshot stores it as the string "+Inf" instead for portability.
-type BucketCount struct {
-	UpperBound string `json:"le"`
-	Count      int64  `json:"count"`
-}
-
-// HistogramSnapshot is the JSON-ready view of a histogram.
-type HistogramSnapshot struct {
-	Count   int64         `json:"count"`
-	Sum     float64       `json:"sum"`
-	Buckets []BucketCount `json:"buckets"`
-}
-
-// Snapshot reads a consistent-enough view of the histogram: each
-// bucket is read atomically and Count is the sum of those same reads,
-// so a snapshot's buckets always sum to its count even with concurrent
-// writers. Sum is read separately and may trail the buckets by a few
-// in-flight observations, which is acceptable for monitoring.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{Sum: h.Sum()}
-	for i := range h.counts {
-		ub := "+Inf"
-		if i < len(h.bounds) {
-			ub = formatBound(h.bounds[i])
-		}
-		c := h.counts[i].Load()
-		s.Count += c
-		s.Buckets = append(s.Buckets, BucketCount{UpperBound: ub, Count: c})
-	}
-	return s
-}
-
 // Registry is a named collection of metrics. Metric constructors are
 // idempotent (the same name returns the same metric), so any package
 // can look up a shared counter by name without coordination. All
@@ -185,7 +102,6 @@ type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
 	gauges map[string]*Gauge
-	hists  map[string]*Histogram
 	lats   map[string]*LatencyHist
 }
 
@@ -194,7 +110,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counts: map[string]*Counter{},
 		gauges: map[string]*Gauge{},
-		hists:  map[string]*Histogram{},
 		lats:   map[string]*LatencyHist{},
 	}
 }
@@ -231,23 +146,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the fixed-bucket histogram with the given name,
-// creating it with the supplied upper bounds on first use (bounds are
-// ignored on later lookups). Returns nil on the nil Registry.
-func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.hists[name] = h
-	}
-	return h
-}
-
 // Latency returns the log-linear latency histogram with the given
 // name, creating it on first use. Returns nil (a no-op histogram) on
 // the nil Registry.
@@ -267,10 +165,9 @@ func (r *Registry) Latency(name string) *LatencyHist {
 
 // Snapshot is the JSON-marshalable state of a registry at one moment.
 type Snapshot struct {
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Latencies  map[string]LatencySnapshot   `json:"latencies,omitempty"`
+	Counters  map[string]int64           `json:"counters,omitempty"`
+	Gauges    map[string]float64         `json:"gauges,omitempty"`
+	Latencies map[string]LatencySnapshot `json:"latencies,omitempty"`
 }
 
 // Snapshot captures every metric's current value. The snapshot is
@@ -289,10 +186,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.gauges {
 		gauges[k] = v
 	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
 	lats := make(map[string]*LatencyHist, len(r.lats))
 	for k, v := range r.lats {
 		lats[k] = v
@@ -310,12 +203,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]float64, len(gauges))
 		for k, v := range gauges {
 			s.Gauges[k] = v.Value()
-		}
-	}
-	if len(hists) > 0 {
-		s.Histograms = make(map[string]HistogramSnapshot, len(hists))
-		for k, v := range hists {
-			s.Histograms[k] = v.Snapshot()
 		}
 	}
 	if len(lats) > 0 {

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,9 +185,4 @@ func (r *Recorder) PublishExpvar(name string) {
 		}{r.reg.Snapshot(), r.Spans()}
 	})
 	promPublish(name, r.reg)
-}
-
-// formatBound renders a histogram bucket bound compactly ("10", "2.5").
-func formatBound(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

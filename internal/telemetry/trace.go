@@ -24,11 +24,11 @@ import (
 // The whole layer follows the package's determinism contract: it
 // observes timestamps and counts, never pipeline data, so traced runs
 // are byte-identical to untraced ones
-// (internal/core.TestGoldenTraceInvariance pins this).
+// (internal/core.TestGoldenTelemetryInvariance pins this).
 //
-// Like internal/parallel's Hook, the process-wide tracer lives behind
-// one atomic pointer: with no tracer installed, every Emit* call is a
-// single pointer load and a branch — zero allocations, pinned by
+// Like the stage probe, the process-wide tracer lives behind one atomic
+// pointer: with no tracer installed, every Emit* call is a single
+// pointer load and a branch — zero allocations, pinned by
 // TestEmitDisabledZeroAlloc via testing.AllocsPerRun.
 
 // EventKind classifies a trace event.
