@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"fpstudy/internal/colstore"
@@ -201,5 +202,113 @@ func TestGoldenIOTelemetryInvariance(t *testing.T) {
 	}
 	if got := read.Value(); got != int64(3*len(want)) {
 		t.Errorf("io.bytes_read = %d, want %d (3 decodes of %d bytes)", got, 3*len(want), len(want))
+	}
+}
+
+// figureClaimsDigests returns the hex form of figureClaimsFingerprint.
+func figureClaimsDigests(t *testing.T, r *Results) [22 + 1]string {
+	t.Helper()
+	var out [23]string
+	for i, sum := range figureClaimsFingerprint(t, r) {
+		out[i] = hex.EncodeToString(sum[:])
+	}
+	return out
+}
+
+// goldenFiguresClaims pins the 22 rendered figures, then the rendered
+// headline claims, at seed 42 with 52 students. The digests were
+// recorded from the per-figure engine queries that the one-pass paper
+// plan replaced, so a match proves the plan is byte-identical.
+var goldenFiguresClaims = map[int][22 + 1]string{
+	199: {
+		"b6a50296bb6e312c44143a9e325c388202ba7c23074a4f4849f6563c4fd685f9",
+		"60ba5b5cd296787423b1113eb5872c1ecafffdac9540fdc5d227725aac256f49",
+		"a6c8c873127dcfd196d4265b36e4887810010bff41da3f2606045d0120fcb664",
+		"02ff1613e7b360995818bd54d1ca233dafacf161069b0febe859606526917cc2",
+		"82bc7e9ce332ef515dd5d4e93a245897e717f77399b25c3ca86c412929ab7789",
+		"c45b3fdc0c90608f24da9a755ae0c8fbc9c4c211bd74f4d3a7b72f8f3020c7c0",
+		"4e3fff466de706a9e90adf8bada4da50fe3c46b2dd86ec6d9bb28a91c51720ca",
+		"7905778424cf9ed92f803f97ee526227224149cce975135168fd4dc1bbee0612",
+		"7f0a5d9fee7acd03592fe879ccdf5c8fd7ac910241c04d4be2b500289625f551",
+		"13658caefe7680519b6742475f45b6d2563f2e47d68c77c3cd9227370b554e17",
+		"4972fce8ef1aa5170a62f8ff508225703fb08ccc3b2a88862f11f466278e20e4",
+		"922798713b39cb4ed0211da28e19ed1357f298d85b7a4dd0b0ab15b00056b659",
+		"eb6552f8e7f14ce2ce7274c420c389048088bf917bab5fef1ca8f3bb91fc051d",
+		"b55c168e575aa9d1185f9e283fa273080771ed12e8bac8044aa77790813610a3",
+		"1e63d598487d44094b34400c58b23a4b88913bfde3db84b83241bd460930eb5e",
+		"d890ac253849cf085faa08034245215a08001a96aaca6af0ebe2dd79fb02247a",
+		"d408adcf72ba745f902bd631c3d3aca98927778c35c62c5b5b3e628f8eabd10b",
+		"dc7b11ea017abf8eecb3ff31ec30ca0a392ca4a21e6aac7a72af486bd187bff1",
+		"d1f4d5257aca1bfd22894d14b37f015108e13052ba77797b8c87cefe3f37488e",
+		"94764d4ffb6ae7e9da27434d71a465bcfd02f62936a46be7897381f731f0a438",
+		"b9032721ec63622400367f2481ab5c744431d2f8852c2ba0e6f32195944d20fb",
+		"8c77557b7f8dea2dda6933ff3bc5e780538fab5d76a5d86933436f2931921ffd",
+		"73aa75e642a0f4546532aec5d9e47bd961d32b5f2f7baa0b7550b1d353d55f0f",
+	},
+	2000: {
+		"d76378f715a6ccf0eef43f060db40735024a7b9f309f439639c350494660dbea",
+		"3970ae4de71d90fb81218695c6fe9a276b7b2668a78f19112d84a0ed08f521c7",
+		"1ead3ef382a32e9d253ec1fc39933a6efe2d4dda6c900eca4aef9a65663b8f8f",
+		"5326e7f0d2b3cef9419821567c338a1a62ad0c915bd11a69ee06cd9977cf61e2",
+		"486838bba4cd7e7dd3d2bafb6ad4e6c2d4f64efa3c7b6ed369d6655c8430cbcc",
+		"715715b52a05b266769eb922b421e50d5b0b693f539dd36c2f749a6d4ee7bd7a",
+		"1372f4aff311b58c3d8a572d71dc107210ddd91ab76073ba778cd3d2ef046f2e",
+		"6681628083e037ebeffb2e27ed4848eb3a625f991908d302ec0e8ced9bdda567",
+		"a5d53eea4df55291ee528743ccd61f257502573fd952ebe0b7d4770d07991229",
+		"13bc013659256b5bdec2160fc0b48ff7d9b56adac366c0c9871bf77109f3e494",
+		"0ba1015cb85bd4090d64343b042eeeaea59bb0359e90cc8a276990e017f42f21",
+		"20a43be6340f7044990761a01cae29a7339394a887237258e9e0c637d9e3274b",
+		"8bbb3298c5bf935333bb2c2d9663e7ded126d85595db2982916e6e794d2890af",
+		"ae458da079cd7d22a90af2a5d87dfe61fd5828d225e852cc91ea09327a8e8253",
+		"92e16d9bb3bd2699febee167b718f63a96c87a1e353f247c91a58994878a876c",
+		"57e5162ce55aadced83032366b811c0809336824afebad7159e97497ed85bab5",
+		"f0017970faab4454fe30ddba6ab1cf58636789cef949f92449dc082cc5d2ff03",
+		"7657b6d3bd1602cca1b250adbe14ea12fe5fdb823b76dd660e4d42b5843a8cbd",
+		"31baf5502f16b204f9ac7547998814aeb31b35bb761a015d5cddbe953e7b2542",
+		"11333f41b41e208427164133acd3e75c7ec912c7bf860a7d8fd4a654386cb6c8",
+		"89f4d7c1019d0a84a6ab7db6a2aebbe91b54d62da36140dda23c1e5c3ce59aa1",
+		"a3be9a7cef607a9651c22cbaf42948fbbc29fa0a6e3fc752d5ed0fe278fbf87b",
+		"7a40eb51b9d7a689acfd2a49dc5adc7ed8995e783dc032d23d49392f5a48b9e8",
+	},
+}
+
+// TestGoldenFiguresClaimsWorkerSweep pins every figure and the claims
+// byte for byte at n=199 and n=2000, for both an in-process Study.Run
+// and a cohort loaded back from FPDS through ResultsFromColumns, at
+// workers 1, 4 and 16.
+func TestGoldenFiguresClaimsWorkerSweep(t *testing.T) {
+	raiseGOMAXPROCS(t, 16)
+	for _, n := range []int{199, 2000} {
+		want := goldenFiguresClaims[n]
+		check := func(path string, workers int, r *Results) {
+			t.Helper()
+			got := figureClaimsDigests(t, r)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("n=%d %s workers=%d: %s digest %s, want %s",
+						n, path, workers, fingerprintLabel(i), got[i], want[i])
+				}
+			}
+		}
+		var bin bytes.Buffer
+		for _, workers := range []int{1, 4, 16} {
+			s := Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers}
+			run := s.Run()
+			check("Study.Run", workers, run)
+			if bin.Len() == 0 {
+				if err := run.Main.Cols.EncodeBinary(&bin, colstore.IOOptions{}); err != nil {
+					t.Fatalf("EncodeBinary: %v", err)
+				}
+			}
+			cols, _, err := colstore.Load(quiz.Columns(), bytes.NewReader(bin.Bytes()), colstore.IOOptions{Workers: workers})
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: Load: %v", n, workers, err)
+			}
+			loaded, err := s.ResultsFromColumns(cols, nil)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: ResultsFromColumns: %v", n, workers, err)
+			}
+			check("ResultsFromColumns", workers, loaded)
+		}
 	}
 }

@@ -44,9 +44,9 @@ func TestGoldenRunlogInvariance(t *testing.T) {
 		if got.students != want.students {
 			t.Errorf("workers=%d: run ledger changed the student dataset", workers)
 		}
-		for fig := 1; fig <= 22; fig++ {
-			if got.figures[fig-1] != want.figures[fig-1] {
-				t.Errorf("workers=%d: run ledger changed figure %d", workers, fig)
+		for i := range got.figures {
+			if got.figures[i] != want.figures[i] {
+				t.Errorf("workers=%d: run ledger changed %s", workers, fingerprintLabel(i))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -24,8 +25,8 @@ func raiseGOMAXPROCS(t *testing.T, p int) {
 }
 
 // goldenSnapshot runs an n-respondent study at the given worker count
-// and hashes the encoded datasets plus all 22 figure tables. rec may be
-// nil (telemetry off).
+// and hashes the encoded datasets plus all 22 figure tables and the
+// rendered headline claims. rec may be nil (telemetry off).
 func goldenSnapshot(t *testing.T, n, workers int, rec *telemetry.Recorder) golden {
 	t.Helper()
 	s := Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
@@ -40,9 +41,7 @@ func goldenSnapshot(t *testing.T, n, workers int, rec *telemetry.Recorder) golde
 	}
 	g.main = sha256.Sum256(mainJSON.Bytes())
 	g.students = sha256.Sum256(studentJSON.Bytes())
-	for fig := 1; fig <= 22; fig++ {
-		g.figures[fig-1] = sha256.Sum256([]byte(r.Figure(fig).String()))
-	}
+	g.figures = figureClaimsFingerprint(t, r)
 	return g
 }
 
@@ -50,7 +49,16 @@ func goldenSnapshot(t *testing.T, n, workers int, rec *telemetry.Recorder) golde
 type golden struct {
 	main     [32]byte
 	students [32]byte
-	figures  [22][32]byte
+	// figures holds the 22 figure hashes, then the claims hash.
+	figures [22 + 1][32]byte
+}
+
+// fingerprintLabel names entry i of a figures-plus-claims fingerprint.
+func fingerprintLabel(i int) string {
+	if i == 22 {
+		return "the headline claims"
+	}
+	return fmt.Sprintf("figure %d", i+1)
 }
 
 // TestGoldenParallelDeterminism is the determinism contract of the
@@ -74,9 +82,9 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 		if got.students != want.students {
 			t.Errorf("workers=%d: student dataset differs from sequential run", workers)
 		}
-		for fig := 1; fig <= 22; fig++ {
-			if got.figures[fig-1] != want.figures[fig-1] {
-				t.Errorf("workers=%d: figure %d differs from sequential run", workers, fig)
+		for i := range got.figures {
+			if got.figures[i] != want.figures[i] {
+				t.Errorf("workers=%d: %s differs from sequential run", workers, fingerprintLabel(i))
 			}
 		}
 	}
@@ -112,9 +120,9 @@ func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *te
 		if got.students != want.students {
 			t.Errorf("workers=%d: instrumentation changed the student dataset", workers)
 		}
-		for fig := 1; fig <= 22; fig++ {
-			if got.figures[fig-1] != want.figures[fig-1] {
-				t.Errorf("workers=%d: instrumentation changed figure %d", workers, fig)
+		for i := range got.figures {
+			if got.figures[i] != want.figures[i] {
+				t.Errorf("workers=%d: instrumentation changed %s", workers, fingerprintLabel(i))
 			}
 		}
 	}
