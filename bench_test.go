@@ -77,7 +77,11 @@ func BenchmarkFig09ContribExtent(b *testing.B)    { benchFigure(b, 9) }
 func BenchmarkFig10InvolvedSize(b *testing.B)     { benchFigure(b, 10) }
 func BenchmarkFig11InvolvedExtent(b *testing.B)   { benchFigure(b, 11) }
 
-// Figures 12-15: quiz performance tables.
+// Figures 12-15: quiz performance tables. Figures 12-22 and the
+// headline claims read the cohorts' paper plans, which the first figure
+// or claim to need them scans once and caches; so after the first
+// iteration these benchmarks time only rendering from the cached
+// counts. internal/core's BenchmarkPaperScan times one uncached scan.
 
 func BenchmarkFig12AverageScores(b *testing.B) { benchFigure(b, 12) }
 func BenchmarkFig13CoreHistogram(b *testing.B) { benchFigure(b, 13) }
@@ -97,7 +101,8 @@ func BenchmarkFig21OptEffectRole(b *testing.B)     { benchFigure(b, 21) }
 
 func BenchmarkFig22Suspicion(b *testing.B) { benchFigure(b, 22) }
 
-// Headline claims (Section IV text).
+// Headline claims (Section IV text), judged from the cached paper
+// plans: this times only the evaluation, not the scan.
 
 func BenchmarkHeadlineClaims(b *testing.B) {
 	r := results()

@@ -120,7 +120,7 @@ func (r *Results) RunTrainingIntervention(level string) TrainingIntervention {
 // shared by every treated cohort. Each cohort is graded and dropped
 // before the next is drawn.
 func (r *Results) trainingInterventions(levels []string) []TrainingIntervention {
-	base := r.meanTallies("core").Correct
+	base := meanCorrect(r.CoreTallies)
 	overrides := make([]func(*respondent.Profile), len(levels))
 	for k, level := range levels {
 		overrides[k] = func(p *respondent.Profile) { p.FormalTraining = level }
@@ -128,13 +128,7 @@ func (r *Results) trainingInterventions(levels []string) []TrainingIntervention 
 	out := make([]TrainingIntervention, len(levels))
 	respondent.GenerateTreatedColumnar(r.Study.Seed, r.Study.NMain, r.workers, overrides,
 		respondent.Instrumentation{}, func(k int, pop *respondent.Population) {
-			// Scores are small integers, so the sum is exact and the
-			// mean is the same at any worker count.
-			sum := 0
-			for _, tl := range quiz.ScoreAllColumns(pop.Cols, r.workers).Core {
-				sum += tl.Correct
-			}
-			treated := float64(sum) / float64(pop.Cols.Len())
+			treated := meanCorrect(quiz.ScoreAllColumns(pop.Cols, r.workers).Core)
 			out[k] = TrainingIntervention{
 				Level:       levels[k],
 				BaseMean:    base,
@@ -143,6 +137,20 @@ func (r *Results) trainingInterventions(levels []string) []TrainingIntervention 
 			}
 		})
 	return out
+}
+
+// meanCorrect returns the mean number of correct answers (0 for no
+// tallies). Scores are small integers, so the sum is exact and the mean
+// is the same at any worker count.
+func meanCorrect(tallies []quiz.Tally) float64 {
+	if len(tallies) == 0 {
+		return 0
+	}
+	sum := 0
+	for _, tl := range tallies {
+		sum += tl.Correct
+	}
+	return float64(sum) / float64(len(tallies))
 }
 
 // InterventionReport renders the what-if table across training levels.

@@ -66,6 +66,9 @@ type Results struct {
 
 	mainSrc    query.Source
 	studentSrc query.Source
+	// mainScan and studentScan cache each cohort's paper plan, the
+	// counts Figures 12-22 and the headline claims read.
+	mainScan, studentScan cohortPlan
 }
 
 // MainSource returns the query-engine view of the main cohort's
@@ -85,16 +88,6 @@ func (r *Results) StudentSource() query.Source {
 		r.studentSrc = query.NewDatasetSource(r.StudentCols)
 	}
 	return r.studentSrc
-}
-
-// mustQueryValue resolves a quiz measure name known valid at build
-// time (programmer error otherwise).
-func mustQueryValue(s *colstore.Schema, name string) query.Value {
-	v, err := quiz.QueryValue(s, name)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }
 
 // Run executes the study: generation, then oracle-keyed grading, both
@@ -215,8 +208,13 @@ func (r *Results) Figure12() report.Table {
 		Header: []string{"Quiz", "# Correct", "# Incorrect", "# Don't Know", "# No Answer", "# Chance",
 			"paper Correct", "paper Chance"},
 	}
-	core := r.meanTallies("core")
-	opt := r.meanTallies("opt")
+	p, err := r.mainPlan()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
+	core := meanOutcomes(p.coreField)
+	opt := meanOutcomes(p.optField)
 	t.AddRow("Core",
 		report.F(core.Correct), report.F(core.Incorrect), report.F(core.DontKnow), report.F(core.Unanswered),
 		report.F(quiz.CoreChance),
@@ -234,55 +232,33 @@ type meanTallyResult struct {
 	Correct, Incorrect, DontKnow, Unanswered float64
 }
 
-// meanTallies computes a quiz's mean per-outcome counts through one
-// engine pass: four grading values, no grouping. The per-respondent
-// outcome counts are small integers, so the blockwise sums are exact
-// and the means are bit-identical to the sequential row loop over the
-// graded tallies this replaced.
-func (r *Results) meanTallies(quizName string) meanTallyResult {
-	s := r.Main.Cols.Schema
-	res, err := query.Run(r.MainSource(), query.Query{Values: []query.Value{
-		mustQueryValue(s, quizName+".score"),
-		mustQueryValue(s, quizName+".incorrect"),
-		mustQueryValue(s, quizName+".dontknow"),
-		mustQueryValue(s, quizName+".unanswered"),
-	}}, r.workers)
-	if err != nil {
-		return meanTallyResult{}
-	}
-	return meanTallyResult{
-		Correct:    res.Mean(0, 0),
-		Incorrect:  res.Mean(1, 0),
-		DontKnow:   res.Mean(2, 0),
-		Unanswered: res.Mean(3, 0),
-	}
-}
-
-// coreScores returns every respondent's core quiz score in respondent
-// order, via an ungrouped engine collection.
-func (r *Results) coreScores() []float64 {
-	res, err := query.RunCollect(r.MainSource(), query.Query{
-		Values: []query.Value{mustQueryValue(r.Main.Cols.Schema, "core.score")},
-	}, r.workers)
-	if err != nil {
-		return nil
-	}
-	return res.Groups[0]
-}
-
-// CoreScoreHistogram returns the distribution of core-quiz scores.
+// CoreScoreHistogram returns the distribution of core-quiz scores
+// (empty when the main cohort cannot be scanned).
 func (r *Results) CoreScoreHistogram() stats.IntHistogram {
-	return stats.NewIntHistogram(r.coreScores(), 15)
+	h := stats.IntHistogram{Counts: make([]int, len(quiz.CoreQuestions())+1)}
+	p, err := r.mainPlan()
+	if err != nil {
+		return h
+	}
+	for score, c := range p.coreField[quiz.OutcomeCorrect] {
+		h.Counts[score] = int(c)
+		h.Total += int(c)
+	}
+	return h
 }
 
 // Figure13 renders the histogram of core quiz scores.
 func (r *Results) Figure13() report.Table {
-	scores := r.coreScores()
-	h := stats.NewIntHistogram(scores, 15)
 	t := report.Table{
 		Title:  "Figure 13: Histogram of core quiz scores (15 questions; chance mean 7.5)",
 		Header: []string{"Score", "Count", ""},
 	}
+	p, err := r.mainPlan()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
+	h := r.CoreScoreHistogram()
 	maxC := 0
 	for _, c := range h.Counts {
 		if c > maxC {
@@ -292,7 +268,7 @@ func (r *Results) Figure13() report.Table {
 	for score, count := range h.Counts {
 		t.AddRow(report.I(score), report.I(count), report.Bar(float64(count), float64(maxC), 40))
 	}
-	s := stats.Summarize(scores)
+	s := stats.SummarizeCounts(p.coreField[quiz.OutcomeCorrect])
 	t.Notes = append(t.Notes, fmt.Sprintf("mean %.2f, sd %.2f, median %.1f (paper mean 8.5, chance 7.5)",
 		s.Mean, s.StdDev, s.Median))
 	return t
@@ -305,26 +281,17 @@ func (r *Results) Figure14() report.Table {
 		Header: []string{"Question", "% Correct", "% Incorrect", "% Don't Know", "% Unanswered",
 			"paper %C", "flags"},
 	}
-	qs := quiz.CoreQuestions()
-	d := r.Main.Cols
-	n := float64(d.Len())
-	// One engine pass classifies every (respondent, question) pair: 15
-	// outcome keyers over a single block scan. Per-block count matrices
-	// merge additively, so the totals are identical at any worker count.
-	keyers := make([]query.Keyer, len(qs))
-	for qi := range qs {
-		keyers[qi] = quiz.CoreOutcomeKeyer(d.Schema, qi)
-	}
-	totals, err := query.CountByKeys(r.MainSource(), keyers, nil, r.workers)
+	p, err := r.mainPlan()
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
 	}
-	for i, q := range qs {
-		c := int(totals[i][quiz.OutcomeCorrect])
-		inc := int(totals[i][quiz.OutcomeIncorrect])
-		dk := int(totals[i][quiz.OutcomeDontKnow])
-		un := int(totals[i][quiz.OutcomeUnanswered])
+	n := float64(r.Main.Cols.Len())
+	for i, q := range quiz.CoreQuestions() {
+		c := int(p.coreQ[i][quiz.OutcomeCorrect])
+		inc := int(p.coreQ[i][quiz.OutcomeIncorrect])
+		dk := int(p.coreQ[i][quiz.OutcomeDontKnow])
+		un := int(p.coreQ[i][quiz.OutcomeUnanswered])
 		row := paperdata.Figure14Core[i]
 		flags := ""
 		pc := 100 * float64(c) / n
@@ -352,23 +319,17 @@ func (r *Results) Figure15() report.Table {
 		Header: []string{"Question", "% Correct", "% Incorrect", "% Don't Know", "% Unanswered",
 			"paper %C", "paper %DK"},
 	}
-	qs := quiz.OptQuestions()
-	d := r.Main.Cols
-	n := float64(d.Len())
-	keyers := make([]query.Keyer, len(qs))
-	for qi := range qs {
-		keyers[qi] = quiz.OptOutcomeKeyer(d.Schema, qi)
-	}
-	totals, err := query.CountByKeys(r.MainSource(), keyers, nil, r.workers)
+	p, err := r.mainPlan()
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
 	}
-	for i, q := range qs {
-		c := int(totals[i][quiz.OutcomeCorrect])
-		inc := int(totals[i][quiz.OutcomeIncorrect])
-		dk := int(totals[i][quiz.OutcomeDontKnow])
-		un := int(totals[i][quiz.OutcomeUnanswered])
+	n := float64(r.Main.Cols.Len())
+	for i, q := range quiz.OptQuestions() {
+		c := int(p.optQ[i][quiz.OutcomeCorrect])
+		inc := int(p.optQ[i][quiz.OutcomeIncorrect])
+		dk := int(p.optQ[i][quiz.OutcomeDontKnow])
+		un := int(p.optQ[i][quiz.OutcomeUnanswered])
 		row := paperdata.Figure15Opt[i]
 		t.AddRow(q.Label,
 			report.Pct(100*float64(c)/n),
@@ -380,45 +341,26 @@ func (r *Results) Figure15() report.Table {
 	return t
 }
 
-// factorFigure renders a grouped-means figure (16-21).
-func (r *Results) factorFigure(num int, title, questionID string, core bool,
+// factorFigure renders a grouped-means figure (16-21) from factor f's
+// per-level score histograms.
+func (r *Results) factorFigure(num int, title string, f int,
 	paperEffect paperdata.FactorEffect, levelOrder []string) report.Table {
 	t := report.Table{
 		Title:  fmt.Sprintf("Figure %d: %s", num, title),
 		Header: []string{"Level", "n", "mean correct", "sd", "paper mean"},
 	}
-	paperMeans := map[string]float64{}
-	for _, lm := range paperEffect.Means {
-		paperMeans[lm.Level] = lm.Mean
-	}
-	// Group scores by answer level through the engine: a single-choice
-	// group-by collecting each group's exact score sequence. Per-block
-	// buckets merge in block order, preserving respondent order within
-	// each level, so downstream means/sds are bit-identical at any
-	// worker count.
-	d := r.Main.Cols
-	ci := d.Schema.MustColumnIndex(questionID)
-	col := d.Schema.Column(ci)
-	valName := "core.score"
-	if !core {
-		valName = "opt.score"
-	}
-	res, err := query.RunCollect(r.MainSource(), query.Query{
-		Key:    query.SingleKey{Col: ci, Options: col.Options},
-		Values: []query.Value{mustQueryValue(d.Schema, valName)},
-	}, r.workers)
+	p, err := r.mainPlan()
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
 	}
+	paperMeans := map[string]float64{}
+	for _, lm := range paperEffect.Means {
+		paperMeans[lm.Level] = lm.Mean
+	}
 	for _, level := range levelOrder {
-		var vs []float64
-		if level == "(unanswered)" {
-			vs = res.Groups[0]
-		} else if code, ok := col.OptionCode(level); ok {
-			vs = res.Groups[code]
-		}
-		if len(vs) == 0 {
+		s := stats.SummarizeCounts(p.levelScores(r.Main.Cols.Schema, f, level))
+		if s.N == 0 {
 			continue
 		}
 		pm := "-"
@@ -427,7 +369,7 @@ func (r *Results) factorFigure(num int, title, questionID string, core bool,
 		} else if v, ok := paperMeans["Other"]; ok {
 			pm = report.F(v) + " (other)"
 		}
-		t.AddRow(level, report.I(len(vs)), report.F2(stats.Mean(vs)), report.F2(stats.StdDev(vs)), pm)
+		t.AddRow(level, report.I(s.N), report.F2(s.Mean), report.F2(s.StdDev), pm)
 	}
 	return t
 }
@@ -452,39 +394,39 @@ func (r *Results) Figure16() report.Table {
 		">1,000,000 lines of code",
 	}
 	return r.factorFigure(16, "Effect of Contributed Codebase Size on core quiz scores",
-		quiz.BGContribSize, true, paperdata.Figure16ContribSizeEffect, order)
+		factorContribSizeCore, paperdata.Figure16ContribSizeEffect, order)
 }
 
 // Figure17 renders the effect of Area on core quiz scores.
 func (r *Results) Figure17() report.Table {
 	return r.factorFigure(17, "Effect of Area on core quiz scores",
-		quiz.BGArea, true, paperdata.Figure17AreaEffect, labels(paperdata.Figure2Areas))
+		factorAreaCore, paperdata.Figure17AreaEffect, labels(paperdata.Figure2Areas))
 }
 
 // Figure18 renders the effect of Software Development Role on core quiz
 // scores.
 func (r *Results) Figure18() report.Table {
 	return r.factorFigure(18, "Effect of Software Development Role on core quiz scores",
-		quiz.BGRole, true, paperdata.Figure18RoleEffect, labels(paperdata.Figure5Roles))
+		factorRoleCore, paperdata.Figure18RoleEffect, labels(paperdata.Figure5Roles))
 }
 
 // Figure19 renders the effect of Formal Training on core quiz scores.
 func (r *Results) Figure19() report.Table {
 	return r.factorFigure(19, "Effect of Formal Training (in floating point) on core quiz scores",
-		quiz.BGFormalTraining, true, paperdata.Figure19TrainingEffect, labels(paperdata.Figure3FormalTraining))
+		factorTrainingCore, paperdata.Figure19TrainingEffect, labels(paperdata.Figure3FormalTraining))
 }
 
 // Figure20 renders the effect of Area on optimization quiz scores.
 func (r *Results) Figure20() report.Table {
 	return r.factorFigure(20, "Effect of Area on optimization quiz scores",
-		quiz.BGArea, false, paperdata.Figure20OptAreaEffect, labels(paperdata.Figure2Areas))
+		factorAreaOpt, paperdata.Figure20OptAreaEffect, labels(paperdata.Figure2Areas))
 }
 
 // Figure21 renders the effect of Software Development Role on
 // optimization quiz scores.
 func (r *Results) Figure21() report.Table {
 	return r.factorFigure(21, "Effect of Software Development Role on optimization quiz scores",
-		quiz.BGRole, false, paperdata.Figure21OptRoleEffect, labels(paperdata.Figure5Roles))
+		factorRoleOpt, paperdata.Figure21OptRoleEffect, labels(paperdata.Figure5Roles))
 }
 
 // SuspicionDistribution tabulates the Likert distribution of one
@@ -500,39 +442,32 @@ func SuspicionDistribution(d *colstore.Dataset, itemID string) stats.LikertDist 
 	return stats.NewLikertDist(levels, 5)
 }
 
-// suspicionDistQuery computes a suspicion item's Likert distribution
-// through the engine: a count-only group-by on the level column. The
-// per-level counts rebuild the distribution bit-identically
-// (stats.LikertDistFromCounts).
-func suspicionDistQuery(src query.Source, itemID string, workers int) stats.LikertDist {
-	s := src.Schema()
-	ci := s.MustColumnIndex(itemID)
-	scale := s.Column(ci).Scale
-	res, err := query.Run(src, query.Query{
-		Key: query.LikertKey{Col: ci, Scale: scale},
-	}, workers)
-	if err != nil {
-		return stats.LikertDist{Scale: scale, Percent: make([]float64, scale)}
-	}
-	return stats.LikertDistFromCounts(res.Count[1:], scale)
-}
-
 // Figure22 renders the suspicion distributions for both cohorts.
 func (r *Results) Figure22() report.Table {
 	t := report.Table{
 		Title:  "Figure 22: Distribution of suspicion for exceptional conditions (percent reporting each level)",
 		Header: []string{"Group", "Condition", "1", "2", "3", "4", "5", "mean", "paper@5"},
 	}
+	main, err := r.mainPlan()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
+	student, err := r.studentPlan()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
 	for _, grp := range []struct {
 		name  string
-		src   query.Source
+		plan  *paperPlan
 		paper []paperdata.SuspicionDist
 	}{
-		{"main", r.MainSource(), paperdata.Figure22Main},
-		{"student", r.StudentSource(), paperdata.Figure22Student},
+		{"main", main, paperdata.Figure22Main},
+		{"student", student, paperdata.Figure22Student},
 	} {
 		for i, it := range quiz.SuspicionItems() {
-			d := suspicionDistQuery(grp.src, it.ID, r.workers)
+			d := grp.plan.suspicion(it.ID)
 			t.AddRow(grp.name, it.Condition.String(),
 				report.Pct(d.Percent[0]), report.Pct(d.Percent[1]), report.Pct(d.Percent[2]),
 				report.Pct(d.Percent[3]), report.Pct(d.Percent[4]),

@@ -25,8 +25,11 @@
 // value kinds the pipeline aggregates (quiz scores and tally fields,
 // Likert levels: small integers), every partial sum is exact in
 // float64, so the blockwise sum is additionally bit-identical to a
-// straight left-to-right sum over respondents — which is why routing
-// the figures through this engine does not move a single golden byte.
+// straight left-to-right sum over respondents. ScanBlocks hands the
+// same block scan to callers that fuse many aggregates into one pass —
+// core's paper plan reads all of Figures 12-22 and the headline claims
+// off one ScanBlocks pass per cohort — under the same contract: a
+// per-block slot, merged in block order.
 //
 // # Out-of-core bound
 //
@@ -270,6 +273,20 @@ func scan(src Source, cols []int, workers, nb int, fn func(st *scanState, b int,
 	return nil
 }
 
+// ScanBlocks runs fn once per scan block of src, with the given schema
+// columns bound, across the worker budget. fn may run concurrently for
+// different blocks; the block is valid only during the call, so fn
+// keeps what it needs in a per-block slot of its own and merges the
+// slots in block order afterwards. The first error in block order is
+// returned. This is the engine's scan for callers that fuse several
+// aggregates into one pass (core's paper plan); each block counts as
+// one telemetry.StageQueryBlock observation, as for Run.
+func ScanBlocks(src Source, cols []int, workers int, fn func(b int, blk *Block)) error {
+	return scan(src, cols, workers, NumBlocks(src.Len()), func(_ *scanState, b int, blk *Block) {
+		fn(b, blk)
+	})
+}
+
 // applyQuery builds the block's selection and keys into st's scratch.
 func applyQuery(q *Query, st *scanState, blk *Block) {
 	st.sel.Reset(blk.N)
@@ -381,124 +398,4 @@ func Run(src Source, q Query, workers int) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// CollectResult holds per-group value sequences in respondent order.
-type CollectResult struct {
-	Labels []string
-	// Groups[k] lists the value of every selected, contributing row of
-	// group k, in global respondent order.
-	Groups [][]float64
-}
-
-// RunCollect executes a grouped collection: instead of reducing to
-// sums it preserves each group's exact value sequence in respondent
-// order (per-block buckets appended in block order), which is what
-// order-sensitive statistics (StdDev, Median, histograms) need to stay
-// bit-identical to a sequential row loop. Requires exactly one value.
-func RunCollect(src Source, q Query, workers int) (*CollectResult, error) {
-	if len(q.Values) != 1 {
-		return nil, fmt.Errorf("query: RunCollect needs exactly one value, got %d", len(q.Values))
-	}
-	card := 1
-	labels := []string{"all"}
-	if q.Key != nil {
-		card = q.Key.Cardinality()
-		labels = q.Key.Labels()
-	}
-	nb := NumBlocks(src.Len())
-	parts := make([][][]float64, nb)
-	err := scan(src, q.columnsOf(), workers, nb, func(st *scanState, b int, blk *Block) {
-		applyQuery(&q, st, blk)
-		if st.sel.Count() == 0 {
-			// Empty selection: nothing to collect, skip the gather.
-			parts[b] = make([][]float64, card)
-			st.skipped = true
-			return
-		}
-		if cap(st.vals) < blk.N {
-			st.vals = make([]float64, BlockRows)
-			st.ok = make([]bool, BlockRows)
-		}
-		vals, okv := st.vals[:blk.N], st.ok[:blk.N]
-		q.Values[0].Gather(blk, vals, okv)
-		groups := make([][]float64, card)
-		keys := st.keys
-		st.sel.ForEach(func(j int) {
-			if !okv[j] {
-				return
-			}
-			k := int32(0)
-			if q.Key != nil {
-				k = keys[j]
-			}
-			groups[k] = append(groups[k], vals[j])
-		})
-		parts[b] = groups
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &CollectResult{Labels: labels, Groups: make([][]float64, card)}
-	for _, groups := range parts {
-		for k, vs := range groups {
-			res.Groups[k] = append(res.Groups[k], vs...)
-		}
-	}
-	return res, nil
-}
-
-// CountByKeys executes several keyers over one filtered scan,
-// returning out[k][key] = selected rows with that key under keyer k.
-// One pass serves a whole per-question breakdown (Figures 14/15: 15
-// outcome keyers, one scan).
-func CountByKeys(src Source, keyers []Keyer, filter []Predicate, workers int) ([][]int64, error) {
-	cols := (&Query{Filter: filter}).columnsOf()
-	seen := map[int]bool{}
-	for _, c := range cols {
-		seen[c] = true
-	}
-	for _, k := range keyers {
-		for _, c := range k.Columns() {
-			if !seen[c] {
-				seen[c] = true
-				cols = append(cols, c)
-			}
-		}
-	}
-	nb := NumBlocks(src.Len())
-	parts := make([][][]int64, nb)
-	err := scan(src, cols, workers, nb, func(st *scanState, b int, blk *Block) {
-		st.sel.Reset(blk.N)
-		for _, p := range filter {
-			p.Apply(blk, st.sel)
-		}
-		if cap(st.keys) < blk.N {
-			st.keys = make([]int32, BlockRows)
-		}
-		counts := make([][]int64, len(keyers))
-		keys := st.keys[:blk.N]
-		for ki, k := range keyers {
-			k.Keys(blk, keys)
-			c := make([]int64, k.Cardinality())
-			st.sel.ForEach(func(j int) { c[keys[j]]++ })
-			counts[ki] = c
-		}
-		parts[b] = counts
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int64, len(keyers))
-	for ki, k := range keyers {
-		out[ki] = make([]int64, k.Cardinality())
-	}
-	for _, counts := range parts {
-		for ki := range keyers {
-			for key, c := range counts[ki] {
-				out[ki][key] += c
-			}
-		}
-	}
-	return out, nil
 }

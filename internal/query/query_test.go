@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"fpstudy/internal/colstore"
@@ -113,18 +114,26 @@ func effectiveMask(d *colstore.Dataset, ci, i int) uint64 {
 // order, pinning the whole selection bitmap (not just its count).
 func selectedRows(t *testing.T, src query.Source, filter []query.Predicate, workers int, n int) []float64 {
 	t.Helper()
-	idx := make([]float64, n)
-	for i := range idx {
-		idx[i] = float64(i)
+	var cols []int
+	for _, p := range filter {
+		cols = append(cols, p.Columns()...)
 	}
-	res, err := query.RunCollect(src, query.Query{
-		Filter: filter,
-		Values: []query.Value{query.SliceValue{Vals: idx}},
-	}, workers)
+	parts := make([][]float64, query.NumBlocks(n))
+	err := query.ScanBlocks(src, cols, workers, func(b int, blk *query.Block) {
+		sel := query.NewBitmap(blk.N)
+		for _, p := range filter {
+			p.Apply(blk, sel)
+		}
+		sel.ForEach(func(j int) { parts[b] = append(parts[b], float64(blk.Lo+j)) })
+	})
 	if err != nil {
-		t.Fatalf("RunCollect: %v", err)
+		t.Fatalf("ScanBlocks: %v", err)
 	}
-	return res.Groups[0]
+	var rows []float64
+	for _, p := range parts {
+		rows = append(rows, p...)
+	}
+	return rows
 }
 
 var workerCounts = []int{1, 4, 16}
@@ -265,8 +274,7 @@ func TestGroupedAggregatesVsReference(t *testing.T) {
 }
 
 // TestAllFalseSelection pins the degenerate filter: a predicate
-// matching nothing yields zero counts, zero sums, and empty collected
-// groups.
+// matching nothing yields zero counts and zero sums.
 func TestAllFalseSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	d := randomCohort(t, rng, 500)
@@ -293,62 +301,67 @@ func TestAllFalseSelection(t *testing.T) {
 				}
 			}
 		}
-		col, err := query.RunCollect(src, query.Query{
-			Filter: none,
-			Values: []query.Value{query.LikertValue{Col: s.MustColumnIndex("susp.invalid")}},
-		}, 4)
-		if err != nil {
-			t.Fatalf("RunCollect: %v", err)
-		}
-		if len(col.Groups[0]) != 0 {
-			t.Fatalf("all-false filter collected %d values", len(col.Groups[0]))
-		}
 	}
 }
 
-// TestRunCollectOrder pins RunCollect's respondent-order contract: the
-// collected sequences are bitwise identical to a sequential row loop,
-// at every worker count, on both sources.
-func TestRunCollectOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
+// TestScanBlocks pins the fused-scan entry point: every block is
+// visited exactly once with its global row range, and what each block
+// holds is the same at every worker count and between the in-memory
+// and streamed sources.
+func TestScanBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
 	s := quiz.Columns()
-	keyCi := s.MustColumnIndex(quiz.BGRole)
-	likCi := s.MustColumnIndex("susp.denorm")
-	d := randomCohort(t, rng, 9001)
+	tfCi := s.MustColumnIndex(quiz.CoreQuestions()[0].ID)
+	sglCi := s.MustColumnIndex(quiz.BGRole)
+	mulCi := s.MustColumnIndex(quiz.BGInformal)
+	cols := []int{tfCi, sglCi, mulCi}
+	const n = 2*query.BlockRows + 77
+	d := randomCohort(t, rng, n)
 	mem, shard := sources(t, d)
-	card := len(s.Column(keyCi).Options) + 2
 
-	want := make([][]float64, card)
-	for i := 0; i < d.Len(); i++ {
-		lv := d.LikertLevel(likCi, i)
-		if lv == 0 {
-			continue
-		}
-		k := d.SingleCode(keyCi, i)
-		if k < 0 {
-			k = int32(card - 1)
-		}
-		want[k] = append(want[k], float64(lv))
-	}
-
-	q := query.Query{
-		Key:    query.SingleKey{Col: keyCi, Options: s.Column(keyCi).Options},
-		Values: []query.Value{query.LikertValue{Col: likCi}},
-	}
+	type blockSum struct{ lo, n, tf, sgl, mul, patches int64 }
+	var want []blockSum
 	for _, w := range workerCounts {
-		for srcName, src := range map[string]query.Source{"mem": mem, "shard": shard} {
-			res, err := query.RunCollect(src, q, w)
+		for _, src := range []query.Source{mem, shard} {
+			visits := make([]atomic.Int32, query.NumBlocks(n))
+			got := make([]blockSum, query.NumBlocks(n))
+			err := query.ScanBlocks(src, cols, w, func(b int, blk *query.Block) {
+				visits[b].Add(1)
+				bs := blockSum{lo: int64(blk.Lo), n: int64(blk.N)}
+				for _, v := range blk.U8(tfCi) {
+					bs.tf += int64(v)
+				}
+				for _, v := range blk.I32(sglCi) {
+					bs.sgl += int64(v)
+				}
+				for _, v := range blk.U64(mulCi) {
+					bs.mul += int64(v)
+				}
+				for _, p := range blk.Patches(mulCi) {
+					bs.patches += int64(p.Row) + int64(p.Mask)
+				}
+				got[b] = bs
+			})
 			if err != nil {
-				t.Fatalf("RunCollect: %v", err)
+				t.Fatalf("ScanBlocks: %v", err)
 			}
-			for k := range want {
-				got := res.Groups[k]
-				if len(got) == 0 && len(want[k]) == 0 {
-					continue
+			rows := int64(0)
+			for b := range visits {
+				if v := visits[b].Load(); v != 1 {
+					t.Fatalf("workers=%d: block %d visited %d times", w, b, v)
 				}
-				if !reflect.DeepEqual(got, want[k]) {
-					t.Fatalf("%s workers=%d group %d: collected sequence diverges", srcName, w, k)
+				if got[b].lo != int64(b*query.BlockRows) {
+					t.Fatalf("workers=%d: block %d starts at row %d", w, b, got[b].lo)
 				}
+				rows += got[b].n
+			}
+			if rows != n {
+				t.Fatalf("workers=%d: blocks cover %d rows, want %d", w, rows, n)
+			}
+			if want == nil {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: block contents differ across workers or sources", w)
 			}
 		}
 	}

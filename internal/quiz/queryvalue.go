@@ -105,9 +105,15 @@ func (k tfOutcomeKey) Cardinality() int { return 4 }
 func (k tfOutcomeKey) Labels() []string { return outcomeLabels }
 
 func (k tfOutcomeKey) Keys(b *query.Block, dst []int32) {
-	col := b.U8(k.it.ci)
-	for j := range dst {
-		dst[j] = int32(classifyTFCode(col[j], k.it.correct))
+	// One classification per possible code, then a table lookup per
+	// row: the byte index needs no bounds check.
+	var outcome [256]int32
+	for code := range outcome {
+		outcome[code] = int32(classifyTFCode(uint8(code), k.it.correct))
+	}
+	col := b.U8(k.it.ci)[:len(dst)]
+	for j, code := range col {
+		dst[j] = outcome[code]
 	}
 }
 

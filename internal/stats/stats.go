@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"sort"
 )
@@ -84,6 +85,53 @@ func Summarize(xs []float64) Summary {
 			s.Max = x
 		}
 	}
+	return s
+}
+
+// SummarizeCounts summarises the observations of an integer-count
+// histogram, counts[k] being the number of observations equal to k. It
+// never expands the sequence. Mean, Median, Min and Max are
+// bit-identical to Summarize over the expanded sequence: every sum of
+// integers below 2^53 is exact in float64. StdDev comes from exact
+// integer moments, (nΣx² − (Σx)²)/(n(n−1)) as a rational rounded once
+// to float64, so it can differ from Summarize's two-pass float sum in
+// the last bits, and is the more accurate of the two.
+func SummarizeCounts(counts []int64) Summary {
+	var n, sum int64
+	sumSq := new(big.Int)
+	for k, c := range counts {
+		n += c
+		sum += int64(k) * c
+		sumSq.Add(sumSq, new(big.Int).Mul(big.NewInt(int64(k)*int64(k)), big.NewInt(c)))
+	}
+	s := Summary{N: int(n)}
+	if n == 0 {
+		return s
+	}
+	s.Mean = float64(sum) / float64(n)
+	if n > 1 {
+		num := new(big.Int).Mul(big.NewInt(n), sumSq)
+		num.Sub(num, new(big.Int).Mul(big.NewInt(sum), big.NewInt(sum)))
+		den := new(big.Int).Mul(big.NewInt(n), big.NewInt(n-1))
+		v, _ := new(big.Rat).SetFrac(num, den).Float64()
+		s.StdDev = math.Sqrt(v)
+	}
+	// at returns the i-th smallest observation (0-based).
+	at := func(i int64) float64 {
+		for k, c := range counts {
+			if i < c {
+				return float64(k)
+			}
+			i -= c
+		}
+		return 0
+	}
+	if n%2 == 1 {
+		s.Median = at(n / 2)
+	} else {
+		s.Median = (at(n/2-1) + at(n/2)) / 2
+	}
+	s.Min, s.Max = at(0), at(n-1)
 	return s
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,53 @@ func TestSummarize(t *testing.T) {
 	}
 	if Summarize(nil).N != 0 {
 		t.Fatal("empty summary")
+	}
+}
+
+// TestSummarizeCountsVsSummarize pins SummarizeCounts against
+// Summarize over the expanded sequence of randomized histograms: mean,
+// median, min and max bit for bit, the sd within 1e-12 relative error.
+func TestSummarizeCountsVsSummarize(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := [][]int64{
+		nil,            // n = 0
+		{0, 0, 0},      // n = 0 with bins
+		{0, 0, 1},      // n = 1
+		{0, 0, 0, 500}, // a single value
+	}
+	for i := 0; i < 300; i++ {
+		counts := make([]int64, 1+rng.Intn(16))
+		for k := range counts {
+			if rng.Intn(3) > 0 {
+				counts[k] = rng.Int63n(int64(1 + rng.Intn(400)))
+			}
+		}
+		cases = append(cases, counts)
+	}
+	for _, counts := range cases {
+		var xs []float64
+		for k, c := range counts {
+			for j := int64(0); j < c; j++ {
+				xs = append(xs, float64(k))
+			}
+		}
+		// A shuffled sequence: the summary must not depend on order.
+		rng.Shuffle(len(xs), func(a, b int) { xs[a], xs[b] = xs[b], xs[a] })
+		want := Summarize(xs)
+		got := SummarizeCounts(counts)
+		if got.N != want.N || got.Mean != want.Mean || got.Median != want.Median ||
+			got.Min != want.Min || got.Max != want.Max {
+			t.Fatalf("counts %v: got %+v, want %+v", counts, got, want)
+		}
+		if math.Abs(got.StdDev-want.StdDev) > 1e-12*math.Abs(want.StdDev) {
+			t.Fatalf("counts %v: sd %v, want %v within 1e-12", counts, got.StdDev, want.StdDev)
+		}
+	}
+	if s := SummarizeCounts([]int64{0, 0, 0, 500}); s.StdDev != 0 || s.Mean != 3 || s.Median != 3 {
+		t.Fatalf("single value: %+v", s)
+	}
+	if s := SummarizeCounts([]int64{0, 1}); s.N != 1 || s.StdDev != 0 || s.Min != 1 || s.Max != 1 {
+		t.Fatalf("n=1: %+v", s)
 	}
 }
 
