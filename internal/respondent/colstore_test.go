@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/parallel"
 	"fpstudy/internal/quiz"
@@ -50,6 +52,48 @@ func TestColumnarGoldenHashes(t *testing.T) {
 	sum = sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != goldenStudentSHA {
 		t.Errorf("student cohort hash = %s, want %s", got, goldenStudentSHA)
+	}
+}
+
+// FPDS sha256 pins for seed-7, n=70,000 cohorts: past calibrationCap,
+// so 18 generation shards with a partial tail. Recorded from the
+// generator that still materialized a Profile row per respondent; the
+// fused block pass must reproduce them byte for byte.
+const (
+	goldenMain70kSHA    = "05b2fc1555a2f1c0a9d311b022aad70231169c0d0770c2327f5c7f4bd9c4d06e"
+	goldenTreated70kSHA = "071bb785dbeb015082c54420ecec7dc1f79088393d5ee0865e6859d9a3d4db3b" // FormalTraining forced to "None"
+)
+
+// TestColumnarGoldenHashesPastCap pins the FPDS bytes of the main
+// cohort and one treated cohort beyond the calibration prefix at
+// workers 1, 3 and 16.
+func TestColumnarGoldenHashesPastCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("70,000-respondent cohorts; skipped in -short mode")
+	}
+	const seed, n = 7, 70000
+	// parallel.Workers clamps worker counts to GOMAXPROCS.
+	if runtime.GOMAXPROCS(0) < 16 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	}
+	fpdsSHA := func(pop *Population) string {
+		var buf bytes.Buffer
+		if err := pop.Cols.EncodeBinary(&buf, colstore.IOOptions{}); err != nil {
+			t.Fatalf("EncodeBinary: %v", err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		return hex.EncodeToString(sum[:])
+	}
+	none := func(p *Profile) { p.FormalTraining = "None" }
+	for _, workers := range []int{1, 3, 16} {
+		main := GenerateMainColumnar(seed, n, workers, nil, Instrumentation{})
+		if got := fpdsSHA(main); got != goldenMain70kSHA {
+			t.Errorf("workers=%d: main cohort FPDS hash = %s, want %s", workers, got, goldenMain70kSHA)
+		}
+		treated := GenerateMainColumnar(seed, n, workers, none, Instrumentation{})
+		if got := fpdsSHA(treated); got != goldenTreated70kSHA {
+			t.Errorf("workers=%d: treated cohort FPDS hash = %s, want %s", workers, got, goldenTreated70kSHA)
+		}
 	}
 }
 
