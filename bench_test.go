@@ -153,9 +153,9 @@ func BenchmarkStudyPipeline(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						r := s.Run()
-						if len(r.CoreTallies) != n {
-							b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
+						tallies, _ := s.Run().Tallies()
+						if len(tallies) != n {
+							b.Fatalf("pipeline produced %d tallies, want %d", len(tallies), n)
 						}
 					}
 					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
@@ -189,9 +189,9 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := s.Run()
-				if len(r.CoreTallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
+				tallies, _ := s.Run().Tallies()
+				if len(tallies) != n {
+					b.Fatalf("pipeline produced %d tallies, want %d", len(tallies), n)
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
@@ -231,9 +231,9 @@ func BenchmarkStudyPipelineTrace(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := s.Run()
-				if len(r.CoreTallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
+				tallies, _ := s.Run().Tallies()
+				if len(tallies) != n {
+					b.Fatalf("pipeline produced %d tallies, want %d", len(tallies), n)
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")

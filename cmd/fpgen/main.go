@@ -110,17 +110,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fpgen: telemetry on http://%s/debug/vars (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
+	// Generation advances the progress counter once per respondent.
 	prog := reg.Counter(telemetry.MetricRespondents)
-	// A full main-cohort generation advances the progress counter by
-	// 2n (profile draw + response sample per respondent); the student
-	// cohort has no profile stage.
-	totalUnits := int64(2 * *n)
-	if *students {
-		totalUnits = int64(*n)
-	}
 	stopProgress := func() {}
 	if *progress {
-		stopProgress = startProgress(prog, totalUnits, int64(*n), *students)
+		stopProgress = startProgress(prog, int64(*n))
 	}
 
 	// Memory gauges surface GC behaviour live on /debug/vars during
@@ -250,37 +244,21 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 }
 
 // startProgress launches the stderr throughput reporter and returns a
-// func that stops it and prints the final line. done counts pipeline
-// units (see respondent.Instrumentation.Progress): 2n for the main
-// cohort, n for students.
-func startProgress(prog interface{ Value() int64 }, totalUnits, n int64, students bool) func() {
+// func that stops it and prints the final line. done counts respondents
+// generated (see respondent.Instrumentation.Progress).
+func startProgress(prog interface{ Value() int64 }, n int64) func() {
 	start := time.Now()
 	stop := make(chan struct{})
 	finished := make(chan struct{})
 	line := func() string {
 		done := prog.Value()
-		elapsed := time.Since(start).Seconds()
-		rate := float64(done) / elapsed // units/sec
+		rate := float64(done) / time.Since(start).Seconds()
 		eta := "?"
 		if rate > 0 {
-			eta = fmt.Sprintf("%.0fs", float64(totalUnits-done)/rate)
+			eta = fmt.Sprintf("%.0fs", float64(n-done)/rate)
 		}
-		// Translate units into the respondent-facing view: during the
-		// main cohort's profile stage report profiles drawn; after it,
-		// respondents completed.
-		stage, count := "sampling responses", done
-		if !students {
-			switch {
-			case done < n:
-				stage, count = "drawing profiles", done
-			case done == n:
-				stage, count = "calibrating", 0
-			default:
-				stage, count = "sampling responses", done-n
-			}
-		}
-		return fmt.Sprintf("fpgen: %s %d/%d (%.0f units/sec, ETA %s)",
-			stage, count, n, rate, eta)
+		return fmt.Sprintf("fpgen: generated %d/%d respondents (%.0f respondents/sec, ETA %s)",
+			done, n, rate, eta)
 	}
 	go func() {
 		defer close(finished)

@@ -58,8 +58,9 @@ func (r *Results) CalibrationReport() report.Table {
 			n, 15-fails, 15))
 
 	// Bootstrap CI on the headline mean.
-	scores := make([]float64, len(r.CoreTallies))
-	for i, tl := range r.CoreTallies {
+	tallies, _ := r.Tallies()
+	scores := make([]float64, len(tallies))
+	for i, tl := range tallies {
 		scores[i] = float64(tl.Correct)
 	}
 	lo, hi := stats.BootstrapMeanCI(scores, 0.95, 2000, r.Study.Seed)
@@ -85,8 +86,9 @@ func (r *Results) FactorAssociation() report.Table {
 		t.Notes = append(t.Notes, noRespondents)
 		return t
 	}
-	scores := make([]float64, len(r.CoreTallies))
-	for i, tl := range r.CoreTallies {
+	tallies, _ := r.Tallies()
+	scores := make([]float64, len(tallies))
+	for i, tl := range tallies {
 		scores[i] = float64(tl.Correct)
 	}
 	median := stats.Median(scores)

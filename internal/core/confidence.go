@@ -24,7 +24,8 @@ func (r *Results) ConfidenceReport() report.Table {
 		accuracy  float64 // correct / committed
 	}
 	var rows []row
-	for _, tl := range r.CoreTallies {
+	tallies, _ := r.Tallies()
+	for _, tl := range tallies {
 		committed := tl.Correct + tl.Incorrect
 		if committed == 0 {
 			continue
@@ -75,7 +76,8 @@ func (r *Results) ConfidenceReport() report.Table {
 // commits more than its accuracy warrants.
 func (r *Results) OverconfidenceIndex() float64 {
 	var com, acc []float64
-	for _, tl := range r.CoreTallies {
+	tallies, _ := r.Tallies()
+	for _, tl := range tallies {
 		committed := tl.Correct + tl.Incorrect
 		if committed == 0 {
 			continue
@@ -91,7 +93,8 @@ func (r *Results) OverconfidenceIndex() float64 {
 // scored questions punted with "don't know."
 func (r *Results) OptHumilityIndex() float64 {
 	var dk []float64
-	for _, tl := range r.OptTallies {
+	_, tallies := r.Tallies()
+	for _, tl := range tallies {
 		total := tl.Total()
 		if total == 0 {
 			continue

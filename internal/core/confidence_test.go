@@ -38,10 +38,11 @@ func TestOptHumilityIndex(t *testing.T) {
 	// And humility on optimizations exceeds core-quiz hedging by a
 	// wide margin — the paper's contrast between the two quizzes.
 	var coreDK float64
-	for _, tl := range bigResults.CoreTallies {
+	tallies, _ := bigResults.Tallies()
+	for _, tl := range tallies {
 		coreDK += float64(tl.DontKnow) / 15
 	}
-	coreDK /= float64(len(bigResults.CoreTallies))
+	coreDK /= float64(len(tallies))
 	if idx < coreDK*2 {
 		t.Fatalf("opt humility %.2f should dwarf core DK rate %.2f", idx, coreDK)
 	}

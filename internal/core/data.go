@@ -10,9 +10,9 @@ import (
 )
 
 // ResultsFromColumns builds a Results over an already-loaded main
-// cohort instead of generating one: it grades the columns, and every
-// figure, claim and analysis then reads them directly, exactly as
-// after Run. The dataset must use the quiz schema (load it with
+// cohort instead of generating one: every figure, claim and analysis
+// then reads the columns directly, and grades them on demand, exactly
+// as after Run. The dataset must use the quiz schema (load it with
 // colstore.LoadFile(quiz.Columns(), ...)) so the cached grading tables
 // apply. When students is nil the student cohort is regenerated from
 // s.Seed+1 / s.NStudent — the same seed split Run uses — so a run at
@@ -22,13 +22,14 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 		return nil, fmt.Errorf("core: dataset schema is not the quiz instrument")
 	}
 	s.NMain = main.Len()
+	root := s.Telemetry.StartSpan("run")
 	r := &Results{
 		Study:     s,
 		Main:      &respondent.Population{Cols: main},
 		workers:   s.Workers,
 		telemetry: s.Telemetry,
+		runSpan:   root,
 	}
-	root := s.Telemetry.StartSpan("run")
 	if students == nil {
 		sp := root.StartChild("generate-students")
 		students = respondent.GenerateStudentsColumnar(s.Seed+1, s.NStudent, s.Workers,
@@ -43,11 +44,6 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 		r.Study.NStudent = s.NStudent
 	}
 	r.StudentCols = students
-	gsp := root.StartChild("grade")
-	g := quiz.ScoreAllColumns(main, s.Workers)
-	gsp.AddItems(int64(main.Len()))
-	gsp.End()
-	r.CoreTallies, r.OptTallies, r.OptAllTallies = g.Core, g.OptScored, g.OptAll
 	root.AddItems(int64(main.Len() + students.Len()))
 	root.End()
 	s.Telemetry.Registry().Counter(telemetry.MetricRuns).Inc()

@@ -29,8 +29,16 @@ func raiseGOMAXPROCS(t *testing.T, p int) {
 // rendered headline claims. rec may be nil (telemetry off).
 func goldenSnapshot(t *testing.T, n, workers int, rec *telemetry.Recorder) golden {
 	t.Helper()
-	s := Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
-	r := s.Run()
+	return resultsSnapshot(t, goldenStudy(n, workers, rec).Run())
+}
+
+func goldenStudy(n, workers int, rec *telemetry.Recorder) Study {
+	return Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
+}
+
+// resultsSnapshot hashes a run's encoded datasets, figures and claims.
+func resultsSnapshot(t *testing.T, r *Results) golden {
+	t.Helper()
 	var g golden
 	var mainJSON, studentJSON bytes.Buffer
 	if err := r.Main.Cols.WriteJSON(&mainJSON); err != nil {
@@ -93,13 +101,20 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 // probedSweep installs the stage probe (and, if withTracer, a tracer on
 // top), runs an n-respondent study at workers 1, 4, and 16, and fails
 // the test if any dataset or figure hash differs from an uninstrumented
-// baseline. It returns the registry, recorder and tracer (nil when
+// baseline. Figures and claims never grade, so each run also renders
+// one grading analysis, ConfidenceReport, which must match the
+// baseline's too; grading then runs under the probe. It returns the registry, recorder and tracer (nil when
 // withTracer is false) for the caller's non-vacuity checks; the probe
 // and tracer are uninstalled when the test ends.
 func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *telemetry.Recorder, *telemetry.Tracer) {
 	t.Helper()
 	raiseGOMAXPROCS(t, 16)
-	want := goldenSnapshot(t, n, 1, nil)
+	confidenceSum := func(r *Results) [32]byte {
+		return sha256.Sum256([]byte(r.ConfidenceReport().String()))
+	}
+	base := goldenStudy(n, 1, nil).Run()
+	want := resultsSnapshot(t, base)
+	wantConfidence := confidenceSum(base)
 
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
@@ -113,7 +128,11 @@ func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *te
 	rec := telemetry.NewRecorder(reg)
 
 	for _, workers := range []int{1, 4, 16} {
-		got := goldenSnapshot(t, n, workers, rec)
+		r := goldenStudy(n, workers, rec).Run()
+		got := resultsSnapshot(t, r)
+		if confidenceSum(r) != wantConfidence {
+			t.Errorf("workers=%d: instrumentation changed the confidence report", workers)
+		}
 		if got.main != want.main {
 			t.Errorf("workers=%d: instrumentation changed the main dataset", workers)
 		}

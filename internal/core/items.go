@@ -120,7 +120,8 @@ func (r *Results) RunTrainingIntervention(level string) TrainingIntervention {
 // shared by every treated cohort. Each cohort is graded and dropped
 // before the next is drawn.
 func (r *Results) trainingInterventions(levels []string) []TrainingIntervention {
-	base := meanCorrect(r.CoreTallies)
+	tallies, _ := r.Tallies()
+	base := meanCorrect(tallies)
 	overrides := make([]func(*respondent.Profile), len(levels))
 	for k, level := range levels {
 		overrides[k] = func(p *respondent.Profile) { p.FormalTraining = level }

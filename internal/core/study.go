@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
@@ -32,8 +33,9 @@ type Study struct {
 	// affects the produced data, only the wall-clock time.
 	Workers int
 	// Telemetry, when non-nil, records the run's span tree
-	// (run → generate-main / generate-students / grade, plus a figures
-	// tree when figures are rendered) and pipeline counters. Nil
+	// (run → generate-main / generate-students, plus run → grade once
+	// an analysis grades, and a figures tree when figures are
+	// rendered) and pipeline counters. Nil
 	// disables instrumentation at effectively zero cost (nil-safe
 	// no-op handles). Telemetry never affects the produced data; the
 	// golden test pins bit-identical output with it on or off.
@@ -45,7 +47,9 @@ func DefaultStudy() Study {
 	return Study{Seed: 42, NMain: paperdata.NMain, NStudent: paperdata.NStudent}
 }
 
-// Results holds the generated cohorts and their grades.
+// Results holds the generated cohorts. The main cohort is graded on
+// demand (see Tallies): figures and claims read counts from the
+// columns, and only the analyses need per-respondent grades.
 type Results struct {
 	Study Study
 	// Main is the main cohort. Every figure, claim and analysis reads
@@ -54,21 +58,36 @@ type Results struct {
 	// StudentCols is the student cohort's columnar storage.
 	StudentCols *colstore.Dataset
 
-	// CoreTallies and OptTallies are per-respondent grades (OptTallies
-	// covers only the three T/F questions, the paper's Figure 12
-	// view; OptAllTallies covers all four).
-	CoreTallies   []quiz.Tally
-	OptTallies    []quiz.Tally
-	OptAllTallies []quiz.Tally
-
 	workers   int
 	telemetry *telemetry.Recorder
+	// runSpan is the run's root span; grading attaches its grade
+	// child here.
+	runSpan *telemetry.Span
+
+	gradeOnce               sync.Once
+	coreTallies, optTallies []quiz.Tally
 
 	mainSrc    query.Source
 	studentSrc query.Source
 	// mainScan and studentScan cache each cohort's paper plan, the
 	// counts Figures 12-22 and the headline claims read.
 	mainScan, studentScan cohortPlan
+}
+
+// Tallies returns the main cohort's per-respondent grades: core covers
+// the 15 core questions, opt the three T/F optimization questions (the
+// paper's Figure 12 view). The cohort is graded on the first call,
+// under a grade span on the run span, and the grades are cached; a run
+// that renders only figures and claims never grades.
+func (r *Results) Tallies() (core, opt []quiz.Tally) {
+	r.gradeOnce.Do(func() {
+		sp := r.runSpan.StartChild("grade")
+		g := quiz.ScoreAllColumns(r.Main.Cols, r.workers)
+		sp.AddItems(int64(r.Main.Cols.Len()))
+		sp.End()
+		r.coreTallies, r.optTallies = g.Core, g.OptScored
+	})
+	return r.coreTallies, r.optTallies
 }
 
 // MainSource returns the query-engine view of the main cohort's
@@ -90,14 +109,14 @@ func (r *Results) StudentSource() query.Source {
 	return r.studentSrc
 }
 
-// Run executes the study: generation, then oracle-keyed grading, both
-// sharded across the study's worker budget. When s.Telemetry is set,
-// the run records a span tree (generate-main with its draw / calibrate
-// / sample children, generate-students, grade) with per-stage wall
-// time, item counts, and throughput.
+// Run executes the study's generation, sharded across the study's
+// worker budget; grading waits until an analysis asks (Tallies). When
+// s.Telemetry is set, the run records a span tree (generate-main with
+// its draw / calibrate / sample children, generate-students) with
+// per-stage wall time, item counts, and throughput.
 func (s Study) Run() *Results {
-	r := &Results{Study: s, workers: s.Workers, telemetry: s.Telemetry}
 	root := s.Telemetry.StartSpan("run")
+	r := &Results{Study: s, workers: s.Workers, telemetry: s.Telemetry, runSpan: root}
 	prog := s.Telemetry.Registry().Counter(telemetry.MetricRespondents)
 	// The two cohorts use unrelated seeds and share no mutable state,
 	// so they generate concurrently; the main cohort additionally fans
@@ -118,11 +137,6 @@ func (s Study) Run() *Results {
 		sp.End()
 	})
 	pool.Wait()
-	gsp := root.StartChild("grade")
-	g := quiz.ScoreAllColumns(r.Main.Cols, s.Workers)
-	gsp.AddItems(int64(r.Main.Cols.Len()))
-	gsp.End()
-	r.CoreTallies, r.OptTallies, r.OptAllTallies = g.Core, g.OptScored, g.OptAll
 	root.AddItems(int64(s.NMain + s.NStudent))
 	root.End()
 	s.Telemetry.Registry().Counter(telemetry.MetricRuns).Inc()

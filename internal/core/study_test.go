@@ -25,8 +25,8 @@ func TestDefaultStudySizes(t *testing.T) {
 	if r := paperResults.Main.Cols.Response(0); len(r.Answers) == 0 {
 		t.Fatal("respondent 0 has no answers")
 	}
-	if len(paperResults.CoreTallies) != paperdata.NMain {
-		t.Fatalf("tallies n = %d", len(paperResults.CoreTallies))
+	if tallies, _ := paperResults.Tallies(); len(tallies) != paperdata.NMain {
+		t.Fatalf("tallies n = %d", len(tallies))
 	}
 }
 

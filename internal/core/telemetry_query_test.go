@@ -70,8 +70,8 @@ func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 }
 
 // TestProbeMetricNameSet pins the exact counter and latency names an
-// instrumented n=2000 Study.Run, an FPDS round trip and one query
-// produce. runlog records, fpstat trend, /metrics, the fpbench latency
+// instrumented n=2000 Study.Run with one grading analysis, an FPDS
+// round trip and one query produce. runlog records, fpstat trend, /metrics, the fpbench latency
 // tables and the smoke scripts all key on these strings, so a rename
 // or a dropped stage shows up here first.
 func TestProbeMetricNameSet(t *testing.T) {
@@ -80,6 +80,7 @@ func TestProbeMetricNameSet(t *testing.T) {
 	defer telemetry.Install(nil)
 
 	r := Study{Seed: 42, NMain: 2000, NStudent: 52, Telemetry: telemetry.NewRecorder(reg)}.Run()
+	r.ConfidenceReport()
 	var buf bytes.Buffer
 	if err := r.Main.Cols.EncodeBinary(&buf, colstore.IOOptions{
 		BytesWritten: reg.Counter(telemetry.MetricIOBytesWritten)}); err != nil {

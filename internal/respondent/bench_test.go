@@ -25,7 +25,7 @@ func skipLarge(b *testing.B, n int) {
 // timed by the callers).
 func benchProfiles(n int) []Profile {
 	profiles := make([]Profile, n)
-	drawProfileBlocks(0, 42, profiles, nil, nil)
+	drawProfileBlocks(0, 42, profiles, nil)
 	return profiles
 }
 
@@ -37,11 +37,8 @@ func BenchmarkCalibrateModels(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
-			profiles := benchProfiles(n)
+			profiles := benchProfiles(min(n, calibrationCap))
 			cohort := len(profiles)
-			if cohort > calibrationCap {
-				cohort = calibrationCap
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -55,33 +52,24 @@ func BenchmarkCalibrateModels(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleResponses times the sampling stage in isolation:
-// column-major block sampling of every answer column into a
-// pre-allocated dataset, with models already calibrated. Reported per
-// respondent.
-func BenchmarkSampleResponses(b *testing.B) {
+// BenchmarkGenerateBlocks times the fused generation pass in isolation:
+// every block of the cohort draws its backgrounds and samples every
+// answer column into a pre-allocated dataset, with models already
+// calibrated, serially on one worker. Reported per respondent.
+func BenchmarkGenerateBlocks(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
-			profiles := benchProfiles(n)
-			models := calibrateModels(0, profiles, Instrumentation{})
+			models := calibrateModels(0, benchProfiles(min(n, calibrationCap)), Instrumentation{})
 			d := quiz.Columns().NewDataset("1.0", n)
 			cs := newColSampler(d, models, paperdata.Figure22Main)
-			coreAbil := abilitiesOf(profiles, false)
-			optAbil := abilitiesOf(profiles, true)
-			rng := parallel.NewXRand()
+			scratch := newBlockScratch()
 			b.ReportAllocs()
 			b.ResetTimer()
-			// Blocks mirror the generator's fixed shard width, so the
-			// benchmark exercises the same reseed cadence.
-			const blockN = 4096
 			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < n; lo += blockN {
-					hi := lo + blockN
-					if hi > n {
-						hi = n
-					}
-					cs.sampleBlock(rng, 42, lo, hi, profiles, coreAbil, optAbil)
+				for s := 0; s < parallel.NumShards(n); s++ {
+					lo, hi := parallel.ShardBounds(s, n)
+					cs.sampleBlock(scratch, 42, lo, hi, nil)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/respondent")

@@ -147,28 +147,31 @@ func TestColumnarMaterializeEqualsLegacyRows(t *testing.T) {
 	}
 }
 
-// TestSampleZeroAlloc pins the zero-allocation contract of the
-// sampling inner loop: repositioning the worker generator and sampling
-// a whole block of respondents into the columns must not touch the
-// heap.
+// TestSampleZeroAlloc pins the zero-allocation contract of the fused
+// block pass: drawing a whole block's backgrounds through the worker's
+// Profile (with and without an override), deriving their abilities and
+// sampling their responses into the columns must not touch the heap.
 func TestSampleZeroAlloc(t *testing.T) {
-	profiles := make([]Profile, 64)
-	rng := parallel.NewXRand()
-	for i := range profiles {
-		rng.SeedAt(42, streamProfile, int64(i))
-		profiles[i] = drawProfile(rng)
-	}
-	models := calibrateModels(0, profiles, Instrumentation{})
-	d := quiz.Columns().NewDataset("1.0", len(profiles))
+	const n = 64
+	calib := make([]Profile, n)
+	drawProfileBlocks(1, 42, calib, nil)
+	models := calibrateModels(0, calib, Instrumentation{})
+	d := quiz.Columns().NewDataset("1.0", n)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
-	coreAbil := abilitiesOf(profiles, false)
-	optAbil := abilitiesOf(profiles, true)
-
-	allocs := testing.AllocsPerRun(50, func() {
-		cs.sampleBlock(rng, 42, 0, len(profiles), profiles, coreAbil, optAbil)
-	})
-	if allocs != 0 {
-		t.Fatalf("sampling block allocates %.1f allocs/block, want 0", allocs)
+	b := newBlockScratch()
+	for _, tc := range []struct {
+		name     string
+		override func(*Profile)
+	}{
+		{"untreated", nil},
+		{"override", func(p *Profile) { p.FormalTraining = "None" }},
+	} {
+		allocs := testing.AllocsPerRun(50, func() {
+			cs.sampleBlock(b, 42, 0, n, tc.override)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: fused block allocates %.1f allocs/block, want 0", tc.name, allocs)
+		}
 	}
 }
 
@@ -224,26 +227,21 @@ func TestCalibrationSweepZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSampleBlock times the block sampling hot path in isolation
-// (models pre-calibrated, columns pre-allocated), reported per
-// respondent.
+// BenchmarkSampleBlock times the fused block pass in isolation (models
+// pre-calibrated, columns pre-allocated): background draw, abilities
+// and responses for one block, reported per respondent.
 func BenchmarkSampleBlock(b *testing.B) {
 	const blockN = 1024
-	profiles := make([]Profile, blockN)
-	rng := parallel.NewXRand()
-	for i := range profiles {
-		rng.SeedAt(42, streamProfile, int64(i))
-		profiles[i] = drawProfile(rng)
-	}
-	models := calibrateModels(0, profiles, Instrumentation{})
+	calib := make([]Profile, blockN)
+	drawProfileBlocks(0, 42, calib, nil)
+	models := calibrateModels(0, calib, Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", blockN)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
-	coreAbil := abilitiesOf(profiles, false)
-	optAbil := abilitiesOf(profiles, true)
+	scratch := newBlockScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		cs.sampleBlock(rng, 42, 0, blockN, profiles, coreAbil, optAbil)
+		cs.sampleBlock(scratch, 42, 0, blockN, nil)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/blockN, "ns/respondent")
 }

@@ -85,3 +85,59 @@ func (k *abilityKernel) calibrate(workers int, qm questionModel, target float64,
 	}
 	return (lo + hi) / 2
 }
+
+// The sampler's correctness gate asks u < invlogit(offset + a) for every
+// answered cell. It uses the same factoring as abilityKernel, with
+// e^(-a) computed once per respondent and ability kind and e^(-offset)
+// once per question, so a cell costs a multiply and a divide instead
+// of a math.Exp. But the factored form does not round like the exact
+// one, and the generated bytes are pinned to the exact decision, so it
+// only brackets that decision:
+//
+//   - math.Exp is within 1 ulp (Go's documented bound), so each factor
+//     carries a relative error below 2^-52, and the product adds 2^-53.
+//   - The exact form rounds x = offset+a first. That perturbs e^(-x) by
+//     a relative |x|·2^-53, below 40·2^-53 on the fast path, and its own
+//     Exp adds one more ulp.
+//   - The logistic 1/(1+q) has relative sensitivity q/(1+q) < 1 to q,
+//     and each form rounds its add and divide once more.
+//
+// So the two probabilities differ by a relative 26·2^-52 ≈ 6e-15 at
+// most: more than two orders of magnitude inside bracketRelTol. A u
+// farther than bracketRelTol from the factored value therefore falls on
+// the same side of both, and the decision is the exact one. A u inside
+// the window, |x| ≥ bracketMaxLogit, or a non-finite value takes the
+// exact path. TestCorrectGateBracket checks the bound and the decisions
+// at the window's edges.
+const (
+	bracketRelTol   = 1e-12
+	bracketMaxLogit = 40
+	// expNegLimit keeps both factors normal and finite: for |v| below
+	// it, e^(-v) lies in [1e-304, 1e304], where the 1-ulp bound holds.
+	expNegLimit = 700
+)
+
+// expNeg returns e^(-v), the factor correctGate multiplies. Outside
+// |v| < expNegLimit, where a factor could overflow or go subnormal, it
+// returns NaN, which sends every decision that uses it to the exact
+// path.
+func expNeg(v float64) float64 {
+	if !(math.Abs(v) < expNegLimit) {
+		return math.NaN()
+	}
+	return math.Exp(-v)
+}
+
+// correctGate decides u < invlogit(offset + a), given the factors
+// expNegOffset = expNeg(offset) and expNegA = expNeg(a). It returns the
+// exact decision (see the bracket argument above).
+func correctGate(u, offset, a, expNegOffset, expNegA float64) bool {
+	x := offset + a
+	if q := expNegOffset * expNegA; math.Abs(x) < bracketMaxLogit && !math.IsNaN(q) {
+		p := 1 / (1 + q)
+		if d := u - p; d > bracketRelTol*p || d < -bracketRelTol*p {
+			return d < 0
+		}
+	}
+	return u < invlogit(x)
+}

@@ -53,10 +53,9 @@ type Instrumentation struct {
 	// (draw-profiles, calibrate, sample-responses) are attached to it.
 	Span *telemetry.Span
 	// Progress advances by the block size as each fixed block of
-	// respondents clears a pipeline stage; a full main-cohort generation
-	// advances it by 2n in total (profiles + responses; the student
-	// cohort, which has no profile stage, advances it by n). fpgen
-	// -progress streams this counter to stderr.
+	// respondents is sampled, so a cohort of n advances it by n in
+	// total (the calibration prefix is not counted). fpgen -progress
+	// streams this counter to stderr.
 	Progress *telemetry.Counter
 }
 
@@ -125,9 +124,8 @@ type Profile struct {
 // materializes it, while the *Columnar entry points leave it nil so
 // million-respondent pipelines never pay for a map per respondent.
 type Population struct {
-	Profiles []Profile
-	Cols     *colstore.Dataset
-	Dataset  *survey.Dataset
+	Cols    *colstore.Dataset
+	Dataset *survey.Dataset
 }
 
 // MaterializeDataset fills in the row view from the columns (no-op if
@@ -233,30 +231,23 @@ func centeredEffect(effects map[string]float64, def float64, level string, margi
 	return get(level) - mean
 }
 
-// drawProfile generates one background profile and its latent
-// abilities.
-func drawProfile(rng *parallel.XRand) Profile {
-	return drawProfileWith(rng, nil)
-}
-
-// drawProfileWith draws a background, applies an optional override to
-// the background factors, and then derives abilities — so an
-// intervention (forcing a factor level) feeds through the ability model
-// exactly as the fitted effects dictate.
-func drawProfileWith(rng *parallel.XRand, override func(*Profile)) Profile {
-	p := drawBackground(rng)
+// drawProfile draws one background into p, applies an optional
+// override to the background factors, and then derives abilities — so
+// an intervention (forcing a factor level) feeds through the ability
+// model exactly as the fitted effects dictate. Every field of p is
+// overwritten, so a caller can reuse one Profile for a whole block.
+func drawProfile(rng *parallel.XRand, p *Profile, override func(*Profile)) {
+	drawBackground(rng, p)
 	if override != nil {
-		override(&p)
-		reindexProfile(&p)
+		override(p)
+		reindexProfile(p)
 	}
 	noiseCore, noiseOpt := rng.NormPair()
-	assignAbilities(&p, noiseCore, noiseOpt)
-	return p
+	assignAbilities(p, noiseCore, noiseOpt)
 }
 
-func drawBackground(rng *parallel.XRand) Profile {
+func drawBackground(rng *parallel.XRand, p *Profile) {
 	t := tables()
-	var p Profile
 	p.idx.position = t.position.draw(rng)
 	p.Position = t.position.labels[p.idx.position]
 	p.idx.area = t.area.draw(rng)
@@ -276,7 +267,6 @@ func drawBackground(rng *parallel.XRand) Profile {
 	p.InvolvedSize = t.involvedSize.labels[p.idx.involvedSize]
 	p.idx.involvedExtent = t.involvedExtent.draw(rng)
 	p.InvolvedExtent = t.involvedExtent.labels[p.idx.involvedExtent]
-	return p
 }
 
 // reindexProfile re-derives the cached entry indices from the label
@@ -369,97 +359,87 @@ func GenerateMain(seed int64, n int) *Population {
 }
 
 // drawProfileBlocks fills profiles by fixed 4096-respondent blocks,
-// one xoshiro generator per worker repositioned per respondent.
-func drawProfileBlocks(workers int, seed int64, profiles []Profile, override func(*Profile), progress *telemetry.Counter) {
+// one xoshiro generator per worker repositioned per respondent. Profile
+// i depends only on (seed, i).
+func drawProfileBlocks(workers int, seed int64, profiles []Profile, override func(*Profile)) {
 	n := len(profiles)
 	parallel.ForEachWith(workers, parallel.NumShards(n), parallel.NewXRand,
 		func(rng *parallel.XRand, s int) {
 			lo, hi := parallel.ShardBounds(s, n)
 			for i := lo; i < hi; i++ {
 				rng.SeedAt(seed, streamProfile, int64(i))
-				profiles[i] = drawProfileWith(rng, override)
+				drawProfile(rng, &profiles[i], override)
 			}
-			progress.Add(int64(hi - lo))
 		})
 }
 
 // GenerateMainColumnar generates the main cohort directly into columns,
-// with no row view: respondent i's answers are a handful of indexed
-// stores into per-question code columns, so the per-respondent sampling
-// loop performs zero heap allocations. The instrumentation records the
-// stage span tree (draw-profiles → calibrate → sample-responses) and
-// streams per-block progress; it never affects the generated data. A
-// non-nil override yields the treated cohort GenerateTreatedColumnar
+// with no row view and no per-respondent Profile rows: each block of
+// respondents is drawn, stored and sampled in one pass, and the
+// per-respondent loop performs zero heap allocations. The
+// instrumentation records the stage span tree (draw-profiles for the
+// calibration prefix → calibrate → sample-responses for the fused pass)
+// and streams per-block progress; it never affects the generated data.
+// A non-nil override yields the treated cohort GenerateTreatedColumnar
 // samples for it.
 func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
-	if override != nil {
-		var pop *Population
-		GenerateTreatedColumnar(seed, n, workers, []func(*Profile){override}, inst,
-			func(_ int, p *Population) { pop = p })
-		return pop
-	}
 	workers = parallel.Workers(workers, n)
-	profiles := drawProfilesSpan(workers, seed, n, nil, inst)
-	models := calibrateModels(workers, profiles, inst)
-	return sampleColumnar(workers, seed, profiles, models, inst)
+	models := calibratePrefix(workers, seed, n, inst)
+	return sampleColumnar(workers, seed, n, override, models, inst)
 }
 
 // GenerateTreatedColumnar runs policy experiments ("what if everyone
-// had a full course of floating point training?"). It draws the
-// untreated cohort for (seed, n) and fits the question models to its
-// abilities once. Then, per override, it draws the treated cohort,
-// with the override applied to every background before abilities are
-// derived, and samples its responses straight into columns with those
-// models. Calibrating against the untreated world lets an intervention
-// show a real shift instead of being normalized away. Each treated
-// profile replays the per-index stream its untreated twin consumed, a
-// paired (common-random-numbers) design. emit receives cohort k as soon
-// as it is sampled, so a caller that grades and drops each cohort holds
-// one at a time.
+// had a full course of floating point training?"). It fits the question
+// models once, to the untreated cohort for (seed, n). Then, per
+// override, it generates the treated cohort, with the override applied
+// to every background before abilities are derived, and samples its
+// responses straight into columns with those models. Calibrating
+// against the untreated world lets an intervention show a real shift
+// instead of being normalized away. Each treated profile replays the
+// per-index stream its untreated twin consumed, a paired
+// (common-random-numbers) design. emit receives cohort k as soon as it
+// is sampled, so a caller that grades and drops each cohort holds one
+// at a time.
 func GenerateTreatedColumnar(seed int64, n, workers int, overrides []func(*Profile), inst Instrumentation, emit func(k int, pop *Population)) {
 	workers = parallel.Workers(workers, n)
-	// Calibration reads at most calibrationCap abilities, and profile
-	// i depends only on (seed, i), so the untreated prefix suffices.
-	calib := make([]Profile, min(n, calibrationCap))
-	drawProfileBlocks(workers, seed, calib, nil, nil)
-	models := calibrateModels(workers, calib, inst)
+	models := calibratePrefix(workers, seed, n, inst)
 	for k, override := range overrides {
-		profiles := drawProfilesSpan(workers, seed, n, override, inst)
-		emit(k, sampleColumnar(workers, seed, profiles, models, inst))
+		emit(k, sampleColumnar(workers, seed, n, override, models, inst))
 	}
 }
 
-// drawProfilesSpan draws an n-respondent profile cohort under a
-// draw-profiles span.
-func drawProfilesSpan(workers int, seed int64, n int, override func(*Profile), inst Instrumentation) []Profile {
+// calibratePrefix fits the question models for an n-respondent cohort.
+// Calibration reads at most calibrationCap abilities, and profile i
+// depends only on (seed, i), so only the untreated prefix is drawn,
+// under a draw-profiles span.
+func calibratePrefix(workers int, seed int64, n int, inst Instrumentation) []questionModel {
 	sp := inst.Span.StartChild("draw-profiles")
-	profiles := make([]Profile, n)
-	drawProfileBlocks(workers, seed, profiles, override, inst.Progress)
-	sp.AddItems(int64(n))
+	calib := make([]Profile, min(n, calibrationCap))
+	drawProfileBlocks(workers, seed, calib, nil)
+	sp.AddItems(int64(len(calib)))
 	sp.End()
-	return profiles
+	return calibrateModels(workers, calib, inst)
 }
 
-// sampleColumnar samples responses for profiles with the calibrated
-// models, block by block with per-(respondent, column) RNG streams.
-func sampleColumnar(workers int, seed int64, profiles []Profile, models []questionModel, inst Instrumentation) *Population {
+// sampleColumnar generates an n-respondent cohort with the calibrated
+// models in one pass over the fixed 4096-respondent blocks: each block
+// draws its backgrounds (with the override applied), stores them and
+// samples its responses (see colSampler.sampleBlock).
+func sampleColumnar(workers int, seed int64, n int, override func(*Profile), models []questionModel, inst Instrumentation) *Population {
 	ssp := inst.Span.StartChild("sample-responses")
-	n := len(profiles)
 	d := quiz.Columns().NewDataset("1.0", n)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
-	coreAbil := abilitiesOf(profiles, false)
-	optAbil := abilitiesOf(profiles, true)
-	parallel.ForEachWith(workers, parallel.NumShards(n), parallel.NewXRand,
-		func(rng *parallel.XRand, s int) {
+	parallel.ForEachWith(workers, parallel.NumShards(n), newBlockScratch,
+		func(b *blockScratch, s int) {
 			lo, hi := parallel.ShardBounds(s, n)
 			t0 := telemetry.Start()
-			cs.sampleBlock(rng, seed, lo, hi, profiles, coreAbil, optAbil)
+			cs.sampleBlock(b, seed, lo, hi, override)
 			telemetry.Done(telemetry.StageSampleBlock, s, t0, int64(s), int64(hi-lo))
 			inst.Progress.Add(int64(hi - lo))
 		})
 	ssp.AddItems(int64(n))
 	ssp.End()
-	return &Population{Profiles: profiles, Cols: d}
+	return &Population{Cols: d}
 }
 
 // calibrateModels builds the per-question response models with
@@ -503,8 +483,13 @@ func calibrateModels(workers int, calib []Profile, inst Instrumentation) []quest
 		specs = append(specs, modelSpec{qm: qm, target: row.Correct / 100, optAbil: true})
 	}
 	csp := inst.Span.StartChild("calibrate")
-	coreKernel := newAbilityKernel(workers, abilitiesOf(calib, false))
-	optKernel := newAbilityKernel(workers, abilitiesOf(calib, true))
+	m := min(len(calib), calibrationCap)
+	coreAbil, optAbil := make([]float64, m), make([]float64, m)
+	for i := range coreAbil {
+		coreAbil[i], optAbil[i] = calib[i].Ability, calib[i].OptAbility
+	}
+	coreKernel := newAbilityKernel(workers, coreAbil)
+	optKernel := newAbilityKernel(workers, optAbil)
 	// Calibrate the questions concurrently; each bisection is
 	// independent and deterministic.
 	models := parallel.Map(workers, len(specs), func(i int) questionModel {
@@ -524,18 +509,6 @@ func calibrateModels(workers int, calib []Profile, inst Instrumentation) []quest
 	return models
 }
 
-func abilitiesOf(ps []Profile, opt bool) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		if opt {
-			out[i] = p.OptAbility
-		} else {
-			out[i] = p.Ability
-		}
-	}
-	return out
-}
-
 // colModel is a questionModel bound to its column: answer strings are
 // resolved to codes once at sampler construction, so drawing one answer
 // is a couple of RNG calls and a single indexed store.
@@ -543,6 +516,9 @@ type colModel struct {
 	questionModel
 	ci  int
 	sub uint64 // sub-stream index within the respondent's response stream
+	// expNegOffset is e^(-offset), the question's factor of the
+	// bracketed correctness gate (see correctGate).
+	expNegOffset float64
 	// True/false codes (choiceSet empty): the correct answer and its
 	// flip.
 	correctTF uint8
@@ -556,8 +532,9 @@ type colModel struct {
 // sampleInto draws one answer and stores it. The draw sequence per cell
 // is: unanswered gate, don't-know gate, correctness gate, then the
 // wrong-choice retry loop for choice questions — each cell on its own
-// (respondent, column) RNG stream.
-func (m *colModel) sampleInto(d *colstore.Dataset, rng *parallel.XRand, i int, ability float64) {
+// (respondent, column) RNG stream. expNegAbility is expNeg(ability),
+// computed once per respondent for every question of its kind.
+func (m *colModel) sampleInto(d *colstore.Dataset, rng *parallel.XRand, i int, ability, expNegAbility float64) {
 	if rng.Float64() < m.pUn {
 		return // columns are zero-initialized: unanswered
 	}
@@ -569,8 +546,7 @@ func (m *colModel) sampleInto(d *colstore.Dataset, rng *parallel.XRand, i int, a
 		}
 		return
 	}
-	pc := invlogit(m.offset + ability)
-	if rng.Float64() < pc {
+	if correctGate(rng.Float64(), m.offset, ability, m.expNegOffset, expNegAbility) {
 		if m.csCodes == nil {
 			d.SetTF(m.ci, i, m.correctTF)
 		} else {
@@ -616,7 +592,7 @@ func newColSampler(d *colstore.Dataset, models []questionModel, dists []paperdat
 	cs := &colSampler{d: d, bg: tables()}
 	for k, qm := range models {
 		ci := s.MustColumnIndex(qm.id)
-		m := colModel{questionModel: qm, ci: ci, sub: uint64(k)}
+		m := colModel{questionModel: qm, ci: ci, sub: uint64(k), expNegOffset: expNeg(qm.offset)}
 		if len(qm.choiceSet) == 0 {
 			if qm.correct == survey.AnswerTrue {
 				m.correctTF, m.wrongTF = colstore.TFTrue, colstore.TFFalse
@@ -656,18 +632,46 @@ func cumulative(percent [5]float64) [5]float64 {
 	return cum
 }
 
-// sampleBlock writes respondents [lo, hi): background codes row-major
-// (pure indexed stores from the profile's cached entry indices), then
-// quiz answers and suspicion answers column-major — one question column
-// across the whole block at a time, the cache-friendly orientation.
-// Only elements [lo, hi) of each column are touched, so distinct blocks
-// sample concurrently, and the whole path performs zero heap
+// blockScratch is one worker's reusable state for sampleBlock: the
+// generator, the Profile every background of a block is drawn into,
+// and the block's two abilities with their e^(-a) factors.
+type blockScratch struct {
+	rng                   *parallel.XRand
+	p                     Profile
+	abil, optAbil         []float64
+	expNegAbil, expNegOpt []float64
+}
+
+func newBlockScratch() *blockScratch { return &blockScratch{rng: parallel.NewXRand()} }
+
+// fit sizes the block-local arrays for m respondents; they grow only on
+// a worker's first block.
+func (b *blockScratch) fit(m int) {
+	if cap(b.abil) < m {
+		b.abil, b.optAbil = make([]float64, m), make([]float64, m)
+		b.expNegAbil, b.expNegOpt = make([]float64, m), make([]float64, m)
+	}
+	b.abil, b.optAbil = b.abil[:m], b.optAbil[:m]
+	b.expNegAbil, b.expNegOpt = b.expNegAbil[:m], b.expNegOpt[:m]
+}
+
+// sampleBlock generates respondents [lo, hi) in one pass. Row-major, it
+// draws each background into the worker's Profile (override applied),
+// stores its codes and masks, and keeps the two abilities in
+// block-local arrays; then it samples quiz answers and suspicion
+// answers column-major — one question column across the whole block at
+// a time, the cache-friendly orientation. Every respondent and cell
+// keeps its own (seed, stream, index) sub-stream, so the bytes do not
+// depend on the loop order. Only elements [lo, hi) of each column are
+// touched, so distinct blocks sample concurrently, and once b has
+// grown to the block size the whole path performs zero heap
 // allocations.
-func (cs *colSampler) sampleBlock(rng *parallel.XRand, seed int64, lo, hi int, profiles []Profile, coreAbil, optAbil []float64) {
-	d := cs.d
-	t := cs.bg
+func (cs *colSampler) sampleBlock(b *blockScratch, seed int64, lo, hi int, override func(*Profile)) {
+	d, t, rng, p := cs.d, cs.bg, b.rng, &b.p
+	b.fit(hi - lo)
 	for i := lo; i < hi; i++ {
-		p := &profiles[i]
+		rng.SeedAt(seed, streamProfile, int64(i))
+		drawProfile(rng, p, override)
 		d.SetSingle(t.position.ci, i, t.position.codes[p.idx.position])
 		d.SetSingle(t.area.ci, i, t.area.codes[p.idx.area])
 		d.SetSingle(t.training.ci, i, t.training.codes[p.idx.training])
@@ -679,16 +683,19 @@ func (cs *colSampler) sampleBlock(rng *parallel.XRand, seed int64, lo, hi int, p
 		d.SetMultiMask(t.informal.ci, i, p.InformalMask)
 		d.SetMultiMask(t.languages.ci, i, p.FPLanguagesMask)
 		d.SetMultiMask(t.arbprec.ci, i, p.ArbPrecMask)
+		j := i - lo
+		b.abil[j], b.expNegAbil[j] = p.Ability, expNeg(p.Ability)
+		b.optAbil[j], b.expNegOpt[j] = p.OptAbility, expNeg(p.OptAbility)
 	}
 	for k := range cs.models {
 		m := &cs.models[k]
-		abil := coreAbil
+		abil, en := b.abil, b.expNegAbil
 		if m.abilityOpt {
-			abil = optAbil
+			abil, en = b.optAbil, b.expNegOpt
 		}
 		for i := lo; i < hi; i++ {
 			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(m.sub))
-			m.sampleInto(d, rng, i, abil[i])
+			m.sampleInto(d, rng, i, abil[i-lo], en[i-lo])
 		}
 	}
 	for k, ci := range cs.suspCI {

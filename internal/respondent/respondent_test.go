@@ -23,12 +23,24 @@ const testN = 4000
 
 var testPop = GenerateMain(42, testN)
 
+// testProfiles are testPop's backgrounds and abilities: profile i
+// depends only on (seed, i), so drawing them again reproduces the ones
+// generation drew.
+var testProfiles = drawProfiles(42, testN)
+
+func drawProfiles(seed int64, n int) []Profile {
+	profiles := make([]Profile, n)
+	drawProfileBlocks(0, seed, profiles, nil)
+	return profiles
+}
+
 func TestDeterministic(t *testing.T) {
 	a := GenerateMain(7, 50)
 	b := GenerateMain(7, 50)
-	for i := range a.Profiles {
-		if a.Profiles[i].Area != b.Profiles[i].Area ||
-			a.Profiles[i].Ability != b.Profiles[i].Ability {
+	pa, pb := drawProfiles(7, 50), drawProfiles(7, 50)
+	for i := range pa {
+		if pa[i].Area != pb[i].Area ||
+			pa[i].Ability != pb[i].Ability {
 			t.Fatal("generation not deterministic")
 		}
 	}
@@ -181,7 +193,7 @@ func TestFactorEffectContribSize(t *testing.T) {
 	means := map[string]float64{}
 	counts := map[string]int{}
 	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+		p := testProfiles[i]
 		tl := quiz.ScoreCore(r)
 		means[p.ContribSize] += float64(tl.Correct)
 		counts[p.ContribSize]++
@@ -207,7 +219,7 @@ func TestFactorEffectContribSize(t *testing.T) {
 func TestFactorEffectArea(t *testing.T) {
 	var csLike, physEng []float64
 	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+		p := testProfiles[i]
 		score := float64(quiz.ScoreCore(r).Correct)
 		switch p.Area {
 		case "Computer Science", "Computer Engineering", "Electrical Engineering":
@@ -229,7 +241,7 @@ func TestFactorEffectArea(t *testing.T) {
 func TestFactorEffectRoleOnOptQuiz(t *testing.T) {
 	var swe, support []float64
 	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+		p := testProfiles[i]
 		score := float64(quiz.ScoreOpt(r).Correct)
 		switch p.Role {
 		case "My main role is as a software engineer":
@@ -326,7 +338,10 @@ func TestStudentsLessSuspiciousOfUnderflowDenorm(t *testing.T) {
 }
 
 func TestAbilityDistribution(t *testing.T) {
-	abilities := abilitiesOf(testPop.Profiles, false)
+	abilities := make([]float64, len(testProfiles))
+	for i, p := range testProfiles {
+		abilities[i] = p.Ability
+	}
 	s := stats.Summarize(abilities)
 	if math.Abs(s.Mean) > 0.15 {
 		t.Errorf("ability mean %.3f, want ~0 (centered)", s.Mean)
@@ -342,7 +357,7 @@ func TestShortListsPredictLowerScores(t *testing.T) {
 	// does not matter.
 	var short, normal []float64
 	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+		p := testProfiles[i]
 		score := float64(quiz.ScoreCore(r).Correct)
 		if p.InformalMask == 0 || bits.OnesCount64(p.FPLanguagesMask) <= 1 {
 			short = append(short, score)
@@ -445,7 +460,7 @@ func TestGenerateTreatedMatchesGenerateMainColumnar(t *testing.T) {
 // prefix.
 func TestCalibrationReadsOnlyCapPrefix(t *testing.T) {
 	profiles := make([]Profile, calibrationCap+500)
-	drawProfileBlocks(0, 5, profiles, nil, nil)
+	drawProfileBlocks(0, 5, profiles, nil)
 	full := calibrateModels(0, profiles, Instrumentation{})
 	prefix := calibrateModels(0, profiles[:calibrationCap], Instrumentation{})
 	if !reflect.DeepEqual(full, prefix) {
