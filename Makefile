@@ -26,7 +26,7 @@ bench:
 # this as part of the full gate.
 bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/telemetry/ ./internal/parallel/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkSampleResponses|BenchmarkAnalysisReports' \
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports' \
 		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/
 
 # End-to-end pipeline timing; writes BENCH_pipeline.json.

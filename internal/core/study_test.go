@@ -1,10 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"fpstudy/internal/paperdata"
+	"fpstudy/internal/quiz"
+	"fpstudy/internal/telemetry"
 )
 
 // Use a large cohort for statistically stable assertions; the default
@@ -27,6 +31,61 @@ func TestDefaultStudySizes(t *testing.T) {
 	}
 	if tallies, _ := paperResults.Tallies(); len(tallies) != paperdata.NMain {
 		t.Fatalf("tallies n = %d", len(tallies))
+	}
+}
+
+// TestTalliesGradeOnce pins grading on demand: Run and
+// ResultsFromColumns do not grade, and concurrent Tallies calls grade
+// the cohort once, under one grade span on the run span, and all
+// return the same tallies.
+func TestTalliesGradeOnce(t *testing.T) {
+	raiseGOMAXPROCS(t, 4)
+	gradeSpans := func(rec *telemetry.Recorder) int {
+		n := 0
+		for _, root := range rec.Spans() {
+			for _, c := range root.Children {
+				if c.Name == "grade" {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	rec := telemetry.NewRecorder(telemetry.NewRegistry())
+	s := Study{Seed: 42, NMain: 300, NStudent: 52, Workers: 4, Telemetry: rec}
+	run := s.Run()
+	fromCols, err := s.ResultsFromColumns(run.Main.Cols, run.StudentCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := gradeSpans(rec); got != 0 {
+		t.Fatalf("%d grade spans before any analysis asked, want 0", got)
+	}
+	for _, r := range []*Results{run, fromCols} {
+		const callers = 8
+		cores := make([][]quiz.Tally, callers)
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				cores[g], _ = r.Tallies()
+			}(g)
+		}
+		wg.Wait()
+		for g := range cores {
+			if len(cores[g]) != 300 || &cores[g][0] != &cores[0][0] {
+				t.Fatalf("caller %d got %d tallies, not the cached grading", g, len(cores[g]))
+			}
+		}
+	}
+	if got := gradeSpans(rec); got != 2 {
+		t.Fatalf("%d grade spans after grading two results, want 2", got)
+	}
+	a, _ := run.Tallies()
+	b, _ := fromCols.Tallies()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("grading the loaded columns differs from grading the run")
 	}
 }
 

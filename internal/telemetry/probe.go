@@ -25,8 +25,7 @@ import (
 // the tests all refer to these constants.
 const (
 	// MetricRespondents counts generation progress: one increment per
-	// profile drawn plus one per response sampled (2n per full
-	// main-cohort run; n for the student cohort).
+	// respondent generated (n per cohort).
 	MetricRespondents = "pipeline.respondents"
 	// MetricRuns counts completed Study.Run executions.
 	MetricRuns = "pipeline.runs"
