@@ -103,9 +103,10 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 // the test if any dataset or figure hash differs from an uninstrumented
 // baseline. Figures and claims never grade, so each run also renders
 // one grading analysis, ConfidenceReport, which must match the
-// baseline's too; grading then runs under the probe. It returns the registry, recorder and tracer (nil when
-// withTracer is false) for the caller's non-vacuity checks; the probe
-// and tracer are uninstalled when the test ends.
+// baseline's too; grading then runs under the probe. It returns the
+// registry, recorder and tracer (nil when withTracer is false) for the
+// caller's non-vacuity checks; the probe and tracer are uninstalled
+// when the test ends.
 func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *telemetry.Recorder, *telemetry.Tracer) {
 	t.Helper()
 	raiseGOMAXPROCS(t, 16)

@@ -35,9 +35,8 @@ type Study struct {
 	// Telemetry, when non-nil, records the run's span tree
 	// (run → generate-main / generate-students, plus run → grade once
 	// an analysis grades, and a figures tree when figures are
-	// rendered) and pipeline counters. Nil
-	// disables instrumentation at effectively zero cost (nil-safe
-	// no-op handles). Telemetry never affects the produced data; the
+	// rendered) and pipeline counters. Nil disables instrumentation at
+	// effectively zero cost (nil-safe no-op handles). Telemetry never affects the produced data; the
 	// golden test pins bit-identical output with it on or off.
 	Telemetry *telemetry.Recorder
 }
