@@ -26,8 +26,8 @@ bench:
 # this as part of the full gate.
 bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/telemetry/ ./internal/parallel/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports' \
-		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkBootstrapMeanCI' \
+		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/ ./internal/stats/
 
 # End-to-end pipeline timing; writes BENCH_pipeline.json.
 bench-pipeline:

@@ -63,7 +63,7 @@ func (r *Results) CalibrationReport() report.Table {
 	for i, tl := range tallies {
 		scores[i] = float64(tl.Correct)
 	}
-	lo, hi := stats.BootstrapMeanCI(scores, 0.95, 2000, r.Study.Seed)
+	lo, hi := stats.BootstrapMeanCI(scores, 0.95, 2000, r.Study.Seed, r.workers)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("core mean %.2f, 95%% bootstrap CI [%.2f, %.2f]; paper 8.5; chance 7.5",
 			stats.Mean(scores), lo, hi))

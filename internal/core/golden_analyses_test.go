@@ -34,11 +34,15 @@ func analysesDigests(r *Results) [5]string {
 
 // goldenAnalyses pins the rendered analyses at seed 42. The digests
 // were recorded from the row-view implementations the columnar ones
-// replaced, so a match proves the port is byte-identical.
+// replaced, so a match proves the port is byte-identical. The n=199
+// calibration digest was re-pinned when the bootstrap moved to one
+// counter-based stream per replicate with symmetric percentile
+// indices: only its CI bounds moved, from [8.12, 8.76] to [8.11, 8.77].
+// At n=2000 the printed bounds did not move.
 var goldenAnalyses = map[int][5]string{
 	199: {
 		"74c652370b4c9df3d0a6152ea35ea1b8f629a2ad817b2179d3d957ba04f816c8",
-		"e9a76ee081f1a5a6fb9b61081c0a3c390870d4c1ad0dd4f23424f0d08fd567db",
+		"5960a5ecd3bf93d3c4332fbeb6e55ea820e1ce09fd0541e22aa6ad64ced2e3fd",
 		"f43aa09691b44f3c8683f4d43ee4851a63e3be84dcbc66197e08fb7d91387c4e",
 		"3a515afe9fbdd4bf48b8f8c5926cd94210820737ad0af1f9d5b63685cf491510",
 		"4c57455eaa80dfee563695a1a0a670f7a942bd68aafe54725631b7e3ed8bfe4c",

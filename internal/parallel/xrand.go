@@ -66,8 +66,10 @@ func (x *XRand) Float64() float64 {
 }
 
 // Intn returns a uniform int in [0, n) via the Lemire multiply-shift
-// reduction. The reduction is not rejection-corrected; for the option
-// counts drawn here (n < 2^9) the bias is below 2^-55 per draw, far
+// reduction. The reduction is not rejection-corrected: each outcome's
+// probability is off from 1/n by less than 2^-64, a total variation of
+// at most n·2^-64 per draw. That is below 2^-55 for the option counts
+// (n < 2^9) and below 2^-40 for bootstrap indices up to n = 2^24, far
 // under anything the statistical gates can resolve.
 func (x *XRand) Intn(n int) int {
 	hi, _ := bits.Mul64(x.Uint64(), uint64(n))

@@ -65,7 +65,9 @@ type Instrumentation struct {
 // before it. Within the response and student streams, the index is
 // packed as (respondent << subStreamBits | column), giving every
 // (respondent, question) cell its own stream — the property that lets
-// the sampler traverse blocks column-major.
+// the sampler traverse blocks column-major. The bootstrap in
+// internal/stats owns stream 4; DESIGN.md "Concurrency model" lists
+// every id.
 const (
 	streamProfile  uint64 = 10 // background + ability noise
 	streamResponse uint64 = 2  // quiz answers + suspicion
@@ -269,20 +271,21 @@ func drawBackground(rng *parallel.XRand, p *Profile) {
 	p.InvolvedExtent = t.involvedExtent.labels[p.idx.involvedExtent]
 }
 
-// reindexProfile re-derives the cached entry indices from the label
-// fields — the slow path taken only after an override has rewritten
-// labels. Unknown labels panic: an intervention must force a level the
-// instrument actually offers.
+// reindexProfile re-derives the cached entry indices after an override
+// may have rewritten label fields. An index whose label still matches
+// is kept, so only the labels the override rewrote go through the
+// label map. Unknown labels panic: an intervention must force a level
+// the instrument actually offers.
 func reindexProfile(p *Profile) {
 	t := tables()
-	p.idx.position = t.position.index(quiz.BGPosition, p.Position)
-	p.idx.area = t.area.index(quiz.BGArea, p.Area)
-	p.idx.training = t.training.index(quiz.BGFormalTraining, p.FormalTraining)
-	p.idx.role = t.role.index(quiz.BGRole, p.Role)
-	p.idx.contribSize = t.contribSize.index(quiz.BGContribSize, p.ContribSize)
-	p.idx.contribExtent = t.contribExtent.index(quiz.BGContribExtent, p.ContribExtent)
-	p.idx.involvedSize = t.involvedSize.index(quiz.BGInvolvedSize, p.InvolvedSize)
-	p.idx.involvedExtent = t.involvedExtent.index(quiz.BGInvolvedExtent, p.InvolvedExtent)
+	t.position.reindex(quiz.BGPosition, p.Position, &p.idx.position)
+	t.area.reindex(quiz.BGArea, p.Area, &p.idx.area)
+	t.training.reindex(quiz.BGFormalTraining, p.FormalTraining, &p.idx.training)
+	t.role.reindex(quiz.BGRole, p.Role, &p.idx.role)
+	t.contribSize.reindex(quiz.BGContribSize, p.ContribSize, &p.idx.contribSize)
+	t.contribExtent.reindex(quiz.BGContribExtent, p.ContribExtent, &p.idx.contribExtent)
+	t.involvedSize.reindex(quiz.BGInvolvedSize, p.InvolvedSize, &p.idx.involvedSize)
+	t.involvedExtent.reindex(quiz.BGInvolvedExtent, p.InvolvedExtent, &p.idx.involvedExtent)
 }
 
 // assignAbilities derives the latent skills from the background factors

@@ -58,13 +58,18 @@ func (t *choiceTable) draw(rng *parallel.XRand) int16 {
 	return int16(len(t.cum) - 1)
 }
 
-// index resolves a label to its entry index — the override slow path.
-func (t *choiceTable) index(id, label string) int16 {
-	k, ok := t.byLabel[label]
+// reindex points *k at label's entry index. It keeps *k when that
+// entry's label still equals label, and otherwise resolves the label
+// through the map — the override slow path.
+func (t *choiceTable) reindex(id, label string, k *int16) {
+	if t.labels[*k] == label {
+		return
+	}
+	i, ok := t.byLabel[label]
 	if !ok {
 		panic(fmt.Sprintf("respondent: override set %s to %q, not an option of that question", id, label))
 	}
-	return k
+	*k = i
 }
 
 // multiTable is one multi-choice background question: per-entry

@@ -1,16 +1,18 @@
 // Package stats provides the descriptive and inferential statistics the
 // survey analysis needs: summaries, histograms, grouped means, Likert
 // distributions, chi-square tests, binomial tests against chance, and
-// bootstrap confidence intervals. Stdlib only; deterministic where
-// seeded.
+// bootstrap confidence intervals. Deterministic where seeded: the
+// bootstrap draws from internal/parallel's per-index streams, so its
+// interval does not depend on the worker count.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/rand"
 	"sort"
+
+	"fpstudy/internal/parallel"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -341,30 +343,45 @@ func BinomialTestAboveChance(k, n int, p float64) float64 {
 	return (float64(k) - mean) / sd
 }
 
+// streamBootstrap is the parallel stream id of the bootstrap
+// replicates: replicate r draws from (seed, streamBootstrap, r). It
+// must differ from the respondent generator's streams (2, 3 and 10),
+// or under a shared study seed replicate r would replay respondent r's
+// draws.
+const streamBootstrap uint64 = 4
+
 // BootstrapMeanCI returns a percentile bootstrap confidence interval
-// for the mean at the given level (e.g. 0.95), using iters resamples
-// with a deterministic seed.
-func BootstrapMeanCI(xs []float64, level float64, iters int, seed int64) (lo, hi float64) {
-	if len(xs) == 0 {
+// for the mean at the given level (e.g. 0.95), using iters resamples.
+// Replicate r draws its n indices from its own (seed, streamBootstrap,
+// r) stream and sums the values they pick in draw order on one worker,
+// and the replicate means are stored by index, so the interval is
+// bit-identical at any worker count (workers <= 0 means GOMAXPROCS).
+// With the B = iters means sorted and α = (1-level)/2, the bounds are
+// means[⌊αB⌋] and means[B-1-⌊αB⌋], the same rank from either end. It
+// panics unless iters >= 1 and 0 < level < 1.
+func BootstrapMeanCI(xs []float64, level float64, iters int, seed int64, workers int) (lo, hi float64) {
+	if iters < 1 {
+		panic(fmt.Sprintf("stats: BootstrapMeanCI iters = %d, want >= 1", iters))
+	}
+	if !(level > 0 && level < 1) {
+		panic(fmt.Sprintf("stats: BootstrapMeanCI level = %v, want in (0, 1)", level))
+	}
+	n := len(xs)
+	if n == 0 {
 		return 0, 0
 	}
-	rng := rand.New(rand.NewSource(seed))
 	means := make([]float64, iters)
-	for i := 0; i < iters; i++ {
+	parallel.ForEachWith(workers, iters, parallel.NewXRand, func(rng *parallel.XRand, r int) {
+		rng.SeedAt(seed, streamBootstrap, int64(r))
 		s := 0.0
-		for j := 0; j < len(xs); j++ {
-			s += xs[rng.Intn(len(xs))]
+		for j := 0; j < n; j++ {
+			s += xs[rng.Intn(n)]
 		}
-		means[i] = s / float64(len(xs))
-	}
+		means[r] = s / float64(n)
+	})
 	sort.Float64s(means)
-	alpha := (1 - level) / 2
-	loIdx := int(alpha * float64(iters))
-	hiIdx := int((1 - alpha) * float64(iters))
-	if hiIdx >= iters {
-		hiIdx = iters - 1
-	}
-	return means[loIdx], means[hiIdx]
+	k := int((1 - level) / 2 * float64(iters))
+	return means[k], means[iters-1-k]
 }
 
 // CramersV measures association between two categorical variables given

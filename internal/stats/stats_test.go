@@ -3,9 +3,12 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"fpstudy/internal/parallel"
 )
 
 func close(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -188,7 +191,7 @@ func TestBootstrapCI(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i % 10)
 	}
-	lo, hi := BootstrapMeanCI(xs, 0.95, 2000, 1)
+	lo, hi := BootstrapMeanCI(xs, 0.95, 2000, 1, 0)
 	m := Mean(xs)
 	if !(lo < m && m < hi) {
 		t.Fatalf("CI [%v, %v] should contain %v", lo, hi, m)
@@ -197,11 +200,118 @@ func TestBootstrapCI(t *testing.T) {
 		t.Fatalf("CI too wide: [%v, %v]", lo, hi)
 	}
 	// Deterministic.
-	lo2, hi2 := BootstrapMeanCI(xs, 0.95, 2000, 1)
+	lo2, hi2 := BootstrapMeanCI(xs, 0.95, 2000, 1, 0)
 	if lo != lo2 || hi != hi2 {
 		t.Fatal("bootstrap not deterministic")
 	}
 }
+
+// TestBootstrapMeanCIWorkers pins that the interval is bit-identical at
+// any worker count, and pins its value at one seed.
+func TestBootstrapMeanCIWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	xs := make([]float64, 200)
+	for i := range xs {
+		xs[i] = float64(i % 10)
+	}
+	const wantLo, wantHi = 0x4010_6666_6666_6666, 0x4013_8a3d_70a3_d70a // 4.1, 4.885
+	for _, workers := range []int{1, 3, 16} {
+		lo, hi := BootstrapMeanCI(xs, 0.95, 2000, 1, workers)
+		if math.Float64bits(lo) != wantLo || math.Float64bits(hi) != wantHi {
+			t.Errorf("workers=%d: CI [%v, %v] bits %#x %#x, want %#x %#x",
+				workers, lo, hi, math.Float64bits(lo), math.Float64bits(hi), uint64(wantLo), uint64(wantHi))
+		}
+	}
+}
+
+func TestBootstrapMeanCIRejectsBadArgs(t *testing.T) {
+	for _, c := range []struct {
+		level float64
+		iters int
+		want  string
+	}{
+		{0.95, 0, "iters = 0"},
+		{0.95, -1, "iters = -1"},
+		{0, 2000, "level = 0"},
+		{1, 2000, "level = 1"},
+		{math.NaN(), 2000, "level = NaN"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("level=%v iters=%d: panic %q, want one naming %q", c.level, c.iters, msg, c.want)
+				}
+			}()
+			BootstrapMeanCI([]float64{1, 2, 3}, c.level, c.iters, 1, 1)
+		}()
+	}
+}
+
+// coveragePopulation is a discrete score population on 0..15 shaped
+// like Figure 12's core scores: coveragePopulation[k] respondents of
+// 1000 score k, so its mean is known exactly (8.358; sd 2.73).
+var coveragePopulation = [16]int{3, 6, 12, 22, 38, 62, 95, 130, 150, 145, 120, 90, 62, 37, 20, 8}
+
+// TestBootstrapCoverage draws K samples of n=199 from
+// coveragePopulation and counts how often the 95% interval contains the
+// population mean. Binomial noise alone puts the count of a sound 95%
+// interval within 3.29 sd of 0.95·K (two-sided 99.9%).
+func TestBootstrapCoverage(t *testing.T) {
+	const (
+		k     = 400
+		n     = 199
+		level = 0.95
+	)
+	var cum [16]int
+	total, sum := 0, 0
+	for s, c := range coveragePopulation {
+		total += c
+		sum += s * c
+		cum[s] = total
+	}
+	mean := float64(sum) / float64(total)
+	rng := parallel.NewXRand()
+	xs := make([]float64, n)
+	covered := 0
+	for i := 0; i < k; i++ {
+		rng.SeedAt(7, 99, int64(i))
+		for j := range xs {
+			u := rng.Intn(total)
+			s := 0
+			for u >= cum[s] {
+				s++
+			}
+			xs[j] = float64(s)
+		}
+		lo, hi := BootstrapMeanCI(xs, level, 2000, int64(i), 0)
+		if lo <= mean && mean <= hi {
+			covered++
+		}
+	}
+	sd := math.Sqrt(level * (1 - level) / k)
+	cov := float64(covered) / k
+	if math.Abs(cov-level) > 3.29*sd {
+		t.Fatalf("coverage %d/%d = %.4f, want within %.4f of %.2f", covered, k, cov, 3.29*sd, level)
+	}
+	t.Logf("coverage %d/%d = %.4f (band %.4f..%.4f)", covered, k, cov, level-3.29*sd, level+3.29*sd)
+}
+
+func BenchmarkBootstrapMeanCI(b *testing.B) {
+	rng := parallel.NewXRand()
+	rng.SeedAt(1, 99, 0)
+	xs := make([]float64, 50000)
+	for i := range xs {
+		xs[i] = float64(rng.Intn(16))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bootstrapSink, _ = BootstrapMeanCI(xs, 0.95, 2000, int64(i), 0)
+	}
+}
+
+var bootstrapSink float64
 
 func TestCramersV(t *testing.T) {
 	// Perfect association.
