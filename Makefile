@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test bench bench-mem bench-pipeline telemetry-smoke trace-smoke io-smoke query-smoke slo-smoke stat-smoke bench-gate profile
+.PHONY: check build test bench bench-mem telemetry-smoke trace-smoke io-smoke query-smoke slo-smoke stat-smoke bench-gate profile
 
 check:
 	sh scripts/check.sh
@@ -28,10 +28,6 @@ bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/telemetry/ ./internal/parallel/
 	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkBootstrapMeanCI' \
 		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/ ./internal/stats/
-
-# End-to-end pipeline timing; writes BENCH_pipeline.json.
-bench-pipeline:
-	$(GO) run ./cmd/fpbench -o BENCH_pipeline.json
 
 # End-to-end check of the live-introspection surface: runs fpgen with
 # -telemetry and asserts /debug/vars serves live fpstudy metrics.
@@ -59,50 +55,54 @@ io-smoke:
 query-smoke:
 	$(GO) run scripts/query_smoke.go
 
-# End-to-end check of the latency observatory: runs fpbench (n=199)
-# with -telemetry, scrapes /metrics while it runs, validates the
-# Prometheus exposition (parser check: cumulative buckets, +Inf,
-# _sum/_count), and asserts the report carries ordered per-stage
-# quantile tables. CHECK_SLO_SMOKE=1 make check runs this as part of
-# the full gate.
+# End-to-end check of the latency observatory: runs fpgen (n=1M to
+# .fpds) with -telemetry and -runlog, scrapes /metrics while it runs,
+# validates the Prometheus exposition (parser check: cumulative
+# buckets, +Inf, _sum/_count), and asserts the run-ledger record
+# carries ordered per-stage quantile rows. CHECK_SLO_SMOKE=1 make
+# check runs this as part of the full gate.
 slo-smoke:
 	$(GO) run scripts/slo_smoke.go
 
-# End-to-end check of the perf forensics observatory: real fpgen and
-# fpbench runs append run-ledger records, a seeded 20% grade-stage
-# slowdown must be attributed to run/grade by `fpstat diff`, the red
-# `fpbench compare` gate must leave CPU+heap profiles plus a markdown
-# forensics report on disk, and `fpstat trend` must render drift over
-# a history and ledger that both end in a truncated line.
-# CHECK_STAT_SMOKE=1 make check runs this as part of the full gate.
+# End-to-end check of the run records: real fpgen and fpreport runs
+# append well-formed run-ledger records (fpgen's with its dataset
+# sha256), `fpstat trend` renders over a ledger ending in a truncated
+# line and surfaces a nonzero exit, and `fpstat diff` passes identical
+# perfbench outputs, fails a 30% wall_s regression and rejects a
+# malformed line. CHECK_STAT_SMOKE=1 make check runs this as part of
+# the full gate.
 stat-smoke:
 	$(GO) run scripts/stat_smoke.go
 
-# Perf-regression gate: re-times the pipeline at the small/medium
-# cohort sizes and compares against the committed BENCH_pipeline.json
-# with fpbench compare (default noise bands; appends the fresh run to
-# BENCH_history.jsonl). Exits nonzero if throughput, allocations, or GC
-# pauses regressed beyond the bands. CHECK_BENCH_GATE=1 make check runs
-# this as part of the full gate. Note: compare flags come before the
-# positional report paths.
+# Perf-regression gate: checks out HEAD into a temporary detached
+# worktree, runs perfbench on HEAD and on the working tree for each
+# workload, and judges each pair with `fpstat diff` against the
+# end-to-end bounds in BENCHMARK.json. Exits nonzero if any metric got
+# worse beyond its bound or a check failed. CHECK_BENCH_GATE=1 make
+# check runs this as part of the full gate.
 bench-gate:
-	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) build -o $$tmp/fpbench ./cmd/fpbench && \
-	$$tmp/fpbench -n 199,10000 -reps 2 -o $$tmp/new.json && \
-	$$tmp/fpbench compare -history BENCH_history.jsonl BENCH_pipeline.json $$tmp/new.json
+	@tmp=$$(mktemp -d) && \
+	trap 'git worktree remove --force "$$tmp/head" 2>/dev/null; rm -rf "$$tmp"' EXIT && \
+	git worktree add --quiet --detach "$$tmp/head" HEAD && \
+	$(GO) build -o $$tmp/fpstat ./cmd/fpstat && \
+	for w in reproduce analyses query; do \
+		(cd "$$tmp/head" && python3 perfbench/run.py --workload $$w --seed 1 --seconds 25) > $$tmp/head-$$w.out && \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 25 > $$tmp/tree-$$w.out && \
+		echo "==> $$w: HEAD vs working tree" && \
+		$$tmp/fpstat diff $$tmp/head-$$w.out $$tmp/tree-$$w.out || exit 1; \
+	done
 
-# One-command profiling session: times the n=1M pipeline once with the
-# full observability stack and drops every artifact under profiles/ —
-# a CPU profile and heap profile (go tool pprof), plus a Chrome
-# trace-event file (load in https://ui.perfetto.dev or chrome://tracing;
-# see README "Tracing the pipeline"). -io=false keeps the run focused
-# on the generation+grading hot path.
+# One-command profiling session at n=1M: a CPU profile and a heap
+# profile of the generate+grade pipeline (BenchmarkStudyPipeline, one
+# iteration), plus a Chrome trace-event file of an fpgen run (load in
+# https://ui.perfetto.dev or chrome://tracing; see README "Tracing the
+# pipeline"). Every artifact lands under profiles/.
 profile:
 	mkdir -p profiles
-	$(GO) run ./cmd/fpbench -n 1000000 -workers 1,0 -reps 1 -io=false \
-		-o profiles/BENCH_profile.json \
-		-trace profiles/pipeline.trace.json \
-		-cpuprofile profiles/cpu.pprof -memprofile profiles/heap.pprof
+	FPSTUDY_BENCH_LARGE=1 $(GO) test -run - -bench '^BenchmarkStudyPipeline$$/^n=1000000$$/^workers=0$$' -benchtime 1x \
+		-o profiles/fpstudy.test -cpuprofile profiles/cpu.pprof -memprofile profiles/heap.pprof .
+	$(GO) run ./cmd/fpgen -n 1000000 -trace profiles/pipeline.trace.json -o profiles/pipeline.fpds
+	rm -f profiles/pipeline.fpds
 	@echo "profile artifacts in profiles/: inspect with"
 	@echo "  go tool pprof -top profiles/cpu.pprof"
 	@echo "  go tool pprof -top profiles/heap.pprof"

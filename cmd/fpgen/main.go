@@ -13,10 +13,9 @@
 // to stderr, -telemetry serves live metrics and profiling
 // (/debug/vars, /debug/pprof) over HTTP while the run executes,
 // -trace exports a structured event timeline (Chrome trace-event JSON
-// for Perfetto/chrome://tracing, or JSONL), and every -o run writes a
-// `<out>.manifest.json` run manifest (seed, workers, stage spans,
-// counters) next to the dataset. None of these affect the generated
-// bytes.
+// for Perfetto/chrome://tracing, or JSONL), and -runlog appends a
+// run-ledger record (stage spans, latency quantiles, counters and the
+// dataset's sha256). None of these affect the generated bytes.
 //
 // -format selects the serialization: "json" is the row-oriented survey
 // interchange form, "binary" the FPDS columnar shard (the fast path for
@@ -66,7 +65,7 @@ func main() {
 	seed := flag.Int64("seed", 42, "generation seed")
 	students := flag.Bool("students", false, "generate the student (suspicion-only) cohort")
 	workers := flag.Int("workers", 0, "worker goroutines (<=0 means GOMAXPROCS); never affects the data")
-	out := flag.String("o", "", "output file (default stdout); also writes <out>.manifest.json")
+	out := flag.String("o", "", "output file (default stdout)")
 	format := flag.String("format", "auto", "output serialization: json (row JSON), binary (FPDS columnar shard), or auto (binary when -o ends in .fpds, else json)")
 	telemetryAddr := flag.String("telemetry", "", "serve live expvar+pprof introspection on this address (e.g. 127.0.0.1:6060)")
 	tracePath := flag.String("trace", "", "export a structured trace of the run (.json Chrome trace-event format for Perfetto/chrome://tracing, .jsonl JSON Lines)")
@@ -187,15 +186,7 @@ func main() {
 	}
 
 	if *out != "" {
-		m := rec.Manifest("fpgen", *seed, *n, *workers)
-		m.Timestamp = time.Now().UTC().Format(time.RFC3339)
-		mpath := telemetry.ManifestPath(*out)
-		if err := telemetry.WriteManifest(mpath, m); err != nil {
-			fmt.Fprintln(os.Stderr, "fpgen:", err)
-			exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "fpgen: wrote %d responses to %s (manifest %s)\n",
-			cols.Len(), *out, mpath)
+		fmt.Fprintf(os.Stderr, "fpgen: wrote %d responses to %s\n", cols.Len(), *out)
 	}
 	ledger.Finish(0)
 }

@@ -67,7 +67,6 @@ func main() {
 	studentData := flag.String("studentdata", "", "student-cohort dataset file (with -data; default regenerates students from -seed/-nstudents)")
 	workers := flag.Int("workers", 0, "worker goroutines (<=0 means GOMAXPROCS); never affects the data")
 	telemetryAddr := flag.String("telemetry", "", "serve live expvar+pprof introspection on this address (e.g. 127.0.0.1:6060)")
-	manifest := flag.String("manifest", "", "write a run manifest (seed, workers, stage spans, counters) to this path")
 	runlogPath := flag.String("runlog", os.Getenv("FPSTUDY_RUNLOG"), "append a run-ledger record (JSONL) to this file on exit (default $FPSTUDY_RUNLOG; empty disables); never affects the output")
 	flag.Parse()
 
@@ -128,14 +127,6 @@ func main() {
 			exit(2)
 		}
 		results = study.Run()
-	}
-	if *manifest != "" {
-		m := rec.Manifest("fpreport", *seed, *n, *workers)
-		m.Timestamp = time.Now().UTC().Format(time.RFC3339)
-		if err := telemetry.WriteManifest(*manifest, m); err != nil {
-			fmt.Fprintln(os.Stderr, "fpreport:", err)
-			exit(1)
-		}
 	}
 
 	emit := func(num int) {

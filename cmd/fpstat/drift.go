@@ -1,16 +1,15 @@
-package benchcmp
+package main
 
 import (
 	"math"
 	"sort"
 )
 
-// Robust drift detection over benchmark trajectories. A metric series
-// (one value per BENCH_history.jsonl line or ledger record) is
-// summarized by its median and MAD (median absolute deviation): both
-// are order statistics, so a few wild outliers — exactly what host
-// noise produces — cannot drag the band the way a mean/stddev band
-// would be dragged. A point drifts when it sits further from the
+// Robust drift detection over run-ledger trajectories. A metric series
+// (one value per ledger record) is summarized by its median and MAD
+// (median absolute deviation): both are order statistics, so a few
+// wild outliers — exactly what host noise produces — cannot drag the
+// band the way a mean/stddev band would be dragged. A point drifts when it sits further from the
 // median than max(K·1.4826·MAD, RelFloor·|median|): the 1.4826 factor
 // makes the MAD consistent with a normal σ, K is the usual robust
 // z-cut, and the relative floor keeps a near-constant series (MAD≈0)

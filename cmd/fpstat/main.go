@@ -1,20 +1,20 @@
-// Command fpstat is the read side of the perf forensics observatory:
-// it turns the run ledger (internal/runlog) and the benchmark
-// trajectory (BENCH_history.jsonl) into answers.
+// Command fpstat is the read side of the repository's perf records: it
+// turns the run ledger (internal/runlog) and perfbench results into
+// answers.
 //
-//	fpstat trend               # per-config metric trajectories with robust drift bands
-//	fpstat diff old.json new.json  # attribute a regression to the stage that lost the time
+//	fpstat trend                 # per-invocation wall-time trajectories with robust drift bands
+//	fpstat diff old.out new.out  # judge two perfbench outputs against BENCHMARK.json
 //
-// trend reads both files tolerantly — mixed schema eras, blank lines,
-// a truncated final line from a crashed writer — and flags points
-// outside a median/MAD band (see internal/benchcmp.DetectDrift),
-// annotating drifted points whose host fingerprint differs from the
-// series' modal host as likely host variance rather than code.
+// trend reads the ledger tolerantly — blank lines, a truncated final
+// line from a crashed writer — and flags points outside a median/MAD
+// band (DetectDrift), annotating drifted points whose host fingerprint
+// differs from the series' modal host as likely host variance rather
+// than code.
 //
-// diff loads two fpbench reports and ranks the pipeline stages by
-// absolute self-time lost between them (internal/benchcmp
-// .AttributeSpans), alongside the per-stage latency-quantile deltas,
-// naming the top contributor — the place to point `go tool pprof` at.
+// diff reads two perfbench outputs (each the standard output of
+// `python3 perfbench/run.py`) and judges every end-to-end metric of
+// BENCHMARK.json against its direction and relative bound; when both
+// carry per-layer metrics it ranks the layers by absolute change.
 //
 // fpstat only reads; it never appends to the ledger it inspects.
 package main
@@ -26,8 +26,8 @@ import (
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  fpstat trend [-history BENCH_history.jsonl] [-ledger file] [-k 3.5] [-floor 0.10]
-  fpstat diff old.json new.json`)
+  fpstat trend [-ledger file] [-k 3.5] [-floor 0.10]
+  fpstat diff old.out new.out`)
 }
 
 func main() {

@@ -71,8 +71,8 @@ func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 
 // TestProbeMetricNameSet pins the exact counter and latency names an
 // instrumented n=2000 Study.Run with one grading analysis, an FPDS
-// round trip and one query produce. runlog records, fpstat trend, /metrics, the fpbench latency
-// tables and the smoke scripts all key on these strings, so a rename
+// round trip and one query produce. runlog records, fpstat trend,
+// /metrics and the smoke scripts all key on these strings, so a rename
 // or a dropped stage shows up here first.
 func TestProbeMetricNameSet(t *testing.T) {
 	reg := telemetry.NewRegistry()

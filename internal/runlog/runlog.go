@@ -1,13 +1,11 @@
 // Package runlog is the structured run ledger of the pipeline CLIs:
-// every invocation of fpgen, fpreport, fpsurvey, and fpbench appends
-// one JSONL record — command and arguments, host fingerprint, VCS
-// revision, wall and per-stage durations, latency quantiles, key
-// counters, golden hashes when computed, and exit status — to a
-// configurable ledger file. The ledger is what turns the perf gates
-// from "exit 1" into evidence: `fpstat trend` reads it (plus
-// BENCH_history.jsonl) to separate genuine drift from host noise, and
-// `fpstat diff` / the fpbench forensics report attribute a regression
-// to the stage that lost the time.
+// every invocation of fpgen, fpreport and fpsurvey run with -runlog
+// (or $FPSTUDY_RUNLOG) appends one JSONL record — command and
+// arguments, host fingerprint, VCS revision, wall and per-stage
+// durations, latency quantiles, key counters, golden hashes when
+// computed, and exit status — to a configurable ledger file. It is the
+// repository's one structured run record: `fpstat trend` reads it to
+// separate genuine drift from host noise.
 //
 // # Determinism contract
 //
@@ -20,17 +18,18 @@
 // # File format
 //
 // One JSON object per line, append-only (O_APPEND, so concurrent
-// writers interleave whole lines — the same contract as
-// BENCH_history.jsonl). Readers must tolerate a truncated final line:
-// a crashed writer may leave one, and a ledger is too valuable to
-// abandon over its last record. Read skips unparsable lines and
-// reports how many it skipped.
+// writers interleave whole lines). Readers must tolerate a truncated
+// final line: a crashed writer may leave one, and a ledger is too
+// valuable to abandon over its last record. Read skips unparsable and
+// overlong lines and reports how many it skipped.
 package runlog
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -50,10 +49,7 @@ import (
 //	    latency/counters/golden/exit_status.
 const Schema = 1
 
-// Host is the machine fingerprint stamped on every record, matching
-// the fields of the run manifest and the benchcmp report host (same
-// JSON names), so ledger records, manifests, and bench reports agree
-// on provenance.
+// Host is the machine fingerprint stamped on every record.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -61,7 +57,8 @@ type Host struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	// SerialHost tags records taken with GOMAXPROCS=1, where every
-	// worker count degenerates to a serial run (see benchcmp.Host).
+	// worker count degenerates to a serial run: their parallel timings
+	// are not comparable to a multi-core host's.
 	SerialHost bool `json:"serial_host,omitempty"`
 }
 
@@ -91,9 +88,8 @@ func (h Host) Key() string {
 
 // Stage is one flattened span-tree node: Name is the slash-joined
 // path from the root ("generate-main/draw-profiles"), Seconds its
-// wall duration, SelfSeconds the duration not covered by children
-// (what attribution ranks — see benchcmp.AttributeSpans), Items the
-// processed-item count.
+// wall duration, SelfSeconds the duration not covered by children,
+// Items the processed-item count.
 type Stage struct {
 	Name        string  `json:"name"`
 	Seconds     float64 `json:"seconds"`
@@ -101,8 +97,7 @@ type Stage struct {
 	Items       int64   `json:"items,omitempty"`
 }
 
-// StageLatency is the quantile summary of one latency histogram, the
-// compact ledger twin of benchcmp.StageLatency (same JSON names).
+// StageLatency is the quantile summary of one latency histogram.
 type StageLatency struct {
 	Stage  string  `json:"stage"`
 	Count  int64   `json:"count"`
@@ -291,33 +286,53 @@ func Append(path string, rec Record) error {
 	return werr
 }
 
+// maxLine caps a ledger line. Read skips a longer line instead of
+// buffering it: no record the CLIs write comes near it.
+const maxLine = 1 << 24
+
 // Read parses a ledger file, oldest first, tolerantly: blank lines,
-// malformed lines, and a truncated final line (no trailing newline,
-// e.g. from a crashed writer) are skipped and counted, never fatal —
-// a ledger accretes across many runs and one bad line must not make
-// the rest unreadable. Only open/scan I/O errors are returned.
+// malformed lines, lines over maxLine bytes, and a truncated final
+// line (no trailing newline, e.g. from a crashed writer) are skipped
+// and counted, never fatal — a ledger accretes across many runs and
+// one bad line must not make the rest unreadable. Only open/read I/O
+// errors are returned.
 func Read(path string) (recs []Record, skipped int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	br := bufio.NewReaderSize(f, 1<<16)
+	var line []byte
+	overlong := false
+	for {
+		chunk, rerr := br.ReadSlice('\n')
+		if !overlong && len(line)+len(chunk) > maxLine+1 { // +1: the newline
+			overlong, line = true, line[:0]
 		}
+		if !overlong {
+			line = append(line, chunk...)
+		}
+		if rerr == bufio.ErrBufferFull {
+			continue // the line goes on
+		}
+		if rerr != nil && rerr != io.EOF {
+			return nil, 0, rerr
+		}
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
 		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
+		switch {
+		case overlong:
 			skipped++
-			continue
+		case len(line) == 0:
+		case json.Unmarshal(line, &rec) != nil:
+			skipped++
+		default:
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
+		if rerr == io.EOF {
+			return recs, skipped, nil
+		}
+		line, overlong = line[:0], false
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, err
-	}
-	return recs, skipped, nil
 }

@@ -3,6 +3,7 @@ package runlog
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func TestReadTolerance(t *testing.T) {
 		"not json at all\n" +
 		good + "\n" +
 		retired + "\n" +
-		`{"schema":1,"tool":"fpbench","timestamp":"2026-0` // truncated mid-record, no newline
+		`{"schema":1,"tool":"fpreport","timestamp":"2026-0` // truncated mid-record, no newline
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,25 @@ func TestReadTolerance(t *testing.T) {
 	}
 	if skipped != 2 {
 		t.Errorf("skipped = %d, want 2 (malformed + truncated)", skipped)
+	}
+}
+
+// TestReadSkipsOverlongLine: a line longer than the 16 MiB cap is one
+// skipped line, not the end of the ledger — the records around it
+// still read.
+func TestReadSkipsOverlongLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	good := `{"schema":1,"tool":"fpgen","timestamp":"2026-08-08T00:00:00Z","wall_seconds":1,"exit_status":0}`
+	content := good + "\n" + strings.Repeat("x", 17<<20) + "\n" + good + "\n"
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || skipped != 1 {
+		t.Errorf("recs=%d skipped=%d, want 2/1", len(recs), skipped)
 	}
 }
 

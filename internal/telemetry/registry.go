@@ -2,8 +2,8 @@
 // study pipeline: an atomic metrics registry (counters, gauges,
 // log-linear latency histograms), the stage probe the pipeline packages
 // call at every block boundary (probe.go), a span tree for stage
-// timing, a structured event tracer, an expvar / Prometheus / pprof
-// HTTP surface, and a run-manifest exporter.
+// timing, a structured event tracer, and an expvar / Prometheus / pprof
+// HTTP surface.
 //
 // # Determinism contract
 //

@@ -49,35 +49,36 @@ if [ "${CHECK_QUERY_SMOKE:-0}" = "1" ]; then
 	make query-smoke
 fi
 
-# Optional SLO smoke gate: CHECK_SLO_SMOKE=1 runs a small fpbench with
-# -telemetry, scrapes /metrics mid-run, validates the Prometheus
-# exposition, and asserts the report's per-stage latency quantiles
-# (make slo-smoke). Off by default — the same exposition and quantile
-# logic is unit-tested in internal/telemetry; this stage additionally
-# exercises the real HTTP surface and the built binary.
+# Optional SLO smoke gate: CHECK_SLO_SMOKE=1 runs an n=1M fpgen with
+# -telemetry and -runlog, scrapes /metrics mid-run, validates the
+# Prometheus exposition, and asserts the ledger record's per-stage
+# latency quantiles (make slo-smoke). Off by default — the same
+# exposition and quantile logic is unit-tested in internal/telemetry;
+# this stage additionally exercises the real HTTP surface and the
+# built binary.
 if [ "${CHECK_SLO_SMOKE:-0}" = "1" ]; then
 	echo "==> make slo-smoke"
 	make slo-smoke
 fi
 
-# Optional perf-forensics smoke gate: CHECK_STAT_SMOKE=1 drives the
-# observatory end to end with real binaries: ledger records from fpgen
-# and fpbench, a seeded grade-stage regression attributed by fpstat
-# diff, a red compare gate leaving pprof profiles and a forensics
-# report, and fpstat trend over truncated history/ledger files (make
-# stat-smoke). Off by default — the attribution and drift statistics
-# are unit-tested in internal/benchcmp and cmd/fpstat; this stage
-# additionally exercises the built binaries and the on-disk artifacts.
+# Optional run-records smoke gate: CHECK_STAT_SMOKE=1 drives the run
+# ledger and fpstat end to end with real binaries: ledger records from
+# fpgen and fpreport, fpstat trend over a truncated ledger, and fpstat
+# diff passing, failing and rejecting inline perfbench outputs (make
+# stat-smoke). Off by default — the drift statistics and the diff
+# verdicts are unit-tested in cmd/fpstat; this stage additionally
+# exercises the built binaries and real files.
 if [ "${CHECK_STAT_SMOKE:-0}" = "1" ]; then
 	echo "==> make stat-smoke"
 	make stat-smoke
 fi
 
-# Optional perf-regression gate: CHECK_BENCH_GATE=1 re-times the
-# pipeline (n=199 and n=10000) and compares against the committed
-# BENCH_pipeline.json with fpbench compare, failing on regressions
-# beyond the noise bands. Off by default — it takes a few minutes and
-# only means something on a quiet machine.
+# Optional perf-regression gate: CHECK_BENCH_GATE=1 runs perfbench on
+# HEAD (in a temporary worktree) and on the working tree for each
+# workload and judges each pair with fpstat diff against the
+# end-to-end bounds in BENCHMARK.json (make bench-gate). Off by
+# default — it takes a few minutes and only means something on a
+# quiet machine.
 if [ "${CHECK_BENCH_GATE:-0}" = "1" ]; then
 	echo "==> make bench-gate"
 	make bench-gate

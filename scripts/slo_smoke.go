@@ -1,16 +1,17 @@
 //go:build ignore
 
-// SLO smoke test: builds fpbench, starts a small (n=199) benchmark run
-// with -telemetry on an ephemeral port, scrapes /metrics while it
-// runs, and validates the whole latency observatory end to end:
+// SLO smoke test: builds fpgen, starts an n=1,000,000 generation to an
+// .fpds file with -telemetry on an ephemeral port and -runlog, scrapes
+// /metrics while it runs, and validates the whole latency observatory
+// end to end:
 //
 //  1. the /metrics exposition parses as Prometheus text format 0.0.4
 //     (legal metric names, parseable values, cumulative histogram
 //     buckets ending in +Inf, _sum/_count present), and
 //  2. it carries live latency histograms (a nonzero
 //     fpstudy_latency_*_seconds_count), and
-//  3. the report fpbench writes carries per-stage quantile tables with
-//     ordered quantiles (p50 <= p90 <= p99 <= p999).
+//  3. the run-ledger record fpgen appends carries per-stage latency
+//     rows with ordered quantiles (p50 <= p90 <= p99 <= p999).
 //
 // Run via `make slo-smoke` (or `go run scripts/slo_smoke.go` from the
 // repo root). Exits 0 and prints PASS on success.
@@ -130,30 +131,28 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 
-	bin := filepath.Join(tmp, "fpbench")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/fpbench")
+	bin := filepath.Join(tmp, "fpgen")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/fpgen")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		fail("building fpbench: %v", err)
+		fail("building fpgen: %v", err)
 	}
 
-	// n=199 with enough reps that the run stays alive for a few seconds
-	// of scraping (~3-4ms per rep serial); -io=false keeps the run on
-	// the pipeline stages the SLO gate covers.
-	report := filepath.Join(tmp, "slo.json")
-	bench := exec.Command(bin,
-		"-n", "199", "-workers", "1", "-reps", "1000", "-io=false",
-		"-telemetry", "127.0.0.1:0", "-o", report)
-	stderr, err := bench.StderrPipe()
+	// n=1,000,000 keeps the run alive long enough (about a second on
+	// two cores) for several scrapes to land mid-generation.
+	ledger := filepath.Join(tmp, "ledger.jsonl")
+	gen := exec.Command(bin, "-n", "1000000", "-o", filepath.Join(tmp, "slo.fpds"),
+		"-telemetry", "127.0.0.1:0", "-runlog", ledger)
+	stderr, err := gen.StderrPipe()
 	if err != nil {
 		fail("%v", err)
 	}
-	if err := bench.Start(); err != nil {
-		fail("starting fpbench: %v", err)
+	if err := gen.Start(); err != nil {
+		fail("starting fpgen: %v", err)
 	}
 	defer func() {
-		bench.Process.Kill()
-		bench.Wait()
+		gen.Process.Kill()
+		gen.Wait()
 	}()
 
 	addrRE := regexp.MustCompile(`telemetry on http://([0-9.:]+)/debug/vars`)
@@ -166,11 +165,13 @@ func main() {
 		}
 	}
 	if addr == "" {
-		fail("fpbench never announced a telemetry address")
+		fail("fpgen never announced a telemetry address")
 	}
-	go func() { // keep draining so fpbench never blocks on stderr
+	drained := make(chan struct{})
+	go func() { // keep draining so fpgen never blocks on stderr
 		for sc.Scan() {
 		}
+		close(drained)
 	}()
 
 	// Scrape /metrics until it shows live latency observations, then
@@ -182,7 +183,7 @@ func main() {
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(url)
 		if err != nil {
-			time.Sleep(50 * time.Millisecond)
+			time.Sleep(5 * time.Millisecond)
 			continue
 		}
 		body, err := io.ReadAll(resp.Body)
@@ -197,7 +198,7 @@ func main() {
 			exposition = string(body)
 			break
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond)
 	}
 	if exposition == "" {
 		fail("%s never served a nonzero fpstudy_latency_*_seconds_count", url)
@@ -207,39 +208,34 @@ func main() {
 	}
 	liveStages := countRE.FindAllString(exposition, -1)
 
-	// Let the run finish and check the report's quantile tables.
-	if err := bench.Wait(); err != nil {
-		fail("fpbench exited: %v", err)
+	// Let the run finish and check its ledger record's quantile rows.
+	<-drained
+	if err := gen.Wait(); err != nil {
+		fail("fpgen exited: %v", err)
 	}
-	data, err := os.ReadFile(report)
+	data, err := os.ReadFile(ledger)
 	if err != nil {
-		fail("%v", err)
+		fail("fpgen appended no ledger record: %v", err)
 	}
-	var rep struct {
-		SchemaVersion int `json:"schema_version"`
-		Runs          []struct {
-			N       int `json:"n"`
-			Latency []struct {
-				Stage  string  `json:"stage"`
-				Count  int64   `json:"count"`
-				P50NS  float64 `json:"p50_ns"`
-				P90NS  float64 `json:"p90_ns"`
-				P99NS  float64 `json:"p99_ns"`
-				P999NS float64 `json:"p999_ns"`
-			} `json:"latency"`
-		} `json:"runs"`
+	var rec struct {
+		Tool    string `json:"tool"`
+		Latency []struct {
+			Stage  string  `json:"stage"`
+			Count  int64   `json:"count"`
+			P50NS  float64 `json:"p50_ns"`
+			P90NS  float64 `json:"p90_ns"`
+			P99NS  float64 `json:"p99_ns"`
+			P999NS float64 `json:"p999_ns"`
+		} `json:"latency"`
 	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		fail("parsing %s: %v", report, err)
+	if err := json.Unmarshal(data, &rec); err != nil {
+		fail("parsing %s: %v", ledger, err)
 	}
-	if rep.SchemaVersion < 6 {
-		fail("report schema_version = %d, want >= 6 (latency section)", rep.SchemaVersion)
-	}
-	if len(rep.Runs) == 0 || len(rep.Runs[0].Latency) == 0 {
-		fail("report carries no per-stage latency quantiles")
+	if rec.Tool != "fpgen" || len(rec.Latency) == 0 {
+		fail("ledger record carries no per-stage latency quantiles: %s", data)
 	}
 	var stages []string
-	for _, s := range rep.Runs[0].Latency {
+	for _, s := range rec.Latency {
 		if s.Count <= 0 {
 			fail("stage %s: count = %d", s.Stage, s.Count)
 		}
@@ -251,6 +247,6 @@ func main() {
 	}
 	sort.Strings(stages)
 	fmt.Printf("slo-smoke: PASS: %s exposition valid (%d live latency series); "+
-		"report has quantile tables for [%s]\n",
+		"ledger record has quantile rows for [%s]\n",
 		url, len(liveStages), strings.Join(stages, " "))
 }

@@ -1,25 +1,28 @@
 //go:build ignore
 
-// Perf-forensics smoke test: drives the whole observatory end to end
-// with real binaries and a seeded regression, proving the pipeline
-// from red gate to named culprit:
+// Perf-records smoke test: drives the run ledger and fpstat end to end
+// with real binaries:
 //
-//  1. fpgen and fpbench append well-formed run-ledger records
-//     (including fpgen's dataset sha256 golden hash) via -runlog;
-//  2. a 20% wall-time regression injected into the grade stage of a
-//     real fpbench report is attributed to run/grade by `fpstat diff`;
-//  3. `fpbench compare` fails the gate on that pair (exit 1) and
-//     leaves CPU+heap pprof profiles plus a markdown forensics report
-//     naming run/grade on disk;
-//  4. `fpstat trend` renders drift over the benchmark history and the
-//     ledger — tolerating a truncated final line in both — and
-//     surfaces the compare failure as a nonzero-exit line.
+//  1. fpgen and fpreport append well-formed run-ledger records via
+//     -runlog, and fpgen's record carries the sha256 of the dataset it
+//     wrote as its "dataset_sha256" golden hash;
+//  2. `fpstat trend` renders over that ledger after a truncated final
+//     line is appended, and surfaces the record of a run that exited
+//     nonzero;
+//  3. `fpstat diff` judges inline perfbench result fixtures against
+//     BENCHMARK.json: exit 0 on two identical outputs, exit 1 naming
+//     wall_s on a copy whose wall_s rose 30%, exit 2 on a malformed
+//     line.
 //
 // Run via `make stat-smoke` (or `go run scripts/stat_smoke.go` from
 // the repo root). Exits 0 and prints PASS on success.
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -52,70 +55,17 @@ func run(wantStatus int, bin string, args ...string) string {
 	return string(out)
 }
 
-// injectGradeSlowdown loads an fpbench report and seeds the
-// regression under test: every run's grade span absorbs an extra 20%
-// of that run's wall time, with the root span, best_seconds, and
-// throughput adjusted to match — exactly what a real grading
-// regression would look like in a report.
-func injectGradeSlowdown(oldPath, newPath string) {
-	data, err := os.ReadFile(oldPath)
-	if err != nil {
-		fail("%v", err)
-	}
-	var rep map[string]any
-	if err := json.Unmarshal(data, &rep); err != nil {
-		fail("parsing %s: %v", oldPath, err)
-	}
-	runs, _ := rep["runs"].([]any)
-	if len(runs) == 0 {
-		fail("%s has no runs", oldPath)
-	}
-	for _, ra := range runs {
-		r := ra.(map[string]any)
-		best := r["best_seconds"].(float64)
-		delta := 0.20 * best
-		spans, _ := r["spans"].([]any)
-		if len(spans) == 0 {
-			fail("%s run has no spans", oldPath)
-		}
-		root := spans[0].(map[string]any)
-		var graded bool
-		for _, ca := range root["children"].([]any) {
-			c := ca.(map[string]any)
-			if c["name"] == "grade" {
-				c["seconds"] = c["seconds"].(float64) + delta
-				graded = true
-			}
-		}
-		if !graded {
-			fail("%s run has no grade span", oldPath)
-		}
-		root["seconds"] = root["seconds"].(float64) + delta
-		r["best_seconds"] = best + delta
-		r["respondents_per_sec"] = r["n"].(float64) / (best + delta)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := os.WriteFile(newPath, append(out, '\n'), 0o644); err != nil {
+func writeFile(path, content string) {
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		fail("%v", err)
 	}
 }
 
-// appendLines tacks raw lines (no trailing newline handling — callers
-// pass exactly what should land in the file) onto a JSONL file.
-func appendLines(path string, lines ...string) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer f.Close()
-	for _, l := range lines {
-		if _, err := f.WriteString(l); err != nil {
-			fail("%v", err)
-		}
-	}
+// perfbenchOut is a perfbench standard output: the info line, then the
+// result line with every end-to-end metric of BENCHMARK.json.
+func perfbenchOut(wallS float64) string {
+	return `{"run":{"workload":"analyses","seed":1,"n":50000,"workers":2,"host":{"nproc":2,"gomaxprocs":2,"cpu_model":"Xeon","go_version":"go1.24.0"},"passes":12}}` + "\n" +
+		fmt.Sprintf(`{"correct":true,"attempted":12,"failed":0,"metrics":{"setup_s":{"value":2.1,"unit":"s"},"wall_s":{"value":%g,"unit":"s"},"peak_heap_mb":{"value":310,"unit":"MB"},"query_p50_ms":{"value":950,"unit":"ms"},"query_p99_ms":{"value":950,"unit":"ms"}}}`, wallS) + "\n"
 }
 
 func main() {
@@ -126,7 +76,7 @@ func main() {
 	defer os.RemoveAll(tmp)
 
 	bins := map[string]string{}
-	for _, tool := range []string{"fpgen", "fpbench", "fpstat"} {
+	for _, tool := range []string{"fpgen", "fpreport", "fpstat"} {
 		bin := filepath.Join(tmp, tool)
 		build := exec.Command("go", "build", "-o", bin, "./cmd/"+tool)
 		build.Stderr = os.Stderr
@@ -136,87 +86,86 @@ func main() {
 		bins[tool] = bin
 	}
 
+	// 1. Real invocations append ledger records, one of them failing.
 	ledger := filepath.Join(tmp, "ledger.jsonl")
-	hist := filepath.Join(tmp, "hist.jsonl")
-	oldRep := filepath.Join(tmp, "old.json")
-	newRep := filepath.Join(tmp, "new.json")
-	forensics := filepath.Join(tmp, "forensics")
+	cohort := filepath.Join(tmp, "cohort.fpds")
+	run(0, bins["fpgen"], "-n", "500", "-o", cohort, "-runlog", ledger)
+	run(0, bins["fpreport"], "-data", cohort, "-fig", "12", "-runlog", ledger)
+	run(2, bins["fpreport"], "-fig", "99", "-runlog", ledger)
 
-	// 1. Real invocations append ledger records.
-	run(0, bins["fpgen"], "-n", "500", "-o", filepath.Join(tmp, "cohort.json"), "-runlog", ledger)
-	run(0, bins["fpbench"], "-n", "199", "-workers", "1", "-reps", "1",
-		"-io=false", "-query=false", "-o", oldRep, "-runlog", ledger)
+	data, err := os.ReadFile(cohort)
+	if err != nil {
+		fail("%v", err)
+	}
+	sum := sha256.Sum256(data)
+	wantGolden := hex.EncodeToString(sum[:])
 	ldata, err := os.ReadFile(ledger)
 	if err != nil {
 		fail("ledger never written: %v", err)
 	}
-	if !strings.Contains(string(ldata), `"dataset_sha256"`) {
-		fail("fpgen ledger record carries no dataset_sha256 golden hash")
-	}
-
-	// 2. Seed the regression; fpstat diff must name the stage.
-	injectGradeSlowdown(oldRep, newRep)
-	diff := run(0, bins["fpstat"], "diff", oldRep, newRep)
-	if !strings.Contains(diff, "top contributor: run/grade") {
-		fail("fpstat diff did not attribute the regression to run/grade:\n%s", diff)
-	}
-
-	// 3. The gate must go red and leave forensics behind.
-	cmp := run(1, bins["fpbench"], "compare",
-		"-forensics", forensics, "-history", hist, "-runlog", ledger, oldRep, newRep)
-	for _, f := range []string{"cpu.pprof", "heap.pprof", "forensics.md"} {
-		if _, err := os.Stat(filepath.Join(forensics, f)); err != nil {
-			fail("compare left no %s: %v\ncompare output:\n%s", f, err, cmp)
+	var tools []string
+	sc := bufio.NewScanner(bytes.NewReader(ldata))
+	for sc.Scan() {
+		var rec struct {
+			Schema      int               `json:"schema"`
+			Tool        string            `json:"tool"`
+			Timestamp   string            `json:"timestamp"`
+			Host        map[string]any    `json:"host"`
+			WallSeconds float64           `json:"wall_seconds"`
+			ExitStatus  int               `json:"exit_status"`
+			Golden      map[string]string `json:"golden"`
 		}
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			fail("malformed ledger line %q: %v", sc.Text(), err)
+		}
+		if rec.Schema < 1 || rec.Timestamp == "" || len(rec.Host) == 0 || rec.WallSeconds <= 0 {
+			fail("incomplete ledger record %s", sc.Text())
+		}
+		if rec.Tool == "fpgen" && rec.Golden["dataset_sha256"] != wantGolden {
+			fail("fpgen golden dataset_sha256 = %q, want %s (sha256 of %s)",
+				rec.Golden["dataset_sha256"], wantGolden, cohort)
+		}
+		tools = append(tools, fmt.Sprintf("%s:%d", rec.Tool, rec.ExitStatus))
 	}
-	md, err := os.ReadFile(filepath.Join(forensics, "forensics.md"))
+	if got := strings.Join(tools, " "); got != "fpgen:0 fpreport:0 fpreport:2" {
+		fail("ledger records = %q, want fpgen:0 fpreport:0 fpreport:2", got)
+	}
+
+	// 2. A crashed writer's truncated line must not take trend down.
+	f, err := os.OpenFile(ledger, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		fail("%v", err)
 	}
-	if !strings.Contains(string(md), "run/grade") {
-		fail("forensics.md does not name run/grade:\n%s", md)
-	}
-
-	// 4. Trend over history+ledger, both ending in a truncated line
-	// (a crashed writer must never take the observatory down). The
-	// history needs >=3 points per series before drift can flag, so
-	// replay the entry compare appended with a wiggle and a collapse.
-	hdata, err := os.ReadFile(hist)
-	if err != nil {
-		fail("compare never appended to history: %v", err)
-	}
-	entry := strings.TrimRight(string(hdata), "\n")
-	wiggle := strings.Replace(entry, `"seed":`, `"gc_count":0,"seed":`, 1) // harmless dup field: same runs, reparsed
-	collapsed := entry
-	var e map[string]any
-	if err := json.Unmarshal([]byte(entry), &e); err != nil {
-		fail("parsing history entry: %v", err)
-	}
-	for _, ra := range e["runs"].([]any) {
-		r := ra.(map[string]any)
-		r["respondents_per_sec"] = r["respondents_per_sec"].(float64) * 0.5
-	}
-	if b, err := json.Marshal(e); err == nil {
-		collapsed = string(b)
-	}
-	appendLines(hist, wiggle+"\n", collapsed+"\n", `{"timestamp":"2026-01-01T`)
-	appendLines(ledger, `{"schema":1,"tool":"fpgen","wall`)
-
-	trend := run(0, bins["fpstat"], "trend", "-history", hist, "-ledger", ledger)
+	f.WriteString(`{"schema":1,"tool":"fpgen","wall`)
+	f.Close()
+	trend := run(0, bins["fpstat"], "trend", "-ledger", ledger)
 	for _, want := range []string{
-		"3 entries (1 line(s) skipped)",
 		"3 records (1 line(s) skipped)",
-		"respondents_per_sec",
-		"drifted points:",
-		"nonzero exit: fpbench",
+		"fpgen -n 500 -o " + cohort,
+		"nonzero exit: fpreport",
 	} {
 		if !strings.Contains(trend, want) {
 			fail("fpstat trend output missing %q:\n%s", want, trend)
 		}
 	}
 
-	fmt.Println("stat-smoke: PASS: ledger recorded fpgen+fpbench (golden dataset hash present); " +
-		"fpstat diff attributed the seeded 20% slowdown to run/grade; " +
-		"fpbench compare went red leaving cpu.pprof/heap.pprof/forensics.md naming run/grade; " +
-		"fpstat trend rendered drift over truncated history and ledger")
+	// 3. fpstat diff gates perfbench outputs on BENCHMARK.json's bounds.
+	oldOut, newOut, slowOut, badOut := filepath.Join(tmp, "old.out"), filepath.Join(tmp, "new.out"),
+		filepath.Join(tmp, "slow.out"), filepath.Join(tmp, "bad.out")
+	writeFile(oldOut, perfbenchOut(1.5))
+	writeFile(newOut, perfbenchOut(1.5))
+	writeFile(slowOut, perfbenchOut(1.5*1.3))
+	writeFile(badOut, strings.Replace(perfbenchOut(1.5), `"correct":true`, `"correct":tru`, 1))
+	run(0, bins["fpstat"], "diff", oldOut, newOut)
+	if out := run(1, bins["fpstat"], "diff", oldOut, slowOut); !strings.Contains(out, "WORSE: wall_s") {
+		fail("fpstat diff did not name wall_s for a 30%% regression:\n%s", out)
+	}
+	if out := run(2, bins["fpstat"], "diff", oldOut, badOut); !strings.Contains(out, badOut+":2:") {
+		fail("fpstat diff did not locate the malformed line at %s:2:\n%s", badOut, out)
+	}
+
+	fmt.Println("stat-smoke: PASS: fpgen and fpreport appended well-formed ledger records " +
+		"(fpgen's golden hash matches its dataset); fpstat trend rendered over a truncated ledger " +
+		"and surfaced the nonzero exit; fpstat diff passed identical perfbench outputs, " +
+		"failed a 30% wall_s rise and rejected a malformed line")
 }
