@@ -62,23 +62,77 @@ func TestPaperPlanEngineErrors(t *testing.T) {
 	}
 }
 
+// TestPaperPlanEmptyCohorts pins how an empty cohort renders, both
+// after an n=0 Study.Run and from a 0-row FPDS file: every figure that
+// reads it has no rows and the no-respondents note, and the headline
+// claims collapse to one failing no-respondents claim rather than
+// judging zeros. An empty student cohort alone empties Figure 22 and
+// collapses the claims too.
+func TestPaperPlanEmptyCohorts(t *testing.T) {
+	check := func(name string, r *Results, figs []int) {
+		t.Helper()
+		for _, fig := range figs {
+			tab := r.Figure(fig)
+			if len(tab.Rows) != 0 || len(tab.Notes) != 1 || tab.Notes[0] != noRespondents {
+				t.Errorf("%s figure %d: rows=%d notes=%q, want no rows and %q",
+					name, fig, len(tab.Rows), tab.Notes, noRespondents)
+			}
+			if s := tab.String(); strings.Contains(s, "NaN") {
+				t.Errorf("%s figure %d renders NaN:\n%s", name, fig, s)
+			}
+		}
+		claims := r.HeadlineClaims()
+		if len(claims) != 1 || claims[0].Name != "no-respondents" || claims[0].Pass ||
+			claims[0].Detail != noRespondents {
+			t.Errorf("%s: claims = %+v, want one failing no-respondents claim", name, claims)
+		}
+	}
+	all := make([]int, 22)
+	for i := range all {
+		all[i] = i + 1
+	}
+	for name, r := range emptyCohorts(t) {
+		check(name, r, all)
+	}
+
+	r := Study{Seed: 42, NMain: 199}.Run()
+	check("no students", r, []int{22})
+	for fig := 1; fig <= 21; fig++ {
+		if tab := r.Figure(fig); len(tab.Rows) == 0 {
+			t.Errorf("no students: figure %d has no rows", fig)
+		}
+	}
+}
+
 // TestPaperPlanOnePass pins "one scan for the paper" as a count: all 22
-// figures plus the headline claims scan 11 background tallies, one
-// main-cohort plan and one student plan, and nothing else.
+// figures plus the headline claims scan the main cohort once and the
+// student cohort once, and nothing else. The student scan reads the
+// five suspicion items alone: streamed off a shard, it reads exactly
+// their blocks.
 func TestPaperPlanOnePass(t *testing.T) {
-	const n, students = 2000, 52
+	const n, students = 2000, query.BlockRows + 52
 	r := Study{Seed: 42, NMain: n, NStudent: students, Workers: 4}.Run()
 
 	reg := telemetry.NewRegistry()
+	bytesRead := reg.Counter("test.bytes_read")
+	r.studentSrc = query.NewShardSource(shardOf(t, r.StudentCols, colstore.IOOptions{BytesRead: bytesRead}))
+	openBytes := bytesRead.Value()
+
 	telemetry.Install(reg)
 	defer telemetry.Install(nil)
 	for fig := 1; fig <= 22; fig++ {
 		_ = r.Figure(fig)
 	}
 	_ = r.HeadlineClaims()
-	if got, want := reg.Counter(telemetry.MetricQueryRowsScanned).Value(), int64(12*n+students); got != want {
-		t.Errorf("query.rows_scanned = %d, want %d (11 tallies + 1 plan over %d rows, 1 plan over %d)",
+	if got, want := reg.Counter(telemetry.MetricQueryRowsScanned).Value(), int64(n+students); got != want {
+		t.Errorf("query.rows_scanned = %d, want %d (1 plan over %d rows, 1 plan over %d)",
 			got, want, n, students)
+	}
+	// Each Likert block is one byte per respondent plus a 4-byte CRC.
+	items := int64(len(quiz.SuspicionItems()))
+	want := items * int64(students+4*query.NumBlocks(students))
+	if got := bytesRead.Value() - openBytes; got != want {
+		t.Errorf("student scan streamed %d bytes, want %d (the %d suspicion items' blocks)", got, want, items)
 	}
 }
 
@@ -117,7 +171,7 @@ func TestPaperPlanStreamMatchesMemory(t *testing.T) {
 }
 
 // BenchmarkPaperScan times one uncached paper plan over the main
-// cohort: the scan every figure from 12 to 22 and the claims share.
+// cohort: the scan all 22 figures and the claims share.
 func BenchmarkPaperScan(b *testing.B) {
 	r := Study{Seed: 42, NMain: 100000, NStudent: 52}.Run()
 	src := r.MainSource()
@@ -125,6 +179,20 @@ func BenchmarkPaperScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scanPaper(src, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSuspicionScan times one uncached student plan: the scan of
+// the five suspicion items Figure 22 and the claims read.
+func BenchmarkSuspicionScan(b *testing.B) {
+	r := Study{Seed: 42, NMain: 0, NStudent: 100000}.Run()
+	src := r.StudentSource()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := scanSuspicion(src, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

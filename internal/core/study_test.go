@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/quiz"
+	"fpstudy/internal/stats"
 	"fpstudy/internal/telemetry"
 )
 
@@ -220,8 +222,37 @@ func TestBackgroundFigureComparesToPaper(t *testing.T) {
 	}
 }
 
+// TestSuspicionDistributionHelper pins the suspicion distributions
+// Figure 22 reads from both cohorts' plans against a walk of each
+// item's Likert column.
 func TestSuspicionDistributionHelper(t *testing.T) {
-	d := SuspicionDistribution(bigResults.Main.Cols, "susp.invalid")
+	for _, c := range []struct {
+		name string
+		plan func() (*paperPlan, error)
+		cols *colstore.Dataset
+	}{
+		{"main", bigResults.mainPlan, bigResults.Main.Cols},
+		{"student", bigResults.studentPlan, bigResults.StudentCols},
+	} {
+		p, err := c.plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range quiz.SuspicionItems() {
+			ci := c.cols.Schema.MustColumnIndex(it.ID)
+			var levels []int
+			for i := 0; i < c.cols.Len(); i++ {
+				if lv := c.cols.LikertLevel(ci, i); lv > 0 {
+					levels = append(levels, lv)
+				}
+			}
+			if got, want := p.suspicion(it.ID), stats.NewLikertDist(levels, 5); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: plan distribution %+v, want %+v", c.name, it.ID, got, want)
+			}
+		}
+	}
+	p, _ := bigResults.mainPlan()
+	d := p.suspicion("susp.invalid")
 	if d.N != 4000 {
 		t.Fatalf("n = %d", d.N)
 	}

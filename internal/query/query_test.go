@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"sync/atomic"
 	"testing"
 
@@ -367,67 +366,6 @@ func TestScanBlocks(t *testing.T) {
 	}
 }
 
-// TestTallyVsReference pins the vectorized Tally against the row-loop
-// semantics of survey.Instrument.Tally for every question kind,
-// spills included, on both sources.
-func TestTallyVsReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	for _, n := range []int{40, 8300} {
-		d := randomCohort(t, rng, n)
-		s := d.Schema
-		mem, shard := sources(t, d)
-		for ci := 0; ci < s.NumColumns(); ci++ {
-			c := s.Column(ci)
-			want := map[string]int{}
-			for i := 0; i < n; i++ {
-				switch c.Kind {
-				case survey.TrueFalse:
-					switch d.TF(ci, i) {
-					case colstore.TFUnanswered:
-						want["unanswered"]++
-					case colstore.TFTrue:
-						want[survey.AnswerTrue]++
-					case colstore.TFFalse:
-						want[survey.AnswerFalse]++
-					default:
-						want[survey.AnswerDontKnow]++
-					}
-				case survey.Likert:
-					if lv := d.LikertLevel(ci, i); lv == 0 {
-						want["unanswered"]++
-					} else {
-						want[strconv.Itoa(lv)]++
-					}
-				case survey.SingleChoice:
-					if lbl := d.SingleLabel(ci, i); lbl == "" {
-						want["unanswered"]++
-					} else {
-						want[lbl]++
-					}
-				case survey.MultiChoice:
-					if d.MultiUnanswered(ci, i) {
-						want["unanswered"]++
-					} else {
-						d.ForEachMultiChoice(ci, i, func(label string) { want[label]++ })
-					}
-				}
-			}
-			for _, w := range workerCounts {
-				for srcName, src := range map[string]query.Source{"mem": mem, "shard": shard} {
-					got, err := query.Tally(src, c.ID, w)
-					if err != nil {
-						t.Fatalf("Tally(%s): %v", c.ID, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("n=%d %s workers=%d question %s: tally diverges\n got %v\nwant %v",
-							n, srcName, w, c.ID, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestEmptyCohort pins the n=0 edge: zero blocks, zero counts, no
 // panics.
 func TestEmptyCohort(t *testing.T) {
@@ -444,13 +382,6 @@ func TestEmptyCohort(t *testing.T) {
 	}
 	if res.TotalCount() != 0 {
 		t.Fatalf("empty cohort counted %d rows", res.TotalCount())
-	}
-	tal, err := query.Tally(src, quiz.BGArea, 4)
-	if err != nil {
-		t.Fatalf("Tally: %v", err)
-	}
-	if len(tal) != 0 {
-		t.Fatalf("empty cohort tallied %v", tal)
 	}
 }
 

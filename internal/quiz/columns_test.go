@@ -76,10 +76,18 @@ func TestScoreColumnsFixtureValues(t *testing.T) {
 }
 
 // TestClassifyAtMatchesRows cross-checks the per-question columnar
-// classifiers against the row classifier for every question slot.
+// classifiers and the outcome tables against the row classifier for
+// every question slot.
 func TestClassifyAtMatchesRows(t *testing.T) {
 	d := columnarFixture(t)
 	rows := d.ToSurvey()
+	coreTabs, optTabs := OutcomeTables(d.Schema)
+	byTable := func(tab *OutcomeTable, i int) PerQuestionOutcome {
+		if tab.TF {
+			return tab.ByCode[d.TF(tab.Col, i)]
+		}
+		return tab.Outcome(d.SingleCode(tab.Col, i))
+	}
 	for i := 0; i < d.Len(); i++ {
 		r := rows.Responses[i]
 		for k, q := range CoreQuestions() {
@@ -87,13 +95,22 @@ func TestClassifyAtMatchesRows(t *testing.T) {
 			if got := ClassifyCoreAt(d, i, k); got != want {
 				t.Fatalf("respondent %d core[%d]=%s: %v != %v", i, k, q.ID, got, want)
 			}
+			if got := byTable(&coreTabs[k], i); got != want {
+				t.Fatalf("respondent %d core[%d]=%s: table %v != %v", i, k, q.ID, got, want)
+			}
 		}
 		for k, q := range OptQuestions() {
 			want := ClassifyOpt(r, q)
 			if got := ClassifyOptAt(d, i, k); got != want {
 				t.Fatalf("respondent %d opt[%d]=%s: %v != %v", i, k, q.ID, got, want)
 			}
+			if got := byTable(&optTabs[k], i); got != want {
+				t.Fatalf("respondent %d opt[%d]=%s: table %v != %v", i, k, q.ID, got, want)
+			}
 		}
+	}
+	if got := optTabs[2].Outcome(-1); got != OutcomeIncorrect {
+		t.Fatalf("free-text Level answer classified %v, want incorrect", got)
 	}
 }
 

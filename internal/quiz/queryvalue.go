@@ -91,66 +91,47 @@ func QueryValue(s *colstore.Schema, name string) (query.Value, error) {
 	return v, nil
 }
 
-// outcomeLabels indexes PerQuestionOutcome.
-var outcomeLabels = []string{"correct", "incorrect", "dontknow", "unanswered"}
-
-// tfOutcomeKey groups respondents by their outcome on one T/F quiz
-// question (key = PerQuestionOutcome).
-type tfOutcomeKey struct {
-	it colItem
+// OutcomeTable is one quiz question's outcome by answer code: the
+// table-driven form of ClassifyCoreAt and ClassifyOptAt, for kernels
+// that classify a whole column at a time.
+type OutcomeTable struct {
+	// Col is the question's schema column: truefalse codes for a T/F
+	// question, single-choice codes for Standard-compliant Level.
+	Col int
+	// TF reports a T/F question.
+	TF bool
+	// ByCode is the outcome of every code below 256.
+	ByCode [256]PerQuestionOutcome
 }
 
-func (k tfOutcomeKey) Columns() []int   { return []int{k.it.ci} }
-func (k tfOutcomeKey) Cardinality() int { return 4 }
-func (k tfOutcomeKey) Labels() []string { return outcomeLabels }
-
-func (k tfOutcomeKey) Keys(b *query.Block, dst []int32) {
-	// One classification per possible code, then a table lookup per
-	// row: the byte index needs no bounds check.
-	var outcome [256]int32
-	for code := range outcome {
-		outcome[code] = int32(classifyTFCode(uint8(code), k.it.correct))
+// Outcome classifies a single-choice code: free-text (negative) codes
+// are incorrect.
+func (t *OutcomeTable) Outcome(code int32) PerQuestionOutcome {
+	if uint32(code) < uint32(len(t.ByCode)) {
+		return t.ByCode[code]
 	}
-	col := b.U8(k.it.ci)[:len(dst)]
-	for j, code := range col {
-		dst[j] = outcome[code]
-	}
+	return OutcomeIncorrect
 }
 
-// levelOutcomeKey groups respondents by their outcome on the
-// Standard-compliant Level question.
-type levelOutcomeKey struct {
-	t *ScoreTable
-}
-
-func (k levelOutcomeKey) Columns() []int   { return []int{k.t.levelCol} }
-func (k levelOutcomeKey) Cardinality() int { return 4 }
-func (k levelOutcomeKey) Labels() []string { return outcomeLabels }
-
-func (k levelOutcomeKey) Keys(b *query.Block, dst []int32) {
-	col := b.I32(k.t.levelCol)
-	for j := range dst {
-		dst[j] = int32(k.t.classifyLevelCode(col[j]))
-	}
-}
-
-// CoreOutcomeKeyer keys respondents by their outcome on core question
-// k (paper order) — the query-engine form of ClassifyCore.
-func CoreOutcomeKeyer(s *colstore.Schema, k int) query.Keyer {
-	return tfOutcomeKey{it: ScoreTableFor(s).core[k]}
-}
-
-// OptOutcomeKeyer keys respondents by their outcome on optimization
-// question k (paper order: MADD, FTZ, Level, Fast-math) — the
-// query-engine form of ClassifyOpt.
-func OptOutcomeKeyer(s *colstore.Schema, k int) query.Keyer {
+// OutcomeTables returns the outcome tables of the 15 core questions and
+// of the four optimization questions (MADD, FTZ, Level, Fast-math),
+// each in paper order.
+func OutcomeTables(s *colstore.Schema) (core, opt []OutcomeTable) {
 	t := ScoreTableFor(s)
-	switch k {
-	case 0, 1:
-		return tfOutcomeKey{it: t.optTF[k]}
-	case 2:
-		return levelOutcomeKey{t: t}
-	default:
-		return tfOutcomeKey{it: t.optTF[2]}
+	tf := func(it colItem) OutcomeTable {
+		o := OutcomeTable{Col: it.ci, TF: true}
+		for code := range o.ByCode {
+			o.ByCode[code] = classifyTFCode(uint8(code), it.correct)
+		}
+		return o
 	}
+	for _, it := range t.core {
+		core = append(core, tf(it))
+	}
+	level := OutcomeTable{Col: t.levelCol}
+	for code := range level.ByCode {
+		level.ByCode[code] = t.classifyLevelCode(int32(code))
+	}
+	opt = []OutcomeTable{tf(t.optTF[0]), tf(t.optTF[1]), level, tf(t.optTF[2])}
+	return core, opt
 }
