@@ -27,7 +27,7 @@
 // float64, so the blockwise sum is additionally bit-identical to a
 // straight left-to-right sum over respondents. ScanBlocks hands the
 // same block scan to callers that fuse many aggregates into one pass —
-// core's paper plan reads all of Figures 12-22 and the headline claims
+// core's paper plan reads all 22 figures and the headline claims
 // off one ScanBlocks pass per cohort — under the same contract: a
 // per-block slot, merged in block order.
 //
