@@ -1,5 +1,5 @@
 # Development entry points. `make check` is the full verification gate
-# (build + vet + race-enabled tests); CI and pre-commit should run it.
+# (build + vet + gofmt + race-enabled tests); CI and pre-commit should run it.
 
 GO ?= go
 

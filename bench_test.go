@@ -16,13 +16,9 @@ import (
 	"sync"
 	"testing"
 
-	"fpstudy/internal/audit"
 	"fpstudy/internal/core"
-	"fpstudy/internal/eft"
 	"fpstudy/internal/expr"
-	"fpstudy/internal/fpvm"
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/interval"
 	"fpstudy/internal/kernels"
 	"fpstudy/internal/monitor"
 	"fpstudy/internal/mpfloat"
@@ -30,7 +26,6 @@ import (
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
 	"fpstudy/internal/telemetry"
-	"fpstudy/internal/tuner"
 )
 
 var (
@@ -491,87 +486,6 @@ func BenchmarkCalibrationReport(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.CalibrationReport()
-	}
-}
-
-// Error-free transformation throughput.
-
-func BenchmarkEFTSum2(b *testing.B) {
-	var e ieee754.Env
-	xs := make([]uint64, 1000)
-	for i := range xs {
-		xs[i] = ieee754.Binary64.FromFloat64(&e, float64(i)*0.1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eft.Sum2(&e, ieee754.Binary64, xs)
-	}
-}
-
-func BenchmarkEFTSumNaive(b *testing.B) {
-	var e ieee754.Env
-	xs := make([]uint64, 1000)
-	for i := range xs {
-		xs[i] = ieee754.Binary64.FromFloat64(&e, float64(i)*0.1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = eft.SumNaive(&e, ieee754.Binary64, xs)
-	}
-}
-
-// Interval evaluation throughput.
-
-func BenchmarkIntervalHypot(b *testing.B) {
-	a := interval.New(ieee754.Binary64)
-	n := expr.MustParse("sqrt(x*x + y*y)")
-	vars := map[string]interval.Interval{
-		"x": a.FromFloat64(3.01),
-		"y": a.FromFloat64(4.02),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = a.EvalExpr(n, vars)
-	}
-}
-
-// VM execution under the monitor (the runtime-tool workload).
-
-func BenchmarkVMHarmonic(b *testing.B) {
-	vm := fpvm.New(ieee754.Binary64)
-	var e ieee754.Env
-	vars := map[string]uint64{"n": ieee754.Binary64.FromFloat64(&e, 1000)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := vm.Run(fpvm.HarmonicSum, vars); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Precision tuning search cost.
-
-func BenchmarkTunerHypot(b *testing.B) {
-	n := expr.MustParse("sqrt(x*x + y*y)")
-	corpus := tuner.Corpus(n, 100, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = tuner.Tune(n, corpus, 1e-6)
-	}
-}
-
-// Combined audit (the paper's low-barrier tool).
-
-func BenchmarkAuditCancellation(b *testing.B) {
-	n := expr.MustParse("(a + b) - a")
-	var e ieee754.Env
-	vars := map[string]uint64{
-		"a": ieee754.Binary64.FromFloat64(&e, 1e16),
-		"b": ieee754.Binary64.FromFloat64(&e, 1),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = audit.Run(n, vars)
 	}
 }
 

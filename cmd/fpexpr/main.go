@@ -20,7 +20,6 @@ import (
 
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/lint"
 	"fpstudy/internal/mpfloat"
 	"fpstudy/internal/optsim"
 )
@@ -120,14 +119,6 @@ func main() {
 		fmt.Printf("   <-- DIFFERS from strict IEEE")
 	}
 	fmt.Println()
-
-	// Static hazards.
-	if findings := lint.CheckExpr(n); len(findings) > 0 {
-		fmt.Println("\nstatic analysis:")
-		for _, fd := range findings {
-			fmt.Printf("  %s\n", fd)
-		}
-	}
 
 	// Arbitrary-precision shadow.
 	ctx := mpfloat.NewContext(200)

@@ -77,9 +77,18 @@ func main() {
 	rec := telemetry.NewRecorder(reg)
 	rec.PublishExpvar("fpstudy")
 	ledger = runlog.Start(*runlogPath, "fpreport", os.Args[1:], reg, rec)
-	// Reject a bad figure number before the pipeline runs.
+	// Reject a bad figure number or cohort size before the pipeline
+	// runs. A size of 0 is valid: it renders the no-respondents note.
 	if *fig < 0 || *fig > 22 {
 		fmt.Fprintln(os.Stderr, "fpreport: figure number must be 1-22")
+		exit(2)
+	}
+	if *n < 0 {
+		fmt.Fprintln(os.Stderr, "fpreport: -n must be >= 0")
+		exit(2)
+	}
+	if *nStudents < 0 {
+		fmt.Fprintln(os.Stderr, "fpreport: -nstudents must be >= 0")
 		exit(2)
 	}
 	if *telemetryAddr != "" {

@@ -62,54 +62,3 @@ func ExampleCheckCompliance() {
 	// -O3 compliant: false
 	// passes: [fma-contraction]
 }
-
-// TwoSum captures the exact rounding error of an addition.
-func ExampleTwoSum() {
-	var e fpstudy.Env
-	a := fpstudy.Binary64.FromFloat64(&e, 1e16)
-	b := fpstudy.Binary64.FromFloat64(&e, 1)
-	s, err := fpstudy.TwoSum(&e, fpstudy.Binary64, a, b)
-	fmt.Println("sum:", fpstudy.Binary64.String(s))
-	fmt.Println("error:", fpstudy.Binary64.String(err))
-	// Output:
-	// sum: 1e+16
-	// error: 1
-}
-
-// Interval arithmetic produces rigorous enclosures via the directed
-// rounding modes.
-func ExampleIntervalArith() {
-	a := fpstudy.NewIntervalArith(fpstudy.Binary64)
-	n, _ := fpstudy.ParseExpr("x*x")
-	res := a.EvalExpr(n, map[string]fpstudy.Interval{"x": a.FromFloat64(3)})
-	var e fpstudy.Env
-	fmt.Println(a.Contains(res, fpstudy.Binary64.FromFloat64(&e, 9)))
-	// Output:
-	// true
-}
-
-// The VM runs assembly "binaries" the monitor can spy on.
-func ExampleVM() {
-	prog, _ := fpstudy.Assemble("double", `
-		load  x
-		loadc 2
-		mul
-		ret
-	`)
-	vm := fpstudy.NewVM(fpstudy.Binary64)
-	var e fpstudy.Env
-	res, _ := vm.Run(prog, map[string]uint64{"x": fpstudy.Binary64.FromFloat64(&e, 21)})
-	fmt.Println(fpstudy.Binary64.String(res))
-	// Output:
-	// 42
-}
-
-// Static analysis flags the hazards the quiz shows developers miss.
-func ExampleLintExpr() {
-	n, _ := fpstudy.ParseExpr("1/(a - b)")
-	for _, f := range fpstudy.LintExpr(n) {
-		fmt.Println(f.Rule)
-	}
-	// Output:
-	// division-by-difference
-}

@@ -26,22 +26,16 @@
 package fpstudy
 
 import (
-	"fpstudy/internal/audit"
 	"fpstudy/internal/core"
-	"fpstudy/internal/eft"
 	"fpstudy/internal/expr"
-	"fpstudy/internal/fpvm"
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/interval"
 	"fpstudy/internal/kernels"
-	"fpstudy/internal/lint"
 	"fpstudy/internal/monitor"
 	"fpstudy/internal/mpfloat"
 	"fpstudy/internal/optsim"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
 	"fpstudy/internal/survey"
-	"fpstudy/internal/tuner"
 )
 
 // --- IEEE 754 softfloat (internal/ieee754) ---
@@ -162,27 +156,6 @@ func MonitorKernel(f Format, fn func(*Env, Format) uint64) (uint64, MonitorRepor
 	return monitor.Run(f, fn)
 }
 
-// --- Error-free transformations (numeric-correctness toolbox) ---
-
-// TwoSum returns s = round(a+b) and the exact rounding error, so that
-// a + b == s + err exactly.
-func TwoSum(e *Env, f Format, a, b uint64) (s, err uint64) {
-	return eft.TwoSum(e, f, a, b)
-}
-
-// TwoProduct returns p = round(a*b) and the exact rounding error via
-// FMA.
-func TwoProduct(e *Env, f Format, a, b uint64) (p, err uint64) {
-	return eft.TwoProduct(e, f, a, b)
-}
-
-// Sum2 computes a compensated sum with doubled effective precision.
-func Sum2(e *Env, f Format, xs []uint64) uint64 { return eft.Sum2(e, f, xs) }
-
-// Dot2 computes a compensated dot product with doubled effective
-// precision.
-func Dot2(e *Env, f Format, xs, ys []uint64) uint64 { return eft.Dot2(e, f, xs, ys) }
-
 // --- Arbitrary precision shadow execution ---
 
 // MPContext carries the working precision for arbitrary-precision
@@ -197,74 +170,6 @@ func NewMPContext(prec uint) MPContext { return mpfloat.NewContext(prec) }
 
 // ShadowReport compares format vs arbitrary-precision evaluation.
 type ShadowReport = mpfloat.ShadowReport
-
-// --- Interval arithmetic (rigorous enclosures) ---
-
-// IntervalArith performs interval arithmetic over a format using the
-// directed rounding modes.
-type IntervalArith = interval.Arith
-
-// Interval is a closed interval of format values.
-type Interval = interval.Interval
-
-// NewIntervalArith creates interval arithmetic over format f.
-func NewIntervalArith(f Format) *IntervalArith { return interval.New(f) }
-
-// --- The floating point VM (programs for the monitor to spy on) ---
-
-// VMProgram is an assembled floating point VM program.
-type VMProgram = fpvm.Program
-
-// VM executes VMPrograms on the softfloat under an environment.
-type VM = fpvm.VM
-
-// Assemble parses floating point VM assembly.
-func Assemble(name, src string) (*VMProgram, error) { return fpvm.Assemble(name, src) }
-
-// NewVM creates a VM over format f with a fresh environment.
-func NewVM(f Format) *VM { return fpvm.New(f) }
-
-// VMPrograms returns the built-in sample program library.
-func VMPrograms() []*VMProgram { return fpvm.SamplePrograms() }
-
-// --- Combined audit (the paper's "low barrier to use" tool) ---
-
-// AuditReport is the combined verdict of every analyzer over one
-// computation: lint, monitored evaluation, fast-math stability,
-// interval enclosure, shadow execution, and a precision probe.
-type AuditReport = audit.Report
-
-// AuditRun audits the expression at the given binary64-encoded inputs.
-func AuditRun(n ExprNode, vars map[string]uint64) AuditReport { return audit.Run(n, vars) }
-
-// --- Static analysis (lint) ---
-
-// LintFinding is one statically detected floating point hazard.
-type LintFinding = lint.Finding
-
-// LintExpr statically analyzes an expression for floating point
-// hazards (division by differences, cancellation, sqrt of differences,
-// long naive sums).
-func LintExpr(n ExprNode) []LintFinding { return lint.CheckExpr(n) }
-
-// LintProgram statically analyzes a VM program (float-equality control
-// flow, division by differences, sqrt of differences).
-func LintProgram(p *VMProgram) []LintFinding { return lint.CheckProgram(p) }
-
-// --- Precision auto-tuning (Precimonious-style) ---
-
-// TuneResult is the outcome of a precision-tuning search.
-type TuneResult = tuner.Result
-
-// PrecisionAssignment maps operation paths to formats.
-type PrecisionAssignment = tuner.Assignment
-
-// TunePrecision searches for the lowest per-operation precision keeping
-// the expression within tol relative error of binary64 over a seeded
-// corpus.
-func TunePrecision(n ExprNode, corpusSize int, seed int64, tol float64) TuneResult {
-	return tuner.Tune(n, tuner.Corpus(n, corpusSize, seed), tol)
-}
 
 // --- The survey instrument and quiz ---
 

@@ -161,36 +161,6 @@ func TestEndToEndDatasetPipeline(t *testing.T) {
 	}
 }
 
-func TestFacadeVMTunerLint(t *testing.T) {
-	// VM through the facade.
-	prog, err := fpstudy.Assemble("t", "loadc 6\nloadc 7\nmul\nret")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm := fpstudy.NewVM(fpstudy.Binary64)
-	res, err := vm.Run(prog, nil)
-	if err != nil || fpstudy.Binary64.ToFloat64(res) != 42 {
-		t.Fatalf("vm: %v %v", res, err)
-	}
-	if len(fpstudy.VMPrograms()) < 4 {
-		t.Fatal("program library")
-	}
-	// Tuner through the facade.
-	n, _ := fpstudy.ParseExpr("(a + b)*(a - b)")
-	tr := fpstudy.TunePrecision(n, 200, 3, 0.2)
-	if tr.Ops != 3 {
-		t.Fatalf("tuner ops: %d", tr.Ops)
-	}
-	// Lint through the facade.
-	bad, _ := fpstudy.ParseExpr("sqrt(a - b)")
-	if len(fpstudy.LintExpr(bad)) == 0 {
-		t.Fatal("lint missed sqrt-of-difference")
-	}
-	if len(fpstudy.LintProgram(prog)) != 0 {
-		t.Fatal("clean program flagged")
-	}
-}
-
 func TestFacadeBfloat16(t *testing.T) {
 	var e fpstudy.Env
 	x := fpstudy.Bfloat16.FromFloat64(&e, 256)

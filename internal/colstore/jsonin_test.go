@@ -177,3 +177,46 @@ func (d *drip) Read(p []byte) (int, error) {
 	d.off += n
 	return n, nil
 }
+
+// FuzzDecodeJSON requires every row-JSON document DecodeJSON accepts to
+// survive WriteJSON → DecodeJSON → WriteJSON byte for byte and to
+// encode as an FPDS shard.
+func FuzzDecodeJSON(f *testing.F) {
+	schema := quiz.Columns()
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{0, 1, 7} {
+		src, err := survey.EncodeDataset(randomDataset(rng, n, false))
+		if err != nil {
+			f.Fatalf("EncodeDataset: %v", err)
+		}
+		f.Add(src)
+	}
+	title := quiz.Instrument().Title
+	f.Add([]byte(`{"instrument":"nope","responses":[]}`))
+	f.Add([]byte(`{"instrument":"` + title + `","responses":[{"token":"r00`))
+	f.Add([]byte(`{"instrument":"` + title + `","version":"1.0","responses":[{"token":"r0001","answers":null}]}`))
+	f.Add([]byte(`[1,2,3]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := colstore.DecodeJSON(schema, bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := d.WriteJSON(&first); err != nil {
+			t.Fatalf("WriteJSON of accepted document failed: %v", err)
+		}
+		again, err := colstore.DecodeJSON(schema, bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("DecodeJSON of WriteJSON output failed: %v", err)
+		}
+		if err := again.WriteJSON(&second); err != nil {
+			t.Fatalf("second WriteJSON failed: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("WriteJSON → DecodeJSON → WriteJSON is not byte-stable")
+		}
+		if err := d.EncodeBinary(io.Discard, colstore.IOOptions{}); err != nil {
+			t.Fatalf("EncodeBinary of accepted document failed: %v", err)
+		}
+	})
+}

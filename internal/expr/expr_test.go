@@ -190,3 +190,28 @@ func TestEqualDistinguishes(t *testing.T) {
 		t.Fatal("fma should differ from mul+add structurally")
 	}
 }
+
+// FuzzParse requires every expression Parse accepts to print to text
+// that parses again and prints identically.
+func FuzzParse(f *testing.F) {
+	for _, src := range []string{
+		"a + b*c", "(a + b)*c", "a - (b - c)", "sqrt(a) + fma(a, b, c)",
+		"-(a + b)", "a/b/c", "0.1 + 0.2", "1/0", "sqrt(0 - 1)",
+		"", "1 +", "(1", "sqrt()", "fma(1,2)", "foo(1)", "1 ^ 2", "..", "a b",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		n, err := Parse(src)
+		if err != nil {
+			return
+		}
+		back, err := Parse(n.String())
+		if err != nil {
+			t.Fatalf("reparse %q (from %q): %v", n.String(), src, err)
+		}
+		if back.String() != n.String() {
+			t.Fatalf("reparse of %q prints %q", n.String(), back.String())
+		}
+	})
+}

@@ -135,3 +135,25 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse requires Parse to return an error or a compiled query for
+// any expression against the paper's schema, and never to panic.
+func FuzzParse(f *testing.F) {
+	s := quiz.Columns()
+	resolve := func(name string) (query.Value, error) { return quiz.QueryValue(s, name) }
+	for _, expr := range []string{
+		"//count", "bg.formal_training=None//count", "susp.invalid>=4/bg.contrib_size/count",
+		"/bg.formal_training/mean:susp.invalid", "/bg.formal_training/mean:core.score",
+		"bg.formal_training!=None & bg.role=My main role is as a software engineer/bg.contrib_size/count",
+		"bg.informal_training~=Read about it//count", "//", "count", "//median:x",
+		"susp.invalid~3//count", "bg.area!=A|B//count", "core.identity>=true//count",
+	} {
+		f.Add(expr)
+	}
+	f.Fuzz(func(t *testing.T, expr string) {
+		p, err := query.Parse(s, expr, resolve)
+		if err == nil && p == nil {
+			t.Fatalf("Parse(%q) returned neither a query nor an error", expr)
+		}
+	})
+}

@@ -295,3 +295,35 @@ func TestDecodeDatasetErrors(t *testing.T) {
 		t.Fatalf("valid dataset: %v", err)
 	}
 }
+
+// FuzzDecodeDataset requires every dataset DecodeDataset accepts to
+// encode again.
+func FuzzDecodeDataset(f *testing.F) {
+	d := &Dataset{Instrument: "Sample", Responses: []Response{
+		{Token: "r1", Answers: map[string]Answer{"q4": {Level: 2}}},
+	}}
+	dd, err := EncodeDataset(d)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dd)
+	mk := func(answers string) []byte {
+		return []byte(`{"instrument":"I","version":"1","responses":[` +
+			`{"token":"r0001","answers":{"q1":{"choice":"true"}}},` +
+			`{"token":"r0002","answers":{` + answers + `}}]}`)
+	}
+	f.Add(mk(`"q2":{"level":3}`))
+	f.Add(mk(`"q7":{"level":"high"}`))
+	f.Add(mk(`"q2":5`))
+	f.Add([]byte(`{"responses":[{"token":"a","answers":{}},17]}`))
+	f.Add([]byte(`{"responses": 12}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := DecodeDataset(data)
+		if err != nil {
+			return
+		}
+		if _, err := EncodeDataset(d); err != nil {
+			t.Fatalf("EncodeDataset of accepted dataset failed: %v", err)
+		}
+	})
+}

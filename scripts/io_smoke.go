@@ -10,8 +10,10 @@
 // on: columnar generation, parallel binary encode, format sniffing,
 // streaming decode, grading off loaded columns, reporting. It also
 // checks that bad flag values are rejected before any work: an unknown
-// fpgen -format leaves an existing -o file byte-identical, and
-// `fpreport -fig 23` exits 2.
+// fpgen -format leaves an existing -o file byte-identical,
+// `fpreport -fig 23` exits 2, and a negative cohort size (`fpgen -n`,
+// `fpreport -n`, `fpreport -nstudents`) exits 2 naming the flag,
+// without a panic, with its run-ledger record appended.
 //
 // Run via `make io-smoke` (or `go run scripts/io_smoke.go` from the
 // repo root). Exits 0 and prints PASS on success.
@@ -23,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 func fail(format string, args ...any) {
@@ -116,6 +119,29 @@ func main() {
 	}
 	if _, code := run(fpreport, "-fig", "23", "-n", "1000000"); code != 2 {
 		fail("fpreport -fig 23 exited %d, want 2", code)
+	}
+	ledgerPath := filepath.Join(tmp, "ledger.jsonl")
+	for i, c := range []struct{ bin, flag string }{{fpgen, "-n"}, {fpreport, "-n"}, {fpreport, "-nstudents"}} {
+		args := []string{c.flag, "-1", "-runlog", ledgerPath}
+		if c.bin == fpgen {
+			args = append(args, "-o", binPath)
+		}
+		cmd := exec.Command(c.bin, args...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+			fail("%s %s -1: got %v, want exit status 2", filepath.Base(c.bin), c.flag, err)
+		}
+		if msg := stderr.String(); strings.Contains(msg, "panic:") || !strings.Contains(msg, c.flag+" ") {
+			fail("%s %s -1: stderr %q should name the flag and not panic", filepath.Base(c.bin), c.flag, msg)
+		}
+		if ledger, err := os.ReadFile(ledgerPath); err != nil || bytes.Count(ledger, []byte("\n")) != i+1 {
+			fail("%s %s -1: run ledger should hold %d records (err %v)", filepath.Base(c.bin), c.flag, i+1, err)
+		}
+	}
+	if after, err := os.ReadFile(binPath); err != nil || !bytes.Equal(after, before) {
+		fail("fpgen -n -1 modified the existing -o file (%d -> %d bytes, err %v)", len(before), len(after), err)
 	}
 
 	st, _ := os.Stat(binPath)
