@@ -26,7 +26,7 @@ bench:
 # this as part of the full gate.
 bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/telemetry/ ./internal/parallel/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI' \
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI' \
 		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/ ./internal/stats/
 
 # End-to-end check of the live-introspection surface: runs fpgen with

@@ -70,6 +70,10 @@ func TestInterventionReportEmptyCohort(t *testing.T) {
 	checkNoRespondents(t, (*Results).InterventionReport)
 }
 
+func TestConfidenceReportEmptyCohort(t *testing.T) {
+	checkNoRespondents(t, (*Results).ConfidenceReport)
+}
+
 // TestAnalysesAllocsFlat guards the columnar analyses against a
 // returning per-respondent row view: their allocation counts must not
 // grow from n=2,000 to n=20,000.
@@ -92,6 +96,7 @@ func TestAnalysesAllocsFlat(t *testing.T) {
 		{"ItemAnalysis", (*Results).ItemAnalysis},
 		{"CalibrationReport", (*Results).CalibrationReport},
 		{"FactorAssociation", (*Results).FactorAssociation},
+		{"InterventionReport", (*Results).InterventionReport},
 	} {
 		ns := testing.AllocsPerRun(1, func() { a.run(small) })
 		nb := testing.AllocsPerRun(1, func() { a.run(big) })

@@ -19,6 +19,10 @@ func (r *Results) ConfidenceReport() report.Table {
 		Title:  "Confidence vs accuracy on the core quiz (the \"yet are confident\" analysis)",
 		Header: []string{"Confidence band", "n", "mean committed", "accuracy when committed", "vs coin flip"},
 	}
+	if r.Main.Cols.Len() == 0 {
+		t.Notes = append(t.Notes, noRespondents)
+		return t
+	}
 	type row struct {
 		committed float64 // fraction of 15 answered T/F
 		accuracy  float64 // correct / committed

@@ -114,11 +114,11 @@ func (r *Results) RunTrainingIntervention(level string) TrainingIntervention {
 	return r.trainingInterventions([]string{level})[0]
 }
 
-// trainingInterventions generates, for each level, the study's cohort
-// with everyone's formal training forced to that level, and grades it.
-// The question models are fitted once, on the untreated cohort, and
-// shared by every treated cohort. Each cohort is graded and dropped
-// before the next is drawn.
+// trainingInterventions scores, for each level, the study's cohort with
+// everyone's formal training forced to that level. The question models
+// are fitted once, on the untreated cohort, and every level is scored
+// from the same draws (respondent.TreatedCoreCorrect); no treated
+// cohort is generated or graded.
 func (r *Results) trainingInterventions(levels []string) []TrainingIntervention {
 	tallies, _ := r.Tallies()
 	base := meanCorrect(tallies)
@@ -126,17 +126,21 @@ func (r *Results) trainingInterventions(levels []string) []TrainingIntervention 
 	for k, level := range levels {
 		overrides[k] = func(p *respondent.Profile) { p.FormalTraining = level }
 	}
+	n := r.Study.NMain
+	counts := respondent.TreatedCoreCorrect(r.Study.Seed, n, r.workers, overrides)
 	out := make([]TrainingIntervention, len(levels))
-	respondent.GenerateTreatedColumnar(r.Study.Seed, r.Study.NMain, r.workers, overrides,
-		respondent.Instrumentation{}, func(k int, pop *respondent.Population) {
-			treated := meanCorrect(quiz.ScoreAllColumns(pop.Cols, r.workers).Core)
-			out[k] = TrainingIntervention{
-				Level:       levels[k],
-				BaseMean:    base,
-				TreatedMean: treated,
-				Gain:        treated - base,
-			}
-		})
+	for k, c := range counts {
+		treated := 0.0
+		if n > 0 {
+			treated = float64(c) / float64(n)
+		}
+		out[k] = TrainingIntervention{
+			Level:       levels[k],
+			BaseMean:    base,
+			TreatedMean: treated,
+			Gain:        treated - base,
+		}
+	}
 	return out
 }
 

@@ -42,7 +42,7 @@ func BenchmarkCalibrateModels(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				models := calibrateModels(0, profiles, Instrumentation{})
+				models := calibrateModels(0, profiles, quizSpecs(), Instrumentation{})
 				if len(models) == 0 {
 					b.Fatal("calibration produced no models")
 				}
@@ -60,7 +60,7 @@ func BenchmarkGenerateBlocks(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
-			models := calibrateModels(0, benchProfiles(min(n, calibrationCap)), Instrumentation{})
+			models := calibrateModels(0, benchProfiles(min(n, calibrationCap)), quizSpecs(), Instrumentation{})
 			d := quiz.Columns().NewDataset("1.0", n)
 			cs := newColSampler(d, models, paperdata.Figure22Main)
 			scratch := newBlockScratch()
@@ -75,4 +75,26 @@ func BenchmarkGenerateBlocks(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/respondent")
 		})
 	}
+}
+
+// BenchmarkTreatedCoreCorrect times the training intervention's scoring
+// at n=50,000: calibrating the core models on the untreated cohort and
+// counting the correct core answers under each of the four formal
+// training levels from shared draws.
+func BenchmarkTreatedCoreCorrect(b *testing.B) {
+	const n = 50_000
+	var overrides []func(*Profile)
+	for _, level := range []string{
+		"None",
+		"One or more lectures in course",
+		"One or more weeks within a course",
+		"One or more courses",
+	} {
+		overrides = append(overrides, func(p *Profile) { p.FormalTraining = level })
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		TreatedCoreCorrect(42, n, 0, overrides)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/respondent")
 }

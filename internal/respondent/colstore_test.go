@@ -155,7 +155,7 @@ func TestSampleZeroAlloc(t *testing.T) {
 	const n = 64
 	calib := make([]Profile, n)
 	drawProfileBlocks(1, 42, calib, nil)
-	models := calibrateModels(0, calib, Instrumentation{})
+	models := calibrateModels(0, calib, quizSpecs(), Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", n)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	b := newBlockScratch()
@@ -172,6 +172,32 @@ func TestSampleZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: fused block allocates %.1f allocs/block, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestTreatedCountZeroAlloc pins the same contract for the training
+// intervention's block pass: drawing a block's backgrounds once,
+// deriving every override's abilities and counting every override's
+// correct core answers must not touch the heap once the worker's
+// scratch has grown.
+func TestTreatedCountZeroAlloc(t *testing.T) {
+	const n = 64
+	calib := make([]Profile, n)
+	drawProfileBlocks(1, 42, calib, nil)
+	specs := quizSpecs()[:len(quiz.CoreQuestions())]
+	overrides := []func(*Profile){
+		nil,
+		func(p *Profile) { p.FormalTraining = "None" },
+		func(p *Profile) { p.FormalTraining = "One or more courses" },
+	}
+	tc := newTreatedCounter(calibrateModels(0, calib, specs, Instrumentation{}), overrides)
+	b := newTreatedScratch()
+	counts := make([]int, len(overrides))
+	allocs := testing.AllocsPerRun(50, func() {
+		tc.countBlock(b, 42, 0, n, counts)
+	})
+	if allocs != 0 {
+		t.Fatalf("treated block count allocates %.1f allocs/block, want 0", allocs)
 	}
 }
 
@@ -234,7 +260,7 @@ func BenchmarkSampleBlock(b *testing.B) {
 	const blockN = 1024
 	calib := make([]Profile, blockN)
 	drawProfileBlocks(0, 42, calib, nil)
-	models := calibrateModels(0, calib, Instrumentation{})
+	models := calibrateModels(0, calib, quizSpecs(), Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", blockN)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	scratch := newBlockScratch()

@@ -383,45 +383,27 @@ func drawProfileBlocks(workers int, seed int64, profiles []Profile, override fun
 // instrumentation records the stage span tree (draw-profiles for the
 // calibration prefix → calibrate → sample-responses for the fused pass)
 // and streams per-block progress; it never affects the generated data.
-// A non-nil override yields the treated cohort GenerateTreatedColumnar
-// samples for it.
+// A non-nil override is applied to every background before abilities
+// are derived, while the question models are still fitted to the
+// untreated cohort: that is the treated cohort TreatedCoreCorrect
+// scores.
 func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
 	workers = parallel.Workers(workers, n)
-	models := calibratePrefix(workers, seed, n, inst)
+	models := calibratePrefix(workers, seed, n, quizSpecs(), inst)
 	return sampleColumnar(workers, seed, n, override, models, inst)
 }
 
-// GenerateTreatedColumnar runs policy experiments ("what if everyone
-// had a full course of floating point training?"). It fits the question
-// models once, to the untreated cohort for (seed, n). Then, per
-// override, it generates the treated cohort, with the override applied
-// to every background before abilities are derived, and samples its
-// responses straight into columns with those models. Calibrating
-// against the untreated world lets an intervention show a real shift
-// instead of being normalized away. Each treated profile replays the
-// per-index stream its untreated twin consumed, a paired
-// (common-random-numbers) design. emit receives cohort k as soon as it
-// is sampled, so a caller that grades and drops each cohort holds one
-// at a time.
-func GenerateTreatedColumnar(seed int64, n, workers int, overrides []func(*Profile), inst Instrumentation, emit func(k int, pop *Population)) {
-	workers = parallel.Workers(workers, n)
-	models := calibratePrefix(workers, seed, n, inst)
-	for k, override := range overrides {
-		emit(k, sampleColumnar(workers, seed, n, override, models, inst))
-	}
-}
-
-// calibratePrefix fits the question models for an n-respondent cohort.
+// calibratePrefix fits the models of specs for an n-respondent cohort.
 // Calibration reads at most calibrationCap abilities, and profile i
 // depends only on (seed, i), so only the untreated prefix is drawn,
 // under a draw-profiles span.
-func calibratePrefix(workers int, seed int64, n int, inst Instrumentation) []questionModel {
+func calibratePrefix(workers int, seed int64, n int, specs []modelSpec, inst Instrumentation) []questionModel {
 	sp := inst.Span.StartChild("draw-profiles")
 	calib := make([]Profile, min(n, calibrationCap))
 	drawProfileBlocks(workers, seed, calib, nil)
 	sp.AddItems(int64(len(calib)))
 	sp.End()
-	return calibrateModels(workers, calib, inst)
+	return calibrateModels(workers, calib, specs, inst)
 }
 
 // sampleColumnar generates an n-respondent cohort with the calibrated
@@ -445,19 +427,20 @@ func sampleColumnar(workers int, seed int64, n int, override func(*Profile), mod
 	return &Population{Cols: d}
 }
 
-// calibrateModels builds the per-question response models with
-// calibration targets from Figures 14/15 and bisects each question's
-// difficulty offset against the calib cohort's ability distribution,
-// using one shared ability kernel per ability kind (the exp(-a) array
-// is computed once and reused by all ~19 bisections).
-func calibrateModels(workers int, calib []Profile, inst Instrumentation) []questionModel {
+// modelSpec is one question model before calibration, with the correct
+// fraction its offset is bisected to reach.
+type modelSpec struct {
+	qm     questionModel
+	target float64
+}
+
+// quizSpecs returns the uncalibrated models of every scored question,
+// with targets from Figures 14/15: the core questions first, then the
+// optimization questions. A model's position is its response
+// sub-stream, so core question k samples on sub-stream k.
+func quizSpecs() []modelSpec {
 	// The oracle-backed answer key is computed once (cached in quiz) and
 	// shared read-only by every worker.
-	type modelSpec struct {
-		qm      questionModel
-		target  float64
-		optAbil bool
-	}
 	var specs []modelSpec
 	for i, q := range quiz.CoreQuestions() {
 		row := paperdata.Figure14Core[i]
@@ -483,30 +466,50 @@ func calibrateModels(workers int, calib []Profile, inst Instrumentation) []quest
 		if !q.IsTrueFalse() {
 			qm.choiceSet = q.Choices
 		}
-		specs = append(specs, modelSpec{qm: qm, target: row.Correct / 100, optAbil: true})
+		specs = append(specs, modelSpec{qm: qm, target: row.Correct / 100})
 	}
+	return specs
+}
+
+// calibrateModels bisects each spec's difficulty offset against the
+// calib cohort's ability distribution, using one shared ability kernel
+// per ability kind the specs read (the exp(-a) array is computed once
+// and reused by every bisection of that kind). Each bisection is
+// independent, so a model's offset does not depend on which other
+// specs are calibrated alongside it.
+func calibrateModels(workers int, calib []Profile, specs []modelSpec, inst Instrumentation) []questionModel {
 	csp := inst.Span.StartChild("calibrate")
 	m := min(len(calib), calibrationCap)
-	coreAbil, optAbil := make([]float64, m), make([]float64, m)
-	for i := range coreAbil {
-		coreAbil[i], optAbil[i] = calib[i].Ability, calib[i].OptAbility
+	// One kernel per ability kind the specs read, keyed by abilityOpt;
+	// a kind no spec reads is not built.
+	kernels := map[bool]*abilityKernel{}
+	for _, s := range specs {
+		opt := s.qm.abilityOpt
+		if kernels[opt] != nil {
+			continue
+		}
+		abil := make([]float64, m)
+		for i := range abil {
+			abil[i] = calib[i].Ability
+			if opt {
+				abil[i] = calib[i].OptAbility
+			}
+		}
+		kernels[opt] = newAbilityKernel(workers, abil)
 	}
-	coreKernel := newAbilityKernel(workers, coreAbil)
-	optKernel := newAbilityKernel(workers, optAbil)
 	// Calibrate the questions concurrently; each bisection is
 	// independent and deterministic.
-	models := parallel.Map(workers, len(specs), func(i int) questionModel {
-		s := specs[i]
-		k := coreKernel
-		if s.optAbil {
-			k = optKernel
-		}
-		qm := s.qm
-		t0 := telemetry.Start()
-		qm.offset = k.calibrate(1, qm, s.target, make([]float64, len(k.abil)))
-		telemetry.Done(telemetry.StageCalibrate, i, t0, int64(i), 0)
-		return qm
-	})
+	// Each worker reuses one weights buffer for all its bisections.
+	models := make([]questionModel, len(specs))
+	parallel.ForEachWith(workers, len(specs), func() []float64 { return make([]float64, m) },
+		func(w []float64, i int) {
+			s := specs[i]
+			qm := s.qm
+			t0 := telemetry.Start()
+			qm.offset = kernels[qm.abilityOpt].calibrate(1, qm, s.target, w)
+			telemetry.Done(telemetry.StageCalibrate, i, t0, int64(i), 0)
+			models[i] = qm
+		})
 	csp.AddItems(int64(len(specs)))
 	csp.End()
 	return models

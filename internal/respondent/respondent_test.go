@@ -417,52 +417,60 @@ func TestGenerateMainColumnarOverride(t *testing.T) {
 // contributed codebase forced to >1M lines.
 const goldenTreatedSHA = "8a0c65d4f9add64be62c4ee3475917a6c795483ec6bd9cffb1b806917496219d"
 
-// TestGenerateTreatedMatchesGenerateMainColumnar checks that fitting
-// the question models once and sampling several treated cohorts off
-// them yields, per override, exactly the cohort GenerateMainColumnar
-// generates for that override alone, at workers 1 and 4.
+// TestGenerateTreatedMatchesGenerateMainColumnar checks that scoring
+// several treated cohorts from shared draws yields, per override,
+// exactly the correct core answers of the cohort GenerateMainColumnar
+// generates for that override alone, graded: at workers 1 and 4, from
+// an empty cohort through one past a block boundary to one past
+// calibrationCap. At n=0 it returns zeros without calibrating.
 func TestGenerateTreatedMatchesGenerateMainColumnar(t *testing.T) {
 	// parallel.Workers clamps worker counts to GOMAXPROCS.
 	if runtime.GOMAXPROCS(0) < 4 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
-	const seed, n = 77, 600
+	const seed = 77
 	var overrides []func(*Profile)
 	for _, level := range []string{"None", "One or more courses"} {
 		overrides = append(overrides, func(p *Profile) { p.FormalTraining = level })
 	}
 	overrides = append(overrides, func(p *Profile) { p.Area = "Mathematics" })
-	for _, workers := range []int{1, 4} {
-		emitted := 0
-		GenerateTreatedColumnar(seed, n, workers, overrides, Instrumentation{}, func(k int, got *Population) {
-			emitted++
-			want := GenerateMainColumnar(seed, n, workers, overrides[k], Instrumentation{}).Cols
-			if got.Cols.Len() != n {
-				t.Fatalf("workers=%d override %d: %d respondents, want %d", workers, k, got.Cols.Len(), n)
+	sizes := []int{0, 1, 600, 4097, calibrationCap + 4464}
+	if testing.Short() {
+		sizes = sizes[:4]
+	}
+	for _, n := range sizes {
+		for _, workers := range []int{1, 4} {
+			got := TreatedCoreCorrect(seed, n, workers, overrides)
+			if len(got) != len(overrides) {
+				t.Fatalf("n=%d workers=%d: %d counts, want %d", n, workers, len(got), len(overrides))
 			}
-			for ci := 0; ci < want.Schema.NumColumns(); ci++ {
-				if !reflect.DeepEqual(got.Cols.RawU8(ci), want.RawU8(ci)) ||
-					!reflect.DeepEqual(got.Cols.RawI32(ci), want.RawI32(ci)) ||
-					!reflect.DeepEqual(got.Cols.RawU64(ci), want.RawU64(ci)) {
-					t.Fatalf("workers=%d override %d: column %s differs", workers, k, want.Schema.Column(ci).ID)
+			for k, override := range overrides {
+				cols := GenerateMainColumnar(seed, n, workers, override, Instrumentation{}).Cols
+				want := 0
+				for _, tl := range quiz.ScoreAllColumns(cols, workers).Core {
+					want += tl.Correct
+				}
+				if got[k] != want {
+					t.Errorf("n=%d workers=%d override %d: %d correct, want %d", n, workers, k, got[k], want)
 				}
 			}
-		})
-		if emitted != len(overrides) {
-			t.Fatalf("workers=%d: %d cohorts emitted, want %d", workers, emitted, len(overrides))
 		}
+	}
+	// The empty cohort allocates only its zero counts: no calibration.
+	if allocs := testing.AllocsPerRun(1, func() { TreatedCoreCorrect(seed, 0, 4, overrides) }); allocs > 1 {
+		t.Errorf("n=0: %.0f allocations, want only the counts", allocs)
 	}
 }
 
 // TestCalibrationReadsOnlyCapPrefix pins the property that lets
-// GenerateTreatedColumnar draw only calibrationCap untreated profiles:
+// calibratePrefix draw only calibrationCap untreated profiles:
 // the models fitted on a larger cohort equal those fitted on its
 // prefix.
 func TestCalibrationReadsOnlyCapPrefix(t *testing.T) {
 	profiles := make([]Profile, calibrationCap+500)
 	drawProfileBlocks(0, 5, profiles, nil)
-	full := calibrateModels(0, profiles, Instrumentation{})
-	prefix := calibrateModels(0, profiles[:calibrationCap], Instrumentation{})
+	full := calibrateModels(0, profiles, quizSpecs(), Instrumentation{})
+	prefix := calibrateModels(0, profiles[:calibrationCap], quizSpecs(), Instrumentation{})
 	if !reflect.DeepEqual(full, prefix) {
 		t.Fatal("calibration depends on profiles past calibrationCap")
 	}

@@ -1,6 +1,7 @@
 package runlog
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -215,4 +216,35 @@ func TestHostKey(t *testing.T) {
 	if got := h.Key(); got != "linux/amd64 cpu=4 procs=4 go1.24.0 serial" {
 		t.Errorf("serial Key() = %q", got)
 	}
+}
+
+// FuzzRead feeds arbitrary ledger bytes to Read, optionally after one
+// line over maxLine (built here, so the corpus stays small). Read must
+// not panic or hang, must not fail on a readable file, and must account
+// for at most one record or skip per line.
+func FuzzRead(f *testing.F) {
+	good := `{"schema":1,"tool":"fpgen","timestamp":"2026-08-08T00:00:00Z","wall_seconds":1,"exit_status":0}`
+	f.Add([]byte(good+"\n"), false)
+	f.Add([]byte(good+"\n\n"+good), false)
+	f.Add([]byte{}, false)
+	f.Fuzz(func(t *testing.T, data []byte, overlong bool) {
+		if overlong {
+			data = append([]byte(strings.Repeat("x", maxLine+1)+"\n"), data...)
+		}
+		path := filepath.Join(t.TempDir(), "ledger.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		recs, skipped, err := Read(path)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		lines := bytes.Count(data, []byte("\n"))
+		if len(data) > 0 && data[len(data)-1] != '\n' {
+			lines++ // the truncated final line
+		}
+		if len(recs)+skipped > lines {
+			t.Fatalf("%d records + %d skipped from %d lines", len(recs), skipped, lines)
+		}
+	})
 }
