@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"fpstudy/internal/colstore"
+	"fpstudy/internal/query"
+	"fpstudy/internal/quiz"
+	"fpstudy/internal/respondent"
 	"fpstudy/internal/telemetry"
 )
 
@@ -93,6 +98,57 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 		for i := range got.figures {
 			if got.figures[i] != want.figures[i] {
 				t.Errorf("workers=%d: %s differs from sequential run", workers, fingerprintLabel(i))
+			}
+		}
+	}
+}
+
+// TestWorkerInvarianceBeyondTwoCPUs runs worker counts that exceed a
+// small host's CPUs: with GOMAXPROCS raised to 8, an n=50,000 cohort
+// (13 scan blocks, 13 generation shards) must give the same intervention
+// counts and the same query result over its in-memory columns and over
+// its FPDS shard at workers 1, 3 and 8.
+func TestWorkerInvarianceBeyondTwoCPUs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("50,000-respondent cohort; skipped in -short mode")
+	}
+	const n, seed = 50_000, 42
+	raiseGOMAXPROCS(t, 8)
+	var overrides []func(*respondent.Profile)
+	for _, level := range []string{"None", "One or more courses"} {
+		overrides = append(overrides, func(p *respondent.Profile) { p.FormalTraining = level })
+	}
+	d := respondent.GenerateMainColumnar(seed, n, 0, nil, respondent.Instrumentation{}).Cols
+	s := d.Schema
+	q := query.Query{
+		Filter: []query.Predicate{query.U64Any{Col: s.MustColumnIndex(quiz.BGInformal), Mask: 0b11}},
+		Key: query.SingleKey{Col: s.MustColumnIndex(quiz.BGContribSize),
+			Options: s.Column(s.MustColumnIndex(quiz.BGContribSize)).Options},
+		Values: []query.Value{query.LikertValue{Col: s.MustColumnIndex("susp.overflow")}},
+	}
+	sources := map[string]query.Source{
+		"memory": query.NewDatasetSource(d),
+		"shard":  query.NewShardSource(shardOf(t, d, colstore.IOOptions{})),
+	}
+	wantCounts := respondent.TreatedCoreCorrect(seed, n, 1, overrides)
+	want, err := query.Run(sources["memory"], q, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.TotalCount() == 0 {
+		t.Fatal("query selects no rows")
+	}
+	for _, workers := range []int{1, 3, 8} {
+		if got := respondent.TreatedCoreCorrect(seed, n, workers, overrides); !reflect.DeepEqual(got, wantCounts) {
+			t.Errorf("workers=%d: intervention counts %v, want %v", workers, got, wantCounts)
+		}
+		for name, src := range sources {
+			got, err := query.Run(src, q, workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s workers=%d: query result differs from the in-memory serial run", name, workers)
 			}
 		}
 	}

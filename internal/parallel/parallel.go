@@ -55,11 +55,21 @@ func Workers(workers, n int) int {
 	return workers
 }
 
-// grain is the number of indices a worker claims per fetch in ForEach.
-// Work items in this repository (drawing a profile, grading a
-// respondent) cost microseconds, so a small grain amortizes the atomic
-// without hurting load balance.
+// grain caps the number of indices a worker claims per atomic fetch.
+// Items range from one respondent (grading, an exp) to a whole
+// 4096-respondent shard or 8192-row FPDS block, so the claim is sized
+// to the loop (see claimSize): a long loop of cheap items claims grain
+// at a time to amortize the atomic, and a short loop of expensive items
+// claims one at a time so that every worker gets some.
 const grain = 64
+
+// claimSize is the number of indices one fetch claims in a loop of n
+// items over workers goroutines: about a quarter of each worker's share,
+// between 1 and grain. It changes only which worker runs an index,
+// never what the index computes.
+func claimSize(n, workers int) int {
+	return min(max(n/(4*workers), 1), grain)
+}
 
 // ForEach runs fn(i) for every i in [0, n) using at most workers
 // goroutines (workers <= 0 means DefaultWorkers). fn must confine its
@@ -74,7 +84,7 @@ func ForEach(workers, n int, fn func(i int)) {
 
 // ForEachWith is ForEach with per-worker scratch state: each worker
 // goroutine calls newC once and passes the result to every fn it runs.
-// The index→worker assignment is dynamic (work stealing by grain), so
+// The index→worker assignment is dynamic (work stealing by claim), so
 // the scratch value must never influence fn's output — it exists to
 // hoist allocations out of the per-item path (a reusable RNG that is
 // reseeded per index, a scratch buffer). Under that contract the result
@@ -105,6 +115,7 @@ func forEachIndexed[C any](workers, n int, newC func() C, fn func(c C, w, i int)
 	// wall0 is zero when nothing observes, which keeps every clock read
 	// below off the uninstrumented path.
 	wall0 := telemetry.Start()
+	claim := claimSize(n, workers)
 	var next, busyNS atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -121,14 +132,11 @@ func forEachIndexed[C any](workers, n int, newC func() C, fn func(c C, w, i int)
 			}
 			c := newC()
 			for {
-				lo := int(next.Add(grain)) - grain
+				lo := int(next.Add(int64(claim))) - claim
 				if lo >= n {
 					return
 				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
+				hi := min(lo+claim, n)
 				for i := lo; i < hi; i++ {
 					fn(c, w, i)
 				}

@@ -6,22 +6,116 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fpstudy/internal/telemetry"
 )
 
-func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 16} {
-		for _, n := range []int{0, 1, 63, 64, 65, 1000} {
-			seen := make([]int32, n)
-			ForEach(workers, n, func(i int) { atomic.AddInt32(&seen[i], 1) })
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
+// TestEveryHelperVisitsEachIndexOnce checks that ForEach, ForEachWith,
+// Map, MapShards and SumShards visit every index of [0, n) exactly once
+// at every worker count from 1 to 8, with GOMAXPROCS raised so that
+// Workers does not clamp the larger counts away, and that SumShards
+// stays bit-identical to the serial shard-order sum.
+func TestEveryHelperVisitsEachIndexOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	// Terms of wildly varying magnitude, so that any other summation
+	// order would change the rounded result.
+	term := func(i int) float64 { return 1.0 / float64(i+1) / float64((i%977)+1) }
+	for _, n := range []int{0, 1, 2, 7, 13, 63, 64, 65, 4097, 100000} {
+		serial := 0.0
+		for s := 0; s < NumShards(n); s++ {
+			lo, hi := ShardBounds(s, n)
+			sub := 0.0
+			for i := lo; i < hi; i++ {
+				sub += term(i)
+			}
+			serial += sub
+		}
+		for workers := 1; workers <= 8; workers++ {
+			check := func(helper string, visit func(seen []int32)) {
+				seen := make([]int32, n)
+				visit(seen)
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("%s workers=%d n=%d: index %d visited %d times", helper, workers, n, i, c)
+					}
 				}
+			}
+			check("ForEach", func(seen []int32) {
+				ForEach(workers, n, func(i int) { atomic.AddInt32(&seen[i], 1) })
+			})
+			check("ForEachWith", func(seen []int32) {
+				var made atomic.Int32
+				ForEachWith(workers, n, func() int { made.Add(1); return 0 },
+					func(_ int, i int) { atomic.AddInt32(&seen[i], 1) })
+				if n > 0 && int(made.Load()) > Workers(workers, n) {
+					t.Fatalf("ForEachWith workers=%d n=%d: %d scratch values made", workers, n, made.Load())
+				}
+			})
+			check("Map", func(seen []int32) {
+				for i, v := range Map(workers, n, func(i int) int { atomic.AddInt32(&seen[i], 1); return i }) {
+					if v != i {
+						t.Fatalf("Map workers=%d n=%d: out[%d] = %d", workers, n, i, v)
+					}
+				}
+			})
+			check("MapShards", func(seen []int32) {
+				for s, lo := range MapShards(workers, n, func(lo, hi int) int {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&seen[i], 1)
+					}
+					return lo
+				}) {
+					if want, _ := ShardBounds(s, n); lo != want {
+						t.Fatalf("MapShards workers=%d n=%d: shard %d starts at %d, want %d", workers, n, s, lo, want)
+					}
+				}
+			})
+			check("SumShards", func(seen []int32) {
+				got := SumShards(workers, n, func(lo, hi int) float64 {
+					sub := 0.0
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&seen[i], 1)
+						sub += term(i)
+					}
+					return sub
+				})
+				if math.Float64bits(got) != math.Float64bits(serial) {
+					t.Fatalf("SumShards workers=%d n=%d: %v, serial shard-order sum %v", workers, n, got, serial)
+				}
+			})
+		}
+	}
+}
+
+// TestShortLoopSpreadsAcrossWorkers checks that a loop of as few items
+// as workers hands each worker an item: each of two calls waits until
+// the other has started, which only two concurrent workers can
+// satisfy. It runs the loop through ForEach (two indices) and through
+// MapShards (two shards).
+func TestShortLoopSpreadsAcrossWorkers(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	// meet returns a body for items 0 and 1 that marks its item started
+	// and waits a few seconds at most for the other one.
+	meet := func(helper string) func(i int) {
+		started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+		return func(i int) {
+			close(started[i])
+			select {
+			case <-started[1-i]:
+			case <-time.After(5 * time.Second):
+				t.Errorf("%s: item %d ran while item %d waited unclaimed", helper, i, 1-i)
 			}
 		}
 	}
+	ForEach(2, 2, meet("ForEach"))
+	body := meet("MapShards")
+	MapShards(2, 2*shardSize, func(lo, _ int) struct{} {
+		body(lo / shardSize)
+		return struct{}{}
+	})
 }
 
 func TestMapOrdered(t *testing.T) {

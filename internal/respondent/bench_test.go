@@ -21,14 +21,6 @@ func skipLarge(b *testing.B, n int) {
 	}
 }
 
-// benchProfiles draws an n-respondent profile cohort once (setup, not
-// timed by the callers).
-func benchProfiles(n int) []Profile {
-	profiles := make([]Profile, n)
-	drawProfileBlocks(0, 42, profiles, nil)
-	return profiles
-}
-
 // BenchmarkCalibrateModels times the calibration stage in isolation:
 // building the ability kernels and bisecting every question model's
 // difficulty offset against the paper's Figure 14/15 targets. Reported
@@ -37,12 +29,12 @@ func BenchmarkCalibrateModels(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
-			profiles := benchProfiles(min(n, calibrationCap))
-			cohort := len(profiles)
+			core, opt := drawAbilities(0, 42, min(n, calibrationCap))
+			cohort := len(core)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				models := calibrateModels(0, profiles, quizSpecs(), Instrumentation{})
+				models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 				if len(models) == 0 {
 					b.Fatal("calibration produced no models")
 				}
@@ -60,7 +52,8 @@ func BenchmarkGenerateBlocks(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
-			models := calibrateModels(0, benchProfiles(min(n, calibrationCap)), quizSpecs(), Instrumentation{})
+			core, opt := drawAbilities(0, 42, min(n, calibrationCap))
+			models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 			d := quiz.Columns().NewDataset("1.0", n)
 			cs := newColSampler(d, models, paperdata.Figure22Main)
 			scratch := newBlockScratch()

@@ -153,9 +153,8 @@ func TestColumnarMaterializeEqualsLegacyRows(t *testing.T) {
 // sampling their responses into the columns must not touch the heap.
 func TestSampleZeroAlloc(t *testing.T) {
 	const n = 64
-	calib := make([]Profile, n)
-	drawProfileBlocks(1, 42, calib, nil)
-	models := calibrateModels(0, calib, quizSpecs(), Instrumentation{})
+	core, opt := drawAbilities(1, 42, n)
+	models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", n)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	b := newBlockScratch()
@@ -182,15 +181,14 @@ func TestSampleZeroAlloc(t *testing.T) {
 // scratch has grown.
 func TestTreatedCountZeroAlloc(t *testing.T) {
 	const n = 64
-	calib := make([]Profile, n)
-	drawProfileBlocks(1, 42, calib, nil)
+	core, opt := drawAbilities(1, 42, n)
 	specs := quizSpecs()[:len(quiz.CoreQuestions())]
 	overrides := []func(*Profile){
 		nil,
 		func(p *Profile) { p.FormalTraining = "None" },
 		func(p *Profile) { p.FormalTraining = "One or more courses" },
 	}
-	tc := newTreatedCounter(calibrateModels(0, calib, specs, Instrumentation{}), overrides)
+	tc := newTreatedCounter(calibrateModels(0, core, opt, specs, Instrumentation{}), overrides)
 	b := newTreatedScratch()
 	counts := make([]int, len(overrides))
 	allocs := testing.AllocsPerRun(50, func() {
@@ -258,9 +256,8 @@ func TestCalibrationSweepZeroAlloc(t *testing.T) {
 // and responses for one block, reported per respondent.
 func BenchmarkSampleBlock(b *testing.B) {
 	const blockN = 1024
-	calib := make([]Profile, blockN)
-	drawProfileBlocks(0, 42, calib, nil)
-	models := calibrateModels(0, calib, quizSpecs(), Instrumentation{})
+	core, opt := drawAbilities(0, 42, blockN)
+	models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", blockN)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	scratch := newBlockScratch()

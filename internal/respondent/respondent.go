@@ -361,19 +361,23 @@ func GenerateMain(seed int64, n int) *Population {
 	return p
 }
 
-// drawProfileBlocks fills profiles by fixed 4096-respondent blocks,
-// one xoshiro generator per worker repositioned per respondent. Profile
-// i depends only on (seed, i).
-func drawProfileBlocks(workers int, seed int64, profiles []Profile, override func(*Profile)) {
-	n := len(profiles)
-	parallel.ForEachWith(workers, parallel.NumShards(n), parallel.NewXRand,
-		func(rng *parallel.XRand, s int) {
-			lo, hi := parallel.ShardBounds(s, n)
+// drawAbilities draws the untreated profiles 0..m-1 by fixed
+// 4096-respondent blocks, each into its worker's scratch Profile with
+// one xoshiro generator per worker repositioned per respondent, and
+// keeps only their core and optimization abilities. Both depend only on
+// (seed, i).
+func drawAbilities(workers int, seed int64, m int) (core, opt []float64) {
+	core, opt = make([]float64, m), make([]float64, m)
+	parallel.ForEachWith(workers, parallel.NumShards(m), newBlockScratch,
+		func(b *blockScratch, s int) {
+			lo, hi := parallel.ShardBounds(s, m)
 			for i := lo; i < hi; i++ {
-				rng.SeedAt(seed, streamProfile, int64(i))
-				drawProfile(rng, &profiles[i], override)
+				b.rng.SeedAt(seed, streamProfile, int64(i))
+				drawProfile(b.rng, &b.p, nil)
+				core[i], opt[i] = b.p.Ability, b.p.OptAbility
 			}
 		})
+	return core, opt
 }
 
 // GenerateMainColumnar generates the main cohort directly into columns,
@@ -395,15 +399,14 @@ func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), i
 
 // calibratePrefix fits the models of specs for an n-respondent cohort.
 // Calibration reads at most calibrationCap abilities, and profile i
-// depends only on (seed, i), so only the untreated prefix is drawn,
-// under a draw-profiles span.
+// depends only on (seed, i), so only the untreated prefix's abilities
+// are drawn, under a draw-profiles span.
 func calibratePrefix(workers int, seed int64, n int, specs []modelSpec, inst Instrumentation) []questionModel {
 	sp := inst.Span.StartChild("draw-profiles")
-	calib := make([]Profile, min(n, calibrationCap))
-	drawProfileBlocks(workers, seed, calib, nil)
-	sp.AddItems(int64(len(calib)))
+	core, opt := drawAbilities(workers, seed, min(n, calibrationCap))
+	sp.AddItems(int64(len(core)))
 	sp.End()
-	return calibrateModels(workers, calib, specs, inst)
+	return calibrateModels(workers, core, opt, specs, inst)
 }
 
 // sampleColumnar generates an n-respondent cohort with the calibrated
@@ -472,30 +475,26 @@ func quizSpecs() []modelSpec {
 }
 
 // calibrateModels bisects each spec's difficulty offset against the
-// calib cohort's ability distribution, using one shared ability kernel
-// per ability kind the specs read (the exp(-a) array is computed once
-// and reused by every bisection of that kind). Each bisection is
-// independent, so a model's offset does not depend on which other
-// specs are calibrated alongside it.
-func calibrateModels(workers int, calib []Profile, specs []modelSpec, inst Instrumentation) []questionModel {
+// calibration cohort's ability distribution: core[i] and opt[i] are
+// respondent i's core and optimization abilities. It uses one shared
+// ability kernel per ability kind the specs read (the exp(-a) array is
+// computed once and reused by every bisection of that kind). Each
+// bisection is independent, so a model's offset does not depend on
+// which other specs are calibrated alongside it.
+func calibrateModels(workers int, core, opt []float64, specs []modelSpec, inst Instrumentation) []questionModel {
 	csp := inst.Span.StartChild("calibrate")
-	m := min(len(calib), calibrationCap)
+	m := min(len(core), calibrationCap)
 	// One kernel per ability kind the specs read, keyed by abilityOpt;
 	// a kind no spec reads is not built.
 	kernels := map[bool]*abilityKernel{}
 	for _, s := range specs {
-		opt := s.qm.abilityOpt
-		if kernels[opt] != nil {
-			continue
-		}
-		abil := make([]float64, m)
-		for i := range abil {
-			abil[i] = calib[i].Ability
-			if opt {
-				abil[i] = calib[i].OptAbility
+		if kind := s.qm.abilityOpt; kernels[kind] == nil {
+			abil := core
+			if kind {
+				abil = opt
 			}
+			kernels[kind] = newAbilityKernel(workers, abil)
 		}
-		kernels[opt] = newAbilityKernel(workers, abil)
 	}
 	// Calibrate the questions concurrently; each bisection is
 	// independent and deterministic.

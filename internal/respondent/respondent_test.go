@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"fpstudy/internal/paperdata"
+	"fpstudy/internal/parallel"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/stats"
 	"fpstudy/internal/survey"
@@ -30,7 +31,11 @@ var testProfiles = drawProfiles(42, testN)
 
 func drawProfiles(seed int64, n int) []Profile {
 	profiles := make([]Profile, n)
-	drawProfileBlocks(0, seed, profiles, nil)
+	rng := parallel.NewXRand()
+	for i := range profiles {
+		rng.SeedAt(seed, streamProfile, int64(i))
+		drawProfile(rng, &profiles[i], nil)
+	}
 	return profiles
 }
 
@@ -463,14 +468,13 @@ func TestGenerateTreatedMatchesGenerateMainColumnar(t *testing.T) {
 }
 
 // TestCalibrationReadsOnlyCapPrefix pins the property that lets
-// calibratePrefix draw only calibrationCap untreated profiles:
+// calibratePrefix draw only calibrationCap untreated abilities:
 // the models fitted on a larger cohort equal those fitted on its
 // prefix.
 func TestCalibrationReadsOnlyCapPrefix(t *testing.T) {
-	profiles := make([]Profile, calibrationCap+500)
-	drawProfileBlocks(0, 5, profiles, nil)
-	full := calibrateModels(0, profiles, quizSpecs(), Instrumentation{})
-	prefix := calibrateModels(0, profiles[:calibrationCap], quizSpecs(), Instrumentation{})
+	core, opt := drawAbilities(0, 5, calibrationCap+500)
+	full := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
+	prefix := calibrateModels(0, core[:calibrationCap], opt[:calibrationCap], quizSpecs(), Instrumentation{})
 	if !reflect.DeepEqual(full, prefix) {
 		t.Fatal("calibration depends on profiles past calibrationCap")
 	}
