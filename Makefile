@@ -18,16 +18,17 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Memory gate: fails if the per-respondent sampling, calibration, or
-# grading inner loops allocate, if a telemetry probe call or trace emit
-# allocates, or if the serial SumShards reduction allocates with the
-# probe installed (the Test*ZeroAlloc tests assert the contracts via
+# grading inner loops allocate, if a score query's Gather allocates,
+# if a telemetry probe call or trace emit allocates, or if the serial
+# SumShards reduction allocates with the probe installed (the
+# Test*ZeroAlloc tests assert the contracts via
 # testing.AllocsPerRun), then prints the allocation profile of the
 # per-stage hot-path benchmarks. CHECK_BENCH_MEM=1 make check runs
 # this as part of the full gate.
 bench-mem:
-	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/telemetry/ ./internal/parallel/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI' \
-		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/core/ ./internal/stats/
+	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/telemetry/ ./internal/parallel/
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI|BenchmarkRunScore' \
+		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/core/ ./internal/stats/
 
 # End-to-end check of the live-introspection surface: runs fpgen with
 # -telemetry and asserts /debug/vars serves live fpstudy metrics.

@@ -25,24 +25,15 @@ func (r *Results) CalibrationReport() report.Table {
 		t.Notes = append(t.Notes, noRespondents)
 		return t
 	}
-	tab := quiz.ScoreTableFor(d.Schema)
+	tabs, _ := quiz.OutcomeTables(d.Schema)
 	fails := 0
 	for i, q := range quiz.CoreQuestions() {
 		row := paperdata.Figure14Core[i]
-		var c, inc, dk, un int
-		for j := 0; j < n; j++ {
-			switch tab.ClassifyCore(d, j, i) {
-			case quiz.OutcomeCorrect:
-				c++
-			case quiz.OutcomeIncorrect:
-				inc++
-			case quiz.OutcomeDontKnow:
-				dk++
-			case quiz.OutcomeUnanswered:
-				un++
-			}
+		counts := countOutcomes(&tabs[i], d.RawU8(tabs[i].Col)[:n])
+		observed := []int{
+			counts[quiz.OutcomeCorrect], counts[quiz.OutcomeIncorrect],
+			counts[quiz.OutcomeDontKnow], counts[quiz.OutcomeUnanswered],
 		}
-		observed := []int{c, inc, dk, un}
 		expected := []float64{row.Correct, row.Incorrect, row.DontKnow, row.Unanswered}
 		stat, df := stats.ChiSquareGOF(observed, expected)
 		crit := stats.ChiSquareCritical05(df)

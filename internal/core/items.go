@@ -28,25 +28,30 @@ func (r *Results) ItemAnalysis() report.Table {
 		return t
 	}
 	qs := quiz.CoreQuestions()
-	tab := quiz.ScoreTableFor(d.Schema)
+	tabs, _ := quiz.OutcomeTables(d.Schema)
 
 	// Per-respondent per-item correctness and total scores, one core
-	// column at a time. correct[i*n+j] is 1 when respondent j got
-	// question i right.
+	// column at a time through the question's outcome table.
+	// correct[i*n+j] is 1 when respondent j got question i right.
 	correct := make([]int, len(qs)*n)
 	totals := make([]float64, n)
 	dkCount := make([]int, len(qs))
 	for i := range qs {
-		ci := correct[i*n : (i+1)*n]
-		for j := range ci {
-			switch tab.ClassifyCore(d, j, i) {
-			case quiz.OutcomeCorrect:
-				ci[j] = 1
-				totals[j]++
-			case quiz.OutcomeDontKnow:
-				dkCount[i]++
+		tab := &tabs[i]
+		var isCorrect [256]int
+		for code, o := range tab.ByCode {
+			if o == quiz.OutcomeCorrect {
+				isCorrect[code] = 1
 			}
 		}
+		col := d.RawU8(tab.Col)[:n]
+		ci := correct[i*n : (i+1)*n]
+		for j, code := range col {
+			c := isCorrect[code]
+			ci[j] = c
+			totals[j] += float64(c)
+		}
+		dkCount[i] = countOutcomes(tab, col)[quiz.OutcomeDontKnow]
 	}
 
 	rest := make([]float64, n)
@@ -78,6 +83,20 @@ func (r *Results) ItemAnalysis() report.Table {
 	t.Notes = append(t.Notes,
 		"difficulty ~0.5 with positive discrimination = informative item; the paper's chance-level questions cluster there")
 	return t
+}
+
+// countOutcomes returns how many cells of a T/F column fall in each
+// outcome (indexed by quiz.PerQuestionOutcome): a histogram of the
+// codes, folded through the question's outcome table.
+func countOutcomes(tab *quiz.OutcomeTable, col []uint8) (counts [4]int) {
+	var byCode [256]int
+	for _, code := range col {
+		byCode[code]++
+	}
+	for code, c := range byCode {
+		counts[tab.ByCode[code]] += c
+	}
+	return counts
 }
 
 // noRespondents is the note an analysis renders, in place of any

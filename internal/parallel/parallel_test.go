@@ -119,6 +119,9 @@ func TestShortLoopSpreadsAcrossWorkers(t *testing.T) {
 }
 
 func TestMapOrdered(t *testing.T) {
+	// Raise GOMAXPROCS so Workers does not clamp the 4 and 16 legs on a
+	// small host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	for _, workers := range []int{1, 4, 16} {
 		out := Map(workers, 500, func(i int) int { return i * i })
 		for i, v := range out {
@@ -133,6 +136,8 @@ func TestSumShardsDeterministic(t *testing.T) {
 	// A sum whose terms vary wildly in magnitude: naive reordering
 	// changes the rounded result, so agreement across worker counts
 	// demonstrates the fixed shard boundaries + ordered fan-in.
+	// GOMAXPROCS is raised so every worker count runs as asked.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	n := 100000
 	term := func(i int) float64 { return 1.0 / float64(i+1) / float64((i%977)+1) }
 	sum := func(workers int) float64 {

@@ -57,6 +57,12 @@ func randomAnswer(rng *rand.Rand, q survey.Question) (survey.Answer, bool) {
 // instrument, including spill paths.
 func randomCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 	t.Helper()
+	return toColumns(t, randomSurvey(rng, n))
+}
+
+// randomSurvey draws n seeded-random row responses over the quiz
+// instrument; about one answer in five is left unanswered.
+func randomSurvey(rng *rand.Rand, n int) *survey.Dataset {
 	ins := quiz.Instrument()
 	ds := &survey.Dataset{Instrument: ins.Title, Version: ins.Version,
 		Responses: make([]survey.Response, n)}
@@ -72,6 +78,12 @@ func randomCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 			}
 		}
 	}
+	return ds
+}
+
+// toColumns anonymizes a row dataset and converts it to columns.
+func toColumns(t *testing.T, ds *survey.Dataset) *colstore.Dataset {
+	t.Helper()
 	ds.Anonymize()
 	cols, err := colstore.FromSurvey(quiz.Columns(), ds)
 	if err != nil {
@@ -82,7 +94,7 @@ func randomCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 
 // sources returns the in-memory and streaming views of the same
 // cohort (the shard is encoded to bytes and re-opened).
-func sources(t *testing.T, d *colstore.Dataset) (mem, shard query.Source) {
+func sources(t testing.TB, d *colstore.Dataset) (mem, shard query.Source) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := d.EncodeBinary(&buf, colstore.IOOptions{}); err != nil {

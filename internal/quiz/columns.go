@@ -44,8 +44,8 @@ type colItem struct {
 // for the whole process — the canonical schema's table is built under a
 // sync.Once and shared read-only — so grading and figure loops consult
 // pure in-memory codes no matter how many respondents they touch.
-// Fetch it once per batch with ScoreTableFor and call the Classify
-// methods per cell.
+// ScoreColumnsAt grades a respondent from it; whole-column kernels read
+// its per-code form, OutcomeTables.
 type ScoreTable struct {
 	core  []colItem // 15 core questions, paper order
 	optTF []colItem // the three T/F optimization questions, paper order
@@ -186,40 +186,4 @@ func ScoreAllColumns(d *colstore.Dataset, workers int) Grades {
 	})
 	telemetry.Done(telemetry.StageGradeBatch, 0, t0, int64(n), oracleExcs.Load()-exc0)
 	return g
-}
-
-// ClassifyCore returns the outcome of respondent i on core question k
-// (paper order). Figure loops fetch the table once per batch and call
-// this per cell, keeping the per-cell cost at two column reads.
-func (t *ScoreTable) ClassifyCore(d *colstore.Dataset, i, k int) PerQuestionOutcome {
-	it := t.core[k]
-	return classifyTFCode(d.TF(it.ci, i), it.correct)
-}
-
-// ClassifyOpt returns the outcome of respondent i on optimization
-// question k (paper order: MADD, FTZ, Level, Fast-math).
-func (t *ScoreTable) ClassifyOpt(d *colstore.Dataset, i, k int) PerQuestionOutcome {
-	switch k {
-	case 0:
-		return classifyTFCode(d.TF(t.optTF[0].ci, i), t.optTF[0].correct)
-	case 1:
-		return classifyTFCode(d.TF(t.optTF[1].ci, i), t.optTF[1].correct)
-	case 2:
-		return t.classifyLevelCode(d.SingleCode(t.levelCol, i))
-	default:
-		return classifyTFCode(d.TF(t.optTF[2].ci, i), t.optTF[2].correct)
-	}
-}
-
-// ClassifyCoreAt returns the outcome of respondent i on core question
-// k (paper order) of a columnar dataset.
-func ClassifyCoreAt(d *colstore.Dataset, i, k int) PerQuestionOutcome {
-	return ScoreTableFor(d.Schema).ClassifyCore(d, i, k)
-}
-
-// ClassifyOptAt returns the outcome of respondent i on optimization
-// question k (paper order: MADD, FTZ, Level, Fast-math) of a columnar
-// dataset.
-func ClassifyOptAt(d *colstore.Dataset, i, k int) PerQuestionOutcome {
-	return ScoreTableFor(d.Schema).ClassifyOpt(d, i, k)
 }

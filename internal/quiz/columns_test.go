@@ -75,9 +75,8 @@ func TestScoreColumnsFixtureValues(t *testing.T) {
 	}
 }
 
-// TestClassifyAtMatchesRows cross-checks the per-question columnar
-// classifiers and the outcome tables against the row classifier for
-// every question slot.
+// TestClassifyAtMatchesRows cross-checks the outcome tables against
+// the row classifier for every question slot.
 func TestClassifyAtMatchesRows(t *testing.T) {
 	d := columnarFixture(t)
 	rows := d.ToSurvey()
@@ -92,18 +91,12 @@ func TestClassifyAtMatchesRows(t *testing.T) {
 		r := rows.Responses[i]
 		for k, q := range CoreQuestions() {
 			want := ClassifyCore(r, q)
-			if got := ClassifyCoreAt(d, i, k); got != want {
-				t.Fatalf("respondent %d core[%d]=%s: %v != %v", i, k, q.ID, got, want)
-			}
 			if got := byTable(&coreTabs[k], i); got != want {
 				t.Fatalf("respondent %d core[%d]=%s: table %v != %v", i, k, q.ID, got, want)
 			}
 		}
 		for k, q := range OptQuestions() {
 			want := ClassifyOpt(r, q)
-			if got := ClassifyOptAt(d, i, k); got != want {
-				t.Fatalf("respondent %d opt[%d]=%s: %v != %v", i, k, q.ID, got, want)
-			}
 			if got := byTable(&optTabs[k], i); got != want {
 				t.Fatalf("respondent %d opt[%d]=%s: table %v != %v", i, k, q.ID, got, want)
 			}

@@ -9,44 +9,50 @@ import (
 )
 
 // scoreValue is a query.Value counting one grading outcome per
-// respondent across a quiz's questions. It runs column-major over the
-// block — one pass per question over dense codes — so grading an
-// n=10M streamed cohort needs no per-respondent Tally materialization.
+// respondent across a quiz's questions. Each T/F question carries a
+// 256-entry table, 1 where its outcome table gives the requested
+// outcome and 0 elsewhere, so Gather adds one lookup per cell, one
+// column at a time, with no branch on the answer. A respondent's value
+// is a count of at most 16, so every sum is exact.
 type scoreValue struct {
-	items   []colItem
-	table   *ScoreTable // non-nil when the Level question is included
-	outcome PerQuestionOutcome
+	tf []hitTable
+	// level is the Standard-compliant Level question (nil when not
+	// included); hit[o] is 1 for the requested outcome o.
+	level *OutcomeTable
+	hit   [4]float64
 }
 
-func (v scoreValue) Columns() []int {
-	cols := make([]int, 0, len(v.items)+1)
-	for _, it := range v.items {
-		cols = append(cols, it.ci)
+// hitTable is one T/F question's column and its per-code increment.
+type hitTable struct {
+	col  int
+	hits [256]float64
+}
+
+func (v *scoreValue) Columns() []int {
+	cols := make([]int, 0, len(v.tf)+1)
+	for i := range v.tf {
+		cols = append(cols, v.tf[i].col)
 	}
-	if v.table != nil {
-		cols = append(cols, v.table.levelCol)
+	if v.level != nil {
+		cols = append(cols, v.level.Col)
 	}
 	return cols
 }
 
-func (v scoreValue) Gather(b *query.Block, dst []float64, ok []bool) {
-	for j := range dst {
-		dst[j], ok[j] = 0, true
+func (v *scoreValue) Gather(b *query.Block, dst []float64, ok []bool) {
+	clear(dst)
+	for j := range ok {
+		ok[j] = true
 	}
-	for _, it := range v.items {
-		col := b.U8(it.ci)
-		for j := range dst {
-			if classifyTFCode(col[j], it.correct) == v.outcome {
-				dst[j]++
-			}
+	for i := range v.tf {
+		t := &v.tf[i]
+		for j, code := range b.U8(t.col)[:len(dst)] {
+			dst[j] += t.hits[code]
 		}
 	}
-	if v.table != nil {
-		col := b.I32(v.table.levelCol)
-		for j := range dst {
-			if v.table.classifyLevelCode(col[j]) == v.outcome {
-				dst[j]++
-			}
+	if v.level != nil {
+		for j, code := range b.I32(v.level.Col)[:len(dst)] {
+			dst[j] += v.hit[v.level.Outcome(code)]
 		}
 	}
 }
@@ -63,37 +69,46 @@ func QueryValue(s *colstore.Schema, name string) (query.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("quiz: unknown value %q (want <quiz>.<field>, e.g. core.score)", name)
 	}
-	t := ScoreTableFor(s)
-	v := scoreValue{}
-	switch quizName {
-	case "core":
-		v.items = t.core
-	case "opt":
-		v.items = t.optTF
-	case "optall":
-		v.items = t.optTF
-		v.table = t
-	default:
+	if quizName != "core" && quizName != "opt" && quizName != "optall" {
 		return nil, fmt.Errorf("quiz: unknown quiz %q (want core, opt, or optall)", quizName)
 	}
+	var outcome PerQuestionOutcome
 	switch field {
 	case "score", "correct":
-		v.outcome = OutcomeCorrect
+		outcome = OutcomeCorrect
 	case "incorrect":
-		v.outcome = OutcomeIncorrect
+		outcome = OutcomeIncorrect
 	case "dontknow":
-		v.outcome = OutcomeDontKnow
+		outcome = OutcomeDontKnow
 	case "unanswered":
-		v.outcome = OutcomeUnanswered
+		outcome = OutcomeUnanswered
 	default:
 		return nil, fmt.Errorf("quiz: unknown field %q (want score, incorrect, dontknow, or unanswered)", field)
+	}
+	tabs, opt := OutcomeTables(s)
+	if quizName != "core" {
+		tabs = opt
+	}
+	v := &scoreValue{tf: make([]hitTable, 0, len(tabs))}
+	v.hit[outcome] = 1
+	for i := range tabs {
+		t := &tabs[i]
+		switch {
+		case t.TF:
+			h := hitTable{col: t.Col}
+			for code, o := range t.ByCode {
+				h.hits[code] = v.hit[o]
+			}
+			v.tf = append(v.tf, h)
+		case quizName == "optall":
+			v.level = t
+		}
 	}
 	return v, nil
 }
 
-// OutcomeTable is one quiz question's outcome by answer code: the
-// table-driven form of ClassifyCoreAt and ClassifyOptAt, for kernels
-// that classify a whole column at a time.
+// OutcomeTable is one quiz question's outcome by answer code, for
+// kernels that classify a whole column at a time.
 type OutcomeTable struct {
 	// Col is the question's schema column: truefalse codes for a T/F
 	// question, single-choice codes for Standard-compliant Level.
@@ -125,8 +140,9 @@ func OutcomeTables(s *colstore.Schema) (core, opt []OutcomeTable) {
 		}
 		return o
 	}
-	for _, it := range t.core {
-		core = append(core, tf(it))
+	core = make([]OutcomeTable, len(t.core))
+	for k, it := range t.core {
+		core[k] = tf(it)
 	}
 	level := OutcomeTable{Col: t.levelCol}
 	for code := range level.ByCode {

@@ -29,7 +29,7 @@ func BenchmarkCalibrateModels(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
-			core, opt := drawAbilities(0, 42, min(n, calibrationCap))
+			core, opt := drawAbilities(0, 42, min(n, calibrationCap), true)
 			cohort := len(core)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -52,7 +52,7 @@ func BenchmarkGenerateBlocks(b *testing.B) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
-			core, opt := drawAbilities(0, 42, min(n, calibrationCap))
+			core, opt := drawAbilities(0, 42, min(n, calibrationCap), true)
 			models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 			d := quiz.Columns().NewDataset("1.0", n)
 			cs := newColSampler(d, models, paperdata.Figure22Main)

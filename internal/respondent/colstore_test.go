@@ -153,7 +153,7 @@ func TestColumnarMaterializeEqualsLegacyRows(t *testing.T) {
 // sampling their responses into the columns must not touch the heap.
 func TestSampleZeroAlloc(t *testing.T) {
 	const n = 64
-	core, opt := drawAbilities(1, 42, n)
+	core, opt := drawAbilities(1, 42, n, true)
 	models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", n)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
@@ -181,7 +181,7 @@ func TestSampleZeroAlloc(t *testing.T) {
 // scratch has grown.
 func TestTreatedCountZeroAlloc(t *testing.T) {
 	const n = 64
-	core, opt := drawAbilities(1, 42, n)
+	core, opt := drawAbilities(1, 42, n, false)
 	specs := quizSpecs()[:len(quiz.CoreQuestions())]
 	overrides := []func(*Profile){
 		nil,
@@ -256,7 +256,7 @@ func TestCalibrationSweepZeroAlloc(t *testing.T) {
 // and responses for one block, reported per respondent.
 func BenchmarkSampleBlock(b *testing.B) {
 	const blockN = 1024
-	core, opt := drawAbilities(0, 42, blockN)
+	core, opt := drawAbilities(0, 42, blockN, true)
 	models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", blockN)
 	cs := newColSampler(d, models, paperdata.Figure22Main)

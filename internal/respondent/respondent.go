@@ -364,17 +364,24 @@ func GenerateMain(seed int64, n int) *Population {
 // drawAbilities draws the untreated profiles 0..m-1 by fixed
 // 4096-respondent blocks, each into its worker's scratch Profile with
 // one xoshiro generator per worker repositioned per respondent, and
-// keeps only their core and optimization abilities. Both depend only on
+// keeps only their core abilities and, when withOpt is set, their
+// optimization abilities (opt is nil otherwise). Both depend only on
 // (seed, i).
-func drawAbilities(workers int, seed int64, m int) (core, opt []float64) {
-	core, opt = make([]float64, m), make([]float64, m)
+func drawAbilities(workers int, seed int64, m int, withOpt bool) (core, opt []float64) {
+	core = make([]float64, m)
+	if withOpt {
+		opt = make([]float64, m)
+	}
 	parallel.ForEachWith(workers, parallel.NumShards(m), newBlockScratch,
 		func(b *blockScratch, s int) {
 			lo, hi := parallel.ShardBounds(s, m)
 			for i := lo; i < hi; i++ {
 				b.rng.SeedAt(seed, streamProfile, int64(i))
 				drawProfile(b.rng, &b.p, nil)
-				core[i], opt[i] = b.p.Ability, b.p.OptAbility
+				core[i] = b.p.Ability
+				if withOpt {
+					opt[i] = b.p.OptAbility
+				}
 			}
 		})
 	return core, opt
@@ -400,10 +407,15 @@ func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), i
 // calibratePrefix fits the models of specs for an n-respondent cohort.
 // Calibration reads at most calibrationCap abilities, and profile i
 // depends only on (seed, i), so only the untreated prefix's abilities
-// are drawn, under a draw-profiles span.
+// are drawn, under a draw-profiles span; the optimization abilities
+// only when a spec reads them.
 func calibratePrefix(workers int, seed int64, n int, specs []modelSpec, inst Instrumentation) []questionModel {
+	withOpt := false
+	for _, s := range specs {
+		withOpt = withOpt || s.qm.abilityOpt
+	}
 	sp := inst.Span.StartChild("draw-profiles")
-	core, opt := drawAbilities(workers, seed, min(n, calibrationCap))
+	core, opt := drawAbilities(workers, seed, min(n, calibrationCap), withOpt)
 	sp.AddItems(int64(len(core)))
 	sp.End()
 	return calibrateModels(workers, core, opt, specs, inst)
@@ -480,7 +492,8 @@ func quizSpecs() []modelSpec {
 // ability kernel per ability kind the specs read (the exp(-a) array is
 // computed once and reused by every bisection of that kind). Each
 // bisection is independent, so a model's offset does not depend on
-// which other specs are calibrated alongside it.
+// which other specs are calibrated alongside it. opt may be nil when no
+// spec reads the optimization ability.
 func calibrateModels(workers int, core, opt []float64, specs []modelSpec, inst Instrumentation) []questionModel {
 	csp := inst.Span.StartChild("calibrate")
 	m := min(len(core), calibrationCap)

@@ -472,7 +472,7 @@ func TestGenerateTreatedMatchesGenerateMainColumnar(t *testing.T) {
 // the models fitted on a larger cohort equal those fitted on its
 // prefix.
 func TestCalibrationReadsOnlyCapPrefix(t *testing.T) {
-	core, opt := drawAbilities(0, 5, calibrationCap+500)
+	core, opt := drawAbilities(0, 5, calibrationCap+500, true)
 	full := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
 	prefix := calibrateModels(0, core[:calibrationCap], opt[:calibrationCap], quizSpecs(), Instrumentation{})
 	if !reflect.DeepEqual(full, prefix) {

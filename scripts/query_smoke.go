@@ -70,6 +70,9 @@ func main() {
 		"//count",
 		"susp.invalid>=4/bg.contrib_size/count",
 		"/bg.formal_training/mean:core.score",
+		"/bg.contrib_size/mean:opt.score",
+		"bg.formal_training!=None/bg.area/sum:optall.dontknow",
+		"//mean:core.unanswered",
 		"bg.formal_training!=None/bg.contrib_size/mean:susp.invalid",
 	}
 	for _, expr := range exprs {
