@@ -19,8 +19,6 @@ import (
 	"fpstudy/internal/core"
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/kernels"
-	"fpstudy/internal/monitor"
 	"fpstudy/internal/mpfloat"
 	"fpstudy/internal/optsim"
 	"fpstudy/internal/quiz"
@@ -277,77 +275,6 @@ func BenchmarkSoftfloatSqrt(b *testing.B) {
 	}
 }
 
-// Kernel workloads under the exception monitor.
-
-func BenchmarkKernelLorenz(b *testing.B) {
-	k := kernels.Lorenz(1000, 0.005)
-	for i := 0; i < b.N; i++ {
-		_, _ = monitor.Run(ieee754.Binary64, k.Run)
-	}
-}
-
-func BenchmarkKernelNBody(b *testing.B) {
-	k := kernels.NBody(100, 0.01)
-	for i := 0; i < b.N; i++ {
-		_, _ = monitor.Run(ieee754.Binary64, k.Run)
-	}
-}
-
-// Ablation: compensated vs naive summation (design-choice benchmark
-// from DESIGN.md).
-
-func BenchmarkAblationSumNaive(b *testing.B) {
-	k := kernels.SumNaive(5000)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-func BenchmarkAblationSumKahan(b *testing.B) {
-	k := kernels.SumKahan(5000)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-// Ablation: fused vs separate multiply-add (the MADD question).
-
-func BenchmarkAblationDotSeparate(b *testing.B) {
-	k := kernels.DotProduct(2000, false)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-func BenchmarkAblationDotFused(b *testing.B) {
-	k := kernels.DotProduct(2000, true)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-// Ablation: IEEE gradual underflow vs FTZ/DAZ mode.
-
-func BenchmarkAblationDecayIEEE(b *testing.B) {
-	k := kernels.DecayUnderflow()
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-func BenchmarkAblationDecayFTZ(b *testing.B) {
-	k := kernels.DecayUnderflow()
-	e := ieee754.Env{FTZ: true, DAZ: true}
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
 // Optimization simulator compliance sweep (the optimization quiz
 // oracle's workload).
 
@@ -426,42 +353,6 @@ func BenchmarkVectorizedSumDivergence(b *testing.B) {
 	}
 }
 
-// Ablation: LU with and without pivoting.
-
-func BenchmarkAblationLUPivot(b *testing.B) {
-	k := kernels.LUSolve(20, true)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-func BenchmarkAblationLUNoPivot(b *testing.B) {
-	k := kernels.LUSolve(20, false)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-// Ablation: Euler vs RK4 Lorenz integration.
-
-func BenchmarkAblationLorenzEuler(b *testing.B) {
-	k := kernels.Lorenz(1000, 0.002)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
-func BenchmarkAblationLorenzRK4(b *testing.B) {
-	k := kernels.LorenzRK4(100, 0.02)
-	var e ieee754.Env
-	for i := 0; i < b.N; i++ {
-		_ = k.Run(&e, ieee754.Binary64)
-	}
-}
-
 // Supplementary analyses printed once: confidence calibration and the
 // chi-square calibration report.
 
@@ -486,19 +377,5 @@ func BenchmarkCalibrationReport(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = r.CalibrationReport()
-	}
-}
-
-// Suspicion-ranking empirical validation (printed once).
-
-func BenchmarkSuspicionValidation(b *testing.B) {
-	if _, loaded := printedOnce.LoadOrStore("suspicion-evidence", true); !loaded {
-		fmt.Printf("\nSuspicion ranking, empirically validated on the kernel corpus\n")
-		fmt.Printf("==============================================================\n%s\n",
-			monitor.FormatEvidence(monitor.ValidateSuspicionRanking(0.01)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = monitor.ValidateSuspicionRanking(0.01)
 	}
 }

@@ -36,22 +36,6 @@ func ExampleCoreQuestions() {
 	// assertion holds: false
 }
 
-// The exception monitor audits a computation's sticky flags — here a
-// divide-by-zero that leaves no NaN in the output.
-func ExampleMonitorKernel() {
-	for _, k := range fpstudy.Kernels() {
-		if k.Name != "hidden-infinity" {
-			continue
-		}
-		res, rep := fpstudy.MonitorKernel(fpstudy.Binary64, k.Run)
-		fmt.Println("output:", fpstudy.Binary64.String(res))
-		fmt.Println("divide-by-zero events:", rep.DivByZero)
-	}
-	// Output:
-	// output: 0
-	// divide-by-zero events: 1
-}
-
 // Compliance checking answers the optimization quiz mechanically.
 func ExampleCheckCompliance() {
 	n, _ := fpstudy.ParseExpr("a*b + c")

@@ -1,10 +1,10 @@
 // Package fpstudy reproduces "Do Developers Understand IEEE Floating
 // Point?" (Dinda & Hetland, IPDPS 2018) as a runnable system: a
 // from-scratch IEEE 754 softfloat oracle, a compiler-optimization
-// simulator, a runtime exception monitor, an arbitrary-precision shadow
-// executor, the paper's survey instrument with mechanically derived
-// answers, a calibrated synthetic respondent population, and the
-// analysis pipeline that regenerates every figure in the paper.
+// simulator, an arbitrary-precision shadow executor, the paper's survey
+// instrument with mechanically derived answers, a calibrated synthetic
+// respondent population, and the analysis pipeline that regenerates
+// every figure in the paper.
 //
 // This package is the public facade: it re-exports the main types and
 // entry points from the internal packages. See DESIGN.md for the system
@@ -29,8 +29,6 @@ import (
 	"fpstudy/internal/core"
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/kernels"
-	"fpstudy/internal/monitor"
 	"fpstudy/internal/mpfloat"
 	"fpstudy/internal/optsim"
 	"fpstudy/internal/quiz"
@@ -124,37 +122,10 @@ func VectorizeSum(n ExprNode, lanes int) (ExprNode, bool) {
 	return optsim.VectorizeSum(n, lanes)
 }
 
-// --- Exception monitor and kernels ---
-
-// Monitor watches a computation's floating point exceptions.
-type Monitor = monitor.Monitor
-
-// MonitorReport is the audit of one monitored execution.
-type MonitorReport = monitor.Report
+// --- Suspicion quiz conditions ---
 
 // Condition is a suspicion-quiz exceptional condition.
-type Condition = monitor.Condition
-
-// NewMonitor creates an exception monitor with a default environment.
-func NewMonitor() *Monitor { return monitor.New() }
-
-// Tracer is a Monitor that also logs the first exceptional operations.
-type Tracer = monitor.Tracer
-
-// NewTracer creates a tracer watching the given flags (0 = all).
-func NewTracer(watch Flags, limit int) *Tracer { return monitor.NewTracer(watch, limit) }
-
-// Kernel is a runnable numerical workload.
-type Kernel = kernels.Kernel
-
-// Kernels returns the standard kernel suite.
-func Kernels() []Kernel { return kernels.All() }
-
-// MonitorKernel runs fn under a fresh monitor and returns result bits
-// plus the exception report.
-func MonitorKernel(f Format, fn func(*Env, Format) uint64) (uint64, MonitorReport) {
-	return monitor.Run(f, fn)
-}
+type Condition = quiz.Condition
 
 // --- Arbitrary precision shadow execution ---
 

@@ -222,7 +222,7 @@ func TestGoldenTelemetryInvariance(t *testing.T) {
 	// (otherwise this test would pass vacuously). fp.ops is deliberately
 	// not asserted: the oracle answer key is cached once per process, so
 	// whether these runs evaluate oracles depends on test order. The FP
-	// counters have their own tests in internal/monitor and internal/quiz.
+	// counters have their own tests in internal/quiz.
 	if reg.Snapshot().Counters[telemetry.MetricRespondents] == 0 {
 		t.Error("the probe was installed but observed no respondents")
 	}

@@ -1,7 +1,7 @@
 // Package expr provides a small arithmetic expression IR evaluated on
 // the ieee754 softfloat. It is the substrate for the compiler
-// optimization simulator (internal/optsim), for quiz-question witnesses,
-// and for the exception monitor's demonstration programs.
+// optimization simulator (internal/optsim) and for quiz-question
+// witnesses.
 //
 // Expressions are pure trees over named variables and decimal literals,
 // with the operators +, -, *, /, unary minus, sqrt(x), and fma(x,y,z).

@@ -147,7 +147,7 @@ type Env struct {
 	LastRaised Flags
 
 	// Observer, when non-nil, is invoked after every arithmetic
-	// operation. Used by the exception monitor.
+	// operation. The quiz oracles use it to count exceptions.
 	Observer func(OpEvent)
 
 	raised Flags // accumulates during the current operation

@@ -15,7 +15,7 @@
 // Values are represented as raw bit patterns (uint64) interpreted by a
 // Format. All arithmetic goes through an Env, which carries the rounding
 // mode, sticky exception flags, FTZ/DAZ controls, and an optional
-// per-operation observer used by the exception monitor.
+// per-operation observer used to count exceptions.
 package ieee754
 
 import "math/bits"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -66,10 +67,11 @@ func randomSurvey(rng *rand.Rand, n int) *survey.Dataset {
 	ins := quiz.Instrument()
 	ds := &survey.Dataset{Instrument: ins.Title, Version: ins.Version,
 		Responses: make([]survey.Response, n)}
+	qs := ins.Questions()
 	for i := range ds.Responses {
 		r := &ds.Responses[i]
-		r.Answers = map[string]survey.Answer{}
-		for _, q := range ins.Questions() {
+		r.Answers = make(map[string]survey.Answer, len(qs))
+		for _, q := range qs {
 			if rng.Intn(5) == 0 {
 				continue // unanswered
 			}
@@ -154,6 +156,7 @@ var workerCounts = []int{1, 4, 16}
 // multi-choice spills included), across worker counts and both source
 // kinds, selection-exact (row indices, not just counts).
 func TestPredicateKernelsVsReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	rng := rand.New(rand.NewSource(31))
 	s := quiz.Columns()
 	tfCol := s.MustColumnIndex(quiz.CoreQuestions()[0].ID)
@@ -226,6 +229,7 @@ func TestPredicateKernelsVsReference(t *testing.T) {
 // value and a derived quiz score, empty groups and unanswered rows
 // included, bit-identical at every worker count and on both sources.
 func TestGroupedAggregatesVsReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	rng := rand.New(rand.NewSource(32))
 	s := quiz.Columns()
 	keyCi := s.MustColumnIndex(quiz.BGFormalTraining)
@@ -320,13 +324,15 @@ func TestAllFalseSelection(t *testing.T) {
 // holds is the same at every worker count and between the in-memory
 // and streamed sources.
 func TestScanBlocks(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	rng := rand.New(rand.NewSource(36))
 	s := quiz.Columns()
 	tfCi := s.MustColumnIndex(quiz.CoreQuestions()[0].ID)
 	sglCi := s.MustColumnIndex(quiz.BGRole)
 	mulCi := s.MustColumnIndex(quiz.BGInformal)
 	cols := []int{tfCi, sglCi, mulCi}
-	const n = 2*query.BlockRows + 77
+	// At least one block per worker of the widest leg, plus a tail.
+	const n = 16*query.BlockRows + 77
 	d := randomCohort(t, rng, n)
 	mem, shard := sources(t, d)
 

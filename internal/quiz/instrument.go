@@ -1,7 +1,6 @@
 package quiz
 
 import (
-	"fpstudy/internal/monitor"
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/survey"
 )
@@ -24,15 +23,15 @@ const (
 // SuspicionItem is one condition of the suspicion quiz.
 type SuspicionItem struct {
 	ID        string
-	Condition monitor.Condition
+	Condition Condition
 	Prompt    string
 }
 
 // SuspicionItems returns the five suspicion-quiz items in the paper's
-// order, each tied to its monitor condition (whose GroundTruthSuspicion
-// provides the paper's "arguably reasonable ranking").
+// order, each tied to its Condition (whose GroundTruthSuspicion provides
+// the paper's "arguably reasonable ranking").
 func SuspicionItems() []SuspicionItem {
-	mk := func(c monitor.Condition, what string) SuspicionItem {
+	mk := func(c Condition, what string) SuspicionItem {
 		return SuspicionItem{
 			ID:        "susp." + lower(c.String()),
 			Condition: c,
@@ -41,11 +40,11 @@ func SuspicionItems() []SuspicionItem {
 		}
 	}
 	return []SuspicionItem{
-		mk(monitor.Overflow, "the result of an operation was an infinity."),
-		mk(monitor.Underflow, "the result of an operation was a zero because it was too small to represent."),
-		mk(monitor.Precision, "the result of an operation required rounding and thus lost precision."),
-		mk(monitor.Invalid, "the result of an operation was not a number at all (an invalid result)."),
-		mk(monitor.Denorm, "the result of an operation was a tiny number with reduced precision."),
+		mk(Overflow, "the result of an operation was an infinity."),
+		mk(Underflow, "the result of an operation was a zero because it was too small to represent."),
+		mk(Precision, "the result of an operation required rounding and thus lost precision."),
+		mk(Invalid, "the result of an operation was not a number at all (an invalid result)."),
+		mk(Denorm, "the result of an operation was a tiny number with reduced precision."),
 	}
 }
 

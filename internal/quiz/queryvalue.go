@@ -2,7 +2,9 @@ package quiz
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/query"
@@ -57,19 +59,32 @@ func (v *scoreValue) Gather(b *query.Block, dst []float64, ok []bool) {
 	}
 }
 
+// The quizzes a score value can count, in canonValues order.
+var queryQuizzes = [...]string{"core", "opt", "optall"}
+
+var (
+	canonValuesOnce sync.Once
+	// canonValues holds the score values of the canonical Columns()
+	// schema by quiz (queryQuizzes order) and outcome; they are
+	// read-only once built, so every query shares them.
+	canonValues [len(queryQuizzes)][4]*scoreValue
+)
+
 // QueryValue resolves a quiz measure name for the query engine:
 // "<quiz>.<field>" with quiz one of core (15 T/F questions), opt (the
 // three T/F optimization questions, the Figure 12 view), or optall
 // (all four), and field one of score (a synonym: correct), incorrect,
 // dontknow, unanswered. The value of a respondent is their count of
 // that outcome — e.g. core.score is the core quiz score graded against
-// the oracle answer key.
+// the oracle answer key. The canonical Columns() schema's values are
+// built once per process; any other schema's are built on the fly.
 func QueryValue(s *colstore.Schema, name string) (query.Value, error) {
 	quizName, field, ok := strings.Cut(name, ".")
 	if !ok {
 		return nil, fmt.Errorf("quiz: unknown value %q (want <quiz>.<field>, e.g. core.score)", name)
 	}
-	if quizName != "core" && quizName != "opt" && quizName != "optall" {
+	qi := slices.Index(queryQuizzes[:], quizName)
+	if qi < 0 {
 		return nil, fmt.Errorf("quiz: unknown quiz %q (want core, opt, or optall)", quizName)
 	}
 	var outcome PerQuestionOutcome
@@ -85,8 +100,27 @@ func QueryValue(s *colstore.Schema, name string) (query.Value, error) {
 	default:
 		return nil, fmt.Errorf("quiz: unknown field %q (want score, incorrect, dontknow, or unanswered)", field)
 	}
-	tabs, opt := OutcomeTables(s)
-	if quizName != "core" {
+	if s == Columns() {
+		canonValuesOnce.Do(func() {
+			core, opt := OutcomeTables(s)
+			for q, quiz := range queryQuizzes {
+				for o := range canonValues[q] {
+					canonValues[q][o] = newScoreValue(core, opt, quiz, PerQuestionOutcome(o))
+				}
+			}
+		})
+		return canonValues[qi][outcome], nil
+	}
+	core, opt := OutcomeTables(s)
+	return newScoreValue(core, opt, quizName, outcome), nil
+}
+
+// newScoreValue counts outcome over a quiz: the core tables for core,
+// the optimization tables otherwise, with the Level question only for
+// optall.
+func newScoreValue(core, opt []OutcomeTable, quiz string, outcome PerQuestionOutcome) *scoreValue {
+	tabs := core
+	if quiz != "core" {
 		tabs = opt
 	}
 	v := &scoreValue{tf: make([]hitTable, 0, len(tabs))}
@@ -100,11 +134,11 @@ func QueryValue(s *colstore.Schema, name string) (query.Value, error) {
 				h.hits[code] = v.hit[o]
 			}
 			v.tf = append(v.tf, h)
-		case quizName == "optall":
+		case quiz == "optall":
 			v.level = t
 		}
 	}
-	return v, nil
+	return v
 }
 
 // OutcomeTable is one quiz question's outcome by answer code, for

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/monitor"
 	"fpstudy/internal/telemetry"
 )
 
@@ -17,11 +16,11 @@ var oracleExcs atomic.Int64
 // oracleEnv returns the default IEEE environment the quiz oracles
 // evaluate under. While telemetry is on (a probe installed or a tracer
 // set) it attaches an observer that feeds the probe's exception
-// counters through monitor.CountingObserver — how many Overflow /
-// Underflow / Precision / Invalid / Denorm (plus divide-by-zero and
-// total) events the oracle evaluations produced — and the trace-batch
-// tally; otherwise it returns the bare environment so oracle evaluation
-// keeps the observer-free fast path.
+// counters through CountingObserver — how many Overflow / Underflow /
+// Precision / Invalid / Denorm (plus divide-by-zero and total) events
+// the oracle evaluations produced — and the trace-batch tally;
+// otherwise it returns the bare environment so oracle evaluation keeps
+// the observer-free fast path.
 //
 // Observation only: the observer sees each completed operation and its
 // raised flags but cannot change results, so the derived answer key is
@@ -34,11 +33,11 @@ func oracleEnv() ieee754.Env {
 		return e
 	}
 	reg := telemetry.Installed()
-	conds := map[monitor.Condition]monitor.EventCounter{}
-	for _, c := range monitor.Conditions() {
+	conds := map[Condition]EventCounter{}
+	for _, c := range Conditions() {
 		conds[c] = reg.Counter(c.MetricName())
 	}
-	count := monitor.CountingObserver(reg.Counter(telemetry.MetricFPOps), conds,
+	count := CountingObserver(reg.Counter(telemetry.MetricFPOps), conds,
 		reg.Counter(telemetry.MetricFPDivByZero))
 	e.Observer = func(ev ieee754.OpEvent) {
 		if ev.Raised != 0 {

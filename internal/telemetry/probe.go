@@ -63,7 +63,7 @@ const (
 	MetricInternedStrings = "colstore.interned_strings"
 
 	// The IEEE exception counters: the quiz oracles' environment feeds
-	// them through monitor.CountingObserver while a probe is installed.
+	// them through quiz.CountingObserver while a probe is installed.
 	// fp.ops counts every observed softfloat operation; each
 	// fp.exceptions.<cond> counts operations that raised the condition.
 	MetricFPOps       = "fp.ops"
