@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test bench bench-mem telemetry-smoke trace-smoke io-smoke query-smoke slo-smoke stat-smoke bench-gate profile
+.PHONY: check build test bench bench-mem trace-smoke io-smoke query-smoke slo-smoke stat-smoke bench-gate profile
 
 check:
 	sh scripts/check.sh
@@ -30,14 +30,10 @@ bench-mem:
 	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI|BenchmarkRunScore' \
 		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/core/ ./internal/stats/
 
-# End-to-end check of the live-introspection surface: runs fpgen with
-# -telemetry and asserts /debug/vars serves live fpstudy metrics.
-telemetry-smoke:
-	$(GO) run scripts/telemetry_smoke.go
-
 # End-to-end check of the tracing surface: generates n=199 with -trace
-# and validates the Chrome trace-event JSON (parses, contains all four
-# pipeline stages and per-worker lanes).
+# and validates the Chrome trace-event JSON (parses, contains the
+# draw-profiles, calibrate, sample-responses and write stage events and
+# per-worker lanes).
 trace-smoke:
 	$(GO) run scripts/trace_smoke.go
 
@@ -56,12 +52,15 @@ io-smoke:
 query-smoke:
 	$(GO) run scripts/query_smoke.go
 
-# End-to-end check of the latency observatory: runs fpgen (n=1M to
-# .fpds) with -telemetry and -runlog, scrapes /metrics while it runs,
-# validates the Prometheus exposition (parser check: cumulative
-# buckets, +Inf, _sum/_count), and asserts the run-ledger record
-# carries ordered per-stage quantile rows. CHECK_SLO_SMOKE=1 make
-# check runs this as part of the full gate.
+# End-to-end check of the live-introspection surface and the latency
+# observatory: runs fpgen (n=1M to .fpds) with -telemetry and -runlog,
+# scrapes /metrics while it runs until it shows a nonzero
+# fpstudy_pipeline_respondents and live stage histograms, validates
+# the Prometheus exposition (parser check: cumulative buckets, +Inf,
+# _sum/_count), and asserts the run-ledger record carries one row per
+# stage (count, seconds, ordered quantiles) under the name /metrics
+# serves it by. CHECK_SLO_SMOKE=1 make check runs this as part of the
+# full gate.
 slo-smoke:
 	$(GO) run scripts/slo_smoke.go
 

@@ -159,14 +159,15 @@ func BenchmarkStudyPipeline(b *testing.B) {
 }
 
 // BenchmarkStudyPipelineTelemetry is BenchmarkStudyPipeline's n=10000
-// case with the stage probe installed — metrics registry, span
-// recorder, the sharded latency histograms and counters on every
+// case with the stage probe installed — metrics registry, the sharded
+// latency histograms and counters on every pipeline-level and
 // block-level stage, and the FP-exception counters. Comparing it
 // against BenchmarkStudyPipeline/n=10000 measures the enabled
 // observability overhead; the budget is <5%, and at workers=1 the
 // allocations match the uninstrumented run. A post-run check asserts
-// that every instrumented pipeline stage observed something, so the
-// number cannot go green by the probe silently not firing.
+// that every stage a Study.Run and its grading pass through observed
+// something, so the number cannot go green by the probe silently not
+// firing.
 func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 	const n = 10000
 	reg := telemetry.NewRegistry()
@@ -174,8 +175,7 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 	defer telemetry.Install(nil)
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rec := telemetry.NewRecorder(reg)
-			s := core.Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
+			s := core.Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers}
 			// Prime the one-time oracle answer-key cache so the first
 			// timed run isn't charged for it.
 			core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: workers}.Run()
@@ -192,10 +192,13 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 	}
 	snap := reg.Snapshot()
 	for _, st := range []telemetry.Stage{
-		telemetry.StageSampleBlock, telemetry.StageCalibrate, telemetry.StageGradeBatch,
-		telemetry.StageParallelShard, telemetry.StageParallelWorker, telemetry.StageParallelWait,
+		telemetry.StageGenerate, telemetry.StageGenerateMain, telemetry.StageGenerateStudents,
+		telemetry.StageDrawProfiles, telemetry.StageCalibrate, telemetry.StageSampleResponses,
+		telemetry.StageGrade, telemetry.StageSampleBlock, telemetry.StageCalibrateQuestion,
+		telemetry.StageGradeBatch, telemetry.StageParallelShard, telemetry.StageParallelWorker,
+		telemetry.StageParallelWait,
 	} {
-		if ls, ok := snap.Latencies[st.Name()]; !ok || ls.Count == 0 {
+		if ls, ok := snap.Latencies[st.Metric()]; !ok || ls.Count == 0 {
 			b.Fatalf("%s: the probe recorded nothing during the benchmark", st.Name())
 		}
 	}
@@ -216,8 +219,7 @@ func BenchmarkStudyPipelineTrace(b *testing.B) {
 	defer telemetry.SetTracer(nil)
 	for _, workers := range []int{1, 0} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			rec := telemetry.NewRecorder(reg)
-			s := core.Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
+			s := core.Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers}
 			// Prime the one-time oracle answer-key cache so the first
 			// timed run isn't charged for it.
 			core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: workers}.Run()

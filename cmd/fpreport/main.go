@@ -20,6 +20,11 @@
 // disk (memory bounded by block size x workers, not n); row JSON and
 // generated cohorts run in memory. See internal/query for the
 // filter/groupby/agg grammar.
+//
+// Each invocation prints one report: -all, -fig, -claims,
+// -calibration, -association, -items, -intervention, -confidence and
+// -query exclude one another, and giving two is a usage error (exit
+// 2). With none, fpreport prints Figures 12 and 13 and the claims.
 package main
 
 import (
@@ -27,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"fpstudy/internal/colstore"
@@ -66,7 +72,7 @@ func main() {
 	data := flag.String("data", "", "run the report off a main-cohort dataset file (row JSON or .fpds binary) instead of regenerating")
 	studentData := flag.String("studentdata", "", "student-cohort dataset file (with -data; default regenerates students from -seed/-nstudents)")
 	workers := flag.Int("workers", 0, "worker goroutines (<=0 means GOMAXPROCS); never affects the data")
-	telemetryAddr := flag.String("telemetry", "", "serve live expvar+pprof introspection on this address (e.g. 127.0.0.1:6060)")
+	telemetryAddr := flag.String("telemetry", "", "serve live Prometheus /metrics and pprof on this address (e.g. 127.0.0.1:6060)")
 	runlogPath := flag.String("runlog", os.Getenv("FPSTUDY_RUNLOG"), "append a run-ledger record (JSONL) to this file on exit (default $FPSTUDY_RUNLOG; empty disables); never affects the output")
 	flag.Parse()
 
@@ -74,11 +80,14 @@ func main() {
 	// and claims are bit-identical with or without it.
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
-	rec := telemetry.NewRecorder(reg)
-	rec.PublishExpvar("fpstudy")
-	ledger = runlog.Start(*runlogPath, "fpreport", os.Args[1:], reg, rec)
-	// Reject a bad figure number or cohort size before the pipeline
-	// runs. A size of 0 is valid: it renders the no-respondents note.
+	ledger = runlog.Start(*runlogPath, "fpreport", os.Args[1:], reg)
+	// Reject conflicting report flags, a bad figure number or cohort
+	// size before the pipeline runs. A size of 0 is valid: it renders
+	// the no-respondents note.
+	if chosen := chosenReports(); len(chosen) > 1 {
+		fmt.Fprintf(os.Stderr, "fpreport: %s: give at most one report flag\n", strings.Join(chosen, ", "))
+		exit(2)
+	}
 	if *fig < 0 || *fig > 22 {
 		fmt.Fprintln(os.Stderr, "fpreport: figure number must be 1-22")
 		exit(2)
@@ -102,14 +111,13 @@ func main() {
 			defer cancel()
 			srv.Shutdown(ctx) //nolint:errcheck // best-effort at exit
 		}()
-		fmt.Fprintf(os.Stderr, "fpreport: telemetry on http://%s/debug/vars (pprof under /debug/pprof/)\n", srv.Addr())
+		fmt.Fprintf(os.Stderr, "fpreport: telemetry on http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
 	// Every figure, claim, analysis and query reads the columns
 	// directly, so a reporting invocation never builds per-respondent
 	// maps.
-	study := core.Study{Seed: *seed, NMain: *n, NStudent: *nStudents, Workers: *workers,
-		Telemetry: rec}
+	study := core.Study{Seed: *seed, NMain: *n, NStudent: *nStudents, Workers: *workers}
 
 	if *queryExpr != "" {
 		if err := runQuery(study, *data, *queryExpr); err != nil {
@@ -150,6 +158,10 @@ func main() {
 		}
 	}
 
+	// The report stage times everything printed from here on, so the
+	// ledger names where a reporting run's time went.
+	t0 := telemetry.Start()
+	claimsHold := true
 	switch {
 	case *calibration:
 		fmt.Println(results.CalibrationReport().String())
@@ -169,16 +181,39 @@ func main() {
 		for i := 1; i <= 22; i++ {
 			emit(i)
 		}
-		printClaims(results)
+		claimsHold = printClaims(results)
 	case *claims:
-		printClaims(results)
+		claimsHold = printClaims(results)
 	default:
 		// Default: the paper's headline table and histogram.
 		emit(12)
 		emit(13)
-		printClaims(results)
+		claimsHold = printClaims(results)
+	}
+	telemetry.Done(telemetry.StageReport, 0, t0, 0, 0)
+	if !claimsHold {
+		exit(1)
 	}
 	ledger.Finish(0)
+}
+
+// reportFlags are the flags that each pick the whole report.
+var reportFlags = []string{"all", "fig", "claims", "calibration", "association",
+	"items", "intervention", "confidence", "query"}
+
+// chosenReports returns the report flags given on the command line
+// with a value that picks a report (a true bool, a nonzero -fig, a
+// nonempty -query), as "-name", in reportFlags order.
+func chosenReports() []string {
+	var chosen []string
+	for _, name := range reportFlags {
+		switch v := flag.Lookup(name).Value.String(); v {
+		case "", "0", "false":
+		default:
+			chosen = append(chosen, "-"+name)
+		}
+	}
+	return chosen
 }
 
 // runQuery executes one ad-hoc expression through the vectorized
@@ -215,10 +250,12 @@ func runQuery(study core.Study, dataPath, expr string) error {
 			src = query.NewShardSource(sr)
 		} else {
 			f.Close()
+			t0 := telemetry.Start()
 			cols, info, err := colstore.LoadFile(schema, dataPath, colstore.IOOptions{Workers: study.Workers})
 			if err != nil {
 				return err
 			}
+			telemetry.Done(telemetry.StageLoadData, 0, t0, int64(cols.Len()), 0)
 			fmt.Fprintf(os.Stderr, "fpreport: loaded %s: %s, %d responses, %.1f MB, %.2fs\n",
 				dataPath, info.Format, cols.Len(), float64(info.Bytes)/(1<<20), info.Elapsed.Seconds())
 			src = query.NewDatasetSource(cols)
@@ -226,12 +263,14 @@ func runQuery(study core.Study, dataPath, expr string) error {
 	}
 
 	start := time.Now()
+	t0 := telemetry.Start()
 	res, err := query.Run(src, p.Query, study.Workers)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 	fmt.Print(p.Render(res))
+	telemetry.Done(telemetry.StageReport, 0, t0, 0, 0)
 	fmt.Fprintf(os.Stderr, "fpreport: scanned %d respondents, selected %d, %.3fs (%.1fM respondents/s)\n",
 		src.Len(), res.TotalCount(), elapsed.Seconds(),
 		float64(src.Len())/elapsed.Seconds()/1e6)
@@ -243,32 +282,32 @@ func runQuery(study core.Study, dataPath, expr string) error {
 // off the columns.
 func resultsFromFiles(study core.Study, reg *telemetry.Registry, dataPath, studentPath string) (*core.Results, error) {
 	opt := colstore.IOOptions{Workers: study.Workers, BytesRead: reg.Counter(telemetry.MetricIOBytesRead)}
-	sp := study.Telemetry.StartSpan("load-data")
+	t0 := telemetry.Start()
 	main, info, err := colstore.LoadFile(quiz.Columns(), dataPath, opt)
 	if err != nil {
 		return nil, err
 	}
-	sp.AddItems(int64(main.Len()))
-	sp.End()
+	telemetry.Done(telemetry.StageLoadData, 0, t0, int64(main.Len()), 0)
 	fmt.Fprintf(os.Stderr, "fpreport: loaded %s: %s, %d responses, %.1f MB, %.2fs\n",
 		dataPath, info.Format, main.Len(), float64(info.Bytes)/(1<<20), info.Elapsed.Seconds())
 	var students *colstore.Dataset
 	if studentPath != "" {
-		ssp := study.Telemetry.StartSpan("load-studentdata")
+		ts := telemetry.Start()
 		var sinfo colstore.LoadInfo
 		students, sinfo, err = colstore.LoadFile(quiz.Columns(), studentPath, opt)
 		if err != nil {
 			return nil, err
 		}
-		ssp.AddItems(int64(students.Len()))
-		ssp.End()
+		telemetry.Done(telemetry.StageLoadStudentData, 0, ts, int64(students.Len()), 0)
 		fmt.Fprintf(os.Stderr, "fpreport: loaded %s: %s, %d responses, %.1f MB, %.2fs\n",
 			studentPath, sinfo.Format, students.Len(), float64(sinfo.Bytes)/(1<<20), sinfo.Elapsed.Seconds())
 	}
 	return study.ResultsFromColumns(main, students)
 }
 
-func printClaims(results *core.Results) {
+// printClaims prints the headline claims and reports whether every
+// claim holds.
+func printClaims(results *core.Results) bool {
 	fmt.Println("Headline claims (Section IV)")
 	fmt.Println("============================")
 	ok := true
@@ -280,7 +319,5 @@ func printClaims(results *core.Results) {
 		}
 		fmt.Printf("  [%s] %-34s %s\n", status, c.Name, c.Detail)
 	}
-	if !ok {
-		exit(1)
-	}
+	return ok
 }

@@ -152,3 +152,44 @@ func TestTrendLedger(t *testing.T) {
 		}
 	}
 }
+
+// TestTrendMixedSchemaLedger: a ledger that starts with a committed
+// schema-1 record (span-tree "stages" rows) and continues with current
+// records is one wall_seconds series; no line is skipped.
+func TestTrendMixedSchemaLedger(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "runlog", "testdata", "schema1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first runlog.Record
+	if err := json.Unmarshal(old, &first); err != nil || first.Schema != 1 {
+		t.Fatalf("schema-1 testdata: schema %d, %v", first.Schema, err)
+	}
+	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
+	write(t, ledger, string(old))
+	for i, wall := range []float64{0.061, 0.060} {
+		rec := runlog.Record{Schema: runlog.Schema, Tool: first.Tool, Args: first.Args,
+			Timestamp: "2026-11-0" + strconv.Itoa(i+1) + "T00:00:00Z", Host: first.Host, WallSeconds: wall,
+			Latency: []runlog.StageLatency{{Stage: "generate", Count: 1, Seconds: wall}}}
+		if err := runlog.Append(ledger, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := trendReport(ledger, DriftParams{})
+	if err != nil {
+		t.Fatalf("trendReport: %v", err)
+	}
+	if !strings.Contains(out, "3 records (0 line(s) skipped)") {
+		t.Errorf("mixed-schema ledger not read whole:\n%s", out)
+	}
+	name := seriesName(first)
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, name); ok {
+			if f := strings.Fields(rest); len(f) < 2 || f[0] != "3" || f[1] != "0.06" {
+				t.Errorf("series row %q: want 3 points with median 0.06", line)
+			}
+			return
+		}
+	}
+	t.Errorf("no %q series in:\n%s", name, out)
+}

@@ -62,7 +62,7 @@ func main() {
 	csv := flag.String("csv", "", "flatten a dataset file to CSV on stdout")
 	runlogPath := flag.String("runlog", os.Getenv("FPSTUDY_RUNLOG"), "append a run-ledger record (JSONL) to this file on exit (default $FPSTUDY_RUNLOG; empty disables)")
 	flag.Parse()
-	ledger = runlog.Start(*runlogPath, "fpsurvey", os.Args[1:], nil, nil)
+	ledger = runlog.Start(*runlogPath, "fpsurvey", os.Args[1:], nil)
 
 	ins := quiz.Instrument()
 
@@ -142,7 +142,7 @@ func slice(args []string) {
 		fs.PrintDefaults()
 	}
 	fs.Parse(args) //nolint:errcheck // ExitOnError
-	ledger = runlog.Start(*runlogPath, "fpsurvey", os.Args[1:], nil, nil)
+	ledger = runlog.Start(*runlogPath, "fpsurvey", os.Args[1:], nil)
 	if fs.NArg() != 2 {
 		fs.Usage()
 		exit(2)

@@ -22,20 +22,9 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 		return nil, fmt.Errorf("core: dataset schema is not the quiz instrument")
 	}
 	s.NMain = main.Len()
-	root := s.Telemetry.StartSpan("run")
-	r := &Results{
-		Study:     s,
-		Main:      &respondent.Population{Cols: main},
-		workers:   s.Workers,
-		telemetry: s.Telemetry,
-		runSpan:   root,
-	}
+	r := &Results{Study: s, Main: &respondent.Population{Cols: main}, workers: s.Workers}
 	if students == nil {
-		sp := root.StartChild("generate-students")
-		students = respondent.GenerateStudentsColumnar(s.Seed+1, s.NStudent, s.Workers,
-			respondent.Instrumentation{Span: sp})
-		sp.AddItems(int64(s.NStudent))
-		sp.End()
+		students = generateStudents(s)
 	} else {
 		if students.Schema != quiz.Columns() {
 			return nil, fmt.Errorf("core: student dataset schema is not the quiz instrument")
@@ -44,8 +33,6 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 		r.Study.NStudent = s.NStudent
 	}
 	r.StudentCols = students
-	root.AddItems(int64(main.Len() + students.Len()))
-	root.End()
-	s.Telemetry.Registry().Counter(telemetry.MetricRuns).Inc()
+	telemetry.Installed().Counter(telemetry.MetricRuns).Inc()
 	return r, nil
 }

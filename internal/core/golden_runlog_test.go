@@ -12,8 +12,8 @@ import (
 // contract: recording runs in the structured run ledger (telemetry
 // stack installed, a runlog.Run open for the whole process, one
 // Finish per leg) must not change a single output byte at any worker
-// count. The ledger only snapshots counters and spans that already
-// exist — this test is the proof that bookkeeping never leaks back
+// count. The ledger only snapshots counters and stage histograms that
+// already exist — this test is the proof that bookkeeping never leaks back
 // into the pipeline.
 func TestGoldenRunlogInvariance(t *testing.T) {
 	if testing.Short() {
@@ -22,20 +22,19 @@ func TestGoldenRunlogInvariance(t *testing.T) {
 	const n = 2000
 	raiseGOMAXPROCS(t, 16)
 
-	want := goldenSnapshot(t, n, 1, nil)
+	want := goldenSnapshot(t, n, 1)
 
 	ledger := filepath.Join(t.TempDir(), "ledger.jsonl")
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
 	defer telemetry.Install(nil)
-	rec := telemetry.NewRecorder(reg)
 
 	for _, workers := range []int{1, 4, 16} {
-		run := runlog.Start(ledger, "golden-test", []string{"-workers"}, reg, rec)
+		run := runlog.Start(ledger, "golden-test", []string{"-workers"}, reg)
 		if run == nil {
 			t.Fatal("runlog.Start returned nil for a non-empty path")
 		}
-		got := goldenSnapshot(t, n, workers, rec)
+		got := goldenSnapshot(t, n, workers)
 		run.SetGolden("marker", "golden-invariance")
 		run.Finish(0)
 		if got.main != want.main {
@@ -67,8 +66,9 @@ func TestGoldenRunlogInvariance(t *testing.T) {
 		if r.Counters[telemetry.MetricRespondents] == 0 {
 			t.Errorf("record %d: no respondent counter snapshotted", i)
 		}
-		if len(r.Stages) == 0 {
-			t.Errorf("record %d: no stage durations snapshotted", i)
+		// The registry is shared, so record i has seen i+1 runs.
+		if row := stageRow(r, telemetry.StageGenerate.Name()); row.Count != int64(i+1) || row.Seconds <= 0 {
+			t.Errorf("record %d: generate row %+v, want %d observations and positive seconds", i, row, i+1)
 		}
 		if r.Golden["marker"] != "golden-invariance" {
 			t.Errorf("record %d: golden hash map = %v", i, r.Golden)
@@ -77,4 +77,15 @@ func TestGoldenRunlogInvariance(t *testing.T) {
 			t.Errorf("record %d: wall_seconds = %v", i, r.WallSeconds)
 		}
 	}
+}
+
+// stageRow returns the record's ledger row of the named stage (the
+// zero row when the stage was not observed).
+func stageRow(r runlog.Record, name string) runlog.StageLatency {
+	for _, row := range r.Latency {
+		if row.Stage == name {
+			return row
+		}
+	}
+	return runlog.StageLatency{}
 }

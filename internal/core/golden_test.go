@@ -31,14 +31,14 @@ func raiseGOMAXPROCS(t *testing.T, p int) {
 
 // goldenSnapshot runs an n-respondent study at the given worker count
 // and hashes the encoded datasets plus all 22 figure tables and the
-// rendered headline claims. rec may be nil (telemetry off).
-func goldenSnapshot(t *testing.T, n, workers int, rec *telemetry.Recorder) golden {
+// rendered headline claims.
+func goldenSnapshot(t *testing.T, n, workers int) golden {
 	t.Helper()
-	return resultsSnapshot(t, goldenStudy(n, workers, rec).Run())
+	return resultsSnapshot(t, goldenStudy(n, workers).Run())
 }
 
-func goldenStudy(n, workers int, rec *telemetry.Recorder) Study {
-	return Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
+func goldenStudy(n, workers int) Study {
+	return Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers}
 }
 
 // resultsSnapshot hashes a run's encoded datasets, figures and claims.
@@ -86,9 +86,9 @@ func TestGoldenParallelDeterminism(t *testing.T) {
 	const n = 5000
 	raiseGOMAXPROCS(t, 16)
 
-	want := goldenSnapshot(t, n, 1, nil)
+	want := goldenSnapshot(t, n, 1)
 	for _, workers := range []int{4, 16} {
-		got := goldenSnapshot(t, n, workers, nil)
+		got := goldenSnapshot(t, n, workers)
 		if got.main != want.main {
 			t.Errorf("workers=%d: main dataset differs from sequential run", workers)
 		}
@@ -160,16 +160,16 @@ func TestWorkerInvarianceBeyondTwoCPUs(t *testing.T) {
 // baseline. Figures and claims never grade, so each run also renders
 // one grading analysis, ConfidenceReport, which must match the
 // baseline's too; grading then runs under the probe. It returns the
-// registry, recorder and tracer (nil when withTracer is false) for the
-// caller's non-vacuity checks; the probe and tracer are uninstalled
-// when the test ends.
-func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *telemetry.Recorder, *telemetry.Tracer) {
+// registry and tracer (nil when withTracer is false) for the caller's
+// non-vacuity checks; the probe and tracer are uninstalled when the
+// test ends.
+func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *telemetry.Tracer) {
 	t.Helper()
 	raiseGOMAXPROCS(t, 16)
 	confidenceSum := func(r *Results) [32]byte {
 		return sha256.Sum256([]byte(r.ConfidenceReport().String()))
 	}
-	base := goldenStudy(n, 1, nil).Run()
+	base := goldenStudy(n, 1).Run()
 	want := resultsSnapshot(t, base)
 	wantConfidence := confidenceSum(base)
 
@@ -182,10 +182,8 @@ func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *te
 		telemetry.SetTracer(tracer)
 		t.Cleanup(func() { telemetry.SetTracer(nil) })
 	}
-	rec := telemetry.NewRecorder(reg)
-
 	for _, workers := range []int{1, 4, 16} {
-		r := goldenStudy(n, workers, rec).Run()
+		r := goldenStudy(n, workers).Run()
 		got := resultsSnapshot(t, r)
 		if confidenceSum(r) != wantConfidence {
 			t.Errorf("workers=%d: instrumentation changed the confidence report", workers)
@@ -202,13 +200,14 @@ func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *te
 			}
 		}
 	}
-	return reg, rec, tracer
+	return reg, tracer
 }
 
 // TestGoldenTelemetryInvariance is the observability half of the
 // determinism contract: installing the stage probe — metrics registry,
-// span recorder, latency histograms and counters on every block-level
-// stage, FP-exception counters — must not change a single output byte
+// latency histograms and counters on every pipeline-level and
+// block-level stage, FP-exception counters — must not change a single
+// output byte
 // at any worker count. It compares the dataset and figure hashes of
 // instrumented runs at workers 1, 4, and 16 against an uninstrumented
 // baseline.
@@ -216,7 +215,7 @@ func TestGoldenTelemetryInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple 2000-respondent studies; skipped in -short mode")
 	}
-	reg, rec, _ := probedSweep(t, 2000, false)
+	reg, _ := probedSweep(t, 2000, false)
 
 	// Non-vacuity: the probe must actually have observed the runs
 	// (otherwise this test would pass vacuously). fp.ops is deliberately
@@ -226,8 +225,20 @@ func TestGoldenTelemetryInvariance(t *testing.T) {
 	if reg.Snapshot().Counters[telemetry.MetricRespondents] == 0 {
 		t.Error("the probe was installed but observed no respondents")
 	}
-	if len(rec.Spans()) == 0 {
-		t.Error("the probe was installed but recorded no spans")
+	// Each of the three legs passes every pipeline-level stage of a
+	// Study.Run and its grading once, and sample-responses twice (one
+	// per cohort).
+	lats := reg.Snapshot().Latencies
+	for st, want := range map[telemetry.Stage]int64{
+		telemetry.StageGenerate: 3, telemetry.StageGenerateMain: 3,
+		telemetry.StageGenerateStudents: 3, telemetry.StageDrawProfiles: 3,
+		telemetry.StageCalibrate: 3, telemetry.StageSampleResponses: 6,
+		telemetry.StageGrade: 3,
+	} {
+		if got := lats[st.Metric()]; got.Count != want || got.SumNS <= 0 {
+			t.Errorf("stage %s: %d observations totalling %dns, want %d and a positive total",
+				st.Name(), got.Count, got.SumNS, want)
+		}
 	}
 }
 
@@ -240,7 +251,7 @@ func TestGoldenTraceInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple 2000-respondent studies; skipped in -short mode")
 	}
-	_, _, tracer := probedSweep(t, 2000, true)
+	_, tracer := probedSweep(t, 2000, true)
 
 	kinds := map[telemetry.EventKind]int{}
 	for _, ev := range tracer.Events() {
@@ -264,16 +275,16 @@ func TestGoldenLatencyInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple 2000-respondent studies; skipped in -short mode")
 	}
-	reg, _, _ := probedSweep(t, 2000, false)
+	reg, _ := probedSweep(t, 2000, false)
 
 	// Non-vacuity: the latency histograms must actually have observed
 	// the runs, with sane quantile ordering.
 	snap := reg.Snapshot()
 	for _, st := range []telemetry.Stage{
-		telemetry.StageSampleBlock, telemetry.StageCalibrate, telemetry.StageGradeBatch,
+		telemetry.StageSampleBlock, telemetry.StageCalibrateQuestion, telemetry.StageGradeBatch,
 		telemetry.StageParallelShard, telemetry.StageParallelWorker, telemetry.StageParallelWait,
 	} {
-		ls, ok := snap.Latencies[st.Name()]
+		ls, ok := snap.Latencies[st.Metric()]
 		if !ok || ls.Count == 0 {
 			t.Errorf("%s: no latency observations recorded", st.Name())
 			continue

@@ -32,13 +32,6 @@ type Study struct {
 	// figure tallies; <= 0 means GOMAXPROCS. The worker count never
 	// affects the produced data, only the wall-clock time.
 	Workers int
-	// Telemetry, when non-nil, records the run's span tree
-	// (run → generate-main / generate-students, plus run → grade once
-	// an analysis grades, and a figures tree when figures are
-	// rendered) and pipeline counters. Nil disables instrumentation at
-	// effectively zero cost (nil-safe no-op handles). Telemetry never affects the produced data; the
-	// golden test pins bit-identical output with it on or off.
-	Telemetry *telemetry.Recorder
 }
 
 // DefaultStudy mirrors the paper's cohort sizes.
@@ -57,11 +50,7 @@ type Results struct {
 	// StudentCols is the student cohort's columnar storage.
 	StudentCols *colstore.Dataset
 
-	workers   int
-	telemetry *telemetry.Recorder
-	// runSpan is the run's root span; grading attaches its grade
-	// child here.
-	runSpan *telemetry.Span
+	workers int
 
 	gradeOnce               sync.Once
 	coreTallies, optTallies []quiz.Tally
@@ -76,14 +65,13 @@ type Results struct {
 // Tallies returns the main cohort's per-respondent grades: core covers
 // the 15 core questions, opt the three T/F optimization questions (the
 // paper's Figure 12 view). The cohort is graded on the first call,
-// under a grade span on the run span, and the grades are cached; a run
-// that renders only figures and claims never grades.
+// under the grade stage, and the grades are cached; a run that renders
+// only figures and claims never grades.
 func (r *Results) Tallies() (core, opt []quiz.Tally) {
 	r.gradeOnce.Do(func() {
-		sp := r.runSpan.StartChild("grade")
+		t0 := telemetry.Start()
 		g := quiz.ScoreAllColumns(r.Main.Cols, r.workers)
-		sp.AddItems(int64(r.Main.Cols.Len()))
-		sp.End()
+		telemetry.Done(telemetry.StageGrade, 0, t0, int64(r.Main.Cols.Len()), 0)
 		r.coreTallies, r.optTallies = g.Core, g.OptScored
 	})
 	return r.coreTallies, r.optTallies
@@ -109,37 +97,40 @@ func (r *Results) StudentSource() query.Source {
 }
 
 // Run executes the study's generation, sharded across the study's
-// worker budget; grading waits until an analysis asks (Tallies). When
-// s.Telemetry is set, the run records a span tree (generate-main with
-// its draw / calibrate / sample children, generate-students) with
-// per-stage wall time, item counts, and throughput.
+// worker budget; grading waits until an analysis asks (Tallies). With
+// a telemetry probe installed, the run is timed under the generate,
+// generate-main and generate-students stages and advances the
+// respondents counter.
 func (s Study) Run() *Results {
-	root := s.Telemetry.StartSpan("run")
-	r := &Results{Study: s, workers: s.Workers, telemetry: s.Telemetry, runSpan: root}
-	prog := s.Telemetry.Registry().Counter(telemetry.MetricRespondents)
+	t0 := telemetry.Start()
+	r := &Results{Study: s, workers: s.Workers}
+	prog := telemetry.Installed().Counter(telemetry.MetricRespondents)
 	// The two cohorts use unrelated seeds and share no mutable state,
 	// so they generate concurrently; the main cohort additionally fans
 	// out across the worker budget internally.
 	pool := parallel.NewPool(2)
 	pool.Go(func() {
-		sp := root.StartChild("generate-main")
+		tm := telemetry.Start()
 		r.Main = respondent.GenerateMainColumnar(s.Seed, s.NMain, s.Workers, nil,
-			respondent.Instrumentation{Span: sp, Progress: prog})
-		sp.AddItems(int64(s.NMain))
-		sp.End()
+			respondent.Instrumentation{Progress: prog})
+		telemetry.Done(telemetry.StageGenerateMain, 0, tm, int64(s.NMain), 0)
 	})
 	pool.Go(func() {
-		sp := root.StartChild("generate-students")
-		r.StudentCols = respondent.GenerateStudentsColumnar(s.Seed+1, s.NStudent, s.Workers,
-			respondent.Instrumentation{Span: sp})
-		sp.AddItems(int64(s.NStudent))
-		sp.End()
+		r.StudentCols = generateStudents(s)
 	})
 	pool.Wait()
-	root.AddItems(int64(s.NMain + s.NStudent))
-	root.End()
-	s.Telemetry.Registry().Counter(telemetry.MetricRuns).Inc()
+	telemetry.Done(telemetry.StageGenerate, 0, t0, int64(s.NMain+s.NStudent), 0)
+	telemetry.Installed().Counter(telemetry.MetricRuns).Inc()
 	return r
+}
+
+// generateStudents generates s's student cohort under the
+// generate-students stage.
+func generateStudents(s Study) *colstore.Dataset {
+	t0 := telemetry.Start()
+	d := respondent.GenerateStudentsColumnar(s.Seed+1, s.NStudent, s.Workers, respondent.Instrumentation{})
+	telemetry.Done(telemetry.StageGenerateStudents, 0, t0, int64(s.NStudent), 0)
+	return d
 }
 
 // backgroundFigure describes one of Figures 1-11.
@@ -488,19 +479,11 @@ func (r *Results) Figure(num int) report.Table {
 	return report.Table{Title: fmt.Sprintf("unknown figure %d", num)}
 }
 
-// AllFigures renders every figure in order. With telemetry attached,
-// the rendering is timed under a "figures" span with one child per
-// figure.
+// AllFigures renders every figure in order.
 func (r *Results) AllFigures() []report.Table {
-	sp := r.telemetry.StartSpan("figures")
 	out := make([]report.Table, 0, 22)
 	for i := 1; i <= 22; i++ {
-		c := sp.StartChild(fmt.Sprintf("figure-%02d", i))
 		out = append(out, r.Figure(i))
-		c.AddItems(1)
-		c.End()
 	}
-	sp.AddItems(22)
-	sp.End()
 	return out
 }

@@ -38,30 +38,22 @@ func TestDefaultStudySizes(t *testing.T) {
 
 // TestTalliesGradeOnce pins grading on demand: Run and
 // ResultsFromColumns do not grade, and concurrent Tallies calls grade
-// the cohort once, under one grade span on the run span, and all
+// the cohort once, under one grade stage, and all
 // return the same tallies.
 func TestTalliesGradeOnce(t *testing.T) {
 	raiseGOMAXPROCS(t, 4)
-	gradeSpans := func(rec *telemetry.Recorder) int {
-		n := 0
-		for _, root := range rec.Spans() {
-			for _, c := range root.Children {
-				if c.Name == "grade" {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	rec := telemetry.NewRecorder(telemetry.NewRegistry())
-	s := Study{Seed: 42, NMain: 300, NStudent: 52, Workers: 4, Telemetry: rec}
+	reg := telemetry.NewRegistry()
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	grades := func() int64 { return reg.Latency(telemetry.StageGrade.Metric()).Count() }
+	s := Study{Seed: 42, NMain: 300, NStudent: 52, Workers: 4}
 	run := s.Run()
 	fromCols, err := s.ResultsFromColumns(run.Main.Cols, run.StudentCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := gradeSpans(rec); got != 0 {
-		t.Fatalf("%d grade spans before any analysis asked, want 0", got)
+	if got := grades(); got != 0 {
+		t.Fatalf("%d grade stages before any analysis asked, want 0", got)
 	}
 	for _, r := range []*Results{run, fromCols} {
 		const callers = 8
@@ -81,8 +73,8 @@ func TestTalliesGradeOnce(t *testing.T) {
 			}
 		}
 	}
-	if got := gradeSpans(rec); got != 2 {
-		t.Fatalf("%d grade spans after grading two results, want 2", got)
+	if got := grades(); got != 2 {
+		t.Fatalf("%d grade stages after grading two results, want 2", got)
 	}
 	a, _ := run.Tallies()
 	b, _ := fromCols.Tallies()

@@ -21,10 +21,8 @@ func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
 	defer telemetry.Install(nil)
-	rec := telemetry.NewRecorder(reg)
 
-	r := Study{Seed: 7, NMain: 300, NStudent: 20, Workers: 2,
-		Telemetry: rec}.Run()
+	r := Study{Seed: 7, NMain: 300, NStudent: 20, Workers: 2}.Run()
 	src := r.MainSource()
 	s := r.Main.Cols.Schema
 	area := s.MustColumnIndex(quiz.BGArea)
@@ -71,15 +69,17 @@ func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 
 // TestProbeMetricNameSet pins the exact counter and latency names an
 // instrumented n=2000 Study.Run with one grading analysis, an FPDS
-// round trip and one query produce. runlog records, fpstat trend,
-// /metrics and the smoke scripts all key on these strings, so a rename
-// or a dropped stage shows up here first.
+// round trip and one query produce. Install registers one histogram
+// per row of the stage table, so the latency names are the whole
+// table. The run ledger's stage rows, /metrics, traces and the smoke
+// scripts all key on these strings, so a rename or a dropped stage
+// shows up here first.
 func TestProbeMetricNameSet(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
 	defer telemetry.Install(nil)
 
-	r := Study{Seed: 42, NMain: 2000, NStudent: 52, Telemetry: telemetry.NewRecorder(reg)}.Run()
+	r := Study{Seed: 42, NMain: 2000, NStudent: 52}.Run()
 	r.ConfidenceReport()
 	var buf bytes.Buffer
 	if err := r.Main.Cols.EncodeBinary(&buf, colstore.IOOptions{
@@ -118,24 +118,32 @@ func TestProbeMetricNameSet(t *testing.T) {
 		"counter io.bytes_read",
 		"counter io.bytes_written",
 		"counter parallel.busy_ns",
-		"counter parallel.foreach_calls",
 		"counter parallel.items",
-		"counter parallel.pool_busy_ns",
-		"counter parallel.pool_tasks",
-		"counter parallel.shards",
 		"counter pipeline.respondents",
 		"counter pipeline.runs",
 		"counter query.blocks_skipped",
 		"counter query.rows_scanned",
 		"latency latency.calibrate",
-		"latency latency.fpds_decode_block",
-		"latency latency.fpds_encode_block",
-		"latency latency.grade_batch",
-		"latency latency.parallel_shard",
-		"latency latency.parallel_wait",
-		"latency latency.parallel_worker_busy",
-		"latency latency.query_block",
-		"latency latency.sample_block",
+		"latency latency.calibrate-question",
+		"latency latency.draw-profiles",
+		"latency latency.fpds-decode-block",
+		"latency latency.fpds-encode-block",
+		"latency latency.generate",
+		"latency latency.generate-main",
+		"latency latency.generate-students",
+		"latency latency.grade",
+		"latency latency.grade-batch",
+		"latency latency.load-data",
+		"latency latency.load-studentdata",
+		"latency latency.parallel-shard",
+		"latency latency.parallel-wait",
+		"latency latency.parallel-worker-busy",
+		"latency latency.pool-task",
+		"latency latency.query-block",
+		"latency latency.report",
+		"latency latency.sample-block",
+		"latency latency.sample-responses",
+		"latency latency.write",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("metric names:\n got %q\nwant %q", got, want)

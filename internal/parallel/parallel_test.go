@@ -269,19 +269,20 @@ func TestWorkersClampToGOMAXPROCS(t *testing.T) {
 }
 
 // TestHookObservation checks that the installed telemetry probe sees
-// fan-outs, shard dispatches, and pool tasks through its counters —
-// and that the results fn produces are identical with and without it.
+// fan-outs, shard dispatches, and pool tasks through its counters and
+// stage histograms — and that the results fn produces are identical
+// with and without it.
 func TestHookObservation(t *testing.T) {
 	baseline := Map(4, 1000, func(i int) int { return i * i })
 
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
 	defer telemetry.Install(nil)
-	calls := reg.Counter(telemetry.MetricForEachCalls)
+	calls := reg.Latency(telemetry.StageParallelWait.Metric())
 	items := reg.Counter(telemetry.MetricItems)
 	busyNS := reg.Counter(telemetry.MetricBusyNS)
-	shards := reg.Counter(telemetry.MetricShards)
-	poolTasks := reg.Counter(telemetry.MetricPoolTasks)
+	shards := reg.Latency(telemetry.StageParallelShard.Metric())
+	poolTasks := reg.Latency(telemetry.StagePoolTask.Metric())
 
 	got := Map(4, 1000, func(i int) int { return i * i })
 	for i := range got {
@@ -289,9 +290,9 @@ func TestHookObservation(t *testing.T) {
 			t.Fatalf("probe changed results at %d: %d != %d", i, got[i], baseline[i])
 		}
 	}
-	if calls.Value() == 0 || items.Value() != 1000 {
+	if calls.Count() == 0 || items.Value() != 1000 {
 		t.Fatalf("probe saw calls=%d items=%d, want 1+ calls over 1000 items",
-			calls.Value(), items.Value())
+			calls.Count(), items.Value())
 	}
 	if busyNS.Value() <= 0 {
 		t.Fatal("probe saw zero busy time")
@@ -306,12 +307,12 @@ func TestHookObservation(t *testing.T) {
 	// SumShards counts its shards on both the fan-out and the serial
 	// path.
 	for _, workers := range []int{4, 1} {
-		before := shards.Value()
+		before := shards.Count()
 		sum := SumShards(workers, 10000, func(lo, hi int) float64 { return float64(hi - lo) })
 		if sum != 10000 {
 			t.Fatalf("workers=%d: SumShards under the probe = %v, want 10000", workers, sum)
 		}
-		if got, want := shards.Value()-before, int64(NumShards(10000)); got != want {
+		if got, want := shards.Count()-before, int64(NumShards(10000)); got != want {
 			t.Fatalf("workers=%d: probe saw %d shards, want %d", workers, got, want)
 		}
 	}
@@ -321,8 +322,8 @@ func TestHookObservation(t *testing.T) {
 		p.Go(func() {})
 	}
 	p.Wait()
-	if poolTasks.Value() != 5 {
-		t.Fatalf("probe saw %d pool tasks, want 5", poolTasks.Value())
+	if poolTasks.Count() != 5 {
+		t.Fatalf("probe saw %d pool tasks, want 5", poolTasks.Count())
 	}
 }
 
@@ -333,10 +334,10 @@ func TestHookNilFastPath(t *testing.T) {
 	telemetry.Install(reg)
 	ForEach(2, 10, func(i int) {})
 	telemetry.Install(nil)
-	calls := reg.Counter(telemetry.MetricForEachCalls)
-	before := calls.Value()
+	calls := reg.Latency(telemetry.StageParallelWait.Metric())
+	before := calls.Count()
 	ForEach(2, 10, func(i int) {})
-	if calls.Value() != before {
+	if calls.Count() != before {
 		t.Fatal("probe counted after Install(nil)")
 	}
 	if before == 0 {
@@ -375,7 +376,7 @@ func TestSumShardsInstrumentedZeroAlloc(t *testing.T) {
 	if math.Float64bits(plain) != math.Float64bits(probed) {
 		t.Fatalf("instrumented sum %v differs from uninstrumented %v", probed, plain)
 	}
-	if reg.Counter(telemetry.MetricShards).Value() == 0 {
+	if reg.Latency(telemetry.StageParallelShard.Metric()).Count() == 0 {
 		t.Fatal("instrumented SumShards observed no shards")
 	}
 }

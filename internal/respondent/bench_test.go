@@ -34,7 +34,7 @@ func BenchmarkCalibrateModels(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
+				models := calibrateModels(0, core, opt, quizSpecs())
 				if len(models) == 0 {
 					b.Fatal("calibration produced no models")
 				}
@@ -53,7 +53,7 @@ func BenchmarkGenerateBlocks(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			skipLarge(b, n)
 			core, opt := drawAbilities(0, 42, min(n, calibrationCap), true)
-			models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
+			models := calibrateModels(0, core, opt, quizSpecs())
 			d := quiz.Columns().NewDataset("1.0", n)
 			cs := newColSampler(d, models, paperdata.Figure22Main)
 			scratch := newBlockScratch()

@@ -154,7 +154,7 @@ func TestColumnarMaterializeEqualsLegacyRows(t *testing.T) {
 func TestSampleZeroAlloc(t *testing.T) {
 	const n = 64
 	core, opt := drawAbilities(1, 42, n, true)
-	models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
+	models := calibrateModels(0, core, opt, quizSpecs())
 	d := quiz.Columns().NewDataset("1.0", n)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	b := newBlockScratch()
@@ -188,7 +188,7 @@ func TestTreatedCountZeroAlloc(t *testing.T) {
 		func(p *Profile) { p.FormalTraining = "None" },
 		func(p *Profile) { p.FormalTraining = "One or more courses" },
 	}
-	tc := newTreatedCounter(calibrateModels(0, core, opt, specs, Instrumentation{}), overrides)
+	tc := newTreatedCounter(calibrateModels(0, core, opt, specs), overrides)
 	b := newTreatedScratch()
 	counts := make([]int, len(overrides))
 	allocs := testing.AllocsPerRun(50, func() {
@@ -257,7 +257,7 @@ func TestCalibrationSweepZeroAlloc(t *testing.T) {
 func BenchmarkSampleBlock(b *testing.B) {
 	const blockN = 1024
 	core, opt := drawAbilities(0, 42, blockN, true)
-	models := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
+	models := calibrateModels(0, core, opt, quizSpecs())
 	d := quiz.Columns().NewDataset("1.0", blockN)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	scratch := newBlockScratch()

@@ -41,17 +41,14 @@ import (
 	"fpstudy/internal/telemetry"
 )
 
-// Instrumentation carries the optional telemetry handles for one
-// generation run. The zero value disables all instrumentation; every
-// field is nil-safe, so generation code uses the handles
-// unconditionally. Instrumentation observes only — it never draws
-// randomness or moves shard boundaries, so the generated dataset is
-// bit-identical with or without it (pinned by
-// internal/core.TestGoldenParallelDeterminism).
+// Instrumentation carries the optional progress counter of one
+// generation run; the zero value reports no progress. The stages of a
+// generation (draw-profiles, calibrate, sample-responses) are timed by
+// the process-wide telemetry probe, not through this type.
+// Instrumentation observes only — it never draws randomness or moves
+// shard boundaries, so the generated dataset is bit-identical with or
+// without it (pinned by internal/core.TestGoldenParallelDeterminism).
 type Instrumentation struct {
-	// Span is the parent span for this generation; stage children
-	// (draw-profiles, calibrate, sample-responses) are attached to it.
-	Span *telemetry.Span
 	// Progress advances by the block size as each fixed block of
 	// respondents is sampled, so a cohort of n advances it by n in
 	// total (the calibration prefix is not counted). fpgen -progress
@@ -390,35 +387,34 @@ func drawAbilities(workers int, seed int64, m int, withOpt bool) (core, opt []fl
 // GenerateMainColumnar generates the main cohort directly into columns,
 // with no row view and no per-respondent Profile rows: each block of
 // respondents is drawn, stored and sampled in one pass, and the
-// per-respondent loop performs zero heap allocations. The
-// instrumentation records the stage span tree (draw-profiles for the
-// calibration prefix → calibrate → sample-responses for the fused pass)
-// and streams per-block progress; it never affects the generated data.
+// per-respondent loop performs zero heap allocations. The probe times
+// its stages (draw-profiles for the calibration prefix, calibrate,
+// sample-responses for the fused pass) and inst streams per-block
+// progress; neither affects the generated data.
 // A non-nil override is applied to every background before abilities
 // are derived, while the question models are still fitted to the
 // untreated cohort: that is the treated cohort TreatedCoreCorrect
 // scores.
 func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
 	workers = parallel.Workers(workers, n)
-	models := calibratePrefix(workers, seed, n, quizSpecs(), inst)
+	models := calibratePrefix(workers, seed, n, quizSpecs())
 	return sampleColumnar(workers, seed, n, override, models, inst)
 }
 
 // calibratePrefix fits the models of specs for an n-respondent cohort.
 // Calibration reads at most calibrationCap abilities, and profile i
 // depends only on (seed, i), so only the untreated prefix's abilities
-// are drawn, under a draw-profiles span; the optimization abilities
+// are drawn, under the draw-profiles stage; the optimization abilities
 // only when a spec reads them.
-func calibratePrefix(workers int, seed int64, n int, specs []modelSpec, inst Instrumentation) []questionModel {
+func calibratePrefix(workers int, seed int64, n int, specs []modelSpec) []questionModel {
 	withOpt := false
 	for _, s := range specs {
 		withOpt = withOpt || s.qm.abilityOpt
 	}
-	sp := inst.Span.StartChild("draw-profiles")
+	t0 := telemetry.Start()
 	core, opt := drawAbilities(workers, seed, min(n, calibrationCap), withOpt)
-	sp.AddItems(int64(len(core)))
-	sp.End()
-	return calibrateModels(workers, core, opt, specs, inst)
+	telemetry.Done(telemetry.StageDrawProfiles, 0, t0, int64(len(core)), 0)
+	return calibrateModels(workers, core, opt, specs)
 }
 
 // sampleColumnar generates an n-respondent cohort with the calibrated
@@ -426,7 +422,7 @@ func calibratePrefix(workers int, seed int64, n int, specs []modelSpec, inst Ins
 // draws its backgrounds (with the override applied), stores them and
 // samples its responses (see colSampler.sampleBlock).
 func sampleColumnar(workers int, seed int64, n int, override func(*Profile), models []questionModel, inst Instrumentation) *Population {
-	ssp := inst.Span.StartChild("sample-responses")
+	ts := telemetry.Start()
 	d := quiz.Columns().NewDataset("1.0", n)
 	cs := newColSampler(d, models, paperdata.Figure22Main)
 	parallel.ForEachWith(workers, parallel.NumShards(n), newBlockScratch,
@@ -437,8 +433,7 @@ func sampleColumnar(workers int, seed int64, n int, override func(*Profile), mod
 			telemetry.Done(telemetry.StageSampleBlock, s, t0, int64(s), int64(hi-lo))
 			inst.Progress.Add(int64(hi - lo))
 		})
-	ssp.AddItems(int64(n))
-	ssp.End()
+	telemetry.Done(telemetry.StageSampleResponses, 0, ts, int64(n), 0)
 	return &Population{Cols: d}
 }
 
@@ -494,8 +489,8 @@ func quizSpecs() []modelSpec {
 // bisection is independent, so a model's offset does not depend on
 // which other specs are calibrated alongside it. opt may be nil when no
 // spec reads the optimization ability.
-func calibrateModels(workers int, core, opt []float64, specs []modelSpec, inst Instrumentation) []questionModel {
-	csp := inst.Span.StartChild("calibrate")
+func calibrateModels(workers int, core, opt []float64, specs []modelSpec) []questionModel {
+	tc := telemetry.Start()
 	m := min(len(core), calibrationCap)
 	// One kernel per ability kind the specs read, keyed by abilityOpt;
 	// a kind no spec reads is not built.
@@ -519,11 +514,10 @@ func calibrateModels(workers int, core, opt []float64, specs []modelSpec, inst I
 			qm := s.qm
 			t0 := telemetry.Start()
 			qm.offset = kernels[qm.abilityOpt].calibrate(1, qm, s.target, w)
-			telemetry.Done(telemetry.StageCalibrate, i, t0, int64(i), 0)
+			telemetry.Done(telemetry.StageCalibrateQuestion, i, t0, int64(i), 0)
 			models[i] = qm
 		})
-	csp.AddItems(int64(len(specs)))
-	csp.End()
+	telemetry.Done(telemetry.StageCalibrate, 0, tc, int64(len(specs)), 0)
 	return models
 }
 
@@ -748,7 +742,7 @@ func GenerateStudents(seed int64, n int) *survey.Dataset {
 // columns: five Likert stores per respondent, sampled column-major per
 // block with per-(respondent, condition) streams.
 func GenerateStudentsColumnar(seed int64, n, workers int, inst Instrumentation) *colstore.Dataset {
-	sp := inst.Span.StartChild("sample-responses")
+	t0 := telemetry.Start()
 	d := quiz.Columns().NewDataset("1.0-student", n)
 	var suspCI []int
 	var suspCum [][5]float64
@@ -770,7 +764,6 @@ func GenerateStudentsColumnar(seed int64, n, workers int, inst Instrumentation) 
 			}
 			inst.Progress.Add(int64(hi - lo))
 		})
-	sp.AddItems(int64(n))
-	sp.End()
+	telemetry.Done(telemetry.StageSampleResponses, 0, t0, int64(n), 0)
 	return d
 }

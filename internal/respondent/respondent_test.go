@@ -473,8 +473,8 @@ func TestGenerateTreatedMatchesGenerateMainColumnar(t *testing.T) {
 // prefix.
 func TestCalibrationReadsOnlyCapPrefix(t *testing.T) {
 	core, opt := drawAbilities(0, 5, calibrationCap+500, true)
-	full := calibrateModels(0, core, opt, quizSpecs(), Instrumentation{})
-	prefix := calibrateModels(0, core[:calibrationCap], opt[:calibrationCap], quizSpecs(), Instrumentation{})
+	full := calibrateModels(0, core, opt, quizSpecs())
+	prefix := calibrateModels(0, core[:calibrationCap], opt[:calibrationCap], quizSpecs())
 	if !reflect.DeepEqual(full, prefix) {
 		t.Fatal("calibration depends on profiles past calibrationCap")
 	}

@@ -24,7 +24,7 @@ func TreatedCoreCorrect(seed int64, n, workers int, overrides []func(*Profile)) 
 	}
 	workers = parallel.Workers(workers, n)
 	specs := quizSpecs()[:len(quiz.CoreQuestions())]
-	tc := newTreatedCounter(calibratePrefix(workers, seed, n, specs, Instrumentation{}), overrides)
+	tc := newTreatedCounter(calibratePrefix(workers, seed, n, specs), overrides)
 	nk := len(overrides)
 	blocks := make([]int, parallel.NumShards(n)*nk)
 	parallel.ForEachWith(workers, parallel.NumShards(n), newTreatedScratch,

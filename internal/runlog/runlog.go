@@ -1,9 +1,10 @@
 // Package runlog is the structured run ledger of the pipeline CLIs:
 // every invocation of fpgen, fpreport and fpsurvey run with -runlog
 // (or $FPSTUDY_RUNLOG) appends one JSONL record — command and
-// arguments, host fingerprint, VCS revision, wall and per-stage
-// durations, latency quantiles, key counters, golden hashes when
-// computed, and exit status — to a configurable ledger file. It is the
+// arguments, host fingerprint, VCS revision, wall time, one row per
+// stage (count, total seconds and latency quantiles), key counters,
+// golden hashes when computed, and exit status — to a configurable
+// ledger file. It is the
 // repository's one structured run record: `fpstat trend` reads it to
 // separate genuine drift from host noise.
 //
@@ -47,7 +48,10 @@ import (
 //
 //	1 — initial: tool/args/timestamp/host/vcs/wall_seconds/stages/
 //	    latency/counters/golden/exit_status.
-const Schema = 1
+//	2 — the span tree's slash-joined "stages" rows are gone; each
+//	    "latency" row carries its stage's total "seconds", so one row
+//	    per probe stage holds count, total time and quantiles.
+const Schema = 2
 
 // Host is the machine fingerprint stamped on every record.
 type Host struct {
@@ -86,25 +90,18 @@ func (h Host) Key() string {
 	return k
 }
 
-// Stage is one flattened span-tree node: Name is the slash-joined
-// path from the root ("generate-main/draw-profiles"), Seconds its
-// wall duration, SelfSeconds the duration not covered by children,
-// Items the processed-item count.
-type Stage struct {
-	Name        string  `json:"name"`
-	Seconds     float64 `json:"seconds"`
-	SelfSeconds float64 `json:"self_seconds"`
-	Items       int64   `json:"items,omitempty"`
-}
-
-// StageLatency is the quantile summary of one latency histogram.
+// StageLatency is the ledger row of one probe stage: its name (the
+// stage table's, as on /metrics and in traces), how many times it was
+// observed, their summed duration and the quantiles of one
+// observation's duration.
 type StageLatency struct {
-	Stage  string  `json:"stage"`
-	Count  int64   `json:"count"`
-	P50NS  float64 `json:"p50_ns"`
-	P90NS  float64 `json:"p90_ns"`
-	P99NS  float64 `json:"p99_ns"`
-	P999NS float64 `json:"p999_ns"`
+	Stage   string  `json:"stage"`
+	Count   int64   `json:"count"`
+	Seconds float64 `json:"seconds"`
+	P50NS   float64 `json:"p50_ns"`
+	P90NS   float64 `json:"p90_ns"`
+	P99NS   float64 `json:"p99_ns"`
+	P999NS  float64 `json:"p999_ns"`
 }
 
 // Record is one ledger line: everything needed to audit what a CLI
@@ -121,11 +118,8 @@ type Record struct {
 	VCS         *VCS    `json:"vcs,omitempty"`
 	WallSeconds float64 `json:"wall_seconds"`
 	ExitStatus  int     `json:"exit_status"`
-	// Stages is the flattened span tree of the run (depth-first,
-	// slash-joined paths).
-	Stages []Stage `json:"stages,omitempty"`
-	// Latency carries every latency-histogram quantile table the run
-	// recorded, stage names without their "latency." prefix.
+	// Latency carries one row per stage the run observed, sorted by
+	// stage name.
 	Latency []StageLatency `json:"latency,omitempty"`
 	// Counters is the final value of every nonzero registry counter.
 	Counters map[string]int64 `json:"counters,omitempty"`
@@ -133,36 +127,6 @@ type Record struct {
 	// sha256 of a dataset fpgen emitted), keyed by artifact name, so a
 	// ledger line can later prove two runs produced identical bytes.
 	Golden map[string]string `json:"golden,omitempty"`
-}
-
-// FlattenSpans converts a span forest into depth-first Stage rows
-// with slash-joined paths. SelfSeconds subtracts the children's
-// seconds (clamped at zero against clock skew), so summing SelfSeconds
-// over a subtree approximates its root without double counting.
-func FlattenSpans(spans []telemetry.SpanSnapshot) []Stage {
-	var out []Stage
-	var walk func(prefix string, s telemetry.SpanSnapshot)
-	walk = func(prefix string, s telemetry.SpanSnapshot) {
-		name := s.Name
-		if prefix != "" {
-			name = prefix + "/" + s.Name
-		}
-		self := s.Seconds
-		for _, c := range s.Children {
-			self -= c.Seconds
-		}
-		if self < 0 {
-			self = 0
-		}
-		out = append(out, Stage{Name: name, Seconds: s.Seconds, SelfSeconds: self, Items: s.Items})
-		for _, c := range s.Children {
-			walk(name, c)
-		}
-	}
-	for _, s := range spans {
-		walk("", s)
-	}
-	return out
 }
 
 // latencyRows converts a snapshot's latency map into sorted ledger
@@ -180,7 +144,8 @@ func latencyRows(lats map[string]telemetry.LatencySnapshot) []StageLatency {
 			continue
 		}
 		out = append(out, StageLatency{
-			Stage: strings.TrimPrefix(name, "latency."), Count: ls.Count,
+			Stage: strings.TrimPrefix(name, telemetry.LatencyPrefix),
+			Count: ls.Count, Seconds: float64(ls.SumNS) / 1e9,
 			P50NS: ls.P50NS, P90NS: ls.P90NS, P99NS: ls.P99NS, P999NS: ls.P999NS,
 		})
 	}
@@ -197,15 +162,13 @@ type Run struct {
 	rec   Record
 	start time.Time
 	reg   *telemetry.Registry
-	trec  *telemetry.Recorder
 }
 
 // Start opens a ledger run for the tool. path is the ledger file
 // ("" disables: returns nil, and every later call no-ops). args are
-// the invocation's command-line arguments. reg/trec supply the
-// counters, latency tables, and span forest at Finish time; either
-// may be nil.
-func Start(path, tool string, args []string, reg *telemetry.Registry, trec *telemetry.Recorder) *Run {
+// the invocation's command-line arguments. reg, which may be nil,
+// supplies the stage rows and counters at Finish time.
+func Start(path, tool string, args []string, reg *telemetry.Registry) *Run {
 	if path == "" {
 		return nil
 	}
@@ -221,7 +184,6 @@ func Start(path, tool string, args []string, reg *telemetry.Registry, trec *tele
 		},
 		start: time.Now(),
 		reg:   reg,
-		trec:  trec,
 	}
 }
 
@@ -237,8 +199,8 @@ func (r *Run) SetGolden(name, hash string) {
 	r.rec.Golden[name] = hash
 }
 
-// Finish assembles the record (wall time, exit status, stage tree,
-// latency quantiles, nonzero counters) and appends it to the ledger.
+// Finish assembles the record (wall time, exit status, stage rows,
+// nonzero counters) and appends it to the ledger.
 // Errors go to stderr rather than the caller: a full disk must not
 // turn a successful pipeline run into a failure. No-op on nil; safe
 // to call at most once per Run.
@@ -248,7 +210,6 @@ func (r *Run) Finish(exitStatus int) {
 	}
 	r.rec.WallSeconds = time.Since(r.start).Seconds()
 	r.rec.ExitStatus = exitStatus
-	r.rec.Stages = FlattenSpans(r.trec.Spans())
 	snap := r.reg.Snapshot()
 	r.rec.Latency = latencyRows(snap.Latencies)
 	if len(snap.Counters) > 0 {

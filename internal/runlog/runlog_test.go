@@ -17,7 +17,7 @@ func TestAppendReadRoundTrip(t *testing.T) {
 		Schema: Schema, Tool: "fpgen", Args: []string{"-n", "199"},
 		Timestamp: "2026-08-08T00:00:00Z", Host: CurrentHost(),
 		WallSeconds: 1.5, ExitStatus: 0,
-		Stages:   []Stage{{Name: "generate", Seconds: 1.2, SelfSeconds: 1.2, Items: 199}},
+		Latency:  []StageLatency{{Stage: "generate", Count: 1, Seconds: 1.2, P50NS: 1.2e9}},
 		Counters: map[string]int64{"pipeline.respondents": 398},
 		Golden:   map[string]string{"dataset": "deadbeef"},
 	}
@@ -38,7 +38,8 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	}
 	got := recs[1]
 	if got.Tool != want.Tool || got.WallSeconds != want.WallSeconds ||
-		got.Counters["pipeline.respondents"] != 398 || got.Golden["dataset"] != "deadbeef" {
+		got.Counters["pipeline.respondents"] != 398 || got.Golden["dataset"] != "deadbeef" ||
+		len(got.Latency) != 1 || got.Latency[0] != want.Latency[0] {
 		t.Errorf("round trip mismatch: got %+v", got)
 	}
 	if got.Host != want.Host {
@@ -111,37 +112,60 @@ func TestReadEmptyFile(t *testing.T) {
 	}
 }
 
-func TestFlattenSpansSelfTime(t *testing.T) {
-	spans := []telemetry.SpanSnapshot{{
-		Name: "run", Seconds: 10,
-		Children: []telemetry.SpanSnapshot{
-			{Name: "generate", Seconds: 6, Items: 100,
-				Children: []telemetry.SpanSnapshot{{Name: "calibrate", Seconds: 2}}},
-			{Name: "grade", Seconds: 3},
-		},
-	}}
-	got := FlattenSpans(spans)
-	want := []Stage{
-		{Name: "run", Seconds: 10, SelfSeconds: 1},
-		{Name: "run/generate", Seconds: 6, SelfSeconds: 4, Items: 100},
-		{Name: "run/generate/calibrate", Seconds: 2, SelfSeconds: 2},
-		{Name: "run/grade", Seconds: 3, SelfSeconds: 3},
+// TestLatencyRowsSeconds pins the ledger's stage rows: one row per
+// observed histogram, named without the "latency." prefix, sorted by
+// stage, carrying the count, the summed duration in seconds and the
+// quantiles; a registered but unobserved stage has no row.
+func TestLatencyRowsSeconds(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.Latency("latency.write").Observe(2 * time.Second)
+	for _, d := range []time.Duration{time.Second, 3 * time.Second} {
+		reg.Latency("latency.generate").Observe(d)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("flattened %d stages, want %d: %+v", len(got), len(want), got)
+	reg.Latency("latency.report") // registered, never observed
+	rows := latencyRows(reg.Snapshot().Latencies)
+	if len(rows) != 2 {
+		t.Fatalf("rows = %+v, want generate and write", rows)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("stage %d = %+v, want %+v", i, got[i], want[i])
-		}
+	if g := rows[0]; g.Stage != "generate" || g.Count != 2 || g.Seconds != 4 || g.P50NS <= 0 || g.P50NS > g.P999NS {
+		t.Errorf("generate row = %+v, want count 2, 4 seconds, ordered quantiles", g)
 	}
-	// Children longer than the parent (clock skew) clamp self to zero.
-	skew := FlattenSpans([]telemetry.SpanSnapshot{{
-		Name: "p", Seconds: 1,
-		Children: []telemetry.SpanSnapshot{{Name: "c", Seconds: 2}},
-	}})
-	if skew[0].SelfSeconds != 0 {
-		t.Errorf("skewed parent self = %v, want 0", skew[0].SelfSeconds)
+	if w := rows[1]; w.Stage != "write" || w.Count != 1 || w.Seconds != 2 {
+		t.Errorf("write row = %+v, want count 1, 2 seconds", w)
+	}
+}
+
+// TestReadSchema1Ledger: a schema-1 record, as fpgen wrote it before
+// the span tree's "stages" rows were retired, still reads beside a
+// current record, with its wall time intact. fpstat trend reads only
+// wall_seconds, so mixed-schema ledgers keep their history.
+func TestReadSchema1Ledger(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "schema1.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(old, []byte(`"schema":1,`)) || !bytes.Contains(old, []byte(`"stages":[{`)) {
+		t.Fatalf("testdata/schema1.jsonl is not a schema-1 record with stages: %s", old)
+	}
+	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Append(path, Record{Schema: Schema, Tool: "fpgen", WallSeconds: 2.5}); err != nil {
+		t.Fatal(err)
+	}
+	recs, skipped, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 0 || len(recs) != 2 {
+		t.Fatalf("recs=%d skipped=%d, want 2/0", len(recs), skipped)
+	}
+	if r := recs[0]; r.Schema != 1 || r.Tool != "fpgen" || r.WallSeconds != 0.059493582 || len(r.Latency) == 0 {
+		t.Errorf("schema-1 record read as %+v", r)
+	}
+	if r := recs[1]; r.Schema != Schema || r.WallSeconds != 2.5 {
+		t.Errorf("current record read as %+v", r)
 	}
 }
 
@@ -150,15 +174,11 @@ func TestFlattenSpansSelfTime(t *testing.T) {
 func TestRunLifecycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
 	reg := telemetry.NewRegistry()
-	trec := telemetry.NewRecorder(reg)
 	reg.Counter("io.bytes_written").Add(42)
 	reg.Counter("zero.counter") // stays 0: must be elided
-	reg.Latency("latency.sample_block").Observe(3 * time.Millisecond)
-	sp := trec.StartSpan("generate")
-	sp.AddItems(7)
-	sp.End()
+	reg.Latency("latency.sample-block").Observe(3 * time.Millisecond)
 
-	r := Start(path, "fpgen", []string{"-n", "7"}, reg, trec)
+	r := Start(path, "fpgen", []string{"-n", "7"}, reg)
 	r.SetGolden("dataset", "abc123")
 	r.Finish(0)
 
@@ -176,10 +196,8 @@ func TestRunLifecycle(t *testing.T) {
 	if rec.ExitStatus != 0 || rec.WallSeconds <= 0 {
 		t.Errorf("wall/exit: %+v", rec)
 	}
-	if len(rec.Stages) != 1 || rec.Stages[0].Name != "generate" || rec.Stages[0].Items != 7 {
-		t.Errorf("stages: %+v", rec.Stages)
-	}
-	if len(rec.Latency) != 1 || rec.Latency[0].Stage != "sample_block" || rec.Latency[0].Count != 1 {
+	if len(rec.Latency) != 1 || rec.Latency[0].Stage != "sample-block" || rec.Latency[0].Count != 1 ||
+		rec.Latency[0].Seconds != 0.003 {
 		t.Errorf("latency: %+v", rec.Latency)
 	}
 	if rec.Counters["io.bytes_written"] != 42 {
@@ -199,7 +217,7 @@ func TestRunLifecycle(t *testing.T) {
 // TestNilRunNoOps pins the disabled-ledger contract: a "" path yields
 // a nil Run whose whole method set is safe.
 func TestNilRunNoOps(t *testing.T) {
-	r := Start("", "fpgen", nil, nil, nil)
+	r := Start("", "fpgen", nil, nil)
 	if r != nil {
 		t.Fatalf("Start with empty path = %v, want nil", r)
 	}

@@ -201,14 +201,14 @@ func TestLatencyObserveZeroAlloc(t *testing.T) {
 // the registry snapshot with quantiles filled.
 func TestRegistryLatencySnapshot(t *testing.T) {
 	reg := NewRegistry()
-	lh := reg.Latency("latency.grade_batch")
-	if reg.Latency("latency.grade_batch") != lh {
+	lh := reg.Latency("latency.grade-batch")
+	if reg.Latency("latency.grade-batch") != lh {
 		t.Fatal("Latency not idempotent")
 	}
 	lh.Observe(2 * time.Millisecond)
 	lh.Observe(4 * time.Millisecond)
 	s := reg.Snapshot()
-	ls, ok := s.Latencies["latency.grade_batch"]
+	ls, ok := s.Latencies["latency.grade-batch"]
 	if !ok {
 		t.Fatal("latency hist missing from snapshot")
 	}

@@ -6,8 +6,9 @@ import (
 )
 
 // This file is the stage probe: the one instrumentation path of the
-// pipeline. Packages that do block-level work (parallel, respondent,
-// colstore, query, quiz) call Start/Done or Record directly at each
+// pipeline. The CLIs and core call Start/Done around each phase of a
+// run, and the packages that do block-level work (parallel,
+// respondent, colstore, query, quiz) call Start/Done or Record at each
 // block boundary; Install(reg) turns those calls on for the whole
 // process. One call feeds, under its stage, the stage's latency
 // histogram, its counters, and — when a tracer is set — its trace
@@ -30,12 +31,11 @@ const (
 	// MetricRuns counts completed Study.Run executions.
 	MetricRuns = "pipeline.runs"
 
-	MetricForEachCalls = "parallel.foreach_calls"
-	MetricItems        = "parallel.items"
-	MetricBusyNS       = "parallel.busy_ns"
-	MetricShards       = "parallel.shards"
-	MetricPoolTasks    = "parallel.pool_tasks"
-	MetricPoolBusyNS   = "parallel.pool_busy_ns"
+	// MetricItems and MetricBusyNS count the indices and the summed
+	// worker busy time of every fan-out (one parallel-wait
+	// observation each).
+	MetricItems  = "parallel.items"
+	MetricBusyNS = "parallel.busy_ns"
 
 	// MetricQueryRowsScanned counts respondent rows the query engine's
 	// scan blocks examined; MetricQueryBlocksSkipped counts aggregation
@@ -52,7 +52,7 @@ const (
 
 	// MetricHeapAlloc and MetricGCCount are gauges fed by
 	// StartMemSampler (live heap bytes; cumulative GC cycles), so a
-	// long -n 1000000 run surfaces its memory behaviour on /debug/vars
+	// long -n 1000000 run surfaces its memory behaviour on /metrics
 	// while executing.
 	MetricHeapAlloc = "mem.heap_alloc"
 	MetricGCCount   = "mem.gc_count"
@@ -81,67 +81,98 @@ const (
 var fpMetrics = [...]string{MetricFPOps, MetricFPOverflow, MetricFPUnderflow,
 	MetricFPPrecision, MetricFPInvalid, MetricFPDenorm, MetricFPDivByZero}
 
-// Stage identifies one instrumented block-level operation.
+// Stage identifies one instrumented operation. The stage table below
+// is the one list of stage names: a stage's name is its latency
+// histogram ("latency.<name>"), its trace event and its run-ledger
+// row.
 type Stage uint8
 
+// The pipeline-level stages each time one phase of a run, once per
+// run; they trace as EvStage events on lane 0 with the phase's item
+// count as arg1.
 const (
-	StageSampleBlock    Stage = iota // one 4096-respondent response-sampling block
-	StageCalibrate                   // one question-model bisection
-	StageGradeBatch                  // one ScoreAllColumns batch
-	StageFPDSEncode                  // one FPDS column block encode
-	StageFPDSDecode                  // one FPDS column block decode
-	StageQueryBlock                  // one query-engine scan block (load+filter+key+aggregate)
-	StageParallelShard               // one MapShards/SumShards shard
-	StageParallelWorker              // one worker's busy time in a fan-out
-	StageParallelWait                // one fan-out's aggregate wait (workers*wall-busy)
-	StagePoolTask                    // one parallel.Pool task
+	StageGenerate         Stage = iota // fpgen's cohort, or both cohorts of a Study.Run
+	StageGenerateMain                  // the main cohort of a Study.Run
+	StageGenerateStudents              // the student cohort of a Study.Run or ResultsFromColumns
+	StageDrawProfiles                  // the calibration prefix's abilities
+	StageCalibrate                     // fitting every question model
+	StageSampleResponses               // sampling a cohort's answers into columns
+	StageGrade                         // grading the main cohort for the analyses
+	StageWrite                         // fpgen's dataset encode and write
+	StageLoadData                      // fpreport's -data load
+	StageLoadStudentData               // fpreport's -studentdata load
+	StageReport                        // fpreport's figures, claims, analyses or query output
+
+	// The block-level stages each time one unit of work inside a
+	// phase, many times per run.
+	StageSampleBlock       // one 4096-respondent response-sampling block
+	StageCalibrateQuestion // one question-model bisection
+	StageGradeBatch        // one ScoreAllColumns batch
+	StageFPDSEncode        // one FPDS column block encode
+	StageFPDSDecode        // one FPDS column block decode
+	StageQueryBlock        // one query-engine scan block (load+filter+key+aggregate)
+	StageParallelShard     // one MapShards/SumShards shard
+	StageParallelWorker    // one worker's busy time in a fan-out
+	StageParallelWait      // one fan-out's aggregate wait (workers*wall-busy)
+	StagePoolTask          // one parallel.Pool task
 	numStages
 )
 
-// stageDef says what one observation of a stage feeds. Every field is
-// optional; "" and 0 mean "not fed".
+// stageDef says what one observation of a stage feeds besides its
+// latency histogram, whose count and sum already say how often the
+// stage ran and for how long. Every other field is optional; "" and 0
+// mean "not fed".
 type stageDef struct {
-	latency string // latency histogram observing the duration
-	calls   string // counter advanced by one per observation
-	arg1    string // counter advanced by the observation's arg1
-	arg2    string // counter advanced by the observation's arg2
-	ns      string // counter advanced by the duration in nanoseconds
-	// kind and event are the trace event recorded on the observation's
-	// lane while a tracer is set, with arg1/arg2 as its arguments.
-	kind  EventKind
-	event string
+	name string
+	arg1 string // counter advanced by the observation's arg1
+	arg2 string // counter advanced by the observation's arg2
+	// kind is the trace event, named after the stage, recorded on the
+	// observation's lane while a tracer is set, with arg1/arg2 as its
+	// arguments.
+	kind EventKind
 }
 
 var stageDefs = [numStages]stageDef{
-	StageSampleBlock: {latency: "latency.sample_block"},
-	StageCalibrate:   {latency: "latency.calibrate"},
-	StageGradeBatch:  {latency: "latency.grade_batch", kind: EvBatch, event: "grade-batch"},
-	StageFPDSEncode:  {latency: "latency.fpds_encode_block"},
-	StageFPDSDecode:  {latency: "latency.fpds_decode_block"},
-	StageQueryBlock: {latency: "latency.query_block",
+	StageGenerate:         {name: "generate", kind: EvStage},
+	StageGenerateMain:     {name: "generate-main", kind: EvStage},
+	StageGenerateStudents: {name: "generate-students", kind: EvStage},
+	StageDrawProfiles:     {name: "draw-profiles", kind: EvStage},
+	StageCalibrate:        {name: "calibrate", kind: EvStage},
+	StageSampleResponses:  {name: "sample-responses", kind: EvStage},
+	StageGrade:            {name: "grade", kind: EvStage},
+	StageWrite:            {name: "write", kind: EvStage},
+	StageLoadData:         {name: "load-data", kind: EvStage},
+	StageLoadStudentData:  {name: "load-studentdata", kind: EvStage},
+	StageReport:           {name: "report", kind: EvStage},
+
+	StageSampleBlock:       {name: "sample-block"},
+	StageCalibrateQuestion: {name: "calibrate-question"},
+	StageGradeBatch:        {name: "grade-batch", kind: EvBatch},
+	StageFPDSEncode:        {name: "fpds-encode-block"},
+	StageFPDSDecode:        {name: "fpds-decode-block"},
+	StageQueryBlock: {name: "query-block",
 		arg1: MetricQueryBlocksSkipped, arg2: MetricQueryRowsScanned},
-	StageParallelShard: {latency: "latency.parallel_shard", calls: MetricShards,
-		kind: EvShard, event: "shard"},
-	StageParallelWorker: {latency: "latency.parallel_worker_busy", kind: EvWorker, event: "worker"},
-	StageParallelWait: {latency: "latency.parallel_wait", calls: MetricForEachCalls,
-		arg1: MetricBusyNS, arg2: MetricItems},
-	StagePoolTask: {calls: MetricPoolTasks, ns: MetricPoolBusyNS},
+	StageParallelShard:  {name: "parallel-shard", kind: EvShard},
+	StageParallelWorker: {name: "parallel-worker-busy", kind: EvWorker},
+	StageParallelWait:   {name: "parallel-wait", arg1: MetricBusyNS, arg2: MetricItems},
+	StagePoolTask:       {name: "pool-task"},
 }
 
-// Name returns the stage's name: its latency histogram, or for a
-// counter-only stage its call counter.
-func (st Stage) Name() string {
-	if d := &stageDefs[st]; d.latency != "" {
-		return d.latency
-	}
-	return stageDefs[st].calls
-}
+// Name returns the stage's name.
+func (st Stage) Name() string { return stageDefs[st].name }
+
+// Metric returns the name of the stage's latency histogram,
+// "latency.<name>".
+func (st Stage) Metric() string { return LatencyPrefix + stageDefs[st].name }
+
+// LatencyPrefix starts the name of every stage's latency histogram.
+const LatencyPrefix = "latency."
 
 // stageSink holds one stage's resolved registry handles; nil handles
 // are no-ops.
 type stageSink struct {
-	lat                   *LatencyHist
-	calls, arg1, arg2, ns *Counter
+	lat        *LatencyHist
+	arg1, arg2 *Counter
 }
 
 type probe struct {
@@ -173,10 +204,8 @@ func Install(reg *Registry) {
 	}
 	for st, d := range stageDefs {
 		s := &p.stages[st]
-		if d.latency != "" {
-			s.lat = reg.Latency(d.latency)
-		}
-		s.calls, s.arg1, s.arg2, s.ns = counter(d.calls), counter(d.arg1), counter(d.arg2), counter(d.ns)
+		s.lat = reg.Latency(Stage(st).Metric())
+		s.arg1, s.arg2 = counter(d.arg1), counter(d.arg2)
 	}
 	for _, name := range fpMetrics {
 		reg.Counter(name)
@@ -222,8 +251,7 @@ func Done(st Stage, lane int, start time.Time, arg1, arg2 int64) {
 //
 //   - the stage's latency histogram observes d on histogram shard lane
 //     (lanes pick shards only to keep concurrent writers apart);
-//   - its counters advance by one call, arg1, arg2 and d, as the stage
-//     defines;
+//   - its counters advance by arg1 and arg2, as the stage defines;
 //   - while a tracer is set, a stage with a trace kind records an
 //     interval event on lane with arg1/arg2 as its arguments (lane 0 is
 //     the pipeline control lane, lane w+1 worker w).
@@ -233,12 +261,10 @@ func Record(st Stage, lane int, start time.Time, d time.Duration, arg1, arg2 int
 	if p := installed.Load(); p != nil {
 		s := &p.stages[st]
 		s.lat.ObserveShard(lane, d)
-		s.calls.Inc()
 		s.arg1.Add(arg1)
 		s.arg2.Add(arg2)
-		s.ns.Add(int64(d))
 	}
 	if def := &stageDefs[st]; def.kind != 0 {
-		EmitSpan(def.kind, lane, def.event, start, d, arg1, arg2)
+		EmitSpan(def.kind, lane, def.name, start, d, arg1, arg2)
 	}
 }

@@ -29,34 +29,37 @@ func TestProbeRecordFeedsStage(t *testing.T) {
 
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{
-		MetricShards:             1,
-		MetricForEachCalls:       1,
 		MetricBusyNS:             500,
 		MetricItems:              64,
 		MetricQueryBlocksSkipped: 1,
 		MetricQueryRowsScanned:   8192,
-		MetricPoolTasks:          1,
-		MetricPoolBusyNS:         int64(2 * time.Millisecond),
 		MetricFPOps:              0, // registered by Install, fed by the quiz oracles
 	} {
 		if got, ok := snap.Counters[name]; !ok || got != want {
 			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)
 		}
 	}
-	for _, st := range []Stage{StageParallelShard, StageParallelWait, StageQueryBlock, StageSampleBlock} {
-		if got := snap.Latencies[st.Name()].Count; got != 1 {
-			t.Errorf("%s: %d observations, want 1", st.Name(), got)
+	for st, sumNS := range map[Stage]int64{
+		StageParallelShard: int64(3 * time.Millisecond),
+		StageParallelWait:  int64(time.Millisecond),
+		StageQueryBlock:    int64(time.Millisecond),
+		StagePoolTask:      int64(2 * time.Millisecond),
+		StageSampleBlock:   -1, // timed by Start/Done: any sum
+	} {
+		ls := snap.Latencies[st.Metric()]
+		if ls.Count != 1 || (sumNS >= 0 && ls.SumNS != sumNS) {
+			t.Errorf("%s: %d observations summing to %dns, want 1 summing to %dns", st.Name(), ls.Count, ls.SumNS, sumNS)
 		}
 	}
-	if got := StagePoolTask.Name(); got != MetricPoolTasks {
-		t.Errorf("counter-only stage name = %q, want %q", got, MetricPoolTasks)
+	if got := StageParallelShard.Metric(); got != "latency.parallel-shard" {
+		t.Errorf("shard stage histogram = %q, want latency.parallel-shard", got)
 	}
 
 	evs := tr.Events()
 	if len(evs) != 1 {
 		t.Fatalf("tracer holds %d events, want 1 (only the shard stage traces)", len(evs))
 	}
-	if ev := evs[0]; ev.Kind != EvShard || ev.Lane != 2 || ev.Name != "shard" ||
+	if ev := evs[0]; ev.Kind != EvShard || ev.Lane != 2 || ev.Name != "parallel-shard" ||
 		ev.Arg1 != 7 || ev.Arg2 != 4096 || ev.Dur != int64(3*time.Millisecond) {
 		t.Errorf("shard event = %+v", ev)
 	}
@@ -67,8 +70,12 @@ func TestProbeRecordFeedsStage(t *testing.T) {
 		t.Fatal("probe still on after uninstall")
 	}
 	Record(StageParallelShard, 2, start, time.Millisecond, 7, 4096)
-	if got := reg.Counter(MetricShards).Value(); got != 1 {
-		t.Errorf("uninstalled probe still counting: %s = %d", MetricShards, got)
+	Record(StageQueryBlock, 1, start, time.Millisecond, 1, 8192)
+	if got := reg.Latency(StageParallelShard.Metric()).Count(); got != 1 {
+		t.Errorf("uninstalled probe still observing: %s count = %d", StageParallelShard.Metric(), got)
+	}
+	if got := reg.Counter(MetricQueryRowsScanned).Value(); got != 8192 {
+		t.Errorf("uninstalled probe still counting: %s = %d", MetricQueryRowsScanned, got)
 	}
 }
 
@@ -98,7 +105,8 @@ func TestProbeZeroAlloc(t *testing.T) {
 // TestProbeConcurrentInstall drives the probe from several goroutines
 // while another installs and removes it, for the race detector: every
 // observation lands in whichever probe was installed when it loaded
-// the pointer, and none is torn.
+// the pointer, and none is torn — its histogram and its counters
+// always advance together.
 func TestProbeConcurrentInstall(t *testing.T) {
 	defer Install(nil)
 	reg := NewRegistry()
@@ -118,14 +126,14 @@ func TestProbeConcurrentInstall(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				Done(StageParallelShard, g+1, Start(), int64(i), 1)
+				Done(StageQueryBlock, g+1, Start(), 0, 1)
 			}
 		}(g)
 	}
 	wg.Wait()
 	<-done
-	shards := reg.Counter(MetricShards).Value()
-	if lat := reg.Latency(StageParallelShard.Name()).Count(); lat != shards || shards > writers*perG {
-		t.Fatalf("latency count %d, %s %d: want equal and at most %d", lat, MetricShards, shards, writers*perG)
+	rows := reg.Counter(MetricQueryRowsScanned).Value()
+	if lat := reg.Latency(StageQueryBlock.Metric()).Count(); lat != rows || rows > writers*perG {
+		t.Fatalf("latency count %d, %s %d: want equal and at most %d", lat, MetricQueryRowsScanned, rows, writers*perG)
 	}
 }

@@ -7,41 +7,21 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
-// Prometheus text exposition (format version 0.0.4) for every
-// registry published with PublishExpvar. The expvar variable name
-// doubles as the metric prefix, so the same single publication call a
-// tool already makes lights up both /debug/vars (JSON) and /metrics
-// (Prometheus): "pipeline.respondents" in registry "fpstudy" becomes
+// Prometheus text exposition (format version 0.0.4) of the installed
+// registry: "pipeline.respondents" becomes
 // "fpstudy_pipeline_respondents".
 //
 // Latency histograms render as native Prometheus histograms with
-// cumulative `le` buckets plus `_count`/`_sum`, converted to seconds (the Prometheus base unit) and only non-empty
-// buckets are emitted — the log-linear grid has ~1200 buckets, almost
-// all zero; cumulative counts stay correct because empty buckets add
-// nothing.
+// cumulative `le` buckets plus `_count`/`_sum`, converted to seconds
+// (the Prometheus base unit), and only non-empty buckets are emitted —
+// the log-linear grid has ~1200 buckets, almost all zero; cumulative
+// counts stay correct because empty buckets add nothing.
 
-// promRegs is the process-wide publication list, mirroring the expvar
-// publish-once pattern: the first registry to claim a prefix keeps it.
-var (
-	promMu   sync.Mutex
-	promRegs = map[string]*Registry{}
-)
-
-// promPublish records reg under prefix for /metrics, once. A nil
-// registry is not recorded (and does not claim the prefix).
-func promPublish(prefix string, reg *Registry) {
-	if reg == nil {
-		return
-	}
-	promMu.Lock()
-	defer promMu.Unlock()
-	if _, ok := promRegs[prefix]; !ok {
-		promRegs[prefix] = reg
-	}
-}
+// promPrefix is the metric-name prefix /metrics serves the installed
+// registry under.
+const promPrefix = "fpstudy"
 
 // promName sanitizes a dotted metric name into a legal Prometheus
 // metric name component: [a-zA-Z0-9_] with everything else mapped to
@@ -123,20 +103,11 @@ func WritePrometheus(w io.Writer, prefix string, snap Snapshot) error {
 	return nil
 }
 
-// promHandler serves every published registry in the text exposition
-// format.
+// promHandler serves the installed registry in the text exposition
+// format (an empty body while no probe is installed).
 func promHandler(w http.ResponseWriter, _ *http.Request) {
-	promMu.Lock()
-	prefixes := sortedKeys(promRegs)
-	regs := make([]*Registry, len(prefixes))
-	for i, p := range prefixes {
-		regs[i] = promRegs[p]
-	}
-	promMu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for i, p := range prefixes {
-		if err := WritePrometheus(w, p, regs[i].Snapshot()); err != nil {
-			return // client went away mid-scrape
-		}
+	if reg := Installed(); reg != nil {
+		WritePrometheus(w, promPrefix, reg.Snapshot()) //nolint:errcheck // client went away mid-scrape
 	}
 }

@@ -101,7 +101,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("pipeline.respondents").Add(199)
 	reg.Gauge("mem.heap_alloc").Set(12345.5)
-	lh := reg.Latency("latency.grade_batch")
+	lh := reg.Latency("latency.grade-batch")
 	for i := 0; i < 100; i++ {
 		lh.Observe(time.Duration(i+1) * time.Millisecond)
 	}

@@ -1,9 +1,8 @@
 // Package telemetry is the zero-dependency observability layer of the
 // study pipeline: an atomic metrics registry (counters, gauges,
-// log-linear latency histograms), the stage probe the pipeline packages
-// call at every block boundary (probe.go), a span tree for stage
-// timing, a structured event tracer, and an expvar / Prometheus / pprof
-// HTTP surface.
+// log-linear latency histograms), the stage probe the pipeline calls
+// around every run phase and block (probe.go), a structured event
+// tracer, and a Prometheus /metrics and pprof HTTP surface.
 //
 // # Determinism contract
 //
@@ -12,10 +11,10 @@
 // values back into the computation, so a run produces bit-identical
 // output with telemetry on, off, or partially attached
 // (internal/core.TestGoldenTelemetryInvariance pins this). Every handle
-// is nil-safe: a nil *Registry, *Recorder, *Span, *Counter, *Gauge, or
-// *LatencyHist accepts the full method set as a no-op, which is what
-// lets instrumentation points stay unconditional in the hot paths
-// without an "enabled" flag.
+// is nil-safe: a nil *Registry, *Counter, *Gauge, or *LatencyHist
+// accepts the full method set as a no-op, which is what lets
+// instrumentation points stay unconditional in the hot paths without
+// an "enabled" flag.
 //
 // # Metric naming
 //
@@ -24,26 +23,27 @@
 //
 //	pipeline.respondents     counter  generation progress (see Instrumentation)
 //	pipeline.runs            counter  completed Study runs
-//	parallel.foreach_calls   counter  fan-out invocations
 //	parallel.items           counter  indices executed by ForEach
 //	parallel.busy_ns         counter  summed worker busy time
-//	parallel.shards          counter  fixed-width shards dispatched
-//	parallel.pool_tasks      counter  Pool tasks executed
-//	parallel.pool_busy_ns    counter  summed Pool task time
 //	query.rows_scanned       counter  rows the query engine's scan blocks examined
 //	query.blocks_skipped     counter  aggregation passes elided on empty selections
 //	io.bytes_written/read    counter  dataset bytes encoded / decoded
 //	fp.ops                   counter  observed softfloat operations
 //	fp.exceptions.<cond>     counter  per-condition FP exception events
 //	mem.heap_alloc, mem.gc_count, colstore.interned_strings   gauges
-//	latency.<stage>          latency  per-operation durations (LatencyHist)
+//	latency.<stage>          latency  per-observation durations (LatencyHist);
+//	                                  its count and sum say how often a stage
+//	                                  ran and for how long
 //
-// The whole registry is exported as one expvar variable (conventionally
-// "fpstudy") whose JSON value is the Snapshot.
+// The stage table in probe.go is the one list of stage names: each
+// stage's name keys its latency histogram, its trace event and its
+// run-ledger row. Serve exposes the installed registry on /metrics in
+// the Prometheus text format under the "fpstudy" prefix, with "." and
+// "-" mapped to "_" (latency.sample-block becomes
+// fpstudy_latency_sample_block_seconds).
 package telemetry
 
 import (
-	"expvar"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -212,33 +212,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// publishMu serializes expvar publication (expvar.Publish panics on a
-// duplicate name, and Get+Publish is not atomic on its own).
-var publishMu sync.Mutex
-
-// publish registers fn as the expvar variable name, once; later calls
-// with the same name are ignored (last registration wins inside one
-// process is deliberately NOT supported — the first owner keeps it).
-func publish(name string, fn expvar.Func) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if expvar.Get(name) == nil {
-		expvar.Publish(name, fn)
-	}
-}
-
-// PublishExpvar exposes the registry under the given expvar variable
-// name (conventionally "fpstudy"); /debug/vars then serves the live
-// Snapshot, and /metrics serves the same registry in Prometheus text
-// format with the name as metric prefix. Publishing the same name
-// twice is a no-op, so init order does not matter. No-op on the nil
-// Registry.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	publish(name, func() any { return r.Snapshot() })
-	promPublish(name, r)
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,9 +9,8 @@ import (
 	"time"
 )
 
-// Server is a live-introspection HTTP endpoint: /debug/vars (expvar,
-// including every registry published with PublishExpvar), /metrics
-// (the same registries in Prometheus text exposition format), and
+// Server is a live-introspection HTTP endpoint: /metrics (the
+// installed probe's registry in Prometheus text exposition format) and
 // /debug/pprof/* (CPU/heap/goroutine profiling). It exists so a long
 // -n 1000000 run is not a black box: attach with a browser, curl, or
 // `go tool pprof` while the pipeline is executing.
@@ -32,7 +30,6 @@ func Serve(addr string) (*Server, error) {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/metrics", promHandler)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

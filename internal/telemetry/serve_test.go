@@ -20,7 +20,7 @@ func TestServerShutdownReleasesPort(t *testing.T) {
 	}
 	addr := srv.Addr()
 
-	resp, err := http.Get("http://" + addr + "/debug/vars")
+	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatalf("server not reachable before shutdown: %v", err)
 	}
@@ -40,8 +40,62 @@ func TestServerShutdownReleasesPort(t *testing.T) {
 	}
 	ln.Close()
 
-	if _, err := http.Get("http://" + addr + "/debug/vars"); err == nil {
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
 		t.Fatal("server still serving after Shutdown")
+	}
+}
+
+// TestServeMetrics boots the introspection server on an ephemeral port
+// and checks that /metrics serves the installed probe's registry under
+// the fpstudy prefix, that it serves nothing once the probe is removed,
+// that /debug/vars is gone, and that the pprof index responds.
+func TestServeMetrics(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("pipeline.respondents").Add(42)
+	Install(reg)
+	defer Install(nil)
+	Done(StageGenerate, 0, Start(), 42, 0)
+
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	code, body := get("/metrics")
+	for _, want := range []string{
+		"fpstudy_pipeline_respondents 42\n",
+		"fpstudy_latency_generate_seconds_count 1\n",
+	} {
+		if code != http.StatusOK || !strings.Contains(body, want) {
+			t.Errorf("/metrics (status %d) missing %q:\n%s", code, want, body)
+		}
+	}
+	if problem := validateExposition(body); problem != "" {
+		t.Errorf("/metrics exposition invalid: %s", problem)
+	}
+	Install(nil)
+	if code, body := get("/metrics"); code != http.StatusOK || body != "" {
+		t.Errorf("/metrics with no probe installed: status %d, body %q", code, body)
+	}
+	if code, _ := get("/debug/vars"); code != http.StatusNotFound {
+		t.Errorf("/debug/vars status %d, want 404", code)
+	}
+	if code, body := get("/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "goroutine") {
+		t.Errorf("pprof index bad: status %d", code)
 	}
 }
 
@@ -81,7 +135,8 @@ func TestServerMetricsScrapeDuringShutdown(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("scrape.test").Add(7)
 	reg.Latency("latency.scrape_test").Observe(time.Millisecond)
-	reg.PublishExpvar("scrapetest")
+	Install(reg)
+	defer Install(nil)
 
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -106,7 +161,7 @@ func TestServerMetricsScrapeDuringShutdown(t *testing.T) {
 				if rerr != nil {
 					return // connection dropped mid-read during forced close
 				}
-				if resp.StatusCode == http.StatusOK && !strings.Contains(string(body), "scrapetest_scrape_test 7") {
+				if resp.StatusCode == http.StatusOK && !strings.Contains(string(body), "fpstudy_scrape_test 7") {
 					t.Errorf("scrape missing counter:\n%s", body)
 					return
 				}

@@ -35,10 +35,10 @@ import (
 type EventKind uint8
 
 const (
-	// EvStage is a completed pipeline stage (a telemetry.Span that
-	// ended): run, generate-main, draw-profiles, calibrate,
-	// sample-responses, grade, write, figures, … Arg1 is the span's item
-	// count.
+	// EvStage is a completed pipeline-level stage of the probe's
+	// stage table (generate, draw-profiles, calibrate,
+	// sample-responses, grade, write, report, …), on lane 0. Arg1 is
+	// the stage's item count.
 	EvStage EventKind = 1 + iota
 	// EvWorker is one worker goroutine's busy window inside a
 	// parallel.ForEach fan-out. Arg1 is the worker index.
@@ -91,7 +91,7 @@ type TraceEvent struct {
 }
 
 // traceLane is one ring buffer. Lane 0 is by convention the pipeline
-// control lane (stage spans, batches, GC marks); lane w+1 carries
+// control lane (stages, batches, GC marks); lane w+1 carries
 // worker w's events. A short mutex guards the cursor-and-write pair —
 // writers touch a lane for tens of nanoseconds and a full ring simply
 // overwrites its oldest slot, so recording never blocks on capacity.

@@ -163,24 +163,30 @@ func TestEmitEnabledZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestSpanEndEmitsStageEvent(t *testing.T) {
+// TestPipelineStageEmitsStageEvent pins the one-name rule for a
+// pipeline-level stage: with a probe and a tracer installed, one
+// observation lands in the histogram latency.<name> and as an EvStage
+// event named <name> on lane 0 carrying the item count.
+func TestPipelineStageEmitsStageEvent(t *testing.T) {
 	drainTracer(t)
 	tr := NewTracer(1, 64)
 	SetTracer(tr)
+	reg := NewRegistry()
+	Install(reg)
+	defer Install(nil)
 
-	rec := NewRecorder(nil)
-	s := rec.StartSpan("generate")
-	s.AddItems(42)
-	s.End()
-	s.End() // idempotent: must not double-emit
+	Done(StageGenerate, 0, Start(), 42, 0)
 
 	evs := tr.Events()
 	if len(evs) != 1 {
-		t.Fatalf("got %d events after double End, want 1", len(evs))
+		t.Fatalf("got %d events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if ev.Kind != EvStage || ev.Name != "generate" || ev.Arg1 != 42 {
+	if ev.Kind != EvStage || ev.Name != "generate" || ev.Lane != 0 || ev.Arg1 != 42 {
 		t.Fatalf("stage event mangled: %+v", ev)
+	}
+	if got := reg.Snapshot().Latencies["latency.generate"].Count; got != 1 {
+		t.Errorf("latency.generate holds %d observations, want 1", got)
 	}
 }
 

@@ -67,9 +67,10 @@ if [ "${CHECK_QUERY_SMOKE:-0}" = "1" ]; then
 fi
 
 # Optional SLO smoke gate: CHECK_SLO_SMOKE=1 runs an n=1M fpgen with
-# -telemetry and -runlog, scrapes /metrics mid-run, validates the
-# Prometheus exposition, and asserts the ledger record's per-stage
-# latency quantiles (make slo-smoke). Off by default — the same
+# -telemetry and -runlog, scrapes /metrics mid-run until the
+# respondents counter and the stage histograms are live, validates the
+# Prometheus exposition, and asserts the ledger record's stage rows
+# under the names /metrics serves (make slo-smoke). Off by default — the same
 # exposition and quantile logic is unit-tested in internal/telemetry;
 # this stage additionally exercises the real HTTP surface and the
 # built binary.

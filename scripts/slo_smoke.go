@@ -8,10 +8,13 @@
 //  1. the /metrics exposition parses as Prometheus text format 0.0.4
 //     (legal metric names, parseable values, cumulative histogram
 //     buckets ending in +Inf, _sum/_count present), and
-//  2. it carries live latency histograms (a nonzero
-//     fpstudy_latency_*_seconds_count), and
-//  3. the run-ledger record fpgen appends carries per-stage latency
-//     rows with ordered quantiles (p50 <= p90 <= p99 <= p999).
+//  2. it carries live metrics mid-run: a nonzero
+//     fpstudy_pipeline_respondents counter and a nonzero
+//     fpstudy_latency_*_seconds_count, and
+//  3. the run-ledger record fpgen appends carries one row per stage
+//     with a positive count and seconds and ordered quantiles
+//     (p50 <= p90 <= p99 <= p999), and each row's stage is served on
+//     /metrics under the same name (with "-" mapped to "_").
 //
 // Run via `make slo-smoke` (or `go run scripts/slo_smoke.go` from the
 // repo root). Exits 0 and prints PASS on success.
@@ -155,7 +158,7 @@ func main() {
 		gen.Wait()
 	}()
 
-	addrRE := regexp.MustCompile(`telemetry on http://([0-9.:]+)/debug/vars`)
+	addrRE := regexp.MustCompile(`telemetry on http://([0-9.:]+)/metrics`)
 	var addr string
 	sc := bufio.NewScanner(stderr)
 	for sc.Scan() {
@@ -174,10 +177,11 @@ func main() {
 		close(drained)
 	}()
 
-	// Scrape /metrics until it shows live latency observations, then
-	// validate the whole exposition.
+	// Scrape /metrics until it shows live generation progress and
+	// latency observations, then validate the whole exposition.
 	url := "http://" + addr + "/metrics"
 	countRE := regexp.MustCompile(`(?m)^fpstudy_latency_[a-z_]+_seconds_count ([1-9][0-9]*)$`)
+	respondentsRE := regexp.MustCompile(`(?m)^fpstudy_pipeline_respondents ([1-9][0-9]*)$`)
 	var exposition string
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
@@ -194,19 +198,20 @@ func main() {
 		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 			fail("%s Content-Type = %q, want text/plain exposition", url, ct)
 		}
-		if countRE.Match(body) {
+		if countRE.Match(body) && respondentsRE.Match(body) {
 			exposition = string(body)
 			break
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if exposition == "" {
-		fail("%s never served a nonzero fpstudy_latency_*_seconds_count", url)
+		fail("%s never served a nonzero fpstudy_pipeline_respondents and fpstudy_latency_*_seconds_count", url)
 	}
 	if msg := validateExposition(exposition); msg != "" {
 		fail("exposition check: %s", msg)
 	}
 	liveStages := countRE.FindAllString(exposition, -1)
+	respondents := respondentsRE.FindStringSubmatch(exposition)[1]
 
 	// Let the run finish and check its ledger record's quantile rows.
 	<-drained
@@ -220,12 +225,13 @@ func main() {
 	var rec struct {
 		Tool    string `json:"tool"`
 		Latency []struct {
-			Stage  string  `json:"stage"`
-			Count  int64   `json:"count"`
-			P50NS  float64 `json:"p50_ns"`
-			P90NS  float64 `json:"p90_ns"`
-			P99NS  float64 `json:"p99_ns"`
-			P999NS float64 `json:"p999_ns"`
+			Stage   string  `json:"stage"`
+			Count   int64   `json:"count"`
+			Seconds float64 `json:"seconds"`
+			P50NS   float64 `json:"p50_ns"`
+			P90NS   float64 `json:"p90_ns"`
+			P99NS   float64 `json:"p99_ns"`
+			P999NS  float64 `json:"p999_ns"`
 		} `json:"latency"`
 	}
 	if err := json.Unmarshal(data, &rec); err != nil {
@@ -236,8 +242,12 @@ func main() {
 	}
 	var stages []string
 	for _, s := range rec.Latency {
-		if s.Count <= 0 {
-			fail("stage %s: count = %d", s.Stage, s.Count)
+		if s.Count <= 0 || s.Seconds <= 0 {
+			fail("stage %s: count = %d, seconds = %g", s.Stage, s.Count, s.Seconds)
+		}
+		series := "fpstudy_latency_" + strings.ReplaceAll(s.Stage, "-", "_") + "_seconds"
+		if !strings.Contains(exposition, "# TYPE "+series+" histogram\n") {
+			fail("ledger stage %s has no %s histogram on %s", s.Stage, series, url)
 		}
 		if s.P50NS > s.P90NS || s.P90NS > s.P99NS || s.P99NS > s.P999NS {
 			fail("stage %s: quantiles out of order: p50=%g p90=%g p99=%g p999=%g",
@@ -246,7 +256,7 @@ func main() {
 		stages = append(stages, s.Stage)
 	}
 	sort.Strings(stages)
-	fmt.Printf("slo-smoke: PASS: %s exposition valid (%d live latency series); "+
-		"ledger record has quantile rows for [%s]\n",
-		url, len(liveStages), strings.Join(stages, " "))
+	fmt.Printf("slo-smoke: PASS: %s exposition valid (pipeline.respondents=%s mid-run, %d live latency series); "+
+		"ledger record has stage rows, each on /metrics, for [%s]\n",
+		url, respondents, len(liveStages), strings.Join(stages, " "))
 }
