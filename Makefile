@@ -27,8 +27,8 @@ bench:
 # this as part of the full gate.
 bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/telemetry/ ./internal/parallel/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI|BenchmarkRunScore' \
-		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/core/ ./internal/stats/
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI|BenchmarkResampleSum|BenchmarkRunScore' \
+		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/parallel/
 
 # End-to-end check of the tracing surface: generates n=199 with -trace
 # and validates the Chrome trace-event JSON (parses, contains the

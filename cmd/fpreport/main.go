@@ -221,11 +221,16 @@ func chosenReports() []string {
 // off a row-JSON file, or over a freshly generated main cohort.
 func runQuery(study core.Study, dataPath, expr string) error {
 	schema := quiz.Columns()
+	// The parse resolves score names through quiz.QueryValue, which
+	// derives the oracle answer key, so it is timed under report with
+	// the run and the rendering.
+	tp := telemetry.Start()
 	resolve := func(name string) (query.Value, error) { return quiz.QueryValue(schema, name) }
 	p, err := query.Parse(schema, expr, resolve)
 	if err != nil {
 		return err
 	}
+	telemetry.Done(telemetry.StageReport, 0, tp, 0, 0)
 
 	var src query.Source
 	switch {
@@ -241,11 +246,13 @@ func runQuery(study core.Study, dataPath, expr string) error {
 		if colstore.DetectFormat(head[:k]) == colstore.FormatBinary {
 			// Out-of-core: stream blocks of the bound columns only.
 			f.Close()
+			t0 := telemetry.Start()
 			sr, err := colstore.OpenShard(schema, dataPath, colstore.IOOptions{Workers: study.Workers})
 			if err != nil {
 				return err
 			}
 			defer sr.Close()
+			telemetry.Done(telemetry.StageLoadData, 0, t0, int64(sr.Len()), 0)
 			fmt.Fprintf(os.Stderr, "fpreport: streaming %s: fpds, %d responses\n", dataPath, sr.Len())
 			src = query.NewShardSource(sr)
 		} else {

@@ -799,21 +799,15 @@ func decodeBlockInto(c *Col, arenaLen int, payload []byte, crcWant uint32, b, lo
 	}
 	switch c.Kind {
 	case survey.TrueFalse:
-		for j := range u8d {
-			v := payload[j]
-			if v > TFDontKnow {
-				return fmt.Errorf("colstore: decode binary: column %q respondent %d: bad truefalse code %d", c.ID, lo+j, v)
-			}
-			u8d[j] = v
+		if j := firstAbove(payload, TFDontKnow); j >= 0 {
+			return fmt.Errorf("colstore: decode binary: column %q respondent %d: bad truefalse code %d", c.ID, lo+j, payload[j])
 		}
+		copy(u8d, payload)
 	case survey.Likert:
-		for j := range u8d {
-			v := payload[j]
-			if int(v) > c.Scale {
-				return fmt.Errorf("colstore: decode binary: column %q respondent %d: level %d out of 1..%d", c.ID, lo+j, v, c.Scale)
-			}
-			u8d[j] = v
+		if j := firstAbove(payload, uint8(c.Scale)); j >= 0 {
+			return fmt.Errorf("colstore: decode binary: column %q respondent %d: level %d out of 1..%d", c.ID, lo+j, payload[j], c.Scale)
 		}
+		copy(u8d, payload)
 	case survey.SingleChoice:
 		for j := range i32d {
 			v := int32(binary.LittleEndian.Uint32(payload[j*4:]))
@@ -836,6 +830,35 @@ func decodeBlockInto(c *Col, arenaLen int, payload []byte, crcWant uint32, b, lo
 		}
 	}
 	return nil
+}
+
+// firstAbove returns the index of the first byte of p above limit, or
+// -1 if there is none. For a limit below 128 it tests eight bytes at a
+// time: with ones = 0x0101…01, a word w holds a byte above limit
+// exactly when ((w + ones·(127-limit)) | w) has some byte's top bit
+// set. Adding 127-limit sets the top bit of a byte in limit+1..127 and
+// leaves it clear, without a carry, in a byte at most limit; a byte
+// from 128 up sets it through the OR, so its carry into the next byte
+// can only flag a word that is flagged already. A flagged word, and
+// every limit from 128 on, goes to the byte loop, which finds the
+// first offending byte.
+func firstAbove(p []byte, limit uint8) int {
+	const ones = 0x0101010101010101
+	j := 0
+	if limit < 128 {
+		add := ones * uint64(127-limit)
+		for ; j+8 <= len(p); j += 8 {
+			if w := binary.LittleEndian.Uint64(p[j:]); ((w+add)|w)&(ones*0x80) != 0 {
+				break
+			}
+		}
+	}
+	for ; j < len(p); j++ {
+		if p[j] > limit {
+			return j
+		}
+	}
+	return -1
 }
 
 // parseSpills decodes the extras section payload into per-column spill

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/report"
@@ -48,16 +49,20 @@ func (r *Results) CalibrationReport() report.Table {
 		fmt.Sprintf("n=%d; %d/%d questions within the 5%% chi-square band of the published distribution",
 			n, 15-fails, 15))
 
-	// Bootstrap CI on the headline mean.
+	// Bootstrap CI on the headline mean. Core scores are 0..15, so
+	// they fit a byte, and their integer sum is exact: the mean below
+	// is bit-identical to a float sum over the same scores.
 	tallies, _ := r.Tallies()
-	scores := make([]float64, len(tallies))
+	scores := make([]uint8, len(tallies))
+	sum := 0
 	for i, tl := range tallies {
-		scores[i] = float64(tl.Correct)
+		scores[i] = uint8(tl.Correct)
+		sum += tl.Correct
 	}
 	lo, hi := stats.BootstrapMeanCI(scores, 0.95, 2000, r.Study.Seed, r.workers)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("core mean %.2f, 95%% bootstrap CI [%.2f, %.2f]; paper 8.5; chance 7.5",
-			stats.Mean(scores), lo, hi))
+			float64(sum)/float64(len(scores)), lo, hi))
 	inBand := lo <= paperdata.Figure12Core.Correct && paperdata.Figure12Core.Correct <= hi
 	t.Notes = append(t.Notes, fmt.Sprintf("paper mean inside CI: %v", inBand))
 	return t
@@ -97,33 +102,7 @@ func (r *Results) FactorAssociation() report.Table {
 		{"Contributed FP Extent", quiz.BGContribExtent},
 	}
 	for _, f := range factors {
-		// Contingency rows are levels in first-seen order, so Cramér's
-		// V sums its cells in a fixed order. counts holds one (below,
-		// above) pair per level; it and the level map are sized for
-		// every option plus "unanswered", so their allocations do not
-		// grow with the cohort.
-		ci := d.Schema.MustColumnIndex(f.id)
-		nOpts := len(d.Schema.Column(ci).Options) + 1
-		levels := make(map[string]int, nOpts)
-		counts := make([]int, 0, 2*nOpts)
-		for i, score := range scores {
-			label := d.SingleLabel(ci, i)
-			l, ok := levels[label]
-			if !ok {
-				l = len(counts) / 2
-				levels[label] = l
-				counts = append(counts, 0, 0)
-			}
-			if score > median {
-				counts[2*l+1]++
-			} else {
-				counts[2*l]++
-			}
-		}
-		table := make([][]int, len(counts)/2)
-		for l := range table {
-			table[l] = counts[2*l : 2*l+2]
-		}
+		table := factorTable(d, d.Schema.MustColumnIndex(f.id), scores, median)
 		v := stats.CramersV(table)
 		strength := "negligible"
 		switch {
@@ -139,4 +118,50 @@ func (r *Results) FactorAssociation() report.Table {
 	t.Notes = append(t.Notes,
 		"paper: several factors are somewhat predictive, none has an outsize impact — expect weak/moderate at best")
 	return t
+}
+
+// factorTable is the contingency table of single-choice column ci
+// against the above/below-median split of scores: one (below, above)
+// row per answer label, in first-seen order, so Cramér's V sums its
+// cells in a fixed order. Rows are found by the cell's code, through a
+// slot per option code (0 for unanswered) followed by a slot per arena
+// string; the label is resolved once per slot, on its first sighting,
+// so a free-text answer whose text equals an option label lands in that
+// option's row, as it would if rows were keyed by label.
+func factorTable(d *colstore.Dataset, ci int, scores []float64, median float64) [][]int {
+	nOpts := len(d.Schema.Column(ci).Options) + 1
+	slots := make([]int32, nOpts+len(d.ArenaStrings()))
+	for k := range slots {
+		slots[k] = -1
+	}
+	levels := make(map[string]int32, nOpts)
+	counts := make([]int, 0, 2*nOpts)
+	codes := d.RawI32(ci)[:len(scores)]
+	for i, c := range codes {
+		slot := int(c)
+		if c < 0 {
+			slot = nOpts - 1 - int(c)
+		}
+		l := slots[slot]
+		if l < 0 {
+			label := d.SingleLabel(ci, i)
+			var ok bool
+			if l, ok = levels[label]; !ok {
+				l = int32(len(counts) / 2)
+				levels[label] = l
+				counts = append(counts, 0, 0)
+			}
+			slots[slot] = l
+		}
+		if scores[i] > median {
+			counts[2*l+1]++
+		} else {
+			counts[2*l]++
+		}
+	}
+	table := make([][]int, len(counts)/2)
+	for l := range table {
+		table[l] = counts[2*l : 2*l+2]
+	}
+	return table
 }

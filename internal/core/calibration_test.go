@@ -1,8 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"fpstudy/internal/query"
+	"fpstudy/internal/quiz"
+	"fpstudy/internal/stats"
 )
 
 func TestCalibrationReport(t *testing.T) {
@@ -46,6 +51,58 @@ func TestFactorAssociation(t *testing.T) {
 	for _, row := range tab.Rows {
 		if row[0] == "Contributed Codebase Size" && row[3] == "negligible" {
 			t.Errorf("codebase size should not be negligible: V=%s", row[2])
+		}
+	}
+}
+
+// TestFactorTableMatchesLabelKeyed checks the code-indexed contingency
+// tables against tables keyed by each respondent's label, on the JSON
+// cohort with free-text answers whose position column also holds a
+// typed "Faculty", an option label: the spill must share the option's
+// row, as the label-keyed table counts it, and no other.
+func TestFactorTableMatchesLabelKeyed(t *testing.T) {
+	factors := []string{quiz.BGContribSize, quiz.BGInvolvedSize, quiz.BGArea, quiz.BGRole,
+		quiz.BGFormalTraining, quiz.BGPosition, quiz.BGContribExtent}
+	for _, n := range []int{40, query.BlockRows + 108} {
+		d := outsideCohort(t, n)
+		r, err := Study{Seed: 42, NStudent: 52, Workers: 1}.ResultsFromColumns(d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tallies, _ := r.Tallies()
+		scores := make([]float64, n)
+		for i, tl := range tallies {
+			scores[i] = float64(tl.Correct)
+		}
+		median := stats.Median(scores)
+		spills := 0
+		for _, id := range factors {
+			ci := d.Schema.MustColumnIndex(id)
+			levels := map[string]int{}
+			var want [][]int
+			for i, score := range scores {
+				if d.SingleCode(ci, i) < 0 {
+					spills++
+				}
+				label := d.SingleLabel(ci, i)
+				l, ok := levels[label]
+				if !ok {
+					l = len(want)
+					levels[label] = l
+					want = append(want, []int{0, 0})
+				}
+				if score > median {
+					want[l][1]++
+				} else {
+					want[l][0]++
+				}
+			}
+			if got := factorTable(d, ci, scores, median); !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d %s: table %v, want %v", n, id, got, want)
+			}
+		}
+		if spills == 0 {
+			t.Fatalf("n=%d: cohort has no free-text factor answers", n)
 		}
 	}
 }

@@ -76,6 +76,33 @@ func (x *XRand) Intn(n int) int {
 	return int(hi)
 }
 
+// ResampleSum draws len(xs) indices into xs, each exactly as
+// Intn(len(xs)) would draw it, and returns the sum of the values they
+// pick: one bootstrap resample of xs, summed. The generator ends in the
+// state those len(xs) Intn calls would leave it in. The four state
+// words stay in locals for the whole loop and are written back once,
+// so each draw costs the xoshiro step, one multiply and one byte load.
+// The sum is an integer, exact for any len(xs) below 2^55.
+func (x *XRand) ResampleSum(xs []uint8) int {
+	n := uint64(len(xs))
+	s0, s1, s2, s3 := x.s0, x.s1, x.s2, x.s3
+	sum := 0
+	for range xs {
+		r := bits.RotateLeft64(s0+s3, 23) + s0
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		hi, _ := bits.Mul64(r, n)
+		sum += int(xs[hi])
+	}
+	x.s0, x.s1, x.s2, x.s3 = s0, s1, s2, s3
+	return sum
+}
+
 // NormPair returns two independent standard normal variates via the
 // Box-Muller transform. The ability model needs exactly two normals per
 // respondent (core and optimization noise), so the transform's natural

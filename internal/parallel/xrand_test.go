@@ -126,6 +126,51 @@ func TestXRandNormPairMoments(t *testing.T) {
 	}
 }
 
+// TestResampleSumMatchesIntn pins ResampleSum's contract against the
+// loop it fuses: the same sum as len(xs) Intn(len(xs)) draws gathering
+// from xs, and the same generator state afterwards, so the next draw
+// agrees too.
+func TestResampleSumMatchesIntn(t *testing.T) {
+	fill := NewXRand()
+	a, b := NewXRand(), NewXRand()
+	for _, n := range []int{1, 2, 3, 255, 4096, 50000, 1<<20 + 7} {
+		fill.SeedAt(11, 5, int64(n))
+		xs := make([]uint8, n)
+		for i := range xs {
+			xs[i] = uint8(fill.Uint64())
+		}
+		for _, seed := range []int64{0, 1, 42, -7} {
+			a.SeedAt(seed, 4, int64(n))
+			b.SeedAt(seed, 4, int64(n))
+			got := a.ResampleSum(xs)
+			want := 0
+			for range xs {
+				want += int(xs[b.Intn(n)])
+			}
+			if got != want {
+				t.Fatalf("n=%d seed=%d: ResampleSum = %d, Intn loop = %d", n, seed, got, want)
+			}
+			if ga, gb := a.Uint64(), b.Uint64(); ga != gb {
+				t.Fatalf("n=%d seed=%d: next draw %#x after ResampleSum, %#x after the Intn loop", n, seed, ga, gb)
+			}
+		}
+	}
+	if got := a.ResampleSum(nil); got != 0 {
+		t.Fatalf("ResampleSum(nil) = %d, want 0", got)
+	}
+}
+
+// TestResampleSumZeroAlloc pins that a resample allocates nothing: the
+// bootstrap runs 2,000 of them per interval.
+func TestResampleSumZeroAlloc(t *testing.T) {
+	rng := NewXRand()
+	xs := make([]uint8, 4096)
+	sum := 0
+	if allocs := testing.AllocsPerRun(50, func() { sum += rng.ResampleSum(xs) }); allocs != 0 {
+		t.Fatalf("ResampleSum allocates %.1f/op, want 0", allocs)
+	}
+}
+
 // BenchmarkSeedAt vs BenchmarkReseed quantifies why the hot path moved
 // off math/rand: repositioning the lagged-Fibonacci source costs ~607
 // word initializations; xoshiro costs four splitmix rounds.
@@ -145,3 +190,24 @@ func BenchmarkXRandUint64(b *testing.B) {
 	}
 	_ = acc
 }
+
+// BenchmarkResampleSum times one bootstrap resample of n = 50,000
+// core-like scores (0..15), the calibration report's cohort size; ns/op
+// divided by n is the price of one draw and gather.
+func BenchmarkResampleSum(b *testing.B) {
+	rng := NewXRand()
+	rng.SeedAt(1, 99, 0)
+	xs := make([]uint8, 50000)
+	for i := range xs {
+		xs[i] = uint8(rng.Intn(16))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum := 0
+	for n := 0; n < b.N; n++ {
+		sum += rng.ResampleSum(xs)
+	}
+	resampleSink = sum
+}
+
+var resampleSink int

@@ -351,15 +351,18 @@ func BinomialTestAboveChance(k, n int, p float64) float64 {
 const streamBootstrap uint64 = 4
 
 // BootstrapMeanCI returns a percentile bootstrap confidence interval
-// for the mean at the given level (e.g. 0.95), using iters resamples.
-// Replicate r draws its n indices from its own (seed, streamBootstrap,
-// r) stream and sums the values they pick in draw order on one worker,
-// and the replicate means are stored by index, so the interval is
-// bit-identical at any worker count (workers <= 0 means GOMAXPROCS).
+// for the mean of the small integers xs (scores, counts) at the given
+// level (e.g. 0.95), using iters resamples. Replicate r draws its n
+// indices from its own (seed, streamBootstrap, r) stream through
+// XRand.ResampleSum, which sums the values they pick as an integer;
+// the replicate mean is that sum divided by n. An integer sum is exact,
+// so it equals the float sum of the same values in any order, and the
+// replicate means are stored by index, so the interval is bit-identical
+// at any worker count (workers <= 0 means GOMAXPROCS).
 // With the B = iters means sorted and α = (1-level)/2, the bounds are
 // means[⌊αB⌋] and means[B-1-⌊αB⌋], the same rank from either end. It
 // panics unless iters >= 1 and 0 < level < 1.
-func BootstrapMeanCI(xs []float64, level float64, iters int, seed int64, workers int) (lo, hi float64) {
+func BootstrapMeanCI(xs []uint8, level float64, iters int, seed int64, workers int) (lo, hi float64) {
 	if iters < 1 {
 		panic(fmt.Sprintf("stats: BootstrapMeanCI iters = %d, want >= 1", iters))
 	}
@@ -373,11 +376,7 @@ func BootstrapMeanCI(xs []float64, level float64, iters int, seed int64, workers
 	means := make([]float64, iters)
 	parallel.ForEachWith(workers, iters, parallel.NewXRand, func(rng *parallel.XRand, r int) {
 		rng.SeedAt(seed, streamBootstrap, int64(r))
-		s := 0.0
-		for j := 0; j < n; j++ {
-			s += xs[rng.Intn(n)]
-		}
-		means[r] = s / float64(n)
+		means[r] = float64(rng.ResampleSum(xs)) / float64(n)
 	})
 	sort.Float64s(means)
 	k := int((1 - level) / 2 * float64(iters))

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -187,12 +188,12 @@ func TestBinomialTest(t *testing.T) {
 }
 
 func TestBootstrapCI(t *testing.T) {
-	xs := make([]float64, 200)
+	xs := make([]uint8, 200)
 	for i := range xs {
-		xs[i] = float64(i % 10)
+		xs[i] = uint8(i % 10)
 	}
 	lo, hi := BootstrapMeanCI(xs, 0.95, 2000, 1, 0)
-	m := Mean(xs)
+	m := 4.5 // the mean of 0..9, each 20 times
 	if !(lo < m && m < hi) {
 		t.Fatalf("CI [%v, %v] should contain %v", lo, hi, m)
 	}
@@ -210,9 +211,9 @@ func TestBootstrapCI(t *testing.T) {
 // any worker count, and pins its value at one seed.
 func TestBootstrapMeanCIWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
-	xs := make([]float64, 200)
+	xs := make([]uint8, 200)
 	for i := range xs {
-		xs[i] = float64(i % 10)
+		xs[i] = uint8(i % 10)
 	}
 	const wantLo, wantHi = 0x4010_6666_6666_6666, 0x4013_8a3d_70a3_d70a // 4.1, 4.885
 	for _, workers := range []int{1, 3, 16} {
@@ -243,7 +244,7 @@ func TestBootstrapMeanCIRejectsBadArgs(t *testing.T) {
 					t.Errorf("level=%v iters=%d: panic %q, want one naming %q", c.level, c.iters, msg, c.want)
 				}
 			}()
-			BootstrapMeanCI([]float64{1, 2, 3}, c.level, c.iters, 1, 1)
+			BootstrapMeanCI([]uint8{1, 2, 3}, c.level, c.iters, 1, 1)
 		}()
 	}
 }
@@ -272,7 +273,7 @@ func TestBootstrapCoverage(t *testing.T) {
 	}
 	mean := float64(sum) / float64(total)
 	rng := parallel.NewXRand()
-	xs := make([]float64, n)
+	xs := make([]uint8, n)
 	covered := 0
 	for i := 0; i < k; i++ {
 		rng.SeedAt(7, 99, int64(i))
@@ -282,7 +283,7 @@ func TestBootstrapCoverage(t *testing.T) {
 			for u >= cum[s] {
 				s++
 			}
-			xs[j] = float64(s)
+			xs[j] = uint8(s)
 		}
 		lo, hi := BootstrapMeanCI(xs, level, 2000, int64(i), 0)
 		if lo <= mean && mean <= hi {
@@ -297,17 +298,24 @@ func TestBootstrapCoverage(t *testing.T) {
 	t.Logf("coverage %d/%d = %.4f (band %.4f..%.4f)", covered, k, cov, level-3.29*sd, level+3.29*sd)
 }
 
+// BenchmarkBootstrapMeanCI times the calibration report's interval:
+// 2,000 replicates of core-like scores (0..15) at the analyses
+// workload's n = 50,000 and at the reproduce workload's n = 1,000,000.
 func BenchmarkBootstrapMeanCI(b *testing.B) {
-	rng := parallel.NewXRand()
-	rng.SeedAt(1, 99, 0)
-	xs := make([]float64, 50000)
-	for i := range xs {
-		xs[i] = float64(rng.Intn(16))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bootstrapSink, _ = BootstrapMeanCI(xs, 0.95, 2000, int64(i), 0)
+	for _, n := range []int{50000, 1000000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := parallel.NewXRand()
+			rng.SeedAt(1, 99, 0)
+			xs := make([]uint8, n)
+			for i := range xs {
+				xs[i] = uint8(rng.Intn(16))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bootstrapSink, _ = BootstrapMeanCI(xs, 0.95, 2000, int64(i), 0)
+			}
+		})
 	}
 }
 
