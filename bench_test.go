@@ -346,15 +346,6 @@ func BenchmarkMPFloatDecimal50(b *testing.B) {
 	}
 }
 
-// Vectorized-summation divergence measurement (fast-math reduction
-// ablation).
-
-func BenchmarkVectorizedSumDivergence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = optsim.SumChainDivergence(ieee754.Binary64, 16, 4, 200, 3)
-	}
-}
-
 // Supplementary analyses printed once: confidence calibration and the
 // chi-square calibration report.
 

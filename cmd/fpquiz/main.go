@@ -6,7 +6,7 @@
 //
 //	fpquiz              # take the quiz interactively
 //	fpquiz -answers     # print every question with its derived answer
-//	fpquiz -section core|opt
+//	fpquiz -section core|opt|all
 package main
 
 import (
@@ -24,6 +24,13 @@ func main() {
 	answers := flag.Bool("answers", false, "print the oracle-derived answer key and exit")
 	section := flag.String("section", "all", "which quiz to run: core, opt, or all")
 	flag.Parse()
+	switch *section {
+	case "core", "opt", "all":
+	default:
+		fmt.Fprintf(os.Stderr, "fpquiz: -section must be core, opt or all, not %q\n", *section)
+		fmt.Fprintln(os.Stderr, "usage: fpquiz [-answers] [-section core|opt|all]")
+		os.Exit(2)
+	}
 
 	if *answers {
 		printAnswerKey(*section)

@@ -116,12 +116,6 @@ func CheckCompliance(f Format, n ExprNode, cfg OptConfig, corpusSize int, seed i
 	return optsim.Check(f, n, cfg, optsim.GenCorpus(f, n, corpusSize, seed))
 }
 
-// VectorizeSum rewrites a sum chain into the lane-partitioned shape a
-// fast-math vectorizer produces (legal only under reassociation).
-func VectorizeSum(n ExprNode, lanes int) (ExprNode, bool) {
-	return optsim.VectorizeSum(n, lanes)
-}
-
 // --- Suspicion quiz conditions ---
 
 // Condition is a suspicion-quiz exceptional condition.

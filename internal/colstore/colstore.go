@@ -140,9 +140,6 @@ func (d *Dataset) LikertLevel(ci, i int) int { return int(d.u8[ci][i]) }
 // option index+1, negative = free-text reference.
 func (d *Dataset) SingleCode(ci, i int) int32 { return d.code[ci][i] }
 
-// MultiMask returns the multi-choice bitset.
-func (d *Dataset) MultiMask(ci, i int) uint64 { return d.bits[ci][i] }
-
 // SingleLabel resolves a single-choice answer to its label ("" when
 // unanswered). Free-text codes resolve through the string arena.
 func (d *Dataset) SingleLabel(ci, i int) string {
@@ -221,7 +218,7 @@ func (d *Dataset) MultiUnanswered(ci, i int) bool {
 
 // MultiChoices materializes the choice list of a multi-choice cell in
 // canonical order (nil when unanswered). The slice is freshly
-// allocated; hot paths should use MultiMask/ForEachMultiChoice instead.
+// allocated; hot paths should use ForEachMultiChoice instead.
 func (d *Dataset) MultiChoices(ci, i int) []string {
 	var out []string
 	d.ForEachMultiChoice(ci, i, func(label string) {

@@ -9,12 +9,11 @@ import (
 )
 
 // WriteJSON streams the dataset as indented JSON, producing exactly the
-// bytes survey.WriteDataset (and survey.EncodeDataset) would emit for
-// the row form — without materializing a single map. Answers are
-// emitted in sorted question-ID order (encoding/json's sorted map
-// keys); option labels and question IDs use JSON literals precomputed
-// at schema build time, so serializing one respondent is a pure buffer
-// append.
+// bytes survey.EncodeDataset would emit for the row form — without
+// materializing a single map. Answers are emitted in sorted question-ID
+// order (encoding/json's sorted map keys); option labels and question
+// IDs use JSON literals precomputed at schema build time, so
+// serializing one respondent is a pure buffer append.
 func (d *Dataset) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.WriteString("{\n  \"instrument\": ")

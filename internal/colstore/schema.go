@@ -43,7 +43,7 @@
 // and a nil Answers map normalizes to an empty one. ToSurvey output is
 // deeply equal to the FromSurvey input up to those normalizations, and
 // WriteJSON emits byte-for-byte the same document as
-// survey.WriteDataset on the normalized row form (identical to the
+// survey.EncodeDataset on the normalized row form (identical to the
 // original whenever it carried no explicitly-empty answers — generated
 // cohorts never do).
 package colstore

@@ -160,13 +160,3 @@ func (r *Results) HeadlineClaims() []Claim {
 
 	return claims
 }
-
-// AllClaimsPass reports whether every headline claim held.
-func AllClaimsPass(claims []Claim) bool {
-	for _, c := range claims {
-		if !c.Pass {
-			return false
-		}
-	}
-	return true
-}

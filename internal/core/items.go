@@ -127,12 +127,6 @@ var trainingLevels = []string{
 	"One or more courses",
 }
 
-// RunTrainingIntervention simulates the intervention at the study's
-// seed and size.
-func (r *Results) RunTrainingIntervention(level string) TrainingIntervention {
-	return r.trainingInterventions([]string{level})[0]
-}
-
 // trainingInterventions scores, for each level, the study's cohort with
 // everyone's formal training forced to that level. The question models
 // are fitted once, on the untreated cohort, and every level is scored

@@ -48,13 +48,13 @@ func TestItemAnalysis(t *testing.T) {
 }
 
 func TestTrainingIntervention(t *testing.T) {
-	iv := paperResults.RunTrainingIntervention("One or more courses")
+	ivs := paperResults.trainingInterventions([]string{"One or more courses", "None"})
+	iv, ivNone := ivs[0], ivs[1]
 	// The fitted effect is small: somewhere between +0 and +1.5
 	// questions, echoing the paper's "not a large one".
 	if iv.Gain < -0.5 || iv.Gain > 1.8 {
 		t.Fatalf("course-for-everyone gain %.2f out of the paper's band", iv.Gain)
 	}
-	ivNone := paperResults.RunTrainingIntervention("None")
 	if ivNone.TreatedMean >= iv.TreatedMean {
 		t.Fatalf("removing all training (%.2f) should not beat universal courses (%.2f)",
 			ivNone.TreatedMean, iv.TreatedMean)

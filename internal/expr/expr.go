@@ -250,62 +250,3 @@ func Neg(x Node) Node { return Unary{OpNeg, x} }
 
 // Sqrt returns sqrt(x).
 func Sqrt(x Node) Node { return Unary{OpSqrt, x} }
-
-// Fma returns fma(x, y, z).
-func Fma(x, y, z Node) Node { return FMA{x, y, z} }
-
-// SumChain folds terms left to right with +, the order a naive loop
-// accumulates in.
-func SumChain(terms ...Node) Node {
-	if len(terms) == 0 {
-		return Lit{0}
-	}
-	n := terms[0]
-	for _, t := range terms[1:] {
-		n = Add(n, t)
-	}
-	return n
-}
-
-// DotProduct builds sum_i x_i*y_i as a left-to-right chain, the shape
-// compilers love to contract into FMAs.
-func DotProduct(xs, ys []string) Node {
-	var terms []Node
-	for i := range xs {
-		terms = append(terms, Mul(V(xs[i]), V(ys[i])))
-	}
-	return SumChain(terms...)
-}
-
-// Walk calls fn for every node in the tree, parents before children.
-func Walk(n Node, fn func(Node)) {
-	fn(n)
-	switch t := n.(type) {
-	case Unary:
-		Walk(t.X, fn)
-	case Binary:
-		Walk(t.X, fn)
-		Walk(t.Y, fn)
-	case FMA:
-		Walk(t.X, fn)
-		Walk(t.Y, fn)
-		Walk(t.Z, fn)
-	}
-}
-
-// CountOps returns the number of arithmetic operation nodes (unary
-// sqrt, binary ops, and FMAs).
-func CountOps(n Node) int {
-	ops := 0
-	Walk(n, func(m Node) {
-		switch t := m.(type) {
-		case Binary, FMA:
-			ops++
-		case Unary:
-			if t.Op == OpSqrt {
-				ops++
-			}
-		}
-	})
-	return ops
-}

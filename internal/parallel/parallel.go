@@ -11,7 +11,7 @@
 // or on scheduling), and delivers results in index order. A caller that
 //
 //  1. writes only to index-addressed state (out[i] = fn(i)), and
-//  2. derives any randomness from (seed, index) via Seed/RNG rather
+//  2. derives any randomness from (seed, index) via XRand.SeedAt rather
 //     than from a shared stream,
 //
 // gets output that is byte-identical at any worker count, including
@@ -21,7 +21,6 @@
 package parallel
 
 import (
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -308,20 +307,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// RNG returns a rand.Rand private to (seed, stream, index). Callers
-// hold one per work item; the streams are independent, so items can be
-// generated in any order — or concurrently — with identical results.
-func RNG(seed int64, stream uint64, index int64) *rand.Rand {
-	return rand.New(rand.NewSource(Seed(seed, stream, index)))
-}
-
-// Reseed repositions rng onto the (seed, stream, index) stream,
-// producing exactly the draw sequence RNG(seed, stream, index) would.
-// Hot loops hold one rand.Rand per worker (see ForEachWith) and reseed
-// it per item, eliminating the per-item source allocation while keeping
-// the draws bit-identical to the allocate-per-item path.
-func Reseed(rng *rand.Rand, seed int64, stream uint64, index int64) {
-	rng.Seed(Seed(seed, stream, index))
 }

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"math"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -214,28 +213,6 @@ func TestSeedIndependence(t *testing.T) {
 	}
 }
 
-func TestRNGPerIndexStreams(t *testing.T) {
-	// The first draws of neighbouring indices must look independent
-	// (no lockstep), and re-deriving an RNG must replay its stream.
-	a := RNG(7, 1, 10)
-	b := RNG(7, 1, 11)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Int63() == b.Int63() {
-			same++
-		}
-	}
-	if same != 0 {
-		t.Fatalf("%d identical draws between adjacent index streams", same)
-	}
-	c, d := RNG(7, 1, 10), RNG(7, 1, 10)
-	for i := 0; i < 100; i++ {
-		if c.Int63() != d.Int63() {
-			t.Fatal("re-derived RNG diverged")
-		}
-	}
-}
-
 func TestWorkersNormalization(t *testing.T) {
 	// Raise GOMAXPROCS so the explicit-count assertions are not
 	// short-circuited by the GOMAXPROCS clamp on a small host.
@@ -381,46 +358,26 @@ func TestSumShardsInstrumentedZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestReseedMatchesFreshRNG(t *testing.T) {
-	// Reseed must reposition a reused rand.Rand onto exactly the draw
-	// sequence a freshly allocated per-index RNG would produce — the
-	// invariant that lets hot loops hold one RNG per worker.
-	reused := rand.New(rand.NewSource(0))
-	for index := int64(0); index < 50; index++ {
-		Reseed(reused, 42, 2, index)
-		fresh := RNG(42, 2, index)
-		for d := 0; d < 20; d++ {
-			if got, want := reused.Int63(), fresh.Int63(); got != want {
-				t.Fatalf("index %d draw %d: reseeded %d != fresh %d", index, d, got, want)
-			}
-		}
-	}
-	// Mid-stream reseeding must fully reset the state, not resume it.
-	Reseed(reused, 42, 2, 7)
-	reused.Float64()
-	reused.Intn(100)
-	Reseed(reused, 42, 2, 7)
-	if reused.Int63() != RNG(42, 2, 7).Int63() {
-		t.Fatal("reseed after partial consumption diverged")
-	}
-}
-
 func TestForEachWithMatchesForEach(t *testing.T) {
 	// ForEachWith with per-worker scratch must cover every index exactly
 	// once and produce worker-count-independent results when fn confines
 	// its writes to index i.
 	const n = 10_000
-	want := make([]int64, n)
-	ForEach(1, n, func(i int) { want[i] = RNG(9, 4, int64(i)).Int63() })
+	want := make([]uint64, n)
+	ForEach(1, n, func(i int) {
+		var x XRand
+		x.SeedAt(9, 4, int64(i))
+		want[i] = x.Uint64()
+	})
 	for _, workers := range []int{1, 2, 3, 8, 0} {
-		got := make([]int64, n)
+		got := make([]uint64, n)
 		var scratchMade atomic.Int64
-		ForEachWith(workers, n, func() *rand.Rand {
+		ForEachWith(workers, n, func() *XRand {
 			scratchMade.Add(1)
-			return rand.New(rand.NewSource(0))
-		}, func(rng *rand.Rand, i int) {
-			Reseed(rng, 9, 4, int64(i))
-			got[i] = rng.Int63()
+			return NewXRand()
+		}, func(rng *XRand, i int) {
+			rng.SeedAt(9, 4, int64(i))
+			got[i] = rng.Uint64()
 		})
 		for i := range got {
 			if got[i] != want[i] {

@@ -20,8 +20,7 @@ type XRand struct {
 }
 
 // NewXRand allocates a generator. The initial position is arbitrary:
-// callers reposition with SeedAt before drawing (the same contract as
-// the reseed-per-index rand.Rand it replaces).
+// callers reposition with SeedAt before drawing.
 func NewXRand() *XRand {
 	x := &XRand{}
 	x.SeedAt(0, 0, 0)

@@ -171,9 +171,8 @@ func TestResampleSumZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSeedAt vs BenchmarkReseed quantifies why the hot path moved
-// off math/rand: repositioning the lagged-Fibonacci source costs ~607
-// word initializations; xoshiro costs four splitmix rounds.
+// BenchmarkSeedAt times repositioning the generator (four splitmix
+// rounds), which the hot loops pay once per respondent.
 func BenchmarkSeedAt(b *testing.B) {
 	rng := NewXRand()
 	for n := 0; n < b.N; n++ {

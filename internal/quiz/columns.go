@@ -163,10 +163,10 @@ func ScoreColumnsAt(d *colstore.Dataset, i int) (core, optScored, optAll Tally) 
 }
 
 // ScoreAllColumns grades every respondent of a columnar dataset in
-// parallel (workers <= 0 means GOMAXPROCS). It is the columnar
-// equivalent of ScoreAll: identical tallies, but the per-respondent
-// inner loop reads dense code columns instead of hashing map keys, and
-// performs zero allocations.
+// parallel (workers <= 0 means GOMAXPROCS). It gives the tallies
+// ScoreCore, ScoreOptScored and ScoreOpt give each row, but the
+// per-respondent inner loop reads dense code columns instead of hashing
+// map keys, and performs zero allocations.
 func ScoreAllColumns(d *colstore.Dataset, workers int) Grades {
 	t0 := telemetry.Start()
 	exc0 := oracleExcs.Load()

@@ -3,7 +3,6 @@ package quiz
 import (
 	"sync"
 
-	"fpstudy/internal/parallel"
 	"fpstudy/internal/survey"
 )
 
@@ -155,30 +154,6 @@ type Grades struct {
 	Core      []Tally // 15 core questions
 	OptScored []Tally // the three T/F optimization questions (Figure 12 view)
 	OptAll    []Tally // all four optimization questions
-}
-
-// ScoreAll grades every response of a dataset in parallel (workers <= 0
-// means GOMAXPROCS). The answer key is derived once (running the
-// oracles if this is the first scoring in the process) and shared
-// read-only across workers; the output is index-ordered and identical
-// at any worker count.
-func ScoreAll(ds *survey.Dataset, workers int) Grades {
-	// Force the one-time oracle evaluation before fanning out, so
-	// workers never contend on the sync.Once.
-	scoreItems()
-	n := len(ds.Responses)
-	g := Grades{
-		Core:      make([]Tally, n),
-		OptScored: make([]Tally, n),
-		OptAll:    make([]Tally, n),
-	}
-	parallel.ForEach(workers, n, func(i int) {
-		r := ds.Responses[i]
-		g.Core[i] = ScoreCore(r)
-		g.OptScored[i] = ScoreOptScored(r)
-		g.OptAll[i] = ScoreOpt(r)
-	})
-	return g
 }
 
 // CoreChance is the expected number of correct core answers under

@@ -241,7 +241,7 @@ func TestCalibrationSweepZeroAlloc(t *testing.T) {
 	w := make([]float64, len(abil))
 	k.weights(qm, w)
 	allocs := testing.AllocsPerRun(50, func() {
-		_ = k.expectCorrect(1, w, 0.3)
+		_ = k.expectCorrect(w, 0.3)
 	})
 	// The sweep closure itself may cost a fixed allocation; anything
 	// scaling with the cohort is a regression.

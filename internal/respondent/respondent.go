@@ -513,7 +513,7 @@ func calibrateModels(workers int, core, opt []float64, specs []modelSpec) []ques
 			s := specs[i]
 			qm := s.qm
 			t0 := telemetry.Start()
-			qm.offset = kernels[qm.abilityOpt].calibrate(1, qm, s.target, w)
+			qm.offset = kernels[qm.abilityOpt].calibrate(&qm, s.target, w)
 			telemetry.Done(telemetry.StageCalibrateQuestion, i, t0, int64(i), 0)
 			models[i] = qm
 		})

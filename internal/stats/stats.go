@@ -1,6 +1,6 @@
 // Package stats provides the descriptive and inferential statistics the
-// survey analysis needs: summaries, histograms, grouped means, Likert
-// distributions, chi-square tests, binomial tests against chance, and
+// survey analysis needs: summaries, histograms, Likert distributions,
+// chi-square tests, association and correlation measures, and
 // bootstrap confidence intervals. Deterministic where seeded: the
 // bootstrap draws from internal/parallel's per-index streams, so its
 // interval does not depend on the worker count.
@@ -191,36 +191,6 @@ func (h IntHistogram) Render(width int) string {
 	return out
 }
 
-// GroupedMeans computes the mean of values per group label, returning
-// groups in first-seen order.
-type GroupMean struct {
-	Group string
-	N     int
-	Mean  float64
-	SD    float64
-}
-
-// GroupMeans aggregates values by their group label.
-func GroupMeans(groups []string, values []float64) []GroupMean {
-	if len(groups) != len(values) {
-		panic("stats: groups and values length mismatch")
-	}
-	order := []string{}
-	byGroup := map[string][]float64{}
-	for i, g := range groups {
-		if _, ok := byGroup[g]; !ok {
-			order = append(order, g)
-		}
-		byGroup[g] = append(byGroup[g], values[i])
-	}
-	out := make([]GroupMean, 0, len(order))
-	for _, g := range order {
-		vs := byGroup[g]
-		out = append(out, GroupMean{Group: g, N: len(vs), Mean: Mean(vs), SD: StdDev(vs)})
-	}
-	return out
-}
-
 // LikertDist is the percentage distribution over levels 1..Scale.
 type LikertDist struct {
 	Scale   int
@@ -328,21 +298,6 @@ func ChiSquareCritical05(df int) float64 {
 	return k * math.Pow(1-2/(9*k)+z*math.Sqrt(2/(9*k)), 3)
 }
 
-// BinomialTestAboveChance tests whether k successes in n trials exceed
-// probability p by more than luck, using the normal approximation.
-// Returns the z statistic; z > 1.645 is significant at 5% (one-sided).
-func BinomialTestAboveChance(k, n int, p float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(float64(n) * p * (1 - p))
-	if sd == 0 {
-		return 0
-	}
-	return (float64(k) - mean) / sd
-}
-
 // streamBootstrap is the parallel stream id of the bootstrap
 // replicates: replicate r draws from (seed, streamBootstrap, r). It
 // must differ from the respondent generator's streams (2, 3 and 10),
@@ -448,42 +403,6 @@ func PointBiserial(binary []int, values []float64) float64 {
 		return 0
 	}
 	return (s1/n1 - s0/n0) / sd * math.Sqrt(n1*n0/(n*n))
-}
-
-// SpearmanRank computes Spearman's rank correlation between two
-// equal-length slices (average ranks for ties).
-func SpearmanRank(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	rx := ranks(xs)
-	ry := ranks(ys)
-	return pearson(rx, ry)
-}
-
-func ranks(xs []float64) []float64 {
-	type iv struct {
-		i int
-		v float64
-	}
-	s := make([]iv, len(xs))
-	for i, v := range xs {
-		s[i] = iv{i, v}
-	}
-	sort.Slice(s, func(a, b int) bool { return s[a].v < s[b].v })
-	r := make([]float64, len(xs))
-	for i := 0; i < len(s); {
-		j := i
-		for j < len(s) && s[j].v == s[i].v {
-			j++
-		}
-		avg := float64(i+j+1) / 2 // average of 1-based ranks i+1..j
-		for k := i; k < j; k++ {
-			r[s[k].i] = avg
-		}
-		i = j
-	}
-	return r
 }
 
 func pearson(xs, ys []float64) float64 {

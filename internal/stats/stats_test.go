@@ -113,28 +113,6 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestGroupMeans(t *testing.T) {
-	gs := GroupMeans(
-		[]string{"a", "b", "a", "b", "c"},
-		[]float64{1, 10, 3, 20, 7},
-	)
-	if len(gs) != 3 {
-		t.Fatalf("groups %v", gs)
-	}
-	if gs[0].Group != "a" || gs[0].Mean != 2 || gs[0].N != 2 {
-		t.Fatalf("group a: %+v", gs[0])
-	}
-	if gs[1].Group != "b" || gs[1].Mean != 15 {
-		t.Fatalf("group b: %+v", gs[1])
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	GroupMeans([]string{"a"}, []float64{1, 2})
-}
-
 func TestLikertDist(t *testing.T) {
 	d := NewLikertDist([]int{1, 1, 3, 5, 5, 5, 99, 0}, 5)
 	if d.N != 6 {
@@ -168,22 +146,6 @@ func TestChiSquare(t *testing.T) {
 	}
 	if ChiSquareCritical05(40) < 50 || ChiSquareCritical05(40) > 62 {
 		t.Fatalf("WH approx df=40: %v", ChiSquareCritical05(40))
-	}
-}
-
-func TestBinomialTest(t *testing.T) {
-	// 199 participants averaging 8.5/15 on T/F: test a single
-	// participant count: 113/199 questions... use aggregate: k
-	// correct of n at p=0.5.
-	z := BinomialTestAboveChance(113, 199, 0.5)
-	if z < 1.5 || z > 2.5 {
-		t.Fatalf("z = %v", z)
-	}
-	if BinomialTestAboveChance(50, 100, 0.5) != 0 {
-		t.Fatal("exactly chance should be z=0")
-	}
-	if BinomialTestAboveChance(0, 0, 0.5) != 0 {
-		t.Fatal("n=0")
 	}
 }
 
@@ -358,26 +320,10 @@ func TestSpearmanAndPearson(t *testing.T) {
 	if !close(Pearson(xs, ys), 1, 1e-12) {
 		t.Fatal("perfect pearson")
 	}
-	if !close(SpearmanRank(xs, ys), 1, 1e-12) {
-		t.Fatal("perfect spearman")
-	}
-	// Monotone but nonlinear: spearman 1, pearson < 1.
+	// Monotone but nonlinear: pearson < 1.
 	ys2 := []float64{1, 8, 27, 64, 125}
-	if !close(SpearmanRank(xs, ys2), 1, 1e-12) {
-		t.Fatal("monotone spearman")
-	}
 	if Pearson(xs, ys2) >= 1 {
 		t.Fatal("nonlinear pearson")
-	}
-	// Reversed: -1.
-	ys3 := []float64{5, 4, 3, 2, 1}
-	if !close(SpearmanRank(xs, ys3), -1, 1e-12) {
-		t.Fatal("reversed spearman")
-	}
-	// Ties get average ranks.
-	r := ranks([]float64{1, 2, 2, 3})
-	if r[1] != 2.5 || r[2] != 2.5 {
-		t.Fatalf("tie ranks %v", r)
 	}
 }
 

@@ -9,10 +9,8 @@
 package survey
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -249,50 +247,6 @@ func DecodeInstrument(data []byte) (*Instrument, error) {
 // EncodeDataset renders a dataset as indented JSON.
 func EncodeDataset(d *Dataset) ([]byte, error) {
 	return json.MarshalIndent(d, "", "  ")
-}
-
-// WriteDataset streams a dataset to w as indented JSON, one response at
-// a time, producing exactly the bytes EncodeDataset would — without
-// ever holding the whole document in memory. Use this for large
-// generated datasets (fpgen -n 1000000) where the full MarshalIndent
-// buffer would dominate the process footprint.
-func WriteDataset(w io.Writer, d *Dataset) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	instr, err := json.Marshal(d.Instrument)
-	if err != nil {
-		return fmt.Errorf("survey: write dataset: %w", err)
-	}
-	ver, err := json.Marshal(d.Version)
-	if err != nil {
-		return fmt.Errorf("survey: write dataset: %w", err)
-	}
-	fmt.Fprintf(bw, "{\n  \"instrument\": %s,\n  \"version\": %s,\n  \"responses\": ", instr, ver)
-	if len(d.Responses) == 0 {
-		// Match encoding/json: nil slice encodes as null, empty as [].
-		if d.Responses == nil {
-			bw.WriteString("null\n}")
-		} else {
-			bw.WriteString("[]\n}")
-		}
-		return bw.Flush()
-	}
-	bw.WriteString("[\n")
-	for i := range d.Responses {
-		// MarshalIndent's prefix applies to every line but the first,
-		// so the element's own indentation is written explicitly.
-		data, err := json.MarshalIndent(&d.Responses[i], "    ", "  ")
-		if err != nil {
-			return fmt.Errorf("survey: write dataset: response %d: %w", i, err)
-		}
-		bw.WriteString("    ")
-		bw.Write(data)
-		if i < len(d.Responses)-1 {
-			bw.WriteString(",")
-		}
-		bw.WriteString("\n")
-	}
-	bw.WriteString("  ]\n}")
-	return bw.Flush()
 }
 
 // DecodeError reports where in a malformed dataset decoding failed.

@@ -222,37 +222,6 @@ func TestQuestionLookup(t *testing.T) {
 	}
 }
 
-func TestWriteDatasetMatchesEncode(t *testing.T) {
-	ds := &Dataset{
-		Instrument: "Sample \"quoted\"",
-		Version:    "1",
-		Responses: []Response{
-			{Token: "r0001", Answers: map[string]Answer{
-				"q1": {Choice: "a"},
-				"q2": {Choices: []string{"x", "z"}},
-				"q4": {Level: 3},
-			}},
-			{Token: "r0002", Answers: map[string]Answer{
-				"q3": {Choice: AnswerDontKnow},
-			}},
-		},
-	}
-	for _, d := range []*Dataset{ds, {Instrument: "Empty", Version: "2"}} {
-		want, err := EncodeDataset(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b strings.Builder
-		if err := WriteDataset(&b, d); err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != string(want) {
-			t.Errorf("WriteDataset output differs from EncodeDataset for %q:\n--- streamed\n%s\n--- encoded\n%s",
-				d.Instrument, b.String(), want)
-		}
-	}
-}
-
 // TestDecodeDatasetErrors pins the structured decode diagnostics: a
 // malformed dataset names the first offending respondent index and,
 // when the damage is inside one answer, the question ID.

@@ -154,10 +154,6 @@ var activeTracer atomic.Pointer[Tracer]
 // only affects subsequently emitted events.
 func SetTracer(t *Tracer) { activeTracer.Store(t) }
 
-// ActiveTracer returns the installed tracer, or nil when tracing is
-// disabled.
-func ActiveTracer() *Tracer { return activeTracer.Load() }
-
 // record writes ev into the lane ring (lanes wrap modulo the lane
 // count; negative lanes fold to 0). Zero allocations; never blocks on
 // a full ring — the oldest event in the lane is overwritten instead.

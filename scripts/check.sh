@@ -28,6 +28,26 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+echo "==> internal packages imported by a command or the facade"
+# An internal package that no command under cmd/ and not the root
+# facade imports is reached only by its own tests. The lists are taken
+# first so that a failing `go list` fails the gate instead of passing it.
+internal_pkgs=$(go list ./internal/...)
+reached_pkgs=$(go list -deps ./cmd/... .)
+if [ -z "$internal_pkgs" ] || [ -z "$reached_pkgs" ]; then
+	echo "orphans: go list listed no packages" >&2
+	exit 1
+fi
+reached_file=$(mktemp)
+printf '%s\n' "$reached_pkgs" | sort >"$reached_file"
+orphans=$(printf '%s\n' "$internal_pkgs" | sort | comm -23 - "$reached_file")
+rm -f "$reached_file"
+if [ -n "$orphans" ]; then
+	echo "orphans: no command and not the facade imports these packages:" >&2
+	echo "$orphans" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
