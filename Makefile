@@ -19,8 +19,8 @@ bench:
 
 # Memory gate: fails if the per-respondent sampling, calibration, or
 # grading inner loops allocate, if a score query's Gather allocates,
-# if a telemetry probe call or trace emit allocates, or if the serial
-# SumShards reduction allocates with the probe installed (the
+# if a telemetry probe call or trace emit allocates, or if the
+# calibration sweep allocates with the probe installed (the
 # Test*ZeroAlloc tests assert the contracts via
 # testing.AllocsPerRun), then prints the allocation profile of the
 # per-stage hot-path benchmarks. CHECK_BENCH_MEM=1 make check runs
@@ -39,7 +39,8 @@ trace-smoke:
 
 # End-to-end check of the dataset file formats: fpgen writes an
 # n=10000 cohort as FPDS binary and as row JSON, and `fpreport -data`
-# off each file must reproduce the in-process report byte for byte.
+# off each file must reproduce the in-process report byte for byte,
+# and `fpgen -n 1000000 -seed 1` as FPDS must keep its pinned sha256.
 # CHECK_IO_SMOKE=1 make check runs this as part of the full gate.
 io-smoke:
 	$(GO) run scripts/io_smoke.go

@@ -11,13 +11,14 @@
 // or on scheduling), and delivers results in index order. A caller that
 //
 //  1. writes only to index-addressed state (out[i] = fn(i)), and
-//  2. derives any randomness from (seed, index) via XRand.SeedAt rather
-//     than from a shared stream,
+//  2. derives any randomness from (seed, stream, index) via
+//     At(StreamBase(seed, stream), index) rather than from a shared
+//     stream,
 //
 // gets output that is byte-identical at any worker count, including
-// workers == 1, and at any GOMAXPROCS. Floating point reductions stay
-// deterministic because SumShards accumulates shard subtotals in shard
-// order with fixed shard boundaries.
+// workers == 1, and at any GOMAXPROCS. A floating point reduction stays
+// deterministic when it sums MapShards' subtotals in shard order: the
+// shard boundaries depend only on n.
 package parallel
 
 import (
@@ -180,7 +181,7 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 	return out
 }
 
-// shardSize is the fixed shard width used by MapShards/SumShards. It
+// shardSize is the fixed shard width used by MapShards. It
 // depends only on this constant — never on the worker count — which is
 // what keeps ordered reductions deterministic.
 const shardSize = 4096
@@ -212,40 +213,6 @@ func MapShards[T any](workers, n int, fn func(lo, hi int) T) []T {
 			telemetry.Done(telemetry.StageParallelShard, w+1, t0, int64(s), int64(hi-lo))
 		})
 	return out
-}
-
-// SumShards computes a deterministic parallel sum: fn reduces each
-// fixed-width shard to a float64, and the shard subtotals are
-// accumulated in shard order. Because both the shard boundaries and
-// the accumulation order are independent of the worker count, the
-// result is bit-identical at any parallelism, and identical to a
-// sequential shard-by-shard evaluation.
-func SumShards(workers, n int, fn func(lo, hi int) float64) float64 {
-	shards := NumShards(n)
-	if Workers(workers, shards) > 1 {
-		s := 0.0
-		for _, v := range MapShards(workers, n, fn) {
-			s += v
-		}
-		return s
-	}
-	// Serial: accumulate directly in shard order with no subtotal slice,
-	// observing each shard inline exactly as MapShards would. Identical
-	// boundaries and accumulation order keep the result bit-identical to
-	// the fan-out path while keeping the calibration inner loop
-	// allocation-free, instrumented or not.
-	t0 := telemetry.Start()
-	s := 0.0
-	for sh := 0; sh < shards; sh++ {
-		lo, hi := ShardBounds(sh, n)
-		ts := telemetry.Start()
-		s += fn(lo, hi)
-		telemetry.Done(telemetry.StageParallelShard, 1, ts, int64(sh), int64(hi-lo))
-	}
-	if shards > 0 {
-		serialDone(t0, shards)
-	}
-	return s
 }
 
 // Pool is a bounded worker pool for heterogeneous tasks. Unlike
@@ -284,27 +251,3 @@ func (p *Pool) Go(fn func()) {
 
 // Wait blocks until every submitted task has finished.
 func (p *Pool) Wait() { p.wg.Wait() }
-
-// Seed derives a 64-bit seed from a base seed, a stream identifier,
-// and an item index, using two rounds of the splitmix64 finalizer.
-// Distinct (stream, index) pairs yield statistically independent
-// streams, which is what lets each respondent own an RNG that does not
-// depend on how many respondents were generated before it — the key to
-// shard-splittable generation.
-func Seed(seed int64, stream uint64, index int64) int64 {
-	x := uint64(seed)
-	x = mix64(x + 0x9e3779b97f4a7c15*stream)
-	x = mix64(x + uint64(index))
-	return int64(x)
-}
-
-// mix64 is the splitmix64 finalizer (Steele, Lea, Flood 2014): a
-// bijective avalanche over 64 bits.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}

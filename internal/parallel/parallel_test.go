@@ -11,10 +11,11 @@ import (
 )
 
 // TestEveryHelperVisitsEachIndexOnce checks that ForEach, ForEachWith,
-// Map, MapShards and SumShards visit every index of [0, n) exactly once
-// at every worker count from 1 to 8, with GOMAXPROCS raised so that
-// Workers does not clamp the larger counts away, and that SumShards
-// stays bit-identical to the serial shard-order sum.
+// Map and MapShards visit every index of [0, n) exactly once at every
+// worker count from 1 to 8, with GOMAXPROCS raised so that Workers does
+// not clamp the larger counts away, and that MapShards' subtotals,
+// summed in shard order, stay bit-identical to the serial shard-order
+// sum.
 func TestEveryHelperVisitsEachIndexOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	// Terms of wildly varying magnitude, so that any other summation
@@ -59,28 +60,26 @@ func TestEveryHelperVisitsEachIndexOnce(t *testing.T) {
 				}
 			})
 			check("MapShards", func(seen []int32) {
-				for s, lo := range MapShards(workers, n, func(lo, hi int) int {
-					for i := lo; i < hi; i++ {
-						atomic.AddInt32(&seen[i], 1)
-					}
-					return lo
-				}) {
-					if want, _ := ShardBounds(s, n); lo != want {
-						t.Fatalf("MapShards workers=%d n=%d: shard %d starts at %d, want %d", workers, n, s, lo, want)
-					}
+				type shard struct {
+					lo  int
+					sub float64
 				}
-			})
-			check("SumShards", func(seen []int32) {
-				got := SumShards(workers, n, func(lo, hi int) float64 {
+				got := 0.0
+				for s, sh := range MapShards(workers, n, func(lo, hi int) shard {
 					sub := 0.0
 					for i := lo; i < hi; i++ {
 						atomic.AddInt32(&seen[i], 1)
 						sub += term(i)
 					}
-					return sub
-				})
+					return shard{lo, sub}
+				}) {
+					if want, _ := ShardBounds(s, n); sh.lo != want {
+						t.Fatalf("MapShards workers=%d n=%d: shard %d starts at %d, want %d", workers, n, s, sh.lo, want)
+					}
+					got += sh.sub
+				}
 				if math.Float64bits(got) != math.Float64bits(serial) {
-					t.Fatalf("SumShards workers=%d n=%d: %v, serial shard-order sum %v", workers, n, got, serial)
+					t.Fatalf("MapShards workers=%d n=%d: shard-order sum %v, serial %v", workers, n, got, serial)
 				}
 			})
 		}
@@ -131,31 +130,6 @@ func TestMapOrdered(t *testing.T) {
 	}
 }
 
-func TestSumShardsDeterministic(t *testing.T) {
-	// A sum whose terms vary wildly in magnitude: naive reordering
-	// changes the rounded result, so agreement across worker counts
-	// demonstrates the fixed shard boundaries + ordered fan-in.
-	// GOMAXPROCS is raised so every worker count runs as asked.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
-	n := 100000
-	term := func(i int) float64 { return 1.0 / float64(i+1) / float64((i%977)+1) }
-	sum := func(workers int) float64 {
-		return SumShards(workers, n, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += term(i)
-			}
-			return s
-		})
-	}
-	want := sum(1)
-	for _, workers := range []int{2, 3, 8, 16} {
-		if got := sum(workers); got != want {
-			t.Fatalf("workers=%d: sum %v != sequential %v", workers, got, want)
-		}
-	}
-}
-
 func TestShardBounds(t *testing.T) {
 	n := 3*shardSize + 17
 	if NumShards(n) != 4 {
@@ -192,24 +166,6 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	p.Wait()
 	if got := peak.Load(); got > 3 {
 		t.Fatalf("peak concurrency %d exceeds pool size 3", got)
-	}
-}
-
-func TestSeedIndependence(t *testing.T) {
-	// Distinct (stream, index) pairs must give distinct seeds, and the
-	// derivation must not depend on any global state.
-	seen := map[int64]bool{}
-	for stream := uint64(0); stream < 4; stream++ {
-		for i := int64(0); i < 1000; i++ {
-			s := Seed(42, stream, i)
-			if seen[s] {
-				t.Fatalf("seed collision at stream=%d index=%d", stream, i)
-			}
-			seen[s] = true
-			if s != Seed(42, stream, i) {
-				t.Fatal("Seed not deterministic")
-			}
-		}
 	}
 }
 
@@ -281,13 +237,16 @@ func TestHookObservation(t *testing.T) {
 		t.Fatalf("sequential ForEach reported %d items, want 64", items.Value()-1000)
 	}
 
-	// SumShards counts its shards on both the fan-out and the serial
+	// MapShards counts its shards on both the fan-out and the serial
 	// path.
 	for _, workers := range []int{4, 1} {
 		before := shards.Count()
-		sum := SumShards(workers, 10000, func(lo, hi int) float64 { return float64(hi - lo) })
+		sum := 0
+		for _, v := range MapShards(workers, 10000, func(lo, hi int) int { return hi - lo }) {
+			sum += v
+		}
 		if sum != 10000 {
-			t.Fatalf("workers=%d: SumShards under the probe = %v, want 10000", workers, sum)
+			t.Fatalf("workers=%d: MapShards under the probe covers %d items, want 10000", workers, sum)
 		}
 		if got, want := shards.Count()-before, int64(NumShards(10000)); got != want {
 			t.Fatalf("workers=%d: probe saw %d shards, want %d", workers, got, want)
@@ -322,62 +281,25 @@ func TestHookNilFastPath(t *testing.T) {
 	}
 }
 
-// TestSumShardsInstrumentedZeroAlloc pins the serial reduction's
-// allocation contract: SumShards at workers=1 allocates nothing with
-// the probe uninstalled or installed (it observes each shard inline
-// instead of falling back to MapShards' subtotal slice), and the
-// instrumented sum is bit-identical to the uninstrumented one.
-func TestSumShardsInstrumentedZeroAlloc(t *testing.T) {
-	const n = 3*shardSize + 17
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = 1 / float64(i+3)
-	}
-	fn := func(lo, hi int) float64 {
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			s += x
-		}
-		return s
-	}
-	var plain, probed float64
-	if allocs := testing.AllocsPerRun(50, func() { plain = SumShards(1, n, fn) }); allocs != 0 {
-		t.Fatalf("uninstrumented SumShards allocates %.1f/op, want 0", allocs)
-	}
-	reg := telemetry.NewRegistry()
-	telemetry.Install(reg)
-	defer telemetry.Install(nil)
-	if allocs := testing.AllocsPerRun(50, func() { probed = SumShards(1, n, fn) }); allocs != 0 {
-		t.Fatalf("instrumented SumShards allocates %.1f/op, want 0", allocs)
-	}
-	if math.Float64bits(plain) != math.Float64bits(probed) {
-		t.Fatalf("instrumented sum %v differs from uninstrumented %v", probed, plain)
-	}
-	if reg.Latency(telemetry.StageParallelShard.Metric()).Count() == 0 {
-		t.Fatal("instrumented SumShards observed no shards")
-	}
-}
-
 func TestForEachWithMatchesForEach(t *testing.T) {
 	// ForEachWith with per-worker scratch must cover every index exactly
 	// once and produce worker-count-independent results when fn confines
 	// its writes to index i.
 	const n = 10_000
+	base := StreamBase(9, 4)
 	want := make([]uint64, n)
 	ForEach(1, n, func(i int) {
-		var x XRand
-		x.SeedAt(9, 4, int64(i))
-		want[i] = x.Uint64()
+		want[i], _ = At(base, int64(i)).Next()
 	})
 	for _, workers := range []int{1, 2, 3, 8, 0} {
 		got := make([]uint64, n)
 		var scratchMade atomic.Int64
 		ForEachWith(workers, n, func() *XRand {
 			scratchMade.Add(1)
-			return NewXRand()
-		}, func(rng *XRand, i int) {
-			rng.SeedAt(9, 4, int64(i))
-			got[i] = rng.Uint64()
+			return new(XRand)
+		}, func(x *XRand, i int) {
+			*x = At(base, int64(i))
+			got[i], *x = x.Next()
 		})
 		for i := range got {
 			if got[i] != want[i] {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"runtime"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"fpstudy/internal/parallel"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/survey"
+	"fpstudy/internal/telemetry"
 )
 
 // Pinned sha256 hashes of the serialized paper-sized cohorts. Any
@@ -210,13 +212,13 @@ func TestStudentSampleZeroAlloc(t *testing.T) {
 		suspCI[k] = d.Schema.MustColumnIndex(it.ID)
 		suspCum[k] = cumulative(paperdata.Figure22Student[k].Percent)
 	}
-	rng := parallel.NewXRand()
+	sb := parallel.StreamBase(43, streamStudent)
 
 	allocs := testing.AllocsPerRun(50, func() {
 		for k := range suspCI {
 			for i := 0; i < 64; i++ {
-				rng.SeedAt(43, streamStudent, int64(i)<<subStreamBits|int64(k))
-				d.SetLikert(suspCI[k], i, drawLikert(rng, &suspCum[k]))
+				r, _ := parallel.At(sb, int64(i)<<subStreamBits|int64(k)).Next()
+				d.SetLikert(suspCI[k], i, likertLevel(parallel.Float64(r), &suspCum[k]))
 			}
 		}
 	})
@@ -225,29 +227,68 @@ func TestStudentSampleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCalibrationSweepZeroAlloc pins the batched calibration kernel's
-// inner loop: one bisection-step sweep over the cohort must cost at
-// most the fixed closure setup — 0 allocs per respondent.
-func TestCalibrationSweepZeroAlloc(t *testing.T) {
-	abil := make([]float64, 4096)
-	rng := parallel.NewXRand()
-	rng.SeedAt(1, 1, 1)
+// sweepKernel returns an ability kernel over n standard normal
+// abilities and the answer weights of a typical question.
+func sweepKernel(n int) (*abilityKernel, []float64) {
+	abil := make([]float64, n)
+	x := parallel.At(parallel.StreamBase(1, 1), 1)
 	for i := range abil {
-		a, _ := rng.NormPair()
-		abil[i] = a
+		abil[i], _, x = x.NormPair()
 	}
 	k := newAbilityKernel(1, abil)
-	qm := questionModel{pUn: 0.05, pDK: 0.2}
-	w := make([]float64, len(abil))
-	k.weights(qm, w)
+	w := make([]float64, n)
+	k.weights(&questionModel{pUn: 0.05, pDK: 0.2}, w)
+	return k, w
+}
+
+// TestCalibrationSweepZeroAlloc pins the batched calibration kernel's
+// inner loop: one bisection-step sweep over the cohort allocates
+// nothing.
+func TestCalibrationSweepZeroAlloc(t *testing.T) {
+	k, w := sweepKernel(4096)
 	allocs := testing.AllocsPerRun(50, func() {
 		_ = k.expectCorrect(w, 0.3)
 	})
-	// The sweep closure itself may cost a fixed allocation; anything
-	// scaling with the cohort is a regression.
-	if allocs > 2 {
-		t.Fatalf("calibration sweep allocates %.1f allocs/sweep over %d respondents, want <= 2 fixed",
-			allocs, len(abil))
+	if allocs != 0 {
+		t.Fatalf("calibration sweep allocates %.1f allocs/sweep over %d respondents, want 0", allocs, len(w))
+	}
+}
+
+// TestExpectCorrectInstrumentedZeroAlloc pins the sweep's contract
+// under observation: with the probe installed and a tracer set, a sweep
+// over several fixed shards still allocates nothing, records no event,
+// and returns the bits of the unobserved sweep and of the shard-order
+// sum it is defined as.
+func TestExpectCorrectInstrumentedZeroAlloc(t *testing.T) {
+	const n = 3*4096 + 17
+	k, w := sweepKernel(n)
+	const offset = 0.3
+	want := 0.0
+	for lo := 0; lo < n; lo += 4096 {
+		sub := 0.0
+		for i := lo; i < min(lo+4096, n); i++ {
+			sub += w[i] / (1 + math.Exp(-offset)*k.expNeg[i])
+		}
+		want += sub
+	}
+	want /= n
+	var plain, probed float64
+	if allocs := testing.AllocsPerRun(50, func() { plain = k.expectCorrect(w, offset) }); allocs != 0 {
+		t.Fatalf("uninstrumented sweep allocates %.1f/op, want 0", allocs)
+	}
+	telemetry.Install(telemetry.NewRegistry())
+	defer telemetry.Install(nil)
+	tracer := telemetry.NewTracer(2, 1<<10)
+	telemetry.SetTracer(tracer)
+	defer telemetry.SetTracer(nil)
+	if allocs := testing.AllocsPerRun(50, func() { probed = k.expectCorrect(w, offset) }); allocs != 0 {
+		t.Fatalf("instrumented sweep allocates %.1f/op, want 0", allocs)
+	}
+	if math.Float64bits(plain) != math.Float64bits(want) || math.Float64bits(probed) != math.Float64bits(want) {
+		t.Fatalf("sweep = %v uninstrumented, %v instrumented; shard-order sum %v", plain, probed, want)
+	}
+	if got := tracer.Recorded(); got != 0 {
+		t.Fatalf("sweep recorded %d trace events, want 0", got)
 	}
 }
 

@@ -15,13 +15,22 @@ import (
 // window edges — and at |x| ≥ 40, ±Inf and NaN, correctGate must
 // decide exactly as u < invlogit(offset+a).
 func TestCorrectGateBracket(t *testing.T) {
-	rng := parallel.NewXRand()
-	rng.SeedAt(2018, 0, 0)
+	rng := parallel.At(parallel.StreamBase(2018, 0), 0)
+	uniform := func() float64 {
+		var r uint64
+		r, rng = rng.Next()
+		return parallel.Float64(r)
+	}
+	normal := func() float64 {
+		var z float64
+		z, _, rng = rng.NormPair()
+		return z
+	}
 	const pairs = 10_000_000
 	worst := 0.0
 	for i := 0; i < pairs; i++ {
-		offset := 24*rng.Float64() - 12
-		z, _ := rng.NormPair()
+		offset := 24*uniform() - 12
+		z := normal()
 		a := 3 * z
 		fact := 1 / (1 + expNeg(offset)*expNeg(a))
 		exact := invlogit(offset + a)
@@ -54,9 +63,8 @@ func TestCorrectGateBracket(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100_000; i++ {
-		offset := 24*rng.Float64() - 12
-		z, _ := rng.NormPair()
-		adversarial(offset, 3*z)
+		offset := 24*uniform() - 12
+		adversarial(offset, 3*normal())
 	}
 	inf := math.Inf(1)
 	for _, c := range []struct{ offset, a float64 }{

@@ -25,8 +25,9 @@
 //
 // The hot path is batched (see DESIGN.md "Generation hot path"):
 // profiles and responses are produced in fixed 4096-respondent blocks,
-// responses column-major within a block, with one xoshiro generator per
-// worker repositioned per (respondent, column) sub-stream.
+// responses column-major within a block, each (respondent, column) cell
+// drawing from a generator positioned on its own sub-stream and held in
+// registers by value.
 package respondent
 
 import (
@@ -230,42 +231,56 @@ func centeredEffect(effects map[string]float64, def float64, level string, margi
 	return get(level) - mean
 }
 
-// drawProfile draws one background into p, applies an optional
+// drawProfile draws one background into p from the generator x,
+// positioned on the respondent's profile stream, applies an optional
 // override to the background factors, and then derives abilities — so
 // an intervention (forcing a factor level) feeds through the ability
 // model exactly as the fitted effects dictate. Every field of p is
 // overwritten, so a caller can reuse one Profile for a whole block.
-func drawProfile(rng *parallel.XRand, p *Profile, override func(*Profile)) {
-	drawBackground(rng, p)
+func drawProfile(x parallel.XRand, p *Profile, override func(*Profile)) {
+	x = drawBackground(x, p)
 	if override != nil {
 		override(p)
 		reindexProfile(p)
 	}
-	noiseCore, noiseOpt := rng.NormPair()
+	noiseCore, noiseOpt, _ := x.NormPair()
 	assignAbilities(p, noiseCore, noiseOpt)
 }
 
-func drawBackground(rng *parallel.XRand, p *Profile) {
+// drawBackground draws the background factors into p, in the
+// instrument's order, and returns the generator past their draws: one
+// draw per single-choice question and one per multi-select option.
+func drawBackground(x parallel.XRand, p *Profile) parallel.XRand {
 	t := tables()
-	p.idx.position = t.position.draw(rng)
+	var r uint64
+	r, x = x.Next()
+	p.idx.position = t.position.entry(r)
 	p.Position = t.position.labels[p.idx.position]
-	p.idx.area = t.area.draw(rng)
+	r, x = x.Next()
+	p.idx.area = t.area.entry(r)
 	p.Area = t.area.labels[p.idx.area]
-	p.idx.training = t.training.draw(rng)
+	r, x = x.Next()
+	p.idx.training = t.training.entry(r)
 	p.FormalTraining = t.training.labels[p.idx.training]
-	p.InformalMask = t.informal.draw(rng)
-	p.idx.role = t.role.draw(rng)
+	p.InformalMask, x = t.informal.mask(x)
+	r, x = x.Next()
+	p.idx.role = t.role.entry(r)
 	p.Role = t.role.labels[p.idx.role]
-	p.FPLanguagesMask = t.languages.draw(rng)
-	p.ArbPrecMask = t.arbprec.draw(rng)
-	p.idx.contribSize = t.contribSize.draw(rng)
+	p.FPLanguagesMask, x = t.languages.mask(x)
+	p.ArbPrecMask, x = t.arbprec.mask(x)
+	r, x = x.Next()
+	p.idx.contribSize = t.contribSize.entry(r)
 	p.ContribSize = t.contribSize.labels[p.idx.contribSize]
-	p.idx.contribExtent = t.contribExtent.draw(rng)
+	r, x = x.Next()
+	p.idx.contribExtent = t.contribExtent.entry(r)
 	p.ContribExtent = t.contribExtent.labels[p.idx.contribExtent]
-	p.idx.involvedSize = t.involvedSize.draw(rng)
+	r, x = x.Next()
+	p.idx.involvedSize = t.involvedSize.entry(r)
 	p.InvolvedSize = t.involvedSize.labels[p.idx.involvedSize]
-	p.idx.involvedExtent = t.involvedExtent.draw(rng)
+	r, x = x.Next()
+	p.idx.involvedExtent = t.involvedExtent.entry(r)
 	p.InvolvedExtent = t.involvedExtent.labels[p.idx.involvedExtent]
+	return x
 }
 
 // reindexProfile re-derives the cached entry indices after an override
@@ -336,7 +351,7 @@ type questionModel struct {
 
 // dkProb is the respondent-specific don't-know probability: higher
 // ability reduces willingness to punt, mildly.
-func (qm questionModel) dkProb(ability float64) float64 {
+func (qm *questionModel) dkProb(ability float64) float64 {
 	p := qm.pDK * (1 - 0.25*ability)
 	if p < 0 {
 		return 0
@@ -359,9 +374,9 @@ func GenerateMain(seed int64, n int) *Population {
 }
 
 // drawAbilities draws the untreated profiles 0..m-1 by fixed
-// 4096-respondent blocks, each into its worker's scratch Profile with
-// one xoshiro generator per worker repositioned per respondent, and
-// keeps only their core abilities and, when withOpt is set, their
+// 4096-respondent blocks, each into its worker's scratch Profile from a
+// generator positioned on the respondent's profile stream, and keeps
+// only their core abilities and, when withOpt is set, their
 // optimization abilities (opt is nil otherwise). Both depend only on
 // (seed, i).
 func drawAbilities(workers int, seed int64, m int, withOpt bool) (core, opt []float64) {
@@ -369,12 +384,12 @@ func drawAbilities(workers int, seed int64, m int, withOpt bool) (core, opt []fl
 	if withOpt {
 		opt = make([]float64, m)
 	}
+	pb := parallel.StreamBase(seed, streamProfile)
 	parallel.ForEachWith(workers, parallel.NumShards(m), newBlockScratch,
 		func(b *blockScratch, s int) {
 			lo, hi := parallel.ShardBounds(s, m)
 			for i := lo; i < hi; i++ {
-				b.rng.SeedAt(seed, streamProfile, int64(i))
-				drawProfile(b.rng, &b.p, nil)
+				drawProfile(parallel.At(pb, int64(i)), &b.p, nil)
 				core[i] = b.p.Ability
 				if withOpt {
 					opt[i] = b.p.OptAbility
@@ -528,6 +543,9 @@ type colModel struct {
 	questionModel
 	ci  int
 	sub uint64 // sub-stream index within the respondent's response stream
+	// unTh = threshold(pUn): a cell's first draw r leaves it unanswered
+	// exactly when Float64(r) < pUn, that is when r>>11 < unTh.
+	unTh uint64
 	// expNegOffset is e^(-offset), the question's factor of the
 	// bracketed correctness gate (see correctGate).
 	expNegOffset float64
@@ -541,16 +559,25 @@ type colModel struct {
 	csCodes     []int32 // codes of choiceSet, same order
 }
 
-// sampleInto draws one answer and stores it. The draw sequence per cell
-// is: unanswered gate, don't-know gate, correctness gate, then the
-// wrong-choice retry loop for choice questions — each cell on its own
-// (respondent, column) RNG stream. expNegAbility is expNeg(ability),
-// computed once per respondent for every question of its kind.
-func (m *colModel) sampleInto(d *colstore.Dataset, rng *parallel.XRand, i int, ability, expNegAbility float64) {
-	if rng.Float64() < m.pUn {
+// newColModel binds qm to response sub-stream k, with its unanswered
+// threshold and e^(-offset) factor; the caller resolves the column.
+func newColModel(qm questionModel, k int) colModel {
+	return colModel{questionModel: qm, sub: uint64(k), unTh: threshold(qm.pUn), expNegOffset: expNeg(qm.offset)}
+}
+
+// sampleInto draws one answer from x, positioned on the cell's own
+// (respondent, column) sub-stream, and stores it. The draw sequence per
+// cell is: unanswered gate, don't-know gate, correctness gate, then the
+// wrong-choice retry loop for choice questions. expNegAbility is
+// expNeg(ability), computed once per respondent for every question of
+// its kind.
+func (m *colModel) sampleInto(d *colstore.Dataset, x parallel.XRand, i int, ability, expNegAbility float64) {
+	r, x := x.Next()
+	if r>>11 < m.unTh {
 		return // columns are zero-initialized: unanswered
 	}
-	if rng.Float64() < m.dkProb(ability) {
+	r, x = x.Next()
+	if parallel.Float64(r) < m.dkProb(ability) {
 		if m.csCodes == nil {
 			d.SetTF(m.ci, i, colstore.TFDontKnow)
 		} else {
@@ -558,7 +585,8 @@ func (m *colModel) sampleInto(d *colstore.Dataset, rng *parallel.XRand, i int, a
 		}
 		return
 	}
-	if correctGate(rng.Float64(), m.offset, ability, m.expNegOffset, expNegAbility) {
+	r, x = x.Next()
+	if correctGate(parallel.Float64(r), m.offset, ability, m.expNegOffset, expNegAbility) {
 		if m.csCodes == nil {
 			d.SetTF(m.ci, i, m.correctTF)
 		} else {
@@ -573,7 +601,8 @@ func (m *colModel) sampleInto(d *colstore.Dataset, rng *parallel.XRand, i int, a
 		return
 	}
 	for {
-		k := rng.Intn(len(m.csCodes))
+		r, x = x.Next()
+		k := parallel.Intn(r, len(m.csCodes))
 		if m.csCodes[k] != m.correctCode {
 			d.SetSingle(m.ci, i, m.csCodes[k])
 			return
@@ -604,7 +633,8 @@ func newColSampler(d *colstore.Dataset, models []questionModel, dists []paperdat
 	cs := &colSampler{d: d, bg: tables()}
 	for k, qm := range models {
 		ci := s.MustColumnIndex(qm.id)
-		m := colModel{questionModel: qm, ci: ci, sub: uint64(k), expNegOffset: expNeg(qm.offset)}
+		m := newColModel(qm, k)
+		m.ci = ci
 		if len(qm.choiceSet) == 0 {
 			if qm.correct == survey.AnswerTrue {
 				m.correctTF, m.wrongTF = colstore.TFTrue, colstore.TFFalse
@@ -645,16 +675,15 @@ func cumulative(percent [5]float64) [5]float64 {
 }
 
 // blockScratch is one worker's reusable state for sampleBlock: the
-// generator, the Profile every background of a block is drawn into,
-// and the block's two abilities with their e^(-a) factors.
+// Profile every background of a block is drawn into, and the block's
+// two abilities with their e^(-a) factors.
 type blockScratch struct {
-	rng                   *parallel.XRand
 	p                     Profile
 	abil, optAbil         []float64
 	expNegAbil, expNegOpt []float64
 }
 
-func newBlockScratch() *blockScratch { return &blockScratch{rng: parallel.NewXRand()} }
+func newBlockScratch() *blockScratch { return &blockScratch{} }
 
 // fit sizes the block-local arrays for m respondents; they grow only on
 // a worker's first block.
@@ -674,16 +703,18 @@ func (b *blockScratch) fit(m int) {
 // answers column-major — one question column across the whole block at
 // a time, the cache-friendly orientation. Every respondent and cell
 // keeps its own (seed, stream, index) sub-stream, so the bytes do not
-// depend on the loop order. Only elements [lo, hi) of each column are
+// depend on the loop order; each stream's StreamBase is computed once
+// per block, and each cell's generator lives in registers from At to
+// its last draw. Only elements [lo, hi) of each column are
 // touched, so distinct blocks sample concurrently, and once b has
 // grown to the block size the whole path performs zero heap
 // allocations.
 func (cs *colSampler) sampleBlock(b *blockScratch, seed int64, lo, hi int, override func(*Profile)) {
-	d, t, rng, p := cs.d, cs.bg, b.rng, &b.p
+	d, t, p := cs.d, cs.bg, &b.p
 	b.fit(hi - lo)
+	pb := parallel.StreamBase(seed, streamProfile)
 	for i := lo; i < hi; i++ {
-		rng.SeedAt(seed, streamProfile, int64(i))
-		drawProfile(rng, p, override)
+		drawProfile(parallel.At(pb, int64(i)), p, override)
 		d.SetSingle(t.position.ci, i, t.position.codes[p.idx.position])
 		d.SetSingle(t.area.ci, i, t.area.codes[p.idx.area])
 		d.SetSingle(t.training.ci, i, t.training.codes[p.idx.training])
@@ -699,6 +730,7 @@ func (cs *colSampler) sampleBlock(b *blockScratch, seed int64, lo, hi int, overr
 		b.abil[j], b.expNegAbil[j] = p.Ability, expNeg(p.Ability)
 		b.optAbil[j], b.expNegOpt[j] = p.OptAbility, expNeg(p.OptAbility)
 	}
+	rb := parallel.StreamBase(seed, streamResponse)
 	for k := range cs.models {
 		m := &cs.models[k]
 		abil, en := b.abil, b.expNegAbil
@@ -706,23 +738,23 @@ func (cs *colSampler) sampleBlock(b *blockScratch, seed int64, lo, hi int, overr
 			abil, en = b.optAbil, b.expNegOpt
 		}
 		for i := lo; i < hi; i++ {
-			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(m.sub))
-			m.sampleInto(d, rng, i, abil[i-lo], en[i-lo])
+			m.sampleInto(d, parallel.At(rb, int64(i)<<subStreamBits|int64(m.sub)), i, abil[i-lo], en[i-lo])
 		}
 	}
 	for k, ci := range cs.suspCI {
 		cum := &cs.suspCum[k]
 		sub := cs.suspSub[k]
 		for i := lo; i < hi; i++ {
-			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(sub))
-			d.SetLikert(ci, i, drawLikert(rng, cum))
+			r, _ := parallel.At(rb, int64(i)<<subStreamBits|int64(sub)).Next()
+			d.SetLikert(ci, i, likertLevel(parallel.Float64(r), cum))
 		}
 	}
 }
 
-// drawLikert draws a 1-based Likert level from cumulative thresholds.
-func drawLikert(rng *parallel.XRand, cum *[5]float64) int {
-	x := rng.Float64() * cum[4]
+// likertLevel maps a uniform u in [0, 1), a Likert cell's one draw, to
+// a 1-based Likert level through cumulative thresholds.
+func likertLevel(u float64, cum *[5]float64) int {
+	x := u * cum[4]
 	for i, c := range cum {
 		if x < c {
 			return i + 1
@@ -740,7 +772,8 @@ func GenerateStudents(seed int64, n int) *survey.Dataset {
 
 // GenerateStudentsColumnar generates the student cohort directly into
 // columns: five Likert stores per respondent, sampled column-major per
-// block with per-(respondent, condition) streams.
+// fixed 4096-respondent shard (each traced as a parallel-shard event on
+// its worker's lane) with per-(respondent, condition) streams.
 func GenerateStudentsColumnar(seed int64, n, workers int, inst Instrumentation) *colstore.Dataset {
 	t0 := telemetry.Start()
 	d := quiz.Columns().NewDataset("1.0-student", n)
@@ -752,18 +785,18 @@ func GenerateStudentsColumnar(seed int64, n, workers int, inst Instrumentation) 
 	for _, dist := range paperdata.Figure22Student {
 		suspCum = append(suspCum, cumulative(dist.Percent))
 	}
-	parallel.ForEachWith(workers, parallel.NumShards(n), parallel.NewXRand,
-		func(rng *parallel.XRand, s int) {
-			lo, hi := parallel.ShardBounds(s, n)
-			for k, ci := range suspCI {
-				cum := &suspCum[k]
-				for i := lo; i < hi; i++ {
-					rng.SeedAt(seed, streamStudent, int64(i)<<subStreamBits|int64(k))
-					d.SetLikert(ci, i, drawLikert(rng, cum))
-				}
+	sb := parallel.StreamBase(seed, streamStudent)
+	parallel.MapShards(workers, n, func(lo, hi int) struct{} {
+		for k, ci := range suspCI {
+			cum := &suspCum[k]
+			for i := lo; i < hi; i++ {
+				r, _ := parallel.At(sb, int64(i)<<subStreamBits|int64(k)).Next()
+				d.SetLikert(ci, i, likertLevel(parallel.Float64(r), cum))
 			}
-			inst.Progress.Add(int64(hi - lo))
-		})
+		}
+		inst.Progress.Add(int64(hi - lo))
+		return struct{}{}
+	})
 	telemetry.Done(telemetry.StageSampleResponses, 0, t0, int64(n), 0)
 	return d
 }

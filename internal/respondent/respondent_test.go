@@ -31,10 +31,9 @@ var testProfiles = drawProfiles(42, testN)
 
 func drawProfiles(seed int64, n int) []Profile {
 	profiles := make([]Profile, n)
-	rng := parallel.NewXRand()
+	base := parallel.StreamBase(seed, streamProfile)
 	for i := range profiles {
-		rng.SeedAt(seed, streamProfile, int64(i))
-		drawProfile(rng, &profiles[i], nil)
+		drawProfile(parallel.At(base, int64(i)), &profiles[i], nil)
 	}
 	return profiles
 }

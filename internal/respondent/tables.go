@@ -2,6 +2,7 @@ package respondent
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"fpstudy/internal/paperdata"
@@ -13,20 +14,23 @@ import (
 // The per-respondent hot path used to look effects up in maps keyed by
 // label strings and re-derive every effect's population mean per
 // respondent; bgTables folds all of that into index-addressed arrays
-// built once per process, so drawing a background is a handful of
-// cumulative-threshold scans and drawing its abilities is pure array
-// arithmetic.
+// built once per process, so drawing a background is a table load per
+// single-choice question and an integer compare per multi-select
+// option, and drawing its abilities is pure array arithmetic.
 
 // choiceTable is one single-choice background question: its paperdata
 // marginals resolved against the canonical schema. Entry k of every
 // slice describes the k-th table row, so a drawn entry index addresses
 // the label, the schema option code, and any per-entry effect directly.
 type choiceTable struct {
-	ci      int
-	labels  []string
-	codes   []int32
-	cum     []int // cumulative counts; draw r in [0,total) → first k with r < cum[k]
-	total   int
+	ci     int
+	labels []string
+	codes  []int32
+	// pick maps every r in [0, total), where total = len(pick) is the
+	// sum of the published counts, to its entry: the first k whose
+	// cumulative count exceeds r. One load replaces the search over cumulative counts.
+	// Every table has far fewer than 256 entries, so a byte holds one.
+	pick    []uint8
 	byLabel map[string]int16
 }
 
@@ -35,27 +39,21 @@ func newChoiceTable(id string, entries []paperdata.CountEntry) choiceTable {
 	ci := s.MustColumnIndex(id)
 	col := s.Column(ci)
 	t := choiceTable{ci: ci, byLabel: make(map[string]int16, len(entries))}
-	run := 0
 	for k, e := range entries {
-		run += e.N
 		t.labels = append(t.labels, e.Label)
 		t.codes = append(t.codes, col.MustOptionCode(e.Label))
-		t.cum = append(t.cum, run)
+		for range e.N {
+			t.pick = append(t.pick, uint8(k))
+		}
 		t.byLabel[e.Label] = int16(k)
 	}
-	t.total = run
 	return t
 }
 
-// draw returns an entry index distributed by the published counts.
-func (t *choiceTable) draw(rng *parallel.XRand) int16 {
-	r := rng.Intn(t.total)
-	for k, c := range t.cum {
-		if r < c {
-			return int16(k)
-		}
-	}
-	return int16(len(t.cum) - 1)
+// entry returns the entry index that the draw r selects, distributed by
+// the published counts: entry k with probability N_k/total.
+func (t *choiceTable) entry(r uint64) int16 {
+	return int16(t.pick[parallel.Intn(r, len(t.pick))])
 }
 
 // reindex points *k at label's entry index. It keeps *k when that
@@ -73,10 +71,13 @@ func (t *choiceTable) reindex(id, label string, k *int16) {
 }
 
 // multiTable is one multi-choice background question: per-entry
-// inclusion probabilities and the option bit each entry sets.
+// inclusion thresholds and the option bit each entry sets.
 type multiTable struct {
-	ci  int
-	p   []float64
+	ci int
+	// th[k] = threshold(p_k) for entry k's marginal probability p_k: a
+	// draw r includes the entry exactly when Float64(r) < p_k, that is
+	// when r>>11 < th[k].
+	th  []uint64
 	bit []uint64
 }
 
@@ -86,22 +87,35 @@ func newMultiTable(id string, entries []paperdata.CountEntry, denom int) multiTa
 	col := s.Column(ci)
 	t := multiTable{ci: ci}
 	for _, e := range entries {
-		t.p = append(t.p, float64(e.N)/float64(denom))
+		p := float64(e.N) / float64(denom)
+		t.th = append(t.th, threshold(p))
 		t.bit = append(t.bit, 1<<uint(col.MustOptionCode(e.Label)-1))
 	}
 	return t
 }
 
-// draw includes each option independently with its marginal probability
-// and returns the resulting option bitset.
-func (t *multiTable) draw(rng *parallel.XRand) uint64 {
+// threshold returns ceil(p·2^53) for a probability p in [0, 1]: a draw
+// r has Float64(r) < p exactly when r>>11 < threshold(p). Float64(r) is
+// (r>>11)·2^-53 and p·2^53 is exact, so the test compares the integer
+// r>>11 with p·2^53, and an integer is below a real exactly when it is
+// below the real's ceiling.
+func threshold(p float64) uint64 {
+	return uint64(math.Ceil(p * 0x1p53))
+}
+
+// mask includes each option independently with its marginal
+// probability, one draw of x per option, and returns the resulting
+// option bitset and the generator past those draws.
+func (t *multiTable) mask(x parallel.XRand) (uint64, parallel.XRand) {
 	var mask uint64
-	for k, p := range t.p {
-		if rng.Float64() < p {
+	var r uint64
+	for k, th := range t.th {
+		r, x = x.Next()
+		if r>>11 < th {
 			mask |= t.bit[k]
 		}
 	}
-	return mask
+	return mask, x
 }
 
 // bgTables bundles every background question's draw table with the

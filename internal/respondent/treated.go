@@ -51,22 +51,21 @@ type treatedCounter struct {
 func newTreatedCounter(models []questionModel, overrides []func(*Profile)) *treatedCounter {
 	tc := &treatedCounter{overrides: overrides}
 	for k, qm := range models {
-		tc.models = append(tc.models, colModel{questionModel: qm, sub: uint64(k), expNegOffset: expNeg(qm.offset)})
+		tc.models = append(tc.models, newColModel(qm, k))
 	}
 	return tc
 }
 
 // treatedScratch is one worker's reusable state for countBlock: the
-// generator, the drawn background and its treated copy, and every
-// override's core ability and e^(-a) for the block, respondent-major
-// (index j*len(overrides)+k).
+// drawn background and its treated copy, and every override's core
+// ability and e^(-a) for the block, respondent-major (index
+// j*len(overrides)+k).
 type treatedScratch struct {
-	rng          *parallel.XRand
 	bg, p        Profile
 	abil, expNeg []float64
 }
 
-func newTreatedScratch() *treatedScratch { return &treatedScratch{rng: parallel.NewXRand()} }
+func newTreatedScratch() *treatedScratch { return &treatedScratch{} }
 
 // fit sizes the block-local arrays for m entries; they grow only on a
 // worker's first block.
@@ -88,24 +87,23 @@ func (b *treatedScratch) fit(m int) {
 // a copy of the background, which is re-indexed and given its
 // abilities.
 //
-// Second, each core cell is repositioned once onto its response
-// sub-stream. sampleInto draws the unanswered, don't-know and
-// correctness uniforms in that order, and only the don't-know and
-// correctness thresholds depend on ability, so every override walks
-// the same uniforms: one unanswered draw decides all of them, and the
-// don't-know and correctness draws are taken lazily, at most once, by
-// the first override that reaches them. Each override's outcome is
-// then sampleInto's, through dkProb and the correctGate bracket. A
-// wrong answer's retry draws come after these and never change the
-// count. Once b has grown to the block size the pass allocates
-// nothing.
+// Second, each core cell's generator is positioned once on its
+// response sub-stream and held by value. sampleInto draws the
+// unanswered, don't-know and correctness uniforms in that order, and
+// only the don't-know and correctness thresholds depend on ability,
+// so every override walks the same uniforms: one unanswered draw
+// decides all of them, and the don't-know and correctness draws are
+// taken lazily, at most once, by the first override that reaches
+// them. Each override's outcome is then sampleInto's, through dkProb
+// and the correctGate bracket. A wrong answer's retry draws come
+// after these and never change the count. Once b has grown to the
+// block size the pass allocates nothing.
 func (tc *treatedCounter) countBlock(b *treatedScratch, seed int64, lo, hi int, counts []int) {
-	rng, nk := b.rng, len(tc.overrides)
+	nk := len(tc.overrides)
 	b.fit((hi - lo) * nk)
+	pb := parallel.StreamBase(seed, streamProfile)
 	for i := lo; i < hi; i++ {
-		rng.SeedAt(seed, streamProfile, int64(i))
-		drawBackground(rng, &b.bg)
-		noiseCore, noiseOpt := rng.NormPair()
+		noiseCore, noiseOpt, _ := drawBackground(parallel.At(pb, int64(i)), &b.bg).NormPair()
 		row := (i - lo) * nk
 		for k, override := range tc.overrides {
 			b.p = b.bg
@@ -117,14 +115,16 @@ func (tc *treatedCounter) countBlock(b *treatedScratch, seed int64, lo, hi int, 
 			b.abil[row+k], b.expNeg[row+k] = b.p.Ability, expNeg(b.p.Ability)
 		}
 	}
+	rb := parallel.StreamBase(seed, streamResponse)
 	for q := range tc.models {
 		m := &tc.models[q]
 		for i := lo; i < hi; i++ {
-			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(m.sub))
-			if rng.Float64() < m.pUn {
+			r, x := parallel.At(rb, int64(i)<<subStreamBits|int64(m.sub)).Next()
+			if r>>11 < m.unTh {
 				continue
 			}
-			uDK := rng.Float64()
+			r, x = x.Next()
+			uDK := parallel.Float64(r)
 			uCorrect, drawn := 0.0, false
 			row := (i - lo) * nk
 			for k := range counts {
@@ -133,7 +133,8 @@ func (tc *treatedCounter) countBlock(b *treatedScratch, seed int64, lo, hi int, 
 					continue
 				}
 				if !drawn {
-					uCorrect, drawn = rng.Float64(), true
+					r, _ = x.Next()
+					uCorrect, drawn = parallel.Float64(r), true
 				}
 				if correctGate(uCorrect, m.offset, a, m.expNegOffset, b.expNeg[row+k]) {
 					counts[k]++

@@ -329,9 +329,10 @@ func BootstrapMeanCI(xs []uint8, level float64, iters int, seed int64, workers i
 		return 0, 0
 	}
 	means := make([]float64, iters)
-	parallel.ForEachWith(workers, iters, parallel.NewXRand, func(rng *parallel.XRand, r int) {
-		rng.SeedAt(seed, streamBootstrap, int64(r))
-		means[r] = float64(rng.ResampleSum(xs)) / float64(n)
+	base := parallel.StreamBase(seed, streamBootstrap)
+	parallel.ForEach(workers, iters, func(r int) {
+		sum, _ := parallel.At(base, int64(r)).ResampleSum(xs)
+		means[r] = float64(sum) / float64(n)
 	})
 	sort.Float64s(means)
 	k := int((1 - level) / 2 * float64(iters))

@@ -234,13 +234,15 @@ func TestBootstrapCoverage(t *testing.T) {
 		cum[s] = total
 	}
 	mean := float64(sum) / float64(total)
-	rng := parallel.NewXRand()
+	base := parallel.StreamBase(7, 99)
 	xs := make([]uint8, n)
 	covered := 0
 	for i := 0; i < k; i++ {
-		rng.SeedAt(7, 99, int64(i))
+		x := parallel.At(base, int64(i))
+		var r uint64
 		for j := range xs {
-			u := rng.Intn(total)
+			r, x = x.Next()
+			u := parallel.Intn(r, total)
 			s := 0
 			for u >= cum[s] {
 				s++
@@ -266,11 +268,12 @@ func TestBootstrapCoverage(t *testing.T) {
 func BenchmarkBootstrapMeanCI(b *testing.B) {
 	for _, n := range []int{50000, 1000000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			rng := parallel.NewXRand()
-			rng.SeedAt(1, 99, 0)
+			x := parallel.At(parallel.StreamBase(1, 99), 0)
 			xs := make([]uint8, n)
+			var r uint64
 			for i := range xs {
-				xs[i] = uint8(rng.Intn(16))
+				r, x = x.Next()
+				xs[i] = uint8(parallel.Intn(r, 16))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -12,6 +12,8 @@ import (
 // index — no CAS loop, no locks, 0 allocs — into one of a fixed set of
 // per-worker shards, so concurrent writers on different shards never
 // touch the same cache lines. Shards are merged only at Snapshot time.
+// A histogram that only one writer feeds needs one shard (see
+// newLatencyHist); each shard costs about 10 KB.
 //
 // # Bucket geometry
 //
@@ -32,6 +34,7 @@ import (
 // accepts the full method set as a no-op.
 type LatencyHist struct {
 	shards []latShard
+	mask   int // len(shards) - 1
 }
 
 const (
@@ -48,11 +51,10 @@ const (
 	// where shift k's top index is k*32 + 63.
 	latBuckets = latMaxShift*latSubBuckets + 2*latSubBuckets
 
-	// latShards fixes the shard fan-out (power of two). Worker indices
-	// fold in with a mask, so any worker count is safe; distinct
-	// workers ≤ latShards never share a shard.
-	latShards    = 16
-	latShardMask = latShards - 1
+	// latShards is the default shard fan-out (a power of two). Worker
+	// indices fold in with a mask, so any worker count is safe;
+	// distinct workers ≤ latShards never share a shard.
+	latShards = 16
 )
 
 // latShard is one writer lane. The trailing pad keeps the hot sum/count
@@ -64,10 +66,11 @@ type latShard struct {
 	_      [48]byte
 }
 
-// newLatencyHist builds an empty histogram with all shards allocated,
-// so Observe never allocates or branches on initialization state.
-func newLatencyHist() *LatencyHist {
-	return &LatencyHist{shards: make([]latShard, latShards)}
+// newLatencyHist builds an empty histogram of the given number of
+// shards (a power of two) with all of them allocated, so Observe never
+// allocates or branches on initialization state.
+func newLatencyHist(shards int) *LatencyHist {
+	return &LatencyHist{shards: make([]latShard, shards), mask: shards - 1}
 }
 
 // latBucketIndex maps a duration in nanoseconds to its bucket.
@@ -111,7 +114,7 @@ func (l *LatencyHist) ObserveShard(w int, d time.Duration) {
 	if l == nil {
 		return
 	}
-	s := &l.shards[w&latShardMask]
+	s := &l.shards[w&l.mask]
 	s.counts[latBucketIndex(int64(d))].Add(1)
 	s.sumNS.Add(int64(d))
 	s.count.Add(1)
@@ -128,7 +131,7 @@ func (l *LatencyHist) Observe(d time.Duration) {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 29
-	l.ObserveShard(int(h&latShardMask), d)
+	l.ObserveShard(int(h)&l.mask, d)
 }
 
 // Count returns the total number of observations across shards (0 on

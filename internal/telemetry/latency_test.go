@@ -45,7 +45,7 @@ func TestLatencyBucketGeometry(t *testing.T) {
 // distribution: quantiles of uniformly spread observations must land
 // within one sub-bucket width (≈3.1%) of the true value.
 func TestLatencyQuantiles(t *testing.T) {
-	l := newLatencyHist()
+	l := newLatencyHist(latShards)
 	const n = 100_000
 	for i := 1; i <= n; i++ {
 		l.ObserveShard(i, time.Duration(i)*time.Microsecond)
@@ -81,7 +81,7 @@ func TestLatencyQuantiles(t *testing.T) {
 // histogram subtract into the interval between them, and merging the
 // delta back reproduces the later snapshot.
 func TestLatencySnapshotSubMerge(t *testing.T) {
-	l := newLatencyHist()
+	l := newLatencyHist(latShards)
 	for i := 0; i < 1000; i++ {
 		l.Observe(time.Duration(100+i) * time.Nanosecond)
 	}
@@ -122,7 +122,7 @@ func TestLatencySnapshotSubMerge(t *testing.T) {
 // while snapshots run: every snapshot must be internally consistent
 // (buckets sum to count), and the final count must be exact.
 func TestLatencyConcurrent(t *testing.T) {
-	l := newLatencyHist()
+	l := newLatencyHist(latShards)
 	const writers, perWriter = 8, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -184,7 +184,7 @@ func TestLatencyNilSafety(t *testing.T) {
 // TestLatencyObserveZeroAlloc pins the hot path at 0 allocs for both
 // the enabled and nil-disabled forms.
 func TestLatencyObserveZeroAlloc(t *testing.T) {
-	l := newLatencyHist()
+	l := newLatencyHist(latShards)
 	if n := testing.AllocsPerRun(1000, func() { l.ObserveShard(2, 123*time.Microsecond) }); n != 0 {
 		t.Errorf("ObserveShard allocs = %g, want 0", n)
 	}
@@ -223,7 +223,7 @@ func TestRegistryLatencySnapshot(t *testing.T) {
 // single-bucket histogram (every observation identical) yields
 // quantiles inside that bucket for every q.
 func TestLatencyQuantileEdgeCases(t *testing.T) {
-	empty := newLatencyHist().Snapshot()
+	empty := newLatencyHist(latShards).Snapshot()
 	if empty.Count != 0 || len(empty.Buckets) != 0 {
 		t.Fatalf("empty snapshot: count=%d buckets=%d", empty.Count, len(empty.Buckets))
 	}
@@ -236,7 +236,7 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 		t.Errorf("empty precomputed quantiles nonzero: p50=%g p999=%g", empty.P50NS, empty.P999NS)
 	}
 
-	single := newLatencyHist()
+	single := newLatencyHist(latShards)
 	const d = 12345 * time.Microsecond
 	for i := 0; i < 1000; i++ {
 		single.Observe(d)

@@ -111,7 +111,7 @@ const (
 	StageFPDSEncode        // one FPDS column block encode
 	StageFPDSDecode        // one FPDS column block decode
 	StageQueryBlock        // one query-engine scan block (load+filter+key+aggregate)
-	StageParallelShard     // one MapShards/SumShards shard
+	StageParallelShard     // one MapShards shard
 	StageParallelWorker    // one worker's busy time in a fan-out
 	StageParallelWait      // one fan-out's aggregate wait (workers*wall-busy)
 	StagePoolTask          // one parallel.Pool task
@@ -165,6 +165,17 @@ func (st Stage) Name() string { return stageDefs[st].name }
 // "latency.<name>".
 func (st Stage) Metric() string { return LatencyPrefix + stageDefs[st].name }
 
+// latencyShards is the shard count of the stage's latency histogram:
+// one for a pipeline-level stage, which lane 0 alone observes once per
+// phase, and the default fan-out for a block-level stage, which every
+// worker observes.
+func (st Stage) latencyShards() int {
+	if st < StageSampleBlock {
+		return 1
+	}
+	return latShards
+}
+
 // LatencyPrefix starts the name of every stage's latency histogram.
 const LatencyPrefix = "latency."
 
@@ -204,7 +215,7 @@ func Install(reg *Registry) {
 	}
 	for st, d := range stageDefs {
 		s := &p.stages[st]
-		s.lat = reg.Latency(Stage(st).Metric())
+		s.lat = reg.latency(Stage(st).Metric(), Stage(st).latencyShards())
 		s.arg1, s.arg2 = counter(d.arg1), counter(d.arg2)
 	}
 	for _, name := range fpMetrics {

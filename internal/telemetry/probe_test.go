@@ -137,3 +137,29 @@ func TestProbeConcurrentInstall(t *testing.T) {
 		t.Fatalf("latency count %d, %s %d: want equal and at most %d", lat, MetricQueryRowsScanned, rows, writers*perG)
 	}
 }
+
+// TestInstallShardsByStageLevel pins the histogram fan-out Install
+// gives each stage: one shard for a pipeline-level stage, which lane 0
+// alone observes, and the default fan-out for a block-level stage,
+// which every worker observes. A one-shard histogram still takes every
+// lane's observations.
+func TestInstallShardsByStageLevel(t *testing.T) {
+	reg := NewRegistry()
+	Install(reg)
+	defer Install(nil)
+	for st := Stage(0); st < numStages; st++ {
+		want := latShards
+		if st < StageSampleBlock {
+			want = 1
+		}
+		if got := len(reg.Latency(st.Metric()).shards); got != want {
+			t.Errorf("stage %s: %d histogram shards, want %d", st.Name(), got, want)
+		}
+	}
+	for lane := 0; lane < 3; lane++ {
+		Record(StageCalibrate, lane, time.Now(), time.Millisecond, 0, 0)
+	}
+	if got := reg.Latency(StageCalibrate.Metric()).Count(); got != 3 {
+		t.Fatalf("one-shard histogram counted %d of 3 observations", got)
+	}
+}

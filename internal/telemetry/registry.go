@@ -147,9 +147,15 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Latency returns the log-linear latency histogram with the given
-// name, creating it on first use. Returns nil (a no-op histogram) on
-// the nil Registry.
+// name, creating it on first use with the default shard fan-out.
+// Returns nil (a no-op histogram) on the nil Registry.
 func (r *Registry) Latency(name string) *LatencyHist {
+	return r.latency(name, latShards)
+}
+
+// latency is Latency with the shard count of a histogram it creates; a
+// histogram that already exists keeps its own.
+func (r *Registry) latency(name string, shards int) *LatencyHist {
 	if r == nil {
 		return nil
 	}
@@ -157,7 +163,7 @@ func (r *Registry) Latency(name string) *LatencyHist {
 	defer r.mu.Unlock()
 	l, ok := r.lats[name]
 	if !ok {
-		l = newLatencyHist()
+		l = newLatencyHist(shards)
 		r.lats[name] = l
 	}
 	return l

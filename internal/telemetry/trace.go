@@ -44,7 +44,7 @@ const (
 	// parallel.ForEach fan-out. Arg1 is the worker index.
 	EvWorker
 	// EvShard is one fixed-width shard execution inside
-	// parallel.MapShards/SumShards. Arg1 is the shard index, Arg2 the
+	// parallel.MapShards. Arg1 is the shard index, Arg2 the
 	// shard's item count. The lane identifies the executing worker.
 	EvShard
 	// EvBatch is one scoring/grading batch. Arg1 is the batch's item
@@ -131,15 +131,12 @@ func NewTracer(lanes, capacity int) *Tracer {
 
 // NewDefaultTracer sizes a tracer for this process: one control lane
 // plus one lane per GOMAXPROCS worker, 16384 events each (roughly a
-// few MB). Lane 1 overflows once n passes about 53,000: every
-// question's calibration bisection runs a serial parallel.SumShards,
-// which emits one parallel-shard event on lane 1 per 4096-ability
-// shard per bisection step, whichever worker calibrates the question.
-// At the full 65,536-ability calibration prefix (any n >= 65,536) that
-// is 16 shards × 60 steps × 19 questions = 18,240 events, so lane 1
-// keeps only the last 16,384 of its events. fpgen -trace on 2 vCPUs
-// dropped 0 events at n=50,000, 721 at n=54,000 and 3,001 at both
-// n=70,000 and n=200,000. The ring drops the oldest events instead of
+// few MB). A generation run records a handful of events per lane: one
+// worker event per fan-out and, on lane 0, one event per stage. The
+// calibration bisections sum their sweeps inline and record nothing,
+// and the sampling blocks trace no event of their own. fpgen -n
+// 1000000 -trace on 2 vCPUs recorded 88 events and dropped none; at
+// GOMAXPROCS=16, 647. The ring drops the oldest events instead of
 // growing, so the bound stays fixed.
 func NewDefaultTracer() *Tracer {
 	return NewTracer(runtime.GOMAXPROCS(0)+1, 1<<14)

@@ -13,7 +13,10 @@
 // fpgen -format leaves an existing -o file byte-identical,
 // `fpreport -fig 23` exits 2, and a negative cohort size (`fpgen -n`,
 // `fpreport -n`, `fpreport -nstudents`) exits 2 naming the flag,
-// without a panic, with its run-ledger record appended.
+// without a panic, with its run-ledger record appended. Finally, the
+// pinned million-respondent cohort, `fpgen -n 1000000 -seed 1` written
+// as FPDS, must hash to millionDigest: every change to generation lands
+// against that digest.
 //
 // Run via `make io-smoke` (or `go run scripts/io_smoke.go` from the
 // repo root). Exits 0 and prints PASS on success.
@@ -21,12 +24,18 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 )
+
+// millionDigest is the sha256 of `fpgen -n 1000000 -seed 1 -o x.fpds`.
+const millionDigest = "c1743811ed8d34fc44141db0426bd3aca87608fa4b0e3e96066a2862d53855a8"
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "io-smoke: FAIL: "+format+"\n", args...)
@@ -144,8 +153,30 @@ func main() {
 		fail("fpgen -n -1 modified the existing -o file (%d -> %d bytes, err %v)", len(before), len(after), err)
 	}
 
+	millionPath := filepath.Join(tmp, "million.fpds")
+	if _, code := run(fpgen, "-n", "1000000", "-seed", "1", "-o", millionPath); code != 0 {
+		fail("fpgen -n 1000000 -seed 1 exited %d", code)
+	}
+	if got := sha256File(millionPath); got != millionDigest {
+		fail("fpgen -n 1000000 -seed 1 wrote sha256 %s, want %s", got, millionDigest)
+	}
+
 	st, _ := os.Stat(binPath)
 	jst, _ := os.Stat(jsonPath)
-	fmt.Printf("io-smoke: PASS: n=%s reports identical from .fpds (%.1f MB) and .json (%.1f MB) to the in-process run (%d bytes of report)\n",
-		n, float64(st.Size())/(1<<20), float64(jst.Size())/(1<<20), len(want))
+	fmt.Printf("io-smoke: PASS: n=%s reports identical from .fpds (%.1f MB) and .json (%.1f MB) to the in-process run (%d bytes of report); n=1000000 seed 1 at sha256 %.8s\n",
+		n, float64(st.Size())/(1<<20), float64(jst.Size())/(1<<20), len(want), millionDigest)
+}
+
+// sha256File returns the hex sha256 of the file at path.
+func sha256File(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		fail("%v", err)
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		fail("hashing %s: %v", path, err)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
