@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"fpstudy/internal/parallel"
@@ -85,6 +86,10 @@ const (
 	// tokens, extras), so a corrupted length field fails cleanly instead
 	// of attempting a huge allocation.
 	maxSectionBytes = 1 << 31
+
+	// sectionChunk is the step in which a section of an input of
+	// unknown size is read (see readSection).
+	sectionChunk = 1 << 20
 
 	// maxBinaryRespondents bounds the declared respondent count.
 	maxBinaryRespondents = 1 << 31
@@ -475,19 +480,35 @@ func readFull(r io.Reader, buf []byte, what string) error {
 }
 
 // readSection reads one framed section (length + payload + CRC) and
-// verifies the checksum.
-func readSection(r io.Reader, what string) ([]byte, error) {
+// verifies the checksum. left is the number of bytes the input still
+// holds at the length field, or -1 when that is not known. A known
+// size bounds the claimed length before anything is allocated; an
+// unknown one is read sectionChunk bytes at a time, so a corrupted
+// length costs at most about twice the bytes the input really holds.
+func readSection(r io.Reader, what string, left int64) ([]byte, error) {
 	var hdr [4]byte
 	if err := readFull(r, hdr[:], what+" length"); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := int64(binary.LittleEndian.Uint32(hdr[:]))
 	if n > maxSectionBytes {
 		return nil, fmt.Errorf("colstore: decode binary: %s section claims %d bytes (corrupted length?)", what, n)
 	}
-	payload := make([]byte, int(n))
-	if err := readFull(r, payload, what+" payload"); err != nil {
-		return nil, err
+	if left >= 0 && 8+n > left {
+		return nil, fmt.Errorf("colstore: decode binary: truncated file: %s section claims %d bytes, %d left", what, n, max(left-8, 0))
+	}
+	capacity := n
+	if left < 0 {
+		capacity = min(n, sectionChunk)
+	}
+	payload := make([]byte, 0, capacity)
+	for int64(len(payload)) < n {
+		k := len(payload)
+		step := int(min(n-int64(k), sectionChunk))
+		payload = slices.Grow(payload, step)[:k+step]
+		if err := readFull(r, payload[k:], what+" payload"); err != nil {
+			return nil, err
+		}
 	}
 	if err := readFull(r, hdr[:], what+" checksum"); err != nil {
 		return nil, err
@@ -652,7 +673,20 @@ func schemaFor(s *Schema, h *decodedHeader) (*Schema, error) {
 // every code validated against the schema; decoding is sharded across
 // opt.Workers with identical results at any worker count.
 func DecodeBinary(s *Schema, r io.Reader, opt IOOptions) (*Dataset, error) {
-	br := bufio.NewReaderSize(&countingReader{r: r, c: opt.BytesRead}, 1<<20)
+	return decodeBinary(s, r, -1, opt)
+}
+
+// decodeBinary is DecodeBinary over an input of size bytes (-1 when
+// not known), which bounds every section's claimed length.
+func decodeBinary(s *Schema, r io.Reader, size int64, opt IOOptions) (*Dataset, error) {
+	cr := &countingReader{r: r, c: opt.BytesRead}
+	br := bufio.NewReaderSize(cr, 1<<20)
+	left := func() int64 {
+		if size < 0 {
+			return -1
+		}
+		return size - (cr.n - int64(br.Buffered()))
+	}
 
 	pre := make([]byte, 8)
 	if err := readFull(br, pre, "file preamble"); err != nil {
@@ -666,7 +700,7 @@ func DecodeBinary(s *Schema, r io.Reader, opt IOOptions) (*Dataset, error) {
 	}
 	flags := binary.LittleEndian.Uint16(pre[6:8])
 
-	hdrPayload, err := readSection(br, "header")
+	hdrPayload, err := readSection(br, "header", left())
 	if err != nil {
 		return nil, err
 	}
@@ -682,7 +716,7 @@ func DecodeBinary(s *Schema, r io.Reader, opt IOOptions) (*Dataset, error) {
 	d := schema.NewDataset(h.version, h.n)
 	d.nilResponses = flags&flagNilResponses != 0
 
-	arenaPayload, err := readSection(br, "string arena")
+	arenaPayload, err := readSection(br, "string arena", left())
 	if err != nil {
 		return nil, err
 	}
@@ -702,7 +736,7 @@ func DecodeBinary(s *Schema, r io.Reader, opt IOOptions) (*Dataset, error) {
 	}
 
 	if flags&flagAutoTokens == 0 {
-		tokPayload, err := readSection(br, "tokens")
+		tokPayload, err := readSection(br, "tokens", left())
 		if err != nil {
 			return nil, err
 		}
@@ -721,7 +755,7 @@ func DecodeBinary(s *Schema, r io.Reader, opt IOOptions) (*Dataset, error) {
 		return nil, err
 	}
 
-	extPayload, err := readSection(br, "extras")
+	extPayload, err := readSection(br, "extras", left())
 	if err != nil {
 		return nil, err
 	}

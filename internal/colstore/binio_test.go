@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -455,4 +458,47 @@ func TestBinarySizeAdvantage(t *testing.T) {
 	}
 	t.Logf("n=500: json %d bytes, binary %d bytes (%.1fx)", js.Len(), len(bin),
 		float64(js.Len())/float64(len(bin)))
+}
+
+// TestDecodeAllocBoundedByInput pins that a section length claiming far
+// more bytes than the input holds costs no more than the input: the
+// FPDS preamble below is followed by a header length that reads "susp"
+// (0x70737573, 1.8 GB) and 43 bytes. It is the committed fuzz crasher
+// of FuzzDecodeBinary. Every decoder must fail cleanly, allocating at
+// most a few megabytes in all (the 1 MiB read buffers included).
+func TestDecodeAllocBoundedByInput(t *testing.T) {
+	data := append([]byte("FPDS\x01\x00\x00\x00susp"), make([]byte, 43)...)
+	path := filepath.Join(t.TempDir(), "crash.fpds")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 8 << 20
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"DecodeBinary", func() error {
+			_, err := colstore.DecodeBinary(nil, bytes.NewReader(data), colstore.IOOptions{})
+			return err
+		}},
+		{"LoadFile", func() error {
+			_, _, err := colstore.LoadFile(nil, path, colstore.IOOptions{})
+			return err
+		}},
+		{"NewShardReader", func() error {
+			_, err := colstore.NewShardReader(nil, bytes.NewReader(data), int64(len(data)), colstore.IOOptions{})
+			return err
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: accepted a file whose header claims 1.8 GB", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%s: allocated %d bytes decoding a %d-byte file (bound %d): %v", tc.name, got, len(data), bound, err)
+		}
+	}
 }

@@ -66,6 +66,12 @@ type LoadInfo struct {
 // whatever instrument the file declares — JSON loading then fails,
 // since the row form cannot be interpreted without one).
 func Load(s *Schema, r io.Reader, opt IOOptions) (*Dataset, LoadInfo, error) {
+	return load(s, r, -1, opt)
+}
+
+// load is Load over an input of size bytes (-1 when not known), which
+// bounds the FPDS sections' claimed lengths.
+func load(s *Schema, r io.Reader, size int64, opt IOOptions) (*Dataset, LoadInfo, error) {
 	start := time.Now()
 	cr := &countingReader{r: r, c: opt.BytesRead}
 	br := bufio.NewReaderSize(cr, 1<<20)
@@ -79,7 +85,7 @@ func Load(s *Schema, r io.Reader, opt IOOptions) (*Dataset, LoadInfo, error) {
 	case FormatBinary:
 		// The counting/buffering wrappers are already in place here, so
 		// hand DecodeBinary the plain reader.
-		d, err = DecodeBinary(s, br, IOOptions{Workers: opt.Workers})
+		d, err = decodeBinary(s, br, size, IOOptions{Workers: opt.Workers})
 	case FormatJSON:
 		if s == nil {
 			return nil, LoadInfo{}, fmt.Errorf("colstore: load: JSON datasets need a schema to decode against")
@@ -97,19 +103,22 @@ func Load(s *Schema, r io.Reader, opt IOOptions) (*Dataset, LoadInfo, error) {
 }
 
 // LoadFile opens path and Loads it, reporting the exact on-disk size
-// (Load's own count reflects read-ahead buffering).
+// (Load's own count reflects read-ahead buffering). The size also
+// bounds every FPDS section's claimed length.
 func LoadFile(s *Schema, path string, opt IOOptions) (*Dataset, LoadInfo, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, LoadInfo{}, err
 	}
 	defer f.Close()
-	d, info, err := Load(s, f, opt)
+	st, err := f.Stat()
+	if err != nil {
+		return nil, LoadInfo{}, err
+	}
+	d, info, err := load(s, f, st.Size(), opt)
 	if err != nil {
 		return nil, LoadInfo{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if st, err := f.Stat(); err == nil {
-		info.Bytes = st.Size()
-	}
+	info.Bytes = st.Size()
 	return d, info, nil
 }

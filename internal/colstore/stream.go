@@ -79,7 +79,7 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 	}
 	flags := binary.LittleEndian.Uint16(pre[6:8])
 
-	hdrPayload, err := readSection(cr, "header")
+	hdrPayload, err := readSection(cr, "header", size-cr.n)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +94,7 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 
 	sr := &ShardReader{r: r, schema: schema, version: h.version, n: h.n, bytesRead: opt.BytesRead}
 
-	arenaPayload, err := readSection(cr, "string arena")
+	arenaPayload, err := readSection(cr, "string arena", size-cr.n)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 	if flags&flagAutoTokens == 0 {
 		// Tokens carry no analytical content; a streaming reader only
 		// needs to skip past them (still checksum-verified).
-		tokPayload, err := readSection(cr, "tokens")
+		tokPayload, err := readSection(cr, "tokens", size-cr.n)
 		if err != nil {
 			return nil, err
 		}
@@ -129,7 +129,7 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 		off += int64(colDataBytes(h.n, colWidth(schema.cols[ci].Kind)))
 	}
 
-	extPayload, err := readSection(io.NewSectionReader(r, off, size-off), "extras")
+	extPayload, err := readSection(io.NewSectionReader(r, off, size-off), "extras", size-off)
 	if err != nil {
 		return nil, err
 	}

@@ -50,15 +50,3 @@ func (m *Bitmap) Count() int {
 	}
 	return c
 }
-
-// ForEach calls fn(j) for every selected row, in ascending order.
-func (m *Bitmap) ForEach(fn func(j int)) {
-	for wi, w := range m.words {
-		base := wi * 64
-		for w != 0 {
-			j := bits.TrailingZeros64(w)
-			fn(base + j)
-			w &^= 1 << uint(j)
-		}
-	}
-}

@@ -1,32 +1,13 @@
 package query
 
-// Predicate kernels. Each walks the selection bitmap word by word:
-// for every 64-row word that still has candidates it computes a match
-// word from the dense code column and ANDs it in. Words already zero
-// are skipped, so predicates get cheaper as the filter narrows.
-
-// u8Apply ANDs rows of a byte column matching test into sel.
-func u8Apply(col []uint8, sel *Bitmap, test func(v uint8) bool) {
-	words := sel.words
-	for wi := range words {
-		wv := words[wi]
-		if wv == 0 {
-			continue
-		}
-		base := wi * 64
-		m := 64
-		if base+m > sel.n {
-			m = sel.n - base
-		}
-		var match uint64
-		for j := 0; j < m; j++ {
-			if test(col[base+j]) {
-				match |= 1 << uint(j)
-			}
-		}
-		words[wi] = wv & match
-	}
-}
+// Predicate kernels. Each walks the selection bitmap word by word: for
+// every 64-row word that still has candidates it computes a match word
+// from the dense column and ANDs it in. Words already zero are
+// skipped, so predicates get cheaper as the filter narrows. Byte
+// columns are tested eight rows per load (see word.go); code and
+// bitset columns a row at a time, but with no branch per row. Rows
+// past the block's end may match in the last word; the selection's
+// tail bits are clear, so the AND drops them.
 
 // U8Eq matches truefalse or Likert codes equal to Code (0 matches
 // unanswered rows).
@@ -39,24 +20,15 @@ func (p U8Eq) Columns() []int { return []int{p.Col} }
 
 func (p U8Eq) Apply(b *Block, sel *Bitmap) {
 	col := b.U8(p.Col)
-	words := sel.words
-	for wi := range words {
-		wv := words[wi]
+	for wi, wv := range sel.words {
 		if wv == 0 {
 			continue
 		}
-		base := wi * 64
-		m := 64
-		if base+m > sel.n {
-			m = sel.n - base
-		}
 		var match uint64
-		for j := 0; j < m; j++ {
-			if col[base+j] == p.Code {
-				match |= 1 << uint(j)
-			}
+		for g := 0; g < 8; g++ {
+			match |= pack8(eqLanes(Word8(col, wi*64+8*g), p.Code)) << (8 * g)
 		}
-		words[wi] = wv & match
+		sel.words[wi] = wv & match
 	}
 }
 
@@ -70,7 +42,17 @@ type U8Ne struct {
 func (p U8Ne) Columns() []int { return []int{p.Col} }
 
 func (p U8Ne) Apply(b *Block, sel *Bitmap) {
-	u8Apply(b.U8(p.Col), sel, func(v uint8) bool { return v != p.Code })
+	col := b.U8(p.Col)
+	for wi, wv := range sel.words {
+		if wv == 0 {
+			continue
+		}
+		var match uint64
+		for g := 0; g < 8; g++ {
+			match |= pack8(eqLanes(Word8(col, wi*64+8*g), p.Code)^lanes80) << (8 * g)
+		}
+		sel.words[wi] = wv & match
+	}
 }
 
 // U8Range matches Likert levels in [Lo, Hi] inclusive. Unanswered
@@ -83,7 +65,22 @@ type U8Range struct {
 func (p U8Range) Columns() []int { return []int{p.Col} }
 
 func (p U8Range) Apply(b *Block, sel *Bitmap) {
-	u8Apply(b.U8(p.Col), sel, func(v uint8) bool { return v >= p.Lo && v <= p.Hi })
+	col := b.U8(p.Col)
+	for wi, wv := range sel.words {
+		if wv == 0 {
+			continue
+		}
+		var match uint64
+		for g := 0; g < 8; g++ {
+			w := Word8(col, wi*64+8*g)
+			in := aboveLanes(w, p.Hi) ^ lanes80 // at most Hi
+			if p.Lo > 0 {
+				in &= aboveLanes(w, p.Lo-1) // at least Lo
+			}
+			match |= pack8(in) << (8 * g)
+		}
+		sel.words[wi] = wv & match
+	}
 }
 
 // I32Set matches single-choice codes in a set, encoded as a bitmask
@@ -110,25 +107,18 @@ func (p I32Set) Columns() []int { return []int{p.Col} }
 
 func (p I32Set) Apply(b *Block, sel *Bitmap) {
 	col := b.I32(p.Col)
-	words := sel.words
-	for wi := range words {
-		wv := words[wi]
+	for wi, wv := range sel.words {
 		if wv == 0 {
 			continue
 		}
-		base := wi * 64
-		m := 64
-		if base+m > sel.n {
-			m = sel.n - base
-		}
 		var match uint64
-		for j := 0; j < m; j++ {
-			v := col[base+j]
-			if uint32(v) < 64 && p.Mask&(1<<uint(v)) != 0 {
-				match |= 1 << uint(j)
-			}
+		for j, v := range col[wi*64 : min(wi*64+64, len(col))] {
+			// A code from 64 up, or a negative one read unsigned,
+			// leaves uint64(c)-64 without its top bit.
+			c := uint64(uint32(v))
+			match |= p.Mask >> (c & 63) & ((c - 64) >> 63) << j
 		}
-		words[wi] = wv & match
+		sel.words[wi] = wv & match
 	}
 }
 
@@ -143,62 +133,51 @@ func (p I32Ne) Columns() []int { return []int{p.Col} }
 
 func (p I32Ne) Apply(b *Block, sel *Bitmap) {
 	col := b.I32(p.Col)
-	words := sel.words
-	for wi := range words {
-		wv := words[wi]
+	for wi, wv := range sel.words {
 		if wv == 0 {
 			continue
 		}
-		base := wi * 64
-		m := 64
-		if base+m > sel.n {
-			m = sel.n - base
-		}
 		var match uint64
-		for j := 0; j < m; j++ {
-			if col[base+j] != p.Code {
-				match |= 1 << uint(j)
-			}
+		for j, v := range col[wi*64 : min(wi*64+64, len(col))] {
+			// Adding 2^32-1 carries into bit 32 exactly when the
+			// 32-bit difference is non-zero.
+			match |= (uint64(uint32(v^p.Code)) + 0xffffffff) >> 32 << j
 		}
-		words[wi] = wv & match
+		sel.words[wi] = wv & match
 	}
 }
 
-// u64Apply ANDs rows of a bitset column whose *effective* mask
-// satisfies test into sel: the canonical column fast path plus the
-// per-block verbatim-spill patches (empty for generated cohorts).
-func u64Apply(b *Block, ci int, sel *Bitmap, test func(mask uint64) bool) {
+// nonZero returns 1 when x is non-zero and 0 otherwise.
+func nonZero(x uint64) uint64 { return (x | -x) >> 63 }
+
+// u64Apply ANDs into sel the rows of a bitset column whose *effective*
+// mask m satisfies nonZero(m&mask^want)^flip: test-any with want and
+// flip zero, test-all with want = mask and flip = 1. The canonical
+// column is tested first, then the block's verbatim-spill patches
+// (empty for generated cohorts) overwrite their rows' bits.
+func u64Apply(b *Block, ci int, sel *Bitmap, mask, want, flip uint64) {
 	col := b.U64(ci)
 	patches := b.Patches(ci)
-	words := sel.words
 	pi := 0
-	for wi := range words {
+	for wi, wv := range sel.words {
 		base := wi * 64
-		m := 64
-		if base+m > sel.n {
-			m = sel.n - base
-		}
-		var match uint64
-		if words[wi] != 0 || pi < len(patches) {
-			for j := 0; j < m; j++ {
-				if test(col[base+j]) {
-					match |= 1 << uint(j)
-				}
-			}
-			// Recompute patched rows in this word against their
-			// effective mask.
-			for pi < len(patches) && patches[pi].Row < base+m {
-				pt := patches[pi]
-				bit := uint64(1) << uint(pt.Row-base)
-				if test(pt.Mask) {
-					match |= bit
-				} else {
-					match &^= bit
-				}
+		end := min(base+64, len(col))
+		if wv == 0 {
+			for pi < len(patches) && patches[pi].Row < end {
 				pi++
 			}
+			continue
 		}
-		words[wi] &= match
+		var match uint64
+		for j, m := range col[base:end] {
+			match |= (nonZero(m&mask^want) ^ flip) << j
+		}
+		for ; pi < len(patches) && patches[pi].Row < end; pi++ {
+			pt := patches[pi]
+			j := uint(pt.Row - base)
+			match = match&^(1<<j) | (nonZero(pt.Mask&mask^want)^flip)<<j
+		}
+		sel.words[wi] = wv & match
 	}
 }
 
@@ -212,7 +191,7 @@ type U64Any struct {
 func (p U64Any) Columns() []int { return []int{p.Col} }
 
 func (p U64Any) Apply(b *Block, sel *Bitmap) {
-	u64Apply(b, p.Col, sel, func(mask uint64) bool { return mask&p.Mask != 0 })
+	u64Apply(b, p.Col, sel, p.Mask, 0, 0)
 }
 
 // U64All matches multi-choice rows whose effective bitset contains
@@ -225,5 +204,5 @@ type U64All struct {
 func (p U64All) Columns() []int { return []int{p.Col} }
 
 func (p U64All) Apply(b *Block, sel *Bitmap) {
-	u64Apply(b, p.Col, sel, func(mask uint64) bool { return mask&p.Mask == p.Mask })
+	u64Apply(b, p.Col, sel, p.Mask, p.Mask, 1)
 }

@@ -10,26 +10,34 @@
 // blocks — the FPDS codec block (colstore.BlockRespondents) — so the
 // in-memory and out-of-core paths run the same kernels over the same
 // boundaries. Each block pass builds a selection bitmap (predicates
-// AND into it), computes dense group keys, and accumulates per-block
-// partial aggregates. Blocks fan out across internal/parallel workers;
-// partials land in a per-block slot and are merged sequentially in
-// block order.
+// AND into it), computes dense group keys, gathers each value as one
+// byte per row plus a bitmap of the rows that contribute, and
+// accumulates per-block integer partials. Blocks fan out across
+// internal/parallel workers; partials land in a per-block slot and
+// are added up in block order.
+//
+// # Word kernels
+//
+// The kernels work a word at a time (word.go). A truefalse or Likert
+// predicate loads eight codes per little-endian uint64, tests all
+// eight bytes at once with carry-free lane arithmetic, and packs the
+// eight results into the 64-row match word with one multiply; code
+// and bitset predicates decide each row without a branch. An
+// ungrouped aggregate is a popcount and a masked sum of byte lanes; a
+// grouped one adds each selected row to its key's cells, a count and
+// a sum packed in one uint64.
 //
 // # Determinism
 //
-// Block boundaries depend only on n, and the merge order is the block
-// order, so results are bit-identical at any worker count and
-// identical between the in-memory and streaming paths. Counts are
-// integers. Float sums are accumulated per block and merged in block
-// order — a fixed association independent of parallelism. For the
-// value kinds the pipeline aggregates (quiz scores and tally fields,
-// Likert levels: small integers), every partial sum is exact in
-// float64, so the blockwise sum is additionally bit-identical to a
-// straight left-to-right sum over respondents. ScanBlocks hands the
-// same block scan to callers that fuse many aggregates into one pass —
-// core's paper plan reads all 22 figures and the headline claims
-// off one ScanBlocks pass per cohort — under the same contract: a
-// per-block slot, merged in block order.
+// Block boundaries depend only on n, and every count and sum is an
+// integer, so results are bit-identical at any worker count and
+// identical between the in-memory and streaming paths, and a sum is
+// the one a straight row loop gives. Result.Sum converts each exact
+// integer sum to float64 once; a sum of at most 255 per row stays far
+// below 2^53. ScanBlocks hands the same block scan to callers that fuse
+// many aggregates into one pass — core's paper plan reads all 22
+// figures and the headline claims off one ScanBlocks pass per cohort —
+// under the same contract: a per-block slot, merged in block order.
 //
 // # Out-of-core bound
 //
@@ -143,12 +151,14 @@ type Keyer interface {
 	Labels() []string
 }
 
-// Value yields one float64 per row for aggregation. ok[j] reports
-// whether row j contributes (e.g. unanswered Likert rows do not).
+// Value yields one small integer per row for aggregation: a quiz
+// outcome count, a Likert level.
 type Value interface {
 	Columns() []int
-	// Gather writes dst[j], ok[j] for every row j of b.
-	Gather(b *Block, dst []float64, ok []bool)
+	// Gather writes the value of every row j of b into dst[j] (dst has
+	// length b.N) and resets ok to b.N rows, set where the row
+	// contributes (unanswered Likert rows do not).
+	Gather(b *Block, dst []uint8, ok *Bitmap)
 }
 
 // Query is one filtered, grouped, multi-valued aggregate.
@@ -223,8 +233,9 @@ type scanState struct {
 	reader BlockReader
 	sel    *Bitmap
 	keys   []int32
-	vals   []float64
-	ok     []bool
+	vals   []uint8
+	ok     *Bitmap
+	hist   []uint64 // keyedSums cells, four per group key
 	err    error
 	// skipped is set by a scan callback that elided the current block's
 	// aggregation because no row survived the filter.
@@ -301,9 +312,11 @@ func applyQuery(q *Query, st *scanState, blk *Block) {
 	}
 }
 
-// Run executes a grouped aggregate query over the source. The result
-// is bit-identical at any worker count and identical between in-memory
-// and streaming sources.
+// Run executes a grouped aggregate query over the source. Counts and
+// sums are integers throughout: each block's land in its own slot,
+// and the slots add up in block order. The result is bit-identical at
+// any worker count and identical between in-memory and streaming
+// sources.
 func Run(src Source, q Query, workers int) (*Result, error) {
 	card := 1
 	labels := []string{"all"}
@@ -315,86 +328,80 @@ func Run(src Source, q Query, workers int) (*Result, error) {
 		return nil, fmt.Errorf("query: keyer cardinality %d", card)
 	}
 	nb := NumBlocks(src.Len())
+	nv := len(q.Values)
 
-	type partial struct {
-		count []int64
-		n     [][]int64
-		sum   [][]float64
-	}
-	parts := make([]*partial, nb)
+	// Block b's slot holds its counts, then each value's contributing
+	// counts and sums: card·(1+2·nv) cells.
+	stride := card * (1 + 2*nv)
+	cells := make([]int64, nb*stride)
 	err := scan(src, q.columnsOf(), workers, nb, func(st *scanState, b int, blk *Block) {
-		p := &partial{count: make([]int64, card)}
-		p.n = make([][]int64, len(q.Values))
-		p.sum = make([][]float64, len(q.Values))
+		slot := cells[b*stride : (b+1)*stride]
+		count := slot[:card]
 		applyQuery(&q, st, blk)
-		sel, keys := st.sel, st.keys
-		selected := sel.Count()
+		selected := st.sel.Count()
+		if selected == 0 {
+			// No row survived the filter: the slot stays all-zero, as
+			// the aggregation would leave it.
+			st.skipped = nv > 0
+			return
+		}
 		if q.Key == nil {
-			p.count[0] = int64(selected)
-		} else if selected > 0 {
-			sel.ForEach(func(j int) { p.count[keys[j]]++ })
+			count[0] = int64(selected)
+		} else {
+			if st.hist == nil {
+				st.hist = make([]uint64, 4*card)
+			}
+			keyedSums(st.sel.words, st.keys, nil, st.hist, count, nil)
 		}
-		if len(q.Values) > 0 && selected == 0 {
-			// No row survived the filter: every per-value partial is
-			// all-zero, so skip the gather/accumulate pass for this
-			// block entirely. The zero partials keep the merge loop
-			// (and thus the result) bit-identical to the slow path.
-			for vi := range q.Values {
-				p.n[vi] = make([]int64, card)
-				p.sum[vi] = make([]float64, card)
+		if nv == 0 {
+			return
+		}
+		if st.vals == nil {
+			st.vals = make([]uint8, BlockRows)
+			st.ok = NewBitmap(BlockRows)
+		}
+		vals := st.vals[:blk.N]
+		for vi, v := range q.Values {
+			n := slot[card*(1+2*vi) : card*(2+2*vi)]
+			sum := slot[card*(2+2*vi) : card*(3+2*vi)]
+			v.Gather(blk, vals, st.ok)
+			for wi, w := range st.sel.words {
+				st.ok.words[wi] &= w
 			}
-			st.skipped = true
-		} else if len(q.Values) > 0 {
-			if cap(st.vals) < blk.N {
-				st.vals = make([]float64, BlockRows)
-				st.ok = make([]bool, BlockRows)
-			}
-			vals, okv := st.vals[:blk.N], st.ok[:blk.N]
-			for vi, v := range q.Values {
-				v.Gather(blk, vals, okv)
-				pn := make([]int64, card)
-				ps := make([]float64, card)
-				if q.Key == nil {
-					sel.ForEach(func(j int) {
-						if okv[j] {
-							pn[0]++
-							ps[0] += vals[j]
-						}
-					})
-				} else {
-					sel.ForEach(func(j int) {
-						if okv[j] {
-							k := keys[j]
-							pn[k]++
-							ps[k] += vals[j]
-						}
-					})
-				}
-				p.n[vi], p.sum[vi] = pn, ps
+			if q.Key == nil {
+				n[0], sum[0] = maskedSum(st.ok.words, vals)
+			} else {
+				keyedSums(st.ok.words, st.keys, vals, st.hist, n, sum)
 			}
 		}
-		parts[b] = p
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{Labels: labels, Count: make([]int64, card)}
-	res.N = make([][]int64, len(q.Values))
-	res.Sum = make([][]float64, len(q.Values))
+	res.N = make([][]int64, nv)
+	res.Sum = make([][]float64, nv)
+	sums := make([][]int64, nv)
 	for vi := range q.Values {
 		res.N[vi] = make([]int64, card)
-		res.Sum[vi] = make([]float64, card)
+		sums[vi] = make([]int64, card)
 	}
-	for _, p := range parts {
+	for b := 0; b < nb; b++ {
+		slot := cells[b*stride : (b+1)*stride]
 		for k := 0; k < card; k++ {
-			res.Count[k] += p.count[k]
-		}
-		for vi := range q.Values {
-			for k := 0; k < card; k++ {
-				res.N[vi][k] += p.n[vi][k]
-				res.Sum[vi][k] += p.sum[vi][k]
+			res.Count[k] += slot[k]
+			for vi := range q.Values {
+				res.N[vi][k] += slot[card*(1+2*vi)+k]
+				sums[vi][k] += slot[card*(2+2*vi)+k]
 			}
+		}
+	}
+	// Sums are at most n·255, far below 2^53, so the conversion is exact.
+	for vi, s := range sums {
+		res.Sum[vi] = make([]float64, card)
+		for k, x := range s {
+			res.Sum[vi][k] = float64(x)
 		}
 	}
 	return res, nil

@@ -137,7 +137,11 @@ func selectedRows(t *testing.T, src query.Source, filter []query.Predicate, work
 		for _, p := range filter {
 			p.Apply(blk, sel)
 		}
-		sel.ForEach(func(j int) { parts[b] = append(parts[b], float64(blk.Lo+j)) })
+		for j := 0; j < blk.N; j++ {
+			if sel.Test(j) {
+				parts[b] = append(parts[b], float64(blk.Lo+j))
+			}
+		}
 	})
 	if err != nil {
 		t.Fatalf("ScanBlocks: %v", err)
@@ -411,14 +415,9 @@ func TestBitmap(t *testing.T) {
 		if m.Count() != n {
 			t.Fatalf("fresh bitmap n=%d counts %d", n, m.Count())
 		}
-		var rows []int
-		m.ForEach(func(j int) { rows = append(rows, j) })
-		if len(rows) != n {
-			t.Fatalf("ForEach visited %d of %d", len(rows), n)
-		}
-		for i, j := range rows {
-			if i != j {
-				t.Fatalf("ForEach order broken at %d", i)
+		for j := 0; j < n; j++ {
+			if !m.Test(j) {
+				t.Fatalf("fresh bitmap n=%d: row %d not selected", n, j)
 			}
 		}
 	}

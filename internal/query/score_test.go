@@ -171,7 +171,7 @@ func TestScoreGatherZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Block: %v", err)
 		}
-		dst, ok := make([]float64, blk.N), make([]bool, blk.N)
+		dst, ok := make([]uint8, blk.N), query.NewBitmap(blk.N)
 		if allocs := testing.AllocsPerRun(100, func() { v.Gather(blk, dst, ok) }); allocs != 0 {
 			t.Fatalf("%s: Gather allocates %.1f allocs/op, want 0", name, allocs)
 		}

@@ -1,35 +1,22 @@
 package query
 
-// SliceValue reads per-respondent values from a caller-provided dense
-// slice indexed by global respondent (in-memory sources only — it
-// bypasses the block reader). Used for precomputed per-respondent
-// measures that are not a single column, e.g. quiz scores.
-type SliceValue struct {
-	Vals []float64
-}
-
-func (v SliceValue) Columns() []int { return nil }
-
-func (v SliceValue) Gather(b *Block, dst []float64, ok []bool) {
-	copy(dst, v.Vals[b.Lo:b.Lo+b.N])
-	for j := range ok {
-		ok[j] = true
-	}
-}
-
-// LikertValue yields a Likert column's level as a float64; unanswered
-// rows do not contribute.
+// LikertValue yields a Likert column's level; unanswered rows (level
+// 0) do not contribute.
 type LikertValue struct {
 	Col int
 }
 
 func (v LikertValue) Columns() []int { return []int{v.Col} }
 
-func (v LikertValue) Gather(b *Block, dst []float64, ok []bool) {
+func (v LikertValue) Gather(b *Block, dst []uint8, ok *Bitmap) {
 	col := b.U8(v.Col)
-	for j := range dst {
-		l := col[j]
-		dst[j] = float64(l)
-		ok[j] = l != 0
+	copy(dst, col)
+	ok.Reset(b.N)
+	for wi := range ok.words {
+		var answered uint64
+		for g := 0; g < 8; g++ {
+			answered |= pack8(ZeroLanes(Word8(col, wi*64+8*g))^lanes80) << (8 * g)
+		}
+		ok.words[wi] &= answered
 	}
 }

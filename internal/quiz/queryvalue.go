@@ -1,6 +1,7 @@
 package quiz
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -11,29 +12,58 @@ import (
 )
 
 // scoreValue is a query.Value counting one grading outcome per
-// respondent across a quiz's questions. Each T/F question carries a
-// 256-entry table, 1 where its outcome table gives the requested
-// outcome and 0 elsewhere, so Gather adds one lookup per cell, one
-// column at a time, with no branch on the answer. A respondent's value
-// is a count of at most 16, so every sum is exact.
+// respondent across a quiz's questions. A T/F question's outcome holds
+// for one code (correct, don't know, unanswered) or for every code but
+// three (incorrect). Gather therefore starts every row's byte at the
+// number of questions of the second kind and, column by column, adds
+// one per row for each code of the first kind and takes one away for
+// each excluded code of the second, eight rows per load. A row's byte
+// never goes below zero on the way, and its value is a count of at most
+// 16 (15 core questions, or four optimization ones), so no byte lane
+// carries into the next and every sum is exact.
 type scoreValue struct {
-	tf []hitTable
+	base  uint8
+	terms []eqTerm
 	// level is the Standard-compliant Level question (nil when not
-	// included); hit[o] is 1 for the requested outcome o.
-	level *OutcomeTable
-	hit   [4]float64
+	// included); levelHit[min(uint32(code), 256)] is 1 for a code with
+	// the counted outcome, index 256 standing for free-text (negative)
+	// codes, which are incorrect.
+	level    *OutcomeTable
+	levelHit [257]uint8
 }
 
-// hitTable is one T/F question's column and its per-code increment.
-type hitTable struct {
-	col  int
-	hits [256]float64
+// eqTerm adds mul (1, or -1 to take one away) to the byte of every row
+// whose code in column col equals code; lanes is code in every byte.
+type eqTerm struct {
+	col   int
+	lanes uint64
+	mul   uint64
+}
+
+// addEq applies one term to dst, eight rows per load. A short last
+// word reads past-the-end rows as zero; any carry or borrow they cause
+// moves toward higher, dropped, bytes only.
+func addEq(dst, col []uint8, t *eqTerm) {
+	c, mul := t.lanes, t.mul
+	col = col[:len(dst)]
+	j := 0
+	for ; j+8 <= len(dst); j += 8 {
+		h := query.ZeroLanes(binary.LittleEndian.Uint64(col[j:j+8])^c) >> 7
+		d := dst[j : j+8]
+		binary.LittleEndian.PutUint64(d, binary.LittleEndian.Uint64(d)+h*mul)
+	}
+	if j < len(dst) {
+		h := query.ZeroLanes(query.Word8(col, j)^c) >> 7
+		query.PutWord8(dst, j, query.Word8(dst, j)+h*mul)
+	}
 }
 
 func (v *scoreValue) Columns() []int {
-	cols := make([]int, 0, len(v.tf)+1)
-	for i := range v.tf {
-		cols = append(cols, v.tf[i].col)
+	var cols []int
+	for _, t := range v.terms {
+		if !slices.Contains(cols, t.col) {
+			cols = append(cols, t.col)
+		}
 	}
 	if v.level != nil {
 		cols = append(cols, v.level.Col)
@@ -41,23 +71,26 @@ func (v *scoreValue) Columns() []int {
 	return cols
 }
 
-func (v *scoreValue) Gather(b *query.Block, dst []float64, ok []bool) {
+func (v *scoreValue) Gather(b *query.Block, dst []uint8, ok *query.Bitmap) {
+	ok.Reset(b.N)
 	clear(dst)
-	for j := range ok {
-		ok[j] = true
-	}
-	for i := range v.tf {
-		t := &v.tf[i]
-		for j, code := range b.U8(t.col)[:len(dst)] {
-			dst[j] += t.hits[code]
+	if v.base > 0 {
+		for j := 0; j < len(dst); j += 8 {
+			query.PutWord8(dst, j, lanes01*uint64(v.base))
 		}
+	}
+	for i := range v.terms {
+		addEq(dst, b.U8(v.terms[i].col), &v.terms[i])
 	}
 	if v.level != nil {
 		for j, code := range b.I32(v.level.Col)[:len(dst)] {
-			dst[j] += v.hit[v.level.Outcome(code)]
+			dst[j] += v.levelHit[min(uint32(code), 256)]
 		}
 	}
 }
+
+// lanes01 has 1 in every byte.
+const lanes01 = 0x0101010101010101
 
 // The quizzes a score value can count, in canonValues order.
 var queryQuizzes = [...]string{"core", "opt", "optall"}
@@ -123,19 +156,38 @@ func newScoreValue(core, opt []OutcomeTable, quiz string, outcome PerQuestionOut
 	if quiz != "core" {
 		tabs = opt
 	}
-	v := &scoreValue{tf: make([]hitTable, 0, len(tabs))}
-	v.hit[outcome] = 1
+	v := &scoreValue{}
 	for i := range tabs {
 		t := &tabs[i]
 		switch {
 		case t.TF:
-			h := hitTable{col: t.Col}
+			var hits, misses []uint8
 			for code, o := range t.ByCode {
-				h.hits[code] = v.hit[o]
+				if o == outcome {
+					hits = append(hits, uint8(code))
+				} else {
+					misses = append(misses, uint8(code))
+				}
 			}
-			v.tf = append(v.tf, h)
+			if len(hits) <= len(misses) {
+				for _, c := range hits {
+					v.terms = append(v.terms, eqTerm{col: t.Col, lanes: lanes01 * uint64(c), mul: 1})
+				}
+			} else {
+				v.base++
+				for _, c := range misses {
+					v.terms = append(v.terms, eqTerm{col: t.Col, lanes: lanes01 * uint64(c), mul: ^uint64(0)})
+				}
+			}
 		case quiz == "optall":
 			v.level = t
+			// Code 256 is past ByCode, so Outcome makes it incorrect,
+			// as it does the free-text codes it stands for.
+			for code := range v.levelHit {
+				if t.Outcome(int32(code)) == outcome {
+					v.levelHit[code] = 1
+				}
+			}
 		}
 	}
 	return v

@@ -201,29 +201,15 @@ func TestTreatedCountZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStudentSampleZeroAlloc pins the same contract for the student
-// suspicion cohort's column-major inner loop.
+// TestStudentSampleZeroAlloc pins the same contract for the block body
+// GenerateStudentsColumnar runs: sampling a block of the student
+// suspicion cohort must not touch the heap.
 func TestStudentSampleZeroAlloc(t *testing.T) {
-	d := quiz.Columns().NewDataset("1.0-student", 64)
-	items := quiz.SuspicionItems()
-	suspCI := make([]int, len(items))
-	suspCum := make([][5]float64, len(items))
-	for k, it := range items {
-		suspCI[k] = d.Schema.MustColumnIndex(it.ID)
-		suspCum[k] = cumulative(paperdata.Figure22Student[k].Percent)
-	}
-	sb := parallel.StreamBase(43, streamStudent)
-
-	allocs := testing.AllocsPerRun(50, func() {
-		for k := range suspCI {
-			for i := 0; i < 64; i++ {
-				r, _ := parallel.At(sb, int64(i)<<subStreamBits|int64(k)).Next()
-				d.SetLikert(suspCI[k], i, likertLevel(parallel.Float64(r), &suspCum[k]))
-			}
-		}
-	})
+	const n = 64
+	ss := newStudentSampler(quiz.Columns().NewDataset("1.0-student", n), 43)
+	allocs := testing.AllocsPerRun(50, func() { ss.sampleBlock(0, n) })
 	if allocs != 0 {
-		t.Fatalf("student inner loop allocates %.1f allocs/block, want 0", allocs)
+		t.Fatalf("student block allocates %.1f allocs/block, want 0", allocs)
 	}
 }
 

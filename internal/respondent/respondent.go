@@ -777,26 +777,44 @@ func GenerateStudents(seed int64, n int) *survey.Dataset {
 func GenerateStudentsColumnar(seed int64, n, workers int, inst Instrumentation) *colstore.Dataset {
 	t0 := telemetry.Start()
 	d := quiz.Columns().NewDataset("1.0-student", n)
-	var suspCI []int
-	var suspCum [][5]float64
-	for _, it := range quiz.SuspicionItems() {
-		suspCI = append(suspCI, d.Schema.MustColumnIndex(it.ID))
-	}
-	for _, dist := range paperdata.Figure22Student {
-		suspCum = append(suspCum, cumulative(dist.Percent))
-	}
-	sb := parallel.StreamBase(seed, streamStudent)
+	ss := newStudentSampler(d, seed)
 	parallel.MapShards(workers, n, func(lo, hi int) struct{} {
-		for k, ci := range suspCI {
-			cum := &suspCum[k]
-			for i := lo; i < hi; i++ {
-				r, _ := parallel.At(sb, int64(i)<<subStreamBits|int64(k)).Next()
-				d.SetLikert(ci, i, likertLevel(parallel.Float64(r), cum))
-			}
-		}
+		ss.sampleBlock(lo, hi)
 		inst.Progress.Add(int64(hi - lo))
 		return struct{}{}
 	})
 	telemetry.Done(telemetry.StageSampleResponses, 0, t0, int64(n), 0)
 	return d
+}
+
+// studentSampler writes the student cohort's five suspicion columns
+// straight into a dataset, one block of respondents at a time.
+type studentSampler struct {
+	d   *colstore.Dataset
+	sb  uint64
+	ci  []int
+	cum [][5]float64
+}
+
+func newStudentSampler(d *colstore.Dataset, seed int64) *studentSampler {
+	ss := &studentSampler{d: d, sb: parallel.StreamBase(seed, streamStudent)}
+	for _, it := range quiz.SuspicionItems() {
+		ss.ci = append(ss.ci, d.Schema.MustColumnIndex(it.ID))
+	}
+	for _, dist := range paperdata.Figure22Student {
+		ss.cum = append(ss.cum, cumulative(dist.Percent))
+	}
+	return ss
+}
+
+// sampleBlock draws the suspicion levels of respondents [lo, hi),
+// column by column.
+func (ss *studentSampler) sampleBlock(lo, hi int) {
+	for k, ci := range ss.ci {
+		cum := &ss.cum[k]
+		for i := lo; i < hi; i++ {
+			r, _ := parallel.At(ss.sb, int64(i)<<subStreamBits|int64(k)).Next()
+			ss.d.SetLikert(ci, i, likertLevel(parallel.Float64(r), cum))
+		}
+	}
 }

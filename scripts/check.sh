@@ -11,6 +11,15 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> go vet, big-endian and arm64 (query, quiz, colstore)"
+# The query kernels read eight codes per little-endian word load, and
+# the codec frames everything little-endian, so the packages must
+# build and vet on a big-endian target (s390x) and on arm64 as they do
+# here. This is compile-only: no emulator is installed, so nothing runs
+# on those targets.
+GOARCH=s390x go vet ./internal/query ./internal/quiz ./internal/colstore
+GOARCH=arm64 go vet ./internal/query ./internal/quiz ./internal/colstore
+
 echo "==> gofmt -l (tracked .go files)"
 # The file list is taken first so that a failing or empty `git ls-files`
 # (say, outside a git checkout) fails the gate instead of passing it.
