@@ -64,22 +64,34 @@ type Dataset struct {
 // NewDataset allocates an n-respondent dataset over the schema with
 // every answer unanswered and auto-generated anonymous tokens.
 func (s *Schema) NewDataset(version string, n int) *Dataset {
+	d := s.emptyDataset(version, n)
+	for ci := range s.cols {
+		d.allocColumn(ci)
+	}
+	return d
+}
+
+// emptyDataset is NewDataset before any column is allocated.
+func (s *Schema) emptyDataset(version string, n int) *Dataset {
 	d := &Dataset{Schema: s, Version: version, n: n}
 	d.u8 = make([][]uint8, len(s.cols))
 	d.code = make([][]int32, len(s.cols))
 	d.bits = make([][]uint64, len(s.cols))
 	d.extras = make([]map[int]extra, len(s.cols))
-	for ci := range s.cols {
-		switch s.cols[ci].Kind {
-		case survey.TrueFalse, survey.Likert:
-			d.u8[ci] = make([]uint8, n)
-		case survey.SingleChoice:
-			d.code[ci] = make([]int32, n)
-		case survey.MultiChoice:
-			d.bits[ci] = make([]uint64, n)
-		}
-	}
 	return d
+}
+
+// allocColumn allocates column ci's n zeroed codes. Distinct columns
+// may be allocated concurrently.
+func (d *Dataset) allocColumn(ci int) {
+	switch d.Schema.cols[ci].Kind {
+	case survey.TrueFalse, survey.Likert:
+		d.u8[ci] = make([]uint8, d.n)
+	case survey.SingleChoice:
+		d.code[ci] = make([]int32, d.n)
+	case survey.MultiChoice:
+		d.bits[ci] = make([]uint64, d.n)
+	}
 }
 
 // Len returns the number of respondents.

@@ -11,15 +11,16 @@ import (
 	"fpstudy/internal/telemetry"
 )
 
-// ShardReader is random block-at-a-time access to an FPDS shard on
-// disk: the out-of-core twin of DecodeBinary. Opening a shard parses
-// only the small sections (header, string arena, tokens, spill
-// records) and computes the byte offset of every column block from the
-// format's fixed layout; column data is then read on demand, one
-// 8192-respondent block at a time, with the same CRC verification and
-// code validation as the whole-file decoder. A query over an n=10M
-// cohort therefore touches disk only for the columns it binds and
-// holds only workers × bound-columns × one block in memory.
+// ShardReader is random block-at-a-time access to an FPDS shard, and
+// the one FPDS decoder: DecodeBinary, Load and LoadFile read whole
+// files through it (decodeShard). Opening a shard parses only the small
+// sections (header, string arena, tokens, spill records), checks the
+// end marker and the exact file size, and computes the byte offset of
+// every column block from the format's fixed layout; column data is
+// then read on demand, one 8192-respondent block at a time, with CRC
+// verification and code validation. A query over an n=10M cohort
+// therefore touches disk only for the columns it binds and holds only
+// workers × bound-columns × one block in memory.
 //
 // ShardReader is safe for concurrent ReadBlock calls (it reads through
 // an io.ReaderAt and mutates nothing after Open).
@@ -27,12 +28,14 @@ type ShardReader struct {
 	r      io.ReaderAt
 	closer io.Closer
 
-	schema  *Schema
-	version string
-	n       int
-	arena   []string
-	spills  []map[int]extra // per column; nil when none
-	colOff  []int64         // file offset of each column's block region
+	schema       *Schema
+	version      string
+	n            int
+	nilResponses bool
+	arena        []string
+	tokens       []string        // kept only for a whole-file decode
+	spills       []map[int]extra // per column; nil when none
+	colOff       []int64         // file offset of each column's block region
 
 	bytesRead *telemetry.Counter
 }
@@ -65,6 +68,16 @@ func OpenShard(s *Schema, path string, opt IOOptions) (*ShardReader, error) {
 // end marker and total size, and computes every column's block-region
 // offset; no column data is read until ReadBlock.
 func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*ShardReader, error) {
+	return openShard(s, r, size, opt, false)
+}
+
+// openShard is NewShardReader; keepTokens keeps the explicit token
+// arena for a whole-file decode (a streaming reader only checks it).
+// The small sections are read through one buffered head reader whose
+// read-ahead is not counted: the counter advances by the bytes the
+// decoder consumes, so opening a shard and reading every block counts
+// the file's length exactly.
+func openShard(s *Schema, r io.ReaderAt, size int64, opt IOOptions, keepTokens bool) (*ShardReader, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(io.NewSectionReader(r, 0, size), 1<<16), c: opt.BytesRead}
 
 	pre := make([]byte, 8)
@@ -92,7 +105,8 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 		return nil, err
 	}
 
-	sr := &ShardReader{r: r, schema: schema, version: h.version, n: h.n, bytesRead: opt.BytesRead}
+	sr := &ShardReader{r: r, schema: schema, version: h.version, n: h.n,
+		nilResponses: flags&flagNilResponses != 0, bytesRead: opt.BytesRead}
 
 	arenaPayload, err := readSection(cr, "string arena", size-cr.n)
 	if err != nil {
@@ -105,7 +119,7 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 
 	if flags&flagAutoTokens == 0 {
 		// Tokens carry no analytical content; a streaming reader only
-		// needs to skip past them (still checksum-verified).
+		// checks them and skips past.
 		tokPayload, err := readSection(cr, "tokens", size-cr.n)
 		if err != nil {
 			return nil, err
@@ -117,6 +131,9 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 		}
 		if len(toks) != h.n {
 			return nil, fmt.Errorf("colstore: decode binary: token arena has %d entries, want %d", len(toks), h.n)
+		}
+		if keepTokens {
+			sr.tokens = toks
 		}
 	}
 
@@ -136,14 +153,14 @@ func NewShardReader(s *Schema, r io.ReaderAt, size int64, opt IOOptions) (*Shard
 	if sr.spills, err = parseSpills(schema, h.n, len(sr.arena), extPayload); err != nil {
 		return nil, err
 	}
-	if opt.BytesRead != nil {
-		opt.BytesRead.Add(int64(len(extPayload)) + 8)
-	}
 	off += int64(len(extPayload)) + 8
 
 	end := make([]byte, 4)
 	if _, err := r.ReadAt(end, off); err != nil {
 		return nil, fmt.Errorf("colstore: decode binary: truncated file: end marker cut short")
+	}
+	if opt.BytesRead != nil {
+		opt.BytesRead.Add(int64(len(extPayload)) + 8 + 4)
 	}
 	if string(end) != binEndMagic {
 		return nil, fmt.Errorf("colstore: decode binary: bad end marker %q (truncated or corrupted file?)", end)

@@ -622,7 +622,7 @@ type colSampler struct {
 
 	suspCI  []int
 	suspSub []uint64
-	suspCum [][5]float64 // cumulative Figure 22 percentages
+	suspTh  [][4]uint64 // likertThresholds of the Figure 22 rows
 }
 
 // newColSampler binds the calibrated question models and the background
@@ -655,7 +655,7 @@ func newColSampler(d *colstore.Dataset, models []questionModel, dists []paperdat
 	for k, it := range quiz.SuspicionItems() {
 		cs.suspCI = append(cs.suspCI, s.MustColumnIndex(it.ID))
 		cs.suspSub = append(cs.suspSub, uint64(len(models)+k))
-		cs.suspCum = append(cs.suspCum, cumulative(dists[k].Percent))
+		cs.suspTh = append(cs.suspTh, likertThresholds(cumulative(dists[k].Percent)))
 	}
 	if len(cs.models)+len(cs.suspCI) > 1<<subStreamBits {
 		panic("respondent: sub-stream space exhausted; widen subStreamBits")
@@ -742,25 +742,47 @@ func (cs *colSampler) sampleBlock(b *blockScratch, seed int64, lo, hi int, overr
 		}
 	}
 	for k, ci := range cs.suspCI {
-		cum := &cs.suspCum[k]
+		th := &cs.suspTh[k]
 		sub := cs.suspSub[k]
 		for i := lo; i < hi; i++ {
 			r, _ := parallel.At(rb, int64(i)<<subStreamBits|int64(sub)).Next()
-			d.SetLikert(ci, i, likertLevel(parallel.Float64(r), cum))
+			d.SetLikert(ci, i, likertLevel(r, th))
 		}
 	}
 }
 
-// likertLevel maps a uniform u in [0, 1), a Likert cell's one draw, to
-// a 1-based Likert level through cumulative thresholds.
-func likertLevel(u float64, cum *[5]float64) int {
-	x := u * cum[4]
-	for i, c := range cum {
-		if x < c {
-			return i + 1
+// likertThresholds maps a Likert row's cumulative weights to the four
+// integer thresholds of its draw. A draw r was given the first level
+// i+1 whose weight exceeds Float64(r)*cum[4], that is
+// float64(r>>11)*0x1p-53*cum[4] < cum[i]; t[i] is the least k in
+// [0, 2^53] for which that fails, found by binary search on the same
+// expression. Rounding is monotone in k, so the test holds exactly for
+// k below t[i], and since cum never falls, r is at level 1 plus the
+// number of thresholds at or below r>>11.
+func likertThresholds(cum [5]float64) [4]uint64 {
+	var t [4]uint64
+	for i := range t {
+		lo, hi := uint64(0), uint64(1)<<53
+		for lo < hi {
+			mid := lo + (hi-lo)/2
+			if float64(mid)*0x1p-53*cum[4] < cum[i] {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
+		t[i] = lo
 	}
-	return 5
+	return t
+}
+
+// likertLevel maps a Likert cell's one draw r to its 1-based level
+// through the row's likertThresholds. Each term is the sign bit of
+// t[i]-k-1, set exactly when k >= t[i], so no branch depends on the
+// draw.
+func likertLevel(r uint64, t *[4]uint64) int {
+	k := r >> 11
+	return int(1 + (t[0]-k-1)>>63 + (t[1]-k-1)>>63 + (t[2]-k-1)>>63 + (t[3]-k-1)>>63)
 }
 
 // GenerateStudents builds the student cohort in row form: suspicion
@@ -790,10 +812,10 @@ func GenerateStudentsColumnar(seed int64, n, workers int, inst Instrumentation) 
 // studentSampler writes the student cohort's five suspicion columns
 // straight into a dataset, one block of respondents at a time.
 type studentSampler struct {
-	d   *colstore.Dataset
-	sb  uint64
-	ci  []int
-	cum [][5]float64
+	d  *colstore.Dataset
+	sb uint64
+	ci []int
+	th [][4]uint64
 }
 
 func newStudentSampler(d *colstore.Dataset, seed int64) *studentSampler {
@@ -802,7 +824,7 @@ func newStudentSampler(d *colstore.Dataset, seed int64) *studentSampler {
 		ss.ci = append(ss.ci, d.Schema.MustColumnIndex(it.ID))
 	}
 	for _, dist := range paperdata.Figure22Student {
-		ss.cum = append(ss.cum, cumulative(dist.Percent))
+		ss.th = append(ss.th, likertThresholds(cumulative(dist.Percent)))
 	}
 	return ss
 }
@@ -811,10 +833,10 @@ func newStudentSampler(d *colstore.Dataset, seed int64) *studentSampler {
 // column by column.
 func (ss *studentSampler) sampleBlock(lo, hi int) {
 	for k, ci := range ss.ci {
-		cum := &ss.cum[k]
+		th := &ss.th[k]
 		for i := lo; i < hi; i++ {
 			r, _ := parallel.At(ss.sb, int64(i)<<subStreamBits|int64(k)).Next()
-			ss.d.SetLikert(ci, i, likertLevel(parallel.Float64(r), cum))
+			ss.d.SetLikert(ci, i, likertLevel(r, th))
 		}
 	}
 }

@@ -117,3 +117,45 @@ func TestUnansweredThresholdsMatchFloat64(t *testing.T) {
 		checkThreshold(t, s.qm.id+" unanswered", newColModel(s.qm, k).unTh, s.qm.pUn)
 	}
 }
+
+// likertLevelFloat is the float compare chain likertLevel replaces: the
+// first level whose cumulative weight exceeds u*cum[4].
+func likertLevelFloat(u float64, cum *[5]float64) int {
+	x := u * cum[4]
+	for i, c := range cum {
+		if x < c {
+			return i + 1
+		}
+	}
+	return 5
+}
+
+// TestLikertThresholdsMatchFloat pins likertLevel against the float
+// chain on every Figure 22 row of both cohorts: at each threshold and
+// one draw either side of it, and on 2^21 random draws per row.
+func TestLikertThresholdsMatchFloat(t *testing.T) {
+	rows := append(append([]paperdata.SuspicionDist(nil), paperdata.Figure22Main...), paperdata.Figure22Student...)
+	for k, dist := range rows {
+		cum := cumulative(dist.Percent)
+		th := likertThresholds(cum)
+		check := func(r uint64) {
+			if got, want := likertLevel(r, &th), likertLevelFloat(parallel.Float64(r), &cum); got != want {
+				t.Fatalf("row %d (%s): draw %#x gives level %d, the float chain %d", k, dist.Condition, r, got, want)
+			}
+		}
+		for _, tk := range th {
+			for _, d := range []int64{-1, 0, 1} {
+				if j := int64(tk) + d; j >= 0 && j < 1<<53 {
+					check(uint64(j) << 11)
+					check(uint64(j)<<11 | 1<<11 - 1)
+				}
+			}
+		}
+		x := parallel.At(parallel.StreamBase(int64(k), 0), 0)
+		var r uint64
+		for i := 0; i < 1<<21; i++ {
+			r, x = x.Next()
+			check(r)
+		}
+	}
+}

@@ -70,6 +70,16 @@ if [ "${CHECK_BENCH_MEM:-0}" = "1" ]; then
 	make bench-mem
 fi
 
+# Optional fuzzing gate: CHECK_FUZZ=1 runs every Fuzz* target for
+# FUZZTIME (default 30s) under a ulimit -v memory cap set in make's
+# recipe shell (make fuzz). Off by default — the suite above replays
+# only the committed corpora; this stage searches for new inputs, so a
+# pass means only that none was found in the time given.
+if [ "${CHECK_FUZZ:-0}" = "1" ]; then
+	echo "==> make fuzz"
+	make fuzz
+fi
+
 # Optional I/O smoke gate: CHECK_IO_SMOKE=1 generates an n=10000
 # cohort in both file formats with the real fpgen binary and requires
 # `fpreport -data` off each file to reproduce the in-process report
