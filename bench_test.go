@@ -19,7 +19,6 @@ import (
 	"fpstudy/internal/core"
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/mpfloat"
 	"fpstudy/internal/optsim"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
@@ -296,22 +295,6 @@ func BenchmarkOptsimLevelSweep(b *testing.B) {
 	}
 }
 
-// Arbitrary-precision shadow execution.
-
-func BenchmarkMPFloatShadow(b *testing.B) {
-	ctx := mpfloat.NewContext(200)
-	n := expr.MustParse("(a + b) - a")
-	var e ieee754.Env
-	vars := map[string]uint64{
-		"a": ieee754.Binary64.FromFloat64(&e, 1e10),
-		"b": ieee754.Binary64.FromFloat64(&e, 1e-10),
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ctx.Shadow(ieee754.Binary64, n, vars)
-	}
-}
-
 // Quiz oracle evaluation (deriving the full answer key from scratch).
 
 func BenchmarkOracleAnswerKey(b *testing.B) {
@@ -332,17 +315,6 @@ func BenchmarkSoftfloatFP8Mul(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fp8.Mul(&e, x, y)
-	}
-}
-
-// Arbitrary-precision decimal rendering (the paranoid display path).
-
-func BenchmarkMPFloatDecimal50(b *testing.B) {
-	ctx := mpfloat.NewContext(200)
-	third := ctx.Div(mpfloat.FromInt64(1), mpfloat.FromInt64(3))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = third.DecimalString(50)
 	}
 }
 

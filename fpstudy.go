@@ -1,10 +1,9 @@
 // Package fpstudy reproduces "Do Developers Understand IEEE Floating
 // Point?" (Dinda & Hetland, IPDPS 2018) as a runnable system: a
 // from-scratch IEEE 754 softfloat oracle, a compiler-optimization
-// simulator, an arbitrary-precision shadow executor, the paper's survey
-// instrument with mechanically derived answers, a calibrated synthetic
-// respondent population, and the analysis pipeline that regenerates
-// every figure in the paper.
+// simulator, the paper's survey instrument with mechanically derived
+// answers, a calibrated synthetic respondent population, and the
+// analysis pipeline that regenerates every figure in the paper.
 //
 // This package is the public facade: it re-exports the main types and
 // entry points from the internal packages. See DESIGN.md for the system
@@ -29,7 +28,6 @@ import (
 	"fpstudy/internal/core"
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
-	"fpstudy/internal/mpfloat"
 	"fpstudy/internal/optsim"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
@@ -120,21 +118,6 @@ func CheckCompliance(f Format, n ExprNode, cfg OptConfig, corpusSize int, seed i
 
 // Condition is a suspicion-quiz exceptional condition.
 type Condition = quiz.Condition
-
-// --- Arbitrary precision shadow execution ---
-
-// MPContext carries the working precision for arbitrary-precision
-// arithmetic.
-type MPContext = mpfloat.Context
-
-// MPFloat is an arbitrary-precision binary floating point number.
-type MPFloat = mpfloat.Float
-
-// NewMPContext returns a context with the given precision in bits.
-func NewMPContext(prec uint) MPContext { return mpfloat.NewContext(prec) }
-
-// ShadowReport compares format vs arbitrary-precision evaluation.
-type ShadowReport = mpfloat.ShadowReport
 
 // --- The survey instrument and quiz ---
 

@@ -81,25 +81,6 @@ func TestFacadeComplianceAndMonitor(t *testing.T) {
 	}
 }
 
-func TestFacadeShadow(t *testing.T) {
-	ctx := fpstudy.NewMPContext(120)
-	n, _ := fpstudy.ParseExpr("(a + b) - a")
-	var e fpstudy.Env
-	rep := ctx.Shadow(fpstudy.Binary64, n, map[string]uint64{
-		"a": fpstudy.Binary64.FromFloat64(&e, 1e9),
-		"b": fpstudy.Binary64.FromFloat64(&e, 1e-9),
-	})
-	if rep.FormatValue != 0 {
-		t.Fatalf("format value %v", rep.FormatValue)
-	}
-	if rep.ShadowValue.IsZero() {
-		t.Fatal("shadow absorbed too")
-	}
-	if !strings.Contains(rep.ShadowValue.DecimalString(5), "e-") {
-		t.Fatalf("decimal: %s", rep.ShadowValue.DecimalString(5))
-	}
-}
-
 func TestFacadeInstrument(t *testing.T) {
 	ins := fpstudy.Instrument()
 	if err := ins.Validate(); err != nil {

@@ -224,29 +224,3 @@ func Size(n Node) int {
 	}
 	return 0
 }
-
-// Convenience constructors, for building expressions in Go code.
-
-// V references a variable.
-func V(name string) Node { return Var{name} }
-
-// C is a literal constant.
-func C(v float64) Node { return Lit{v} }
-
-// Add returns x + y.
-func Add(x, y Node) Node { return Binary{OpAdd, x, y} }
-
-// Sub returns x - y.
-func Sub(x, y Node) Node { return Binary{OpSub, x, y} }
-
-// Mul returns x * y.
-func Mul(x, y Node) Node { return Binary{OpMul, x, y} }
-
-// Div returns x / y.
-func Div(x, y Node) Node { return Binary{OpDiv, x, y} }
-
-// Neg returns -x.
-func Neg(x Node) Node { return Unary{OpNeg, x} }
-
-// Sqrt returns sqrt(x).
-func Sqrt(x Node) Node { return Unary{OpSqrt, x} }

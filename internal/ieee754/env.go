@@ -61,8 +61,9 @@ const (
 	// condition "Precision").
 	FlagInexact
 	// FlagDenormal: a subnormal number was consumed as an operand or
-	// delivered as a result. Non-standard; mirrors the x86 DE bit and
-	// the paper's "Denorm" suspicion condition.
+	// produced as a rounded result (also when FTZ then flushes it).
+	// Non-standard; mirrors the x86 DE bit and the paper's "Denorm"
+	// suspicion condition.
 	FlagDenormal
 )
 
@@ -132,8 +133,10 @@ type Env struct {
 	// Rounding is the rounding-direction attribute for all operations.
 	Rounding RoundingMode
 
-	// FTZ (flush to zero) replaces subnormal results with
-	// like-signed zeros. Non-standard (x86 MXCSR.FTZ).
+	// FTZ (flush to zero) replaces a subnormal rounded result with a
+	// like-signed zero and raises underflow and inexact. A result that
+	// needs no rounding because it is an operand (x ± 0) is delivered
+	// as it is. Non-standard (x86 MXCSR.FTZ).
 	FTZ bool
 	// DAZ (denormals are zero) treats subnormal operands as
 	// like-signed zeros. Non-standard (x86 MXCSR.DAZ).

@@ -311,9 +311,9 @@ func (f Format) pack(sign bool, biasedExp uint64, frac uint64) uint64 {
 }
 
 // propagateNaN implements the package's NaN propagation rule for two
-// operands: if either operand is a signaling NaN, invalid is raised and
-// the result is that NaN quieted; otherwise the first quiet NaN operand
-// is returned unchanged. At least one operand must be a NaN.
+// operands: invalid is raised if either operand is a signaling NaN, and
+// the result is the first NaN operand, quieted (as x86 SSE does). At
+// least one operand must be a NaN.
 func (f Format) propagateNaN(e *Env, a, b uint64) uint64 {
 	aNaN, bNaN := f.IsNaN(a), f.IsNaN(b)
 	if f.IsSignalingNaN(a) || f.IsSignalingNaN(b) {

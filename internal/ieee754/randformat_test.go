@@ -2,10 +2,10 @@ package ieee754
 
 // Property tests over RANDOM formats: the softfloat is parametric in
 // (ExpBits, FracBits), so its invariants must hold for shapes nobody
-// ships, not just the standard three. mpfloat-free checks only (this
-// package cannot import mpfloat); arithmetic correctness for custom
-// formats is covered by the FP8 exhaustive tests and the bfloat16
-// double-rounding tests — here we verify structural invariants.
+// ships, not just the standard three. Arithmetic correctness for random
+// formats is checked against the exact reference
+// (TestExactReferenceRandomFormats); here we verify structural
+// invariants.
 
 import (
 	"math/rand"

@@ -1,7 +1,5 @@
 package ieee754
 
-import "math/bits"
-
 // roundPack rounds and packs a finite nonzero intermediate result.
 //
 // The abstract value is (-1)^sign * (sig / 2^63) * 2^exp, where sig is
@@ -12,20 +10,19 @@ import "math/bits"
 // saturation per the rounding mode, gradual underflow into the subnormal
 // range, and the FTZ control. It raises overflow/underflow/inexact (and
 // denormal for subnormal results) on e.raised.
+//
+// Every caller passes a normalized, hence nonzero, significand:
+// products, quotients and square roots of normalized significands are
+// normalized after at most a one-place shift, a sum of like-signed
+// magnitudes is at least the larger one, conversions and roundPack128
+// normalize with a leading-zero count, and the subtractions (subMags,
+// fmaSubMags, addSubTo) deliver exact cancellation as a zero before
+// rounding. They borrow for a sticky residue only when the subtrahend
+// was shifted right at least one place, which leaves a difference of at
+// least 2^63 in their 128-bit window. A value that lies wholly below the
+// subnormal grid is shifted out in the tiny branch and rounds there as a
+// pure sticky residue.
 func (f Format) roundPack(e *Env, sign bool, exp int, sig uint64, sticky bool) uint64 {
-	if sig == 0 {
-		if sticky {
-			// A pure-sticky residue rounds as an inexact tiny value.
-			return f.roundTiny(e, sign)
-		}
-		return f.Zero(sign)
-	}
-	// Normalize defensively (callers normally pass MSB at bit 63).
-	if lz := uint(bits.LeadingZeros64(sig)); lz > 0 {
-		sig <<= lz
-		exp -= int(lz)
-	}
-
 	p := f.Precision() // kept significand bits, including implicit bit
 	drop := 64 - p     // bits below the kept significand
 
@@ -116,37 +113,6 @@ func (f Format) roundPack(e *Env, sign bool, exp int, sig uint64, sticky bool) u
 	return f.pack(sign, biased, kept&f.fracMask())
 }
 
-// roundTiny delivers the result of rounding a nonzero value too small to
-// represent even after jamming (pure sticky residue).
-func (f Format) roundTiny(e *Env, sign bool) uint64 {
-	e.raise(FlagUnderflow | FlagInexact)
-	switch e.Rounding {
-	case TowardPositive:
-		if !sign {
-			return f.minSubOrFlush(e, sign)
-		}
-	case TowardNegative:
-		if sign {
-			return f.minSubOrFlush(e, sign)
-		}
-	}
-	return f.Zero(sign)
-}
-
-// minSubOrFlush returns the minimum subnormal with the given sign, or a
-// zero under FTZ.
-func (f Format) minSubOrFlush(e *Env, sign bool) uint64 {
-	e.raise(FlagDenormal)
-	if e.FTZ {
-		return f.Zero(sign)
-	}
-	x := f.MinSubnormal()
-	if sign {
-		x |= f.signMask()
-	}
-	return x
-}
-
 // overflow delivers the saturated result mandated by the rounding mode
 // and raises overflow|inexact. Round-to-nearest modes deliver infinity;
 // directed modes deliver either infinity or the largest finite value.
@@ -171,14 +137,9 @@ func (f Format) overflow(e *Env, sign bool) uint64 {
 
 // roundPack128 rounds and packs from a 128-bit intermediate significand
 // normalized with its most significant bit at bit 127; the abstract value
-// is (-1)^sign * (x / 2^127) * 2^exp.
+// is (-1)^sign * (x / 2^127) * 2^exp. x must be nonzero (see
+// roundPack).
 func (f Format) roundPack128(e *Env, sign bool, exp int, x uint128, sticky bool) uint64 {
-	if x.isZero() {
-		if sticky {
-			return f.roundTiny(e, sign)
-		}
-		return f.Zero(sign)
-	}
 	if lz := x.leadingZeros(); lz > 0 {
 		x = x.shl(lz)
 		exp -= int(lz)
