@@ -20,6 +20,7 @@ import (
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
 	"fpstudy/internal/optsim"
+	"fpstudy/internal/oracle"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
 	"fpstudy/internal/telemetry"
@@ -300,7 +301,7 @@ func BenchmarkOptsimLevelSweep(b *testing.B) {
 func BenchmarkOracleAnswerKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, q := range quiz.CoreQuestions() {
-			_ = q.Oracle()
+			_, _ = oracle.Run(q.ID)
 		}
 	}
 }

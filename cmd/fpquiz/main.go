@@ -1,11 +1,14 @@
 // Command fpquiz administers the paper's floating point quiz at the
-// terminal, grading answers with the softfloat oracle. It can also dump
-// the full oracle-derived answer key with witnesses.
+// terminal and grades the answers against the answer key. It can also
+// print the whole key: every answer with its witness and the exception
+// flags the witness raised, as the oracles in internal/oracle derived
+// them (the key is a table that `go generate ./internal/quiz`
+// regenerates from those oracles).
 //
 // Usage:
 //
 //	fpquiz              # take the quiz interactively
-//	fpquiz -answers     # print every question with its derived answer
+//	fpquiz -answers     # print every question with its answer key row
 //	fpquiz -section core|opt|all
 package main
 
@@ -21,7 +24,7 @@ import (
 )
 
 func main() {
-	answers := flag.Bool("answers", false, "print the oracle-derived answer key and exit")
+	answers := flag.Bool("answers", false, "print the answer key with witnesses and flags, and exit")
 	section := flag.String("section", "all", "which quiz to run: core, opt, or all")
 	flag.Parse()
 	switch *section {
@@ -44,28 +47,32 @@ func printAnswerKey(section string) {
 		fmt.Println("Core quiz answer key (every answer derived by executing IEEE semantics)")
 		fmt.Println(strings.Repeat("=", 72))
 		for i, q := range quiz.CoreQuestions() {
-			res := q.Oracle()
 			fmt.Printf("\n%2d. %s\n", i+1, q.Label)
 			fmt.Printf("    %s\n", indent(q.Snippet, "    "))
 			fmt.Printf("    Assertion: %s\n", q.Prompt)
-			fmt.Printf("    Answer: %v\n", res.Holds)
-			fmt.Printf("    Why: %s\n", res.Witness)
+			printKeyRow(q.ID)
 		}
 	}
 	if section == "opt" || section == "all" {
 		fmt.Println("\nOptimization quiz answer key")
 		fmt.Println(strings.Repeat("=", 72))
 		for i, q := range quiz.OptQuestions() {
-			res := q.Oracle()
 			fmt.Printf("\n%2d. %s\n", i+1, q.Label)
 			fmt.Printf("    %s\n", q.Prompt)
-			if q.IsTrueFalse() {
-				fmt.Printf("    Answer: %v\n", res.Holds)
-			} else {
-				fmt.Printf("    Answer: %s\n", q.CorrectChoice)
-			}
-			fmt.Printf("    Why: %s\n", res.Witness)
+			printKeyRow(q.ID)
 		}
+	}
+}
+
+// printKeyRow prints a question's answer, witness and flags.
+func printKeyRow(id string) {
+	r, _ := quiz.KeyFor(id)
+	fmt.Printf("    Answer: %s\n", r.Answer)
+	fmt.Printf("    Why: %s\n", r.Witness)
+	if r.HostFPU {
+		fmt.Println("    Flags: none (computed on the host FPU)")
+	} else {
+		fmt.Printf("    Flags: %s\n", r.Flags)
 	}
 }
 
@@ -134,5 +141,5 @@ func runInteractive(section string) {
 			t.Correct, t.Incorrect, t.DontKnow, t.Unanswered)
 	}
 
-	fmt.Println("\nRun `fpquiz -answers` to see the oracle's explanations.")
+	fmt.Println("\nRun `fpquiz -answers` to see the answer key's explanations.")
 }

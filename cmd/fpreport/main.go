@@ -222,8 +222,8 @@ func chosenReports() []string {
 func runQuery(study core.Study, dataPath, expr string) error {
 	schema := quiz.Columns()
 	// The parse resolves score names through quiz.QueryValue, which
-	// derives the oracle answer key, so it is timed under report with
-	// the run and the rendering.
+	// builds the answer key's per-code outcome tables, so it is timed
+	// under report with the run and the rendering.
 	tp := telemetry.Start()
 	resolve := func(name string) (query.Value, error) { return quiz.QueryValue(schema, name) }
 	p, err := query.Parse(schema, expr, resolve)

@@ -29,8 +29,8 @@ func ExampleCoreQuestions() {
 		if q.ID != "core.zerodivzero" {
 			continue
 		}
-		res := q.Oracle()
-		fmt.Println("assertion holds:", res.Holds)
+		res, _ := fpstudy.RunOracle(q.ID)
+		fmt.Println("assertion holds:", res.Answer)
 	}
 	// Output:
 	// assertion holds: false

@@ -1,8 +1,8 @@
 // Package fpstudy reproduces "Do Developers Understand IEEE Floating
 // Point?" (Dinda & Hetland, IPDPS 2018) as a runnable system: a
 // from-scratch IEEE 754 softfloat oracle, a compiler-optimization
-// simulator, the paper's survey instrument with mechanically derived
-// answers, a calibrated synthetic respondent population, and the
+// simulator, the paper's survey instrument with an answer key derived
+// by executing both, a calibrated synthetic respondent population, and the
 // analysis pipeline that regenerates every figure in the paper.
 //
 // This package is the public facade: it re-exports the main types and
@@ -15,12 +15,13 @@
 //	results := study.Run()
 //	fmt.Println(results.Figure12().String())
 //
-// Or grade yourself:
+// Or grade yourself against the answer key, or re-derive a row of it
+// by running the question's oracle:
 //
 //	for _, q := range fpstudy.CoreQuestions() {
 //	    fmt.Println(q.Snippet, q.Prompt)
-//	    res := q.Oracle()
-//	    fmt.Println("answer:", res.Holds, "—", res.Witness)
+//	    row, _ := fpstudy.RunOracle(q.ID)
+//	    fmt.Println("answer:", row.Answer, "—", row.Witness, "—", row.Flags)
 //	}
 package fpstudy
 
@@ -29,6 +30,7 @@ import (
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
 	"fpstudy/internal/optsim"
+	"fpstudy/internal/oracle"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
 	"fpstudy/internal/survey"
@@ -125,11 +127,20 @@ type Condition = quiz.Condition
 // optimization quiz, suspicion quiz).
 func Instrument() *survey.Instrument { return quiz.Instrument() }
 
-// CoreQuestion is one core-quiz assertion with its oracle.
+// CoreQuestion is one core-quiz assertion.
 type CoreQuestion = quiz.CoreQuestion
 
-// OptQuestion is one optimization-quiz question with its oracle.
+// OptQuestion is one optimization-quiz question.
 type OptQuestion = quiz.OptQuestion
+
+// KeyRow is one question's row of the answer key: the answer, a witness
+// string and the exception flags the witness computation raised.
+type KeyRow = quiz.KeyRow
+
+// RunOracle executes the oracle of the question with the given ID —
+// softfloat property checks, and for the optimization quiz the compiler
+// model — and returns the answer-key row it derives.
+func RunOracle(id string) (KeyRow, bool) { return oracle.Run(id) }
 
 // CoreQuestions returns the 15 core questions in the paper's order.
 func CoreQuestions() []CoreQuestion { return quiz.CoreQuestions() }

@@ -38,7 +38,11 @@ func TestFacadeQuizOracles(t *testing.T) {
 	}
 	trueCount := 0
 	for _, q := range core {
-		if q.Oracle().Holds {
+		row, ok := fpstudy.RunOracle(q.ID)
+		if !ok {
+			t.Fatalf("%s has no oracle", q.ID)
+		}
+		if row.Answer == "true" {
 			trueCount++
 		}
 	}

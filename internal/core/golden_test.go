@@ -206,9 +206,8 @@ func probedSweep(t *testing.T, n int, withTracer bool) (*telemetry.Registry, *te
 // TestGoldenTelemetryInvariance is the observability half of the
 // determinism contract: installing the stage probe — metrics registry,
 // latency histograms and counters on every pipeline-level and
-// block-level stage, FP-exception counters — must not change a single
-// output byte
-// at any worker count. It compares the dataset and figure hashes of
+// block-level stage — must not change a single output byte at any
+// worker count. It compares the dataset and figure hashes of
 // instrumented runs at workers 1, 4, and 16 against an uninstrumented
 // baseline.
 func TestGoldenTelemetryInvariance(t *testing.T) {
@@ -218,10 +217,7 @@ func TestGoldenTelemetryInvariance(t *testing.T) {
 	reg, _ := probedSweep(t, 2000, false)
 
 	// Non-vacuity: the probe must actually have observed the runs
-	// (otherwise this test would pass vacuously). fp.ops is deliberately
-	// not asserted: the oracle answer key is cached once per process, so
-	// whether these runs evaluate oracles depends on test order. The FP
-	// counters have their own tests in internal/quiz.
+	// (otherwise this test would pass vacuously).
 	if reg.Snapshot().Counters[telemetry.MetricRespondents] == 0 {
 		t.Error("the probe was installed but observed no respondents")
 	}

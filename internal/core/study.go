@@ -1,6 +1,6 @@
 // Package core orchestrates the full reproduction study: it generates
-// the calibrated synthetic cohorts, grades them with the oracle-backed
-// quiz, runs the statistical analysis, and renders every figure of the
+// the calibrated synthetic cohorts, grades them against the quiz's
+// oracle-derived answer key, runs the statistical analysis, and renders every figure of the
 // paper (Figures 1-22) as a table, alongside the paper's published
 // values for comparison.
 package core

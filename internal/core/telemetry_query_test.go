@@ -108,13 +108,6 @@ func TestProbeMetricNameSet(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
-		"counter fp.exceptions.denorm",
-		"counter fp.exceptions.divbyzero",
-		"counter fp.exceptions.invalid",
-		"counter fp.exceptions.overflow",
-		"counter fp.exceptions.precision",
-		"counter fp.exceptions.underflow",
-		"counter fp.ops",
 		"counter io.bytes_read",
 		"counter io.bytes_written",
 		"counter parallel.busy_ns",

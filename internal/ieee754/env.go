@@ -150,7 +150,7 @@ type Env struct {
 	LastRaised Flags
 
 	// Observer, when non-nil, is invoked after every arithmetic
-	// operation. The quiz oracles use it to count exceptions.
+	// operation with its operands, result and raised flags.
 	Observer func(OpEvent)
 
 	raised Flags // accumulates during the current operation

@@ -23,7 +23,8 @@ var (
 	schema     *colstore.Schema
 )
 
-// tfCorrectCode converts an oracle answer string to its truefalse code.
+// tfCorrectCode converts an answer-key answer string to its truefalse
+// code.
 func tfCorrectCode(answer string) uint8 {
 	if answer == survey.AnswerTrue {
 		return colstore.TFTrue
@@ -38,14 +39,12 @@ type colItem struct {
 	correct uint8
 }
 
-// ScoreTable is the oracle answer key bound to a schema's column
-// indices: the one-stop grading table for columnar datasets. The
-// ieee754 oracles behind the answer key run once per (question, mode)
-// for the whole process — the canonical schema's table is built under a
-// sync.Once and shared read-only — so grading and figure loops consult
-// pure in-memory codes no matter how many respondents they touch.
-// ScoreColumnsAt grades a respondent from it; whole-column kernels read
-// its per-code form, OutcomeTables.
+// ScoreTable is the answer key bound to a schema's column indices: the
+// one-stop grading table for columnar datasets. The canonical schema's
+// table is built once under a sync.Once and shared read-only, so
+// grading and figure loops consult pure in-memory codes no matter how
+// many respondents they touch. ScoreColumnsAt grades a respondent from
+// it; whole-column kernels read its per-code form, OutcomeTables.
 type ScoreTable struct {
 	core  []colItem // 15 core questions, paper order
 	optTF []colItem // the three T/F optimization questions, paper order
@@ -61,8 +60,7 @@ var (
 )
 
 // buildColScoreTable derives the columnar grading table for an
-// arbitrary schema holding the instrument's questions (runs the oracles
-// on first use, via the cached answer keys).
+// arbitrary schema holding the instrument's questions.
 func buildColScoreTable(s *colstore.Schema) *ScoreTable {
 	t := &ScoreTable{}
 	for _, q := range CoreQuestions() {
@@ -79,7 +77,7 @@ func buildColScoreTable(s *colstore.Schema) *ScoreTable {
 		}
 		col := s.Column(ci)
 		t.levelCol = ci
-		t.levelCorrect = col.MustOptionCode(q.CorrectChoice)
+		t.levelCorrect = col.MustOptionCode(OptAnswer(q.ID))
 		t.levelDK = col.MustOptionCode(survey.AnswerDontKnow)
 	}
 	return t
@@ -169,11 +167,8 @@ func ScoreColumnsAt(d *colstore.Dataset, i int) (core, optScored, optAll Tally) 
 // map keys, and performs zero allocations.
 func ScoreAllColumns(d *colstore.Dataset, workers int) Grades {
 	t0 := telemetry.Start()
-	exc0 := oracleExcs.Load()
-	// Force the one-time oracle evaluation (and table build) before
-	// fanning out, so workers never contend on the sync.Once. Measured
-	// inside the batch window so the FP-exception delta attributes any
-	// answer-key derivation to the batch that triggered it.
+	// Build the table before fanning out, so workers never contend on
+	// the sync.Once.
 	ScoreTableFor(d.Schema)
 	n := d.Len()
 	g := Grades{
@@ -184,6 +179,6 @@ func ScoreAllColumns(d *colstore.Dataset, workers int) Grades {
 	parallel.ForEach(workers, n, func(i int) {
 		g.Core[i], g.OptScored[i], g.OptAll[i] = ScoreColumnsAt(d, i)
 	})
-	telemetry.Done(telemetry.StageGradeBatch, 0, t0, int64(n), oracleExcs.Load()-exc0)
+	telemetry.Done(telemetry.StageGradeBatch, 0, t0, int64(n), 0)
 	return g
 }

@@ -109,7 +109,7 @@ var (
 // (all four), and field one of score (a synonym: correct), incorrect,
 // dontknow, unanswered. The value of a respondent is their count of
 // that outcome — e.g. core.score is the core quiz score graded against
-// the oracle answer key. The canonical Columns() schema's values are
+// the answer key. The canonical Columns() schema's values are
 // built once per process; any other schema's are built on the fly.
 func QueryValue(s *colstore.Schema, name string) (query.Value, error) {
 	quizName, field, ok := strings.Cut(name, ".")

@@ -1,6 +1,7 @@
 package quiz
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,8 +9,9 @@ import (
 )
 
 // paperAnswerKey is the paper's ground truth per question: whether the
-// assertion is TRUE of IEEE arithmetic. The oracles must derive exactly
-// these values; this test pins the derivation to the published key.
+// assertion is TRUE of IEEE arithmetic. The answer key must hold exactly
+// these values (and the oracle package's test pins the key to what the
+// oracles derive).
 var paperAnswerKey = map[string]bool{
 	"core.commutativity":  true,  // addition commutes (non-NaN)
 	"core.associativity":  false, // addition does not associate
@@ -39,13 +41,17 @@ func TestCoreOraclesMatchPaperKey(t *testing.T) {
 			t.Errorf("question %s not in the paper key", q.ID)
 			continue
 		}
-		res := q.Oracle()
-		if res.Holds != want {
-			t.Errorf("%s: oracle says %v, paper key says %v (witness: %s)",
-				q.ID, res.Holds, want, res.Witness)
+		row, ok := KeyFor(q.ID)
+		if !ok {
+			t.Errorf("question %s not in the answer key", q.ID)
+			continue
 		}
-		if res.Witness == "" {
-			t.Errorf("%s: oracle produced no witness", q.ID)
+		if got := row.Answer == "true"; got != want {
+			t.Errorf("%s: answer key says %s, paper key says %v (witness: %s)",
+				q.ID, row.Answer, want, row.Witness)
+		}
+		if row.Witness == "" {
+			t.Errorf("%s: answer key has no witness", q.ID)
 		}
 	}
 }
@@ -55,46 +61,70 @@ func TestOptOracles(t *testing.T) {
 	if len(qs) != 4 {
 		t.Fatalf("%d opt questions, want 4", len(qs))
 	}
-	wantTF := map[string]bool{
-		"opt.madd":     false, // not in the original standard / differs
-		"opt.ftz":      false, // non-compliant
-		"opt.fastmath": true,  // can be non-compliant
+	want := map[string]string{
+		"opt.madd":     "false", // not in the original standard / differs
+		"opt.ftz":      "false", // non-compliant
+		"opt.level":    "-O2",   // the paper's key, under optsim's model
+		"opt.fastmath": "true",  // can be non-compliant
 	}
 	for _, q := range qs {
-		res := q.Oracle()
-		if q.IsTrueFalse() {
-			if res.Holds != wantTF[q.ID] {
-				t.Errorf("%s: oracle %v, want %v (witness: %s)", q.ID, res.Holds, wantTF[q.ID], res.Witness)
-			}
-		} else {
-			if q.ID != "opt.level" {
-				t.Errorf("unexpected choice question %s", q.ID)
-			}
-			if !res.Holds {
-				t.Errorf("level oracle failed: %s", res.Witness)
-			}
-			if q.CorrectChoice != "-O2" {
-				t.Errorf("level correct choice = %q", q.CorrectChoice)
-			}
-			if !strings.Contains(res.Witness, "-O2") {
-				t.Errorf("level witness: %s", res.Witness)
-			}
+		row, _ := KeyFor(q.ID)
+		if row.Answer != want[q.ID] {
+			t.Errorf("%s: answer key %q, want %q (witness: %s)", q.ID, row.Answer, want[q.ID], row.Witness)
 		}
+		if q.IsTrueFalse() == (q.ID == "opt.level") {
+			t.Errorf("%s: IsTrueFalse = %v", q.ID, q.IsTrueFalse())
+		}
+	}
+	if row, _ := KeyFor("opt.level"); !strings.Contains(row.Witness, "-O2") {
+		t.Errorf("level witness: %s", row.Witness)
+	}
+}
+
+// TestAnswerKeyRows checks the table's shape: one row per quiz
+// question, core then optimization in the paper's order; every answer
+// a valid option of its question; a host-FPU row carries no flags.
+func TestAnswerKeyRows(t *testing.T) {
+	var ids []string
+	for _, q := range CoreQuestions() {
+		ids = append(ids, q.ID)
+	}
+	for _, q := range OptQuestions() {
+		ids = append(ids, q.ID)
+	}
+	key := answerKey[:]
+	if len(key) != len(ids) || len(key) != 19 {
+		t.Fatalf("answer key has %d rows for %d questions, want 19", len(key), len(ids))
+	}
+	for i, row := range key {
+		if row.ID != ids[i] {
+			t.Errorf("row %d is %s, want %s", i, row.ID, ids[i])
+		}
+		valid := row.Answer == survey.AnswerTrue || row.Answer == survey.AnswerFalse
+		if row.ID == "opt.level" {
+			valid = slices.Contains(LevelChoices, row.Answer)
+		}
+		if !valid {
+			t.Errorf("%s: answer %q is not an option of the question", row.ID, row.Answer)
+		}
+		if row.HostFPU && row.Flags != 0 {
+			t.Errorf("%s: computed on the host FPU but carries flags %v", row.ID, row.Flags)
+		}
+	}
+	if _, ok := KeyFor("core.nosuch"); ok {
+		t.Error("KeyFor found a row for an unknown ID")
 	}
 }
 
 func TestCorrectAnswerStrings(t *testing.T) {
-	q, _ := CoreQuestionByID("core.identity")
-	if q.CorrectAnswer() != "false" {
-		t.Fatalf("identity correct answer %q", q.CorrectAnswer())
+	if a := (CoreQuestion{ID: "core.identity"}).CorrectAnswer(); a != "false" {
+		t.Fatalf("identity correct answer %q", a)
 	}
-	q2, _ := CoreQuestionByID("core.divzero")
-	if q2.CorrectAnswer() != "true" {
-		t.Fatalf("divzero correct answer %q", q2.CorrectAnswer())
+	if a := (CoreQuestion{ID: "core.divzero"}).CorrectAnswer(); a != "true" {
+		t.Fatalf("divzero correct answer %q", a)
 	}
-	oq, _ := OptQuestionByID("opt.level")
-	if oq.CorrectAnswer() != "-O2" {
-		t.Fatalf("level correct answer %q", oq.CorrectAnswer())
+	if a := (OptQuestion{ID: "opt.level"}).CorrectAnswer(); a != "-O2" {
+		t.Fatalf("level correct answer %q", a)
 	}
 }
 
@@ -200,7 +230,7 @@ func TestScoreOptChoiceQuestion(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	q, _ := CoreQuestionByID("core.square")
+	q := CoreQuestion{ID: "core.square"}
 	r := survey.Response{Answers: map[string]survey.Answer{
 		"core.square": {Choice: "true"},
 	}}
@@ -211,7 +241,7 @@ func TestClassify(t *testing.T) {
 	if ClassifyCore(r, q) != OutcomeIncorrect {
 		t.Fatal("square false should be incorrect")
 	}
-	oq, _ := OptQuestionByID("opt.level")
+	oq := OptQuestion{ID: "opt.level", Choices: LevelChoices}
 	r.Answers["opt.level"] = survey.Answer{Choice: "-O2"}
 	if ClassifyOpt(r, oq) != OutcomeCorrect {
 		t.Fatal("level -O2 should be correct")

@@ -1,29 +1,13 @@
 package quiz
 
-import (
-	"sync"
+import "fpstudy/internal/survey"
 
-	"fpstudy/internal/survey"
-)
-
-// The oracles run real property checks (tens of thousands of softfloat
-// operations for some questions), so scoring caches the derived answer
-// key — and the per-question scoring metadata — after the first
-// evaluation. The cache is computed once under a sync.Once and then
-// shared read-only, so any number of grading goroutines can score
-// concurrently without re-running an oracle or taking a lock.
-var (
-	answerKeyOnce sync.Once
-	coreAnswerKey map[string]string
-	optAnswerKey  map[string]string
-
-	// coreItems/optItems are the flattened scoring tables: question IDs
-	// and correct answers in paper order. Grading hot loops iterate
-	// these instead of rebuilding the full question set (with its
-	// oracle closures) per respondent.
-	coreItems []scoredItem
-	optItems  []scoredItem
-)
+// coreItems/optItems are the flattened scoring tables: question IDs
+// and correct answers in paper order, read from the answer key once at
+// package initialisation and shared read-only, so any number of grading
+// goroutines can score concurrently without a lock. Grading hot loops
+// iterate these instead of rebuilding the question set per respondent.
+var coreItems, optItems = buildScoreItems()
 
 // scoredItem is the minimal per-question data needed to grade one
 // answer.
@@ -33,46 +17,28 @@ type scoredItem struct {
 	isTF    bool
 }
 
-func buildAnswerKeys() {
-	coreAnswerKey = map[string]string{}
+func buildScoreItems() (core, opt []scoredItem) {
 	for _, q := range CoreQuestions() {
-		coreAnswerKey[q.ID] = q.CorrectAnswer()
-		coreItems = append(coreItems, scoredItem{
-			id: q.ID, correct: coreAnswerKey[q.ID], isTF: true,
-		})
+		core = append(core, scoredItem{id: q.ID, correct: CoreAnswer(q.ID), isTF: true})
 	}
-	optAnswerKey = map[string]string{}
 	for _, q := range OptQuestions() {
-		optAnswerKey[q.ID] = q.CorrectAnswer()
-		optItems = append(optItems, scoredItem{
-			id: q.ID, correct: optAnswerKey[q.ID], isTF: q.IsTrueFalse(),
-		})
+		opt = append(opt, scoredItem{id: q.ID, correct: OptAnswer(q.ID), isTF: q.IsTrueFalse()})
 	}
+	return core, opt
 }
 
-func answerKeys() (map[string]string, map[string]string) {
-	answerKeyOnce.Do(buildAnswerKeys)
-	return coreAnswerKey, optAnswerKey
-}
-
-// scoreItems returns the cached flattened scoring tables.
-func scoreItems() (core, opt []scoredItem) {
-	answerKeyOnce.Do(buildAnswerKeys)
-	return coreItems, optItems
-}
-
-// CoreAnswer returns the cached oracle-derived correct answer string
-// for a core question ID.
+// CoreAnswer returns the answer-key answer string for a core question
+// ID ("" for an unknown ID).
 func CoreAnswer(id string) string {
-	core, _ := answerKeys()
-	return core[id]
+	r, _ := KeyFor(id)
+	return r.Answer
 }
 
-// OptAnswer returns the cached oracle-derived correct answer string for
-// an optimization question ID.
+// OptAnswer returns the answer-key answer string for an optimization
+// question ID ("" for an unknown ID).
 func OptAnswer(id string) string {
-	_, opt := answerKeys()
-	return opt[id]
+	r, _ := KeyFor(id)
+	return r.Answer
 }
 
 // Tally counts quiz outcomes for one participant.
@@ -111,9 +77,8 @@ func (t *Tally) count(a survey.Answer, correct string) {
 
 // ScoreCore grades the 15 core questions of a response.
 func ScoreCore(r survey.Response) Tally {
-	items, _ := scoreItems()
 	var t Tally
-	for _, it := range items {
+	for _, it := range coreItems {
 		t.count(r.Answer(it.id), it.correct)
 	}
 	return t
@@ -124,9 +89,8 @@ func ScoreCore(r survey.Response) Tally {
 // whose "don't know" is an explicit option handled by the same
 // classification.
 func ScoreOpt(r survey.Response) Tally {
-	_, items := scoreItems()
 	var t Tally
-	for _, it := range items {
+	for _, it := range optItems {
 		t.count(r.Answer(it.id), it.correct)
 	}
 	return t
@@ -137,9 +101,8 @@ func ScoreOpt(r survey.Response) Tally {
 // Standard-compliant Level choice question is excluded there because it
 // is not T/F).
 func ScoreOptScored(r survey.Response) Tally {
-	_, items := scoreItems()
 	var t Tally
-	for _, it := range items {
+	for _, it := range optItems {
 		if !it.isTF {
 			continue
 		}
@@ -181,21 +144,10 @@ func ClassifyCore(r survey.Response, q CoreQuestion) PerQuestionOutcome {
 }
 
 // ClassifyOpt returns the outcome of a response on one optimization
-// question.
+// question: T/F or the Standard-compliant Level choice, whose "don't
+// know" is an explicit option classified the same way.
 func ClassifyOpt(r survey.Response, q OptQuestion) PerQuestionOutcome {
-	if q.IsTrueFalse() {
-		return classify(r.Answer(q.ID), OptAnswer(q.ID))
-	}
-	a := r.Answer(q.ID)
-	switch {
-	case a.IsUnanswered():
-		return OutcomeUnanswered
-	case a.Choice == survey.AnswerDontKnow:
-		return OutcomeDontKnow
-	case a.Choice == q.CorrectChoice:
-		return OutcomeCorrect
-	}
-	return OutcomeIncorrect
+	return classify(r.Answer(q.ID), OptAnswer(q.ID))
 }
 
 func classify(a survey.Answer, correct string) PerQuestionOutcome {

@@ -464,8 +464,8 @@ type modelSpec struct {
 // optimization questions. A model's position is its response
 // sub-stream, so core question k samples on sub-stream k.
 func quizSpecs() []modelSpec {
-	// The oracle-backed answer key is computed once (cached in quiz) and
-	// shared read-only by every worker.
+	// The answer key is a table in quiz, shared read-only by every
+	// worker.
 	var specs []modelSpec
 	for i, q := range quiz.CoreQuestions() {
 		row := paperdata.Figure14Core[i]

@@ -168,7 +168,7 @@ func TestWrongMajorityQuestions(t *testing.T) {
 	// Identity and Divide-by-Zero must be answered incorrectly by a
 	// majority — the paper's most alarming finding.
 	for _, id := range []string{"core.identity", "core.divzero"} {
-		q, _ := quiz.CoreQuestionByID(id)
+		q := quiz.CoreQuestion{ID: id}
 		var c, inc int
 		for _, r := range testPop.Dataset.Responses {
 			switch quiz.ClassifyCore(r, q) {

@@ -61,25 +61,7 @@ const (
 	// is a code; nonzero only when converted row data carried free
 	// text).
 	MetricInternedStrings = "colstore.interned_strings"
-
-	// The IEEE exception counters: the quiz oracles' environment feeds
-	// them through quiz.CountingObserver while a probe is installed.
-	// fp.ops counts every observed softfloat operation; each
-	// fp.exceptions.<cond> counts operations that raised the condition.
-	MetricFPOps       = "fp.ops"
-	MetricFPOverflow  = "fp.exceptions.overflow"
-	MetricFPUnderflow = "fp.exceptions.underflow"
-	MetricFPPrecision = "fp.exceptions.precision"
-	MetricFPInvalid   = "fp.exceptions.invalid"
-	MetricFPDenorm    = "fp.exceptions.denorm"
-	MetricFPDivByZero = "fp.exceptions.divbyzero"
 )
-
-// fpMetrics lists the exception counters Install registers up front, so
-// a snapshot carries them (at zero) even when the process derived its
-// answer key before the probe was installed.
-var fpMetrics = [...]string{MetricFPOps, MetricFPOverflow, MetricFPUnderflow,
-	MetricFPPrecision, MetricFPInvalid, MetricFPDenorm, MetricFPDivByZero}
 
 // Stage identifies one instrumented operation. The stage table below
 // is the one list of stage names: a stage's name is its latency
@@ -196,11 +178,10 @@ type probe struct {
 var installed atomic.Pointer[probe]
 
 // Install makes reg the process-wide sink of every stage observation
-// and of the quiz oracles' exception counters (nil uninstalls). It
-// registers every stage metric and exception counter up front, so a
+// (nil uninstalls). It registers every stage metric up front, so a
 // snapshot names them all from the start. The probe is global because
-// the pipeline has one worker-pool layer and one oracle cache: install
-// once at startup; installing mid-run affects only later observations.
+// the pipeline has one worker-pool layer: install once at startup;
+// installing mid-run affects only later observations.
 func Install(reg *Registry) {
 	if reg == nil {
 		installed.Store(nil)
@@ -217,9 +198,6 @@ func Install(reg *Registry) {
 		s := &p.stages[st]
 		s.lat = reg.latency(Stage(st).Metric(), Stage(st).latencyShards())
 		s.arg1, s.arg2 = counter(d.arg1), counter(d.arg2)
-	}
-	for _, name := range fpMetrics {
-		reg.Counter(name)
 	}
 	installed.Store(p)
 }

@@ -33,7 +33,6 @@ func TestProbeRecordFeedsStage(t *testing.T) {
 		MetricItems:              64,
 		MetricQueryBlocksSkipped: 1,
 		MetricQueryRowsScanned:   8192,
-		MetricFPOps:              0, // registered by Install, fed by the quiz oracles
 	} {
 		if got, ok := snap.Counters[name]; !ok || got != want {
 			t.Errorf("%s = %d (present %v), want %d", name, got, ok, want)

@@ -140,10 +140,10 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestPromNameSanitization(t *testing.T) {
 	for in, want := range map[string]string{
-		"fp.exceptions.invalid": "fp_exceptions_invalid",
-		"latency.fpds-encode":   "latency_fpds_encode",
-		"9lives":                "_9lives",
-		"ok_name":               "ok_name",
+		"io.bytes_read":       "io_bytes_read",
+		"latency.fpds-encode": "latency_fpds_encode",
+		"9lives":              "_9lives",
+		"ok_name":             "ok_name",
 	} {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)

@@ -28,8 +28,6 @@
 //	query.rows_scanned       counter  rows the query engine's scan blocks examined
 //	query.blocks_skipped     counter  aggregation passes elided on empty selections
 //	io.bytes_written/read    counter  dataset bytes encoded / decoded
-//	fp.ops                   counter  observed softfloat operations
-//	fp.exceptions.<cond>     counter  per-condition FP exception events
 //	mem.heap_alloc, mem.gc_count, colstore.interned_strings   gauges
 //	latency.<stage>          latency  per-observation durations (LatencyHist);
 //	                                  its count and sum say how often a stage

@@ -48,9 +48,7 @@ const (
 	// shard's item count. The lane identifies the executing worker.
 	EvShard
 	// EvBatch is one scoring/grading batch. Arg1 is the batch's item
-	// count, Arg2 the number of FP-exception events raised by oracle
-	// evaluations during the batch (nonzero only for the batch that
-	// derives the answer key).
+	// count.
 	EvBatch
 	// EvGC marks an observed garbage-collection cycle (sampled by
 	// StartMemSampler). Arg1 is the cumulative GC count, Arg2 the
@@ -319,7 +317,7 @@ func chromeArgs(ev TraceEvent) map[string]any {
 	case EvShard:
 		return map[string]any{"shard": ev.Arg1, "items": ev.Arg2}
 	case EvBatch:
-		return map[string]any{"items": ev.Arg1, "fp_exceptions": ev.Arg2}
+		return map[string]any{"items": ev.Arg1}
 	case EvGC:
 		return map[string]any{"gc_count": ev.Arg1, "pause_total_ns": ev.Arg2}
 	}

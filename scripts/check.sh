@@ -57,6 +57,34 @@ if [ -n "$orphans" ]; then
 	exit 1
 fi
 
+echo "==> answer-key table regenerates unchanged"
+# The quiz's answer key (internal/quiz/key_gen.go) is generated from the
+# oracles in internal/oracle. Regenerating it must leave the checked-in
+# table as it is; a failing generator fails the gate through set -e.
+git ls-files --error-unmatch internal/quiz/key_gen.go >/dev/null
+go generate ./internal/quiz
+if ! git diff --exit-code -- internal/quiz/key_gen.go; then
+	echo "answer key: go generate ./internal/quiz changed key_gen.go; commit the regenerated table" >&2
+	exit 1
+fi
+
+echo "==> fpgen and fpreport link no oracle"
+# The run path reads the answer-key table; the oracles, and the compiler
+# model and expression packages they run, stay off it. The list is taken
+# first so that a failing `go list` fails the gate instead of passing it.
+run_deps=$(go list -deps ./cmd/fpgen ./cmd/fpreport)
+if [ -z "$run_deps" ]; then
+	echo "run-path deps: go list listed no packages" >&2
+	exit 1
+fi
+linked=$(printf '%s\n' "$run_deps" | grep -x -e fpstudy/internal/oracle \
+	-e fpstudy/internal/optsim -e fpstudy/internal/expr || true)
+if [ -n "$linked" ]; then
+	echo "run-path deps: fpgen or fpreport links these oracle packages:" >&2
+	echo "$linked" >&2
+	exit 1
+fi
+
 echo "==> go test -race ./..."
 go test -race ./...
 
