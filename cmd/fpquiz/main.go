@@ -80,9 +80,18 @@ func indent(s, pad string) string {
 	return strings.ReplaceAll(s, "\n", "\n"+pad)
 }
 
+// runInteractive asks the chosen sections at the terminal, stores the
+// answers in a one-respondent columnar dataset and grades it with the
+// tables the figures use.
 func runInteractive(section string) {
 	in := bufio.NewScanner(os.Stdin)
-	resp := survey.Response{Token: "you", Answers: map[string]survey.Answer{}}
+	schema := quiz.Columns()
+	you := schema.NewDataset("1.0", 1)
+	answer := func(id, choice string) {
+		if err := you.SetAnswer(schema.MustColumnIndex(id), 0, survey.Answer{Choice: choice}); err != nil {
+			panic(err) // every choice stored here is one the column accepts
+		}
+	}
 
 	ask := func(prompt string, options []string) string {
 		fmt.Println()
@@ -93,53 +102,58 @@ func runInteractive(section string) {
 		}
 		return strings.ToLower(strings.TrimSpace(in.Text()))
 	}
+	askTF := func(id, prompt string) {
+		switch ask(prompt, []string{"t", "f", "d"}) {
+		case "t", "true":
+			answer(id, survey.AnswerTrue)
+		case "f", "false":
+			answer(id, survey.AnswerFalse)
+		case "d", "dk":
+			answer(id, survey.AnswerDontKnow)
+		}
+	}
 
 	if section == "core" || section == "all" {
 		fmt.Println("Core quiz: for each code snippet, is the assertion true or false?")
 		fmt.Println("(t = true, f = false, d = don't know, enter = skip)")
 		for i, q := range quiz.CoreQuestions() {
-			a := ask(fmt.Sprintf("%d/%d\n%s\n%s", i+1, 15, q.Snippet, q.Prompt),
-				[]string{"t", "f", "d"})
-			switch a {
-			case "t", "true":
-				resp.Answers[q.ID] = survey.Answer{Choice: survey.AnswerTrue}
-			case "f", "false":
-				resp.Answers[q.ID] = survey.Answer{Choice: survey.AnswerFalse}
-			case "d", "dk":
-				resp.Answers[q.ID] = survey.Answer{Choice: survey.AnswerDontKnow}
-			}
+			askTF(q.ID, fmt.Sprintf("%d/%d\n%s\n%s", i+1, 15, q.Snippet, q.Prompt))
 		}
-		t := quiz.ScoreCore(resp)
+		core, _, _ := quiz.ScoreColumnsAt(you, 0)
 		fmt.Printf("\nCore quiz: %d correct, %d incorrect, %d don't know, %d unanswered (chance: %.1f; paper mean: 8.5)\n",
-			t.Correct, t.Incorrect, t.DontKnow, t.Unanswered, quiz.CoreChance)
+			core.Correct, core.Incorrect, core.DontKnow, core.Unanswered, quiz.CoreChance)
 	}
 
 	if section == "opt" || section == "all" {
 		fmt.Println("\nOptimization quiz:")
 		for _, q := range quiz.OptQuestions() {
 			if q.IsTrueFalse() {
-				a := ask(q.Prompt, []string{"t", "f", "d"})
-				switch a {
-				case "t", "true":
-					resp.Answers[q.ID] = survey.Answer{Choice: survey.AnswerTrue}
-				case "f", "false":
-					resp.Answers[q.ID] = survey.Answer{Choice: survey.AnswerFalse}
-				case "d", "dk":
-					resp.Answers[q.ID] = survey.Answer{Choice: survey.AnswerDontKnow}
-				}
+				askTF(q.ID, q.Prompt)
 				continue
 			}
 			a := ask(q.Prompt, append(append([]string{}, q.Choices...), "d"))
-			if a == "d" || a == "dk" {
-				resp.Answers[q.ID] = survey.Answer{Choice: survey.AnswerDontKnow}
-			} else if a != "" {
-				resp.Answers[q.ID] = survey.Answer{Choice: a}
+			switch {
+			case a == "d" || a == "dk":
+				answer(q.ID, survey.AnswerDontKnow)
+			case a != "":
+				answer(q.ID, canonicalChoice(q.Choices, a))
 			}
 		}
-		t := quiz.ScoreOpt(resp)
+		_, _, opt := quiz.ScoreColumnsAt(you, 0)
 		fmt.Printf("\nOptimization quiz: %d correct, %d incorrect, %d don't know, %d unanswered\n",
-			t.Correct, t.Incorrect, t.DontKnow, t.Unanswered)
+			opt.Correct, opt.Incorrect, opt.DontKnow, opt.Unanswered)
 	}
 
 	fmt.Println("\nRun `fpquiz -answers` to see the answer key's explanations.")
+}
+
+// canonicalChoice returns the listed choice that typed matches without
+// regard to case ("-o2" is "-O2"), or typed itself when none does.
+func canonicalChoice(choices []string, typed string) string {
+	for _, c := range choices {
+		if strings.EqualFold(c, typed) {
+			return c
+		}
+	}
+	return typed
 }

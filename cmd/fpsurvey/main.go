@@ -1,19 +1,21 @@
 // Command fpsurvey manages the survey instrument and response
 // datasets: print the instrument as JSON, validate a dataset against
-// it, tally a question, or anonymize a dataset in place.
+// it, tally a question, flatten a dataset to CSV, or anonymize a
+// dataset in place.
 //
-// Datasets load through the streaming columnar ingest layer
-// (internal/colstore): the format is sniffed from the leading bytes, so
-// every operation accepts both row JSON and FPDS binary shards, and
-// JSON parses token-at-a-time straight into columns instead of a
-// whole-file unmarshal. Each load prints a one-line ingest summary
-// (format, respondents, MB, seconds) to stderr.
+// Datasets load into columns (internal/colstore), and every operation
+// is a scan over those columns: the format is sniffed from the leading
+// bytes, so every operation accepts both row-shaped JSON and FPDS
+// binary shards, and JSON parses token-at-a-time straight into columns
+// instead of a whole-file unmarshal. Each load prints a one-line ingest
+// summary (format, respondents, MB, seconds) to stderr.
 //
 // Usage:
 //
 //	fpsurvey -instrument                 # dump the instrument JSON
 //	fpsurvey -validate data.json         # check a dataset
 //	fpsurvey -tally bg.area data.fpds    # tabulate one question
+//	fpsurvey -csv data.fpds              # flatten to CSV on stdout
 //	fpsurvey -anonymize data.json        # rewrite with opaque tokens
 //
 // The slice subcommand runs an ad-hoc filter/groupby/agg expression
@@ -25,9 +27,13 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
+	"strconv"
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/query"
@@ -36,7 +42,7 @@ import (
 	"fpstudy/internal/survey"
 )
 
-var workers = flag.Int("workers", 0, "worker goroutines for codec/view fan-out (<=0 means GOMAXPROCS)")
+var workers = flag.Int("workers", 0, "worker goroutines for the FPDS codec (<=0 means GOMAXPROCS)")
 
 // ledger is this invocation's run-ledger record (nil when -runlog is
 // unset); exit routes every termination through it so the appended
@@ -80,7 +86,7 @@ func main() {
 
 	case *validate != "":
 		cols, _ := load(*validate)
-		if err := ins.ValidateDataset(rows(cols)); err != nil {
+		if err := validateColumns(cols); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("fpsurvey: %s: %d responses, all valid\n", *validate, cols.Len())
@@ -89,19 +95,29 @@ func main() {
 		if flag.NArg() < 1 {
 			fatal(fmt.Errorf("usage: fpsurvey -tally <questionID> <dataset>"))
 		}
-		cols, _ := load(flag.Arg(0))
-		t, err := ins.Tally(rows(cols), *tally)
-		if err != nil {
-			fatal(err)
+		ci, ok := quiz.Columns().ColumnIndex(*tally)
+		if !ok {
+			fatal(fmt.Errorf("survey: unknown question %q", *tally))
 		}
+		cols, _ := load(flag.Arg(0))
+		t := tallyColumn(cols, ci)
+		keys := make([]string, 0, len(t))
+		for k := range t {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 		total := cols.Len()
-		for _, k := range survey.SortedKeys(t) {
+		for _, k := range keys {
 			fmt.Printf("%-60s %4d  %5.1f%%\n", k, t[k], 100*float64(t[k])/float64(total))
 		}
 
 	case *csv != "":
 		cols, _ := load(*csv)
-		fmt.Print(ins.FlattenCSV(rows(cols)))
+		w := bufio.NewWriterSize(os.Stdout, 1<<16)
+		writeCSV(w, cols)
+		if err := w.Flush(); err != nil {
+			fatal(err)
+		}
 
 	case *anonymize != "":
 		cols, info := load(*anonymize)
@@ -197,10 +213,130 @@ func load(path string) (*colstore.Dataset, colstore.LoadInfo) {
 	return cols, info
 }
 
-// rows materializes the row view for the operations that consume
-// survey.Dataset (validation, tallies, CSV export).
-func rows(cols *colstore.Dataset) *survey.Dataset {
-	return cols.ToSurveyWorkers(*workers)
+// forEachLabel calls fn with each label of respondent i's answer to
+// column ci, in stored order: "true", "false" or "dontknow"; a Likert
+// level in decimal; a single choice's option or free text; each choice
+// of a multi-choice answer. An unanswered cell has no labels.
+func forEachLabel(d *colstore.Dataset, ci, i int, fn func(label string)) {
+	switch d.Schema.Column(ci).Kind {
+	case survey.TrueFalse:
+		switch d.TF(ci, i) {
+		case colstore.TFTrue:
+			fn(survey.AnswerTrue)
+		case colstore.TFFalse:
+			fn(survey.AnswerFalse)
+		case colstore.TFDontKnow:
+			fn(survey.AnswerDontKnow)
+		}
+	case survey.Likert:
+		if lv := d.LikertLevel(ci, i); lv != 0 {
+			fn(strconv.Itoa(lv))
+		}
+	case survey.SingleChoice:
+		if l := d.SingleLabel(ci, i); l != "" {
+			fn(l)
+		}
+	case survey.MultiChoice:
+		d.ForEachMultiChoice(ci, i, fn)
+	}
+}
+
+// validateColumns checks every single- and multi-choice answer of a
+// column that does not allow free text against the column's options,
+// and reports the first label that is not offered: in respondent
+// order, then in instrument order. The decoders have already rejected
+// unknown questions, bad true/false answers and out-of-range codes.
+func validateColumns(d *colstore.Dataset) error {
+	var checked []int
+	for ci := 0; ci < d.Schema.NumColumns(); ci++ {
+		c := d.Schema.Column(ci)
+		if (c.Kind == survey.SingleChoice || c.Kind == survey.MultiChoice) && !c.AllowOther {
+			checked = append(checked, ci)
+		}
+	}
+	for i := 0; i < d.Len(); i++ {
+		for _, ci := range checked {
+			c := d.Schema.Column(ci)
+			bad := ""
+			forEachLabel(d, ci, i, func(label string) {
+				if _, ok := c.OptionCode(label); !ok && bad == "" {
+					bad = label
+				}
+			})
+			if bad != "" {
+				return fmt.Errorf("response %d (%s): survey: question %q: option %q not offered",
+					i, d.Token(i), c.ID, bad)
+			}
+		}
+	}
+	return nil
+}
+
+// tallyColumn counts column ci's answers by label: "unanswered" for an
+// empty cell, one count per selected option of a multi-choice answer,
+// and free text under its own text.
+func tallyColumn(d *colstore.Dataset, ci int) map[string]int {
+	t := map[string]int{}
+	for i := 0; i < d.Len(); i++ {
+		answered := false
+		forEachLabel(d, ci, i, func(label string) {
+			t[label]++
+			answered = true
+		})
+		if !answered {
+			t["unanswered"]++
+		}
+	}
+	return t
+}
+
+// writeCSV writes the dataset as a flat CSV matrix: a header of
+// "token" and the question IDs in instrument order, then one row per
+// respondent, with multi-choice answers joined by ';', Likert answers
+// as numbers and unanswered cells empty. This is the export format for
+// analysis outside this repository.
+func writeCSV(w *bufio.Writer, d *colstore.Dataset) {
+	var cell []byte
+	w.WriteString("token")
+	for ci := 0; ci < d.Schema.NumColumns(); ci++ {
+		w.WriteByte(',')
+		writeField(w, append(cell[:0], d.Schema.Column(ci).ID...))
+	}
+	w.WriteByte('\n')
+	for i := 0; i < d.Len(); i++ {
+		writeField(w, append(cell[:0], d.Token(i)...))
+		for ci := 0; ci < d.Schema.NumColumns(); ci++ {
+			cell = cell[:0]
+			first := true
+			forEachLabel(d, ci, i, func(label string) {
+				if !first {
+					cell = append(cell, ';')
+				}
+				first = false
+				cell = append(cell, label...)
+			})
+			w.WriteByte(',')
+			writeField(w, cell)
+		}
+		w.WriteByte('\n')
+	}
+}
+
+// writeField writes one CSV field, quoted (with inner quotes doubled)
+// when it holds a comma, a quote or a newline.
+func writeField(w *bufio.Writer, f []byte) {
+	if !bytes.ContainsAny(f, ",\"\n") {
+		w.Write(f)
+		return
+	}
+	w.WriteByte('"')
+	for _, b := range f {
+		if b == '"' {
+			w.WriteByte('"')
+		}
+		w.WriteByte(b)
+	}
+	w.WriteByte('"')
 }
 
 func fatal(err error) {

@@ -97,8 +97,10 @@ func checkGolden(t *testing.T, name string, got []byte) {
 
 // goldenCases are fpsurvey runs over the committed inputs: a seeded
 // 20-respondent cohort (fpgen -n 20 -seed 3) as row JSON and as an FPDS
-// shard, a hand-written JSON with free-text and verbatim answers, and
-// one with an option no question offers.
+// shard, a hand-written JSON with free-text and verbatim answers, one
+// with an option no question offers, and one whose second respondent
+// gives four options that are not offered (validation names the first
+// in instrument order, bg.formal_training).
 var goldenCases = []struct {
 	name  string
 	input string
@@ -108,6 +110,7 @@ var goldenCases = []struct {
 	{"validate-cohort-fpds", "cohort.fpds", []string{"-validate"}},
 	{"validate-freetext", "freetext.json", []string{"-validate"}},
 	{"validate-offlist", "offlist.json", []string{"-validate"}},
+	{"validate-offlist-first", "offlist4.json", []string{"-validate"}},
 	{"tally-truefalse-json", "cohort.json", []string{"-tally", "core.commutativity"}},
 	{"tally-truefalse-fpds", "cohort.fpds", []string{"-tally", "core.commutativity"}},
 	{"tally-likert-fpds", "cohort.fpds", []string{"-tally", "susp.invalid"}},

@@ -41,8 +41,8 @@ import (
 // Format describes a binary interchange format.
 type Format = ieee754.Format
 
-// Env is a floating point environment: rounding mode, sticky flags,
-// FTZ/DAZ controls, and an optional per-operation observer.
+// Env is a floating point environment: rounding mode, sticky flags, the
+// flags the last operation raised, and FTZ/DAZ controls.
 type Env = ieee754.Env
 
 // Flags is a set of exception flags.
@@ -148,37 +148,20 @@ func CoreQuestions() []CoreQuestion { return quiz.CoreQuestions() }
 // OptQuestions returns the 4 optimization questions.
 func OptQuestions() []OptQuestion { return quiz.OptQuestions() }
 
-// Response is one participant's answers.
-type Response = survey.Response
-
-// Dataset is a collection of responses.
-type Dataset = survey.Dataset
-
 // Tally is a per-participant grade.
 type Tally = quiz.Tally
-
-// EncodeDataset renders a dataset as JSON.
-func EncodeDataset(d *Dataset) ([]byte, error) { return survey.EncodeDataset(d) }
-
-// DecodeDataset parses a dataset from JSON.
-func DecodeDataset(data []byte) (*Dataset, error) { return survey.DecodeDataset(data) }
-
-// ScoreCore grades the core quiz of a response.
-func ScoreCore(r Response) Tally { return quiz.ScoreCore(r) }
-
-// ScoreOpt grades the optimization quiz of a response.
-func ScoreOpt(r Response) Tally { return quiz.ScoreOpt(r) }
 
 // --- Population generation and the study pipeline ---
 
 // Population is a generated synthetic cohort.
 type Population = respondent.Population
 
-// GenerateMain generates the main cohort (the paper's 199 developers).
-func GenerateMain(seed int64, n int) *Population { return respondent.GenerateMain(seed, n) }
-
-// GenerateStudents generates the student cohort (suspicion quiz only).
-func GenerateStudents(seed int64, n int) *Dataset { return respondent.GenerateStudents(seed, n) }
+// GenerateMain generates the main cohort (the paper's 199 developers)
+// into columns, on GOMAXPROCS workers; the cohort is the same at any
+// worker count.
+func GenerateMain(seed int64, n int) *Population {
+	return respondent.GenerateMainColumnar(seed, n, 0, nil, respondent.Instrumentation{})
+}
 
 // Study configures a reproduction run.
 type Study = core.Study

@@ -4,10 +4,12 @@ package fpstudy_test
 // does goes through these entry points.
 
 import (
-	"strings"
+	"bytes"
 	"testing"
 
 	"fpstudy"
+	"fpstudy/internal/colstore"
+	"fpstudy/internal/quiz"
 )
 
 func TestFacadeArithmetic(t *testing.T) {
@@ -68,9 +70,9 @@ func TestFacadeStudyPipeline(t *testing.T) {
 		t.Fatalf("%d claims", len(claims))
 	}
 	// Scoring via facade.
-	tally := fpstudy.ScoreCore(results.Main.Cols.Response(0))
-	if tally.Total() != 15 {
-		t.Fatalf("tally total %d", tally.Total())
+	core, _ := results.Tallies()
+	if len(core) != 150 || core[0].Total() != 15 {
+		t.Fatalf("%d tallies, respondent 0 total %d", len(core), core[0].Total())
 	}
 }
 
@@ -94,32 +96,34 @@ func TestFacadeInstrument(t *testing.T) {
 
 func TestEndToEndDatasetPipeline(t *testing.T) {
 	// The full data path a real deployment uses: generate responses,
-	// serialize, deserialize, validate against the instrument,
-	// anonymize, flatten, and re-analyze.
+	// serialize to JSON, read them back, convert to FPDS and back,
+	// anonymize, and re-grade. The cohort's columns carry the encoders;
+	// the decoders are package functions of internal/colstore.
 	pop := fpstudy.GenerateMain(99, 120)
-	ins := fpstudy.Instrument()
-
-	data, err := fpstudy.EncodeDataset(pop.Dataset)
+	var js bytes.Buffer
+	if err := pop.Cols.WriteJSON(&js); err != nil {
+		t.Fatal(err)
+	}
+	fromJSON, err := colstore.DecodeJSON(quiz.Columns(), bytes.NewReader(js.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := fpstudy.DecodeDataset(data)
-	if err != nil {
+	var bin bytes.Buffer
+	if err := fromJSON.EncodeBinary(&bin, colstore.IOOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ins.ValidateDataset(back); err != nil {
+	back, err := colstore.DecodeBinary(quiz.Columns(), &bin, colstore.IOOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	back.Anonymize()
-	csv := ins.FlattenCSV(back)
-	if lines := strings.Count(csv, "\n"); lines != 121 { // header + 120
-		t.Fatalf("CSV lines: %d", lines)
+	if back.Len() != 120 || back.Token(119) != "r0120" {
+		t.Fatalf("%d respondents, last token %q", back.Len(), back.Token(119))
 	}
 	// Re-score the round-tripped data: identical tallies.
-	for i := range pop.Dataset.Responses {
-		a := fpstudy.ScoreCore(pop.Dataset.Responses[i])
-		b := fpstudy.ScoreCore(back.Responses[i])
-		if a != b {
+	want, got := quiz.ScoreAllColumns(pop.Cols, 0), quiz.ScoreAllColumns(back, 0)
+	for i := range want.Core {
+		if want.Core[i] != got.Core[i] || want.OptAll[i] != got.OptAll[i] {
 			t.Fatalf("response %d tally changed through serialization", i)
 		}
 	}

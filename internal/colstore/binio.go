@@ -871,6 +871,5 @@ func parseSpills(s *Schema, n, arenaLen int, payload []byte) ([]map[int]extra, e
 }
 
 // Anonymize drops explicit respondent tokens, reverting to the
-// sequential anonymous scheme ("r0001", ...) — the same tokens
-// survey.Dataset.Anonymize assigns, so the row views agree.
+// sequential anonymous scheme ("r0001", ...).
 func (d *Dataset) Anonymize() { d.tokens = nil }

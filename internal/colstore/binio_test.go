@@ -26,18 +26,14 @@ func encodeBinary(t *testing.T, d *colstore.Dataset, workers int) []byte {
 }
 
 // TestBinaryRoundTripProperty pins the acceptance chain on seeded-random
-// datasets: rows → columns → binary → columns → WriteJSON must equal the
-// direct row-form JSON byte-for-byte (free text with HTML-escaped
+// datasets: columns → binary → columns → WriteJSON must equal the
+// source's WriteJSON byte-for-byte (free text with HTML-escaped
 // characters and verbatim multi lists included).
 func TestBinaryRoundTripProperty(t *testing.T) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		ds := randomDataset(rng, 1+rng.Intn(40), false)
-		cols, err := colstore.FromSurvey(schema, ds)
-		if err != nil {
-			t.Fatalf("trial %d: FromSurvey: %v", trial, err)
-		}
+		cols := randomColumns(t, rng, 1+rng.Intn(40), false)
 		enc := encodeBinary(t, cols, 0)
 		back, err := colstore.DecodeBinary(schema, bytes.NewReader(enc), colstore.IOOptions{})
 		if err != nil {
@@ -46,16 +42,8 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		if back.Schema != schema {
 			t.Fatalf("trial %d: decoded dataset does not reuse the caller's schema", trial)
 		}
-		want, err := survey.EncodeDataset(ds)
-		if err != nil {
-			t.Fatalf("trial %d: EncodeDataset: %v", trial, err)
-		}
-		var got bytes.Buffer
-		if err := back.WriteJSON(&got); err != nil {
-			t.Fatalf("trial %d: WriteJSON: %v", trial, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("trial %d: binary round trip diverged from the row JSON", trial)
+		if !bytes.Equal(writeJSON(t, back), writeJSON(t, cols)) {
+			t.Fatalf("trial %d: binary round trip diverged from the source dataset", trial)
 		}
 	}
 }
@@ -67,11 +55,7 @@ func TestBinaryParallelByteIdentity(t *testing.T) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(23))
 	// Cross a block boundary so multiple blocks actually exist.
-	ds := randomDataset(rng, 9000, false)
-	cols, err := colstore.FromSurvey(schema, ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 9000, false)
 	base := encodeBinary(t, cols, 1)
 	for _, w := range []int{4, 16} {
 		if enc := encodeBinary(t, cols, w); !bytes.Equal(enc, base) {
@@ -103,19 +87,11 @@ func TestBinaryParallelByteIdentity(t *testing.T) {
 func TestBinaryAutoTokens(t *testing.T) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(5))
-	ds := randomDataset(rng, 50, false) // Anonymize gives r0001.. tokens
-	cols, err := colstore.FromSurvey(schema, ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 50, false) // tokens r0001, r0002, ...
 	auto := encodeBinary(t, cols, 0)
 
-	ds.Responses[17].Token = "participant-17"
-	cols2, err := colstore.FromSurvey(schema, ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
-	explicit := encodeBinary(t, cols2, 0)
+	cols.SetTokens(map[int]string{17: "participant-17"})
+	explicit := encodeBinary(t, cols, 0)
 	if len(explicit) <= len(auto) {
 		t.Fatalf("explicit tokens (%d bytes) should cost more than auto tokens (%d bytes)", len(explicit), len(auto))
 	}
@@ -135,32 +111,22 @@ func TestBinaryAutoTokens(t *testing.T) {
 	}
 }
 
-// TestBinaryEmptyDatasets pins the nil-vs-empty Responses distinction
+// TestBinaryEmptyDatasets pins the null-vs-[] "responses" distinction
 // through the binary form (they serialize to different JSON).
 func TestBinaryEmptyDatasets(t *testing.T) {
 	schema := quiz.Columns()
-	ins := quiz.Instrument()
-	for _, responses := range [][]survey.Response{nil, {}} {
-		ds := &survey.Dataset{Instrument: ins.Title, Version: "1.0", Responses: responses}
-		cols, err := colstore.FromSurvey(schema, ds)
+	for _, nilResponses := range []bool{true, false} {
+		cols, err := colstore.DecodeJSON(schema, bytes.NewReader(emptyJSON(nilResponses)))
 		if err != nil {
-			t.Fatalf("FromSurvey: %v", err)
+			t.Fatalf("nil=%v: DecodeJSON: %v", nilResponses, err)
 		}
 		enc := encodeBinary(t, cols, 0)
 		back, err := colstore.DecodeBinary(schema, bytes.NewReader(enc), colstore.IOOptions{})
 		if err != nil {
-			t.Fatalf("nil=%v: DecodeBinary: %v", responses == nil, err)
+			t.Fatalf("nil=%v: DecodeBinary: %v", nilResponses, err)
 		}
-		want, err := survey.EncodeDataset(ds)
-		if err != nil {
-			t.Fatalf("EncodeDataset: %v", err)
-		}
-		var got bytes.Buffer
-		if err := back.WriteJSON(&got); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("nil=%v: round trip diverged:\n got %q\nwant %q", responses == nil, got.Bytes(), want)
+		if got := writeJSON(t, back); !bytes.Equal(got, emptyJSON(nilResponses)) {
+			t.Fatalf("nil=%v: round trip diverged:\n got %q\nwant %q", nilResponses, got, emptyJSON(nilResponses))
 		}
 	}
 }
@@ -169,11 +135,7 @@ func TestBinaryEmptyDatasets(t *testing.T) {
 // the question table is rebuilt from the file and the data survives.
 func TestBinaryNilSchemaRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ds := randomDataset(rng, 12, false)
-	cols, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 12, false)
 	enc := encodeBinary(t, cols, 0)
 	back, err := colstore.DecodeBinary(nil, bytes.NewReader(enc), colstore.IOOptions{})
 	if err != nil {
@@ -216,11 +178,7 @@ func TestBinarySchemaMismatch(t *testing.T) {
 // silently short dataset, from every decoder (decodeEveryWay).
 func TestBinaryTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	ds := randomDataset(rng, 40, false)
-	cols, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 40, false)
 	enc := encodeBinary(t, cols, 0)
 	cuts := []int{0, 3, 4, 7, 8, 10, len(enc) / 4, len(enc) / 2, len(enc) - 5, len(enc) - 1}
 	for _, cut := range cuts {
@@ -236,11 +194,7 @@ func TestBinaryTruncation(t *testing.T) {
 // block.
 func TestBinaryCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	ds := randomDataset(rng, 64, false)
-	cols, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 64, false)
 	enc := encodeBinary(t, cols, 0)
 	// Skip the magic (its own error) and flip a byte every stride.
 	for off := 8; off < len(enc); off += 97 {
@@ -272,10 +226,7 @@ func TestBinaryCorruption(t *testing.T) {
 // to the first, is a located size error, not a silently ignored tail.
 func TestBinaryTrailingBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	cols, err := colstore.FromSurvey(quiz.Columns(), randomDataset(rng, 20, false))
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 20, false)
 	enc := encodeBinary(t, cols, 0)
 	for _, tail := range [][]byte{{0}, enc} {
 		data := append(append([]byte(nil), enc...), tail...)
@@ -374,13 +325,8 @@ func TestBinaryDecodeAllocsPerRespondent(t *testing.T) {
 // without error (i.e. validation admits only well-formed datasets).
 func FuzzDecodeBinary(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	schema := quiz.Columns()
 	for _, n := range []int{0, 1, 7} {
-		ds := randomDataset(rng, n, false)
-		cols, err := colstore.FromSurvey(schema, ds)
-		if err != nil {
-			f.Fatalf("FromSurvey: %v", err)
-		}
+		cols := randomColumns(f, rng, n, false)
 		var buf bytes.Buffer
 		if err := cols.EncodeBinary(&buf, colstore.IOOptions{}); err != nil {
 			f.Fatalf("EncodeBinary: %v", err)
@@ -409,11 +355,7 @@ func FuzzDecodeBinary(f *testing.F) {
 func TestLoadSniffing(t *testing.T) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(17))
-	ds := randomDataset(rng, 25, false)
-	cols, err := colstore.FromSurvey(schema, ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 25, false)
 	var wantJSON bytes.Buffer
 	if err := cols.WriteJSON(&wantJSON); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -462,11 +404,7 @@ func TestLoadSniffing(t *testing.T) {
 // binary form of a generated-style cohort is far smaller than its JSON.
 func TestBinarySizeAdvantage(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	ds := randomDataset(rng, 500, false)
-	cols, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols := randomColumns(t, rng, 500, false)
 	var js bytes.Buffer
 	if err := cols.WriteJSON(&js); err != nil {
 		t.Fatalf("WriteJSON: %v", err)

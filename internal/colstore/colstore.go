@@ -56,8 +56,8 @@ type Dataset struct {
 	extras []map[int]extra // per column, lazily allocated; sequential only
 	strtab strTable
 
-	// nilResponses preserves the row form's nil-vs-empty Responses
-	// slice distinction (they serialize differently).
+	// nilResponses records a JSON document whose "responses" was null
+	// or absent rather than [], so WriteJSON writes it back as null.
 	nilResponses bool
 }
 
@@ -110,7 +110,7 @@ func (d *Dataset) Token(i int) string {
 }
 
 // appendToken appends the auto token for respondent i ("r%04d" of i+1,
-// the survey.Anonymize scheme) to buf.
+// the Anonymize scheme) to buf.
 func appendToken(buf []byte, i int) []byte {
 	buf = append(buf, 'r')
 	v := i + 1
@@ -263,8 +263,8 @@ func (d *Dataset) ForEachMultiChoice(ci, i int, fn func(label string)) {
 	}
 }
 
-// --- Sequential (conversion-path) writers. These may intern strings
-// and allocate spill records, so they must not run concurrently.
+// --- Sequential writers. These may intern strings and allocate spill
+// records, so they must not run concurrently.
 
 // setSingleOther stores a free-text single-choice answer.
 func (d *Dataset) setSingleOther(ci, i int, text string) {
@@ -273,8 +273,8 @@ func (d *Dataset) setSingleOther(ci, i int, text string) {
 
 // setMultiChoices stores an arbitrary choices list. Lists that are the
 // canonical order (declared options in option order, then free text)
-// become bitset + refs; anything else is kept verbatim so ToSurvey
-// reproduces it exactly.
+// become bitset + refs; anything else is kept verbatim so the list
+// reads back exactly as given.
 func (d *Dataset) setMultiChoices(ci, i int, choices []string) {
 	c := &d.Schema.cols[ci]
 	var mask uint64
@@ -319,10 +319,15 @@ func (d *Dataset) putExtra(ci, i int, e extra) {
 	d.extras[ci][i] = e
 }
 
-// setAnswer stores one row-form answer into its column. Empty answers
-// normalize to absent. It rejects answers whose shape does not fit the
-// column kind (those would not survive a round trip).
-func (d *Dataset) setAnswer(ci, i int, a survey.Answer) error {
+// SetAnswer stores one answer of respondent i into column ci: a
+// true/false answer or a listed option as its code, a single-choice
+// label outside the option list as free text, a multi-choice list in
+// option order as a bitset plus free-text additions and any other list
+// verbatim. An empty answer leaves the cell as it is. It rejects an
+// answer whose shape does not fit the column kind, a bad true/false
+// string and an out-of-range Likert level. SetAnswer may intern
+// strings, so it must not run concurrently with other writers.
+func (d *Dataset) SetAnswer(ci, i int, a survey.Answer) error {
 	if a.IsUnanswered() {
 		return nil
 	}
@@ -370,72 +375,4 @@ func (d *Dataset) setAnswer(ci, i int, a survey.Answer) error {
 		d.setMultiChoices(ci, i, a.Choices)
 	}
 	return nil
-}
-
-// FromSurvey converts a row-form dataset into columns. Responses must
-// answer only questions in the schema; answer shapes must fit their
-// column kinds. Conversion is sequential (it may intern strings).
-func FromSurvey(s *Schema, ds *survey.Dataset) (*Dataset, error) {
-	d := s.NewDataset(ds.Version, len(ds.Responses))
-	d.nilResponses = ds.Responses == nil
-	d.tokens = make([]string, len(ds.Responses))
-	for i := range ds.Responses {
-		r := &ds.Responses[i]
-		d.tokens[i] = r.Token
-		for id, a := range r.Answers {
-			ci, ok := s.byID[id]
-			if !ok {
-				return nil, fmt.Errorf("colstore: response %d answers unknown question %q", i, id)
-			}
-			if err := d.setAnswer(ci, i, a); err != nil {
-				return nil, fmt.Errorf("colstore: response %d: %w", i, err)
-			}
-		}
-	}
-	return d, nil
-}
-
-// Response materializes respondent i in row form.
-func (d *Dataset) Response(i int) survey.Response {
-	r := survey.Response{Token: d.Token(i), Answers: map[string]survey.Answer{}}
-	for ci := range d.Schema.cols {
-		c := &d.Schema.cols[ci]
-		switch c.Kind {
-		case survey.TrueFalse:
-			switch d.u8[ci][i] {
-			case TFTrue:
-				r.Answers[c.ID] = survey.Answer{Choice: survey.AnswerTrue}
-			case TFFalse:
-				r.Answers[c.ID] = survey.Answer{Choice: survey.AnswerFalse}
-			case TFDontKnow:
-				r.Answers[c.ID] = survey.Answer{Choice: survey.AnswerDontKnow}
-			}
-		case survey.Likert:
-			if lv := d.u8[ci][i]; lv != 0 {
-				r.Answers[c.ID] = survey.Answer{Level: int(lv)}
-			}
-		case survey.SingleChoice:
-			if d.code[ci][i] != 0 {
-				r.Answers[c.ID] = survey.Answer{Choice: d.SingleLabel(ci, i)}
-			}
-		case survey.MultiChoice:
-			if cs := d.MultiChoices(ci, i); cs != nil {
-				r.Answers[c.ID] = survey.Answer{Choices: cs}
-			}
-		}
-	}
-	return r
-}
-
-// ToSurvey materializes the whole dataset in row form, sequentially.
-// Use ToSurveyWorkers for large cohorts.
-func (d *Dataset) ToSurvey() *survey.Dataset { return d.ToSurveyWorkers(1) }
-
-// responsesInto fills out[i] = d.Response(i) for i in [lo, hi); the
-// caller shards the index space (Response is read-only on d, so
-// distinct indices are safe concurrently).
-func (d *Dataset) responsesInto(out []survey.Response, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		out[i] = d.Response(i)
-	}
 }

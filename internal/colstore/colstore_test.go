@@ -3,6 +3,8 @@ package colstore_test
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -58,148 +60,179 @@ func randomAnswer(rng *rand.Rand, q survey.Question, allowEmpty bool) (survey.An
 	return survey.Answer{}, false
 }
 
-// randomDataset builds a row-form dataset over the quiz instrument with
-// seeded-random answers. When allowEmpty is set some answers are
-// explicitly present but empty (the documented normalization case).
-func randomDataset(rng *rand.Rand, n int, allowEmpty bool) *survey.Dataset {
-	ins := quiz.Instrument()
-	d := &survey.Dataset{Instrument: ins.Title, Version: ins.Version,
-		Responses: make([]survey.Response, n)}
-	for i := range d.Responses {
-		r := &d.Responses[i]
-		r.Answers = map[string]survey.Answer{}
-		for _, q := range ins.Questions() {
+// randomAnswers draws seeded-random answers over the quiz instrument:
+// answers[i][ci] is respondent i's answer to column ci, the zero Answer
+// when unanswered. When allowEmpty is set some answers are explicitly
+// present but empty (stored as unanswered).
+func randomAnswers(rng *rand.Rand, n int, allowEmpty bool) [][]survey.Answer {
+	qs := quiz.Instrument().Questions()
+	answers := make([][]survey.Answer, n)
+	for i := range answers {
+		answers[i] = make([]survey.Answer, len(qs))
+		for ci, q := range qs {
 			if rng.Intn(5) == 0 {
-				continue // unanswered: absent from the map
+				continue // unanswered
 			}
 			if a, ok := randomAnswer(rng, q, allowEmpty); ok {
-				r.Answers[q.ID] = a
+				answers[i][ci] = a
 			}
 		}
 	}
-	d.Anonymize()
+	return answers
+}
+
+// storeAnswers builds a dataset over the quiz schema holding answers
+// (see randomAnswers), with the automatic tokens r0001, r0002, ...
+func storeAnswers(t testing.TB, answers [][]survey.Answer) *colstore.Dataset {
+	t.Helper()
+	d := quiz.Columns().NewDataset("1.0", len(answers))
+	for i, row := range answers {
+		for ci, a := range row {
+			if err := d.SetAnswer(ci, i, a); err != nil {
+				t.Fatalf("SetAnswer(%d, %d, %+v): %v", ci, i, a, err)
+			}
+		}
+	}
 	return d
 }
 
-// normalize applies the two documented colstore normalizations to a
-// row-form dataset: explicitly-empty answers become absent, and nil
-// Answers maps become empty ones.
-func normalize(d *survey.Dataset) *survey.Dataset {
-	out := &survey.Dataset{Instrument: d.Instrument, Version: d.Version}
-	if d.Responses != nil {
-		out.Responses = make([]survey.Response, len(d.Responses))
-	}
-	for i, r := range d.Responses {
-		nr := survey.Response{Token: r.Token, Answers: map[string]survey.Answer{}}
-		for id, a := range r.Answers {
-			if !a.IsUnanswered() {
-				nr.Answers[id] = a
-			}
-		}
-		out.Responses[i] = nr
-	}
-	return out
+// randomColumns is a dataset of n respondents with seeded-random
+// answers (randomAnswers).
+func randomColumns(t testing.TB, rng *rand.Rand, n int, allowEmpty bool) *colstore.Dataset {
+	t.Helper()
+	return storeAnswers(t, randomAnswers(rng, n, allowEmpty))
 }
 
-// TestRoundTripProperty converts seeded-random row datasets to columns
-// and back, asserting deep equality up to the documented
-// normalizations. Covers free-text single answers, verbatim
-// (non-canonical) multi lists, free-text multi additions, explicitly
-// empty answers, and unanswered questions.
+// writeJSON is WriteJSON into a byte slice, fatal on error.
+func writeJSON(t testing.TB, d *colstore.Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// emptyJSON is the document of a dataset with no respondents whose
+// "responses" is null (nilResponses) or [].
+func emptyJSON(nilResponses bool) []byte {
+	responses := "[]"
+	if nilResponses {
+		responses = "null"
+	}
+	return []byte("{\n  \"instrument\": \"" + quiz.Instrument().Title + "\",\n  \"version\": \"1.0\",\n  \"responses\": " + responses + "\n}")
+}
+
+// cellAnswer reads cell (ci, i) back through the column readers as the
+// answer it holds (the zero Answer when unanswered).
+func cellAnswer(d *colstore.Dataset, ci, i int) survey.Answer {
+	switch d.Schema.Column(ci).Kind {
+	case survey.TrueFalse:
+		return survey.Answer{Choice: map[uint8]string{
+			colstore.TFTrue:     survey.AnswerTrue,
+			colstore.TFFalse:    survey.AnswerFalse,
+			colstore.TFDontKnow: survey.AnswerDontKnow,
+		}[d.TF(ci, i)]}
+	case survey.Likert:
+		return survey.Answer{Level: d.LikertLevel(ci, i)}
+	case survey.SingleChoice:
+		return survey.Answer{Choice: d.SingleLabel(ci, i)}
+	}
+	return survey.Answer{Choices: d.MultiChoices(ci, i)}
+}
+
+// TestRoundTripProperty stores seeded-random answers with SetAnswer and
+// reads every cell back through the column readers: each answer must
+// come back as given, and each explicitly-empty answer as unanswered.
+// Covers free-text single answers, verbatim (non-canonical) multi
+// lists, free-text multi additions and unanswered questions.
 func TestRoundTripProperty(t *testing.T) {
-	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		ds := randomDataset(rng, 1+rng.Intn(8), true)
-		cols, err := colstore.FromSurvey(schema, ds)
-		if err != nil {
-			t.Fatalf("trial %d: FromSurvey: %v", trial, err)
-		}
-		back := cols.ToSurvey()
-		want := normalize(ds)
-		if !reflect.DeepEqual(back, want) {
-			t.Fatalf("trial %d: round trip diverged\n got: %+v\nwant: %+v", trial, back, want)
+		answers := randomAnswers(rng, 1+rng.Intn(8), true)
+		d := storeAnswers(t, answers)
+		for i, row := range answers {
+			for ci, want := range row {
+				if got := cellAnswer(d, ci, i); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d: respondent %d, %s: read back %+v, stored %+v",
+						trial, i, d.Schema.Column(ci).ID, got, want)
+				}
+			}
 		}
 	}
 }
 
-// TestRoundTripNilAnswers checks the nil-map normalization and the
-// nil-vs-empty Responses distinction.
+// TestRoundTripNilAnswers checks a null answers object decodes as a
+// respondent who answered nothing, and the null-vs-[] "responses"
+// distinction of a dataset with no respondents.
 func TestRoundTripNilAnswers(t *testing.T) {
 	schema := quiz.Columns()
-	ins := quiz.Instrument()
-	ds := &survey.Dataset{Instrument: ins.Title, Version: "1.0",
-		Responses: []survey.Response{{Token: "r0001", Answers: nil}}}
-	cols, err := colstore.FromSurvey(schema, ds)
+	title := quiz.Instrument().Title
+	in := `{"instrument":"` + title + `","version":"1.0","responses":[{"token":"r0001","answers":null}]}`
+	d, err := colstore.DecodeJSON(schema, bytes.NewReader([]byte(in)))
 	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
+		t.Fatalf("DecodeJSON: %v", err)
 	}
-	back := cols.ToSurvey()
-	if back.Responses[0].Answers == nil {
-		t.Fatalf("nil Answers map should normalize to an empty map")
-	}
-	if len(back.Responses[0].Answers) != 0 {
-		t.Fatalf("empty response grew answers: %+v", back.Responses[0].Answers)
+	want := "{\n  \"instrument\": \"" + title + "\",\n  \"version\": \"1.0\",\n  \"responses\": [\n" +
+		"    {\n      \"token\": \"r0001\",\n      \"answers\": {}\n    }\n  ]\n}"
+	if got := writeJSON(t, d); string(got) != want {
+		t.Fatalf("null answers: WriteJSON\n got %q\nwant %q", got, want)
 	}
 
-	for _, responses := range [][]survey.Response{nil, {}} {
-		ds := &survey.Dataset{Instrument: ins.Title, Version: "1.0", Responses: responses}
-		cols, err := colstore.FromSurvey(schema, ds)
+	if got := writeJSON(t, schema.NewDataset("1.0", 0)); !bytes.Equal(got, emptyJSON(false)) {
+		t.Fatalf("NewDataset(0): WriteJSON\n got %q\nwant %q", got, emptyJSON(false))
+	}
+	for _, nilResponses := range []bool{true, false} {
+		d, err := colstore.DecodeJSON(schema, bytes.NewReader(emptyJSON(nilResponses)))
 		if err != nil {
-			t.Fatalf("FromSurvey: %v", err)
+			t.Fatalf("nil=%v: DecodeJSON: %v", nilResponses, err)
 		}
-		want, err := survey.EncodeDataset(ds)
-		if err != nil {
-			t.Fatalf("EncodeDataset: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := cols.WriteJSON(&buf); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("nil=%v: WriteJSON diverged from EncodeDataset:\n got %q\nwant %q",
-				responses == nil, buf.Bytes(), want)
+		if got := writeJSON(t, d); !bytes.Equal(got, emptyJSON(nilResponses)) {
+			t.Fatalf("nil=%v: WriteJSON\n got %q\nwant %q", nilResponses, got, emptyJSON(nilResponses))
 		}
 	}
 }
 
-// TestWriteJSONByteIdentity asserts WriteJSON emits byte-for-byte what
-// survey.EncodeDataset produces on the row form, for seeded-random
-// datasets with every answer shape the encoder supports (free text with
-// characters that hit encoding/json's HTML escaping included).
+// TestWriteJSONByteIdentity pins the codecs to committed bytes:
+// testdata/random12.json and random12.fpds hold a 12-respondent dataset
+// of seed-2018 random answers (every answer shape, free text with
+// characters that hit encoding/json's HTML escaping included), written
+// by the row-form JSON encoder and the FPDS encoder of an earlier
+// version. WriteJSON of the same answers, and of either file decoded,
+// must give the JSON bytes; EncodeBinary of the decoded JSON must give
+// the FPDS bytes.
 func TestWriteJSONByteIdentity(t *testing.T) {
 	schema := quiz.Columns()
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		// No explicitly-empty answers: those serialize as "id": {} in the
-		// row form and are normalized to absent by colstore (see the
-		// package fidelity contract).
-		ds := randomDataset(rng, 1+rng.Intn(8), false)
-		cols, err := colstore.FromSurvey(schema, ds)
-		if err != nil {
-			t.Fatalf("trial %d: FromSurvey: %v", trial, err)
-		}
-		want, err := survey.EncodeDataset(ds)
-		if err != nil {
-			t.Fatalf("trial %d: EncodeDataset: %v", trial, err)
-		}
-		var buf bytes.Buffer
-		if err := cols.WriteJSON(&buf); err != nil {
-			t.Fatalf("trial %d: WriteJSON: %v", trial, err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			a, b := buf.Bytes(), want
+	wantJSON, err := os.ReadFile(filepath.Join("testdata", "random12.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFPDS, err := os.ReadFile(filepath.Join("testdata", "random12.fpds"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := randomColumns(t, rand.New(rand.NewSource(2018)), 12, false)
+	fromJSON, err := colstore.DecodeJSON(schema, bytes.NewReader(wantJSON))
+	if err != nil {
+		t.Fatalf("DecodeJSON: %v", err)
+	}
+	fromFPDS, err := colstore.DecodeBinary(schema, bytes.NewReader(wantFPDS), colstore.IOOptions{})
+	if err != nil {
+		t.Fatalf("DecodeBinary: %v", err)
+	}
+	for name, d := range map[string]*colstore.Dataset{"stored": stored, "json": fromJSON, "fpds": fromFPDS} {
+		if got := writeJSON(t, d); !bytes.Equal(got, wantJSON) {
 			i := 0
-			for i < len(a) && i < len(b) && a[i] == b[i] {
+			for i < len(got) && i < len(wantJSON) && got[i] == wantJSON[i] {
 				i++
 			}
-			lo := i - 60
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("trial %d: WriteJSON diverged from EncodeDataset at byte %d:\n got ...%s\nwant ...%s",
-				trial, i, a[lo:min(i+60, len(a))], b[lo:min(i+60, len(b))])
+			lo := max(i-60, 0)
+			t.Fatalf("%s: WriteJSON diverged from random12.json at byte %d:\n got ...%s\nwant ...%s",
+				name, i, got[lo:min(i+60, len(got))], wantJSON[lo:min(i+60, len(wantJSON))])
 		}
+	}
+	if got := encodeBinary(t, fromJSON, 0); !bytes.Equal(got, wantFPDS) {
+		t.Fatalf("EncodeBinary of random12.json differs from random12.fpds")
 	}
 }
 
@@ -207,31 +240,20 @@ func TestWriteJSONByteIdentity(t *testing.T) {
 // payloads share one entry.
 func TestInternedStrings(t *testing.T) {
 	schema := quiz.Columns()
-	ins := quiz.Instrument()
-	var single string
-	for _, q := range ins.Questions() {
-		if q.Kind == survey.SingleChoice {
-			single = q.ID
+	single := -1
+	for ci := 0; ci < schema.NumColumns(); ci++ {
+		if schema.Column(ci).Kind == survey.SingleChoice {
+			single = ci
 			break
 		}
 	}
-	ds := &survey.Dataset{Instrument: ins.Title, Version: "1.0",
-		Responses: []survey.Response{
-			{Token: "r0001", Answers: map[string]survey.Answer{single: {Choice: "write-in"}}},
-			{Token: "r0002", Answers: map[string]survey.Answer{single: {Choice: "write-in"}}},
-		}}
-	cols, err := colstore.FromSurvey(schema, ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
+	d := schema.NewDataset("1.0", 2)
+	for i := 0; i < 2; i++ {
+		if err := d.SetAnswer(single, i, survey.Answer{Choice: "write-in"}); err != nil {
+			t.Fatalf("SetAnswer: %v", err)
+		}
 	}
-	if got := cols.InternedStrings(); got != 1 {
+	if got := d.InternedStrings(); got != 1 {
 		t.Fatalf("InternedStrings = %d, want 1 (identical payloads share an entry)", got)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -16,7 +16,6 @@ import (
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
-	"fpstudy/internal/survey"
 )
 
 // writeTemp writes data to a fresh file and returns its path.
@@ -54,14 +53,12 @@ func fuzzInput(t *testing.T, name string) []byte {
 // explicit tokens.
 func parityDataset(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 	t.Helper()
-	ds := randomDataset(rng, n, false)
+	cols := randomColumns(t, rng, n, false)
+	tokens := map[int]string{}
 	for i := 0; i < n; i += 1 + n/3 {
-		ds.Responses[i].Token = fmt.Sprintf("participant-%d", i)
+		tokens[i] = fmt.Sprintf("participant-%d", i)
 	}
-	cols, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
+	cols.SetTokens(tokens)
 	return cols
 }
 
@@ -89,13 +86,12 @@ func TestDecoderParity(t *testing.T) {
 		cols *colstore.Dataset
 	}
 	var cases []dataset
-	for _, responses := range [][]survey.Response{nil, {}} {
-		ds := &survey.Dataset{Instrument: schema.Title, Version: "1.0", Responses: responses}
-		cols, err := colstore.FromSurvey(schema, ds)
+	for _, nilResponses := range []bool{true, false} {
+		cols, err := colstore.DecodeJSON(schema, bytes.NewReader(emptyJSON(nilResponses)))
 		if err != nil {
-			t.Fatalf("FromSurvey: %v", err)
+			t.Fatalf("DecodeJSON: %v", err)
 		}
-		cases = append(cases, dataset{fmt.Sprintf("n=0 nil=%v", responses == nil), cols})
+		cases = append(cases, dataset{fmt.Sprintf("n=0 nil=%v", nilResponses), cols})
 	}
 	b := colstore.BlockRespondents
 	for _, n := range []int{1, b - 1, b, b + 1, 3*b + 5} {

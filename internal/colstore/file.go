@@ -64,7 +64,7 @@ type LoadInfo struct {
 // Load sniffs r's format and decodes it with the matching codec (see
 // DecodeBinary for the schema contract; pass a nil schema to accept
 // whatever instrument the file declares — JSON loading then fails,
-// since the row form cannot be interpreted without one). An FPDS input
+// since JSON answers cannot be resolved without one). An FPDS input
 // is read to its end, as DecodeBinary reads it. LoadInfo.Bytes counts
 // every byte read from r.
 func Load(s *Schema, r io.Reader, opt IOOptions) (*Dataset, LoadInfo, error) {

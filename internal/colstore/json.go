@@ -8,12 +8,15 @@ import (
 	"fpstudy/internal/survey"
 )
 
-// WriteJSON streams the dataset as indented JSON, producing exactly the
-// bytes survey.EncodeDataset would emit for the row form — without
-// materializing a single map. Answers are emitted in sorted question-ID
-// order (encoding/json's sorted map keys); option labels and question
-// IDs use JSON literals precomputed at schema build time, so
-// serializing one respondent is a pure buffer append.
+// WriteJSON streams the dataset as the row-shaped JSON document (see
+// the package's fidelity contract): the bytes encoding/json's
+// MarshalIndent with a two-space indent gives a struct of instrument,
+// version and responses, each response a token and a map of question
+// ID to answer, built without materializing a single map. Answers are
+// emitted in sorted question-ID order (encoding/json's sorted map
+// keys); option labels and question IDs use JSON literals precomputed
+// at schema build time, so serializing one respondent is a pure buffer
+// append.
 func (d *Dataset) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.WriteString("{\n  \"instrument\": ")
@@ -67,8 +70,9 @@ var (
 	jsonDontKnow = mustJSON(survey.AnswerDontKnow)
 )
 
-// appendResponse appends respondent i exactly as
-// json.MarshalIndent(&survey.Response{...}, "    ", "  ") renders it.
+// appendResponse appends respondent i's {"token", "answers"} object at
+// the indentation of an element of the "responses" array, each answer
+// a survey.Answer as encoding/json renders it.
 func (d *Dataset) appendResponse(buf []byte, i int) []byte {
 	buf = append(buf, "{\n      \"token\": "...)
 	if d.tokens != nil {

@@ -9,19 +9,18 @@ import (
 	"fpstudy/internal/survey"
 )
 
-// DecodeJSON parses an fpgen-shaped JSON dataset (the survey row form)
-// straight into columns, token by token: no []survey.Response, no
+// DecodeJSON parses a row-shaped JSON dataset (the document WriteJSON
+// and fpgen write) straight into columns, token by token: no
 // per-respondent answer maps, no whole-file buffer. Memory is bounded
 // by the columns themselves plus one respondent's worth of decoder
-// state, so legacy JSON datasets load without the map-heavy hot path
-// the columnar layout exists to avoid.
+// state.
 //
 // The file's instrument title must match s.Title (answers are resolved
-// against s's option tables), and every answer must fit its column kind
-// — the same contract as FromSurvey, with the same normalizations
-// (explicitly-present-but-empty answers drop, a null answers object
-// becomes empty). Errors name the first offending respondent index and
-// question ID.
+// against s's option tables), every answered question must be in the
+// schema, and every answer must fit its column kind as SetAnswer
+// requires. An explicitly-present-but-empty answer is stored as
+// unanswered, and a null answers object as no answers. Errors name the
+// first offending respondent index and question ID.
 func DecodeJSON(s *Schema, r io.Reader) (*Dataset, error) {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	if err := expectDelim(dec, '{', "dataset"); err != nil {
@@ -175,7 +174,7 @@ func (d *Dataset) decodeAnswers(dec *json.Decoder, i int, scratch *survey.Answer
 		if err := decodeAnswer(dec, scratch); err != nil {
 			return fmt.Errorf("colstore: decode json: response %d: question %q: %w", i, id, err)
 		}
-		if err := d.setAnswer(ci, i, *scratch); err != nil {
+		if err := d.SetAnswer(ci, i, *scratch); err != nil {
 			return fmt.Errorf("colstore: decode json: response %d: %w", i, err)
 		}
 	}

@@ -12,18 +12,14 @@ import (
 	"fpstudy/internal/survey"
 )
 
-// TestDecodeJSONRoundTrip streams seeded-random row JSON into columns
-// and requires WriteJSON to reproduce the input byte-for-byte — the
-// streaming ingest must be lossless against the whole-document path.
+// TestDecodeJSONRoundTrip streams the JSON of seeded-random datasets
+// back into columns and requires WriteJSON to reproduce it
+// byte-for-byte.
 func TestDecodeJSONRoundTrip(t *testing.T) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 20; trial++ {
-		ds := randomDataset(rng, rng.Intn(30), false)
-		want, err := survey.EncodeDataset(ds)
-		if err != nil {
-			t.Fatalf("trial %d: EncodeDataset: %v", trial, err)
-		}
+		want := writeJSON(t, randomColumns(t, rng, rng.Intn(30), false))
 		cols, err := colstore.DecodeJSON(schema, bytes.NewReader(want))
 		if err != nil {
 			t.Fatalf("trial %d: DecodeJSON: %v", trial, err)
@@ -46,11 +42,7 @@ func TestDecodeJSONRoundTrip(t *testing.T) {
 func TestDecodeJSONToBinaryChain(t *testing.T) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(37))
-	ds := randomDataset(rng, 60, false)
-	src, err := survey.EncodeDataset(ds)
-	if err != nil {
-		t.Fatalf("EncodeDataset: %v", err)
-	}
+	src := writeJSON(t, randomColumns(t, rng, 60, false))
 	cols, err := colstore.DecodeJSON(schema, bytes.NewReader(src))
 	if err != nil {
 		t.Fatalf("DecodeJSON: %v", err)
@@ -73,27 +65,27 @@ func TestDecodeJSONToBinaryChain(t *testing.T) {
 }
 
 // TestDecodeJSONNilVsEmpty pins the null-vs-[] responses distinction
-// through the streaming path.
+// through the streaming path, and that a document without "responses"
+// reads as null.
 func TestDecodeJSONNilVsEmpty(t *testing.T) {
 	schema := quiz.Columns()
-	ins := quiz.Instrument()
-	for _, responses := range [][]survey.Response{nil, {}} {
-		ds := &survey.Dataset{Instrument: ins.Title, Version: "1.0", Responses: responses}
-		want, err := survey.EncodeDataset(ds)
-		if err != nil {
-			t.Fatalf("EncodeDataset: %v", err)
-		}
+	for _, nilResponses := range []bool{true, false} {
+		want := emptyJSON(nilResponses)
 		cols, err := colstore.DecodeJSON(schema, bytes.NewReader(want))
 		if err != nil {
-			t.Fatalf("nil=%v: DecodeJSON: %v", responses == nil, err)
+			t.Fatalf("nil=%v: DecodeJSON: %v", nilResponses, err)
 		}
-		var got bytes.Buffer
-		if err := cols.WriteJSON(&got); err != nil {
-			t.Fatalf("WriteJSON: %v", err)
+		if got := writeJSON(t, cols); !bytes.Equal(got, want) {
+			t.Fatalf("nil=%v: round trip diverged:\n got %q\nwant %q", nilResponses, got, want)
 		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("nil=%v: round trip diverged:\n got %q\nwant %q", responses == nil, got.Bytes(), want)
-		}
+	}
+	absent := `{"instrument":"` + schema.Title + `","version":"1.0"}`
+	cols, err := colstore.DecodeJSON(schema, strings.NewReader(absent))
+	if err != nil {
+		t.Fatalf("no responses key: DecodeJSON: %v", err)
+	}
+	if got := writeJSON(t, cols); !bytes.Equal(got, emptyJSON(true)) {
+		t.Fatalf("no responses key: WriteJSON\n got %q\nwant %q", got, emptyJSON(true))
 	}
 }
 
@@ -145,11 +137,7 @@ func TestDecodeJSONErrors(t *testing.T) {
 func TestDecodeJSONBoundedBuffering(t *testing.T) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(41))
-	ds := randomDataset(rng, 10, false)
-	want, err := survey.EncodeDataset(ds)
-	if err != nil {
-		t.Fatalf("EncodeDataset: %v", err)
-	}
+	want := writeJSON(t, randomColumns(t, rng, 10, false))
 	cols, err := colstore.DecodeJSON(schema, &drip{data: want})
 	if err != nil {
 		t.Fatalf("DecodeJSON over dripping reader: %v", err)
@@ -185,11 +173,7 @@ func FuzzDecodeJSON(f *testing.F) {
 	schema := quiz.Columns()
 	rng := rand.New(rand.NewSource(31))
 	for _, n := range []int{0, 1, 7} {
-		src, err := survey.EncodeDataset(randomDataset(rng, n, false))
-		if err != nil {
-			f.Fatalf("EncodeDataset: %v", err)
-		}
-		f.Add(src)
+		f.Add(writeJSON(f, randomColumns(f, rng, n, false)))
 	}
 	title := quiz.Instrument().Title
 	f.Add([]byte(`{"instrument":"nope","responses":[]}`))

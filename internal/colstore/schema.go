@@ -1,16 +1,17 @@
-// Package colstore is the columnar storage layer under the study
-// pipeline: a structure-of-arrays representation of survey datasets in
-// which question IDs are interned once into dense column indices and
-// answers are stored as compact per-question code columns instead of
-// one map[string]Answer per respondent.
+// Package colstore is the one representation of survey datasets in
+// this repository: a structure-of-arrays layout in which question IDs
+// are interned once into dense column indices and answers are stored as
+// compact per-question code columns. Generation writes it, both file
+// codecs (row-shaped JSON and the FPDS binary) read and write it, and
+// grading, the query engine, the figures and the command-line tools
+// read it.
 //
 // # Why columns
 //
-// The row representation (survey.Response) costs one map allocation
-// plus ~30 string-hash insertions per respondent. At n=1M that is
-// gigabytes of short-lived garbage and a hard allocation wall in the
-// generation and grading hot loops. The columnar layout stores one
-// contiguous slice per question:
+// A dataset held as one answer map per respondent costs one map
+// allocation plus ~30 string-hash insertions per respondent: at n=1M
+// that is gigabytes of short-lived garbage. The columnar layout stores
+// one contiguous slice per question:
 //
 //	true/false   []uint8   0=unanswered 1=true 2=false 3=don't know
 //	likert       []uint8   0=unanswered, else the 1-based level
@@ -21,8 +22,8 @@
 //	                       non-canonical lists spill to a side table
 //
 // so the per-respondent write path is a handful of indexed stores with
-// zero allocations, and whole-cohort scans (grading, figure tallies)
-// are linear walks over dense arrays.
+// zero allocations, and whole-cohort scans (grading, figure tallies,
+// validation, CSV export) are linear walks over dense arrays.
 //
 // # Determinism and sharding contract
 //
@@ -31,21 +32,23 @@
 // exactly like the per-index RNG streams in internal/parallel — any
 // partition of [0, n) across workers produces the same dataset.
 // The spill paths (free text, verbatim choice lists) are NOT safe for
-// concurrent use and are reserved for sequential conversion
-// (FromSurvey); generated cohorts never take them.
+// concurrent use and are reserved for sequential writers (DecodeJSON,
+// SetAnswer); generated cohorts never take them.
 //
 // # Fidelity contract
 //
-// A Dataset converts losslessly to and from the row form with two
-// documented normalizations: explicitly-present-but-empty answers
-// normalize to absent (semantically identical — IsUnanswered — though
-// the row form would have serialized the empty answer as "id": {}),
-// and a nil Answers map normalizes to an empty one. ToSurvey output is
-// deeply equal to the FromSurvey input up to those normalizations, and
-// WriteJSON emits byte-for-byte the same document as
-// survey.EncodeDataset on the normalized row form (identical to the
-// original whenever it carried no explicitly-empty answers — generated
-// cohorts never do).
+// WriteJSON emits the row-shaped JSON document: the instrument title,
+// the version, and one {"token", "answers"} object per respondent with
+// its answered questions in sorted ID order, indented as
+// encoding/json's MarshalIndent with two spaces indents it. DecodeJSON
+// reads that document back, and WriteJSON of the result reproduces the
+// input byte for byte, with one documented normalization: an
+// explicitly-present-but-empty answer ("id": {}) is stored as
+// unanswered and so is not written again. A single-choice label outside
+// the option list and a multi-choice list that is not in option order
+// are kept exactly as given. The FPDS codec carries every column, the
+// string arena and the tokens, so a dataset survives any chain of the
+// two codecs unchanged.
 package colstore
 
 import (

@@ -67,24 +67,19 @@ func outsideCohort(t *testing.T, n int) *colstore.Dataset {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	ins := quiz.Instrument()
-	ds := &survey.Dataset{Instrument: ins.Title, Version: ins.Version,
-		Responses: make([]survey.Response, n)}
-	for i := range ds.Responses {
-		r := &ds.Responses[i]
-		r.Answers = map[string]survey.Answer{}
-		for _, q := range ins.Questions() {
+	built := quiz.Columns().NewDataset(ins.Version, n)
+	qs := ins.Questions()
+	for i := 0; i < n; i++ {
+		for ci, q := range qs {
 			if rng.Intn(6) == 0 {
 				continue
 			}
 			if a, ok := outsideAnswer(rng, q); ok {
-				r.Answers[q.ID] = a
+				if err := built.SetAnswer(ci, i, a); err != nil {
+					t.Fatalf("SetAnswer: %v", err)
+				}
 			}
 		}
-	}
-	ds.Anonymize()
-	built, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
 	}
 	var js bytes.Buffer
 	if err := built.WriteJSON(&js); err != nil {

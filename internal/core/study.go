@@ -45,7 +45,7 @@ func DefaultStudy() Study {
 type Results struct {
 	Study Study
 	// Main is the main cohort. Every figure, claim and analysis reads
-	// its columns, Main.Cols; the row view Main.Dataset stays nil.
+	// its columns, Main.Cols.
 	Main *respondent.Population
 	// StudentCols is the student cohort's columnar storage.
 	StudentCols *colstore.Dataset
@@ -160,7 +160,7 @@ var backgroundFigures = []backgroundFigure{
 
 // FigureBackground renders one of Figures 1-11: the generated cohort's
 // distribution with the paper's values alongside. The counts come from
-// the main cohort's paper plan; they follow survey.Instrument.Tally
+// the main cohort's paper plan; they follow fpsurvey -tally
 // ("unanswered" bucket, one count per selected multi-choice option,
 // free text counted under its label).
 func (r *Results) FigureBackground(num int) report.Table {

@@ -28,8 +28,8 @@ func TestDefaultStudySizes(t *testing.T) {
 	if n := paperResults.StudentCols.Len(); n != paperdata.NStudent {
 		t.Fatalf("students n = %d", n)
 	}
-	if r := paperResults.Main.Cols.Response(0); len(r.Answers) == 0 {
-		t.Fatal("respondent 0 has no answers")
+	if core, _, _ := quiz.ScoreColumnsAt(paperResults.Main.Cols, 0); core.Unanswered == core.Total() {
+		t.Fatal("respondent 0 answered no core question")
 	}
 	if tallies, _ := paperResults.Tallies(); len(tallies) != paperdata.NMain {
 		t.Fatalf("tallies n = %d", len(tallies))

@@ -4,14 +4,14 @@ package ieee754
 func (f Format) Add(e *Env, a, b uint64) uint64 {
 	e.begin()
 	r := f.addSub(e, a, b, false)
-	return e.finish("add", f, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 // Sub returns a - b rounded per the environment.
 func (f Format) Sub(e *Env, a, b uint64) uint64 {
 	e.begin()
 	r := f.addSub(e, a, b, true)
-	return e.finish("sub", f, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 // addSub implements both addition and subtraction; negate flips the sign

@@ -3,9 +3,7 @@ package ieee754
 import "testing"
 
 // Hot-path microbenchmarks for the three core arithmetic operations on
-// binary64. ReportAllocs guards the zero-allocation contract of the
-// unobserved path (no OpEvent is materialised when Env.Observer is
-// nil).
+// binary64. ReportAllocs guards their zero-allocation contract.
 
 var benchSink uint64
 
@@ -42,19 +40,5 @@ func BenchmarkFMABinary64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = Binary64.FMA(e, x, y, z)
-	}
-}
-
-// BenchmarkAddBinary64Observed measures the same add with an observer
-// installed — the cost of materialising and delivering the OpEvent.
-func BenchmarkAddBinary64Observed(b *testing.B) {
-	e := NewEnv()
-	var events int
-	e.Observer = func(OpEvent) { events++ }
-	x, y, _ := benchOperands()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink = Binary64.Add(e, x, y)
 	}
 }

@@ -37,7 +37,7 @@ func (f Format) CompareQuiet(e *Env, a, b uint64) Ordering {
 		e.raise(FlagInvalid)
 	}
 	o := f.compare(a, b)
-	e.finish("cmp", f, 2, a, b, 0, uint64(int64(o)))
+	e.commit()
 	return o
 }
 
@@ -50,7 +50,7 @@ func (f Format) CompareSignaling(e *Env, a, b uint64) Ordering {
 		e.raise(FlagInvalid)
 	}
 	o := f.compare(a, b)
-	e.finish("cmp", f, 2, a, b, 0, uint64(int64(o)))
+	e.commit()
 	return o
 }
 
@@ -154,10 +154,6 @@ func (f Format) MaxNum(e *Env, a, b uint64) uint64 {
 
 func (f Format) minMax(e *Env, a, b uint64, min bool) uint64 {
 	e.begin()
-	op := "maxnum"
-	if min {
-		op = "minnum"
-	}
 	var r uint64
 	aNaN, bNaN := f.IsNaN(a), f.IsNaN(b)
 	if f.IsSignalingNaN(a) || f.IsSignalingNaN(b) {
@@ -185,5 +181,5 @@ func (f Format) minMax(e *Env, a, b uint64, min bool) uint64 {
 			r = b
 		}
 	}
-	return e.finish(op, f, 2, a, b, 0, r)
+	return e.finish(r)
 }

@@ -13,7 +13,7 @@ import (
 func (f Format) Convert(e *Env, g Format, x uint64) uint64 {
 	e.begin()
 	r := f.convert(e, g, x)
-	return e.finish("cvt", g, 1, x, 0, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) convert(e *Env, g Format, x uint64) uint64 {
@@ -66,7 +66,7 @@ func (f Format) ToFloat64(x uint64) float64 {
 func (f Format) FromInt64(e *Env, v int64) uint64 {
 	e.begin()
 	r := f.fromInt64(e, v)
-	return e.finish("cvt_i2f", f, 1, uint64(v), 0, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) fromInt64(e *Env, v int64) uint64 {
@@ -90,7 +90,7 @@ func (f Format) fromInt64(e *Env, v int64) uint64 {
 func (f Format) FromUint64(e *Env, v uint64) uint64 {
 	e.begin()
 	r := f.fromUint64(e, v)
-	return e.finish("cvt_u2f", f, 1, v, 0, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) fromUint64(e *Env, v uint64) uint64 {
@@ -109,7 +109,7 @@ func (f Format) fromUint64(e *Env, v uint64) uint64 {
 func (f Format) ToInt64(e *Env, x uint64) int64 {
 	e.begin()
 	r := f.toInt64(e, x)
-	e.finish("cvt_f2i", f, 1, x, 0, 0, uint64(r))
+	e.commit()
 	return r
 }
 
@@ -229,7 +229,7 @@ func (f Format) roundAwayInt(e *Env, sign bool, fracBits uint64, odd bool) bool 
 func (f Format) RoundToIntegral(e *Env, x uint64) uint64 {
 	e.begin()
 	r := f.roundToIntegral(e, x)
-	return e.finish("rint", f, 1, x, 0, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) roundToIntegral(e *Env, x uint64) uint64 {

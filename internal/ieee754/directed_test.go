@@ -368,26 +368,6 @@ func TestExactOperationsRaiseNothing(t *testing.T) {
 	}
 }
 
-func TestObserverSeesEveryOp(t *testing.T) {
-	var events []OpEvent
-	e := Env{Observer: func(ev OpEvent) { events = append(events, ev) }}
-	Binary64.Add(&e, b64(1), b64(2))
-	Binary64.Div(&e, b64(1), b64(0))
-	Binary64.Sqrt(&e, b64(2))
-	if len(events) != 3 {
-		t.Fatalf("observer saw %d events, want 3", len(events))
-	}
-	if events[0].Op != "add" || events[1].Op != "div" || events[2].Op != "sqrt" {
-		t.Fatalf("ops: %v %v %v", events[0].Op, events[1].Op, events[2].Op)
-	}
-	if events[1].Raised != FlagDivByZero {
-		t.Fatalf("div event raised %v", events[1].Raised)
-	}
-	if !events[2].Raised.Has(FlagInexact) {
-		t.Fatalf("sqrt(2) event raised %v", events[2].Raised)
-	}
-}
-
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		x uint64

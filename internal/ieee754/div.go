@@ -6,7 +6,7 @@ package ieee754
 func (f Format) Div(e *Env, a, b uint64) uint64 {
 	e.begin()
 	r := f.div(e, a, b)
-	return e.finish("div", f, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) div(e *Env, a, b uint64) uint64 {

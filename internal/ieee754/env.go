@@ -112,18 +112,6 @@ func (fl Flags) Count() int {
 // AllFlags is the union of every flag this package can raise.
 const AllFlags = FlagInvalid | FlagDivByZero | FlagOverflow | FlagUnderflow | FlagInexact | FlagDenormal
 
-// OpEvent describes one completed arithmetic operation; it is delivered
-// to Env.Observer when one is installed.
-type OpEvent struct {
-	Op     string // "add", "mul", "div", "sqrt", "fma", ...
-	Format Format
-	A, B,
-	C uint64 // operands (unused trail as 0)
-	NArgs  int
-	Result uint64
-	Raised Flags // flags raised by this operation alone
-}
-
 // Env is a floating point environment: rounding mode, sticky exception
 // flags, and non-standard mode controls. The zero value is the default
 // IEEE environment (round to nearest even, no flags, FTZ/DAZ off).
@@ -149,10 +137,6 @@ type Env struct {
 	// LastRaised holds the flags raised by the most recent operation.
 	LastRaised Flags
 
-	// Observer, when non-nil, is invoked after every arithmetic
-	// operation with its operands, result and raised flags.
-	Observer func(OpEvent)
-
 	raised Flags // accumulates during the current operation
 }
 
@@ -161,11 +145,8 @@ func NewEnv() *Env { return &Env{} }
 
 // Clone returns an independent copy of the environment for use by
 // another goroutine: the mode controls (rounding direction, FTZ, DAZ)
-// and the sticky flags are carried over; the per-operation state and
-// the Observer are not. The Observer is deliberately dropped because a
-// shared callback would be invoked concurrently from every goroutine
-// that holds a clone — install a fresh per-goroutine observer on the
-// clone if events are needed.
+// and the sticky flags are carried over; the per-operation state is
+// not.
 //
 // The one-Env-per-goroutine rule: an Env mutates internal state on
 // every operation, so two goroutines must never share one. Clone the
@@ -192,20 +173,17 @@ func (e *Env) raise(f Flags) { e.raised |= f }
 // exactly once.
 func (e *Env) begin() { e.raised = 0 }
 
-// finish commits per-operation flags into the sticky set, delivers the
-// event to the Observer if one is installed, and returns the result for
-// convenient tail calls. It takes scalar arguments rather than an
-// OpEvent so that the unobserved hot path never materialises the event
-// struct at all; unused operand slots are passed as 0.
-func (e *Env) finish(op string, f Format, nargs int, a, b, c, r uint64) uint64 {
+// commit records the flags of the operation in progress as LastRaised
+// and merges them into the sticky set.
+func (e *Env) commit() {
 	e.LastRaised = e.raised
 	e.Flags |= e.raised
-	if e.Observer != nil {
-		e.Observer(OpEvent{
-			Op: op, Format: f, A: a, B: b, C: c,
-			NArgs: nargs, Result: r, Raised: e.raised,
-		})
-	}
+}
+
+// finish commits the operation's flags and returns its result, for
+// tail calls.
+func (e *Env) finish(r uint64) uint64 {
+	e.commit()
 	return r
 }
 

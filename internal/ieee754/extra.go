@@ -38,7 +38,7 @@ func (f Format) NextDown(x uint64) uint64 {
 func (f Format) ScaleB(e *Env, x uint64, k int) uint64 {
 	e.begin()
 	r := f.scaleB(e, x, k)
-	return e.finish("scaleb", f, 2, x, uint64(int64(k)), 0, r)
+	return e.finish(r)
 }
 
 func (f Format) scaleB(e *Env, x uint64, k int) uint64 {
@@ -86,7 +86,7 @@ func (f Format) LogB(e *Env, x uint64) int {
 			r = u.exp
 		}
 	}
-	e.finish("logb", f, 1, x, 0, 0, uint64(int64(r)))
+	e.commit()
 	return r
 }
 

@@ -11,7 +11,7 @@ package ieee754
 func (f Format) FMA(e *Env, a, b, c uint64) uint64 {
 	e.begin()
 	r := f.fma(e, a, b, c)
-	return e.finish("fma", f, 3, a, b, c, r)
+	return e.finish(r)
 }
 
 func (f Format) fma(e *Env, a, b, c uint64) uint64 {

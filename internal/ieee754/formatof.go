@@ -21,14 +21,14 @@ func div64x63(sigA, sigB uint64) (q, rem uint64) {
 func (f Format) AddTo(e *Env, dst Format, a, b uint64) uint64 {
 	e.begin()
 	r := f.addSubTo(e, dst, a, b, false)
-	return e.finish("add", dst, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 // SubTo returns a - b (operands in f) rounded once into dst.
 func (f Format) SubTo(e *Env, dst Format, a, b uint64) uint64 {
 	e.begin()
 	r := f.addSubTo(e, dst, a, b, true)
-	return e.finish("sub", dst, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) addSubTo(e *Env, dst Format, a, b uint64, negate bool) uint64 {
@@ -155,7 +155,7 @@ func (f Format) MulTo(e *Env, dst Format, a, b uint64) uint64 {
 			r = dst.roundPack128(e, sign, exp, p, false)
 		}
 	}
-	return e.finish("mul", dst, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 // DivTo returns a / b (operands in f) rounded once into dst.
@@ -198,7 +198,7 @@ func (f Format) DivTo(e *Env, dst Format, a, b uint64) uint64 {
 			r = dst.roundPack(e, sign, exp, q, sticky)
 		}
 	}
-	return e.finish("div", dst, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 // convertFiniteTo converts a finite (possibly zero) value exactly into

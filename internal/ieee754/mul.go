@@ -4,7 +4,7 @@ package ieee754
 func (f Format) Mul(e *Env, a, b uint64) uint64 {
 	e.begin()
 	r := f.mul(e, a, b)
-	return e.finish("mul", f, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) mul(e *Env, a, b uint64) uint64 {

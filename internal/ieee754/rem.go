@@ -9,7 +9,7 @@ import "math/bits"
 func (f Format) Rem(e *Env, a, b uint64) uint64 {
 	e.begin()
 	r := f.rem(e, a, b)
-	return e.finish("rem", f, 2, a, b, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) rem(e *Env, a, b uint64) uint64 {

@@ -6,7 +6,7 @@ package ieee754
 func (f Format) Sqrt(e *Env, a uint64) uint64 {
 	e.begin()
 	r := f.sqrt(e, a)
-	return e.finish("sqrt", f, 1, a, 0, 0, r)
+	return e.finish(r)
 }
 
 func (f Format) sqrt(e *Env, a uint64) uint64 {

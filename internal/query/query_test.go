@@ -55,43 +55,25 @@ func randomAnswer(rng *rand.Rand, q survey.Question) (survey.Answer, bool) {
 }
 
 // randomCohort builds a seeded-random columnar cohort over the quiz
-// instrument, including spill paths.
+// instrument, including spill paths; about one answer in five is left
+// unanswered.
 func randomCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 	t.Helper()
-	return toColumns(t, randomSurvey(rng, n))
-}
-
-// randomSurvey draws n seeded-random row responses over the quiz
-// instrument; about one answer in five is left unanswered.
-func randomSurvey(rng *rand.Rand, n int) *survey.Dataset {
-	ins := quiz.Instrument()
-	ds := &survey.Dataset{Instrument: ins.Title, Version: ins.Version,
-		Responses: make([]survey.Response, n)}
-	qs := ins.Questions()
-	for i := range ds.Responses {
-		r := &ds.Responses[i]
-		r.Answers = make(map[string]survey.Answer, len(qs))
-		for _, q := range qs {
+	d := quiz.Columns().NewDataset("1.0", n)
+	qs := quiz.Instrument().Questions()
+	for i := 0; i < n; i++ {
+		for ci, q := range qs {
 			if rng.Intn(5) == 0 {
 				continue // unanswered
 			}
 			if a, ok := randomAnswer(rng, q); ok {
-				r.Answers[q.ID] = a
+				if err := d.SetAnswer(ci, i, a); err != nil {
+					t.Fatalf("SetAnswer: %v", err)
+				}
 			}
 		}
 	}
-	return ds
-}
-
-// toColumns anonymizes a row dataset and converts it to columns.
-func toColumns(t *testing.T, ds *survey.Dataset) *colstore.Dataset {
-	t.Helper()
-	ds.Anonymize()
-	cols, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
-	return cols
+	return d
 }
 
 // sources returns the in-memory and streaming views of the same
@@ -391,13 +373,7 @@ func TestScanBlocks(t *testing.T) {
 // TestEmptyCohort pins the n=0 edge: zero blocks, zero counts, no
 // panics.
 func TestEmptyCohort(t *testing.T) {
-	ins := quiz.Instrument()
-	ds := &survey.Dataset{Instrument: ins.Title, Version: ins.Version}
-	d, err := colstore.FromSurvey(quiz.Columns(), ds)
-	if err != nil {
-		t.Fatalf("FromSurvey: %v", err)
-	}
-	src := query.NewDatasetSource(d)
+	src := query.NewDatasetSource(quiz.Columns().NewDataset("1.0", 0))
 	res, err := query.Run(src, query.Query{}, 4)
 	if err != nil {
 		t.Fatalf("Run: %v", err)

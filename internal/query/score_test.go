@@ -29,7 +29,7 @@ var scoreNames = func() (names []string) {
 // know. Row 4 answers the Level question in free text.
 func scoreCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 	t.Helper()
-	ds := randomSurvey(rng, n)
+	d := randomCohort(t, rng, n)
 	var tfIDs []string
 	for _, q := range quiz.CoreQuestions() {
 		tfIDs = append(tfIDs, q.ID)
@@ -42,16 +42,14 @@ func scoreCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 			levelID = q.ID
 		}
 	}
-	for row, choice := range []string{"", survey.AnswerTrue, survey.AnswerFalse, survey.AnswerDontKnow} {
+	for row, code := range []uint8{colstore.TFUnanswered, colstore.TFTrue, colstore.TFFalse, colstore.TFDontKnow} {
 		for _, id := range tfIDs {
-			delete(ds.Responses[row].Answers, id)
-			if choice != "" {
-				ds.Responses[row].Answers[id] = survey.Answer{Choice: choice}
-			}
+			d.SetTF(d.Schema.MustColumnIndex(id), row, code)
 		}
 	}
-	ds.Responses[4].Answers[levelID] = survey.Answer{Choice: "write-in level"}
-	d := toColumns(t, ds)
+	if err := d.SetAnswer(d.Schema.MustColumnIndex(levelID), 4, survey.Answer{Choice: "write-in level"}); err != nil {
+		t.Fatalf("SetAnswer: %v", err)
+	}
 	if code := d.SingleCode(d.Schema.MustColumnIndex(levelID), 4); code >= 0 {
 		t.Fatalf("free-text Level answer stored as option code %d", code)
 	}

@@ -66,18 +66,18 @@ func buildColScoreTable(s *colstore.Schema) *ScoreTable {
 	for _, q := range CoreQuestions() {
 		t.core = append(t.core, colItem{
 			ci:      s.MustColumnIndex(q.ID),
-			correct: tfCorrectCode(CoreAnswer(q.ID)),
+			correct: tfCorrectCode(KeyAnswer(q.ID)),
 		})
 	}
 	for _, q := range OptQuestions() {
 		ci := s.MustColumnIndex(q.ID)
 		if q.IsTrueFalse() {
-			t.optTF = append(t.optTF, colItem{ci: ci, correct: tfCorrectCode(OptAnswer(q.ID))})
+			t.optTF = append(t.optTF, colItem{ci: ci, correct: tfCorrectCode(KeyAnswer(q.ID))})
 			continue
 		}
 		col := s.Column(ci)
 		t.levelCol = ci
-		t.levelCorrect = col.MustOptionCode(OptAnswer(q.ID))
+		t.levelCorrect = col.MustOptionCode(KeyAnswer(q.ID))
 		t.levelDK = col.MustOptionCode(survey.AnswerDontKnow)
 	}
 	return t
@@ -161,10 +161,9 @@ func ScoreColumnsAt(d *colstore.Dataset, i int) (core, optScored, optAll Tally) 
 }
 
 // ScoreAllColumns grades every respondent of a columnar dataset in
-// parallel (workers <= 0 means GOMAXPROCS). It gives the tallies
-// ScoreCore, ScoreOptScored and ScoreOpt give each row, but the
-// per-respondent inner loop reads dense code columns instead of hashing
-// map keys, and performs zero allocations.
+// parallel (workers <= 0 means GOMAXPROCS) with ScoreColumnsAt: the
+// per-respondent inner loop reads dense code columns and performs zero
+// allocations.
 func ScoreAllColumns(d *colstore.Dataset, workers int) Grades {
 	t0 := telemetry.Start()
 	// Build the table before fanning out, so workers never contend on

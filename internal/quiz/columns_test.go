@@ -1,9 +1,11 @@
 package quiz
 
 import (
+	"math/rand"
 	"testing"
 
 	"fpstudy/internal/colstore"
+	"fpstudy/internal/survey"
 )
 
 // columnarFixture builds a small columnar cohort by hand: respondent 0
@@ -14,13 +16,13 @@ func columnarFixture(t testing.TB) *colstore.Dataset {
 	d := s.NewDataset("1.0", 3)
 	for _, q := range CoreQuestions() {
 		ci := s.MustColumnIndex(q.ID)
-		d.SetTF(ci, 0, tfCorrectCode(CoreAnswer(q.ID)))
+		d.SetTF(ci, 0, tfCorrectCode(KeyAnswer(q.ID)))
 		d.SetTF(ci, 1, colstore.TFDontKnow)
 	}
 	for _, q := range OptQuestions() {
 		ci := s.MustColumnIndex(q.ID)
 		if q.IsTrueFalse() {
-			correct := tfCorrectCode(OptAnswer(q.ID))
+			correct := tfCorrectCode(KeyAnswer(q.ID))
 			d.SetTF(ci, 0, correct)
 			wrong := colstore.TFTrue
 			if correct == colstore.TFTrue {
@@ -28,25 +30,120 @@ func columnarFixture(t testing.TB) *colstore.Dataset {
 			}
 			d.SetTF(ci, 1, wrong)
 		} else {
-			d.SetSingle(ci, 0, s.Column(ci).MustOptionCode(OptAnswer(q.ID)))
+			d.SetSingle(ci, 0, s.Column(ci).MustOptionCode(KeyAnswer(q.ID)))
 			// Respondent 1 leaves the choice question unanswered (0).
 		}
 	}
 	return d
 }
 
-// TestScoreColumnsMatchesRowScoring grades the fixture both ways —
-// columnar and via the materialized row view — and requires identical
-// tallies.
-func TestScoreColumnsMatchesRowScoring(t *testing.T) {
-	d := columnarFixture(t)
-	rows := d.ToSurvey()
+// randomQuizCohort is the fixture's three respondents followed by n
+// respondents whose quiz cells hold seeded-random codes: every
+// true/false code, every Level option, and free-text Level answers.
+func randomQuizCohort(t testing.TB, n int) *colstore.Dataset {
+	t.Helper()
+	fixture := columnarFixture(t)
+	s := fixture.Schema
+	d := s.NewDataset("1.0", 3+n)
+	rng := rand.New(rand.NewSource(12))
+	for _, id := range quizIDs() {
+		ci := s.MustColumnIndex(id)
+		col := s.Column(ci)
+		for i := 0; i < d.Len(); i++ {
+			switch {
+			case col.Kind == survey.TrueFalse && i < 3:
+				d.SetTF(ci, i, fixture.TF(ci, i))
+			case col.Kind == survey.TrueFalse:
+				d.SetTF(ci, i, uint8(rng.Intn(4)))
+			case i < 3:
+				d.SetSingle(ci, i, fixture.SingleCode(ci, i))
+			default:
+				a := survey.Answer{}
+				if k := rng.Intn(len(col.Options) + 2); k < len(col.Options) {
+					a.Choice = col.Options[k]
+				} else if k == len(col.Options) {
+					a.Choice = "-Ofast"
+				}
+				if err := d.SetAnswer(ci, i, a); err != nil {
+					t.Fatalf("SetAnswer: %v", err)
+				}
+			}
+		}
+	}
+	return d
+}
+
+// quizIDs lists the core and then the optimization question IDs, in
+// paper order.
+func quizIDs() []string {
+	var ids []string
+	for _, q := range CoreQuestions() {
+		ids = append(ids, q.ID)
+	}
+	for _, q := range OptQuestions() {
+		ids = append(ids, q.ID)
+	}
+	return ids
+}
+
+// referenceOutcome grades respondent i's answer to question id the
+// plain way, apart from the grading tables: it reads the cell's label
+// ("true", "false", "dontknow", a Level option or free text) and
+// compares it with the answer key's answer.
+func referenceOutcome(d *colstore.Dataset, id string, i int) PerQuestionOutcome {
+	ci := d.Schema.MustColumnIndex(id)
+	label := d.SingleLabel
+	if d.Schema.Column(ci).Kind == survey.TrueFalse {
+		label = func(ci, i int) string {
+			return [...]string{"", survey.AnswerTrue, survey.AnswerFalse, survey.AnswerDontKnow}[d.TF(ci, i)]
+		}
+	}
+	key, _ := KeyFor(id)
+	switch label(ci, i) {
+	case "":
+		return OutcomeUnanswered
+	case survey.AnswerDontKnow:
+		return OutcomeDontKnow
+	case key.Answer:
+		return OutcomeCorrect
+	}
+	return OutcomeIncorrect
+}
+
+// count adds one outcome to a tally.
+func count(t *Tally, o PerQuestionOutcome) {
+	switch o {
+	case OutcomeCorrect:
+		t.Correct++
+	case OutcomeIncorrect:
+		t.Incorrect++
+	case OutcomeDontKnow:
+		t.DontKnow++
+	default:
+		t.Unanswered++
+	}
+}
+
+// TestScoreColumnsMatchesReference grades a random cohort with
+// ScoreColumnsAt and with referenceOutcome, question by question, and
+// requires identical tallies.
+func TestScoreColumnsMatchesReference(t *testing.T) {
+	d := randomQuizCohort(t, 200)
 	for i := 0; i < d.Len(); i++ {
+		var wantCore, wantScored, wantAll Tally
+		for _, q := range CoreQuestions() {
+			count(&wantCore, referenceOutcome(d, q.ID, i))
+		}
+		for _, q := range OptQuestions() {
+			o := referenceOutcome(d, q.ID, i)
+			count(&wantAll, o)
+			if q.IsTrueFalse() {
+				count(&wantScored, o)
+			}
+		}
 		core, optScored, optAll := ScoreColumnsAt(d, i)
-		r := rows.Responses[i]
-		wantCore, wantScored, wantAll := ScoreCore(r), ScoreOptScored(r), ScoreOpt(r)
 		if core != wantCore || optScored != wantScored || optAll != wantAll {
-			t.Fatalf("respondent %d: columnar (%+v,%+v,%+v) != row (%+v,%+v,%+v)",
+			t.Fatalf("respondent %d: columnar (%+v,%+v,%+v) != reference (%+v,%+v,%+v)",
 				i, core, optScored, optAll, wantCore, wantScored, wantAll)
 		}
 	}
@@ -74,11 +171,10 @@ func TestScoreColumnsFixtureValues(t *testing.T) {
 	}
 }
 
-// TestClassifyAtMatchesRows cross-checks the outcome tables against
-// the row classifier for every question slot.
-func TestClassifyAtMatchesRows(t *testing.T) {
-	d := columnarFixture(t)
-	rows := d.ToSurvey()
+// TestClassifyAtMatchesReference cross-checks the outcome tables
+// against referenceOutcome for every question slot of a random cohort.
+func TestClassifyAtMatchesReference(t *testing.T) {
+	d := randomQuizCohort(t, 200)
 	coreTabs, optTabs := OutcomeTables(d.Schema)
 	byTable := func(tab *OutcomeTable, i int) PerQuestionOutcome {
 		if tab.TF {
@@ -86,18 +182,11 @@ func TestClassifyAtMatchesRows(t *testing.T) {
 		}
 		return tab.Outcome(d.SingleCode(tab.Col, i))
 	}
+	tabs := append(append([]OutcomeTable{}, coreTabs...), optTabs...)
 	for i := 0; i < d.Len(); i++ {
-		r := rows.Responses[i]
-		for k, q := range CoreQuestions() {
-			want := ClassifyCore(r, q)
-			if got := byTable(&coreTabs[k], i); got != want {
-				t.Fatalf("respondent %d core[%d]=%s: table %v != %v", i, k, q.ID, got, want)
-			}
-		}
-		for k, q := range OptQuestions() {
-			want := ClassifyOpt(r, q)
-			if got := byTable(&optTabs[k], i); got != want {
-				t.Fatalf("respondent %d opt[%d]=%s: table %v != %v", i, k, q.ID, got, want)
+		for k, id := range quizIDs() {
+			if got, want := byTable(&tabs[k], i), referenceOutcome(d, id, i); got != want {
+				t.Fatalf("respondent %d %s: table %v != reference %v", i, id, got, want)
 			}
 		}
 	}

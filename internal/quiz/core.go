@@ -27,7 +27,7 @@ type CoreQuestion struct {
 
 // CorrectAnswer returns the survey answer string a perfectly informed
 // participant gives, from the answer key.
-func (q CoreQuestion) CorrectAnswer() string { return CoreAnswer(q.ID) }
+func (q CoreQuestion) CorrectAnswer() string { return KeyAnswer(q.ID) }
 
 // CoreQuestions returns the 15 core quiz questions in the paper's
 // order.

@@ -19,7 +19,7 @@ func (q OptQuestion) IsTrueFalse() bool { return len(q.Choices) == 0 }
 // CorrectAnswer returns the survey answer string for a perfectly
 // informed participant, from the answer key: "true" or "false", or the
 // right option of the choice question.
-func (q OptQuestion) CorrectAnswer() string { return OptAnswer(q.ID) }
+func (q OptQuestion) CorrectAnswer() string { return KeyAnswer(q.ID) }
 
 // LevelChoices are the options for the Standard-compliant Level
 // question.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/survey"
 )
 
@@ -168,83 +169,86 @@ func TestInstrumentJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// perfectResponse answers every quiz question correctly.
-func perfectResponse() survey.Response {
-	r := survey.Response{Token: "perfect", Answers: map[string]survey.Answer{}}
-	for _, q := range CoreQuestions() {
-		r.Answers[q.ID] = survey.Answer{Choice: q.CorrectAnswer()}
+// oneRespondent is a one-respondent dataset whose answers are the
+// given choices, by question ID.
+func oneRespondent(t *testing.T, choices map[string]string) *colstore.Dataset {
+	t.Helper()
+	d := Columns().NewDataset("1.0", 1)
+	for id, c := range choices {
+		if err := d.SetAnswer(d.Schema.MustColumnIndex(id), 0, survey.Answer{Choice: c}); err != nil {
+			t.Fatalf("SetAnswer(%s, %q): %v", id, c, err)
+		}
 	}
-	for _, q := range OptQuestions() {
-		r.Answers[q.ID] = survey.Answer{Choice: q.CorrectAnswer()}
-	}
-	return r
+	return d
 }
 
 func TestScorePerfect(t *testing.T) {
-	r := perfectResponse()
-	core := ScoreCore(r)
+	perfect := map[string]string{}
+	for _, q := range CoreQuestions() {
+		perfect[q.ID] = q.CorrectAnswer()
+	}
+	for _, q := range OptQuestions() {
+		perfect[q.ID] = q.CorrectAnswer()
+	}
+	core, _, opt := ScoreColumnsAt(oneRespondent(t, perfect), 0)
 	if core.Correct != 15 || core.Incorrect != 0 {
 		t.Fatalf("perfect core tally: %+v", core)
 	}
-	opt := ScoreOpt(r)
 	if opt.Correct != 4 {
 		t.Fatalf("perfect opt tally: %+v", opt)
 	}
 }
 
 func TestScoreAllWrongAndDontKnow(t *testing.T) {
-	wrong := survey.Response{Answers: map[string]survey.Answer{}}
-	dk := survey.Response{Answers: map[string]survey.Answer{}}
+	wrong, dk := map[string]string{}, map[string]string{}
 	for _, q := range CoreQuestions() {
 		w := "true"
 		if q.CorrectAnswer() == "true" {
 			w = "false"
 		}
-		wrong.Answers[q.ID] = survey.Answer{Choice: w}
-		dk.Answers[q.ID] = survey.Answer{Choice: survey.AnswerDontKnow}
+		wrong[q.ID] = w
+		dk[q.ID] = survey.AnswerDontKnow
 	}
-	if tl := ScoreCore(wrong); tl.Incorrect != 15 {
+	if tl, _, _ := ScoreColumnsAt(oneRespondent(t, wrong), 0); tl.Incorrect != 15 {
 		t.Fatalf("all wrong tally: %+v", tl)
 	}
-	if tl := ScoreCore(dk); tl.DontKnow != 15 {
+	if tl, _, _ := ScoreColumnsAt(oneRespondent(t, dk), 0); tl.DontKnow != 15 {
 		t.Fatalf("all DK tally: %+v", tl)
 	}
-	if tl := ScoreCore(survey.Response{}); tl.Unanswered != 15 {
+	if tl, _, _ := ScoreColumnsAt(oneRespondent(t, nil), 0); tl.Unanswered != 15 {
 		t.Fatalf("empty tally: %+v", tl)
 	}
 }
 
 func TestScoreOptChoiceQuestion(t *testing.T) {
-	r := survey.Response{Answers: map[string]survey.Answer{
-		"opt.level": {Choice: "-O3"},
-	}}
-	tl := ScoreOpt(r)
+	_, _, tl := ScoreColumnsAt(oneRespondent(t, map[string]string{"opt.level": "-O3"}), 0)
 	if tl.Incorrect != 1 || tl.Unanswered != 3 {
 		t.Fatalf("tally: %+v", tl)
 	}
-	r.Answers["opt.level"] = survey.Answer{Choice: survey.AnswerDontKnow}
-	tl = ScoreOpt(r)
+	_, _, tl = ScoreColumnsAt(oneRespondent(t, map[string]string{"opt.level": survey.AnswerDontKnow}), 0)
 	if tl.DontKnow != 1 {
 		t.Fatalf("DK tally: %+v", tl)
 	}
 }
 
 func TestClassify(t *testing.T) {
-	q := CoreQuestion{ID: "core.square"}
-	r := survey.Response{Answers: map[string]survey.Answer{
-		"core.square": {Choice: "true"},
-	}}
-	if ClassifyCore(r, q) != OutcomeCorrect {
-		t.Fatal("square true should be correct")
+	coreTabs, optTabs := OutcomeTables(Columns())
+	var square *OutcomeTable
+	for k, q := range CoreQuestions() {
+		if q.ID == "core.square" {
+			square = &coreTabs[k]
+		}
 	}
-	r.Answers["core.square"] = survey.Answer{Choice: "false"}
-	if ClassifyCore(r, q) != OutcomeIncorrect {
-		t.Fatal("square false should be incorrect")
+	for choice, want := range map[string]PerQuestionOutcome{"true": OutcomeCorrect, "false": OutcomeIncorrect} {
+		d := oneRespondent(t, map[string]string{"core.square": choice})
+		if got := square.ByCode[d.TF(square.Col, 0)]; got != want {
+			t.Fatalf("square %s classified %v, want %v", choice, got, want)
+		}
 	}
-	oq := OptQuestion{ID: "opt.level", Choices: LevelChoices}
-	r.Answers["opt.level"] = survey.Answer{Choice: "-O2"}
-	if ClassifyOpt(r, oq) != OutcomeCorrect {
-		t.Fatal("level -O2 should be correct")
+	level := &optTabs[2]
+	d := oneRespondent(t, map[string]string{"opt.level": "-O2"})
+	if got := level.Outcome(d.SingleCode(level.Col, 0)); got != OutcomeCorrect {
+		t.Fatalf("level -O2 classified %v, want correct", got)
 	}
 }
 

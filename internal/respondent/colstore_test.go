@@ -12,7 +12,6 @@ import (
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/parallel"
 	"fpstudy/internal/quiz"
-	"fpstudy/internal/survey"
 	"fpstudy/internal/telemetry"
 )
 
@@ -95,56 +94,6 @@ func TestColumnarGoldenHashesPastCap(t *testing.T) {
 		treated := GenerateMainColumnar(seed, n, workers, none, Instrumentation{})
 		if got := fpdsSHA(treated); got != goldenTreated70kSHA {
 			t.Errorf("workers=%d: treated cohort FPDS hash = %s, want %s", workers, got, goldenTreated70kSHA)
-		}
-	}
-}
-
-// TestWriteJSONMatchesRowEncoding asserts that streaming serialization
-// from the columns produces exactly the bytes encoding/json produces on
-// the materialized row view — the invariant that lets fpgen skip
-// materialization entirely.
-func TestWriteJSONMatchesRowEncoding(t *testing.T) {
-	pop := GenerateMainColumnar(42, 60, 0, nil, Instrumentation{})
-	var buf bytes.Buffer
-	if err := pop.Cols.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	want, err := survey.EncodeDataset(pop.MaterializeDataset(0))
-	if err != nil {
-		t.Fatalf("EncodeDataset: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("columnar stream diverged from row encoding (%d vs %d bytes)",
-			buf.Len(), len(want))
-	}
-}
-
-// TestColumnarMaterializeEqualsLegacyRows checks the materialized row
-// view of a columnar cohort against the historical row generator
-// output shape: same tokens, same answers for a sample of respondents.
-func TestColumnarMaterializeEqualsLegacyRows(t *testing.T) {
-	pop := GenerateMain(11, 80)
-	if pop.Cols == nil || pop.Dataset == nil {
-		t.Fatal("GenerateMain must populate both columns and row view")
-	}
-	rt := pop.Cols.ToSurvey()
-	if len(rt.Responses) != len(pop.Dataset.Responses) {
-		t.Fatalf("row counts differ: %d vs %d", len(rt.Responses), len(pop.Dataset.Responses))
-	}
-	for _, i := range []int{0, 1, 37, 79} {
-		a, b := rt.Responses[i], pop.Dataset.Responses[i]
-		if a.Token != b.Token {
-			t.Fatalf("respondent %d token %q != %q", i, a.Token, b.Token)
-		}
-		if len(a.Answers) != len(b.Answers) {
-			t.Fatalf("respondent %d answer counts differ", i)
-		}
-		for id, ans := range b.Answers {
-			got := a.Answers[id]
-			if got.Choice != ans.Choice || got.Level != ans.Level ||
-				len(got.Choices) != len(ans.Choices) {
-				t.Fatalf("respondent %d question %s: %+v != %+v", i, id, got, ans)
-			}
 		}
 	}
 }

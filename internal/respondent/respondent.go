@@ -117,24 +117,10 @@ type Profile struct {
 	idx profileIdx
 }
 
-// Population is a generated cohort. Cols is the primary storage: the
-// columnar dataset the respondents were sampled directly into (see
-// internal/colstore). Dataset is the row view (one map[string]Answer
-// per respondent); only GenerateMain, the public row facade,
-// materializes it, while the *Columnar entry points leave it nil so
-// million-respondent pipelines never pay for a map per respondent.
+// Population is a generated cohort: Cols is the columnar dataset the
+// respondents were sampled directly into (see internal/colstore).
 type Population struct {
-	Cols    *colstore.Dataset
-	Dataset *survey.Dataset
-}
-
-// MaterializeDataset fills in the row view from the columns (no-op if
-// already present) and returns it.
-func (p *Population) MaterializeDataset(workers int) *survey.Dataset {
-	if p.Dataset == nil {
-		p.Dataset = p.Cols.ToSurveyWorkers(workers)
-	}
-	return p.Dataset
+	Cols *colstore.Dataset
 }
 
 // Effect sizes in core-quiz score points (digitized from Figures
@@ -362,17 +348,6 @@ func (qm *questionModel) dkProb(ability float64) float64 {
 	return p
 }
 
-// GenerateMain builds the main cohort: n respondents with full
-// background, core, optimization, and suspicion answers, calibrated
-// against the paper's published aggregates, with the row view
-// materialized. It parallelizes across GOMAXPROCS workers; the output
-// is identical at any worker count.
-func GenerateMain(seed int64, n int) *Population {
-	p := GenerateMainColumnar(seed, n, 0, nil, Instrumentation{})
-	p.MaterializeDataset(0)
-	return p
-}
-
 // drawAbilities draws the untreated profiles 0..m-1 by fixed
 // 4096-respondent blocks, each into its worker's scratch Profile from a
 // generator positioned on the respondent's profile stream, and keeps
@@ -400,9 +375,8 @@ func drawAbilities(workers int, seed int64, m int, withOpt bool) (core, opt []fl
 }
 
 // GenerateMainColumnar generates the main cohort directly into columns,
-// with no row view and no per-respondent Profile rows: each block of
-// respondents is drawn, stored and sampled in one pass, and the
-// per-respondent loop performs zero heap allocations. The probe times
+// with no per-respondent Profile rows: each block of respondents is
+// drawn, stored and sampled in one pass, and the per-respondent loop performs zero heap allocations. The probe times
 // its stages (draw-profiles for the calibration prefix, calibrate,
 // sample-responses for the fused pass) and inst streams per-block
 // progress; neither affects the generated data.
@@ -474,7 +448,7 @@ func quizSpecs() []modelSpec {
 				id:      q.ID,
 				pUn:     row.Unanswered / 100,
 				pDK:     row.DontKnow / 100,
-				correct: quiz.CoreAnswer(q.ID),
+				correct: quiz.KeyAnswer(q.ID),
 			},
 			target: row.Correct / 100,
 		})
@@ -485,7 +459,7 @@ func quizSpecs() []modelSpec {
 			id:         q.ID,
 			pUn:        row.Unanswered / 100,
 			pDK:        row.DontKnow / 100,
-			correct:    quiz.OptAnswer(q.ID),
+			correct:    quiz.KeyAnswer(q.ID),
 			abilityOpt: true,
 		}
 		if !q.IsTrueFalse() {
@@ -783,13 +757,6 @@ func likertThresholds(cum [5]float64) [4]uint64 {
 func likertLevel(r uint64, t *[4]uint64) int {
 	k := r >> 11
 	return int(1 + (t[0]-k-1)>>63 + (t[1]-k-1)>>63 + (t[2]-k-1)>>63 + (t[3]-k-1)>>63)
-}
-
-// GenerateStudents builds the student cohort in row form: suspicion
-// answers only (the paper's student group took just the suspicion quiz
-// as an exam problem).
-func GenerateStudents(seed int64, n int) *survey.Dataset {
-	return GenerateStudentsColumnar(seed, n, 0, Instrumentation{}).ToSurveyWorkers(0)
 }
 
 // GenerateStudentsColumnar generates the student cohort directly into

@@ -8,8 +8,10 @@ import (
 	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/parallel"
 	"fpstudy/internal/quiz"
@@ -22,7 +24,31 @@ import (
 // comparisons in the benchmark harness use n=199.
 const testN = 4000
 
-var testPop = GenerateMain(42, testN)
+var testPop = GenerateMainColumnar(42, testN, 0, nil, Instrumentation{})
+
+// testGrades are testPop's per-respondent quiz tallies.
+var testGrades = quiz.ScoreAllColumns(testPop.Cols, 0)
+
+// coreTabs are the core questions' grading tables, in paper order.
+var coreTabs, _ = quiz.OutcomeTables(quiz.Columns())
+
+// coreOutcome classifies respondent i's answer to core question k of a
+// cohort through the grading tables.
+func coreOutcome(d *colstore.Dataset, k, i int) quiz.PerQuestionOutcome {
+	return coreTabs[k].ByCode[d.TF(coreTabs[k].Col, i)]
+}
+
+// likertLevels returns the answered levels of a Likert question.
+func likertLevels(d *colstore.Dataset, id string) []int {
+	ci := d.Schema.MustColumnIndex(id)
+	var levels []int
+	for i := 0; i < d.Len(); i++ {
+		if lv := d.LikertLevel(ci, i); lv > 0 {
+			levels = append(levels, lv)
+		}
+	}
+	return levels
+}
 
 // testProfiles are testPop's backgrounds and abilities: profile i
 // depends only on (seed, i), so drawing them again reproduces the ones
@@ -39,8 +65,8 @@ func drawProfiles(seed int64, n int) []Profile {
 }
 
 func TestDeterministic(t *testing.T) {
-	a := GenerateMain(7, 50)
-	b := GenerateMain(7, 50)
+	a := GenerateMainColumnar(7, 50, 0, nil, Instrumentation{})
+	b := GenerateMainColumnar(7, 50, 0, nil, Instrumentation{})
 	pa, pb := drawProfiles(7, 50), drawProfiles(7, 50)
 	for i := range pa {
 		if pa[i].Area != pb[i].Area ||
@@ -48,32 +74,62 @@ func TestDeterministic(t *testing.T) {
 			t.Fatal("generation not deterministic")
 		}
 	}
-	ra := a.Dataset.Responses[10]
-	rb := b.Dataset.Responses[10]
-	for id, ans := range ra.Answers {
-		if bAns := rb.Answers[id]; bAns.Choice != ans.Choice || bAns.Level != ans.Level {
-			t.Fatalf("answers differ at %s", id)
+	var ja, jb bytes.Buffer
+	if err := a.Cols.WriteJSON(&ja); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Cols.WriteJSON(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
+		t.Fatal("answers differ between two generations")
+	}
+}
+
+// TestResponsesValidate checks that every generated code is one the
+// instrument offers: true/false codes, Likert levels within the scale,
+// single choices among the listed options (no free text), and
+// multi-choice bitsets over the listed options with no spill records.
+func TestResponsesValidate(t *testing.T) {
+	for name, d := range map[string]*colstore.Dataset{
+		"main":     GenerateMainColumnar(3, 100, 0, nil, Instrumentation{}).Cols,
+		"students": GenerateStudentsColumnar(4, 52, 0, Instrumentation{}),
+	} {
+		for ci := 0; ci < d.Schema.NumColumns(); ci++ {
+			c := d.Schema.Column(ci)
+			for i := 0; i < d.Len(); i++ {
+				ok := true
+				switch c.Kind {
+				case survey.TrueFalse:
+					ok = d.TF(ci, i) <= colstore.TFDontKnow
+				case survey.Likert:
+					ok = d.LikertLevel(ci, i) <= c.Scale
+				case survey.SingleChoice:
+					code := d.SingleCode(ci, i)
+					ok = code >= 0 && int(code) <= len(c.Options)
+				case survey.MultiChoice:
+					ok = d.RawU64(ci)[i]>>uint(len(c.Options)) == 0
+				}
+				if !ok {
+					t.Fatalf("%s: respondent %d, %s: code not offered by the instrument", name, i, c.ID)
+				}
+			}
+			if c.Kind == survey.MultiChoice && d.MultiSpills(ci) != nil {
+				t.Fatalf("%s: %s has spill records", name, c.ID)
+			}
+		}
+		if d.InternedStrings() != 0 {
+			t.Fatalf("%s: generated cohort interned %d strings", name, d.InternedStrings())
 		}
 	}
 }
 
-func TestResponsesValidate(t *testing.T) {
-	ins := quiz.Instrument()
-	small := GenerateMain(3, 100)
-	if err := ins.ValidateDataset(small.Dataset); err != nil {
-		t.Fatal(err)
-	}
-	students := GenerateStudents(4, 52)
-	if err := ins.ValidateDataset(students); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBackgroundMarginalsMatchPaper(t *testing.T) {
-	ins := quiz.Instrument()
-	tal, err := ins.Tally(testPop.Dataset, quiz.BGPosition)
-	if err != nil {
-		t.Fatal(err)
+	d := testPop.Cols
+	tal := map[string]int{}
+	ci := d.Schema.MustColumnIndex(quiz.BGPosition)
+	for i := 0; i < d.Len(); i++ {
+		tal[d.SingleLabel(ci, i)]++
 	}
 	for _, e := range paperdata.Figure1Positions {
 		wantPct := paperdata.Percent(e, paperdata.NMain)
@@ -83,7 +139,11 @@ func TestBackgroundMarginalsMatchPaper(t *testing.T) {
 		}
 	}
 	// Multi-select: FP languages.
-	tal, _ = ins.Tally(testPop.Dataset, quiz.BGFPLanguages)
+	tal = map[string]int{}
+	ci = d.Schema.MustColumnIndex(quiz.BGFPLanguages)
+	for i := 0; i < d.Len(); i++ {
+		d.ForEachMultiChoice(ci, i, func(label string) { tal[label]++ })
+	}
 	for _, e := range paperdata.Figure6FPLanguages {
 		wantPct := paperdata.Percent(e, paperdata.NMain)
 		gotPct := 100 * float64(tal[e.Label]) / float64(testN)
@@ -95,8 +155,8 @@ func TestBackgroundMarginalsMatchPaper(t *testing.T) {
 
 func TestCoreScoreMatchesFigure12(t *testing.T) {
 	var sum quiz.Tally
-	for _, r := range testPop.Dataset.Responses {
-		sum.Add(quiz.ScoreCore(r))
+	for _, tl := range testGrades.Core {
+		sum.Add(tl)
 	}
 	n := float64(testN)
 	meanCorrect := float64(sum.Correct) / n
@@ -121,8 +181,8 @@ func TestOptScoreMatchesFigure12(t *testing.T) {
 	// Figure 12's optimization row covers only the three T/F
 	// questions (Standard-compliant Level is excluded as not T/F).
 	var sum quiz.Tally
-	for _, r := range testPop.Dataset.Responses {
-		sum.Add(quiz.ScoreOptScored(r))
+	for _, tl := range testGrades.OptScored {
+		sum.Add(tl)
 	}
 	n := float64(testN)
 	if got := float64(sum.Correct) / n; math.Abs(got-paperdata.Figure12Opt.Correct) > 0.25 {
@@ -144,8 +204,8 @@ func TestPerQuestionBreakdownMatchesFigure14(t *testing.T) {
 	for i, q := range qs {
 		row := paperdata.Figure14Core[i]
 		var c, inc, dk int
-		for _, r := range testPop.Dataset.Responses {
-			switch quiz.ClassifyCore(r, q) {
+		for r := 0; r < testN; r++ {
+			switch coreOutcome(testPop.Cols, i, r) {
 			case quiz.OutcomeCorrect:
 				c++
 			case quiz.OutcomeIncorrect:
@@ -168,10 +228,10 @@ func TestWrongMajorityQuestions(t *testing.T) {
 	// Identity and Divide-by-Zero must be answered incorrectly by a
 	// majority — the paper's most alarming finding.
 	for _, id := range []string{"core.identity", "core.divzero"} {
-		q := quiz.CoreQuestion{ID: id}
+		k := slices.IndexFunc(quiz.CoreQuestions(), func(q quiz.CoreQuestion) bool { return q.ID == id })
 		var c, inc int
-		for _, r := range testPop.Dataset.Responses {
-			switch quiz.ClassifyCore(r, q) {
+		for r := 0; r < testN; r++ {
+			switch coreOutcome(testPop.Cols, k, r) {
 			case quiz.OutcomeCorrect:
 				c++
 			case quiz.OutcomeIncorrect:
@@ -196,9 +256,8 @@ func TestFactorEffectContribSize(t *testing.T) {
 	}
 	means := map[string]float64{}
 	counts := map[string]int{}
-	for i, r := range testPop.Dataset.Responses {
+	for i, tl := range testGrades.Core {
 		p := testProfiles[i]
-		tl := quiz.ScoreCore(r)
 		means[p.ContribSize] += float64(tl.Correct)
 		counts[p.ContribSize]++
 	}
@@ -222,9 +281,9 @@ func TestFactorEffectContribSize(t *testing.T) {
 
 func TestFactorEffectArea(t *testing.T) {
 	var csLike, physEng []float64
-	for i, r := range testPop.Dataset.Responses {
+	for i, tl := range testGrades.Core {
 		p := testProfiles[i]
-		score := float64(quiz.ScoreCore(r).Correct)
+		score := float64(tl.Correct)
 		switch p.Area {
 		case "Computer Science", "Computer Engineering", "Electrical Engineering":
 			csLike = append(csLike, score)
@@ -244,9 +303,9 @@ func TestFactorEffectArea(t *testing.T) {
 
 func TestFactorEffectRoleOnOptQuiz(t *testing.T) {
 	var swe, support []float64
-	for i, r := range testPop.Dataset.Responses {
+	for i, tl := range testGrades.OptAll {
 		p := testProfiles[i]
-		score := float64(quiz.ScoreOpt(r).Correct)
+		score := float64(tl.Correct)
 		switch p.Role {
 		case "My main role is as a software engineer":
 			swe = append(swe, score)
@@ -264,20 +323,14 @@ func TestSuspicionDistributions(t *testing.T) {
 	items := quiz.SuspicionItems()
 	for gi, tc := range []struct {
 		name  string
-		ds    *survey.Dataset
+		ds    *colstore.Dataset
 		dists []paperdata.SuspicionDist
 	}{
-		{"main", testPop.Dataset, paperdata.Figure22Main},
-		{"students", GenerateStudents(5, 5000), paperdata.Figure22Student},
+		{"main", testPop.Cols, paperdata.Figure22Main},
+		{"students", GenerateStudentsColumnar(5, 5000, 0, Instrumentation{}), paperdata.Figure22Student},
 	} {
 		for i, it := range items {
-			var levels []int
-			for _, r := range tc.ds.Responses {
-				if a := r.Answer(it.ID); a.Level > 0 {
-					levels = append(levels, a.Level)
-				}
-			}
-			d := stats.NewLikertDist(levels, 5)
+			d := stats.NewLikertDist(likertLevels(tc.ds, it.ID), 5)
 			for l := 0; l < 5; l++ {
 				if math.Abs(d.Percent[l]-tc.dists[i].Percent[l]) > 4 {
 					t.Errorf("%s %s level %d: %.1f%%, target %.1f%%",
@@ -292,13 +345,7 @@ func TestSuspicionDistributions(t *testing.T) {
 func TestSuspicionOrdering(t *testing.T) {
 	// Invalid > Overflow > Underflow/Precision/Denorm in mean level.
 	mean := func(id string) float64 {
-		var levels []int
-		for _, r := range testPop.Dataset.Responses {
-			if a := r.Answer(id); a.Level > 0 {
-				levels = append(levels, a.Level)
-			}
-		}
-		return stats.NewLikertDist(levels, 5).MeanLevel()
+		return stats.NewLikertDist(likertLevels(testPop.Cols, id), 5).MeanLevel()
 	}
 	inv, ovf := mean("susp.invalid"), mean("susp.overflow")
 	und, prec, den := mean("susp.underflow"), mean("susp.precision"), mean("susp.denorm")
@@ -308,13 +355,11 @@ func TestSuspicionOrdering(t *testing.T) {
 	}
 	// About 1/3 of respondents under-rate Invalid (level < 5).
 	below := 0
-	total := 0
-	for _, r := range testPop.Dataset.Responses {
-		if a := r.Answer("susp.invalid"); a.Level > 0 {
-			total++
-			if a.Level < 5 {
-				below++
-			}
+	invalid := likertLevels(testPop.Cols, "susp.invalid")
+	total := len(invalid)
+	for _, lv := range invalid {
+		if lv < 5 {
+			below++
 		}
 	}
 	frac := float64(below) / float64(total)
@@ -324,18 +369,12 @@ func TestSuspicionOrdering(t *testing.T) {
 }
 
 func TestStudentsLessSuspiciousOfUnderflowDenorm(t *testing.T) {
-	students := GenerateStudents(6, 5000)
-	meanOf := func(ds *survey.Dataset, id string) float64 {
-		var levels []int
-		for _, r := range ds.Responses {
-			if a := r.Answer(id); a.Level > 0 {
-				levels = append(levels, a.Level)
-			}
-		}
-		return stats.NewLikertDist(levels, 5).MeanLevel()
+	students := GenerateStudentsColumnar(6, 5000, 0, Instrumentation{})
+	meanOf := func(d *colstore.Dataset, id string) float64 {
+		return stats.NewLikertDist(likertLevels(d, id), 5).MeanLevel()
 	}
 	for _, id := range []string{"susp.underflow", "susp.denorm", "susp.overflow"} {
-		if meanOf(students, id) >= meanOf(testPop.Dataset, id) {
+		if meanOf(students, id) >= meanOf(testPop.Cols, id) {
 			t.Errorf("%s: students should be less suspicious", id)
 		}
 	}
@@ -360,9 +399,9 @@ func TestShortListsPredictLowerScores(t *testing.T) {
 	// a near-empty language list) score worse; what the list contains
 	// does not matter.
 	var short, normal []float64
-	for i, r := range testPop.Dataset.Responses {
+	for i, tl := range testGrades.Core {
 		p := testProfiles[i]
-		score := float64(quiz.ScoreCore(r).Correct)
+		score := float64(tl.Correct)
 		if p.InformalMask == 0 || bits.OnesCount64(p.FPLanguagesMask) <= 1 {
 			short = append(short, score)
 		} else {
@@ -480,13 +519,21 @@ func TestCalibrationReadsOnlyCapPrefix(t *testing.T) {
 }
 
 func TestGenerateStudentsShape(t *testing.T) {
-	ds := GenerateStudents(9, 52)
-	if len(ds.Responses) != 52 {
-		t.Fatalf("%d students", len(ds.Responses))
+	d := GenerateStudentsColumnar(9, 52, 0, Instrumentation{})
+	if d.Len() != 52 {
+		t.Fatalf("%d students", d.Len())
 	}
-	for _, r := range ds.Responses {
-		if len(r.Answers) != 5 {
-			t.Fatalf("student answered %d questions, want 5 (suspicion only)", len(r.Answers))
+	var susp []int
+	for _, it := range quiz.SuspicionItems() {
+		susp = append(susp, d.Schema.MustColumnIndex(it.ID))
+	}
+	for i := 0; i < d.Len(); i++ {
+		for ci := 0; ci < d.Schema.NumColumns(); ci++ {
+			answered := d.Schema.Column(ci).Kind == survey.Likert && d.LikertLevel(ci, i) != 0
+			if answered != slices.Contains(susp, ci) {
+				t.Fatalf("student %d: %s answered=%v, want the suspicion questions only",
+					i, d.Schema.Column(ci).ID, answered)
+			}
 		}
 	}
 }

@@ -7,9 +7,10 @@
 // streamed .fpds) and `fpsurvey slice` (both file formats), requiring
 // every pair of runs to print byte-identical tables — the streaming
 // out-of-core path, the in-memory path, and both front-ends must
-// agree exactly. Also asserts a slice count cross-checks against
-// `fpsurvey -tally` on the same file, tying the engine to the
-// row-loop surface it replaced.
+// agree exactly. Then, for a single-choice question with no free text,
+// it requires the per-label counts of `fpsurvey slice '/<q>/count'` to
+// equal those of `fpsurvey -tally <q>` on both files, tying the engine's
+// group-by to the column scan behind -tally.
 //
 // Run via `make query-smoke` (or `go run scripts/query_smoke.go` from
 // the repo root). Exits 0 and prints PASS on success.
@@ -97,14 +98,66 @@ func main() {
 		}
 	}
 
-	// Cross-check against the row-loop tally surface: the slice total
-	// over the full cohort must equal the cohort size fpsurvey -tally
-	// reports per answer.
-	out := string(run(fpsurvey, "slice", "//count", binPath))
-	if !strings.Contains(out, n) {
-		fail("slice //count does not report the cohort size:\n%s", out)
+	// Cross-check the engine's group-by against fpsurvey -tally, which
+	// walks the column itself, on a single-choice question the
+	// generator answers only with listed options.
+	const q = "bg.formal_training"
+	for _, path := range []string{binPath, jsonPath} {
+		slice := sliceCounts(run(fpsurvey, "slice", "/"+q+"/count", path))
+		tally := tallyCounts(run(fpsurvey, "-tally", q, path))
+		if len(slice) == 0 || fmt.Sprint(slice) != fmt.Sprint(tally) {
+			fail("%s: slice /%s/count counts %v, -tally counts %v", filepath.Base(path), q, slice, tally)
+		}
 	}
 
-	fmt.Printf("query-smoke: PASS: %d expressions identical across in-process, streamed .fpds, loaded .json, fpreport -query, and fpsurvey slice at n=%s\n",
-		len(exprs), n)
+	fmt.Printf("query-smoke: PASS: %d expressions identical across in-process, streamed .fpds, loaded .json, fpreport -query, and fpsurvey slice at n=%s; slice and -tally agree on %s\n",
+		len(exprs), n, q)
+}
+
+// labelCount splits a table line into its label and the integer in its
+// last-but-one field (count, then percentage); ok is false for lines
+// that do not end that way.
+func labelCount(line string) (label string, count string, ok bool) {
+	f := strings.Fields(line)
+	if len(f) < 3 {
+		return "", "", false
+	}
+	count = f[len(f)-2]
+	if strings.Trim(count, "0123456789") != "" {
+		return "", "", false
+	}
+	return strings.Join(f[:len(f)-2], " "), count, true
+}
+
+// sliceCounts reads a "/<q>/count" slice table: one count per group,
+// with the engine's "(unanswered)" group under -tally's "unanswered".
+// A free-text "(other)" group fails the check, since -tally counts
+// free text under its own text.
+func sliceCounts(out []byte) map[string]string {
+	counts := map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		label, count, ok := labelCount(line)
+		if !ok {
+			continue
+		}
+		switch label {
+		case "(other)":
+			fail("slice table has a free-text group:\n%s", out)
+		case "(unanswered)":
+			label = "unanswered"
+		}
+		counts[label] = count
+	}
+	return counts
+}
+
+// tallyCounts reads fpsurvey -tally output: one count per label.
+func tallyCounts(out []byte) map[string]string {
+	counts := map[string]string{}
+	for _, line := range strings.Split(string(out), "\n") {
+		if label, count, ok := labelCount(line); ok {
+			counts[label] = count
+		}
+	}
+	return counts
 }
