@@ -218,7 +218,9 @@ func figureClaimsDigests(t *testing.T, r *Results) [22 + 1]string {
 // goldenFiguresClaims pins the 22 rendered figures, then the rendered
 // headline claims, at seed 42 with 52 students. The digests were
 // recorded from the per-figure engine queries that the one-pass paper
-// plan replaced, so a match proves the plan is byte-identical.
+// plan replaced, so a match proves the plan is byte-identical. Figure
+// 22's were re-pinned once, when its ground-truth note began to render
+// the ranking from the quiz's condition table (DESIGN.md).
 var goldenFiguresClaims = map[int][22 + 1]string{
 	199: {
 		"b6a50296bb6e312c44143a9e325c388202ba7c23074a4f4849f6563c4fd685f9",
@@ -242,7 +244,7 @@ var goldenFiguresClaims = map[int][22 + 1]string{
 		"d1f4d5257aca1bfd22894d14b37f015108e13052ba77797b8c87cefe3f37488e",
 		"94764d4ffb6ae7e9da27434d71a465bcfd02f62936a46be7897381f731f0a438",
 		"b9032721ec63622400367f2481ab5c744431d2f8852c2ba0e6f32195944d20fb",
-		"8c77557b7f8dea2dda6933ff3bc5e780538fab5d76a5d86933436f2931921ffd",
+		"52eedda58cb048fc4090fdd81e3aeecf31a504e821f8b847ec09e8b4b28a6be8",
 		"73aa75e642a0f4546532aec5d9e47bd961d32b5f2f7baa0b7550b1d353d55f0f",
 	},
 	2000: {
@@ -267,7 +269,7 @@ var goldenFiguresClaims = map[int][22 + 1]string{
 		"31baf5502f16b204f9ac7547998814aeb31b35bb761a015d5cddbe953e7b2542",
 		"11333f41b41e208427164133acd3e75c7ec912c7bf860a7d8fd4a654386cb6c8",
 		"89f4d7c1019d0a84a6ab7db6a2aebbe91b54d62da36140dda23c1e5c3ce59aa1",
-		"a3be9a7cef607a9651c22cbaf42948fbbc29fa0a6e3fc752d5ed0fe278fbf87b",
+		"0306a30509441024d909835daa329a61b0967695474439c7c2fdfbd2cb2d5b04",
 		"7a40eb51b9d7a689acfd2a49dc5adc7ed8995e783dc032d23d49392f5a48b9e8",
 	},
 }
