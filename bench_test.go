@@ -199,7 +199,7 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 		telemetry.StageParallelWait,
 	} {
 		if ls, ok := snap.Latencies[st.Metric()]; !ok || ls.Count == 0 {
-			b.Fatalf("%s: the probe recorded nothing during the benchmark", st.Name())
+			b.Fatalf("%s: the probe recorded nothing during the benchmark", st.Metric())
 		}
 	}
 }

@@ -51,9 +51,6 @@ type Flags = ieee754.Flags
 // RoundingMode selects a rounding-direction attribute.
 type RoundingMode = ieee754.RoundingMode
 
-// Num pairs an encoding with its format for value-like ergonomics.
-type Num = ieee754.Num
-
 // The three standard interchange formats, plus the ML-oriented
 // bfloat16. Custom formats can be built directly: Format{ExpBits: 4,
 // FracBits: 3, Name: "fp8"}.
@@ -82,9 +79,6 @@ const (
 	TowardPositive = ieee754.TowardPositive
 	TowardNegative = ieee754.TowardNegative
 )
-
-// N constructs a Num in format f from a float64.
-func N(f Format, v float64) Num { return ieee754.N(f, v) }
 
 // --- Expressions and the optimization simulator ---
 

@@ -5,6 +5,7 @@ package fpstudy_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fpstudy"
@@ -26,10 +27,6 @@ func TestFacadeArithmetic(t *testing.T) {
 	}
 	if !e.Flags.Has(fpstudy.FlagInexact) {
 		t.Fatal("no inexact flag")
-	}
-	n := fpstudy.N(fpstudy.Binary32, 2)
-	if n.Sqrt(&e).Float64() != float64(float32(1.4142135)) {
-		t.Logf("sqrt(2) binary32 = %v", n.Sqrt(&e).Float64())
 	}
 }
 
@@ -61,9 +58,10 @@ func TestFacadeQuizOracles(t *testing.T) {
 
 func TestFacadeStudyPipeline(t *testing.T) {
 	results := fpstudy.Study{Seed: 11, NMain: 150, NStudent: 40}.Run()
-	figs := results.AllFigures()
-	if len(figs) != 22 {
-		t.Fatalf("%d figures", len(figs))
+	for num := 1; num <= 22; num++ {
+		if fig := results.Figure(num); fig.Title == "" || strings.Contains(fig.Title, "unknown") {
+			t.Fatalf("figure %d: title %q", num, fig.Title)
+		}
 	}
 	claims := results.HeadlineClaims()
 	if len(claims) < 10 {

@@ -228,17 +228,6 @@ func (d *Dataset) MultiUnanswered(ci, i int) bool {
 	return !ok
 }
 
-// MultiChoices materializes the choice list of a multi-choice cell in
-// canonical order (nil when unanswered). The slice is freshly
-// allocated; hot paths should use ForEachMultiChoice instead.
-func (d *Dataset) MultiChoices(ci, i int) []string {
-	var out []string
-	d.ForEachMultiChoice(ci, i, func(label string) {
-		out = append(out, label)
-	})
-	return out
-}
-
 // ForEachMultiChoice calls fn for every selected choice of a
 // multi-choice cell, in stored order, without allocating.
 func (d *Dataset) ForEachMultiChoice(ci, i int, fn func(label string)) {

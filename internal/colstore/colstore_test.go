@@ -138,7 +138,9 @@ func cellAnswer(d *colstore.Dataset, ci, i int) survey.Answer {
 	case survey.SingleChoice:
 		return survey.Answer{Choice: d.SingleLabel(ci, i)}
 	}
-	return survey.Answer{Choices: d.MultiChoices(ci, i)}
+	var choices []string
+	d.ForEachMultiChoice(ci, i, func(label string) { choices = append(choices, label) })
+	return survey.Answer{Choices: choices}
 }
 
 // TestRoundTripProperty stores seeded-random answers with SetAnswer and

@@ -14,3 +14,7 @@ func (d *Dataset) SetTokens(tokens map[int]string) {
 		d.tokens[i] = tok
 	}
 }
+
+// Version returns the dataset version recorded in the header, which
+// the decode tests read back.
+func (sr *ShardReader) Version() string { return sr.version }

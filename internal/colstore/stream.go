@@ -186,9 +186,6 @@ func (sr *ShardReader) Schema() *Schema { return sr.schema }
 // Len returns the number of respondents in the shard.
 func (sr *ShardReader) Len() int { return sr.n }
 
-// Version returns the dataset version recorded in the header.
-func (sr *ShardReader) Version() string { return sr.version }
-
 // ArenaStrings returns the shard's string arena. Read-only.
 func (sr *ShardReader) ArenaStrings() []string { return sr.arena }
 

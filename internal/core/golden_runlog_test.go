@@ -67,7 +67,7 @@ func TestGoldenRunlogInvariance(t *testing.T) {
 			t.Errorf("record %d: no respondent counter snapshotted", i)
 		}
 		// The registry is shared, so record i has seen i+1 runs.
-		if row := stageRow(r, telemetry.StageGenerate.Name()); row.Count != int64(i+1) || row.Seconds <= 0 {
+		if row := stageRow(r, "generate"); row.Count != int64(i+1) || row.Seconds <= 0 {
 			t.Errorf("record %d: generate row %+v, want %d observations and positive seconds", i, row, i+1)
 		}
 		if r.Golden["marker"] != "golden-invariance" {

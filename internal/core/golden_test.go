@@ -233,7 +233,7 @@ func TestGoldenTelemetryInvariance(t *testing.T) {
 	} {
 		if got := lats[st.Metric()]; got.Count != want || got.SumNS <= 0 {
 			t.Errorf("stage %s: %d observations totalling %dns, want %d and a positive total",
-				st.Name(), got.Count, got.SumNS, want)
+				st.Metric(), got.Count, got.SumNS, want)
 		}
 	}
 }
@@ -282,12 +282,12 @@ func TestGoldenLatencyInvariance(t *testing.T) {
 	} {
 		ls, ok := snap.Latencies[st.Metric()]
 		if !ok || ls.Count == 0 {
-			t.Errorf("%s: no latency observations recorded", st.Name())
+			t.Errorf("%s: no latency observations recorded", st.Metric())
 			continue
 		}
 		if ls.P50NS > ls.P99NS || ls.P99NS > ls.P999NS {
 			t.Errorf("%s: quantiles out of order: p50=%.0f p99=%.0f p999=%.0f",
-				st.Name(), ls.P50NS, ls.P99NS, ls.P999NS)
+				st.Metric(), ls.P50NS, ls.P99NS, ls.P999NS)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func TestTalliesGradeOnce(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
 	defer telemetry.Install(nil)
-	grades := func() int64 { return reg.Latency(telemetry.StageGrade.Metric()).Count() }
+	grades := func() int64 { return reg.Snapshot().Latencies[telemetry.StageGrade.Metric()].Count }
 	s := Study{Seed: 42, NMain: 300, NStudent: 52, Workers: 4}
 	run := s.Run()
 	fromCols, err := s.ResultsFromColumns(run.Main.Cols, run.StudentCols)
@@ -84,11 +84,8 @@ func TestTalliesGradeOnce(t *testing.T) {
 }
 
 func TestAllFiguresRender(t *testing.T) {
-	figs := bigResults.AllFigures()
-	if len(figs) != 22 {
-		t.Fatalf("%d figures", len(figs))
-	}
-	for i, f := range figs {
+	for i := 0; i < 22; i++ {
+		f := bigResults.Figure(i + 1)
 		if f.Title == "" || strings.Contains(f.Title, "unknown") {
 			t.Errorf("figure %d bad title %q", i+1, f.Title)
 		}
@@ -125,8 +122,14 @@ func TestFigure13HistogramShape(t *testing.T) {
 		t.Fatalf("total %d", h.Total)
 	}
 	// Unimodal-ish around 8-9: the mode should be in [7, 10].
-	if m := h.Mode(); m < 7 || m > 10 {
-		t.Fatalf("mode %d, expected near 8.5", m)
+	mode := 0
+	for i, c := range h.Counts {
+		if c > h.Counts[mode] {
+			mode = i
+		}
+	}
+	if mode < 7 || mode > 10 {
+		t.Fatalf("mode %d, expected near 8.5", mode)
 	}
 	// Extremes are rare.
 	if h.Counts[0] > h.Total/50 || h.Counts[15] > h.Total/20 {

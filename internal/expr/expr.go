@@ -209,18 +209,3 @@ func Equal(a, b Node) bool {
 	}
 	return false
 }
-
-// Size returns the number of nodes in the tree.
-func Size(n Node) int {
-	switch t := n.(type) {
-	case Lit, Var:
-		return 1
-	case Unary:
-		return 1 + Size(t.X)
-	case Binary:
-		return 1 + Size(t.X) + Size(t.Y)
-	case FMA:
-		return 1 + Size(t.X) + Size(t.Y) + Size(t.Z)
-	}
-	return 0
-}

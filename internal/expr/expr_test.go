@@ -129,16 +129,6 @@ func TestLiteralConversionDoesNotRaise(t *testing.T) {
 	}
 }
 
-func TestSizeAndCountOps(t *testing.T) {
-	n := MustParse("a*b + sqrt(c)")
-	if Size(n) != 6 {
-		t.Fatalf("Size = %d", Size(n))
-	}
-	if Size(MustParse("fma(a,b,c)")) != 4 {
-		t.Fatal("fma should be one node over its three operands")
-	}
-}
-
 func TestEvalBinary16(t *testing.T) {
 	// The same source computes different answers in different formats:
 	// 0.1 + 0.2 in binary16 vs binary64.

@@ -14,7 +14,7 @@ func benchOperands() (a, b, c uint64) {
 }
 
 func BenchmarkAddBinary64(b *testing.B) {
-	e := NewEnv()
+	e := &Env{}
 	x, y, _ := benchOperands()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -24,7 +24,7 @@ func BenchmarkAddBinary64(b *testing.B) {
 }
 
 func BenchmarkMulBinary64(b *testing.B) {
-	e := NewEnv()
+	e := &Env{}
 	x, y, _ := benchOperands()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -34,7 +34,7 @@ func BenchmarkMulBinary64(b *testing.B) {
 }
 
 func BenchmarkFMABinary64(b *testing.B) {
-	e := NewEnv()
+	e := &Env{}
 	x, y, z := benchOperands()
 	b.ReportAllocs()
 	b.ResetTimer()

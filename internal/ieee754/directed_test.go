@@ -50,8 +50,6 @@ func TestInvalidOperations(t *testing.T) {
 		{"0*inf", func() uint64 { return Binary64.Mul(&e, b64(0), Binary64.Inf(false)) }},
 		{"inf/inf", func() uint64 { return Binary64.Div(&e, Binary64.Inf(false), Binary64.Inf(true)) }},
 		{"sqrt(-1)", func() uint64 { return Binary64.Sqrt(&e, b64(-1)) }},
-		{"rem(inf,1)", func() uint64 { return Binary64.Rem(&e, Binary64.Inf(false), b64(1)) }},
-		{"rem(1,0)", func() uint64 { return Binary64.Rem(&e, b64(1), b64(0)) }},
 		{"fma(0,inf,1)", func() uint64 { return Binary64.FMA(&e, b64(0), Binary64.Inf(false), b64(1)) }},
 		{"fma(inf,1,-inf)", func() uint64 { return Binary64.FMA(&e, Binary64.Inf(false), b64(1), Binary64.Inf(true)) }},
 	}
@@ -160,10 +158,6 @@ func TestStickyFlags(t *testing.T) {
 	want := FlagInexact | FlagDivByZero
 	if e.Flags != want {
 		t.Fatalf("sticky flags %v, want %v", e.Flags, want)
-	}
-	e.ClearFlags()
-	if e.Flags != 0 {
-		t.Fatalf("flags after clear: %v", e.Flags)
 	}
 }
 
@@ -313,7 +307,7 @@ func TestNaNSemantics(t *testing.T) {
 	}
 	// Ordered comparisons with NaN raise invalid; == does not.
 	e = Env{}
-	Binary64.Lt(&e, q, b64(1))
+	Binary64.CompareSignaling(&e, q, b64(1))
 	if !e.LastRaised.Has(FlagInvalid) {
 		t.Fatal("NaN < x did not raise invalid")
 	}
@@ -368,29 +362,6 @@ func TestExactOperationsRaiseNothing(t *testing.T) {
 	}
 }
 
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		x uint64
-		c Class
-	}{
-		{b64(1), ClassPosNormal},
-		{b64(-1), ClassNegNormal},
-		{b64(0), ClassPosZero},
-		{Binary64.Zero(true), ClassNegZero},
-		{Binary64.Inf(false), ClassPosInf},
-		{Binary64.Inf(true), ClassNegInf},
-		{Binary64.QNaN(), ClassQuietNaN},
-		{Binary64.SNaN(), ClassSignalingNaN},
-		{Binary64.MinSubnormal(), ClassPosSubnormal},
-		{Binary64.MinSubnormal() | Binary64.signMask(), ClassNegSubnormal},
-	}
-	for _, c := range cases {
-		if got := Binary64.Classify(c.x); got != c.c {
-			t.Errorf("classify(%x) = %v, want %v", c.x, got, c.c)
-		}
-	}
-}
-
 func TestFormatConstants(t *testing.T) {
 	if Binary64.Bias() != 1023 || Binary32.Bias() != 127 || Binary16.Bias() != 15 {
 		t.Fatal("bias wrong")
@@ -406,49 +377,6 @@ func TestFormatConstants(t *testing.T) {
 	}
 	if b32(math.MaxFloat32) != Binary32.MaxFinite(false) {
 		t.Fatal("MaxFinite32 mismatch")
-	}
-	for _, f := range []Format{Binary16, Binary32, Binary64} {
-		if !f.Valid() {
-			t.Errorf("%s not valid", f.Name)
-		}
-	}
-}
-
-func TestMinMaxNum(t *testing.T) {
-	var e Env
-	q := Binary64.QNaN()
-	if r := Binary64.MinNum(&e, q, b64(3)); r != b64(3) {
-		t.Fatalf("minNum(NaN,3) = %v", f64(r))
-	}
-	if r := Binary64.MaxNum(&e, b64(2), q); r != b64(2) {
-		t.Fatalf("maxNum(2,NaN) = %v", f64(r))
-	}
-	if r := Binary64.MinNum(&e, Binary64.Zero(true), b64(0)); r != Binary64.Zero(true) {
-		t.Fatalf("minNum(-0,+0) = %x", r)
-	}
-	if r := Binary64.MaxNum(&e, Binary64.Zero(true), b64(0)); r != b64(0) {
-		t.Fatalf("maxNum(-0,+0) = %x", r)
-	}
-	if r := Binary64.MinNum(&e, b64(-5), b64(3)); r != b64(-5) {
-		t.Fatalf("minNum(-5,3) = %v", f64(r))
-	}
-}
-
-func TestTotalOrder(t *testing.T) {
-	f := Binary64
-	seq := []uint64{
-		f.QNaN() | f.signMask(), f.Inf(true), b64(-1), f.Zero(true),
-		f.Zero(false), f.MinSubnormal(), b64(1), f.Inf(false), f.QNaN(),
-	}
-	for i := 0; i < len(seq); i++ {
-		for j := i; j < len(seq); j++ {
-			if !f.TotalOrder(seq[i], seq[j]) {
-				t.Errorf("totalOrder(%x, %x) = false, want true", seq[i], seq[j])
-			}
-			if i != j && f.TotalOrder(seq[j], seq[i]) {
-				t.Errorf("totalOrder(%x, %x) = true, want false", seq[j], seq[i])
-			}
-		}
 	}
 }
 
@@ -475,49 +403,4 @@ func TestStringAndHex(t *testing.T) {
 	if got := Binary64.Hex(b64(1)); got != "0x1p+0" {
 		t.Errorf("Hex(1) = %q", got)
 	}
-	if got := Binary64.BitString(b64(1)); got != "0|01111111111|0000000000000000000000000000000000000000000000000000" {
-		t.Errorf("BitString(1) = %q", got)
-	}
-}
-
-func TestParse(t *testing.T) {
-	var e Env
-	for _, s := range []string{"1.5", "-2", "1e300", "6.1e-5", "inf", "-inf", "nan"} {
-		x, err := Binary64.Parse(&e, s)
-		if err != nil {
-			t.Fatalf("parse %q: %v", s, err)
-		}
-		_ = x
-	}
-	if _, err := Binary64.Parse(&e, "bogus"); err == nil {
-		t.Fatal("parse bogus succeeded")
-	}
-	x, _ := Binary16.Parse(&e, "65504") // max binary16
-	if x != Binary16.MaxFinite(false) {
-		t.Fatalf("parse 65504 -> %x, want binary16 max", x)
-	}
-}
-
-func TestNumWrapper(t *testing.T) {
-	var e Env
-	a := N(Binary64, 1.5)
-	b := N(Binary64, 2.5)
-	if got := a.Add(&e, b).Float64(); got != 4 {
-		t.Fatalf("1.5+2.5 = %v", got)
-	}
-	if got := a.Mul(&e, b).Float64(); got != 3.75 {
-		t.Fatalf("1.5*2.5 = %v", got)
-	}
-	if !a.Lt(&e, b) || a.Eq(&e, b) {
-		t.Fatal("compare wrong")
-	}
-	if a.Neg().Float64() != -1.5 || a.Neg().Abs().Float64() != 1.5 {
-		t.Fatal("neg/abs wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("format mismatch did not panic")
-		}
-	}()
-	a.Add(&e, N(Binary32, 1))
 }

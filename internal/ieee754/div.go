@@ -1,5 +1,7 @@
 package ieee754
 
+import "math/bits"
+
 // Div returns a / b rounded per the environment. Division of a finite
 // nonzero value by zero raises divide-by-zero and returns a signed
 // infinity; 0/0 and inf/inf raise invalid and return the default NaN.
@@ -47,4 +49,10 @@ func (f Format) div(e *Env, a, b uint64) uint64 {
 		exp--
 	}
 	return f.roundPack(e, sign, exp, q, sticky)
+}
+
+// div64x63 computes floor(sigA * 2^63 / sigB) with remainder, for
+// bit-63-normalized significands (the core of Div).
+func div64x63(sigA, sigB uint64) (q, rem uint64) {
+	return bits.Div64(sigA>>1, sigA<<63, sigB)
 }

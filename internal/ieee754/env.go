@@ -98,20 +98,6 @@ func (fl Flags) String() string {
 // Has reports whether every flag in q is set in fl.
 func (fl Flags) Has(q Flags) bool { return fl&q == q }
 
-// Count returns the number of flags set.
-func (fl Flags) Count() int {
-	n := 0
-	for _, fn := range flagNames {
-		if fl&fn.f != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// AllFlags is the union of every flag this package can raise.
-const AllFlags = FlagInvalid | FlagDivByZero | FlagOverflow | FlagUnderflow | FlagInexact | FlagDenormal
-
 // Env is a floating point environment: rounding mode, sticky exception
 // flags, and non-standard mode controls. The zero value is the default
 // IEEE environment (round to nearest even, no flags, FTZ/DAZ off).
@@ -131,7 +117,7 @@ type Env struct {
 	DAZ bool
 
 	// Flags accumulates raised exceptions (sticky, like hardware
-	// status bits); clear with ClearFlags.
+	// status bits); assign zero to clear them.
 	Flags Flags
 
 	// LastRaised holds the flags raised by the most recent operation.
@@ -139,32 +125,6 @@ type Env struct {
 
 	raised Flags // accumulates during the current operation
 }
-
-// NewEnv returns an Env with the default IEEE 754 environment settings.
-func NewEnv() *Env { return &Env{} }
-
-// Clone returns an independent copy of the environment for use by
-// another goroutine: the mode controls (rounding direction, FTZ, DAZ)
-// and the sticky flags are carried over; the per-operation state is
-// not.
-//
-// The one-Env-per-goroutine rule: an Env mutates internal state on
-// every operation, so two goroutines must never share one. Clone the
-// configured Env once per worker instead.
-func (e *Env) Clone() *Env {
-	return &Env{
-		Rounding: e.Rounding,
-		FTZ:      e.FTZ,
-		DAZ:      e.DAZ,
-		Flags:    e.Flags,
-	}
-}
-
-// ClearFlags clears the sticky exception flags.
-func (e *Env) ClearFlags() { e.Flags = 0 }
-
-// TestFlags reports whether all flags in q are currently set.
-func (e *Env) TestFlags(q Flags) bool { return e.Flags.Has(q) }
 
 // raise records flags for the operation in progress.
 func (e *Env) raise(f Flags) { e.raised |= f }

@@ -68,17 +68,17 @@ func TestBinary16NegAbsExhaustive(t *testing.T) {
 }
 
 func TestBinary16ClassifyExhaustive(t *testing.T) {
-	counts := map[Class]int{}
+	counts := map[string]int{}
 	for x := uint64(0); x < 1<<16; x++ {
-		counts[Binary16.Classify(x)]++
+		counts[classOf(Binary16, x)]++
 	}
 	// Known census of the binary16 encoding space.
-	wants := map[Class]int{
-		ClassPosZero: 1, ClassNegZero: 1,
-		ClassPosInf: 1, ClassNegInf: 1,
-		ClassPosSubnormal: 1023, ClassNegSubnormal: 1023,
-		ClassPosNormal: 30720, ClassNegNormal: 30720,
-		ClassQuietNaN: 1024, ClassSignalingNaN: 1022,
+	wants := map[string]int{
+		"+zero": 1, "-zero": 1,
+		"+inf": 1, "-inf": 1,
+		"+subnormal": 1023, "-subnormal": 1023,
+		"+normal": 30720, "-normal": 30720,
+		"qNaN": 1024, "sNaN": 1022,
 	}
 	for c, want := range wants {
 		if counts[c] != want {

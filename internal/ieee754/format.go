@@ -1,21 +1,23 @@
 // Package ieee754 is a from-scratch software implementation of IEEE 754
 // binary floating point arithmetic.
 //
-// It implements the three common interchange formats (binary16, binary32,
-// binary64) parametrically, with all five rounding-direction attributes,
-// the five standard exception flags (plus a non-standard denormal-operand
-// flag, as found on x86), fused multiply-add, square root, remainder, and
-// conversions. It also models two common non-standard hardware behaviours:
-// flush-to-zero (FTZ) results and denormals-are-zero (DAZ) operands.
+// It implements binary formats parametrically: binary16, binary32,
+// binary64, bfloat16 and any layout with 2 to 15 exponent bits and 2 to
+// 52 fraction bits. Each has all five rounding-direction attributes,
+// the five standard exception flags (plus a non-standard
+// denormal-operand flag, as found on x86), the four basic operations,
+// fused multiply-add, square root, conversions and comparisons. It also
+// models two common non-standard hardware behaviours: flush-to-zero
+// (FTZ) results and denormals-are-zero (DAZ) operands.
 //
-// The package is the ground-truth oracle for the survey harness in this
-// repository: every quiz question about floating point semantics is
-// answered by executing these routines, not by a hard-coded answer key.
+// The package is what the quiz oracles (internal/oracle) run to derive
+// the answer key, whose table internal/quiz checks in. Its tests check
+// the arithmetic and conversions against an exact math/big reference
+// and the comparisons against hardware.
 //
 // Values are represented as raw bit patterns (uint64) interpreted by a
 // Format. All arithmetic goes through an Env, which carries the rounding
-// mode, sticky exception flags, FTZ/DAZ controls, and an optional
-// per-operation observer used to count exceptions.
+// mode, sticky exception flags and FTZ/DAZ controls.
 package ieee754
 
 import "math/bits"
@@ -35,48 +37,11 @@ var (
 	Binary64 = Format{ExpBits: 11, FracBits: 52, Name: "binary64"}
 )
 
-// Class is the IEEE 754 classification of a value.
-type Class uint8
-
-const (
-	ClassSignalingNaN Class = iota
-	ClassQuietNaN
-	ClassNegInf
-	ClassNegNormal
-	ClassNegSubnormal
-	ClassNegZero
-	ClassPosZero
-	ClassPosSubnormal
-	ClassPosNormal
-	ClassPosInf
-)
-
-// String returns the standard name of the class.
-func (c Class) String() string {
-	switch c {
-	case ClassSignalingNaN:
-		return "signalingNaN"
-	case ClassQuietNaN:
-		return "quietNaN"
-	case ClassNegInf:
-		return "negativeInfinity"
-	case ClassNegNormal:
-		return "negativeNormal"
-	case ClassNegSubnormal:
-		return "negativeSubnormal"
-	case ClassNegZero:
-		return "negativeZero"
-	case ClassPosZero:
-		return "positiveZero"
-	case ClassPosSubnormal:
-		return "positiveSubnormal"
-	case ClassPosNormal:
-		return "positiveNormal"
-	case ClassPosInf:
-		return "positiveInfinity"
-	}
-	return "invalidClass"
-}
+// Bfloat16 is the "brain floating point" format used by ML hardware:
+// the binary32 exponent range with only 8 bits of significand. The
+// paper's introduction motivates the study with exactly this trend —
+// reduced-precision formats spreading with machine learning.
+var Bfloat16 = Format{ExpBits: 8, FracBits: 7, Name: "bfloat16"}
 
 // TotalBits is the full encoding width (1 + ExpBits + FracBits).
 func (f Format) TotalBits() uint { return 1 + f.ExpBits + f.FracBits }
@@ -112,13 +77,6 @@ func (f Format) mask() uint64 {
 		return ^uint64(0)
 	}
 	return (1 << f.TotalBits()) - 1
-}
-
-// Valid reports whether the format parameters are usable by this package.
-// The significand (with implicit bit) must fit a uint64 with one spare
-// bit, and exponent fields up to 15 bits are supported.
-func (f Format) Valid() bool {
-	return f.ExpBits >= 2 && f.ExpBits <= 15 && f.FracBits >= 2 && f.FracBits <= 52
 }
 
 // Field accessors on raw encodings.
@@ -167,42 +125,6 @@ func (f Format) IsSubnormal(x uint64) bool {
 	return f.biasedExp(x) == 0 && f.frac(x) != 0
 }
 
-// IsFinite reports whether x encodes a finite number (zero, subnormal or
-// normal).
-func (f Format) IsFinite(x uint64) bool { return f.biasedExp(x) != f.expMask() }
-
-// Classify returns the IEEE 754 class of x.
-func (f Format) Classify(x uint64) Class {
-	neg := f.SignBit(x)
-	switch {
-	case f.IsNaN(x):
-		if f.IsSignalingNaN(x) {
-			return ClassSignalingNaN
-		}
-		return ClassQuietNaN
-	case f.biasedExp(x) == f.expMask():
-		if neg {
-			return ClassNegInf
-		}
-		return ClassPosInf
-	case f.IsZero(x):
-		if neg {
-			return ClassNegZero
-		}
-		return ClassPosZero
-	case f.IsSubnormal(x):
-		if neg {
-			return ClassNegSubnormal
-		}
-		return ClassPosSubnormal
-	default:
-		if neg {
-			return ClassNegNormal
-		}
-		return ClassPosNormal
-	}
-}
-
 // Canonical constant encodings.
 
 // Zero returns the encoding of a zero with the given sign.
@@ -226,11 +148,6 @@ func (f Format) Inf(negative bool) uint64 {
 // remaining payload zero).
 func (f Format) QNaN() uint64 {
 	return f.expMask()<<f.FracBits | f.quietBit()
-}
-
-// SNaN returns a canonical signaling NaN (payload 1).
-func (f Format) SNaN() uint64 {
-	return f.expMask()<<f.FracBits | 1
 }
 
 // One returns the encoding of ±1.0.
@@ -262,14 +179,6 @@ func (f Format) MinSubnormal() uint64 { return 1 }
 // quiet, non-computational sign operation: it applies to NaNs as well and
 // raises no flags.
 func (f Format) Neg(x uint64) uint64 { return x ^ f.signMask() }
-
-// Abs returns x with its sign bit cleared. Quiet, raises no flags.
-func (f Format) Abs(x uint64) uint64 { return x &^ f.signMask() }
-
-// CopySign returns x with the sign of y.
-func (f Format) CopySign(x, y uint64) uint64 {
-	return x&^f.signMask() | y&f.signMask()
-}
 
 // unpacked is the internal working representation of a finite nonzero
 // value: (-1)^sign * (sig / 2^63) * 2^exp, with sig normalized so its

@@ -147,28 +147,6 @@ func TestFMAMatchesHardware64(t *testing.T) {
 	}
 }
 
-func TestRemMatchesHardware64(t *testing.T) {
-	var e Env
-	rng := newRng(t)
-	sp := specials64()
-	check := func(a, b uint64) {
-		got := Binary64.Rem(&e, a, b)
-		want := b64(math.Remainder(f64(a), f64(b)))
-		if !sameFloat64(got, want) {
-			t.Fatalf("rem(%x~%v, %x~%v): got %x (%v) want %x (%v)",
-				a, f64(a), b, f64(b), got, f64(got), want, f64(want))
-		}
-	}
-	for _, a := range sp {
-		for _, b := range sp {
-			check(a, b)
-		}
-	}
-	for i := 0; i < crossIters; i++ {
-		check(randBits64(rng), randBits64(rng))
-	}
-}
-
 func TestMul32MatchesHardware(t *testing.T) {
 	var e Env
 	rng := newRng(t)
@@ -249,65 +227,6 @@ func TestConvert32To64Exact(t *testing.T) {
 	}
 }
 
-func TestFromInt64MatchesHardware(t *testing.T) {
-	var e Env
-	rng := newRng(t)
-	for i := 0; i < crossIters; i++ {
-		v := int64(rng.Uint64())
-		got := Binary64.FromInt64(&e, v)
-		want := b64(float64(v))
-		if got != want {
-			t.Fatalf("fromInt64(%d): got %x (%v) want %x (%v)",
-				v, got, f64(got), want, f64(want))
-		}
-	}
-}
-
-func TestToInt64MatchesHardware(t *testing.T) {
-	var e Env
-	e.Rounding = TowardZero // Go's int64(f) truncates
-	rng := newRng(t)
-	for i := 0; i < crossIters; i++ {
-		a := randBits64(rng)
-		v := f64(a)
-		// Only compare where Go's conversion is defined (in-range).
-		if math.IsNaN(v) || v >= math.MaxInt64 || v <= math.MinInt64 {
-			continue
-		}
-		got := Binary64.ToInt64(&e, a)
-		want := int64(v)
-		if got != want {
-			t.Fatalf("toInt64(%v): got %d want %d", v, got, want)
-		}
-	}
-}
-
-func TestRoundToIntegralMatchesHardware(t *testing.T) {
-	rng := newRng(t)
-	modes := []struct {
-		m  RoundingMode
-		fn func(float64) float64
-	}{
-		{NearestEven, math.RoundToEven},
-		{NearestAway, math.Round},
-		{TowardZero, math.Trunc},
-		{TowardPositive, math.Ceil},
-		{TowardNegative, math.Floor},
-	}
-	for _, mode := range modes {
-		e := Env{Rounding: mode.m}
-		for i := 0; i < 40000; i++ {
-			a := randBits64(rng)
-			got := Binary64.RoundToIntegral(&e, a)
-			want := b64(mode.fn(f64(a)))
-			if !sameFloat64(got, want) {
-				t.Fatalf("rint[%v](%x~%v): got %x (%v) want %x (%v)",
-					mode.m, a, f64(a), got, f64(got), want, f64(want))
-			}
-		}
-	}
-}
-
 func TestCompareMatchesHardware(t *testing.T) {
 	var e Env
 	rng := newRng(t)
@@ -317,13 +236,14 @@ func TestCompareMatchesHardware(t *testing.T) {
 		if got, want := Binary64.Eq(&e, a, b), va == vb; got != want {
 			t.Fatalf("eq(%v, %v): got %v want %v", va, vb, got, want)
 		}
-		if got, want := Binary64.Lt(&e, a, b), va < vb; got != want {
+		o := Binary64.CompareSignaling(&e, a, b)
+		if got, want := o == Less, va < vb; got != want {
 			t.Fatalf("lt(%v, %v): got %v want %v", va, vb, got, want)
 		}
-		if got, want := Binary64.Le(&e, a, b), va <= vb; got != want {
+		if got, want := o == Less || o == Equal, va <= vb; got != want {
 			t.Fatalf("le(%v, %v): got %v want %v", va, vb, got, want)
 		}
-		if got, want := Binary64.Gt(&e, a, b), va > vb; got != want {
+		if got, want := o == Greater, va > vb; got != want {
 			t.Fatalf("gt(%v, %v): got %v want %v", va, vb, got, want)
 		}
 		if got, want := Binary64.Ge(&e, a, b), va >= vb; got != want {

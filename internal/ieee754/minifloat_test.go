@@ -55,7 +55,7 @@ func refRoundFP8(v float64) uint64 {
 	maxF := fp8.ToFloat64(fp8.MaxFinite(false))
 	// The "next" representable above max would be max * (1 + 2^-p)...
 	// IEEE overflow threshold is max + 1/2 ulp = max * (1 + 2^-(p)).
-	ulp := fp8.ToFloat64(fp8.Ulp(fp8.MaxFinite(false)))
+	ulp := math.Ldexp(1, fp8.Emax()-int(fp8.FracBits))
 	if av >= maxF+ulp/2 {
 		return fp8.Inf(neg)
 	}
@@ -66,9 +66,6 @@ func refRoundFP8(v float64) uint64 {
 }
 
 func TestFP8FormatBasics(t *testing.T) {
-	if !fp8.Valid() {
-		t.Fatal("fp8 invalid")
-	}
 	if fp8.Bias() != 7 || fp8.Precision() != 4 || fp8.TotalBits() != 8 {
 		t.Fatalf("fp8 parameters: bias=%d p=%d", fp8.Bias(), fp8.Precision())
 	}
@@ -179,22 +176,22 @@ func TestFP8SqrtExhaustive(t *testing.T) {
 }
 
 func TestFP8EncodingCensus(t *testing.T) {
-	counts := map[Class]int{}
+	counts := map[string]int{}
 	for x := uint64(0); x < 1<<8; x++ {
-		counts[fp8.Classify(x)]++
+		counts[classOf(fp8, x)]++
 	}
 	// 2 zeros, 2 infs, 2*7 subnormals, 2*(14 exps * 8 fracs - 8)
 	// normals = 2*104... compute: normals per sign: exp in 1..14, 8
 	// fracs = 112; subnormals per sign 7; NaNs: frac != 0 with exp 15:
 	// 7 per sign, quiet bit (bit 2) set -> 4 quiet, 3 signaling per
 	// sign.
-	if counts[ClassPosNormal] != 112 || counts[ClassNegNormal] != 112 {
+	if counts["+normal"] != 112 || counts["-normal"] != 112 {
 		t.Fatalf("normals: %v", counts)
 	}
-	if counts[ClassPosSubnormal] != 7 || counts[ClassNegSubnormal] != 7 {
+	if counts["+subnormal"] != 7 || counts["-subnormal"] != 7 {
 		t.Fatalf("subnormals: %v", counts)
 	}
-	if counts[ClassQuietNaN] != 8 || counts[ClassSignalingNaN] != 6 {
+	if counts["qNaN"] != 8 || counts["sNaN"] != 6 {
 		t.Fatalf("NaNs: %v", counts)
 	}
 	total := 0

@@ -237,26 +237,6 @@ func TestPropFMAExactWhenProductFits(t *testing.T) {
 	}
 }
 
-func TestPropRoundTripInt(t *testing.T) {
-	// Integers up to 2^53 convert to binary64 and back exactly.
-	var e Env
-	rng := newRng(t)
-	for i := 0; i < 20000; i++ {
-		v := int64(rng.Uint64() % (1 << 53))
-		if rng.Intn(2) == 0 {
-			v = -v
-		}
-		x := Binary64.FromInt64(&e, v)
-		back := Binary64.ToInt64(&e, x)
-		if back != v {
-			t.Fatalf("roundtrip %d -> %v -> %d", v, f64(x), back)
-		}
-		if e.LastRaised != 0 {
-			t.Fatalf("roundtrip %d raised %v", v, e.LastRaised)
-		}
-	}
-}
-
 func TestPropFlagsMonotone(t *testing.T) {
 	// Sticky flags never clear across operations.
 	var e Env

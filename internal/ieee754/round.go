@@ -16,7 +16,7 @@ package ieee754
 // normalized after at most a one-place shift, a sum of like-signed
 // magnitudes is at least the larger one, conversions and roundPack128
 // normalize with a leading-zero count, and the subtractions (subMags,
-// fmaSubMags, addSubTo) deliver exact cancellation as a zero before
+// fmaSubMags) deliver exact cancellation as a zero before
 // rounding. They borrow for a sticky residue only when the subtrahend
 // was shifted right at least one place, which leaves a difference of at
 // least 2^63 in their 128-bit window. A value that lies wholly below the

@@ -76,44 +76,3 @@ func (f Format) Hex(x uint64) string {
 	}
 	return fmt.Sprintf("%s0x1.%sp%+d", sign, mantissa, u.exp)
 }
-
-// BitString renders the encoding as sign|exponent|fraction binary
-// fields, e.g. "0|01111111111|0000..." for 1.0 in binary64.
-func (f Format) BitString(x uint64) string {
-	sign := byte('0')
-	if f.SignBit(x) {
-		sign = '1'
-	}
-	expStr := fmt.Sprintf("%0*b", f.ExpBits, f.biasedExp(x))
-	fracStr := fmt.Sprintf("%0*b", f.FracBits, f.frac(x))
-	return fmt.Sprintf("%c|%s|%s", sign, expStr, fracStr)
-}
-
-// Parse converts a decimal or hexadecimal floating point literal to an
-// encoding in format f, rounding per the environment.
-//
-// Parsing goes through strconv's correctly rounded float64 conversion and
-// then narrows. For binary32/binary16 targets this can in principle
-// double-round on values within a half-ulp sliver of a narrow-format
-// boundary; exact literal tests in this repository use bit patterns
-// instead.
-func (f Format) Parse(e *Env, s string) (uint64, error) {
-	s = strings.TrimSpace(s)
-	switch strings.ToLower(s) {
-	case "inf", "+inf", "infinity":
-		return f.Inf(false), nil
-	case "-inf", "-infinity":
-		return f.Inf(true), nil
-	case "nan", "qnan":
-		return f.QNaN(), nil
-	case "-nan":
-		return f.signMask() | f.QNaN(), nil
-	case "snan":
-		return f.SNaN(), nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("ieee754: parse %q: %w", s, err)
-	}
-	return f.FromFloat64(e, v), nil
-}

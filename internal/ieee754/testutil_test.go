@@ -80,3 +80,66 @@ func newRng(t *testing.T) *rand.Rand {
 	t.Helper()
 	return rand.New(rand.NewSource(0x5eed))
 }
+
+// The helpers below build test inputs and expectations; the package
+// itself needs none of them.
+
+// SNaN returns a canonical signaling NaN (payload 1).
+func (f Format) SNaN() uint64 {
+	return f.expMask()<<f.FracBits | 1
+}
+
+// IsFinite reports whether x encodes a finite number (zero, subnormal or
+// normal).
+func (f Format) IsFinite(x uint64) bool { return f.biasedExp(x) != f.expMask() }
+
+// Abs returns x with its sign bit cleared. Quiet, raises no flags.
+func (f Format) Abs(x uint64) uint64 { return x &^ f.signMask() }
+
+// CopySign returns x with the sign of y.
+func (f Format) CopySign(x, y uint64) uint64 {
+	return x&^f.signMask() | y&f.signMask()
+}
+
+// NextUp returns the least value that compares greater than x
+// (IEEE 754-2008 nextUp). nextUp(-0) = nextUp(+0) = minSubnormal,
+// nextUp(+inf) = +inf, nextUp(NaN) = quieted NaN.
+func (f Format) NextUp(x uint64) uint64 {
+	switch {
+	case f.IsNaN(x):
+		return f.quiet(x)
+	case f.IsInf(x, +1):
+		return x
+	case f.IsZero(x):
+		return f.MinSubnormal()
+	case f.SignBit(x):
+		// Negative values move toward zero: decrement magnitude.
+		return f.pack(true, 0, 0) | (x&^f.signMask() - 1)
+	default:
+		return x + 1 // encoding order matches value order for positives
+	}
+}
+
+// classOf names the IEEE 754 class of x for the census tests: "sNaN",
+// "qNaN", or a sign followed by "inf", "zero", "subnormal" or "normal".
+func classOf(f Format, x uint64) string {
+	switch {
+	case f.IsSignalingNaN(x):
+		return "sNaN"
+	case f.IsNaN(x):
+		return "qNaN"
+	}
+	sign := "+"
+	if f.SignBit(x) {
+		sign = "-"
+	}
+	switch {
+	case f.IsInf(x, 0):
+		return sign + "inf"
+	case f.IsZero(x):
+		return sign + "zero"
+	case f.IsSubnormal(x):
+		return sign + "subnormal"
+	}
+	return sign + "normal"
+}

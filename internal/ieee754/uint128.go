@@ -11,13 +11,6 @@ type uint128 struct {
 // isZero reports whether u == 0.
 func (u uint128) isZero() bool { return u.hi == 0 && u.lo == 0 }
 
-// add returns u + v, discarding carry out of bit 127.
-func (u uint128) add(v uint128) uint128 {
-	lo, c := bits.Add64(u.lo, v.lo, 0)
-	hi, _ := bits.Add64(u.hi, v.hi, c)
-	return uint128{hi, lo}
-}
-
 // addCarry returns u + v and the carry out of bit 127.
 func (u uint128) addCarry(v uint128) (uint128, uint64) {
 	lo, c := bits.Add64(u.lo, v.lo, 0)
@@ -111,17 +104,6 @@ func (u uint128) leadingZeros() uint {
 		return uint(bits.LeadingZeros64(u.hi))
 	}
 	return 64 + uint(bits.LeadingZeros64(u.lo))
-}
-
-// top64Jam collapses u to a 64-bit significand taking the high word and
-// jamming the low word into its LSB. u must already be normalized with
-// its most significant bit at bit 127.
-func (u uint128) top64Jam() uint64 {
-	s := u.hi
-	if u.lo != 0 {
-		s |= 1
-	}
-	return s
 }
 
 // mul64 returns the full 128-bit product x*y.

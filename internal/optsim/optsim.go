@@ -87,16 +87,6 @@ func FastMath() Config {
 	}
 }
 
-// Strict returns the baseline, fully standard-compliant configuration.
-func Strict() Config { return Config{Name: "strict"} }
-
-// AllConfigs returns the standard sweep: -O0..-O3 and fast-math.
-func AllConfigs() []Config {
-	return []Config{
-		ForLevel(O0), ForLevel(O1), ForLevel(O2), ForLevel(O3), FastMath(),
-	}
-}
-
 // Optimize applies the configuration's rewrites to an expression and
 // returns the transformed tree along with the names of passes that made
 // a change.

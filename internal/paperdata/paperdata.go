@@ -352,15 +352,6 @@ var Figure22Student = []SuspicionDist{
 	{"Denorm", [5]float64{30, 30, 22, 12, 6}},
 }
 
-// Total returns the sum of counts in a table.
-func Total(entries []CountEntry) int {
-	n := 0
-	for _, e := range entries {
-		n += e.N
-	}
-	return n
-}
-
 // Percent returns 100*n/total for a table entry.
 func Percent(e CountEntry, total int) float64 {
 	return 100 * float64(e.N) / float64(total)

@@ -173,14 +173,6 @@ func fanOutDone(start time.Time, n, workers int, wall, busy time.Duration) {
 	telemetry.Record(telemetry.StageParallelWait, 0, start, wait, int64(busy), int64(n))
 }
 
-// Map computes out[i] = fn(i) for every i in [0, n) in parallel and
-// returns the results in index order (ordered fan-in).
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(workers, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
 // shardSize is the fixed shard width used by MapShards. It
 // depends only on this constant — never on the worker count — which is
 // what keeps ordered reductions deterministic.

@@ -52,13 +52,6 @@ func TestEveryHelperVisitsEachIndexOnce(t *testing.T) {
 					t.Fatalf("ForEachWith workers=%d n=%d: %d scratch values made", workers, n, made.Load())
 				}
 			})
-			check("Map", func(seen []int32) {
-				for i, v := range Map(workers, n, func(i int) int { atomic.AddInt32(&seen[i], 1); return i }) {
-					if v != i {
-						t.Fatalf("Map workers=%d n=%d: out[%d] = %d", workers, n, i, v)
-					}
-				}
-			})
 			check("MapShards", func(seen []int32) {
 				type shard struct {
 					lo  int
@@ -114,20 +107,6 @@ func TestShortLoopSpreadsAcrossWorkers(t *testing.T) {
 		body(lo / shardSize)
 		return struct{}{}
 	})
-}
-
-func TestMapOrdered(t *testing.T) {
-	// Raise GOMAXPROCS so Workers does not clamp the 4 and 16 legs on a
-	// small host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
-	for _, workers := range []int{1, 4, 16} {
-		out := Map(workers, 500, func(i int) int { return i * i })
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("workers=%d: out[%d] = %d", workers, i, v)
-			}
-		}
-	}
 }
 
 func TestShardBounds(t *testing.T) {
@@ -206,26 +185,29 @@ func TestWorkersClampToGOMAXPROCS(t *testing.T) {
 // stage histograms — and that the results fn produces are identical
 // with and without it.
 func TestHookObservation(t *testing.T) {
-	baseline := Map(4, 1000, func(i int) int { return i * i })
+	squares := func() []int {
+		out := make([]int, 1000)
+		ForEach(4, len(out), func(i int) { out[i] = i * i })
+		return out
+	}
+	baseline := squares()
 
 	reg := telemetry.NewRegistry()
 	telemetry.Install(reg)
 	defer telemetry.Install(nil)
-	calls := reg.Latency(telemetry.StageParallelWait.Metric())
+	count := func(st telemetry.Stage) int64 { return reg.Snapshot().Latencies[st.Metric()].Count }
 	items := reg.Counter(telemetry.MetricItems)
 	busyNS := reg.Counter(telemetry.MetricBusyNS)
-	shards := reg.Latency(telemetry.StageParallelShard.Metric())
-	poolTasks := reg.Latency(telemetry.StagePoolTask.Metric())
 
-	got := Map(4, 1000, func(i int) int { return i * i })
+	got := squares()
 	for i := range got {
 		if got[i] != baseline[i] {
 			t.Fatalf("probe changed results at %d: %d != %d", i, got[i], baseline[i])
 		}
 	}
-	if calls.Count() == 0 || items.Value() != 1000 {
+	if calls := count(telemetry.StageParallelWait); calls == 0 || items.Value() != 1000 {
 		t.Fatalf("probe saw calls=%d items=%d, want 1+ calls over 1000 items",
-			calls.Count(), items.Value())
+			calls, items.Value())
 	}
 	if busyNS.Value() <= 0 {
 		t.Fatal("probe saw zero busy time")
@@ -240,7 +222,7 @@ func TestHookObservation(t *testing.T) {
 	// MapShards counts its shards on both the fan-out and the serial
 	// path.
 	for _, workers := range []int{4, 1} {
-		before := shards.Count()
+		before := count(telemetry.StageParallelShard)
 		sum := 0
 		for _, v := range MapShards(workers, 10000, func(lo, hi int) int { return hi - lo }) {
 			sum += v
@@ -248,7 +230,7 @@ func TestHookObservation(t *testing.T) {
 		if sum != 10000 {
 			t.Fatalf("workers=%d: MapShards under the probe covers %d items, want 10000", workers, sum)
 		}
-		if got, want := shards.Count()-before, int64(NumShards(10000)); got != want {
+		if got, want := count(telemetry.StageParallelShard)-before, int64(NumShards(10000)); got != want {
 			t.Fatalf("workers=%d: probe saw %d shards, want %d", workers, got, want)
 		}
 	}
@@ -258,8 +240,8 @@ func TestHookObservation(t *testing.T) {
 		p.Go(func() {})
 	}
 	p.Wait()
-	if poolTasks.Count() != 5 {
-		t.Fatalf("probe saw %d pool tasks, want 5", poolTasks.Count())
+	if got := count(telemetry.StagePoolTask); got != 5 {
+		t.Fatalf("probe saw %d pool tasks, want 5", got)
 	}
 }
 
@@ -270,10 +252,10 @@ func TestHookNilFastPath(t *testing.T) {
 	telemetry.Install(reg)
 	ForEach(2, 10, func(i int) {})
 	telemetry.Install(nil)
-	calls := reg.Latency(telemetry.StageParallelWait.Metric())
-	before := calls.Count()
+	calls := func() int64 { return reg.Snapshot().Latencies[telemetry.StageParallelWait.Metric()].Count }
+	before := calls()
 	ForEach(2, 10, func(i int) {})
-	if calls.Count() != before {
+	if calls() != before {
 		t.Fatal("probe counted after Install(nil)")
 	}
 	if before == 0 {

@@ -34,14 +34,6 @@ func (m *Bitmap) Reset(n int) {
 	}
 }
 
-// Len returns the number of rows the bitmap covers.
-func (m *Bitmap) Len() int { return m.n }
-
-// Test reports whether row j is selected.
-func (m *Bitmap) Test(j int) bool {
-	return m.words[j/64]&(1<<uint(j%64)) != 0
-}
-
 // Count returns the number of selected rows.
 func (m *Bitmap) Count() int {
 	c := 0

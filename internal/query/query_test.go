@@ -92,16 +92,16 @@ func sources(t testing.TB, d *colstore.Dataset) (mem, shard query.Source) {
 }
 
 // effectiveMask rebuilds a row's effective multi-choice option bitset
-// from the materialized label list — the reference the U64 kernels
-// (raw masks plus verbatim patches) must reproduce.
+// from the cell's label list — the reference the U64 kernels (raw masks
+// plus verbatim patches) must reproduce.
 func effectiveMask(d *colstore.Dataset, ci, i int) uint64 {
 	c := d.Schema.Column(ci)
 	var mask uint64
-	for _, lbl := range d.MultiChoices(ci, i) {
+	d.ForEachMultiChoice(ci, i, func(lbl string) {
 		if code, ok := c.OptionCode(lbl); ok {
 			mask |= 1 << uint(code-1)
 		}
-	}
+	})
 	return mask
 }
 

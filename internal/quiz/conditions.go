@@ -1,7 +1,5 @@
 package quiz
 
-import "fpstudy/internal/ieee754"
-
 // Condition identifies one of the suspicion quiz's five exceptional
 // conditions, in the paper's order.
 type Condition int
@@ -35,23 +33,6 @@ func (c Condition) String() string {
 		return "Denorm"
 	}
 	return "invalidCondition"
-}
-
-// Flag maps the condition to its ieee754 exception flag.
-func (c Condition) Flag() ieee754.Flags {
-	switch c {
-	case Overflow:
-		return ieee754.FlagOverflow
-	case Underflow:
-		return ieee754.FlagUnderflow
-	case Precision:
-		return ieee754.FlagInexact
-	case Invalid:
-		return ieee754.FlagInvalid
-	case Denorm:
-		return ieee754.FlagDenormal
-	}
-	return 0
 }
 
 // GroundTruthSuspicion is the paper's "arguably reasonable ranking" of

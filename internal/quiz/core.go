@@ -25,10 +25,6 @@ type CoreQuestion struct {
 	Snippet string
 }
 
-// CorrectAnswer returns the survey answer string a perfectly informed
-// participant gives, from the answer key.
-func (q CoreQuestion) CorrectAnswer() string { return KeyAnswer(q.ID) }
-
 // CoreQuestions returns the 15 core quiz questions in the paper's
 // order.
 func CoreQuestions() []CoreQuestion {

@@ -16,11 +16,6 @@ type OptQuestion struct {
 // IsTrueFalse reports whether the question is scored as T/F.
 func (q OptQuestion) IsTrueFalse() bool { return len(q.Choices) == 0 }
 
-// CorrectAnswer returns the survey answer string for a perfectly
-// informed participant, from the answer key: "true" or "false", or the
-// right option of the choice question.
-func (q OptQuestion) CorrectAnswer() string { return KeyAnswer(q.ID) }
-
 // LevelChoices are the options for the Standard-compliant Level
 // question.
 var LevelChoices = []string{"-O0", "-O1", "-O2", "-O3"}

@@ -19,14 +19,6 @@ type Tally struct {
 // Total returns the number of questions tallied.
 func (t Tally) Total() int { return t.Correct + t.Incorrect + t.DontKnow + t.Unanswered }
 
-// Add accumulates another tally.
-func (t *Tally) Add(o Tally) {
-	t.Correct += o.Correct
-	t.Incorrect += o.Incorrect
-	t.DontKnow += o.DontKnow
-	t.Unanswered += o.Unanswered
-}
-
 // Grades holds the per-respondent tallies of one graded dataset, in
 // response order.
 type Grades struct {

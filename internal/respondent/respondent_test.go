@@ -153,11 +153,20 @@ func TestBackgroundMarginalsMatchPaper(t *testing.T) {
 	}
 }
 
-func TestCoreScoreMatchesFigure12(t *testing.T) {
+// sumTallies adds up per-respondent tallies.
+func sumTallies(ts []quiz.Tally) quiz.Tally {
 	var sum quiz.Tally
-	for _, tl := range testGrades.Core {
-		sum.Add(tl)
+	for _, tl := range ts {
+		sum.Correct += tl.Correct
+		sum.Incorrect += tl.Incorrect
+		sum.DontKnow += tl.DontKnow
+		sum.Unanswered += tl.Unanswered
 	}
+	return sum
+}
+
+func TestCoreScoreMatchesFigure12(t *testing.T) {
+	sum := sumTallies(testGrades.Core)
 	n := float64(testN)
 	meanCorrect := float64(sum.Correct) / n
 	meanIncorrect := float64(sum.Incorrect) / n
@@ -180,10 +189,7 @@ func TestCoreScoreMatchesFigure12(t *testing.T) {
 func TestOptScoreMatchesFigure12(t *testing.T) {
 	// Figure 12's optimization row covers only the three T/F
 	// questions (Standard-compliant Level is excluded as not T/F).
-	var sum quiz.Tally
-	for _, tl := range testGrades.OptScored {
-		sum.Add(tl)
-	}
+	sum := sumTallies(testGrades.OptScored)
 	n := float64(testN)
 	if got := float64(sum.Correct) / n; math.Abs(got-paperdata.Figure12Opt.Correct) > 0.25 {
 		t.Errorf("opt mean correct %.2f, paper %.1f", got, paperdata.Figure12Opt.Correct)

@@ -118,11 +118,12 @@ func TestReadEmptyFile(t *testing.T) {
 // quantiles; a registered but unobserved stage has no row.
 func TestLatencyRowsSeconds(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Latency("latency.write").Observe(2 * time.Second)
+	telemetry.Install(reg) // registers every stage, report among them
+	defer telemetry.Install(nil)
+	telemetry.Record(telemetry.StageWrite, 0, time.Time{}, 2*time.Second, 0, 0)
 	for _, d := range []time.Duration{time.Second, 3 * time.Second} {
-		reg.Latency("latency.generate").Observe(d)
+		telemetry.Record(telemetry.StageGenerate, 0, time.Time{}, d, 0, 0)
 	}
-	reg.Latency("latency.report") // registered, never observed
 	rows := latencyRows(reg.Snapshot().Latencies)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %+v, want generate and write", rows)
@@ -176,7 +177,9 @@ func TestRunLifecycle(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("io.bytes_written").Add(42)
 	reg.Counter("zero.counter") // stays 0: must be elided
-	reg.Latency("latency.sample-block").Observe(3 * time.Millisecond)
+	telemetry.Install(reg)
+	defer telemetry.Install(nil)
+	telemetry.Record(telemetry.StageSampleBlock, 0, time.Time{}, 3*time.Millisecond, 0, 0)
 
 	r := Start(path, "fpgen", []string{"-n", "7"}, reg)
 	r.SetGolden("dataset", "abc123")

@@ -143,54 +143,6 @@ type IntHistogram struct {
 	Total  int
 }
 
-// NewIntHistogram bins xs (rounded to nearest int, clamped to [0, max]).
-func NewIntHistogram(xs []float64, max int) IntHistogram {
-	h := IntHistogram{Counts: make([]int, max+1)}
-	for _, x := range xs {
-		i := int(math.Round(x))
-		if i < 0 {
-			i = 0
-		}
-		if i > max {
-			i = max
-		}
-		h.Counts[i]++
-		h.Total++
-	}
-	return h
-}
-
-// Mode returns the bin with the largest count.
-func (h IntHistogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Render draws an ASCII bar chart of the histogram.
-func (h IntHistogram) Render(width int) string {
-	maxC := 1
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	out := ""
-	for i, c := range h.Counts {
-		bar := ""
-		n := c * width / maxC
-		for j := 0; j < n; j++ {
-			bar += "#"
-		}
-		out += fmt.Sprintf("%3d | %-*s %d\n", i, width, bar, c)
-	}
-	return out
-}
-
 // LikertDist is the percentage distribution over levels 1..Scale.
 type LikertDist struct {
 	Scale   int

@@ -90,29 +90,6 @@ func TestSummarizeCountsVsSummarize(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewIntHistogram([]float64{0, 1, 1, 2.4, 2.6, 15, -3, 99}, 15)
-	if h.Total != 8 {
-		t.Fatalf("total %d", h.Total)
-	}
-	if h.Counts[0] != 2 { // 0 and -3 clamped
-		t.Fatalf("bin0 %d", h.Counts[0])
-	}
-	if h.Counts[1] != 2 || h.Counts[2] != 1 || h.Counts[3] != 1 {
-		t.Fatalf("bins %v", h.Counts)
-	}
-	if h.Counts[15] != 2 { // 15 and 99 clamped
-		t.Fatalf("bin15 %d", h.Counts[15])
-	}
-	if h.Mode() != 0 && h.Mode() != 1 && h.Mode() != 15 {
-		t.Fatalf("mode %d", h.Mode())
-	}
-	r := h.Render(20)
-	if !strings.Contains(r, "#") || !strings.Contains(r, "15 |") {
-		t.Fatalf("render:\n%s", r)
-	}
-}
-
 func TestLikertDist(t *testing.T) {
 	d := NewLikertDist([]int{1, 1, 3, 5, 5, 5, 99, 0}, 5)
 	if d.N != 6 {

@@ -72,18 +72,6 @@ func (ins *Instrument) Questions() []Question {
 	return out
 }
 
-// Question returns the question with the given ID.
-func (ins *Instrument) Question(id string) (Question, bool) {
-	for _, s := range ins.Sections {
-		for _, q := range s.Questions {
-			if q.ID == id {
-				return q, true
-			}
-		}
-	}
-	return Question{}, false
-}
-
 // Validate checks the instrument for structural problems: duplicate or
 // empty IDs, choice questions without options, bad Likert scales.
 func (ins *Instrument) Validate() error {
@@ -149,16 +137,4 @@ func (a Answer) IsUnanswered() bool {
 // EncodeInstrument renders the instrument as indented JSON.
 func EncodeInstrument(ins *Instrument) ([]byte, error) {
 	return json.MarshalIndent(ins, "", "  ")
-}
-
-// DecodeInstrument parses an instrument and validates it.
-func DecodeInstrument(data []byte) (*Instrument, error) {
-	var ins Instrument
-	if err := json.Unmarshal(data, &ins); err != nil {
-		return nil, fmt.Errorf("survey: decode instrument: %w", err)
-	}
-	if err := ins.Validate(); err != nil {
-		return nil, err
-	}
-	return &ins, nil
 }

@@ -1,6 +1,9 @@
 package survey
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 func sampleInstrument() *Instrument {
 	return &Instrument{
@@ -58,28 +61,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeInstrument(data)
-	if err != nil {
+	var back Instrument
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if back.Title != ins.Title || len(back.Questions()) != 4 {
 		t.Fatal("instrument round trip")
-	}
-	// Invalid instruments fail decode.
-	if _, err := DecodeInstrument([]byte(`{"title":""}`)); err == nil {
-		t.Fatal("empty instrument decoded")
-	}
-	if _, err := DecodeInstrument([]byte(`{bad json`)); err == nil {
-		t.Fatal("bad json decoded")
-	}
-}
-
-func TestQuestionLookup(t *testing.T) {
-	ins := sampleInstrument()
-	if q, ok := ins.Question("q3"); !ok || q.Kind != TrueFalse {
-		t.Fatal("lookup q3")
-	}
-	if _, ok := ins.Question("nope"); ok {
-		t.Fatal("found nonexistent question")
 	}
 }

@@ -120,33 +120,6 @@ func (l *LatencyHist) ObserveShard(w int, d time.Duration) {
 	s.count.Add(1)
 }
 
-// Observe records d, picking a shard from the duration's own bits (a
-// splitmix64-style finalizer) so call sites without a worker index
-// still spread across shards without any shared state. No-op on nil.
-func (l *LatencyHist) Observe(d time.Duration) {
-	if l == nil {
-		return
-	}
-	h := uint64(d)
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 29
-	l.ObserveShard(int(h)&l.mask, d)
-}
-
-// Count returns the total number of observations across shards (0 on
-// nil). Like Snapshot, it may trail concurrent writers.
-func (l *LatencyHist) Count() int64 {
-	if l == nil {
-		return 0
-	}
-	var n int64
-	for i := range l.shards {
-		n += l.shards[i].count.Load()
-	}
-	return n
-}
-
 // LatencyBucket is one non-empty bucket in a LatencySnapshot. Index is
 // the log-linear grid position (see LatencyHist bucket geometry);
 // UpperNS its exclusive upper bound in nanoseconds.
@@ -242,56 +215,4 @@ func (s *LatencySnapshot) Quantile(q float64) float64 {
 	}
 	last := s.Buckets[len(s.Buckets)-1]
 	return float64(latBucketUpper(last.Index))
-}
-
-// Merge adds other's buckets into s (for combining snapshots from
-// multiple histograms or processes) and refreshes the quantiles.
-func (s *LatencySnapshot) Merge(other LatencySnapshot) {
-	s.addScaled(other, 1)
-}
-
-// Sub returns s minus prev, for turning two cumulative snapshots of
-// the same histogram into an interval view (e.g. one benchmark rep).
-// Counts are monotonic per bucket, so the delta is itself a valid
-// snapshot with fresh quantiles.
-func (s LatencySnapshot) Sub(prev LatencySnapshot) LatencySnapshot {
-	d := LatencySnapshot{}
-	d.Buckets = append(d.Buckets, s.Buckets...)
-	d.Count = s.Count
-	d.SumNS = s.SumNS
-	d.addScaled(prev, -1)
-	return d
-}
-
-// addScaled merges other's buckets scaled by sign (+1 merge, -1
-// subtract), drops empty buckets, and refreshes quantiles.
-func (s *LatencySnapshot) addScaled(other LatencySnapshot, sign int64) {
-	dense := map[int]int64{}
-	for _, b := range s.Buckets {
-		dense[b.Index] += b.Count
-	}
-	for _, b := range other.Buckets {
-		dense[b.Index] += sign * b.Count
-	}
-	// Fresh slice: snapshots are copied by value, so the old backing
-	// array may be shared with the caller's copy.
-	merged := make([]LatencyBucket, 0, len(dense))
-	s.Count = 0
-	for i := 0; i < latBuckets; i++ {
-		c := dense[i]
-		if c == 0 {
-			continue
-		}
-		if c < 0 {
-			c = 0 // defensive: mismatched snapshots never go negative
-		}
-		s.Count += c
-		merged = append(merged, LatencyBucket{Index: i, UpperNS: latBucketUpper(i), Count: c})
-	}
-	s.Buckets = merged
-	s.SumNS += sign * other.SumNS
-	if s.SumNS < 0 {
-		s.SumNS = 0
-	}
-	s.fillQuantiles()
 }

@@ -77,47 +77,6 @@ func TestLatencyQuantiles(t *testing.T) {
 	}
 }
 
-// TestLatencySnapshotSubMerge: two cumulative snapshots of one
-// histogram subtract into the interval between them, and merging the
-// delta back reproduces the later snapshot.
-func TestLatencySnapshotSubMerge(t *testing.T) {
-	l := newLatencyHist(latShards)
-	for i := 0; i < 1000; i++ {
-		l.Observe(time.Duration(100+i) * time.Nanosecond)
-	}
-	before := l.Snapshot()
-	for i := 0; i < 500; i++ {
-		l.Observe(time.Duration(1_000_000+i) * time.Nanosecond)
-	}
-	after := l.Snapshot()
-
-	delta := after.Sub(before)
-	if delta.Count != 500 {
-		t.Fatalf("delta count = %d, want 500", delta.Count)
-	}
-	if delta.P50NS < 900_000 || delta.P50NS > 1_100_000 {
-		t.Errorf("delta p50 = %.0f ns, want ≈1ms (the interval's observations only)", delta.P50NS)
-	}
-	if got, want := delta.SumNS, after.SumNS-before.SumNS; got != want {
-		t.Errorf("delta sum = %d, want %d", got, want)
-	}
-
-	rebuilt := before
-	rebuilt.Merge(delta)
-	if rebuilt.Count != after.Count || rebuilt.SumNS != after.SumNS {
-		t.Errorf("merge(before, delta) = count %d sum %d, want %d/%d",
-			rebuilt.Count, rebuilt.SumNS, after.Count, after.SumNS)
-	}
-	if len(rebuilt.Buckets) != len(after.Buckets) {
-		t.Fatalf("merged buckets = %d, want %d", len(rebuilt.Buckets), len(after.Buckets))
-	}
-	for i, b := range rebuilt.Buckets {
-		if b != after.Buckets[i] {
-			t.Errorf("merged bucket %d = %+v, want %+v", i, b, after.Buckets[i])
-		}
-	}
-}
-
 // TestLatencyConcurrent hammers all shards from concurrent writers
 // while snapshots run: every snapshot must be internally consistent
 // (buckets sum to count), and the final count must be exact.
@@ -163,7 +122,7 @@ func TestLatencyConcurrent(t *testing.T) {
 // TestLatencyNilSafety: the nil histogram accepts the full method set.
 func TestLatencyNilSafety(t *testing.T) {
 	var l *LatencyHist
-	l.Observe(time.Second)
+	l.ObserveShard(0, time.Second)
 	l.ObserveShard(3, time.Second)
 	if l.Count() != 0 {
 		t.Error("nil Count != 0")
@@ -188,9 +147,6 @@ func TestLatencyObserveZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { l.ObserveShard(2, 123*time.Microsecond) }); n != 0 {
 		t.Errorf("ObserveShard allocs = %g, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, func() { l.Observe(123 * time.Microsecond) }); n != 0 {
-		t.Errorf("Observe allocs = %g, want 0", n)
-	}
 	var nilHist *LatencyHist
 	if n := testing.AllocsPerRun(1000, func() { nilHist.ObserveShard(0, time.Second) }); n != 0 {
 		t.Errorf("nil ObserveShard allocs = %g, want 0", n)
@@ -205,8 +161,8 @@ func TestRegistryLatencySnapshot(t *testing.T) {
 	if reg.Latency("latency.grade-batch") != lh {
 		t.Fatal("Latency not idempotent")
 	}
-	lh.Observe(2 * time.Millisecond)
-	lh.Observe(4 * time.Millisecond)
+	lh.ObserveShard(0, 2*time.Millisecond)
+	lh.ObserveShard(0, 4*time.Millisecond)
 	s := reg.Snapshot()
 	ls, ok := s.Latencies["latency.grade-batch"]
 	if !ok {
@@ -239,7 +195,7 @@ func TestLatencyQuantileEdgeCases(t *testing.T) {
 	single := newLatencyHist(latShards)
 	const d = 12345 * time.Microsecond
 	for i := 0; i < 1000; i++ {
-		single.Observe(d)
+		single.ObserveShard(0, d)
 	}
 	s := single.Snapshot()
 	if len(s.Buckets) != 1 {

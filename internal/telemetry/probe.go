@@ -140,9 +140,6 @@ var stageDefs = [numStages]stageDef{
 	StagePoolTask:       {name: "pool-task"},
 }
 
-// Name returns the stage's name.
-func (st Stage) Name() string { return stageDefs[st].name }
-
 // Metric returns the name of the stage's latency histogram,
 // "latency.<name>".
 func (st Stage) Metric() string { return LatencyPrefix + stageDefs[st].name }

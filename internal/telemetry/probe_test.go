@@ -47,7 +47,7 @@ func TestProbeRecordFeedsStage(t *testing.T) {
 	} {
 		ls := snap.Latencies[st.Metric()]
 		if ls.Count != 1 || (sumNS >= 0 && ls.SumNS != sumNS) {
-			t.Errorf("%s: %d observations summing to %dns, want 1 summing to %dns", st.Name(), ls.Count, ls.SumNS, sumNS)
+			t.Errorf("%s: %d observations summing to %dns, want 1 summing to %dns", st.Metric(), ls.Count, ls.SumNS, sumNS)
 		}
 	}
 	if got := StageParallelShard.Metric(); got != "latency.parallel-shard" {
@@ -152,7 +152,7 @@ func TestInstallShardsByStageLevel(t *testing.T) {
 			want = 1
 		}
 		if got := len(reg.Latency(st.Metric()).shards); got != want {
-			t.Errorf("stage %s: %d histogram shards, want %d", st.Name(), got, want)
+			t.Errorf("stage %s: %d histogram shards, want %d", st.Metric(), got, want)
 		}
 	}
 	for lane := 0; lane < 3; lane++ {

@@ -103,7 +103,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Gauge("mem.heap_alloc").Set(12345.5)
 	lh := reg.Latency("latency.grade-batch")
 	for i := 0; i < 100; i++ {
-		lh.Observe(time.Duration(i+1) * time.Millisecond)
+		lh.ObserveShard(0, time.Duration(i+1)*time.Millisecond)
 	}
 
 	var b strings.Builder
@@ -156,7 +156,7 @@ func TestPromNameSanitization(t *testing.T) {
 // le ≈ 0.001s, not 1e6.
 func TestPromLatencySecondsConversion(t *testing.T) {
 	reg := NewRegistry()
-	reg.Latency("latency.x").Observe(time.Millisecond)
+	reg.Latency("latency.x").ObserveShard(0, time.Millisecond)
 	var b strings.Builder
 	if err := WritePrometheus(&b, "p", reg.Snapshot()); err != nil {
 		t.Fatal(err)

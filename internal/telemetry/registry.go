@@ -144,15 +144,10 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Latency returns the log-linear latency histogram with the given
-// name, creating it on first use with the default shard fan-out.
-// Returns nil (a no-op histogram) on the nil Registry.
-func (r *Registry) Latency(name string) *LatencyHist {
-	return r.latency(name, latShards)
-}
-
-// latency is Latency with the shard count of a histogram it creates; a
-// histogram that already exists keeps its own.
+// latency returns the log-linear latency histogram with the given
+// name, creating it on first use with the given shard count; a
+// histogram that already exists keeps its own. Returns nil (a no-op
+// histogram) on the nil Registry.
 func (r *Registry) latency(name string, shards int) *LatencyHist {
 	if r == nil {
 		return nil

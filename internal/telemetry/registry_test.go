@@ -88,7 +88,7 @@ func TestNilSafety(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge has nonzero value")
 	}
-	h.Observe(1)
+	h.ObserveShard(0, 1)
 	if h.Count() != 0 {
 		t.Error("nil latency histogram recorded something")
 	}

@@ -134,7 +134,7 @@ func TestServerShutdownIdempotent(t *testing.T) {
 func TestServerMetricsScrapeDuringShutdown(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("scrape.test").Add(7)
-	reg.Latency("latency.scrape_test").Observe(time.Millisecond)
+	reg.Latency("latency.scrape_test").ObserveShard(0, time.Millisecond)
 	Install(reg)
 	defer Install(nil)
 

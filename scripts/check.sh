@@ -1,6 +1,7 @@
 #!/bin/sh
-# check.sh — the repo's full verification gate: build, vet, gofmt, and
-# the complete test suite under the race detector. Run from the repo root
+# check.sh — the repo's full verification gate: build, vet, gofmt, the
+# orphan-package and dead-export checks, and the complete test suite
+# under the race detector. Run from the repo root
 # (or let the cd below handle it).
 set -eu
 cd "$(dirname "$0")/.."
@@ -56,6 +57,14 @@ if [ -n "$orphans" ]; then
 	echo "$orphans" >&2
 	exit 1
 fi
+
+echo "==> exported names in internal/ referenced by non-test code"
+# An exported name that only tests reach is dead code the orphan step
+# above cannot see, because its package is imported. The gate
+# type-checks every package, the scripts and perfbench, and fails on
+# such a name unless scripts/deadexports.allow lists it with a reason,
+# and on an allow entry that has gone stale.
+go run scripts/deadexports.go
 
 echo "==> answer-key table regenerates unchanged"
 # The quiz's answer key (internal/quiz/key_gen.go) is generated from the
