@@ -17,18 +17,19 @@ test:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Memory gate: fails if the per-respondent sampling, calibration, or
-# grading inner loops allocate, if a score query's Gather allocates,
-# if a telemetry probe call or trace emit allocates, or if the
-# calibration sweep allocates with the probe installed (the
+# Memory gate: fails if the per-respondent sampling or calibration
+# inner loops allocate, if a score value's Gather (the grading inner
+# loop) allocates, if a telemetry probe call or trace emit allocates,
+# or if the calibration sweep allocates with the probe installed (the
 # Test*ZeroAlloc tests assert the contracts via
 # testing.AllocsPerRun), then prints the allocation profile of the
-# per-stage hot-path benchmarks. CHECK_BENCH_MEM=1 make check runs
-# this as part of the full gate.
+# per-stage hot-path benchmarks, grading an n=50,000 cohort among
+# them. CHECK_BENCH_MEM=1 make check runs this as part of the full
+# gate.
 bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/telemetry/ ./internal/parallel/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI|BenchmarkResampleSum|BenchmarkRunScore' \
-		-benchmem ./internal/respondent/ ./internal/quiz/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/parallel/
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkTreatedCoreCorrect|BenchmarkGrade|BenchmarkCalibrateModels|BenchmarkGenerateBlocks|BenchmarkAnalysisReports|BenchmarkPaperScan|BenchmarkSuspicionScan|BenchmarkBootstrapMeanCI|BenchmarkResampleSum|BenchmarkRunScore' \
+		-benchmem ./internal/respondent/ ./internal/query/ ./internal/core/ ./internal/stats/ ./internal/parallel/
 
 # Fuzzing: runs every Fuzz* target in the tracked test files for
 # FUZZTIME each under a 4 GB virtual-memory cap, set with ulimit -v in

@@ -146,16 +146,23 @@ func BenchmarkStudyPipeline(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						tallies, _ := s.Run().Tallies()
-						if len(tallies) != n {
-							b.Fatalf("pipeline produced %d tallies, want %d", len(tallies), n)
-						}
+						runAndGrade(b, s)
 					}
 					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
 				})
 			}
 		})
 	}
+}
+
+// runAndGrade runs s and grades its main cohort, which an analysis
+// does on first use.
+func runAndGrade(b *testing.B, s core.Study) {
+	r := s.Run()
+	if r.Main.Cols.Len() != s.NMain {
+		b.Fatalf("pipeline produced %d respondents, want %d", r.Main.Cols.Len(), s.NMain)
+	}
+	r.OverconfidenceIndex()
 }
 
 // BenchmarkStudyPipelineTelemetry is BenchmarkStudyPipeline's n=10000
@@ -182,10 +189,7 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tallies, _ := s.Run().Tallies()
-				if len(tallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(tallies), n)
-				}
+				runAndGrade(b, s)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
 		})
@@ -195,7 +199,7 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 		telemetry.StageGenerate, telemetry.StageGenerateMain, telemetry.StageGenerateStudents,
 		telemetry.StageDrawProfiles, telemetry.StageCalibrate, telemetry.StageSampleResponses,
 		telemetry.StageGrade, telemetry.StageSampleBlock, telemetry.StageCalibrateQuestion,
-		telemetry.StageGradeBatch, telemetry.StageParallelShard, telemetry.StageParallelWorker,
+		telemetry.StageParallelShard, telemetry.StageParallelWorker,
 		telemetry.StageParallelWait,
 	} {
 		if ls, ok := snap.Latencies[st.Metric()]; !ok || ls.Count == 0 {
@@ -206,7 +210,7 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 
 // BenchmarkStudyPipelineTrace is BenchmarkStudyPipelineTelemetry plus
 // an installed tracer: the stage probe with structured
-// event recording (stage/worker/shard/batch events into per-lane ring
+// event recording (stage/worker/shard events into per-lane ring
 // buffers). Comparing it against BenchmarkStudyPipeline/n=10000
 // measures total tracing overhead; the budget is <5%.
 func BenchmarkStudyPipelineTrace(b *testing.B) {
@@ -226,10 +230,7 @@ func BenchmarkStudyPipelineTrace(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tallies, _ := s.Run().Tallies()
-				if len(tallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(tallies), n)
-				}
+				runAndGrade(b, s)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
 		})

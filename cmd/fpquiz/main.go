@@ -19,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/survey"
 )
@@ -119,9 +120,11 @@ func runInteractive(section string) {
 		for i, q := range quiz.CoreQuestions() {
 			askTF(q.ID, fmt.Sprintf("%d/%d\n%s\n%s", i+1, 15, q.Snippet, q.Prompt))
 		}
-		core, _, _ := quiz.ScoreColumnsAt(you, 0)
+		core, _ := quiz.OutcomeTables(schema)
+		n := outcomes(you, core)
 		fmt.Printf("\nCore quiz: %d correct, %d incorrect, %d don't know, %d unanswered (chance: %.1f; paper mean: 8.5)\n",
-			core.Correct, core.Incorrect, core.DontKnow, core.Unanswered, quiz.CoreChance)
+			n[quiz.OutcomeCorrect], n[quiz.OutcomeIncorrect], n[quiz.OutcomeDontKnow], n[quiz.OutcomeUnanswered],
+			quiz.CoreChance)
 	}
 
 	if section == "opt" || section == "all" {
@@ -139,12 +142,27 @@ func runInteractive(section string) {
 				answer(q.ID, canonicalChoice(q.Choices, a))
 			}
 		}
-		_, _, opt := quiz.ScoreColumnsAt(you, 0)
+		_, opt := quiz.OutcomeTables(schema)
+		n := outcomes(you, opt)
 		fmt.Printf("\nOptimization quiz: %d correct, %d incorrect, %d don't know, %d unanswered\n",
-			opt.Correct, opt.Incorrect, opt.DontKnow, opt.Unanswered)
+			n[quiz.OutcomeCorrect], n[quiz.OutcomeIncorrect], n[quiz.OutcomeDontKnow], n[quiz.OutcomeUnanswered])
 	}
 
 	fmt.Println("\nRun `fpquiz -answers` to see the answer key's explanations.")
+}
+
+// outcomes counts the one respondent's outcomes on the questions of
+// tabs, indexed by quiz.PerQuestionOutcome.
+func outcomes(you *colstore.Dataset, tabs []quiz.OutcomeTable) (n [4]int) {
+	for i := range tabs {
+		t := &tabs[i]
+		if t.TF {
+			n[t.ByCode[you.TF(t.Col, 0)]]++
+		} else {
+			n[t.Outcome(you.SingleCode(t.Col, 0))]++
+		}
+	}
+	return n
 }
 
 // canonicalChoice returns the listed choice that typed matches without

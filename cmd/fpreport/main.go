@@ -25,6 +25,8 @@
 // -calibration, -association, -items, -intervention, -confidence and
 // -query exclude one another, and giving two is a usage error (exit
 // 2). With none, fpreport prints Figures 12 and 13 and the claims.
+// -csv or -markdown renders every table of the report in that format;
+// giving both is a usage error too.
 package main
 
 import (
@@ -40,6 +42,7 @@ import (
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
+	"fpstudy/internal/report"
 	"fpstudy/internal/runlog"
 	"fpstudy/internal/telemetry"
 )
@@ -86,6 +89,10 @@ func main() {
 	// the no-respondents note.
 	if chosen := chosenReports(); len(chosen) > 1 {
 		fmt.Fprintf(os.Stderr, "fpreport: %s: give at most one report flag\n", strings.Join(chosen, ", "))
+		exit(2)
+	}
+	if *csv && *markdown {
+		fmt.Fprintln(os.Stderr, "fpreport: -csv, -markdown: give at most one format flag")
 		exit(2)
 	}
 	if *fig < 0 || *fig > 22 {
@@ -146,8 +153,8 @@ func main() {
 		results = study.Run()
 	}
 
-	emit := func(num int) {
-		t := results.Figure(num)
+	// render prints every table of the report in the chosen format.
+	render := func(t report.Table) {
 		switch {
 		case *csv:
 			fmt.Print(t.CSV())
@@ -157,6 +164,7 @@ func main() {
 			fmt.Println(t.String())
 		}
 	}
+	emit := func(num int) { render(results.Figure(num)) }
 
 	// The report stage times everything printed from here on, so the
 	// ledger names where a reporting run's time went.
@@ -164,15 +172,15 @@ func main() {
 	claimsHold := true
 	switch {
 	case *calibration:
-		fmt.Println(results.CalibrationReport().String())
+		render(results.CalibrationReport())
 	case *association:
-		fmt.Println(results.FactorAssociation().String())
+		render(results.FactorAssociation())
 	case *items:
-		fmt.Println(results.ItemAnalysis().String())
+		render(results.ItemAnalysis())
 	case *intervention:
-		fmt.Println(results.InterventionReport().String())
+		render(results.InterventionReport())
 	case *confidence:
-		fmt.Println(results.ConfidenceReport().String())
+		render(results.ConfidenceReport())
 		fmt.Printf("overconfidence index: %+.3f; optimization humility: %.2f\n",
 			results.OverconfidenceIndex(), results.OptHumilityIndex())
 	case *fig != 0:

@@ -59,6 +59,7 @@ func TestReportFlagsExclusive(t *testing.T) {
 		{[]string{"-all", "-calibration", "-items"}, []string{"-all", "-calibration", "-items"}},
 		{[]string{"-query", "/bg.formal_training/count", "-fig", "3"}, []string{"-fig", "-query"}},
 		{[]string{"-claims", "-confidence"}, []string{"-claims", "-confidence"}},
+		{[]string{"-fig", "12", "-csv", "-markdown"}, []string{"-csv", "-markdown"}},
 	} {
 		code, stdout, stderr := runFpreport(t, append([]string{"-n", "20"}, tc.args...)...)
 		if code != 2 || stdout != "" {
@@ -75,5 +76,10 @@ func TestReportFlagsExclusive(t *testing.T) {
 		if code, stdout, stderr := runFpreport(t, append([]string{"-n", "20"}, args...)...); code != 0 || stdout == "" {
 			t.Errorf("fpreport %v: exit %d, stderr %q; want a report", args, code, stderr)
 		}
+	}
+	// A format flag applies to an analysis report as to a figure.
+	code, stdout, stderr := runFpreport(t, "-n", "20", "-calibration", "-csv")
+	if want := "Question,chi2,df,crit(5%),fit\n"; code != 0 || !strings.HasPrefix(stdout, want) {
+		t.Errorf("fpreport -calibration -csv: exit %d, stderr %q, stdout %q; want CSV starting %q", code, stderr, stdout, want)
 	}
 }

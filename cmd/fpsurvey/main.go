@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -122,20 +123,13 @@ func main() {
 	case *anonymize != "":
 		cols, info := load(*anonymize)
 		cols.Anonymize()
-		f, err := os.Create(*anonymize)
-		if err != nil {
-			fatal(err)
-		}
-		// Rewrite in the format the file arrived in.
-		if info.Format == colstore.FormatBinary {
-			err = cols.EncodeBinary(f, colstore.IOOptions{Workers: *workers})
-		} else {
-			err = cols.WriteJSON(f)
-		}
-		if err == nil {
-			err = f.Close()
-		}
-		if err != nil {
+		if err := replaceFile(*anonymize, func(f *os.File) error {
+			// Rewrite in the format the file arrived in.
+			if info.Format == colstore.FormatBinary {
+				return cols.EncodeBinary(f, colstore.IOOptions{Workers: *workers})
+			}
+			return cols.WriteJSON(f)
+		}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("fpsurvey: anonymized %d responses in %s\n", cols.Len(), *anonymize)
@@ -145,6 +139,34 @@ func main() {
 		exit(2)
 	}
 	ledger.Finish(0)
+}
+
+// replaceFile replaces path with what write writes: into a temporary
+// file in the same directory, closed and then renamed over path, so a
+// failed write leaves path as it was. The new file keeps path's mode.
+func replaceFile(path string, write func(*os.File) error) error {
+	st, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(f.Name(), st.Mode().Perm())
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name()) //nolint:errcheck // the write's error is the one to report
+	}
+	return err
 }
 
 // slice runs one query expression over a dataset file. Binary shards

@@ -46,21 +46,64 @@ func runFpsurvey(t *testing.T, input string, args ...string) (int, string, strin
 	if err := os.WriteFile(filepath.Join(dir, input), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], append(append([]string{"-test.run=^$", "--"}, args...), input)...)
+	code, stdout, stderr := runFpsurveyIn(t, dir, append(args, input)...)
+	return code, stdout, stderr, dir
+}
+
+// runFpsurveyIn runs fpsurvey in dir with args and returns the exit
+// code, stdout and stderr.
+func runFpsurveyIn(t *testing.T, dir string, args ...string) (int, string, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-test.run=^$", "--"}, args...)...)
 	cmd.Dir = dir
 	cmd.Env = append(os.Environ(), fpsurveyMainEnv+"=1", "FPSTUDY_RUNLOG=")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err = cmd.Run()
+	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stdout.String(), stderr.String(), dir
+		return 0, stdout.String(), stderr.String()
 	case errors.As(err, &exit):
-		return exit.ExitCode(), stdout.String(), stderr.String(), dir
+		return exit.ExitCode(), stdout.String(), stderr.String()
 	}
-	t.Fatalf("running fpsurvey %v %s: %v", args, input, err)
-	return 0, "", "", ""
+	t.Fatalf("running fpsurvey %v: %v", args, err)
+	return 0, "", ""
+}
+
+// TestAnonymizeReplacesFile pins that -anonymize writes a new file and
+// renames it over the input rather than rewriting the input in place:
+// a hard link to the input still holds the original bytes, which an
+// in-place truncation would have rewritten.
+func TestAnonymizeReplacesFile(t *testing.T) {
+	for _, input := range []string{"freetext.json", "cohort.fpds"} {
+		dir := t.TempDir()
+		orig, err := os.ReadFile(filepath.Join("testdata", input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path, link := filepath.Join(dir, input), filepath.Join(dir, "link")
+		if err := os.WriteFile(path, orig, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Link(path, link); err != nil {
+			t.Skipf("no hard links here: %v", err)
+		}
+		if code, _, stderr := runFpsurveyIn(t, dir, "-anonymize", input); code != 0 {
+			t.Fatalf("fpsurvey -anonymize %s: exit %d, stderr %q", input, code, stderr)
+		}
+		if got, err := os.ReadFile(link); err != nil || !bytes.Equal(got, orig) {
+			t.Errorf("%s: the hard link no longer holds the original bytes (err %v)", input, err)
+		}
+		pi, err1 := os.Stat(path)
+		li, err2 := os.Stat(link)
+		if err1 != nil || err2 != nil || os.SameFile(pi, li) {
+			t.Errorf("%s: the input is still the linked file (errs %v, %v)", input, err1, err2)
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 2 {
+			t.Errorf("%s: %d files left in the directory, want the input and the link", input, len(entries))
+		}
+	}
 }
 
 // withoutLoadLines drops the ingest summary lines, which carry a

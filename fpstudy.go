@@ -142,9 +142,6 @@ func CoreQuestions() []CoreQuestion { return quiz.CoreQuestions() }
 // OptQuestions returns the 4 optimization questions.
 func OptQuestions() []OptQuestion { return quiz.OptQuestions() }
 
-// Tally is a per-participant grade.
-type Tally = quiz.Tally
-
 // --- Population generation and the study pipeline ---
 
 // Population is a generated synthetic cohort.

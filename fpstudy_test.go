@@ -67,10 +67,9 @@ func TestFacadeStudyPipeline(t *testing.T) {
 	if len(claims) < 10 {
 		t.Fatalf("%d claims", len(claims))
 	}
-	// Scoring via facade.
-	core, _ := results.Tallies()
-	if len(core) != 150 || core[0].Total() != 15 {
-		t.Fatalf("%d tallies, respondent 0 total %d", len(core), core[0].Total())
+	// Grading via facade: every respondent's core score is counted.
+	if h := results.CoreScoreHistogram(); h.Total != 150 || len(h.Counts) != 16 {
+		t.Fatalf("core score histogram over %d respondents, %d scores", h.Total, len(h.Counts))
 	}
 }
 
@@ -118,11 +117,19 @@ func TestEndToEndDatasetPipeline(t *testing.T) {
 	if back.Len() != 120 || back.Token(119) != "r0120" {
 		t.Fatalf("%d respondents, last token %q", back.Len(), back.Token(119))
 	}
-	// Re-score the round-tripped data: identical tallies.
-	want, got := quiz.ScoreAllColumns(pop.Cols, 0), quiz.ScoreAllColumns(back, 0)
-	for i := range want.Core {
-		if want.Core[i] != got.Core[i] || want.OptAll[i] != got.OptAll[i] {
-			t.Fatalf("response %d tally changed through serialization", i)
+	// Re-grade the round-tripped data: identical outcomes.
+	coreTabs, optTabs := quiz.OutcomeTables(quiz.Columns())
+	for _, tab := range append(coreTabs, optTabs...) {
+		for i := 0; i < pop.Cols.Len(); i++ {
+			outcome := func(d *colstore.Dataset) quiz.PerQuestionOutcome {
+				if tab.TF {
+					return tab.ByCode[d.TF(tab.Col, i)]
+				}
+				return tab.Outcome(d.SingleCode(tab.Col, i))
+			}
+			if outcome(pop.Cols) != outcome(back) {
+				t.Fatalf("response %d: %s outcome changed through serialization", i, pop.Cols.Schema.Column(tab.Col).ID)
+			}
 		}
 	}
 }

@@ -52,17 +52,11 @@ func (r *Results) CalibrationReport() report.Table {
 	// Bootstrap CI on the headline mean. Core scores are 0..15, so
 	// they fit a byte, and their integer sum is exact: the mean below
 	// is bit-identical to a float sum over the same scores.
-	tallies, _ := r.Tallies()
-	scores := make([]uint8, len(tallies))
-	sum := 0
-	for i, tl := range tallies {
-		scores[i] = uint8(tl.Correct)
-		sum += tl.Correct
-	}
+	scores := r.grades().coreCorrect
 	lo, hi := stats.BootstrapMeanCI(scores, 0.95, 2000, r.Study.Seed, r.workers)
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("core mean %.2f, 95%% bootstrap CI [%.2f, %.2f]; paper 8.5; chance 7.5",
-			float64(sum)/float64(len(scores)), lo, hi))
+			meanCorrect(scores), lo, hi))
 	inBand := lo <= paperdata.Figure12Core.Correct && paperdata.Figure12Core.Correct <= hi
 	t.Notes = append(t.Notes, fmt.Sprintf("paper mean inside CI: %v", inBand))
 	return t
@@ -82,10 +76,10 @@ func (r *Results) FactorAssociation() report.Table {
 		t.Notes = append(t.Notes, noRespondents)
 		return t
 	}
-	tallies, _ := r.Tallies()
-	scores := make([]float64, len(tallies))
-	for i, tl := range tallies {
-		scores[i] = float64(tl.Correct)
+	coreCorrect := r.grades().coreCorrect
+	scores := make([]float64, len(coreCorrect))
+	for i, c := range coreCorrect {
+		scores[i] = float64(c)
 	}
 	median := stats.Median(scores)
 

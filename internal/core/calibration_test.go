@@ -69,10 +69,9 @@ func TestFactorTableMatchesLabelKeyed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tallies, _ := r.Tallies()
 		scores := make([]float64, n)
-		for i, tl := range tallies {
-			scores[i] = float64(tl.Correct)
+		for i, c := range r.grades().coreCorrect {
+			scores[i] = float64(c)
 		}
 		median := stats.Median(scores)
 		spills := 0

@@ -28,15 +28,15 @@ func (r *Results) ConfidenceReport() report.Table {
 		accuracy  float64 // correct / committed
 	}
 	var rows []row
-	tallies, _ := r.Tallies()
-	for _, tl := range tallies {
-		committed := tl.Correct + tl.Incorrect
+	g := r.grades()
+	for i, correct := range g.coreCorrect {
+		committed := int(correct) + int(g.coreIncorrect[i])
 		if committed == 0 {
 			continue
 		}
 		rows = append(rows, row{
 			committed: float64(committed) / 15,
-			accuracy:  float64(tl.Correct) / float64(committed),
+			accuracy:  float64(correct) / float64(committed),
 		})
 	}
 	bands := []struct {
@@ -80,14 +80,14 @@ func (r *Results) ConfidenceReport() report.Table {
 // commits more than its accuracy warrants.
 func (r *Results) OverconfidenceIndex() float64 {
 	var com, acc []float64
-	tallies, _ := r.Tallies()
-	for _, tl := range tallies {
-		committed := tl.Correct + tl.Incorrect
+	g := r.grades()
+	for i, correct := range g.coreCorrect {
+		committed := int(correct) + int(g.coreIncorrect[i])
 		if committed == 0 {
 			continue
 		}
 		com = append(com, float64(committed)/15)
-		acc = append(acc, float64(tl.Correct)/float64(committed))
+		acc = append(acc, float64(correct)/float64(committed))
 	}
 	return stats.Mean(com) - stats.Mean(acc)
 }
@@ -96,14 +96,10 @@ func (r *Results) OverconfidenceIndex() float64 {
 // quiz, where the paper found appropriate humility: the fraction of
 // scored questions punted with "don't know."
 func (r *Results) OptHumilityIndex() float64 {
-	var dk []float64
-	_, tallies := r.Tallies()
-	for _, tl := range tallies {
-		total := tl.Total()
-		if total == 0 {
-			continue
-		}
-		dk = append(dk, float64(tl.DontKnow)/float64(total))
+	optDK := r.grades().optDontKnow
+	dk := make([]float64, len(optDK))
+	for i, c := range optDK {
+		dk[i] = float64(c) / 3 // of the three scored questions
 	}
 	return stats.Mean(dk)
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"fpstudy/internal/quiz"
 )
 
 func TestConfidenceReport(t *testing.T) {
@@ -37,12 +39,15 @@ func TestOptHumilityIndex(t *testing.T) {
 	}
 	// And humility on optimizations exceeds core-quiz hedging by a
 	// wide margin — the paper's contrast between the two quizzes.
-	var coreDK float64
-	tallies, _ := bigResults.Tallies()
-	for _, tl := range tallies {
-		coreDK += float64(tl.DontKnow) / 15
+	p, err := bigResults.mainPlan()
+	if err != nil {
+		t.Fatal(err)
 	}
-	coreDK /= float64(len(tallies))
+	var coreDK float64
+	for _, q := range p.coreQ {
+		coreDK += float64(q[quiz.OutcomeDontKnow])
+	}
+	coreDK /= float64(15 * p.n)
 	if idx < coreDK*2 {
 		t.Fatalf("opt humility %.2f should dwarf core DK rate %.2f", idx, coreDK)
 	}

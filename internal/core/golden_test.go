@@ -241,8 +241,8 @@ func TestGoldenTelemetryInvariance(t *testing.T) {
 // TestGoldenTraceInvariance extends the invariance contract to the
 // tracing layer: a run with the tracer installed on top of the probe
 // must produce byte-identical datasets and figures at any worker count,
-// and the tracer must actually have captured stage, worker, shard, and
-// grading batch events (so the test cannot pass vacuously).
+// and the tracer must actually have captured stage, worker and shard
+// events (so the test cannot pass vacuously).
 func TestGoldenTraceInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multiple 2000-respondent studies; skipped in -short mode")
@@ -254,7 +254,7 @@ func TestGoldenTraceInvariance(t *testing.T) {
 		kinds[ev.Kind]++
 	}
 	for _, k := range []telemetry.EventKind{telemetry.EvStage, telemetry.EvWorker,
-		telemetry.EvShard, telemetry.EvBatch} {
+		telemetry.EvShard} {
 		if kinds[k] == 0 {
 			t.Errorf("tracer captured no %s events", k)
 		}
@@ -277,7 +277,7 @@ func TestGoldenLatencyInvariance(t *testing.T) {
 	// the runs, with sane quantile ordering.
 	snap := reg.Snapshot()
 	for _, st := range []telemetry.Stage{
-		telemetry.StageSampleBlock, telemetry.StageCalibrateQuestion, telemetry.StageGradeBatch,
+		telemetry.StageSampleBlock, telemetry.StageCalibrateQuestion, telemetry.StageGrade,
 		telemetry.StageParallelShard, telemetry.StageParallelWorker, telemetry.StageParallelWait,
 	} {
 		ls, ok := snap.Latencies[st.Metric()]

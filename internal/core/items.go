@@ -133,8 +133,7 @@ var trainingLevels = []string{
 // from the same draws (respondent.TreatedCoreCorrect); no treated
 // cohort is generated or graded.
 func (r *Results) trainingInterventions(levels []string) []TrainingIntervention {
-	tallies, _ := r.Tallies()
-	base := meanCorrect(tallies)
+	base := meanCorrect(r.grades().coreCorrect)
 	overrides := make([]func(*respondent.Profile), len(levels))
 	for k, level := range levels {
 		overrides[k] = func(p *respondent.Profile) { p.FormalTraining = level }
@@ -157,18 +156,18 @@ func (r *Results) trainingInterventions(levels []string) []TrainingIntervention 
 	return out
 }
 
-// meanCorrect returns the mean number of correct answers (0 for no
-// tallies). Scores are small integers, so the sum is exact and the mean
-// is the same at any worker count.
-func meanCorrect(tallies []quiz.Tally) float64 {
-	if len(tallies) == 0 {
+// meanCorrect returns the mean of per-respondent scores (0 for none).
+// Scores are small integers, so the sum is exact and the mean is the
+// same at any worker count.
+func meanCorrect(scores []uint8) float64 {
+	if len(scores) == 0 {
 		return 0
 	}
 	sum := 0
-	for _, tl := range tallies {
-		sum += tl.Correct
+	for _, c := range scores {
+		sum += int(c)
 	}
-	return float64(sum) / float64(len(tallies))
+	return float64(sum) / float64(len(scores))
 }
 
 // InterventionReport renders the what-if table across training levels.

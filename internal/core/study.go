@@ -7,13 +7,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
-	"fpstudy/internal/parallel"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/report"
@@ -42,7 +42,7 @@ func DefaultStudy() Study {
 }
 
 // Results holds the generated cohorts. The main cohort is graded on
-// demand (see Tallies): figures and claims read counts from the
+// demand (see grades): figures and claims read counts from the
 // columns, and only the analyses need per-respondent grades.
 type Results struct {
 	Study Study
@@ -54,38 +54,85 @@ type Results struct {
 
 	workers int
 
-	gradeOnce               sync.Once
-	coreTallies, optTallies []quiz.Tally
+	gradeOnce sync.Once
+	graded    grades
 
-	mainSrc    query.Source
-	studentSrc query.Source
+	mainSrcOnce sync.Once
+	mainSrc     query.Source
+	studentSrc  query.Source
 	// mainScan and studentScan cache each cohort's paper plan, the
 	// counts every figure and the headline claims read.
 	mainScan, studentScan cohortPlan
 }
 
-// Tallies returns the main cohort's per-respondent grades: core covers
-// the 15 core questions, opt the three T/F optimization questions (the
-// paper's Figure 12 view). The cohort is graded on the first call,
-// under the grade stage, and the grades are cached; a run that renders
-// only figures and claims never grades.
-func (r *Results) Tallies() (core, opt []quiz.Tally) {
+// grades are the main cohort's per-respondent outcome counts that the
+// analyses read, one byte per respondent in response order.
+type grades struct {
+	coreCorrect   []uint8 // core quiz score, 0-15
+	coreIncorrect []uint8
+	optDontKnow   []uint8 // of the three T/F optimization questions
+}
+
+// gradeValues name the quiz score values that fill grades' fields, in
+// field order.
+var gradeValues = [...]string{"core.score", "core.incorrect", "opt.dontknow"}
+
+// grades returns the main cohort's per-respondent counts. The cohort
+// is graded on the first call, under the grade stage, and the counts
+// are cached; a run that renders only figures and claims never grades.
+func (r *Results) grades() *grades {
 	r.gradeOnce.Do(func() {
 		t0 := telemetry.Start()
-		g := quiz.ScoreAllColumns(r.Main.Cols, r.workers)
+		r.graded = gradeCohort(r.MainSource(), r.workers)
 		telemetry.Done(telemetry.StageGrade, 0, t0, int64(r.Main.Cols.Len()), 0)
-		r.coreTallies, r.optTallies = g.Core, g.OptScored
 	})
-	return r.coreTallies, r.optTallies
+	return &r.graded
+}
+
+// gradeCohort gathers the gradeValues of every respondent of src in
+// one block scan, through the same score values fpreport -query
+// aggregates; each block fills its own rows of the counts.
+func gradeCohort(src query.Source, workers int) grades {
+	n := src.Len()
+	g := grades{make([]uint8, n), make([]uint8, n), make([]uint8, n)}
+	outs := [len(gradeValues)][]uint8{g.coreCorrect, g.coreIncorrect, g.optDontKnow}
+	var values [len(gradeValues)]query.Value
+	var cols []int
+	for k, name := range gradeValues {
+		v, err := quiz.QueryValue(src.Schema(), name)
+		if err != nil {
+			panic(err) // gradeValues are fixed, valid names
+		}
+		values[k] = v
+		for _, c := range v.Columns() {
+			if !slices.Contains(cols, c) {
+				cols = append(cols, c)
+			}
+		}
+	}
+	err := query.ScanBlocks(src, cols, workers, func(_ int, blk *query.Block) {
+		ok := query.NewBitmap(blk.N)
+		for k, v := range values {
+			v.Gather(blk, outs[k][blk.Lo:blk.Lo+blk.N], ok)
+		}
+	})
+	if err != nil {
+		// The main cohort's columns are in memory; their blocks
+		// cannot fail to load.
+		panic("core: grading the main cohort: " + err.Error())
+	}
+	return g
 }
 
 // MainSource returns the query-engine view of the main cohort's
 // columns (built once, then cached). Every figure and headline claim
 // runs through it.
 func (r *Results) MainSource() query.Source {
-	if r.mainSrc == nil {
-		r.mainSrc = query.NewDatasetSource(r.Main.Cols)
-	}
+	r.mainSrcOnce.Do(func() {
+		if r.mainSrc == nil {
+			r.mainSrc = query.NewDatasetSource(r.Main.Cols)
+		}
+	})
 	return r.mainSrc
 }
 
@@ -99,7 +146,7 @@ func (r *Results) StudentSource() query.Source {
 }
 
 // Run executes the study's generation, sharded across the study's
-// worker budget; grading waits until an analysis asks (Tallies). With
+// worker budget; grading waits until an analysis asks (grades). With
 // a telemetry probe installed, the run is timed under the generate,
 // generate-main and generate-students stages and advances the
 // respondents counter.
@@ -108,19 +155,20 @@ func (s Study) Run() *Results {
 	r := &Results{Study: s, workers: s.Workers}
 	prog := telemetry.Installed().Counter(telemetry.MetricRespondents)
 	// The two cohorts use unrelated seeds and share no mutable state,
-	// so they generate concurrently; the main cohort additionally fans
-	// out across the worker budget internally.
-	pool := parallel.NewPool(2)
-	pool.Go(func() {
-		tm := telemetry.Start()
-		r.Main = respondent.GenerateMainColumnar(s.Seed, s.NMain, s.Workers, nil,
-			respondent.Instrumentation{Progress: prog})
-		telemetry.Done(telemetry.StageGenerateMain, 0, tm, int64(s.NMain), 0)
-	})
-	pool.Go(func() {
+	// so the students generate on a goroutine of their own beside the
+	// main cohort, which additionally fans out across the worker
+	// budget internally.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
 		r.StudentCols = generateStudents(s)
-	})
-	pool.Wait()
+	}()
+	tm := telemetry.Start()
+	r.Main = respondent.GenerateMainColumnar(s.Seed, s.NMain, s.Workers, nil,
+		respondent.Instrumentation{Progress: prog})
+	telemetry.Done(telemetry.StageGenerateMain, 0, tm, int64(s.NMain), 0)
+	wg.Wait()
 	telemetry.Done(telemetry.StageGenerate, 0, t0, int64(s.NMain+s.NStudent), 0)
 	telemetry.Installed().Counter(telemetry.MetricRuns).Inc()
 	return r

@@ -8,8 +8,10 @@ import (
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
+	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/stats"
+	"fpstudy/internal/survey"
 	"fpstudy/internal/telemetry"
 )
 
@@ -28,18 +30,19 @@ func TestDefaultStudySizes(t *testing.T) {
 	if n := paperResults.StudentCols.Len(); n != paperdata.NStudent {
 		t.Fatalf("students n = %d", n)
 	}
-	if core, _, _ := quiz.ScoreColumnsAt(paperResults.Main.Cols, 0); core.Unanswered == core.Total() {
-		t.Fatal("respondent 0 answered no core question")
+	g := paperResults.grades()
+	if len(g.coreCorrect) != paperdata.NMain {
+		t.Fatalf("grades n = %d", len(g.coreCorrect))
 	}
-	if tallies, _ := paperResults.Tallies(); len(tallies) != paperdata.NMain {
-		t.Fatalf("tallies n = %d", len(tallies))
+	if g.coreCorrect[0]+g.coreIncorrect[0] == 0 {
+		t.Fatal("respondent 0 committed to no core answer")
 	}
 }
 
 // TestTalliesGradeOnce pins grading on demand: Run and
-// ResultsFromColumns do not grade, and concurrent Tallies calls grade
-// the cohort once, under one grade stage, and all
-// return the same tallies.
+// ResultsFromColumns do not grade, and concurrent analyses grade the
+// cohort's per-respondent tallies once, under one grade stage, and all
+// read the same cached counts.
 func TestTalliesGradeOnce(t *testing.T) {
 	raiseGOMAXPROCS(t, 4)
 	reg := telemetry.NewRegistry()
@@ -56,30 +59,90 @@ func TestTalliesGradeOnce(t *testing.T) {
 		t.Fatalf("%d grade stages before any analysis asked, want 0", got)
 	}
 	for _, r := range []*Results{run, fromCols} {
+		analyses := []func(){
+			func() { r.ConfidenceReport() },
+			func() { r.OverconfidenceIndex() },
+			func() { r.OptHumilityIndex() },
+			func() { r.CalibrationReport() },
+			func() { r.FactorAssociation() },
+		}
 		const callers = 8
-		cores := make([][]quiz.Tally, callers)
+		cores := make([][]uint8, callers)
 		var wg sync.WaitGroup
 		for g := 0; g < callers; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				cores[g], _ = r.Tallies()
+				analyses[g%len(analyses)]()
+				cores[g] = r.grades().coreCorrect
 			}(g)
 		}
 		wg.Wait()
 		for g := range cores {
 			if len(cores[g]) != 300 || &cores[g][0] != &cores[0][0] {
-				t.Fatalf("caller %d got %d tallies, not the cached grading", g, len(cores[g]))
+				t.Fatalf("caller %d got %d scores, not the cached grading", g, len(cores[g]))
 			}
 		}
 	}
 	if got := grades(); got != 2 {
 		t.Fatalf("%d grade stages after grading two results, want 2", got)
 	}
-	a, _ := run.Tallies()
-	b, _ := fromCols.Tallies()
-	if !reflect.DeepEqual(a, b) {
+	if !reflect.DeepEqual(run.grades(), fromCols.grades()) {
 		t.Fatal("grading the loaded columns differs from grading the run")
+	}
+}
+
+// TestGradesMatchReference grades a random cohort read through the
+// JSON loader (every true/false code, every Level option, free-text
+// Level answers, two scan blocks) at workers 1 and 4. Each
+// respondent's three counts must equal those of a plain grading that
+// compares every answer's label with the answer key, apart from the
+// outcome tables.
+func TestGradesMatchReference(t *testing.T) {
+	raiseGOMAXPROCS(t, 4)
+	d := outsideCohort(t, query.BlockRows+200)
+	reference := func(id string, i int) quiz.PerQuestionOutcome {
+		ci := d.Schema.MustColumnIndex(id)
+		label := d.SingleLabel
+		if d.Schema.Column(ci).Kind == survey.TrueFalse {
+			label = func(ci, i int) string {
+				return [...]string{"", survey.AnswerTrue, survey.AnswerFalse, survey.AnswerDontKnow}[d.TF(ci, i)]
+			}
+		}
+		switch label(ci, i) {
+		case "":
+			return quiz.OutcomeUnanswered
+		case survey.AnswerDontKnow:
+			return quiz.OutcomeDontKnow
+		case quiz.KeyAnswer(id):
+			return quiz.OutcomeCorrect
+		}
+		return quiz.OutcomeIncorrect
+	}
+	for _, workers := range []int{1, 4} {
+		r, err := Study{Seed: 42, Workers: workers}.ResultsFromColumns(d, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := r.grades()
+		for i := 0; i < d.Len(); i++ {
+			var core [4]int
+			for _, q := range quiz.CoreQuestions() {
+				core[reference(q.ID, i)]++
+			}
+			optDK := 0
+			for _, q := range quiz.OptQuestions() {
+				if q.IsTrueFalse() && reference(q.ID, i) == quiz.OutcomeDontKnow {
+					optDK++
+				}
+			}
+			got := [3]int{int(g.coreCorrect[i]), int(g.coreIncorrect[i]), int(g.optDontKnow[i])}
+			want := [3]int{core[quiz.OutcomeCorrect], core[quiz.OutcomeIncorrect], optDK}
+			if got != want {
+				t.Fatalf("workers=%d respondent %d: core correct, core incorrect, opt don't know = %v, reference %v",
+					workers, i, got, want)
+			}
+		}
 	}
 }
 
@@ -253,5 +316,20 @@ func TestSuspicionDistributionHelper(t *testing.T) {
 	}
 	if d.Percent[4] < 50 {
 		t.Fatalf("invalid@5 = %.1f%%, expected majority", d.Percent[4])
+	}
+}
+
+// BenchmarkGrade times one uncached grading of an n=50,000 main
+// cohort, the size the analyses benchmark workload grades: the three
+// score-value gathers the analyses read.
+func BenchmarkGrade(b *testing.B) {
+	r := Study{Seed: 42, NMain: 50000}.Run()
+	src := r.MainSource()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g := gradeCohort(src, 0); len(g.coreCorrect) != 50000 {
+			b.Fatalf("graded %d respondents", len(g.coreCorrect))
+		}
 	}
 }

@@ -125,13 +125,11 @@ func TestProbeMetricNameSet(t *testing.T) {
 		"latency latency.generate-main",
 		"latency latency.generate-students",
 		"latency latency.grade",
-		"latency latency.grade-batch",
 		"latency latency.load-data",
 		"latency latency.load-studentdata",
 		"latency latency.parallel-shard",
 		"latency latency.parallel-wait",
 		"latency latency.parallel-worker-busy",
-		"latency latency.pool-task",
 		"latency latency.query-block",
 		"latency latency.report",
 		"latency latency.sample-block",

@@ -1,8 +1,7 @@
 // Package parallel is the deterministic sharded execution layer under
-// the study pipeline. It provides a bounded worker pool, ordered
-// fan-out/fan-in helpers, and the per-shard RNG seeding scheme that
-// makes parallel population generation bit-identical to sequential
-// generation.
+// the study pipeline. It provides ordered fan-out/fan-in helpers and
+// the per-shard RNG seeding scheme that makes parallel population
+// generation bit-identical to sequential generation.
 //
 // # Determinism contract
 //
@@ -206,40 +205,3 @@ func MapShards[T any](workers, n int, fn func(lo, hi int) T) []T {
 		})
 	return out
 }
-
-// Pool is a bounded worker pool for heterogeneous tasks. Unlike
-// ForEach, which is shaped for index fan-out, a Pool runs arbitrary
-// closures with bounded concurrency and a single Wait barrier. The
-// zero Pool is not usable; create one with NewPool.
-type Pool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-}
-
-// NewPool creates a pool running at most workers tasks concurrently
-// (workers <= 0 means DefaultWorkers()).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	return &Pool{sem: make(chan struct{}, workers)}
-}
-
-// Go submits a task. It blocks only when the pool is saturated, which
-// bounds the number of in-flight goroutines at the pool's size.
-func (p *Pool) Go(fn func()) {
-	p.wg.Add(1)
-	p.sem <- struct{}{}
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-		}()
-		t0 := telemetry.Start()
-		fn()
-		telemetry.Done(telemetry.StagePoolTask, 0, t0, 0, 0)
-	}()
-}
-
-// Wait blocks until every submitted task has finished.
-func (p *Pool) Wait() { p.wg.Wait() }

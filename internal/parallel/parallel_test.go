@@ -127,27 +127,6 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
-func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(3)
-	var inFlight, peak atomic.Int32
-	for i := 0; i < 50; i++ {
-		p.Go(func() {
-			c := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if c <= old || peak.CompareAndSwap(old, c) {
-					break
-				}
-			}
-			inFlight.Add(-1)
-		})
-	}
-	p.Wait()
-	if got := peak.Load(); got > 3 {
-		t.Fatalf("peak concurrency %d exceeds pool size 3", got)
-	}
-}
-
 func TestWorkersNormalization(t *testing.T) {
 	// Raise GOMAXPROCS so the explicit-count assertions are not
 	// short-circuited by the GOMAXPROCS clamp on a small host.
@@ -181,7 +160,7 @@ func TestWorkersClampToGOMAXPROCS(t *testing.T) {
 }
 
 // TestHookObservation checks that the installed telemetry probe sees
-// fan-outs, shard dispatches, and pool tasks through its counters and
+// fan-outs and shard dispatches through its counters and
 // stage histograms — and that the results fn produces are identical
 // with and without it.
 func TestHookObservation(t *testing.T) {
@@ -235,14 +214,6 @@ func TestHookObservation(t *testing.T) {
 		}
 	}
 
-	p := NewPool(2)
-	for i := 0; i < 5; i++ {
-		p.Go(func() {})
-	}
-	p.Wait()
-	if got := count(telemetry.StagePoolTask); got != 5 {
-		t.Fatalf("probe saw %d pool tasks, want 5", got)
-	}
 }
 
 // TestHookNilFastPath pins that uninstalling the probe restores the

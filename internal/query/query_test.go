@@ -248,9 +248,9 @@ func TestGroupedAggregatesVsReference(t *testing.T) {
 				wantN[0][k]++
 				wantSum[0][k] += float64(lv)
 			}
-			core, _, _ := quiz.ScoreColumnsAt(d, i)
+			core, _, _ := referenceTallies(d, i)
 			wantN[1][k]++
-			wantSum[1][k] += float64(core.Correct)
+			wantSum[1][k] += float64(core[quiz.OutcomeCorrect])
 		}
 
 		for _, w := range workerCounts {

@@ -56,21 +56,62 @@ func scoreCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
 	return d
 }
 
+// referenceOutcome grades respondent i's answer to question id the
+// plain way, apart from the outcome tables: it compares the answer's
+// label with the answer key's.
+func referenceOutcome(d *colstore.Dataset, id string, i int) quiz.PerQuestionOutcome {
+	ci := d.Schema.MustColumnIndex(id)
+	label := d.SingleLabel
+	if d.Schema.Column(ci).Kind == survey.TrueFalse {
+		label = func(ci, i int) string {
+			return [...]string{"", survey.AnswerTrue, survey.AnswerFalse, survey.AnswerDontKnow}[d.TF(ci, i)]
+		}
+	}
+	switch label(ci, i) {
+	case "":
+		return quiz.OutcomeUnanswered
+	case survey.AnswerDontKnow:
+		return quiz.OutcomeDontKnow
+	case quiz.KeyAnswer(id):
+		return quiz.OutcomeCorrect
+	}
+	return quiz.OutcomeIncorrect
+}
+
+// tally counts outcomes, indexed by quiz.PerQuestionOutcome.
+type tally [4]int
+
+// referenceTallies counts respondent i's reference outcomes on the core
+// quiz, the three T/F optimization questions and all four.
+func referenceTallies(d *colstore.Dataset, i int) (core, opt, optAll tally) {
+	for _, q := range quiz.CoreQuestions() {
+		core[referenceOutcome(d, q.ID, i)]++
+	}
+	for _, q := range quiz.OptQuestions() {
+		o := referenceOutcome(d, q.ID, i)
+		optAll[o]++
+		if q.IsTrueFalse() {
+			opt[o]++
+		}
+	}
+	return core, opt, optAll
+}
+
 // tallyField returns the count a score value name reads from a tally.
-func tallyField(tl quiz.Tally, field string) int {
+func tallyField(tl tally, field string) int {
 	switch field {
 	case "score", "correct":
-		return tl.Correct
+		return tl[quiz.OutcomeCorrect]
 	case "incorrect":
-		return tl.Incorrect
+		return tl[quiz.OutcomeIncorrect]
 	case "dontknow":
-		return tl.DontKnow
+		return tl[quiz.OutcomeDontKnow]
 	}
-	return tl.Unanswered
+	return tl[quiz.OutcomeUnanswered]
 }
 
 // TestScoreValuesVsReference pins every quiz score value against
-// quiz.ScoreColumnsAt tallies from a row loop: grouped and ungrouped,
+// referenceTallies from a row loop: grouped and ungrouped,
 // on both sources, at several worker counts, over cohorts with a block
 // tail, every T/F code and a free-text Level answer.
 func TestScoreValuesVsReference(t *testing.T) {
@@ -110,8 +151,8 @@ func TestScoreValuesVsReference(t *testing.T) {
 				k = int32(card - 1)
 			}
 			wantCount[k]++
-			core, opt, optAll := quiz.ScoreColumnsAt(d, i)
-			tallies := map[string]quiz.Tally{"core": core, "opt": opt, "optall": optAll}
+			core, opt, optAll := referenceTallies(d, i)
+			tallies := map[string]tally{"core": core, "opt": opt, "optall": optAll}
 			for vi, name := range scoreNames {
 				quizName, field, _ := strings.Cut(name, ".")
 				x := float64(tallyField(tallies[quizName], field))

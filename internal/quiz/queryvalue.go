@@ -192,48 +192,3 @@ func newScoreValue(core, opt []OutcomeTable, quiz string, outcome PerQuestionOut
 	}
 	return v
 }
-
-// OutcomeTable is one quiz question's outcome by answer code, for
-// kernels that classify a whole column at a time.
-type OutcomeTable struct {
-	// Col is the question's schema column: truefalse codes for a T/F
-	// question, single-choice codes for Standard-compliant Level.
-	Col int
-	// TF reports a T/F question.
-	TF bool
-	// ByCode is the outcome of every code below 256.
-	ByCode [256]PerQuestionOutcome
-}
-
-// Outcome classifies a single-choice code: free-text (negative) codes
-// are incorrect.
-func (t *OutcomeTable) Outcome(code int32) PerQuestionOutcome {
-	if uint32(code) < uint32(len(t.ByCode)) {
-		return t.ByCode[code]
-	}
-	return OutcomeIncorrect
-}
-
-// OutcomeTables returns the outcome tables of the 15 core questions and
-// of the four optimization questions (MADD, FTZ, Level, Fast-math),
-// each in paper order.
-func OutcomeTables(s *colstore.Schema) (core, opt []OutcomeTable) {
-	t := ScoreTableFor(s)
-	tf := func(it colItem) OutcomeTable {
-		o := OutcomeTable{Col: it.ci, TF: true}
-		for code := range o.ByCode {
-			o.ByCode[code] = classifyTFCode(uint8(code), it.correct)
-		}
-		return o
-	}
-	core = make([]OutcomeTable, len(t.core))
-	for k, it := range t.core {
-		core[k] = tf(it)
-	}
-	level := OutcomeTable{Col: t.levelCol}
-	for code := range level.ByCode {
-		level.ByCode[code] = t.classifyLevelCode(int32(code))
-	}
-	opt = []OutcomeTable{tf(t.optTF[0]), tf(t.optTF[1]), level, tf(t.optTF[2])}
-	return core, opt
-}

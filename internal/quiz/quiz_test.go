@@ -194,12 +194,12 @@ func TestScorePerfect(t *testing.T) {
 	for _, q := range OptQuestions() {
 		perfect[q.ID] = KeyAnswer(q.ID)
 	}
-	core, _, opt := ScoreColumnsAt(oneRespondent(t, perfect), 0)
-	if core.Correct != 15 || core.Incorrect != 0 {
-		t.Fatalf("perfect core tally: %+v", core)
+	core, _, opt := tallyAt(oneRespondent(t, perfect), 0)
+	if core[OutcomeCorrect] != 15 || core[OutcomeIncorrect] != 0 {
+		t.Fatalf("perfect core tally: %v", core)
 	}
-	if opt.Correct != 4 {
-		t.Fatalf("perfect opt tally: %+v", opt)
+	if opt[OutcomeCorrect] != 4 {
+		t.Fatalf("perfect opt tally: %v", opt)
 	}
 }
 
@@ -213,25 +213,25 @@ func TestScoreAllWrongAndDontKnow(t *testing.T) {
 		wrong[q.ID] = w
 		dk[q.ID] = survey.AnswerDontKnow
 	}
-	if tl, _, _ := ScoreColumnsAt(oneRespondent(t, wrong), 0); tl.Incorrect != 15 {
-		t.Fatalf("all wrong tally: %+v", tl)
+	if tl, _, _ := tallyAt(oneRespondent(t, wrong), 0); tl[OutcomeIncorrect] != 15 {
+		t.Fatalf("all wrong tally: %v", tl)
 	}
-	if tl, _, _ := ScoreColumnsAt(oneRespondent(t, dk), 0); tl.DontKnow != 15 {
-		t.Fatalf("all DK tally: %+v", tl)
+	if tl, _, _ := tallyAt(oneRespondent(t, dk), 0); tl[OutcomeDontKnow] != 15 {
+		t.Fatalf("all DK tally: %v", tl)
 	}
-	if tl, _, _ := ScoreColumnsAt(oneRespondent(t, nil), 0); tl.Unanswered != 15 {
-		t.Fatalf("empty tally: %+v", tl)
+	if tl, _, _ := tallyAt(oneRespondent(t, nil), 0); tl[OutcomeUnanswered] != 15 {
+		t.Fatalf("empty tally: %v", tl)
 	}
 }
 
 func TestScoreOptChoiceQuestion(t *testing.T) {
-	_, _, tl := ScoreColumnsAt(oneRespondent(t, map[string]string{"opt.level": "-O3"}), 0)
-	if tl.Incorrect != 1 || tl.Unanswered != 3 {
-		t.Fatalf("tally: %+v", tl)
+	_, _, tl := tallyAt(oneRespondent(t, map[string]string{"opt.level": "-O3"}), 0)
+	if tl[OutcomeIncorrect] != 1 || tl[OutcomeUnanswered] != 3 {
+		t.Fatalf("tally: %v", tl)
 	}
-	_, _, tl = ScoreColumnsAt(oneRespondent(t, map[string]string{"opt.level": survey.AnswerDontKnow}), 0)
-	if tl.DontKnow != 1 {
-		t.Fatalf("DK tally: %+v", tl)
+	_, _, tl = tallyAt(oneRespondent(t, map[string]string{"opt.level": survey.AnswerDontKnow}), 0)
+	if tl[OutcomeDontKnow] != 1 {
+		t.Fatalf("DK tally: %v", tl)
 	}
 }
 

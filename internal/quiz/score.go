@@ -8,25 +8,6 @@ func KeyAnswer(id string) string {
 	return r.Answer
 }
 
-// Tally counts quiz outcomes for one participant.
-type Tally struct {
-	Correct    int
-	Incorrect  int
-	DontKnow   int
-	Unanswered int
-}
-
-// Total returns the number of questions tallied.
-func (t Tally) Total() int { return t.Correct + t.Incorrect + t.DontKnow + t.Unanswered }
-
-// Grades holds the per-respondent tallies of one graded dataset, in
-// response order.
-type Grades struct {
-	Core      []Tally // 15 core questions
-	OptScored []Tally // the three T/F optimization questions (Figure 12 view)
-	OptAll    []Tally // all four optimization questions
-}
-
 // CoreChance is the expected number of correct core answers under
 // uniform random true/false guessing (15 questions * 1/2).
 const CoreChance = 7.5

@@ -27,15 +27,47 @@ const testN = 4000
 var testPop = GenerateMainColumnar(42, testN, 0, nil, Instrumentation{})
 
 // testGrades are testPop's per-respondent quiz tallies.
-var testGrades = quiz.ScoreAllColumns(testPop.Cols, 0)
+var testGrades = gradeCohort(testPop.Cols)
 
-// coreTabs are the core questions' grading tables, in paper order.
-var coreTabs, _ = quiz.OutcomeTables(quiz.Columns())
+// coreTabs and optTabs are the core and optimization questions'
+// grading tables, in paper order.
+var coreTabs, optTabs = quiz.OutcomeTables(quiz.Columns())
 
 // coreOutcome classifies respondent i's answer to core question k of a
 // cohort through the grading tables.
 func coreOutcome(d *colstore.Dataset, k, i int) quiz.PerQuestionOutcome {
 	return coreTabs[k].ByCode[d.TF(coreTabs[k].Col, i)]
+}
+
+// tally counts outcomes, indexed by quiz.PerQuestionOutcome.
+type tally [4]int
+
+// grades are a cohort's per-respondent tallies: the core quiz, the
+// three T/F optimization questions (the Figure 12 view) and all four.
+type grades struct {
+	Core, OptScored, OptAll []tally
+}
+
+// gradeCohort tallies every respondent of d through the grading tables.
+func gradeCohort(d *colstore.Dataset) grades {
+	n := d.Len()
+	g := grades{make([]tally, n), make([]tally, n), make([]tally, n)}
+	for i := 0; i < n; i++ {
+		for k := range coreTabs {
+			g.Core[i][coreOutcome(d, k, i)]++
+		}
+		for k := range optTabs {
+			t := &optTabs[k]
+			if t.TF {
+				o := t.ByCode[d.TF(t.Col, i)]
+				g.OptScored[i][o]++
+				g.OptAll[i][o]++
+			} else {
+				g.OptAll[i][t.Outcome(d.SingleCode(t.Col, i))]++
+			}
+		}
+	}
+	return g
 }
 
 // likertLevels returns the answered levels of a Likert question.
@@ -154,13 +186,12 @@ func TestBackgroundMarginalsMatchPaper(t *testing.T) {
 }
 
 // sumTallies adds up per-respondent tallies.
-func sumTallies(ts []quiz.Tally) quiz.Tally {
-	var sum quiz.Tally
+func sumTallies(ts []tally) tally {
+	var sum tally
 	for _, tl := range ts {
-		sum.Correct += tl.Correct
-		sum.Incorrect += tl.Incorrect
-		sum.DontKnow += tl.DontKnow
-		sum.Unanswered += tl.Unanswered
+		for o, c := range tl {
+			sum[o] += c
+		}
 	}
 	return sum
 }
@@ -168,9 +199,9 @@ func sumTallies(ts []quiz.Tally) quiz.Tally {
 func TestCoreScoreMatchesFigure12(t *testing.T) {
 	sum := sumTallies(testGrades.Core)
 	n := float64(testN)
-	meanCorrect := float64(sum.Correct) / n
-	meanIncorrect := float64(sum.Incorrect) / n
-	meanDK := float64(sum.DontKnow) / n
+	meanCorrect := float64(sum[quiz.OutcomeCorrect]) / n
+	meanIncorrect := float64(sum[quiz.OutcomeIncorrect]) / n
+	meanDK := float64(sum[quiz.OutcomeDontKnow]) / n
 	if math.Abs(meanCorrect-paperdata.Figure12Core.Correct) > 0.4 {
 		t.Errorf("core mean correct %.2f, paper %.1f", meanCorrect, paperdata.Figure12Core.Correct)
 	}
@@ -191,15 +222,15 @@ func TestOptScoreMatchesFigure12(t *testing.T) {
 	// questions (Standard-compliant Level is excluded as not T/F).
 	sum := sumTallies(testGrades.OptScored)
 	n := float64(testN)
-	if got := float64(sum.Correct) / n; math.Abs(got-paperdata.Figure12Opt.Correct) > 0.25 {
+	if got := float64(sum[quiz.OutcomeCorrect]) / n; math.Abs(got-paperdata.Figure12Opt.Correct) > 0.25 {
 		t.Errorf("opt mean correct %.2f, paper %.1f", got, paperdata.Figure12Opt.Correct)
 	}
-	if got := float64(sum.DontKnow) / n; math.Abs(got-paperdata.Figure12Opt.DontKnow) > 0.3 {
+	if got := float64(sum[quiz.OutcomeDontKnow]) / n; math.Abs(got-paperdata.Figure12Opt.DontKnow) > 0.3 {
 		t.Errorf("opt mean DK %.2f, paper %.1f", got, paperdata.Figure12Opt.DontKnow)
 	}
 	// The story: developers answer Don't Know over 2/3 of the time on
 	// a per-question basis.
-	dkFrac := float64(sum.DontKnow) / (n * 3)
+	dkFrac := float64(sum[quiz.OutcomeDontKnow]) / (n * 3)
 	if dkFrac < 0.6 {
 		t.Errorf("opt DK fraction %.2f, want > 0.6", dkFrac)
 	}
@@ -264,7 +295,7 @@ func TestFactorEffectContribSize(t *testing.T) {
 	counts := map[string]int{}
 	for i, tl := range testGrades.Core {
 		p := testProfiles[i]
-		means[p.ContribSize] += float64(tl.Correct)
+		means[p.ContribSize] += float64(tl[quiz.OutcomeCorrect])
 		counts[p.ContribSize]++
 	}
 	for k := range means {
@@ -289,7 +320,7 @@ func TestFactorEffectArea(t *testing.T) {
 	var csLike, physEng []float64
 	for i, tl := range testGrades.Core {
 		p := testProfiles[i]
-		score := float64(tl.Correct)
+		score := float64(tl[quiz.OutcomeCorrect])
 		switch p.Area {
 		case "Computer Science", "Computer Engineering", "Electrical Engineering":
 			csLike = append(csLike, score)
@@ -311,7 +342,7 @@ func TestFactorEffectRoleOnOptQuiz(t *testing.T) {
 	var swe, support []float64
 	for i, tl := range testGrades.OptAll {
 		p := testProfiles[i]
-		score := float64(tl.Correct)
+		score := float64(tl[quiz.OutcomeCorrect])
 		switch p.Role {
 		case "My main role is as a software engineer":
 			swe = append(swe, score)
@@ -407,7 +438,7 @@ func TestShortListsPredictLowerScores(t *testing.T) {
 	var short, normal []float64
 	for i, tl := range testGrades.Core {
 		p := testProfiles[i]
-		score := float64(tl.Correct)
+		score := float64(tl[quiz.OutcomeCorrect])
 		if p.InformalMask == 0 || bits.OnesCount64(p.FPLanguagesMask) <= 1 {
 			short = append(short, score)
 		} else {
@@ -434,8 +465,8 @@ func TestGenerateMainColumnarOverride(t *testing.T) {
 	}, Instrumentation{})
 	meanOf := func(pop *Population) float64 {
 		s := 0
-		for _, tl := range quiz.ScoreAllColumns(pop.Cols, 0).Core {
-			s += tl.Correct
+		for _, tl := range gradeCohort(pop.Cols).Core {
+			s += tl[quiz.OutcomeCorrect]
 		}
 		return float64(s) / float64(pop.Cols.Len())
 	}
@@ -496,8 +527,8 @@ func TestGenerateTreatedMatchesGenerateMainColumnar(t *testing.T) {
 			for k, override := range overrides {
 				cols := GenerateMainColumnar(seed, n, workers, override, Instrumentation{}).Cols
 				want := 0
-				for _, tl := range quiz.ScoreAllColumns(cols, workers).Core {
-					want += tl.Correct
+				for _, tl := range gradeCohort(cols).Core {
+					want += tl[quiz.OutcomeCorrect]
 				}
 				if got[k] != want {
 					t.Errorf("n=%d workers=%d override %d: %d correct, want %d", n, workers, k, got[k], want)

@@ -157,14 +157,14 @@ func TestLatencyObserveZeroAlloc(t *testing.T) {
 // the registry snapshot with quantiles filled.
 func TestRegistryLatencySnapshot(t *testing.T) {
 	reg := NewRegistry()
-	lh := reg.Latency("latency.grade-batch")
-	if reg.Latency("latency.grade-batch") != lh {
+	lh := reg.Latency("latency.query-block")
+	if reg.Latency("latency.query-block") != lh {
 		t.Fatal("Latency not idempotent")
 	}
 	lh.ObserveShard(0, 2*time.Millisecond)
 	lh.ObserveShard(0, 4*time.Millisecond)
 	s := reg.Snapshot()
-	ls, ok := s.Latencies["latency.grade-batch"]
+	ls, ok := s.Latencies["latency.query-block"]
 	if !ok {
 		t.Fatal("latency hist missing from snapshot")
 	}

@@ -89,14 +89,12 @@ const (
 	// phase, many times per run.
 	StageSampleBlock       // one 4096-respondent response-sampling block
 	StageCalibrateQuestion // one question-model bisection
-	StageGradeBatch        // one ScoreAllColumns batch
 	StageFPDSEncode        // one FPDS column block encode
 	StageFPDSDecode        // one FPDS column block decode
 	StageQueryBlock        // one query-engine scan block (load+filter+key+aggregate)
 	StageParallelShard     // one MapShards shard
 	StageParallelWorker    // one worker's busy time in a fan-out
 	StageParallelWait      // one fan-out's aggregate wait (workers*wall-busy)
-	StagePoolTask          // one parallel.Pool task
 	numStages
 )
 
@@ -129,7 +127,6 @@ var stageDefs = [numStages]stageDef{
 
 	StageSampleBlock:       {name: "sample-block"},
 	StageCalibrateQuestion: {name: "calibrate-question"},
-	StageGradeBatch:        {name: "grade-batch", kind: EvBatch},
 	StageFPDSEncode:        {name: "fpds-encode-block"},
 	StageFPDSDecode:        {name: "fpds-decode-block"},
 	StageQueryBlock: {name: "query-block",
@@ -137,7 +134,6 @@ var stageDefs = [numStages]stageDef{
 	StageParallelShard:  {name: "parallel-shard", kind: EvShard},
 	StageParallelWorker: {name: "parallel-worker-busy", kind: EvWorker},
 	StageParallelWait:   {name: "parallel-wait", arg1: MetricBusyNS, arg2: MetricItems},
-	StagePoolTask:       {name: "pool-task"},
 }
 
 // Metric returns the name of the stage's latency histogram,

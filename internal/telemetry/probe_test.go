@@ -24,7 +24,7 @@ func TestProbeRecordFeedsStage(t *testing.T) {
 	Record(StageParallelShard, 2, start, 3*time.Millisecond, 7, 4096)
 	Record(StageParallelWait, 0, start, time.Millisecond, 500, 64)
 	Record(StageQueryBlock, 1, start, time.Millisecond, 1, 8192)
-	Record(StagePoolTask, 0, start, 2*time.Millisecond, 0, 0)
+	Record(StageFPDSEncode, 0, start, 2*time.Millisecond, 0, 0)
 	Done(StageSampleBlock, 0, Start(), 0, 4096)
 
 	snap := reg.Snapshot()
@@ -42,7 +42,7 @@ func TestProbeRecordFeedsStage(t *testing.T) {
 		StageParallelShard: int64(3 * time.Millisecond),
 		StageParallelWait:  int64(time.Millisecond),
 		StageQueryBlock:    int64(time.Millisecond),
-		StagePoolTask:      int64(2 * time.Millisecond),
+		StageFPDSEncode:    int64(2 * time.Millisecond),
 		StageSampleBlock:   -1, // timed by Start/Done: any sum
 	} {
 		ls := snap.Latencies[st.Metric()]

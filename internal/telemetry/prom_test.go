@@ -101,7 +101,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("pipeline.respondents").Add(199)
 	reg.Gauge("mem.heap_alloc").Set(12345.5)
-	lh := reg.Latency("latency.grade-batch")
+	lh := reg.Latency("latency.query-block")
 	for i := 0; i < 100; i++ {
 		lh.ObserveShard(0, time.Duration(i+1)*time.Millisecond)
 	}
@@ -117,9 +117,9 @@ func TestWritePrometheus(t *testing.T) {
 		"fpstudy_pipeline_respondents 199",
 		"# TYPE fpstudy_mem_heap_alloc gauge",
 		"fpstudy_mem_heap_alloc 12345.5",
-		"# TYPE fpstudy_latency_grade_batch_seconds histogram",
-		`fpstudy_latency_grade_batch_seconds_bucket{le="+Inf"} 100`,
-		"fpstudy_latency_grade_batch_seconds_count 100",
+		"# TYPE fpstudy_latency_query_block_seconds histogram",
+		`fpstudy_latency_query_block_seconds_bucket{le="+Inf"} 100`,
+		"fpstudy_latency_query_block_seconds_count 100",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -47,9 +47,6 @@ const (
 	// parallel.MapShards. Arg1 is the shard index, Arg2 the
 	// shard's item count. The lane identifies the executing worker.
 	EvShard
-	// EvBatch is one scoring/grading batch. Arg1 is the batch's item
-	// count.
-	EvBatch
 	// EvGC marks an observed garbage-collection cycle (sampled by
 	// StartMemSampler). Arg1 is the cumulative GC count, Arg2 the
 	// cumulative pause total in nanoseconds.
@@ -65,8 +62,6 @@ func (k EventKind) String() string {
 		return "worker"
 	case EvShard:
 		return "shard"
-	case EvBatch:
-		return "batch"
 	case EvGC:
 		return "gc"
 	}
@@ -89,7 +84,7 @@ type TraceEvent struct {
 }
 
 // traceLane is one ring buffer. Lane 0 is by convention the pipeline
-// control lane (stages, batches, GC marks); lane w+1 carries
+// control lane (stages, GC marks); lane w+1 carries
 // worker w's events. A short mutex guards the cursor-and-write pair —
 // writers touch a lane for tens of nanoseconds and a full ring simply
 // overwrites its oldest slot, so recording never blocks on capacity.
@@ -316,8 +311,6 @@ func chromeArgs(ev TraceEvent) map[string]any {
 		return map[string]any{"worker": ev.Arg1}
 	case EvShard:
 		return map[string]any{"shard": ev.Arg1, "items": ev.Arg2}
-	case EvBatch:
-		return map[string]any{"items": ev.Arg1}
 	case EvGC:
 		return map[string]any{"gc_count": ev.Arg1, "pause_total_ns": ev.Arg2}
 	}
@@ -337,7 +330,7 @@ func laneName(lane int32) string {
 // trace-event JSON format (the "JSON Array with metadata" flavor:
 // an object with a traceEvents array), loadable in Perfetto
 // (https://ui.perfetto.dev) and chrome://tracing. Interval events
-// (stages, workers, shards, batches) become complete ("X") events on
+// (stages, workers, shards) become complete ("X") events on
 // the lane's thread track; GC marks become instant ("i") events.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	evs := t.Events()

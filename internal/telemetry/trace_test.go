@@ -256,7 +256,7 @@ func TestWriteJSONL(t *testing.T) {
 	tr := NewTracer(1, 16)
 	SetTracer(tr)
 	EmitInstant(EvGC, 0, "gc", 2, 99)
-	EmitSpan(EvBatch, 0, "grade-batch", time.Now(), time.Millisecond, 199, 7)
+	EmitSpan(EvStage, 0, "grade", time.Now(), time.Millisecond, 199, 0)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
